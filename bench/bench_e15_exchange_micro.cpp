@@ -2,13 +2,14 @@
 //
 // The simulator's hot loop is Network::exchange_broadcast(); this
 // experiment pins down what the zero-copy message plane buys there, per
-// topology (ring / random-regular / clique), engine (serial / parallel)
-// and model (LOCAL / CONGEST). Deterministic columns: the per-round
-// traffic and the serial steady-state allocation verdict — the committed
-// baseline therefore *enforces* that a steady-state serial round performs
-// zero heap allocations (payloads are shared handles, the arena reuses
-// its buffers, no trace is attached to the timing network). Observational
-// columns report rounds/sec and the measured allocation counts/bytes.
+// topology (ring / random-regular / clique) and model (LOCAL / CONGEST),
+// on the serial engine (E20 covers the sharded one). Deterministic
+// columns: the per-round traffic and the steady-state allocation verdict
+// — the committed baseline therefore *enforces* that a steady-state
+// serial round performs zero heap allocations (payloads are shared
+// handles, the arena reuses its buffers, no trace is attached to the
+// timing network). Observational columns report rounds/sec and the
+// measured allocation counts/bytes.
 //
 // This TU also carries the binary-wide operator new/delete replacement
 // that implements the counters. It is malloc-backed and counting-only, so
@@ -94,11 +95,9 @@ struct Probe {
 // Times `timed_rounds` steady-state broadcast rounds (after a warm-up that
 // sizes the arena) and measures the heap traffic they cause. No trace is
 // attached: this is the bare hot loop.
-Probe time_broadcast(const Graph& g, int payload_bits, bool parallel,
-                     std::size_t threads, bool congest,
+Probe time_broadcast(const Graph& g, int payload_bits, bool congest,
                      std::uint64_t timed_rounds) {
   Network net(g, congest ? static_cast<std::size_t>(payload_bits) : 0);
-  if (parallel) net.set_engine(Network::Engine::kParallel, threads);
   const std::vector<Message> msgs =
       bench::uniform_broadcast(g.n(), 0x5eed, payload_bits);
   for (int i = 0; i < 3; ++i) net.exchange_broadcast(msgs);  // warm up
@@ -133,7 +132,6 @@ void run(harness::ExperimentContext& ctx) {
                    32});
   topos.push_back({"clique", gen::clique(ctx.pick<std::uint32_t>(256, 64)),
                    64});
-  const std::size_t par_threads = ctx.pick<std::size_t>(4, 2);
   const std::uint64_t timed_rounds = ctx.pick<std::uint64_t>(200, 40);
 
   auto& t = ctx.table(
@@ -144,44 +142,36 @@ void run(harness::ExperimentContext& ctx) {
        "bytes/round (obs)"});
 
   for (const Topo& topo : topos) {
-    for (const bool parallel : {false, true}) {
-      for (const bool congest : {false, true}) {
-        const std::string engine =
-            parallel ? "parallel/" + std::to_string(par_threads) : "serial";
-        const std::string model = congest ? "CONGEST" : "LOCAL";
-        const std::string label =
-            topo.name + "/" + engine + "/" + model;
+    for (const bool congest : {false, true}) {
+      const std::string engine = "serial";
+      const std::string model = congest ? "CONGEST" : "LOCAL";
+      const std::string label = topo.name + "/" + engine + "/" + model;
 
-        // Deterministic leg: a prepared (traced) network records the
-        // model-exact traffic and digest for the baseline gate.
-        Network net(topo.g,
-                    congest ? static_cast<std::size_t>(topo.payload_bits)
-                            : 0);
-        ctx.prepare(net);
-        if (parallel) net.set_engine(Network::Engine::kParallel, par_threads);
-        const std::vector<Message> msgs = bench::uniform_broadcast(
-            topo.g.n(), 0x5eed, topo.payload_bits);
-        for (int i = 0; i < 2; ++i) net.exchange_broadcast(msgs);
-        ctx.record(label, net);
-        const std::uint64_t msgs_per_round = net.metrics().messages / 2;
-        const std::uint64_t bits_per_round = net.metrics().total_bits / 2;
+      // Deterministic leg: a prepared (traced) network records the
+      // model-exact traffic and digest for the baseline gate.
+      Network net(topo.g,
+                  congest ? static_cast<std::size_t>(topo.payload_bits) : 0);
+      ctx.prepare(net);
+      const std::vector<Message> msgs = bench::uniform_broadcast(
+          topo.g.n(), 0x5eed, topo.payload_bits);
+      for (int i = 0; i < 2; ++i) net.exchange_broadcast(msgs);
+      ctx.record(label, net);
+      const std::uint64_t msgs_per_round = net.metrics().messages / 2;
+      const std::uint64_t bits_per_round = net.metrics().total_bits / 2;
 
-        // Timing leg: bare networks, no trace. The serial verdict is a
-        // deterministic column — the baseline fails if a steady-state
-        // serial round ever allocates again.
-        const Probe p = time_broadcast(topo.g, topo.payload_bits, parallel,
-                                       par_threads, congest, timed_rounds);
-        const std::string alloc_verdict =
-            parallel ? "n/a"
-                     : (p.allocs_per_round == 0
-                            ? "none"
-                            : "ALLOC(" +
-                                  std::to_string(p.allocs_per_round) + ")");
-        t.add_row({topo.name, engine, model, msgs_per_round, bits_per_round,
-                   alloc_verdict, p.rounds_per_sec,
-                   std::uint64_t{p.allocs_per_round},
-                   std::uint64_t{p.bytes_per_round}});
-      }
+      // Timing leg: a bare network, no trace. The allocation verdict is a
+      // deterministic column — the baseline fails if a steady-state
+      // serial round ever allocates again.
+      const Probe p =
+          time_broadcast(topo.g, topo.payload_bits, congest, timed_rounds);
+      const std::string alloc_verdict =
+          p.allocs_per_round == 0
+              ? "none"
+              : "ALLOC(" + std::to_string(p.allocs_per_round) + ")";
+      t.add_row({topo.name, engine, model, msgs_per_round, bits_per_round,
+                 alloc_verdict, p.rounds_per_sec,
+                 std::uint64_t{p.allocs_per_round},
+                 std::uint64_t{p.bytes_per_round}});
     }
   }
 }
@@ -190,7 +180,7 @@ const harness::Registrar reg{{
     .name = "e15_exchange_micro",
     .claim = "Perf: the zero-copy message plane makes a steady-state serial "
              "broadcast round allocation-free and lifts exchange rounds/sec "
-             "across topologies, engines, and models",
+             "across topologies and models",
     .axes = {"topology", "engine", "model"},
     .run = run,
 }};

@@ -12,8 +12,8 @@
 //    and unfused paths, and the fused serial steady-state allocation
 //    verdict (the committed baseline *enforces* zero heap allocations).
 //  - Observational columns: rounds/sec for each path and the resulting
-//    speedup. The acceptance bar is >= 3x on broadcast-only Linial-style
-//    rounds at LDC_THREADS=1.
+//    speedup on the serial engine. The acceptance bar is >= 3x on
+//    broadcast-only Linial-style rounds.
 //
 // The allocation counters are the binary-wide operator new/delete
 // replacement carried by bench_e15_exchange_micro.cpp.
@@ -57,10 +57,8 @@ std::vector<std::uint64_t> make_words(const Graph& g, std::uint64_t bound) {
 // the word, exchange, decode every neighbor's word into a per-node sum.
 // No trace is attached: this is the bare hot loop.
 Probe time_rounds(const Graph& g, std::uint64_t bound, bool fused,
-                  bool parallel, std::size_t threads,
                   std::uint64_t timed_rounds) {
   Network net(g);
-  if (parallel) net.set_engine(Network::Engine::kParallel, threads);
   const std::vector<std::uint64_t> colors = make_words(g, bound);
   std::vector<std::uint64_t> words(g.n());
   std::vector<Message> msgs(g.n());
@@ -125,7 +123,6 @@ void run(harness::ExperimentContext& ctx) {
     const std::uint32_t clique_n = ctx.pick<std::uint32_t>(256, 64);
     topos.push_back({"clique", gen::clique(clique_n), clique_n - 1});
   }
-  const std::size_t par_threads = ctx.pick<std::size_t>(4, 2);
   const std::uint64_t timed_rounds = ctx.pick<std::uint64_t>(200, 40);
 
   auto& t = ctx.table(
@@ -166,27 +163,18 @@ void run(harness::ExperimentContext& ctx) {
                       unfused_net.metrics().total_bits / 2 == bits_per_round;
     }
 
-    for (const bool parallel : {false, true}) {
-      const std::string engine =
-          parallel ? "parallel/" + std::to_string(par_threads) : "serial";
-      const Probe unfused = time_rounds(topo.g, topo.bound, false, parallel,
-                                        par_threads, timed_rounds);
-      const Probe fused = time_rounds(topo.g, topo.bound, true, parallel,
-                                      par_threads, timed_rounds);
-      const std::string parity =
-          (fused.checksum == unfused.checksum && traffic_match)
-              ? "match"
-              : "MISMATCH";
-      const std::string alloc_verdict =
-          parallel ? "n/a"
-                   : (fused.allocs_per_round == 0
-                          ? "none"
-                          : "ALLOC(" + std::to_string(fused.allocs_per_round) +
-                                ")");
-      t.add_row({topo.name, engine, msgs_per_round, bits_per_round, parity,
-                 alloc_verdict, unfused.rounds_per_sec, fused.rounds_per_sec,
-                 fused.rounds_per_sec / unfused.rounds_per_sec});
-    }
+    const Probe unfused = time_rounds(topo.g, topo.bound, false, timed_rounds);
+    const Probe fused = time_rounds(topo.g, topo.bound, true, timed_rounds);
+    const std::string parity =
+        (fused.checksum == unfused.checksum && traffic_match) ? "match"
+                                                              : "MISMATCH";
+    const std::string alloc_verdict =
+        fused.allocs_per_round == 0
+            ? "none"
+            : "ALLOC(" + std::to_string(fused.allocs_per_round) + ")";
+    t.add_row({topo.name, "serial", msgs_per_round, bits_per_round, parity,
+               alloc_verdict, unfused.rounds_per_sec, fused.rounds_per_sec,
+               fused.rounds_per_sec / unfused.rounds_per_sec});
   }
 }
 

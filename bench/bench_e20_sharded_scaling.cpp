@@ -1,10 +1,10 @@
 // E20 (runtime) — sharded single-graph execution: equivalence and scaling.
 //
 // Three tables. E20a is the hard gate: the full (Delta+1) pipeline run
-// under kSharded at K in {1, 2, 7} (and kParallel for contrast) must
-// reproduce the serial engine's trace digest, communication metrics and
-// coloring byte-for-byte — the "matches serial" column is deterministic
-// and pinned by the baseline checker. E20b extends the gate to faulty
+// under kSharded at K in {1, 2, 7} must reproduce the serial engine's
+// trace digest, communication metrics and coloring byte-for-byte — the
+// "matches serial" column is deterministic and pinned by the baseline
+// checker. E20b extends the gate to faulty
 // rounds: every drop/corrupt/crash/sleep PRF decision must pick the
 // identical bits regardless of engine, so the flattened delivered
 // payloads and fault counters digest identically. E20c is the scaling
@@ -45,10 +45,10 @@ std::filesystem::path scratch_dir() {
 struct EngineCfg {
   std::string name;
   Network::Engine engine;
-  std::size_t count;  ///< threads (kParallel) or shards (kSharded)
+  std::size_t count;  ///< shards (kSharded)
 };
 
-// ---- E20a: pipeline digest gate (e14 extended to kSharded). -----------
+// ---- E20a: pipeline digest gate. --------------------------------------
 
 struct PipelineOut {
   RunMetrics metrics;
@@ -170,7 +170,6 @@ void run(harness::ExperimentContext& ctx) {
 
   const std::vector<EngineCfg> gate_cfgs = {
       {"serial", Network::Engine::kSerial, 1},
-      {"parallel/2", Network::Engine::kParallel, 2},
       {"sharded/1", Network::Engine::kSharded, 1},
       {"sharded/2", Network::Engine::kSharded, 2},
       {"sharded/7", Network::Engine::kSharded, 7},
@@ -226,7 +225,6 @@ void run(harness::ExperimentContext& ctx) {
   }
   const std::vector<EngineCfg> fault_cfgs = {
       {"serial", Network::Engine::kSerial, 1},
-      {"parallel/2", Network::Engine::kParallel, 2},
       {"sharded/2", Network::Engine::kSharded, 2},
       {"sharded/7", Network::Engine::kSharded, 7},
   };
@@ -256,7 +254,7 @@ void run(harness::ExperimentContext& ctx) {
   // ---- E20c ------------------------------------------------------------
   // Corpus families from e19 (streaming writer, mmap-backed read path);
   // cross-shard columns are the exact staged cut traffic, zero for the
-  // non-sharded engines by construction.
+  // serial engine by construction.
   struct Family {
     std::string tag;
     sg::StreamSpec spec;
@@ -273,7 +271,6 @@ void run(harness::ExperimentContext& ctx) {
   }
   const std::vector<EngineCfg> sweep_cfgs = {
       {"serial", Network::Engine::kSerial, 1},
-      {"parallel/7", Network::Engine::kParallel, 7},
       {"sharded/1", Network::Engine::kSharded, 1},
       {"sharded/2", Network::Engine::kSharded, 2},
       {"sharded/7", Network::Engine::kSharded, 7},
@@ -282,8 +279,7 @@ void run(harness::ExperimentContext& ctx) {
       "E20c: sharded scaling on out-of-core corpora (Linial, fused "
       "word-broadcast rounds)",
       {"family", "engine", "rounds", "matches serial", "valid",
-       "x-shard msgs", "x-shard bits", "rounds per s (obs)",
-       "speedup vs parallel (obs)"});
+       "x-shard msgs", "x-shard bits", "rounds per s (obs)"});
   const auto dir = scratch_dir();
   for (const auto& fam : families) {
     const auto path = (dir / ("e20_" +
@@ -293,24 +289,19 @@ void run(harness::ExperimentContext& ctx) {
     sg::write_corpus(fam.spec, path);
     const auto mapped = storage::MappedGraph::open(path);
     const Graph g = mapped->graph();
-    SweepOut serial_ref, parallel_ref;
+    SweepOut serial_ref;
     for (const auto& cfg : sweep_cfgs) {
       const auto out = run_linial_sweep(g, cfg);
       if (cfg.engine == Network::Engine::kSerial) serial_ref = out;
-      if (cfg.engine == Network::Engine::kParallel) parallel_ref = out;
       const bool first = cfg.engine == Network::Engine::kSerial;
       const bool same = out.digest == serial_ref.digest &&
                         out.rounds == serial_ref.rounds;
       const double rps = out.secs > 0 ? out.rounds / out.secs : 0.0;
-      const double speedup =
-          (cfg.engine == Network::Engine::kSharded && out.secs > 0)
-              ? parallel_ref.secs / out.secs
-              : 0.0;
       sweep.add_row({fam.tag, cfg.name, std::uint64_t{out.rounds},
                      std::string(first ? "reference"
                                        : (same ? "ok" : "DIVERGED")),
                      std::string(out.valid ? "ok" : "VIOLATION"),
-                     out.traffic.messages, out.traffic.bits, rps, speedup});
+                     out.traffic.messages, out.traffic.bits, rps});
     }
     std::filesystem::remove(path);  // keep the scratch footprint bounded
   }

@@ -45,7 +45,7 @@ void usage(std::FILE* out) {
                "  --graph-n N         ring size of hot-set jobs "
                "(default 48)\n"
                "  --engine E          shape jobs for the server's engine:\n"
-               "                      serial|parallel|sharded|dist; dist\n"
+               "                      serial|sharded|dist; dist\n"
                "                      makes the hot set corpus jobs "
                "(default serial)\n"
                "  --corpus NAME       hot-set corpus (required with "
@@ -139,10 +139,10 @@ int main(int argc, char** argv) {
       opt.graph_n = static_cast<std::uint32_t>(u);
     } else if (arg == "--engine") {
       opt.engine = value();
-      if (opt.engine != "serial" && opt.engine != "parallel" &&
-          opt.engine != "sharded" && opt.engine != "dist") {
+      if (opt.engine != "serial" && opt.engine != "sharded" &&
+          opt.engine != "dist") {
         std::fprintf(stderr,
-                     "ldc_load: --engine serial|parallel|sharded|dist; "
+                     "ldc_load: --engine serial|sharded|dist; "
                      "got \"%s\"\n",
                      opt.engine.c_str());
         return 2;

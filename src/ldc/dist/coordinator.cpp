@@ -446,11 +446,9 @@ void Coordinator::exchange_dist(Network& net,
                                 const std::vector<Network::Outbox>& outboxes,
                                 std::uint64_t round, RoundFaults& rf,
                                 std::size_t& round_max_bits) {
-  const Graph& g = graph_;
-  const std::uint32_t n = g.n();
+  const std::uint32_t n = graph_.n();
   const std::size_t K = conns_.size();
   const FaultPlan* plan = DistBackend::faults(net);
-  const bool faulty = plan != nullptr && plan->any();
 
   std::string ctx;
   {
@@ -600,13 +598,13 @@ void Coordinator::exchange_dist(Network& net,
   offsets[n] = total;
   if (slots.size() != total) slots.resize(total);
 
-  RunMetrics& m = DistBackend::metrics(net);
+  ShardStaging round_total;
   for (std::size_t k = 0; k < K; ++k) {
     const NodeId b = part_.begin(k);
     const NodeId owned = part_.end(k) - b;
     const std::uint32_t count = inbox[k]->header.count;
     PayloadReader r(inbox[k]->payload, "inbox");
-    const ShardRoundSummary sum = decode_summary(r);
+    round_total += decode_summary(r);
     for (NodeId lv = 0; lv < owned; ++lv) {
       offsets[b + lv] = base[k] + r.u32();
     }
@@ -620,20 +618,11 @@ void Coordinator::exchange_dist(Network& net,
       slot.second = decode_message(r);
     }
     r.expect_end();
-    // Deterministic merge in ascending shard order: sums and maxes only.
-    m.messages += sum.messages;
-    m.total_bits += sum.total_bits;
-    m.max_message_bits = std::max<std::size_t>(
-        m.max_message_bits, static_cast<std::size_t>(sum.max_message_bits));
-    m.congest_violations += sum.congest_violations;
-    round_max_bits = std::max<std::size_t>(
-        round_max_bits, static_cast<std::size_t>(sum.round_max_bits));
-    rf.dropped += sum.dropped;
-    rf.corrupted += sum.corrupted;
-    traffic_.messages += sum.traffic_messages;
-    traffic_.bits += sum.traffic_bits;
   }
-  (void)faulty;
+  // Deterministic merge in ascending shard order (sums and maxes only),
+  // once every shard's frame decoded.
+  round_total.merge_into(DistBackend::metrics(net), round_max_bits, rf,
+                         &traffic_);
 }
 
 std::vector<Frame> Coordinator::collect_replies(FrameKind kind,
@@ -681,33 +670,23 @@ void Coordinator::broadcast_fill_dist(Network& net,
 
   if (all_live) {
     // Degenerate fast path: no mask, no faults — every inbox is the
-    // sorted neighbor list, which the coordinator can lay out locally
-    // without a round trip. Logical traffic still accrues exactly as the
-    // in-process engine counts it: one unit per delivered slot whose
-    // sender lies outside the destination's shard range.
-    std::uint32_t total = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      offsets[v] = total;
-      total += g.degree(v);
+    // sorted neighbor list, which the coordinator lays out locally with
+    // the kernel's broadcast fill, shard range by shard range, without a
+    // round trip. Logical traffic accrues exactly as in-process: one unit
+    // per delivered slot whose sender lies outside the destination's range.
+    RoundContext rc;
+    rc.graph = &g;
+    rc.round = round;
+    ShardStaging st;
+    // The ranges are appended one after another: size the slots for all
+    // of them up front so no range's fill reallocates.
+    slots.reserve(2 * g.m());
+    for (std::size_t k = 0; k < K; ++k) {
+      ShardRound::fill_broadcast(rc, part_.begin(k), part_.end(k), 0,
+                                 nullptr, msgs, a, st);
     }
-    offsets[n] = total;
-    if (slots.size() != total) slots.resize(total);
-    std::size_t k = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      while (v >= part_.end(k)) ++k;
-      const NodeId b = part_.begin(k);
-      const NodeId e = part_.end(k);
-      std::uint32_t cur = offsets[v];
-      for (NodeId u : g.neighbors(v)) {
-        MailSlot& slot = slots[cur++];
-        slot.first = u;
-        slot.second = msgs[u];
-        if (u < b || u >= e) {
-          ++traffic_.messages;
-          traffic_.bits += msgs[u].bit_count();
-        }
-      }
-    }
+    traffic_.messages += st.traffic_messages;
+    traffic_.bits += st.traffic_bits;
     return;
   }
 
@@ -789,9 +768,7 @@ void Coordinator::word_fill_dist(Network& net,
   if (all_live) {
     // Dense mode is coordinator-local (the serial one-word-per-sender
     // layout); the priced halo is ghost_edges per shard, fixed at bind.
-    std::vector<std::uint64_t>& aw = DistBackend::arena_words(a);
-    if (aw.size() < n) aw.resize(n);
-    std::copy(words.begin(), words.end(), aw.begin());
+    ShardRound::snapshot_words(0, n, {}, words, a);
     for (const WorkerConn& c : conns_) {
       traffic_.messages += c.ghost_edges;
       traffic_.bits += c.ghost_edges * bits;

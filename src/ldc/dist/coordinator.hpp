@@ -3,9 +3,9 @@
 //
 // A Coordinator is a DistBackend: attach it to a Network with
 // attach_dist() and every exchange / broadcast / fused-word round is
-// executed by K `ldc_shard` worker processes, each running the sharded
-// engine's phase A / phase B over its contiguous vertex range, with the
-// per-(src, dst) batch buffers traveling as digest-sealed frames. The
+// executed by K `ldc_shard` worker processes, each running the shard-round
+// kernel over its contiguous vertex range, with the per-(src, dst) batch
+// buffers traveling as digest-sealed frames. The
 // coordinator is the hub: it relays batches between workers, acks each
 // one, and closes round N only when all K² batch frames for N are acked
 // and all K inbox frames are in — then splices the per-shard inbox CSRs
@@ -172,8 +172,6 @@ class Coordinator : public DistBackend {
   [[noreturn]] void rethrow_worker_error(std::uint32_t shard,
                                          std::uint32_t code,
                                          const std::string& what) const;
-
-  std::size_t shard_of(NodeId v) const { return part_.shard_of(v); }
 
   std::shared_ptr<const storage::MappedGraph> mg_;
   Graph graph_;  ///< zero-copy view pinning the mapping

@@ -128,7 +128,10 @@ std::string encode_frame(FrameKind kind, std::uint64_t round,
   put_u32(p + 32, count);
   put_u32(p + 36, 0);
   put_u64(p + kDigestOffset, frame_digest(p, payload));
-  std::memcpy(p + kFrameHeaderBytes, payload.data(), payload.size());
+  // An empty payload's data() may be null, which memcpy must never get.
+  if (!payload.empty()) {
+    std::memcpy(p + kFrameHeaderBytes, payload.data(), payload.size());
+  }
   return out;
 }
 
@@ -240,9 +243,16 @@ FaultCtx decode_fault_ctx(PayloadReader& r, NodeId n) {
   ctx.plan.sleep_rate = r.f64();
   ctx.plan.max_crashes = r.u32();
   (void)r.u32();  // padding
-  const std::string_view bits = r.bytes((n + 7) / 8);
-  ctx.down.assign(bits.begin(), bits.end());
+  unpack_bitmap(r.bytes((n + 7) / 8), n, ctx.down);
   return ctx;
+}
+
+void unpack_bitmap(std::string_view bits, NodeId n, std::vector<char>& flags) {
+  flags.resize(n);
+  for (NodeId v = 0; v < n; ++v) {
+    flags[v] = static_cast<char>(
+        (static_cast<std::uint8_t>(bits[v >> 3]) >> (v & 7)) & 1u);
+  }
 }
 
 void encode_message(PayloadWriter& w, const Message& m) {
@@ -271,7 +281,7 @@ Message decode_message(PayloadReader& r) {
   return Message::from(w);
 }
 
-void encode_summary(PayloadWriter& w, const ShardRoundSummary& s) {
+void encode_summary(PayloadWriter& w, const ShardStaging& s) {
   w.u64(s.messages);
   w.u64(s.total_bits);
   w.u64(s.max_message_bits);
@@ -283,8 +293,8 @@ void encode_summary(PayloadWriter& w, const ShardRoundSummary& s) {
   w.u64(s.traffic_bits);
 }
 
-ShardRoundSummary decode_summary(PayloadReader& r) {
-  ShardRoundSummary s;
+ShardStaging decode_summary(PayloadReader& r) {
+  ShardStaging s;
   s.messages = r.u64();
   s.total_bits = r.u64();
   s.max_message_bits = r.u64();

@@ -17,12 +17,12 @@
 //
 // Payloads are flat little-endian records built/parsed through
 // PayloadWriter/PayloadReader; every reader overrun throws FrameError.
-// The per-round payloads serialize the SAME data the in-process sharded
-// engine stages in memory: per-(src,dst) ShardBatchEntry buffers become
-// kBatch frames, per-shard inbox CSRs come back as kInbox frames, and
-// the fault context ships the plan parameters plus the round's down
-// bitmap so workers re-resolve the pure PRF drop/corrupt decisions
-// bit-identically (fault.hpp).
+// The per-round payloads serialize the SAME data the shard-round kernel
+// stages in memory (runtime/shard_round.hpp): per-(src,dst) BatchEntry
+// buffers become kBatch frames, per-shard inbox CSRs and ShardStaging
+// records come back as kInbox frames, and the fault context ships the
+// plan parameters plus the round's down bitmap so workers re-resolve the
+// pure PRF drop/corrupt decisions bit-identically (fault.hpp).
 #pragma once
 
 #include <cstdint>
@@ -36,6 +36,7 @@
 #include "ldc/graph/graph.hpp"
 #include "ldc/runtime/fault.hpp"
 #include "ldc/runtime/message.hpp"
+#include "ldc/runtime/shard_round.hpp"
 
 namespace ldc::dist {
 
@@ -240,11 +241,9 @@ class PayloadReader {
 struct FaultCtx {
   bool faulty = false;
   FaultPlan plan;
-  std::vector<std::uint8_t> down;  ///< packed bitmap, ceil(n/8) bytes
+  std::vector<char> down;  ///< n flags, unpacked from the wire bitmap
 
-  bool down_bit(NodeId v) const {
-    return (down[v >> 3] >> (v & 7)) & 1u;
-  }
+  bool down_bit(NodeId v) const { return down[v] != 0; }
 };
 
 void encode_fault_ctx(PayloadWriter& w, const FaultPlan* plan,
@@ -255,22 +254,14 @@ FaultCtx decode_fault_ctx(PayloadReader& r, NodeId n);
 void encode_message(PayloadWriter& w, const Message& m);
 Message decode_message(PayloadReader& r);
 
-/// Per-shard staging totals of one exchange round, merged by the
-/// coordinator in ascending shard order (mirrors ShardState's staging).
-struct ShardRoundSummary {
-  std::uint64_t messages = 0;
-  std::uint64_t total_bits = 0;
-  std::uint64_t max_message_bits = 0;
-  std::uint64_t congest_violations = 0;
-  std::uint64_t round_max_bits = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t corrupted = 0;
-  std::uint64_t traffic_messages = 0;
-  std::uint64_t traffic_bits = 0;
-};
+/// A packed bitmap of n flags (the wire form of down and transmit masks),
+/// unpacked into `flags`.
+void unpack_bitmap(std::string_view bits, NodeId n, std::vector<char>& flags);
 
-void encode_summary(PayloadWriter& w, const ShardRoundSummary& s);
-ShardRoundSummary decode_summary(PayloadReader& r);
+/// A shard's staging of one exchange round (9 u64 fields on the wire),
+/// merged by the coordinator in ascending shard order.
+void encode_summary(PayloadWriter& w, const ShardStaging& s);
+ShardStaging decode_summary(PayloadReader& r);
 
 // ------------------------------------------------------ strict knob parsing --
 

@@ -1,16 +1,13 @@
 // ShardWorker: the per-process delivery plane of the distributed engine.
 //
-// The round bodies here are line-for-line mirrors of the Engine::kSharded
-// bodies in runtime/shard.cpp — validation order, accounting order, the
-// pre-drop remote-traffic count, destination-side corruption on the CoW
-// slot copy, and the ascending-source-shard fill that reproduces the
-// serial sender order. Anywhere the in-process engine reads shared
-// memory, this one reads a decoded frame; everything else is identical,
-// which is what makes the cross-engine digest equality hold.
+// Every round runs the shard-round kernel (runtime/shard_round.hpp) over
+// the worker's range — the same bodies kSerial and kSharded run. What is
+// left here is transport: decoding and checking each frame's input,
+// encoding cross-shard survivors into kBatch frames, the batch barrier,
+// and encoding the range's inbox back to the coordinator.
 #include "ldc/dist/worker.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -20,25 +17,8 @@
 
 #include <unistd.h>
 
-#include "ldc/runtime/network.hpp"
-
 namespace ldc::dist {
 namespace {
-
-/// Same contract (and exception text) as every other engine: checked per
-/// sender before any of that sender's messages are validated.
-void check_unique_destinations(
-    const std::vector<std::pair<NodeId, Message>>& outbox,
-    std::vector<NodeId>& scratch) {
-  if (outbox.size() < 2) return;
-  scratch.clear();
-  for (const auto& [dest, msg] : outbox) scratch.push_back(dest);
-  std::sort(scratch.begin(), scratch.end());
-  if (std::adjacent_find(scratch.begin(), scratch.end()) != scratch.end()) {
-    throw std::invalid_argument(
-        "Network::exchange: duplicate destination in a sender's outbox");
-  }
-}
 
 /// Coordinator told us to discard the in-flight round (another shard
 /// errored); unwinds the round handler back to the serve loop.
@@ -49,14 +29,11 @@ struct AbortRound {
 /// kShutdown can arrive inside a round wait; unwinds run() to exit 0.
 struct ShutdownRequested {};
 
-bool bitmap_bit(std::string_view bits, NodeId v) {
-  return (static_cast<std::uint8_t>(bits[v >> 3]) >> (v & 7)) & 1u;
-}
-
 }  // namespace
 
 ShardWorker::ShardWorker(const std::string& corpus_path, int fd)
     : mg_(storage::MappedGraph::open(corpus_path, /*verify_content=*/true)),
+      graph_(mg_->graph()),
       fd_(fd) {}
 
 ShardWorker::~ShardWorker() {
@@ -72,6 +49,7 @@ void ShardWorker::send_frame(FrameKind kind, std::uint64_t round,
 
 void ShardWorker::send_error(std::uint64_t round, std::uint32_t code,
                              const char* what) {
+  abandoned_ = round;
   PayloadWriter w;
   w.u32(code);
   const std::string_view text(what);
@@ -80,18 +58,18 @@ void ShardWorker::send_error(std::uint64_t round, std::uint32_t code,
   send_frame(FrameKind::kError, round, 0, code, w.take());
 }
 
-std::size_t ShardWorker::shard_of(NodeId v) const {
-  std::size_t lo = 0;
-  std::size_t hi = shards_ - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo + 1) / 2;
-    if (starts_[mid] <= v) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
+RoundContext ShardWorker::context(std::uint64_t round,
+                                  const FaultCtx& ctx) const {
+  RoundContext rc;
+  rc.graph = &graph_;
+  rc.round = round;
+  if (ctx.faulty) {
+    rc.faults = &ctx.plan;
+    rc.down = ctx.down.data();
   }
-  return lo;
+  rc.budget_bits = budget_bits_;
+  rc.strict = strict_;
+  return rc;
 }
 
 int ShardWorker::run() {
@@ -101,7 +79,7 @@ int ShardWorker::run() {
   {
     PayloadWriter w;
     w.u64(mg_->meta().content_digest);
-    w.u32(mg_->graph().n());
+    w.u32(graph_.n());
     w.u64(mg_->meta().adj_entries);
     send_frame(FrameKind::kHello, 0, 0, 0, w.take());
   }
@@ -124,6 +102,11 @@ int ShardWorker::run() {
           break;
         case FrameKind::kAbort:
           break;  // stale: the round it names was already abandoned here
+        case FrameKind::kBatch:
+          // Relayed before the coordinator saw this worker's kError for
+          // the round: as stale as the kAbort that follows it.
+          if (abandoned_ && *abandoned_ == f->header.round) break;
+          throw FrameError("ldc_shard: unexpected batch frame");
         case FrameKind::kHeartbeat:
           send_frame(FrameKind::kHeartbeat, f->header.round, 0, 0, {});
           break;
@@ -145,22 +128,27 @@ int ShardWorker::run() {
 void ShardWorker::handle_assign(const Frame& f) {
   PayloadReader r(f.payload, "assign");
   shard_ = r.u32();
-  shards_ = r.u32();
+  const std::uint32_t shards = r.u32();
   budget_bits_ = static_cast<std::size_t>(r.u64());
   strict_ = r.u8() != 0;
-  if (shards_ == 0 || shard_ >= shards_ || shards_ > kMaxDistWorkers) {
+  if (shards == 0 || shard_ >= shards || shards > kMaxDistWorkers) {
     throw FrameError("assign: bad shard index " + std::to_string(shard_) +
-                     " of " + std::to_string(shards_));
+                     " of " + std::to_string(shards));
   }
-  starts_.assign(shards_ + 1, 0);
-  for (std::size_t i = 0; i <= shards_; ++i) starts_[i] = r.u32();
+  std::vector<NodeId> starts(shards + 1, 0);
+  for (NodeId& s : starts) s = r.u32();
   r.expect_end();
-  const Graph& g = mg_->graph();
-  if (starts_.front() != 0 || starts_.back() != g.n()) {
+  const Graph& g = graph_;
+  try {
+    part_ = Partition::from_starts(std::move(starts));
+  } catch (const std::invalid_argument& e) {
+    throw FrameError(std::string("assign: ") + e.what());
+  }
+  if (part_.n() != g.n()) {
     throw FrameError("assign: partition does not cover [0, n)");
   }
   topo_ = ShardTopology{};
-  topo_.build(g, starts_[shard_], starts_[shard_ + 1]);
+  topo_.build(g, part_.begin(shard_), part_.end(shard_));
   assigned_ = true;
   PayloadWriter w;
   w.u64(topo_.ghost_edges);
@@ -170,12 +158,12 @@ void ShardWorker::handle_assign(const Frame& f) {
 
 void ShardWorker::handle_outbox(const Frame& f) {
   if (!assigned_) throw FrameError("outbox: worker not assigned");
-  const Graph& g = mg_->graph();
+  const Graph& g = graph_;
   const NodeId b = topo_.vbegin;
   const NodeId e = topo_.vend;
   const NodeId owned = topo_.owned();
   const std::uint64_t round = f.header.round;
-  const std::size_t K = shards_;
+  const std::size_t K = part_.shards();
 
   PayloadReader r(f.payload, "outbox");
   const FaultCtx ctx = decode_fault_ctx(r, g.n());
@@ -184,7 +172,7 @@ void ShardWorker::handle_outbox(const Frame& f) {
                      std::to_string(f.header.count) + " != owned " +
                      std::to_string(owned));
   }
-  std::vector<std::vector<std::pair<NodeId, Message>>> out(owned);
+  std::vector<std::vector<MailSlot>> out(owned);
   for (NodeId lu = 0; lu < owned; ++lu) {
     const std::uint32_t len = r.u32();
     out[lu].reserve(len);
@@ -194,70 +182,25 @@ void ShardWorker::handle_outbox(const Frame& f) {
     }
   }
   r.expect_end();
-
-  const bool faulty = ctx.faulty;
-  auto lost = [&](NodeId u, NodeId dest) {
-    return ctx.down_bit(dest) || ctx.plan.drops_message(round, u, dest);
+  const RoundContext rc = context(round, ctx);
+  auto outbox_of = [&](NodeId u) -> const std::vector<MailSlot>& {
+    return out[u - b];
   };
 
-  // Phase A — runtime/shard.cpp's source pass verbatim: validate, account
-  // into the staging summary, count local survivors per local destination,
-  // serialize each cross-shard survivor into its (src, dst) batch. Remote
-  // traffic is counted BEFORE the drop check, exactly as in-process.
-  ShardRoundSummary sum;
-  std::vector<std::uint32_t> counts(owned, 0);
+  // Phase A, with each cross-shard survivor serialized straight into its
+  // (src, dst) batch. Algorithm errors go back as typed kError frames.
+  ShardStaging sum;
   std::vector<PayloadWriter> batches(K);
   std::vector<std::uint32_t> batch_counts(K, 0);
   try {
-    for (NodeId u = b; u < e; ++u) {
-      const auto& ob = out[u - b];
-      check_unique_destinations(ob, scratch_);
-      const bool sender_down = faulty && ctx.down_bit(u);
-      for (const auto& [dest, msg] : ob) {
-        if (!g.has_edge(u, dest)) {
-          throw std::invalid_argument(
-              "Network::exchange: message to non-neighbor");
-        }
-        if (sender_down) continue;
-        const std::size_t bits = msg.bit_count();
-        ++sum.messages;
-        sum.total_bits += bits;
-        sum.max_message_bits = std::max<std::uint64_t>(
-            sum.max_message_bits, bits);
-        if (budget_bits_ != 0 && bits > budget_bits_) {
-          ++sum.congest_violations;
-          if (strict_) {
-            throw CongestViolation(
-                "message of " + std::to_string(bits) +
-                " bits exceeds CONGEST budget of " +
-                std::to_string(budget_bits_));
-          }
-        }
-        sum.round_max_bits = std::max<std::uint64_t>(sum.round_max_bits,
-                                                     bits);
-        const bool remote = dest < b || dest >= e;
-        if (remote) {
-          ++sum.traffic_messages;
-          sum.traffic_bits += bits;
-        }
-        if (faulty && lost(u, dest)) {
-          ++sum.dropped;
-          continue;
-        }
-        if (faulty && ctx.plan.corrupts_message(round, u, dest)) {
-          ++sum.corrupted;
-        }
-        if (!remote) {
-          ++counts[dest - b];
-        } else {
-          const std::size_t j = shard_of(dest);
-          batches[j].u32(u);
-          batches[j].u32(dest);
-          encode_message(batches[j], msg);
-          ++batch_counts[j];
-        }
-      }
-    }
+    ShardRound::stage(rc, b, e, outbox_of, arena_, sum,
+                      [&](NodeId u, NodeId dest, const Message& msg) {
+                        const std::size_t j = part_.shard_of(dest);
+                        batches[j].u32(u);
+                        batches[j].u32(dest);
+                        encode_message(batches[j], msg);
+                        ++batch_counts[j];
+                      });
   } catch (const CongestViolation& ex) {
     send_error(round, kErrCongest, ex.what());
     return;
@@ -337,54 +280,19 @@ void ShardWorker::handle_outbox(const Frame& f) {
     return;
   }
 
-  // Phase B — the destination pass: fold batch counts into the local
-  // counts, lay out the shard CSR, then fill walking source shards in
-  // ascending order with the own range inline at j == shard_. Corruption
-  // is applied here on the destination's own copy, re-resolving the pure
-  // PRF decision counted in phase A.
-  for (std::size_t j = 0; j < K; ++j) {
-    for (const BatchEntry& s : incoming[j]) ++counts[s.dest - b];
-  }
-  std::vector<std::uint32_t> offsets(static_cast<std::size_t>(owned) + 1);
-  std::uint32_t total = 0;
-  for (NodeId lv = 0; lv < owned; ++lv) {
-    offsets[lv] = total;
-    total += counts[lv];
-  }
-  offsets[owned] = total;
-  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  std::vector<std::pair<NodeId, Message>> slots(total);
-  for (std::size_t j = 0; j < K; ++j) {
-    if (j == shard_) {
-      for (NodeId u = b; u < e; ++u) {
-        if (faulty && ctx.down_bit(u)) continue;
-        for (const auto& [dest, msg] : out[u - b]) {
-          if (dest < b || dest >= e) continue;
-          if (faulty && lost(u, dest)) continue;
-          auto& slot = slots[cursor[dest - b]++];
-          slot.first = u;
-          slot.second = msg;
-          if (faulty && ctx.plan.corrupts_message(round, u, dest)) {
-            ctx.plan.corrupt_payload(round, u, dest, slot.second);
-          }
-        }
-      }
-      continue;
-    }
-    for (const BatchEntry& s : incoming[j]) {
-      auto& slot = slots[cursor[s.dest - b]++];
-      slot.first = s.sender;
-      slot.second = s.msg;
-      if (faulty && ctx.plan.corrupts_message(round, s.sender, s.dest)) {
-        ctx.plan.corrupt_payload(round, s.sender, s.dest, slot.second);
-      }
-    }
-  }
-
+  // Phase B over the range, then the inbox CSR back to the coordinator.
+  ShardRound::fill(
+      rc, b, e, outbox_of, K, shard_,
+      [&](std::size_t j) -> const std::vector<BatchEntry>& {
+        return incoming[j];
+      },
+      arena_);
+  const std::uint32_t total = arena_.offsets()[owned];
   PayloadWriter w;
   encode_summary(w, sum);
-  for (std::uint32_t off : offsets) w.u32(off);
-  for (const auto& [sender, msg] : slots) {
+  for (NodeId lv = 0; lv <= owned; ++lv) w.u32(arena_.offsets()[lv]);
+  for (std::uint32_t i = 0; i < total; ++i) {
+    const auto& [sender, msg] = arena_.slots()[i];
     w.u32(sender);
     encode_message(w, msg);
   }
@@ -393,64 +301,48 @@ void ShardWorker::handle_outbox(const Frame& f) {
 
 void ShardWorker::handle_bcast(const Frame& f) {
   if (!assigned_) throw FrameError("bcast: worker not assigned");
-  const Graph& g = mg_->graph();
+  const Graph& g = graph_;
   const NodeId b = topo_.vbegin;
   const NodeId e = topo_.vend;
   const NodeId owned = topo_.owned();
-  const std::uint64_t round = f.header.round;
 
   PayloadReader r(f.payload, "bcast");
   const FaultCtx ctx = decode_fault_ctx(r, g.n());
-  const std::string_view transmits = r.bytes((g.n() + 7) / 8);
+  unpack_bitmap(r.bytes((g.n() + 7) / 8), g.n(), live_);
   r.expect_end();
-  const bool faulty = ctx.faulty;
 
-  // Receiver-driven survivor scan, mirroring broadcast_fill_sharded's
-  // masked/faulty path: count drops/corruptions per live edge, collect
-  // surviving sender ids per owned destination in adjacency order. The
-  // coordinator rebuilds the payload slots (it holds the messages), so
-  // only ids travel back.
+  // The survivor scan only: the coordinator holds the messages and
+  // rebuilds the payload slots, so just sender ids travel back.
+  ShardStaging sum;
   std::vector<std::uint32_t> offsets(static_cast<std::size_t>(owned) + 1);
   std::vector<NodeId> senders;
-  std::uint64_t dropped = 0;
-  std::uint64_t corrupted = 0;
-  std::uint32_t total = 0;
-  for (NodeId v = b; v < e; ++v) {
-    offsets[v - b] = total;
-    const bool receiver_down = faulty && ctx.down_bit(v);
-    for (NodeId u : g.neighbors(v)) {
-      if (!bitmap_bit(transmits, u)) continue;
-      if (faulty &&
-          (receiver_down || ctx.plan.drops_message(round, u, v))) {
-        ++dropped;
-        continue;
-      }
-      if (faulty && ctx.plan.corrupts_message(round, u, v)) ++corrupted;
-      senders.push_back(u);
-      ++total;
-    }
-  }
+  ShardRound::scan(
+      context(f.header.round, ctx), b, e, live_.data(), sum,
+      [&](NodeId v) {
+        offsets[v - b] = static_cast<std::uint32_t>(senders.size());
+      },
+      [&](NodeId u, NodeId, bool) { senders.push_back(u); });
+  const auto total = static_cast<std::uint32_t>(senders.size());
   offsets[owned] = total;
 
   PayloadWriter w;
-  w.u64(dropped);
-  w.u64(corrupted);
+  w.u64(sum.dropped);
+  w.u64(sum.corrupted);
   for (std::uint32_t off : offsets) w.u32(off);
   for (NodeId u : senders) w.u32(u);
-  send_frame(FrameKind::kInboxIds, round, 0, total, w.take());
+  send_frame(FrameKind::kInboxIds, f.header.round, 0, total, w.take());
 }
 
 void ShardWorker::handle_word_sparse(const Frame& f) {
   if (!assigned_) throw FrameError("word_sparse: worker not assigned");
-  const Graph& g = mg_->graph();
+  const Graph& g = graph_;
   const NodeId b = topo_.vbegin;
   const NodeId e = topo_.vend;
   const NodeId owned = topo_.owned();
-  const std::uint64_t round = f.header.round;
 
   PayloadReader r(f.payload, "word_sparse");
   const FaultCtx ctx = decode_fault_ctx(r, g.n());
-  const std::string_view transmits = r.bytes((g.n() + 7) / 8);
+  unpack_bitmap(r.bytes((g.n() + 7) / 8), g.n(), live_);
   const std::size_t bits = r.u32();
   std::vector<std::uint64_t> owned_words(owned);
   for (NodeId lv = 0; lv < owned; ++lv) owned_words[lv] = r.u64();
@@ -459,7 +351,6 @@ void ShardWorker::handle_word_sparse(const Frame& f) {
     ghost_words[i] = r.u64();
   }
   r.expect_end();
-  const bool faulty = ctx.faulty;
 
   // A sender delivering to an owned destination is either owned or a
   // ghost; the halo words shipped above cover exactly the latter.
@@ -469,52 +360,23 @@ void ShardWorker::handle_word_sparse(const Frame& f) {
         std::lower_bound(topo_.ghosts.begin(), topo_.ghosts.end(), u);
     return ghost_words[static_cast<std::size_t>(it - topo_.ghosts.begin())];
   };
-
-  // word_fill_sharded's sparse path: per-shard word CSR, corruption via
-  // the pure PRF, traffic counted per DELIVERED out-of-range slot.
-  std::vector<std::uint32_t> offsets(static_cast<std::size_t>(owned) + 1);
-  std::vector<WordSlot> slots;
-  std::uint64_t dropped = 0;
-  std::uint64_t corrupted = 0;
-  std::uint64_t traffic_messages = 0;
-  std::uint64_t traffic_bits = 0;
-  std::uint32_t total = 0;
-  for (NodeId v = b; v < e; ++v) {
-    offsets[v - b] = total;
-    const bool receiver_down = faulty && ctx.down_bit(v);
-    for (NodeId u : g.neighbors(v)) {
-      if (!bitmap_bit(transmits, u)) continue;
-      if (faulty &&
-          (receiver_down || ctx.plan.drops_message(round, u, v))) {
-        ++dropped;
-        continue;
-      }
-      if (faulty && ctx.plan.corrupts_message(round, u, v)) ++corrupted;
-      WordSlot slot{u, word_of(u)};
-      if (u < b || u >= e) {
-        ++traffic_messages;
-        traffic_bits += bits;
-      }
-      if (faulty && ctx.plan.corrupts_message(round, u, v)) {
-        ctx.plan.corrupt_word(round, u, v, slot.value, bits);
-      }
-      slots.push_back(slot);
-      ++total;
-    }
-  }
-  offsets[owned] = total;
+  ShardStaging sum;
+  ShardRound::fill_words(context(f.header.round, ctx), b, e, live_.data(),
+                         word_of, bits, arena_, sum);
+  const std::uint32_t total = arena_.offsets()[owned];
 
   PayloadWriter w;
-  w.u64(dropped);
-  w.u64(corrupted);
-  w.u64(traffic_messages);
-  w.u64(traffic_bits);
-  for (std::uint32_t off : offsets) w.u32(off);
-  for (const WordSlot& s : slots) {
+  w.u64(sum.dropped);
+  w.u64(sum.corrupted);
+  w.u64(sum.traffic_messages);
+  w.u64(sum.traffic_bits);
+  for (NodeId lv = 0; lv <= owned; ++lv) w.u32(arena_.offsets()[lv]);
+  for (std::uint32_t i = 0; i < total; ++i) {
+    const WordSlot& s = arena_.word_slots()[i];
     w.u32(s.sender);
     w.u64(s.value);
   }
-  send_frame(FrameKind::kInboxWords, round, 0, total, w.take());
+  send_frame(FrameKind::kInboxWords, f.header.round, 0, total, w.take());
 }
 
 }  // namespace ldc::dist

@@ -1,14 +1,16 @@
 // The `ldc_shard` worker process: one shard of the distributed engine.
 //
 // A worker owns one contiguous vertex range of the coordinator's
-// partition and is the delivery plane for it — the exact phase A / phase
-// B bodies of the in-process sharded engine (shard.cpp), with the
+// partition and is the delivery plane for it: it runs the shard-round
+// kernel (runtime/shard_round.hpp) over its range — the same phase A /
+// phase B and survivor-scan bodies every engine runs — with the
 // per-(src, dst) batch buffers serialized as kBatch frames instead of
-// staged in shared memory. The worker is deliberately stateless across
-// rounds: everything a round needs (outboxes, fault context, transmit
-// masks, word values) arrives in the round's frames, and every fault
-// decision it resolves is a pure function of (plan seed, round, edge) —
-// which is the whole determinism argument (DESIGN.md §12).
+// staged in shared memory. Between rounds the worker keeps only reusable
+// buffers and the last round it abandoned: everything a round needs
+// (outboxes, fault context, transmit masks, word values) arrives in the
+// round's frames, and every fault decision it resolves is a pure function
+// of (plan seed, round, edge) — which is the whole determinism argument
+// (DESIGN.md §12).
 //
 // I/O is plain blocking reads/writes: the coordinator end is fully
 // non-blocking and always drains, so a worker can never wedge the
@@ -16,11 +18,14 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "ldc/dist/wire.hpp"
 #include "ldc/graph/partition.hpp"
+#include "ldc/runtime/mail.hpp"
+#include "ldc/runtime/shard_round.hpp"
 #include "ldc/storage/mapped_graph.hpp"
 
 namespace ldc::dist {
@@ -43,12 +48,6 @@ class ShardWorker {
   int run();
 
  private:
-  struct BatchEntry {
-    NodeId sender;
-    NodeId dest;
-    Message msg;
-  };
-
   void send_frame(FrameKind kind, std::uint64_t round, std::uint32_t dst,
                   std::uint32_t count, std::string_view payload);
   void send_error(std::uint64_t round, std::uint32_t code, const char* what);
@@ -58,23 +57,25 @@ class ShardWorker {
   void handle_bcast(const Frame& f);
   void handle_word_sparse(const Frame& f);
 
-  /// Shard owning global vertex v (binary search over starts_).
-  std::size_t shard_of(NodeId v) const;
+  /// The round's kernel context over the decoded fault context.
+  RoundContext context(std::uint64_t round, const FaultCtx& ctx) const;
 
   std::shared_ptr<const storage::MappedGraph> mg_;
+  Graph graph_;  ///< zero-copy view pinning the mapping
   int fd_;
   FrameReader reader_;  ///< persistent: read(2) coalesces frames
 
   // Assigned at kAssign (re-assignable: a coordinator re-binds per run).
   bool assigned_ = false;
   std::uint32_t shard_ = 0;
-  std::uint32_t shards_ = 0;
   std::size_t budget_bits_ = 0;
   bool strict_ = false;
-  std::vector<NodeId> starts_;  ///< K+1 partition boundaries
+  Partition part_;
   ShardTopology topo_;
 
-  std::vector<NodeId> scratch_;  ///< duplicate-destination check
+  std::optional<std::uint64_t> abandoned_;  ///< last round sent a kError
+  MailArena arena_;         ///< the range's inbox CSR, reused per round
+  std::vector<char> live_;  ///< unpacked transmit mask of a broadcast
 };
 
 }  // namespace ldc::dist

@@ -1,7 +1,7 @@
 #include "ldc/graph/partition.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace ldc {
 namespace {
@@ -57,11 +57,13 @@ Partition Partition::degree_balanced(const Graph& g, std::size_t shards) {
   return Partition(std::move(starts));
 }
 
-std::size_t Partition::shard_of(NodeId v) const {
-  assert(!starts_.empty() && v < starts_.back());
-  const auto it =
-      std::upper_bound(starts_.begin() + 1, starts_.end(), v);
-  return static_cast<std::size_t>(it - starts_.begin()) - 1;
+Partition Partition::from_starts(std::vector<NodeId> starts) {
+  if (starts.size() < 2 || starts.front() != 0 ||
+      !std::is_sorted(starts.begin(), starts.end())) {
+    throw std::invalid_argument(
+        "Partition: boundaries must start at 0 and never descend");
+  }
+  return Partition(std::move(starts));
 }
 
 void ShardTopology::build(const Graph& g, NodeId b, NodeId e) {

@@ -3,9 +3,9 @@
 // A Partition splits [0, n) into K contiguous ascending ranges; shard k
 // owns [begin(k), end(k)). Contiguity is the determinism lever: the
 // concatenation of the shards' sender ranges in shard order *is* the
-// serial sender order, so a sharded engine that merges per-shard results
-// ascending reproduces the serial delivery order byte for byte (the same
-// argument Network::kParallel already relies on, see DESIGN.md §11).
+// serial sender order, so the shard-round kernel, which merges per-shard
+// results ascending, reproduces the serial delivery order byte for byte
+// (see DESIGN.md §7 and §11).
 //
 // A ShardTopology is one shard's local view: the owned range, the sorted
 // ghost list (out-of-range neighbours of owned vertices, read-only halo),
@@ -14,6 +14,8 @@
 // worker's NUMA node under first-touch placement.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +38,11 @@ class Partition {
   /// allow. Falls back to contiguous() on an edgeless graph.
   static Partition degree_balanced(const Graph& g, std::size_t shards);
 
+  /// A partition from its K+1 boundaries, as shipped to a worker process.
+  /// Throws std::invalid_argument unless they start at 0 and never
+  /// descend.
+  static Partition from_starts(std::vector<NodeId> starts);
+
   std::size_t shards() const {
     return starts_.empty() ? 0 : starts_.size() - 1;
   }
@@ -44,7 +51,11 @@ class Partition {
   NodeId n() const { return starts_.empty() ? 0 : starts_.back(); }
 
   /// Index of the shard owning vertex v (v must be < n()).
-  std::size_t shard_of(NodeId v) const;
+  std::size_t shard_of(NodeId v) const {
+    assert(!starts_.empty() && v < starts_.back());
+    const auto it = std::upper_bound(starts_.begin() + 1, starts_.end(), v);
+    return static_cast<std::size_t>(it - starts_.begin()) - 1;
+  }
 
   const std::vector<NodeId>& starts() const { return starts_; }
 

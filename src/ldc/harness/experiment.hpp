@@ -36,7 +36,7 @@ namespace ldc::harness {
 struct RunConfig {
   bool smoke = false;  ///< shrunk parameter sweeps for CI
   Network::Engine engine = Network::Engine::kSerial;
-  std::size_t threads = 0;  ///< 0 = LDC_THREADS / hardware (parallel only)
+  std::size_t threads = 0;  ///< shard count; 0 = LDC_SHARDS / hardware
   bool capture_rounds = true;  ///< keep per-round trace rows for JSONL
 };
 

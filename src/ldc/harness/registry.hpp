@@ -2,7 +2,7 @@
 // file-scope Registrar; the ldc_bench runner then lists, filters and runs
 // them. Registration order is link order (unspecified), so all iteration
 // APIs return experiments sorted by name — names are chosen sortable
-// (a1..a4, e01..e14).
+// (a1..a4, e01..e21).
 #pragma once
 
 #include <string>

@@ -23,8 +23,7 @@ selection
 
 execution
   --smoke                shrunk parameter sweeps (CI scale)
-  --engine serial|parallel|sharded
-  --threads N            parallel-engine lanes (implies --engine parallel)
+  --engine serial|sharded
   --shards N             shard count (implies --engine sharded)
 
 output
@@ -71,12 +70,12 @@ CliOptions parse_cli(int argc, const char* const* argv) {
       o.smoke = true;
     } else if (arg == "--engine") {
       const std::string v = require_value(argc, argv, i, arg);
-      if (v == "parallel") { o.parallel = true; o.sharded = false; }
-      else if (v == "sharded") { o.sharded = true; o.parallel = false; }
-      else if (v == "serial") { o.parallel = false; o.sharded = false; }
-      else {
-        throw std::invalid_argument(
-            "--engine must be serial, parallel, or sharded");
+      if (v == "sharded") {
+        o.sharded = true;
+      } else if (v == "serial") {
+        o.sharded = false;
+      } else {
+        throw std::invalid_argument("--engine must be serial or sharded");
       }
     } else if (arg == "--shards") {
       const std::string v = require_value(argc, argv, i, arg);
@@ -87,16 +86,6 @@ CliOptions parse_cli(int argc, const char* const* argv) {
       }
       o.shards = n;
       o.sharded = true;
-      o.parallel = false;
-    } else if (arg == "--threads") {
-      const std::string v = require_value(argc, argv, i, arg);
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0' || n == 0 || n > 1024) {
-        throw std::invalid_argument("--threads expects an integer in [1, 1024]");
-      }
-      o.threads = n;
-      if (n > 1) o.parallel = true;
     } else if (arg == "--out") {
       o.out_dir = require_value(argc, argv, i, arg);
     } else if (arg == "--no-tables") {
@@ -164,12 +153,11 @@ int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
 
   RunConfig config;
   config.smoke = options.smoke;
-  config.engine = options.sharded    ? Network::Engine::kSharded
-                  : options.parallel ? Network::Engine::kParallel
-                                     : Network::Engine::kSerial;
-  // Under kSharded the count parameter is the shard count; set_engine
-  // resolves 0 via LDC_SHARDS (strict parse) / hardware concurrency.
-  config.threads = options.sharded ? options.shards : options.threads;
+  config.engine = options.sharded ? Network::Engine::kSharded
+                                  : Network::Engine::kSerial;
+  // The shard count; set_engine resolves 0 via LDC_SHARDS (strict parse)
+  // / hardware concurrency.
+  config.threads = options.sharded ? options.shards : 0;
   const Provenance provenance = make_provenance(config);
 
   std::unique_ptr<Sink> sink;

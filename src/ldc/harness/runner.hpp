@@ -6,7 +6,6 @@
 //   ldc_bench                             run everything, print tables
 //   ldc_bench --filter oldc --filter e0   substring selection
 //   ldc_bench --smoke                     CI-scale parameter sweeps
-//   ldc_bench --threads 4                 parallel engine, 4 lanes
 //   ldc_bench --shards 4                  sharded engine, 4 shards
 //   ldc_bench --out bench_output          JSONL + CSV + table dumps
 //   ldc_bench --smoke --write-baseline BENCH_seed.json
@@ -31,8 +30,6 @@ struct CliOptions {
   bool check = false;
   bool print_tables = true;
   std::vector<std::string> filters;
-  std::size_t threads = 0;        ///< 0 = unset
-  bool parallel = false;          ///< --engine parallel (or --threads > 1)
   bool sharded = false;           ///< --engine sharded (or --shards)
   std::size_t shards = 0;         ///< 0 = LDC_SHARDS / hardware fallback
   std::string out_dir;            ///< empty = no structured output

@@ -21,7 +21,6 @@ namespace {
 
 const char* engine_name(Network::Engine e) {
   switch (e) {
-    case Network::Engine::kParallel: return "parallel";
     case Network::Engine::kSharded: return "sharded";
     case Network::Engine::kDist: return "dist";
     case Network::Engine::kSerial: break;

@@ -29,7 +29,7 @@ struct Provenance {
   std::string git_rev;      ///< configure-time `git rev-parse --short HEAD`
   std::string build_type;   ///< CMAKE_BUILD_TYPE
   std::string build_flags;  ///< CMAKE_CXX_FLAGS
-  std::string engine;       ///< "serial" | "parallel"
+  std::string engine;       ///< "serial" | "sharded" | "dist"
   std::size_t threads = 0;  ///< 0 = resolved at Network level
   bool smoke = false;
 };

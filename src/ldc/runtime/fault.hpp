@@ -19,10 +19,10 @@
 //              resumes.
 //
 // Every decision is a pure function of (seed, round, edge/node) — never of
-// engine, thread count, or iteration order — so a plan yields byte-identical
+// engine, shard count, or iteration order — so a plan yields byte-identical
 // inboxes, RunMetrics (including fault counters), and trace digests under
-// kSerial and kParallel at any thread count. The cross-engine equivalence
-// suite sweeps fault plans to lock this down.
+// every engine at any shard count. The cross-engine equivalence suites
+// sweep fault plans to lock this down.
 //
 // Accounting: a suppressed sender transmits nothing (no cost); a message
 // lost by drop or by a down receiver is paid for by the sender (counted in

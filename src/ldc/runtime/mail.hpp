@@ -15,13 +15,12 @@
 //
 // Delivery order contract: within one inbox, slots are in strictly
 // ascending sender order (each sender may send at most one message per
-// destination per round). All engines produce this order by construction —
-// the serial engine walks senders ascending, the parallel engine's chunks
-// are contiguous ascending sender ranges written in chunk order, and the
-// sharded engine fills each destination by walking source shards in
-// ascending shard order (shards own contiguous ascending vertex ranges) —
-// which is what lets the plane skip the per-inbox sort entirely (a
-// debug-build assertion keeps the invariant honest).
+// destination per round). Every engine produces this order by construction
+// — they all run the shard-round kernel (shard_round.hpp), which fills each
+// destination by walking source ranges in ascending order, and ranges are
+// contiguous and ascending — which is what lets the plane skip the
+// per-inbox sort entirely (a debug-build assertion keeps the invariant
+// honest).
 //
 // Under Engine::kSharded there is one MailArena per shard, indexed by
 // *local* destination id, and the views carry a ShardMap that routes a
@@ -36,6 +35,7 @@
 #include <vector>
 
 #include "ldc/graph/graph.hpp"
+#include "ldc/graph/partition.hpp"
 #include "ldc/runtime/message.hpp"
 
 namespace ldc {
@@ -44,6 +44,7 @@ class Network;
 class RoundMail;
 class WordMail;
 class DistBackend;
+class ShardRound;
 
 /// One delivered message with its sender.
 using MailSlot = std::pair<NodeId, Message>;
@@ -65,47 +66,19 @@ class MailArena {
   /// RoundMail views handed out for earlier rounds.
   std::uint64_t epoch() const { return epoch_; }
 
+  /// The last round's inbox CSR, for code that ships a range's inboxes
+  /// elsewhere (the ldc_shard worker): local destination i's deliveries
+  /// are slots()[offsets()[i] .. offsets()[i + 1]).
+  const std::vector<std::uint32_t>& offsets() const { return offsets_; }
+  const std::vector<MailSlot>& slots() const { return slots_; }
+  const std::vector<WordSlot>& word_slots() const { return word_slots_; }
+
  private:
   friend class Network;
   friend class RoundMail;
   friend class WordMail;
+  friend class ShardRound;   ///< the round kernel fills the arena
   friend class DistBackend;  ///< attorney for src/ldc/dist/ (network.hpp)
-
-  /// Per-destination counting scratch, epoch-stamped: an entry whose stamp
-  /// is not the current epoch reads as zero, so sparse rounds never pay a
-  /// dense O(n) clear (the fix for the per-round `counts.assign(n, 0)` the
-  /// sharded engine used to do on every lane).
-  struct Lane {
-    std::vector<std::uint32_t> counts;
-    std::vector<std::uint64_t> stamp;
-
-    void ensure(std::size_t n) {
-      if (counts.size() < n) {
-        counts.resize(n, 0);
-        stamp.resize(n, 0);
-      }
-    }
-    std::uint32_t at(NodeId v, std::uint64_t e) const {
-      return stamp[v] == e ? counts[v] : 0;
-    }
-    void add_one(NodeId v, std::uint64_t e) {
-      if (stamp[v] != e) {
-        stamp[v] = e;
-        counts[v] = 0;
-      }
-      ++counts[v];
-    }
-    void set(NodeId v, std::uint64_t e, std::uint32_t value) {
-      stamp[v] = e;
-      counts[v] = value;
-    }
-  };
-
-  Lane& lane(std::size_t i, std::size_t n) {
-    if (lanes_.size() <= i) lanes_.resize(i + 1);
-    lanes_[i].ensure(n);
-    return lanes_[i];
-  }
 
   std::vector<std::uint32_t> offsets_;  ///< n+1 per-destination slot offsets
   std::vector<MailSlot> slots_;         ///< flat (sender, message) slots
@@ -113,11 +86,10 @@ class MailArena {
   std::vector<WordSlot> word_slots_;    ///< fused sparse mode: CSR slots
   std::vector<std::uint64_t> ghost_words_;  ///< sharded dense: halo snapshot
   std::uint64_t epoch_ = 0;
-  std::vector<Lane> lanes_;             ///< lane 0: serial; else per chunk
-  std::vector<char> transmits_;         ///< broadcast: sender is live
-  std::vector<std::size_t> sender_bits_;    ///< broadcast: payload size
-  std::vector<NodeId> scratch_;             ///< duplicate-destination check
-  std::vector<std::uint32_t> chunk_total_;  ///< parallel prefix partials
+  std::vector<std::uint32_t> cursor_;  ///< exchange: per-destination count,
+                                       ///< then write cursor
+  std::vector<char> transmits_;        ///< broadcast: sender is live
+  std::vector<NodeId> scratch_;        ///< duplicate-destination check
 };
 
 /// Internal routing tables for Engine::kSharded views (built by the
@@ -136,25 +108,13 @@ struct ShardView {
   std::uint32_t owned = 0;
 };
 
-/// Maps a global vertex to its owning shard (contiguous ranges, so a
-/// binary search over the K+1 boundaries).
+/// Routes a global vertex to its owning shard's view.
 struct ShardMap {
   const ShardView* shards = nullptr;
-  const NodeId* starts = nullptr;  ///< K+1 ascending range boundaries
-  std::size_t count = 0;
+  const Partition* part = nullptr;
 
-  std::size_t shard_of(NodeId v) const {
-    std::size_t lo = 0;
-    std::size_t hi = count - 1;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo + 1) / 2;
-      if (starts[mid] <= v) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
-    }
-    return lo;
+  const ShardView& view_of(NodeId v) const {
+    return shards[part->shard_of(v)];
   }
 };
 
@@ -223,7 +183,7 @@ class RoundMail {
       throw std::out_of_range("RoundMail: destination out of range");
     }
     if (smap_ != nullptr) {
-      const ShardView& sv = smap_->shards[smap_->shard_of(v)];
+      const ShardView& sv = smap_->view_of(v);
       const NodeId lv = v - sv.vbegin;
       const MailSlot* base = sv.arena->slots_.data();
       return InboxSpan(base + sv.arena->offsets_[lv],
@@ -373,7 +333,7 @@ class WordMail {
       throw std::out_of_range("WordMail: destination out of range");
     }
     if (smap_ != nullptr) {
-      const ShardView& sv = smap_->shards[smap_->shard_of(v)];
+      const ShardView& sv = smap_->view_of(v);
       const NodeId lv = v - sv.vbegin;
       if (dense_) {
         const std::uint64_t i0 = sv.xadj[lv];

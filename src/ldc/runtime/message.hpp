@@ -9,7 +9,7 @@
 // a shared payload is cloned before the flip, so corrupting one delivered
 // copy can never alias the sender's message or sibling deliveries. The
 // refcount is atomic, making concurrent handle copies / destruction from
-// the parallel engine's shards safe; mutating one *handle* from two threads
+// the sharded engine's workers safe; mutating one *handle* from two threads
 // is a race on the handle itself, exactly as for any other value type.
 #pragma once
 

@@ -18,24 +18,15 @@ std::uint64_t now_ns() {
           .count());
 }
 
-/// Enforces the "destinations unique per round" contract for one sender.
-/// Checked before any of the sender's messages are validated or delivered,
-/// in both engines, so the error order is engine-independent.
-void check_unique_destinations(const Network::Outbox& outbox,
-                               std::vector<NodeId>& scratch) {
-  if (outbox.size() < 2) return;
-  scratch.clear();
-  for (const auto& [dest, msg] : outbox) scratch.push_back(dest);
-  std::sort(scratch.begin(), scratch.end());
-  if (std::adjacent_find(scratch.begin(), scratch.end()) != scratch.end()) {
-    throw std::invalid_argument(
-        "Network::exchange: duplicate destination in a sender's outbox");
-  }
+/// kSerial's single range never stages a cross-range batch.
+const std::vector<BatchEntry>& no_batches(std::size_t) {
+  static const std::vector<BatchEntry> none;
+  return none;
 }
 
 }  // namespace
 
-void Network::set_engine(Engine engine, std::size_t threads) {
+void Network::set_engine(Engine engine, std::size_t shards) {
   if (engine == Engine::kDist) {
     if (dist_ == nullptr) {
       throw std::invalid_argument(
@@ -43,42 +34,24 @@ void Network::set_engine(Engine engine, std::size_t threads) {
           "attach_dist() with a dist::Coordinator instead");
     }
     engine_ = Engine::kDist;
-    pool_.reset();
     shards_.reset();
     return;
   }
   dist_ = nullptr;
   engine_ = engine;
   if (engine == Engine::kSerial) {
-    pool_.reset();
     shards_.reset();
     return;
   }
-  if (engine == Engine::kSharded) {
-    pool_.reset();
-    std::size_t k =
-        threads == 0 ? ShardCrew::default_shard_count() : threads;
-    k = std::min(k, ShardCrew::kMaxShards);
-    k = std::min<std::size_t>(k, std::max<NodeId>(graph_->n(), 1));
-    if (k <= 1) {
-      shards_.reset();  // one shard: run the exact serial code path
-      return;
-    }
-    if (shards_ == nullptr || shards_->size() != k) {
-      shards_ = std::make_unique<ShardSet>(*graph_, k,
-                                           ShardCrew::pin_from_env());
-    }
+  std::size_t k = shards == 0 ? ShardCrew::default_shard_count() : shards;
+  k = std::min(k, ShardCrew::kMaxShards);
+  k = std::min<std::size_t>(k, std::max<NodeId>(graph_->n(), 1));
+  if (k <= 1) {
+    shards_.reset();  // one shard: run the exact serial code path
     return;
   }
-  shards_.reset();
-  const std::size_t t =
-      threads == 0 ? ThreadPool::default_thread_count() : threads;
-  if (t <= 1) {
-    pool_.reset();  // one lane: run the exact serial code path
-    return;
-  }
-  if (pool_ == nullptr || pool_->size() != t) {
-    pool_ = std::make_unique<ThreadPool>(t);
+  if (shards_ == nullptr || shards_->size() != k) {
+    shards_ = std::make_unique<ShardSet>(*graph_, k, ShardCrew::pin_from_env());
   }
 }
 
@@ -93,31 +66,7 @@ void Network::attach_dist(DistBackend* backend) {
   backend->bind(*this);
   dist_ = backend;
   engine_ = Engine::kDist;
-  pool_.reset();
   shards_.reset();
-}
-
-void Network::account(const Message& m) {
-  ++metrics_.messages;
-  metrics_.total_bits += m.bit_count();
-  metrics_.max_message_bits =
-      std::max(metrics_.max_message_bits, m.bit_count());
-  if (budget_bits_ != 0 && m.bit_count() > budget_bits_) {
-    ++metrics_.congest_violations;
-    if (strict_) {
-      throw CongestViolation("message of " + std::to_string(m.bit_count()) +
-                             " bits exceeds CONGEST budget of " +
-                             std::to_string(budget_bits_));
-    }
-  }
-}
-
-void Network::check_budget(const Message& m) const {
-  if (budget_bits_ != 0 && m.bit_count() > budget_bits_ && strict_) {
-    throw CongestViolation("message of " + std::to_string(m.bit_count()) +
-                           " bits exceeds CONGEST budget of " +
-                           std::to_string(budget_bits_));
-  }
 }
 
 void Network::prepare_round_faults(std::uint64_t round, RoundFaults& rf) {
@@ -145,241 +94,13 @@ void Network::prepare_round_faults(std::uint64_t round, RoundFaults& rf) {
   metrics_.node_sleeps += rf.sleeps;
 }
 
-void Network::exchange_serial(const std::vector<Outbox>& outboxes,
-                              std::uint64_t round, RoundFaults& rf,
-                              std::size_t& round_max_bits) {
-  const auto n = graph_->n();
-  const bool faulty = faults_ != nullptr && faults_->any();
-  MailArena& a = arena_;
-  const std::uint64_t ep = a.epoch_;
-  auto& lane = a.lane(0, n);
-
-  // Pass 1 (by sender, ascending): validate, account, and count surviving
-  // messages per destination. Error and strict-CONGEST throw order is the
-  // serial sender/message order, exactly as when delivery was interleaved
-  // (on a throw the half-filled arena is never exposed: exchange() already
-  // bumped the epoch, so no live view reads it).
-  for (NodeId u = 0; u < n; ++u) {
-    check_unique_destinations(outboxes[u], a.scratch_);
-    const bool sender_down = faulty && down_[u] != 0;
-    for (const auto& [dest, msg] : outboxes[u]) {
-      if (!graph_->has_edge(u, dest)) {
-        throw std::invalid_argument(
-            "Network::exchange: message to non-neighbor");
-      }
-      if (sender_down) continue;  // suppressed: never transmitted
-      account(msg);
-      round_max_bits = std::max(round_max_bits, msg.bit_count());
-      if (faulty &&
-          (down_[dest] != 0 || faults_->drops_message(round, u, dest))) {
-        ++rf.dropped;
-        continue;
-      }
-      if (faulty && faults_->corrupts_message(round, u, dest)) {
-        ++rf.corrupted;
-      }
-      lane.add_one(dest, ep);
-    }
-  }
-
-  // Offsets from counts; the lane entries become absolute write cursors.
-  if (a.offsets_.size() < n + 1) a.offsets_.resize(n + 1);
-  std::uint32_t total = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    a.offsets_[v] = total;
-    const std::uint32_t c = lane.at(v, ep);
-    lane.set(v, ep, total);
-    total += c;
-  }
-  a.offsets_[n] = total;
-  if (a.slots_.size() != total) a.slots_.resize(total);
-
-  // Pass 2 (by sender, ascending): write each surviving message at its
-  // destination's cursor. Fault decisions are pure in (seed, round, edge),
-  // so re-resolving them here reproduces pass 1 exactly. Ascending senders
-  // into per-destination cursors yield ascending sender order per inbox.
-  for (NodeId u = 0; u < n; ++u) {
-    if (faulty && down_[u] != 0) continue;
-    for (const auto& [dest, msg] : outboxes[u]) {
-      if (faulty &&
-          (down_[dest] != 0 || faults_->drops_message(round, u, dest))) {
-        continue;
-      }
-      MailSlot& slot = a.slots_[lane.counts[dest]++];
-      slot.first = u;
-      slot.second = msg;  // shares the payload: no copy of the words
-      if (faulty && faults_->corrupts_message(round, u, dest)) {
-        // flip_bit clones the shared payload (CoW), so the corruption
-        // cannot alias the sender's handle or sibling deliveries.
-        faults_->corrupt_payload(round, u, dest, slot.second);
-      }
-    }
-  }
-}
-
-void Network::exchange_parallel(const std::vector<Outbox>& outboxes,
-                                std::uint64_t round, RoundFaults& rf,
-                                std::size_t& round_max_bits) {
-  const auto n = graph_->n();
-  const bool faulty = faults_ != nullptr && faults_->any();
-  MailArena& a = arena_;
-  const std::uint64_t ep = a.epoch_;
-  // Per-shard staging: metrics plus a per-destination count lane. Shards
-  // are contiguous ascending sender ranges, so concatenating them in shard
-  // order reproduces the serial sender order exactly. Lanes persist in the
-  // arena and are epoch-stamped: entries from earlier rounds read as zero,
-  // so no O(n·lanes) clearing happens per round. Fault decisions are pure
-  // in (seed, round, edge), so the counting pass and the write pass
-  // resolve them identically without sharing state.
-  struct Shard {
-    RunMetrics metrics;
-    std::size_t round_max_bits = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t corrupted = 0;
-  };
-  const std::size_t lanes = std::min<std::size_t>(pool_->size(), n);
-  std::vector<Shard> shards(lanes);
-  for (std::size_t t = 0; t < lanes; ++t) a.lane(t, n);
-
-  // Drop decision shared by the counting and write passes (down receiver
-  // first so the plan's drop stream is only consulted for live edges,
-  // exactly as in the serial engine).
-  auto lost = [&](NodeId u, NodeId dest) {
-    return down_[dest] != 0 || faults_->drops_message(round, u, dest);
-  };
-
-  // Pass 1 (by sender): validate, account into the shard, count per dest.
-  // Exception order matches serial: parallel_for rethrows the lowest chunk
-  // = lowest sender, per-sender checks run in serial order within a chunk,
-  // and the exception texts are position-independent.
-  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t t) {
-    Shard& sh = shards[t];
-    MailArena::Lane& lane = a.lanes_[t];
-    std::vector<NodeId> scratch;
-    for (std::size_t u = b; u < e; ++u) {
-      check_unique_destinations(outboxes[u], scratch);
-      const bool sender_down = faulty && down_[u] != 0;
-      for (const auto& [dest, msg] : outboxes[u]) {
-        if (!graph_->has_edge(static_cast<NodeId>(u), dest)) {
-          throw std::invalid_argument(
-              "Network::exchange: message to non-neighbor");
-        }
-        if (sender_down) continue;
-        ++sh.metrics.messages;
-        sh.metrics.total_bits += msg.bit_count();
-        sh.metrics.max_message_bits =
-            std::max(sh.metrics.max_message_bits, msg.bit_count());
-        if (budget_bits_ != 0 && msg.bit_count() > budget_bits_) {
-          ++sh.metrics.congest_violations;
-          check_budget(msg);
-        }
-        sh.round_max_bits = std::max(sh.round_max_bits, msg.bit_count());
-        if (faulty && lost(static_cast<NodeId>(u), dest)) {
-          ++sh.dropped;
-          continue;
-        }
-        if (faulty &&
-            faults_->corrupts_message(round, static_cast<NodeId>(u), dest)) {
-          ++sh.corrupted;
-        }
-        lane.add_one(dest, ep);
-      }
-    }
-  });
-
-  // Pass 2 (by destination): global CSR offsets from the per-lane counts.
-  // 2a computes per-chunk slot totals, a serial scan over the (few) chunks
-  // assigns chunk base offsets, then 2b lays out each destination's span
-  // and turns the lane entries into absolute write cursors, shard by shard
-  // — so shard order within an inbox equals ascending sender order.
-  if (a.chunk_total_.size() < lanes) a.chunk_total_.resize(lanes);
-  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t t) {
-    std::uint32_t sum = 0;
-    for (std::size_t dest = b; dest < e; ++dest) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        sum += a.lanes_[l].at(static_cast<NodeId>(dest), ep);
-      }
-    }
-    a.chunk_total_[t] = sum;
-  });
-  // parallel_for(n, ...) splits [0, n) the same way on every call with the
-  // same pool, so chunk t in 2b covers exactly the range summed in 2a.
-  const std::size_t chunks = std::min<std::size_t>(pool_->size(), n);
-  std::uint32_t total = 0;
-  for (std::size_t t = 0; t < chunks; ++t) {
-    const std::uint32_t c = a.chunk_total_[t];
-    a.chunk_total_[t] = total;
-    total += c;
-  }
-  if (a.offsets_.size() < n + 1) a.offsets_.resize(n + 1);
-  a.offsets_[n] = total;
-  if (a.slots_.size() != total) a.slots_.resize(total);
-  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t t) {
-    std::uint32_t cur = a.chunk_total_[t];
-    for (std::size_t dest = b; dest < e; ++dest) {
-      a.offsets_[dest] = cur;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        MailArena::Lane& lane = a.lanes_[l];
-        const std::uint32_t c = lane.at(static_cast<NodeId>(dest), ep);
-        lane.set(static_cast<NodeId>(dest), ep, cur);
-        cur += c;
-      }
-    }
-  });
-
-  // Pass 3 (by sender, same sharding): write messages at the shard's
-  // cursor — disjoint slots, and slot order equals serial insert order.
-  // Re-resolves the (pure) fault decisions of pass 1.
-  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t t) {
-    MailArena::Lane& lane = a.lanes_[t];
-    for (std::size_t u = b; u < e; ++u) {
-      if (faulty && down_[u] != 0) continue;
-      for (const auto& [dest, msg] : outboxes[u]) {
-        if (faulty && lost(static_cast<NodeId>(u), dest)) continue;
-        MailSlot& slot = a.slots_[lane.counts[dest]++];
-        slot.first = static_cast<NodeId>(u);
-        slot.second = msg;
-        if (faulty &&
-            faults_->corrupts_message(round, static_cast<NodeId>(u), dest)) {
-          faults_->corrupt_payload(round, static_cast<NodeId>(u), dest,
-                                   slot.second);
-        }
-      }
-    }
-  });
-
-  // Deterministic merge: all folds are sums / maxes, so the totals equal
-  // the serial accounting regardless of shard boundaries.
-  for (const Shard& sh : shards) {
-    metrics_.messages += sh.metrics.messages;
-    metrics_.total_bits += sh.metrics.total_bits;
-    metrics_.max_message_bits =
-        std::max(metrics_.max_message_bits, sh.metrics.max_message_bits);
-    metrics_.congest_violations += sh.metrics.congest_violations;
-    round_max_bits = std::max(round_max_bits, sh.round_max_bits);
-    rf.dropped += sh.dropped;
-    rf.corrupted += sh.corrupted;
-  }
-}
-
 void Network::debug_check_sorted() const {
 #ifndef NDEBUG
   // The ascending-sender invariant that replaced the per-inbox sort: the
-  // serial engine walks senders in order, the parallel engine's chunks are
-  // contiguous ascending ranges merged in chunk order, the sharded engine
-  // fills each inbox walking source shards ascending, and the broadcast
-  // fill follows the graph's sorted adjacency.
+  // kernel fills each inbox walking contiguous ascending source ranges in
+  // order, and the broadcast fill follows the graph's sorted adjacency.
   if (shards_ != nullptr) {
-    for (const auto& st : shards_->states_) {
-      const MailArena& a = st->arena;
-      for (NodeId lv = 0; lv < st->topo.owned(); ++lv) {
-        for (std::uint32_t i = a.offsets_[lv] + 1; i < a.offsets_[lv + 1];
-             ++i) {
-          assert(a.slots_[i - 1].first < a.slots_[i].first &&
-                 "sharded inbox not in ascending sender order");
-        }
-      }
-    }
+    shards_->debug_check_sorted();
     return;
   }
   for (NodeId v = 0; v < graph_->n(); ++v) {
@@ -392,30 +113,65 @@ void Network::debug_check_sorted() const {
 #endif
 }
 
-void Network::finish_round(std::uint64_t msgs_before,
-                           std::uint64_t bits_before,
-                           std::size_t round_max_bits, std::uint64_t t0,
-                           const RoundFaults& rf) {
-  metrics_.messages_dropped += rf.dropped;
-  metrics_.messages_corrupted += rf.corrupted;
-  const std::uint64_t wall_ns = (now_ns() - t0) + pending_compute_ns_;
+Network::OpenRound Network::open_round() {
+  // Round-boundary hook (cancellation checks live here): runs before the
+  // round is accounted, so a throwing callback leaves metrics untouched.
+  if (round_cb_) round_cb_(metrics_.rounds);
+  // Invalidate prior views before touching the arena, so even a throwing
+  // round can never expose half-rewritten slots through a stale RoundMail.
+  ++arena_.epoch_;
+  OpenRound r;
+  r.ctx.graph = graph_;
+  // The round index keying the fault schedule: silent rounds shift it, so a
+  // plan addresses "the k-th round of the run", not "the k-th exchange".
+  r.ctx.round = metrics_.rounds++;
+  r.ctx.budget_bits = budget_bits_;
+  r.ctx.strict = strict_;
+  if (faults_ != nullptr && faults_->any()) {
+    prepare_round_faults(r.ctx.round, r.rf);
+    r.ctx.faults = faults_;
+    r.ctx.down = down_.data();
+  }
+  r.msgs_before = metrics_.messages;
+  r.bits_before = metrics_.total_bits;
+  r.t0 = now_ns();
+  return r;
+}
+
+const char* Network::live_senders(const std::vector<bool>* active,
+                                  const RoundContext& ctx) {
+  // The pure fast path — nobody masked, nobody down — needs no per-edge
+  // transmit test: every inbox is exactly the sender-sorted neighbor list.
+  if (active == nullptr && ctx.faults == nullptr) return nullptr;
+  const auto n = graph_->n();
+  arena_.transmits_.assign(n, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    const bool sends = (active == nullptr || (*active)[u]) &&
+                       !(ctx.faults != nullptr && down_[u] != 0);
+    arena_.transmits_[u] = sends ? 1 : 0;
+  }
+  return arena_.transmits_.data();
+}
+
+void Network::finish_round(OpenRound& r, const ShardStaging& st) {
+  st.merge_into(metrics_, r.max_bits, r.rf, nullptr);
+  metrics_.messages_dropped += r.rf.dropped;
+  metrics_.messages_corrupted += r.rf.corrupted;
+  const std::uint64_t wall_ns = (now_ns() - r.t0) + pending_compute_ns_;
   pending_compute_ns_ = 0;
   metrics_.wall_ns += wall_ns;
   if (trace_ != nullptr) {
-    trace_->record_round(metrics_.messages - msgs_before,
-                         metrics_.total_bits - bits_before, round_max_bits,
-                         wall_ns, rf);
+    trace_->record_round(metrics_.messages - r.msgs_before,
+                         metrics_.total_bits - r.bits_before, r.max_bits,
+                         wall_ns, r.rf);
   }
 }
 
-RoundMail Network::seal_round(std::uint64_t msgs_before,
-                              std::uint64_t bits_before,
-                              std::size_t round_max_bits, std::uint64_t t0,
-                              const RoundFaults& rf) {
+RoundMail Network::seal_round(OpenRound& r, const ShardStaging& st) {
   debug_check_sorted();
-  finish_round(msgs_before, bits_before, round_max_bits, t0, rf);
+  finish_round(r, st);
   if (shards_ != nullptr) {
-    return RoundMail(&arena_, &shards_->map_, graph_->n());
+    return RoundMail(&arena_, shards_->map(), graph_->n());
   }
   return RoundMail(&arena_, graph_->n());
 }
@@ -425,156 +181,20 @@ RoundMail Network::exchange(const std::vector<Outbox>& outboxes) {
   if (outboxes.size() != n) {
     throw std::invalid_argument("Network::exchange: outbox count != n");
   }
-  // Round-boundary hook (cancellation checks live here): runs before the
-  // round is accounted, so a throwing callback leaves metrics untouched.
-  if (round_cb_) round_cb_(metrics_.rounds);
-  // Invalidate prior views before touching the arena, so even a throwing
-  // round can never expose half-rewritten slots through a stale RoundMail.
-  ++arena_.epoch_;
-  // The round index keying the fault schedule: silent rounds shift it, so a
-  // plan addresses "the k-th round of the run", not "the k-th exchange".
-  const std::uint64_t round = metrics_.rounds;
-  ++metrics_.rounds;
-  RoundFaults rf;
-  if (faults_ != nullptr && faults_->any()) prepare_round_faults(round, rf);
-  const std::uint64_t msgs_before = metrics_.messages;
-  const std::uint64_t bits_before = metrics_.total_bits;
-  std::size_t round_max_bits = 0;
-  const std::uint64_t t0 = now_ns();
+  OpenRound r = open_round();
+  ShardStaging st;
   if (dist_ != nullptr) {
-    dist_->exchange_dist(*this, outboxes, round, rf, round_max_bits);
+    dist_->exchange_dist(*this, outboxes, r.ctx.round, r.rf, r.max_bits);
   } else if (shards_ != nullptr) {
-    exchange_sharded(outboxes, round, rf, round_max_bits);
-  } else if (pool_ != nullptr && pool_->size() > 1) {
-    exchange_parallel(outboxes, round, rf, round_max_bits);
+    st = shards_->exchange(r.ctx, outboxes);
   } else {
-    exchange_serial(outboxes, round, rf, round_max_bits);
+    // One range [0, n): nothing is ever remote, so the sink never runs.
+    auto outbox_of = [&](NodeId u) -> const Outbox& { return outboxes[u]; };
+    ShardRound::stage(r.ctx, 0, n, outbox_of, arena_, st,
+                      [](NodeId, NodeId, const Message&) {});
+    ShardRound::fill(r.ctx, 0, n, outbox_of, 1, 0, no_batches, arena_);
   }
-  return seal_round(msgs_before, bits_before, round_max_bits, t0, rf);
-}
-
-void Network::broadcast_fill(const std::vector<Message>& msgs,
-                             const std::vector<bool>* active,
-                             std::uint64_t round, RoundFaults& rf,
-                             std::size_t& round_max_bits) {
-  const auto n = graph_->n();
-  const bool faulty = faults_ != nullptr && faults_->any();
-  MailArena& a = arena_;
-  // The pure fast path — nobody masked, nobody down — needs no per-edge
-  // transmit test and no counting scan: every inbox is exactly the
-  // sender-sorted neighbor list, so the offsets are the graph's CSR.
-  const bool all_live = active == nullptr && !faulty;
-  if (!all_live) {
-    a.transmits_.assign(n, 0);
-    for (NodeId u = 0; u < n; ++u) {
-      const bool sends = (active == nullptr || (*active)[u]) &&
-                         !(faulty && down_[u] != 0);
-      a.transmits_[u] = sends ? 1 : 0;
-    }
-  }
-
-  // Sender-side accounting, in ascending sender order — bulk per sender
-  // (degree many identical messages) instead of per message, with the
-  // strict-CONGEST throw surfacing at the same sender and with the same
-  // partial metric updates as the per-message account() loop it replaces.
-  for (NodeId u = 0; u < n; ++u) {
-    if (!all_live && a.transmits_[u] == 0) continue;
-    const std::size_t deg = graph_->degree(u);
-    if (deg == 0) continue;
-    const std::size_t bits = msgs[u].bit_count();
-    if (budget_bits_ != 0 && bits > budget_bits_) {
-      if (strict_) {
-        // account() for the sender's first message: counts it, then throws.
-        ++metrics_.messages;
-        metrics_.total_bits += bits;
-        metrics_.max_message_bits =
-            std::max(metrics_.max_message_bits, bits);
-        ++metrics_.congest_violations;
-        throw CongestViolation("message of " + std::to_string(bits) +
-                               " bits exceeds CONGEST budget of " +
-                               std::to_string(budget_bits_));
-      }
-      metrics_.congest_violations += deg;
-    }
-    metrics_.messages += deg;
-    metrics_.total_bits += static_cast<std::uint64_t>(deg) * bits;
-    metrics_.max_message_bits = std::max(metrics_.max_message_bits, bits);
-    round_max_bits = std::max(round_max_bits, bits);
-  }
-
-  // Sharded engine: sender-side accounting above ran on the coordinator
-  // (identical to serial); the per-shard receiver-driven fill takes over.
-  if (dist_ != nullptr) {
-    dist_->broadcast_fill_dist(*this, msgs, active, round, rf, all_live);
-    return;
-  }
-  if (shards_ != nullptr) {
-    broadcast_fill_sharded(msgs, active, round, rf, all_live);
-    return;
-  }
-
-  // Receiver-side offsets. In the masked/faulty case this is also where
-  // the per-edge drop and corruption events are counted (each live edge is
-  // visited exactly once; the fill pass re-resolves the pure decisions).
-  if (a.offsets_.size() < n + 1) a.offsets_.resize(n + 1);
-  std::uint32_t total = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    a.offsets_[v] = total;
-    if (all_live) {
-      total += static_cast<std::uint32_t>(graph_->degree(v));
-      continue;
-    }
-    const bool receiver_down = faulty && down_[v] != 0;
-    for (NodeId u : graph_->neighbors(v)) {
-      if (a.transmits_[u] == 0) continue;
-      if (faulty &&
-          (receiver_down || faults_->drops_message(round, u, v))) {
-        ++rf.dropped;
-        continue;
-      }
-      if (faulty && faults_->corrupts_message(round, u, v)) {
-        ++rf.corrupted;
-      }
-      ++total;
-    }
-  }
-  a.offsets_[n] = total;
-  if (a.slots_.size() != total) a.slots_.resize(total);
-
-  // Fill (by destination): v's inbox is one shared handle per live
-  // in-neighbor, in adjacency order — the graph stores sorted adjacency,
-  // so ascending sender order holds with no sort. Parallelizing by
-  // destination is race-free: spans are disjoint and all reads are const.
-  auto fill = [&](std::size_t b, std::size_t e, std::size_t) {
-    for (std::size_t v = b; v < e; ++v) {
-      std::uint32_t cur = a.offsets_[v];
-      const bool receiver_down =
-          !all_live && faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(static_cast<NodeId>(v))) {
-        if (!all_live) {
-          if (a.transmits_[u] == 0) continue;
-          if (faulty && (receiver_down ||
-                         faults_->drops_message(round, u,
-                                                static_cast<NodeId>(v)))) {
-            continue;
-          }
-        }
-        MailSlot& slot = a.slots_[cur++];
-        slot.first = u;
-        slot.second = msgs[u];
-        if (!all_live && faulty &&
-            faults_->corrupts_message(round, u, static_cast<NodeId>(v))) {
-          faults_->corrupt_payload(round, u, static_cast<NodeId>(v),
-                                   slot.second);
-        }
-      }
-    }
-  };
-  if (pool_ != nullptr && pool_->size() > 1) {
-    pool_->parallel_for(n, fill);
-  } else {
-    fill(0, n, 0);
-  }
+  return seal_round(r, st);
 }
 
 RoundMail Network::exchange_broadcast(const std::vector<Message>& msgs,
@@ -589,18 +209,22 @@ RoundMail Network::exchange_broadcast(const std::vector<Message>& msgs,
     throw std::invalid_argument(
         "Network::exchange_broadcast: active mask size != n");
   }
-  if (round_cb_) round_cb_(metrics_.rounds);
-  ++arena_.epoch_;
-  const std::uint64_t round = metrics_.rounds;
-  ++metrics_.rounds;
-  RoundFaults rf;
-  if (faults_ != nullptr && faults_->any()) prepare_round_faults(round, rf);
-  const std::uint64_t msgs_before = metrics_.messages;
-  const std::uint64_t bits_before = metrics_.total_bits;
-  std::size_t round_max_bits = 0;
-  const std::uint64_t t0 = now_ns();
-  broadcast_fill(msgs, active, round, rf, round_max_bits);
-  return seal_round(msgs_before, bits_before, round_max_bits, t0, rf);
+  OpenRound r = open_round();
+  const char* live = live_senders(active, r.ctx);
+  // Sender-side accounting runs here for every engine, in ascending
+  // sender order; the receiver-driven fill follows.
+  ShardStaging st;
+  ShardRound::account_broadcast(
+      r.ctx, live, [&](NodeId u) { return msgs[u].bit_count(); }, st);
+  if (dist_ != nullptr) {
+    dist_->broadcast_fill_dist(*this, msgs, active, r.ctx.round, r.rf,
+                               live == nullptr);
+  } else if (shards_ != nullptr) {
+    st += shards_->broadcast(r.ctx, live, msgs);
+  } else {
+    ShardRound::fill_broadcast(r.ctx, 0, n, 0, live, msgs, arena_, st);
+  }
+  return seal_round(r, st);
 }
 
 WordMail Network::exchange_broadcast_word(
@@ -620,151 +244,52 @@ WordMail Network::exchange_broadcast_word(
         "Network::exchange_broadcast_word: bound must be < 2^64-1 (the "
         "equivalent write_bounded width is ceil_log2(bound+1))");
   }
-  if (round_cb_) round_cb_(metrics_.rounds);
-  ++arena_.epoch_;
-  const std::uint64_t round = metrics_.rounds;
-  ++metrics_.rounds;
-  RoundFaults rf;
-  const bool faulty = faults_ != nullptr && faults_->any();
-  if (faulty) prepare_round_faults(round, rf);
-  const std::uint64_t msgs_before = metrics_.messages;
-  const std::uint64_t bits_before = metrics_.total_bits;
-  std::size_t round_max_bits = 0;
-  const std::uint64_t t0 = now_ns();
-
+  OpenRound r = open_round();
+  const char* live = live_senders(active, r.ctx);
   // Payload width of the round: every live sender transmits exactly the
-  // bits write_bounded(word, bound) would pack.
+  // bits write_bounded(word, bound) would pack, so metrics, trace rows,
+  // and the strict-CONGEST throw point match the Message path.
   const std::size_t bits = static_cast<std::size_t>(ceil_log2(bound + 1));
-  MailArena& a = arena_;
-  const bool all_live = active == nullptr && !faulty;
-  if (!all_live) {
-    a.transmits_.assign(n, 0);
-    for (NodeId u = 0; u < n; ++u) {
-      const bool sends = (active == nullptr || (*active)[u]) &&
-                         !(faulty && down_[u] != 0);
-      a.transmits_[u] = sends ? 1 : 0;
-    }
-  }
-
-  // Sender-side accounting: the same bulk walk as broadcast_fill, with
-  // every live sender's payload exactly `bits` wide — so metrics, trace
-  // rows, and the strict-CONGEST throw point match the Message path.
-  for (NodeId u = 0; u < n; ++u) {
-    if (!all_live && a.transmits_[u] == 0) continue;
-    const std::size_t deg = graph_->degree(u);
-    if (deg == 0) continue;
-    assert(words[u] <= bound &&
-           "exchange_broadcast_word: live sender's word exceeds bound");
-    if (budget_bits_ != 0 && bits > budget_bits_) {
-      if (strict_) {
-        ++metrics_.messages;
-        metrics_.total_bits += bits;
-        metrics_.max_message_bits =
-            std::max(metrics_.max_message_bits, bits);
-        ++metrics_.congest_violations;
-        throw CongestViolation("message of " + std::to_string(bits) +
-                               " bits exceeds CONGEST budget of " +
-                               std::to_string(budget_bits_));
-      }
-      metrics_.congest_violations += deg;
-    }
-    metrics_.messages += deg;
-    metrics_.total_bits += static_cast<std::uint64_t>(deg) * bits;
-    metrics_.max_message_bits = std::max(metrics_.max_message_bits, bits);
-    round_max_bits = std::max(round_max_bits, bits);
-  }
-
+  ShardStaging st;
+  ShardRound::account_broadcast(
+      r.ctx, live,
+      [&](NodeId u) {
+        assert(words[u] <= bound &&
+               "exchange_broadcast_word: live sender's word exceeds bound");
+        (void)u;
+        return bits;
+      },
+      st);
+  const bool dense = live == nullptr;
   if (dist_ != nullptr) {
     // Workers validate and count their halo traffic; the master arena is
     // filled in the serial layout, so the serial-mode view below applies.
-    dist_->word_fill_dist(*this, words, bits, round, rf, all_live);
-    finish_round(msgs_before, bits_before, round_max_bits, t0, rf);
-    return WordMail(&arena_, graph_, all_live, n);
-  }
-  if (shards_ != nullptr) {
+    dist_->word_fill_dist(*this, words, bits, r.ctx.round, r.rf, dense);
+  } else if (shards_ != nullptr) {
     // Per-shard fill: dense rounds snapshot owned + halo words into the
     // shard's arena; masked/faulty rounds build per-shard word CSRs.
-    word_fill_sharded(words, bits, round, rf, all_live);
-    finish_round(msgs_before, bits_before, round_max_bits, t0, rf);
-    return WordMail(&arena_, &shards_->map_, all_live, n);
-  }
-
-  if (all_live) {
-    // Dense mode: one word per sender; lanes are synthesized from the
-    // graph CSR at read time. O(n) work for an O(m) logical round.
-    if (a.words_.size() < n) a.words_.resize(n);
-    std::copy(words.begin(), words.end(), a.words_.begin());
+    st += shards_->words(r.ctx, live, words, bits);
+    finish_round(r, st);
+    return WordMail(&arena_, shards_->map(), dense, n);
+  } else if (dense) {
+    // One word per sender; lanes are synthesized from the graph CSR at
+    // read time. O(n) work for an O(m) logical round.
+    ShardRound::snapshot_words(0, n, {}, words, arena_);
   } else {
-    // Sparse mode: CSR of (sender, word) slots, mirroring broadcast_fill's
-    // masked/faulty path — drop and corruption events are counted in the
-    // offset pass and re-resolved (pure decisions) in the fill pass.
-    if (a.offsets_.size() < n + 1) a.offsets_.resize(n + 1);
-    std::uint32_t total = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      a.offsets_[v] = total;
-      const bool receiver_down = faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(v)) {
-        if (a.transmits_[u] == 0) continue;
-        if (faulty &&
-            (receiver_down || faults_->drops_message(round, u, v))) {
-          ++rf.dropped;
-          continue;
-        }
-        if (faulty && faults_->corrupts_message(round, u, v)) {
-          ++rf.corrupted;
-        }
-        ++total;
-      }
-    }
-    a.offsets_[n] = total;
-    if (a.word_slots_.size() != total) a.word_slots_.resize(total);
-    for (NodeId v = 0; v < n; ++v) {
-      std::uint32_t cur = a.offsets_[v];
-      const bool receiver_down = faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(v)) {
-        if (a.transmits_[u] == 0) continue;
-        if (faulty &&
-            (receiver_down || faults_->drops_message(round, u, v))) {
-          continue;
-        }
-        WordSlot& slot = a.word_slots_[cur++];
-        slot.sender = u;
-        slot.value = words[u];
-        if (faulty && faults_->corrupts_message(round, u, v)) {
-          faults_->corrupt_word(round, u, v, slot.value, bits);
-        }
-      }
-    }
+    ShardRound::fill_words(
+        r.ctx, 0, n, live, [&](NodeId u) { return words[u]; }, bits, arena_,
+        st);
   }
-
-  finish_round(msgs_before, bits_before, round_max_bits, t0, rf);
-  return WordMail(&arena_, graph_, all_live, n);
+  finish_round(r, st);
+  return WordMail(&arena_, graph_, dense, n);
 }
 
 void Network::run_node_programs(const std::function<void(NodeId)>& fn) {
-  const auto n = graph_->n();
   const std::uint64_t t0 = now_ns();
   if (shards_ != nullptr) {
-    // Each shard's worker runs its own range — node state written by fn
-    // stays on the pages that worker first-touched. Lowest-shard
-    // exceptions win, matching a serial loop's error order.
-    ShardSet& S = *shards_;
-    S.crew_.run([&](std::size_t k) {
-      const ShardState& st = *S.states_[k];
-      for (NodeId v = st.topo.vbegin; v < st.topo.vend; ++v) fn(v);
-    });
-    pending_compute_ns_ += now_ns() - t0;
-    return;
-  }
-  if (pool_ != nullptr && pool_->size() > 1) {
-    pool_->parallel_for(n,
-                        [&](std::size_t b, std::size_t e, std::size_t) {
-                          for (std::size_t v = b; v < e; ++v) {
-                            fn(static_cast<NodeId>(v));
-                          }
-                        });
+    shards_->for_each_vertex(fn);
   } else {
-    for (NodeId v = 0; v < n; ++v) fn(v);
+    for (NodeId v = 0; v < graph_->n(); ++v) fn(v);
   }
   pending_compute_ns_ += now_ns() - t0;
 }

@@ -11,46 +11,39 @@
 // as a violation (and optionally throws in strict mode). Budget 0 means the
 // LOCAL model (unbounded messages).
 //
-// Execution engines. The simulator has three engines producing
-// byte-identical results (colors, metrics, trace digests) — the
-// cross-engine equivalence suites in tests/test_parallel_equivalence.cpp
-// and tests/test_sharded.cpp lock this down:
+// Execution engines. Every engine runs the same shard-round kernel
+// (shard_round.hpp) — the one implementation of a round — over contiguous
+// vertex ranges, and all of them produce byte-identical results (colors,
+// metrics, trace digests); the cross-engine suites in
+// tests/test_parallel_equivalence.cpp, tests/test_sharded.cpp and
+// tests/test_dist.cpp lock this down:
 //
-//  * kSerial (default): one thread walks all senders in node order.
-//  * kParallel: senders are chunked across a ThreadPool in contiguous
-//    node-order ranges; each chunk validates and accounts its messages into
-//    per-chunk staging (counts + RunMetrics), and the chunks are merged in
-//    chunk order. Because chunks are contiguous and ascending, the merged
-//    inbox order equals the serial sender order exactly, so determinism is
-//    independent of thread count and schedule. Per-node compute runs
-//    through run_node_programs(), which fans node callbacks out over the
-//    same pool (callbacks must only write state owned by their node).
+//  * kSerial (default): one range [0, n) on one thread, delivering into
+//    the Network-owned round arena.
 //  * kSharded: the graph is partitioned into K contiguous vertex ranges;
 //    each shard owns its range plus a read-only ghost halo, holds its own
-//    MailArena, and runs on its own dedicated worker (fixed worker↔shard
-//    binding, first-touch NUMA placement, optional LDC_PIN=1 core
-//    pinning). Cross-shard messages are staged in per-(src, dst) batch
-//    buffers and flushed once per round at the barrier; destination
-//    shards fill inboxes walking source shards in ascending order, which
-//    reproduces the serial sender order exactly (see DESIGN.md §11 and
-//    shard.hpp). Cross-shard traffic is observable via
-//    cross_shard_traffic(); it is deliberately NOT part of RunMetrics, so
-//    metrics and digests stay engine-independent.
-//  * kDist: the sharded engine's protocol taken across process
-//    boundaries — each shard lives in its own worker process (`ldc_shard`)
-//    and the per-(src, dst) batch buffers travel as length-prefixed,
-//    digest-sealed frames over sockets. The coordinator side is a
-//    DistBackend (src/ldc/dist/coordinator.hpp) attached via
-//    attach_dist(); the determinism contract is identical (DESIGN.md
-//    §12), and cross_shard_traffic() reports the same logical counters
-//    the in-process sharded engine would.
+//    MailArena, and runs the kernel on its own dedicated worker (fixed
+//    worker↔shard binding, first-touch NUMA placement, optional LDC_PIN=1
+//    core pinning). Cross-shard messages are staged in per-(src, dst)
+//    batch buffers and folded in at the barrier; destination shards fill
+//    inboxes walking source shards in ascending order, which reproduces
+//    the serial sender order exactly (see DESIGN.md §11 and shard.hpp).
+//    Cross-shard traffic is observable via cross_shard_traffic(); it is
+//    deliberately NOT part of RunMetrics, so metrics and digests stay
+//    engine-independent.
+//  * kDist: the same kernel across process boundaries — each shard lives
+//    in its own worker process (`ldc_shard`) and the per-(src, dst) batch
+//    buffers travel as length-prefixed, digest-sealed frames over sockets.
+//    The coordinator side is a DistBackend (src/ldc/dist/coordinator.hpp)
+//    attached via attach_dist(); the determinism contract is identical
+//    (DESIGN.md §12), and cross_shard_traffic() reports the same logical
+//    counters the in-process sharded engine would.
 //
-// Thread count: an explicit set_engine() parameter, else the LDC_THREADS
-// environment variable (or LDC_SHARDS for kSharded, strictly parsed), else
-// hardware concurrency. One thread/shard reproduces the exact serial code
-// path. The only engine-visible difference is wall time, which is recorded
-// (metrics().wall_ns, Trace::Round::wall_ns) but excluded from digests and
-// equivalence.
+// Shard count: an explicit set_engine() parameter, else the LDC_SHARDS
+// environment variable (strictly parsed), else hardware concurrency. One
+// shard runs the serial code path. The only engine-visible difference is
+// wall time, which is recorded (metrics().wall_ns, Trace::Round::wall_ns)
+// but excluded from digests and equivalence.
 //
 // Fault injection: an attached FaultPlan (attach_faults, mirroring
 // attach_trace) makes rounds adversarial — seeded message drops and
@@ -60,11 +53,13 @@
 // events are counted in RunMetrics and recorded per round in the attached
 // Trace. See fault.hpp for the model and accounting rules.
 //
-// Error fidelity: both engines throw the same exception for the first
+// Error fidelity: every engine throws the same exception for the first
 // offending sender in node order — duplicate destinations are rejected
 // before any of that sender's messages are validated, then non-neighbor
-// delivery and strict CONGEST violations surface in message order; metric
-// values after a throw are unspecified under kParallel.
+// delivery and strict CONGEST violations surface in message order. A round
+// that throws leaves the RunMetrics traffic fields (messages, bits,
+// violations, drops, corruptions) as they were before the round: every
+// engine stages the round's accounting and merges it only on success.
 #pragma once
 
 #include <cstdint>
@@ -80,15 +75,10 @@
 #include "ldc/runtime/message.hpp"
 #include "ldc/runtime/metrics.hpp"
 #include "ldc/runtime/shard.hpp"
-#include "ldc/runtime/thread_pool.hpp"
+#include "ldc/runtime/shard_round.hpp"
 #include "ldc/runtime/trace.hpp"
 
 namespace ldc {
-
-class CongestViolation : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 class DistBackend;
 
@@ -100,7 +90,7 @@ class Network {
   /// deliveries themselves are returned as arena-backed RoundMail views.
   using Inbox = std::vector<MailSlot>;
 
-  enum class Engine { kSerial, kParallel, kSharded, kDist };
+  enum class Engine { kSerial, kSharded, kDist };
 
   /// budget_bits == 0 => LOCAL model. strict => throw on budget violation.
   explicit Network(const Graph& g, std::size_t budget_bits = 0,
@@ -109,16 +99,14 @@ class Network {
 
   const Graph& graph() const { return *graph_; }
 
-  /// Selects the execution engine. For kParallel, threads == 0 resolves
-  /// via LDC_THREADS / hardware concurrency
-  /// (ThreadPool::default_thread_count()); for kSharded it is the shard
-  /// count and resolves via LDC_SHARDS (strictly parsed — garbage throws
-  /// std::invalid_argument) with the same fallback, clamped to n. A
+  /// Selects the execution engine. For kSharded, `shards` is the shard
+  /// count; 0 resolves via LDC_SHARDS (strictly parsed — garbage throws
+  /// std::invalid_argument), else hardware concurrency, clamped to n. A
   /// resolved count of 1 runs the serial code path. Results are
   /// engine-independent. kDist cannot be selected here: attach a backend
   /// with attach_dist() instead (set_engine(kDist) without one throws
   /// std::invalid_argument).
-  void set_engine(Engine engine, std::size_t threads = 0);
+  void set_engine(Engine engine, std::size_t shards = 0);
 
   /// Attaches (or with nullptr detaches) the multi-process distributed
   /// backend and switches the engine to kDist (resp. back to kSerial).
@@ -129,9 +117,8 @@ class Network {
 
   Engine engine() const { return engine_; }
 
-  /// Lanes the engine uses: the pool size under kParallel, the shard
-  /// count under kSharded, the worker-process count under kDist, 1
-  /// under kSerial.
+  /// Lanes the engine uses: the shard count under kSharded, the
+  /// worker-process count under kDist, 1 under kSerial.
   std::size_t threads() const;
 
   /// Cumulative cross-shard traffic under kSharded / kDist (zeros
@@ -147,12 +134,12 @@ class Network {
   /// the next exchange()/exchange_broadcast() on this Network (stale access
   /// throws std::logic_error; call RoundMail::materialize() to keep
   /// deliveries across rounds). Destinations must be neighbors of the
-  /// sender and unique per round; both engines enforce both preconditions
-  /// with std::invalid_argument (duplicate destinations are checked per
-  /// sender before that sender's messages are validated or delivered, so
-  /// serial and parallel runs surface the same error). Uniqueness makes
+  /// sender and unique per round; every engine enforces both
+  /// preconditions with std::invalid_argument (duplicate destinations are
+  /// checked per sender before that sender's messages are validated or
+  /// delivered, so every engine surfaces the same error). Uniqueness makes
   /// inbox order total — at most one message per sender per inbox — and
-  /// both engines deliver in ascending sender order by construction, so no
+  /// the kernel delivers in ascending sender order by construction, so no
   /// sort runs (a debug-build assertion guards the invariant).
   RoundMail exchange(const std::vector<Outbox>& outboxes);
 
@@ -185,13 +172,13 @@ class Network {
                                    std::uint64_t bound,
                                    const std::vector<bool>* active = nullptr);
 
-  /// Evaluates fn(v) for every node, in parallel under kParallel. fn must
-  /// only write state owned by node v (its own message slot, color, inbox
-  /// decode target, ...) — shared reads are fine, shared writes are not.
-  /// Wall time is attributed to the next recorded round. Exceptions
-  /// propagate; the one of the smallest throwing node wins, as in a serial
-  /// loop (though under kParallel other nodes' callbacks may already have
-  /// run).
+  /// Evaluates fn(v) for every node, each shard's range on its own worker
+  /// under kSharded. fn must only write state owned by node v (its own
+  /// message slot, color, inbox decode target, ...) — shared reads are
+  /// fine, shared writes are not. Wall time is attributed to the next
+  /// recorded round. Exceptions propagate; the one of the lowest throwing
+  /// shard wins, as in a serial loop (though under kSharded other shards'
+  /// callbacks may already have run).
   void run_node_programs(const std::function<void(NodeId)>& fn);
 
   /// Accounts `k` silent rounds (structural rounds in which an algorithm
@@ -289,6 +276,16 @@ class Network {
  private:
   friend class DistBackend;
 
+  /// Per-round bookkeeping shared by the three round shapes.
+  struct OpenRound {
+    RoundContext ctx;
+    RoundFaults rf;
+    std::uint64_t msgs_before = 0;
+    std::uint64_t bits_before = 0;
+    std::size_t max_bits = 0;  ///< widest message of the round
+    std::uint64_t t0 = 0;
+  };
+
   const Graph* graph_;
   std::size_t budget_bits_;
   bool strict_;
@@ -296,7 +293,6 @@ class Network {
   Trace* trace_ = nullptr;
   std::function<void(std::uint64_t)> round_cb_;  ///< round-boundary hook
   Engine engine_ = Engine::kSerial;
-  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ShardSet> shards_;  ///< non-null only under kSharded, K>1
   DistBackend* dist_ = nullptr;       ///< non-null only under kDist
   std::uint64_t pending_compute_ns_ = 0;  ///< run_node_programs time since
@@ -307,49 +303,23 @@ class Network {
   std::uint32_t crashed_total_ = 0;
   MailArena arena_;  ///< round-reused delivery storage behind RoundMail
 
-  void account(const Message& m);
-  /// Validates m against the CONGEST budget without touching metrics;
-  /// throws under strict mode (the parallel engine accounts per shard).
-  void check_budget(const Message& m) const;
-
   /// Evaluates the plan's node schedules for `round` (single-threaded, so
   /// crash-cap resolution is engine-independent): updates crashed_/down_,
   /// counts crash/sleep events into metrics_ and `rf`.
   void prepare_round_faults(std::uint64_t round, RoundFaults& rf);
 
-  /// Engine bodies: fill arena_ (offsets + slots) for this round.
-  void exchange_serial(const std::vector<Outbox>& outboxes,
-                       std::uint64_t round, RoundFaults& rf,
-                       std::size_t& round_max_bits);
-  void exchange_parallel(const std::vector<Outbox>& outboxes,
-                         std::uint64_t round, RoundFaults& rf,
-                         std::size_t& round_max_bits);
-  /// Sharded engine bodies (defined in shard.cpp): two-phase exchange with
-  /// batched cross-shard delivery, and the per-shard broadcast/word fills.
-  void exchange_sharded(const std::vector<Outbox>& outboxes,
-                        std::uint64_t round, RoundFaults& rf,
-                        std::size_t& round_max_bits);
-  void broadcast_fill_sharded(const std::vector<Message>& msgs,
-                              const std::vector<bool>* active,
-                              std::uint64_t round, RoundFaults& rf,
-                              bool all_live);
-  void word_fill_sharded(const std::vector<std::uint64_t>& words,
-                         std::size_t bits, std::uint64_t round,
-                         RoundFaults& rf, bool all_live);
-  /// Broadcast fast path body (both engines): bulk sender-side accounting,
-  /// then receiver-driven arena fill over the graph CSR.
-  void broadcast_fill(const std::vector<Message>& msgs,
-                      const std::vector<bool>* active, std::uint64_t round,
-                      RoundFaults& rf, std::size_t& round_max_bits);
-  /// Shared round epilogue: fault counters, wall clock, trace row. Used by
-  /// both the Message plane (seal_round) and the fused word plane.
-  void finish_round(std::uint64_t msgs_before, std::uint64_t bits_before,
-                    std::size_t round_max_bits, std::uint64_t t0,
-                    const RoundFaults& rf);
+  /// Round prologue: the round-boundary hook, view invalidation, the
+  /// round count, and the round's fault schedule.
+  OpenRound open_round();
+  /// The live-sender flags of a broadcast round in arena_.transmits_, or
+  /// nullptr when every sender transmits and the round is fault-free.
+  const char* live_senders(const std::vector<bool>* active,
+                           const RoundContext& ctx);
+  /// Round epilogue: merges the round's staging, then fault counters, wall
+  /// clock, trace row.
+  void finish_round(OpenRound& r, const ShardStaging& st);
   /// Message-plane epilogue: order check + finish_round + arena view.
-  RoundMail seal_round(std::uint64_t msgs_before, std::uint64_t bits_before,
-                       std::size_t round_max_bits, std::uint64_t t0,
-                       const RoundFaults& rf);
+  RoundMail seal_round(OpenRound& r, const ShardStaging& st);
   /// Debug-build check of the ascending-sender invariant that replaced the
   /// per-inbox sort.
   void debug_check_sorted() const;
@@ -384,9 +354,11 @@ class DistBackend {
   /// assign handshake. Throwing here leaves the Network unchanged.
   virtual void bind(Network& net) = 0;
 
-  /// Engine bodies, mirroring Network's *_sharded trio: fill the master
-  /// arena (offsets + slots / words) for this round and merge per-shard
-  /// staging into metrics in ascending shard order.
+  /// Round entry points: run the shard-round kernel in the workers, fill
+  /// the master arena (offsets + slots / words) for this round and merge
+  /// per-shard staging into metrics in ascending shard order — only once
+  /// the whole round succeeded. The broadcast and word shapes get the
+  /// round after Network staged the senders' accounting.
   virtual void exchange_dist(Network& net,
                              const std::vector<Network::Outbox>& outboxes,
                              std::uint64_t round, RoundFaults& rf,
@@ -416,9 +388,6 @@ class DistBackend {
     return a.offsets_;
   }
   static std::vector<MailSlot>& arena_slots(MailArena& a) { return a.slots_; }
-  static std::vector<std::uint64_t>& arena_words(MailArena& a) {
-    return a.words_;
-  }
   static std::vector<WordSlot>& arena_word_slots(MailArena& a) {
     return a.word_slots_;
   }
@@ -429,8 +398,7 @@ class DistBackend {
 
 inline std::size_t Network::threads() const {
   if (dist_ != nullptr) return dist_->shards();
-  if (shards_ != nullptr) return shards_->size();
-  return pool_ == nullptr ? 1 : pool_->size();
+  return shards_ == nullptr ? 1 : shards_->size();
 }
 
 inline ShardTraffic Network::cross_shard_traffic() const {

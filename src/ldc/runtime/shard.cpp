@@ -1,14 +1,9 @@
-// ShardCrew / ShardSet and the Engine::kSharded round bodies.
-//
-// The Network methods defined here mirror the serial engine's two-pass
-// structure per shard: phase A (by source shard) validates, accounts, and
-// counts, staging cross-shard survivors in (src, dst) batches; phase B (by
-// destination shard, after the crew barrier) folds the batches in and
-// fills each inbox walking source shards in ascending order. Because
-// shards own contiguous ascending vertex ranges, that walk IS the serial
-// sender order, so inbox bytes, metrics, trace rows, and fault decisions
-// are byte-identical to kSerial/kParallel (the PRF fault decisions are
-// pure in (seed, round, edge) and are simply re-resolved where needed).
+// ShardCrew / ShardSet: the Engine::kSharded runner of the shard-round
+// kernel. Each round shape runs the kernel on every shard's range, one
+// crew worker per shard, and merges the shards' staging in ascending
+// order; because shards own contiguous ascending vertex ranges, inbox
+// bytes, metrics, trace rows, and fault decisions are byte-identical to
+// kSerial's single range [0, n).
 #include "ldc/runtime/shard.hpp"
 
 #include <algorithm>
@@ -17,7 +12,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "ldc/runtime/network.hpp"
+#include "ldc/runtime/thread_pool.hpp"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -25,23 +20,6 @@
 #endif
 
 namespace ldc {
-namespace {
-
-/// Same contract (and exception) as the serial/parallel engines: checked
-/// per sender before any of that sender's messages are validated.
-void check_unique_destinations_sharded(const Network::Outbox& outbox,
-                                       std::vector<NodeId>& scratch) {
-  if (outbox.size() < 2) return;
-  scratch.clear();
-  for (const auto& [dest, msg] : outbox) scratch.push_back(dest);
-  std::sort(scratch.begin(), scratch.end());
-  if (std::adjacent_find(scratch.begin(), scratch.end()) != scratch.end()) {
-    throw std::invalid_argument(
-        "Network::exchange: duplicate destination in a sender's outbox");
-  }
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------- crew --
 
@@ -161,320 +139,108 @@ ShardSet::ShardSet(const Graph& g, std::size_t shards, bool pin)
                           st.topo.adj.data(), st.topo.ghosts.data(),
                           st.topo.vbegin,     st.topo.owned()};
   }
-  map_ = ShardMap{views_.data(), part_.starts().data(), k};
+  map_ = ShardMap{views_.data(), &part_};
 }
 
-// -------------------------------------------------- Network round bodies --
+ShardStaging ShardSet::merge() {
+  ShardStaging total;
+  for (const auto& st : states_) total += st->staging;
+  total_traffic_.messages += total.traffic_messages;
+  total_traffic_.bits += total.traffic_bits;
+  return total;
+}
 
-void Network::exchange_sharded(const std::vector<Outbox>& outboxes,
-                               std::uint64_t round, RoundFaults& rf,
-                               std::size_t& round_max_bits) {
-  ShardSet& S = *shards_;
-  const std::size_t K = S.size();
-  const bool faulty = faults_ != nullptr && faults_->any();
-  const std::uint64_t ep = arena_.epoch_;
-
-  // Drop decision shared by both phases (down receiver first, exactly as
-  // in the other engines).
-  auto lost = [&](NodeId u, NodeId dest) {
-    return down_[dest] != 0 || faults_->drops_message(round, u, dest);
+ShardStaging ShardSet::exchange(
+    const RoundContext& rc,
+    const std::vector<std::vector<MailSlot>>& outboxes) {
+  const std::size_t K = size();
+  auto outbox_of = [&](NodeId u) -> const std::vector<MailSlot>& {
+    return outboxes[u];
   };
-
-  // Phase A (by source shard): validate, account into the shard's staging
-  // metrics, count locally-delivered survivors per local destination, and
-  // stage each cross-shard survivor in the (src, dst) batch — nothing
-  // touches another shard's arena before the barrier. Error and
-  // strict-CONGEST throws surface from the lowest shard = lowest sender.
-  S.crew_.run([&](std::size_t k) {
-    ShardState& st = *S.states_[k];
-    const NodeId b = st.topo.vbegin;
-    const NodeId e = st.topo.vend;
-    st.metrics = RunMetrics{};
-    st.round_max_bits = 0;
-    st.dropped = 0;
-    st.corrupted = 0;
-    st.traffic = ShardTraffic{};
+  // Phase A: nothing touches another shard's arena before the barrier;
+  // cross-shard survivors wait in the (src, dst) batches.
+  crew_.run([&](std::size_t k) {
+    ShardState& st = *states_[k];
+    st.staging = ShardStaging{};
     for (auto& batch : st.outgoing) batch.clear();
-    MailArena::Lane& lane = st.arena.lane(0, st.topo.owned());
-    for (NodeId u = b; u < e; ++u) {
-      check_unique_destinations_sharded(outboxes[u], st.scratch);
-      const bool sender_down = faulty && down_[u] != 0;
-      for (const auto& [dest, msg] : outboxes[u]) {
-        if (!graph_->has_edge(u, dest)) {
-          throw std::invalid_argument(
-              "Network::exchange: message to non-neighbor");
-        }
-        if (sender_down) continue;
-        ++st.metrics.messages;
-        st.metrics.total_bits += msg.bit_count();
-        st.metrics.max_message_bits =
-            std::max(st.metrics.max_message_bits, msg.bit_count());
-        if (budget_bits_ != 0 && msg.bit_count() > budget_bits_) {
-          ++st.metrics.congest_violations;
-          check_budget(msg);
-        }
-        st.round_max_bits = std::max(st.round_max_bits, msg.bit_count());
-        const bool remote = dest < b || dest >= e;
-        if (remote) {
-          ++st.traffic.messages;
-          st.traffic.bits += msg.bit_count();
-        }
-        if (faulty && lost(u, dest)) {
-          ++st.dropped;
-          continue;
-        }
-        if (faulty && faults_->corrupts_message(round, u, dest)) {
-          ++st.corrupted;
-        }
-        if (!remote) {
-          lane.add_one(dest - b, ep);
-        } else {
-          st.outgoing[S.part_.shard_of(dest)].push_back(
-              ShardBatchEntry{u, dest, msg});
-        }
-      }
-    }
+    ShardRound::stage(rc, st.topo.vbegin, st.topo.vend, outbox_of, st.arena,
+                      st.staging,
+                      [&](NodeId u, NodeId dest, const Message& msg) {
+                        st.outgoing[part_.shard_of(dest)].push_back(
+                            BatchEntry{u, dest, msg});
+                      });
   });
-
-  // Phase B (by destination shard): fold the staged batch counts into the
-  // local lane, lay out the shard's CSR offsets, then fill walking source
-  // shards in ascending order (own range inline at j == k) — contiguous
-  // ascending shard ranges make that the serial sender order per inbox.
-  // Corruption is applied here on the destination's own slot copy (CoW),
-  // re-resolving the pure PRF decision counted in phase A.
-  S.crew_.run([&](std::size_t k) {
-    ShardState& st = *S.states_[k];
-    MailArena& a = st.arena;
-    const NodeId b = st.topo.vbegin;
-    const NodeId e = st.topo.vend;
-    const NodeId owned = st.topo.owned();
-    MailArena::Lane& lane = a.lanes_[0];
-    for (std::size_t j = 0; j < K; ++j) {
-      if (j == k) continue;
-      for (const ShardBatchEntry& s : S.states_[j]->outgoing[k]) {
-        lane.add_one(s.dest - b, ep);
-      }
-    }
-    if (a.offsets_.size() < static_cast<std::size_t>(owned) + 1) {
-      a.offsets_.resize(static_cast<std::size_t>(owned) + 1);
-    }
-    std::uint32_t total = 0;
-    for (NodeId lv = 0; lv < owned; ++lv) {
-      a.offsets_[lv] = total;
-      const std::uint32_t c = lane.at(lv, ep);
-      lane.set(lv, ep, total);
-      total += c;
-    }
-    a.offsets_[owned] = total;
-    if (a.slots_.size() != total) a.slots_.resize(total);
-    for (std::size_t j = 0; j < K; ++j) {
-      if (j == k) {
-        for (NodeId u = b; u < e; ++u) {
-          if (faulty && down_[u] != 0) continue;
-          for (const auto& [dest, msg] : outboxes[u]) {
-            if (dest < b || dest >= e) continue;
-            if (faulty && lost(u, dest)) continue;
-            MailSlot& slot = a.slots_[lane.counts[dest - b]++];
-            slot.first = u;
-            slot.second = msg;
-            if (faulty && faults_->corrupts_message(round, u, dest)) {
-              faults_->corrupt_payload(round, u, dest, slot.second);
-            }
-          }
-        }
-        continue;
-      }
-      for (const ShardBatchEntry& s : S.states_[j]->outgoing[k]) {
-        MailSlot& slot = a.slots_[lane.counts[s.dest - b]++];
-        slot.first = s.sender;
-        slot.second = s.msg;
-        if (faulty && faults_->corrupts_message(round, s.sender, s.dest)) {
-          faults_->corrupt_payload(round, s.sender, s.dest, slot.second);
-        }
-      }
-    }
+  // Phase B: each destination shard folds in the batches addressed to it.
+  crew_.run([&](std::size_t k) {
+    ShardState& st = *states_[k];
+    ShardRound::fill(
+        rc, st.topo.vbegin, st.topo.vend, outbox_of, K, k,
+        [&](std::size_t j) -> const std::vector<BatchEntry>& {
+          return states_[j]->outgoing[k];
+        },
+        st.arena);
   });
-
-  // Deterministic merge in ascending shard order: sums and maxes only, so
-  // the totals equal the serial accounting regardless of boundaries.
-  for (std::size_t k = 0; k < K; ++k) {
-    const ShardState& st = *S.states_[k];
-    metrics_.messages += st.metrics.messages;
-    metrics_.total_bits += st.metrics.total_bits;
-    metrics_.max_message_bits =
-        std::max(metrics_.max_message_bits, st.metrics.max_message_bits);
-    metrics_.congest_violations += st.metrics.congest_violations;
-    round_max_bits = std::max(round_max_bits, st.round_max_bits);
-    rf.dropped += st.dropped;
-    rf.corrupted += st.corrupted;
-    S.total_traffic_.messages += st.traffic.messages;
-    S.total_traffic_.bits += st.traffic.bits;
-  }
+  return merge();
 }
 
-void Network::broadcast_fill_sharded(const std::vector<Message>& msgs,
-                                     const std::vector<bool>* /*active*/,
-                                     std::uint64_t round, RoundFaults& rf,
-                                     bool all_live) {
-  ShardSet& S = *shards_;
-  const bool faulty = faults_ != nullptr && faults_->any();
-  // Sender-side transmit flags were filled by the coordinator into the
-  // master arena (read-only here); the per-shard fill below is
-  // receiver-driven and writes only shard-owned pages.
-  const MailArena& master = arena_;
-  S.crew_.run([&](std::size_t k) {
-    ShardState& st = *S.states_[k];
-    MailArena& a = st.arena;
-    const NodeId b = st.topo.vbegin;
-    const NodeId e = st.topo.vend;
-    const NodeId owned = st.topo.owned();
-    st.dropped = 0;
-    st.corrupted = 0;
-    st.traffic = ShardTraffic{};
-    if (a.offsets_.size() < static_cast<std::size_t>(owned) + 1) {
-      a.offsets_.resize(static_cast<std::size_t>(owned) + 1);
-    }
-    std::uint32_t total = 0;
-    for (NodeId v = b; v < e; ++v) {
-      a.offsets_[v - b] = total;
-      if (all_live) {
-        total += static_cast<std::uint32_t>(graph_->degree(v));
-        continue;
-      }
-      const bool receiver_down = faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(v)) {
-        if (master.transmits_[u] == 0) continue;
-        if (faulty &&
-            (receiver_down || faults_->drops_message(round, u, v))) {
-          ++st.dropped;
-          continue;
-        }
-        if (faulty && faults_->corrupts_message(round, u, v)) {
-          ++st.corrupted;
-        }
-        ++total;
-      }
-    }
-    a.offsets_[owned] = total;
-    if (a.slots_.size() != total) a.slots_.resize(total);
-    for (NodeId v = b; v < e; ++v) {
-      std::uint32_t cur = a.offsets_[v - b];
-      const bool receiver_down = !all_live && faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(v)) {
-        if (!all_live) {
-          if (master.transmits_[u] == 0) continue;
-          if (faulty &&
-              (receiver_down || faults_->drops_message(round, u, v))) {
-            continue;
-          }
-        }
-        MailSlot& slot = a.slots_[cur++];
-        slot.first = u;
-        slot.second = msgs[u];
-        if (u < b || u >= e) {
-          ++st.traffic.messages;
-          st.traffic.bits += msgs[u].bit_count();
-        }
-        if (!all_live && faulty && faults_->corrupts_message(round, u, v)) {
-          faults_->corrupt_payload(round, u, v, slot.second);
-        }
-      }
-    }
+ShardStaging ShardSet::broadcast(const RoundContext& rc, const char* live,
+                                 const std::vector<Message>& msgs) {
+  crew_.run([&](std::size_t k) {
+    ShardState& st = *states_[k];
+    st.staging = ShardStaging{};
+    ShardRound::fill_broadcast(rc, st.topo.vbegin, st.topo.vend,
+                               st.topo.vbegin, live, msgs, st.arena,
+                               st.staging);
   });
-  for (std::size_t k = 0; k < S.size(); ++k) {
-    const ShardState& st = *S.states_[k];
-    rf.dropped += st.dropped;
-    rf.corrupted += st.corrupted;
-    S.total_traffic_.messages += st.traffic.messages;
-    S.total_traffic_.bits += st.traffic.bits;
-  }
+  return merge();
 }
 
-void Network::word_fill_sharded(const std::vector<std::uint64_t>& words,
-                                std::size_t bits, std::uint64_t round,
-                                RoundFaults& rf, bool all_live) {
-  ShardSet& S = *shards_;
-  const bool faulty = faults_ != nullptr && faults_->any();
-  const MailArena& master = arena_;
-  S.crew_.run([&](std::size_t k) {
-    ShardState& st = *S.states_[k];
-    MailArena& a = st.arena;
-    const NodeId b = st.topo.vbegin;
-    const NodeId e = st.topo.vend;
-    const NodeId owned = st.topo.owned();
-    st.dropped = 0;
-    st.corrupted = 0;
-    st.traffic = ShardTraffic{};
-    if (all_live) {
-      // Dense mode, shard-local: owned words indexed by local id plus a
-      // snapshot of the halo words. Lanes read ONLY shard-owned pages
-      // (words, halo, local CSR), and the snapshot is what pins the
-      // ghost-staleness semantics: mutating the caller's words after the
+ShardStaging ShardSet::words(const RoundContext& rc, const char* live,
+                             const std::vector<std::uint64_t>& words,
+                             std::size_t bits) {
+  crew_.run([&](std::size_t k) {
+    ShardState& st = *states_[k];
+    st.staging = ShardStaging{};
+    if (live == nullptr) {
+      // Dense mode, shard-local: lanes read ONLY shard-owned pages (owned
+      // words, halo snapshot, local CSR), and the snapshot pins the ghost
+      // staleness semantics — mutating the caller's words after the
       // exchange cannot leak into this round's view.
-      if (a.words_.size() < owned) a.words_.resize(owned);
-      std::copy(words.begin() + b, words.begin() + e, a.words_.begin());
-      const std::size_t ng = st.topo.ghosts.size();
-      if (a.ghost_words_.size() < ng) a.ghost_words_.resize(ng);
-      for (std::size_t i = 0; i < ng; ++i) {
-        a.ghost_words_[i] = words[st.topo.ghosts[i]];
-      }
-      st.traffic.messages = st.topo.ghost_edges;
-      st.traffic.bits = st.topo.ghost_edges * bits;
+      ShardRound::snapshot_words(st.topo.vbegin, st.topo.vend,
+                                 st.topo.ghosts, words, st.arena);
+      st.staging.traffic_messages = st.topo.ghost_edges;
+      st.staging.traffic_bits = st.topo.ghost_edges * bits;
       return;
     }
-    // Sparse mode: the shard's own CSR of (sender, word) slots over local
-    // destinations, mirroring the serial masked/faulty path.
-    if (a.offsets_.size() < static_cast<std::size_t>(owned) + 1) {
-      a.offsets_.resize(static_cast<std::size_t>(owned) + 1);
-    }
-    std::uint32_t total = 0;
-    for (NodeId v = b; v < e; ++v) {
-      a.offsets_[v - b] = total;
-      const bool receiver_down = faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(v)) {
-        if (master.transmits_[u] == 0) continue;
-        if (faulty &&
-            (receiver_down || faults_->drops_message(round, u, v))) {
-          ++st.dropped;
-          continue;
-        }
-        if (faulty && faults_->corrupts_message(round, u, v)) {
-          ++st.corrupted;
-        }
-        ++total;
-      }
-    }
-    a.offsets_[owned] = total;
-    if (a.word_slots_.size() != total) a.word_slots_.resize(total);
-    for (NodeId v = b; v < e; ++v) {
-      std::uint32_t cur = a.offsets_[v - b];
-      const bool receiver_down = faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(v)) {
-        if (master.transmits_[u] == 0) continue;
-        if (faulty &&
-            (receiver_down || faults_->drops_message(round, u, v))) {
-          continue;
-        }
-        WordSlot& slot = a.word_slots_[cur++];
-        slot.sender = u;
-        slot.value = words[u];
-        if (u < b || u >= e) {
-          ++st.traffic.messages;
-          st.traffic.bits += bits;
-        }
-        if (faulty && faults_->corrupts_message(round, u, v)) {
-          faults_->corrupt_word(round, u, v, slot.value, bits);
-        }
-      }
-    }
+    ShardRound::fill_words(
+        rc, st.topo.vbegin, st.topo.vend, live,
+        [&](NodeId u) { return words[u]; }, bits, st.arena, st.staging);
   });
-  for (std::size_t k = 0; k < S.size(); ++k) {
-    const ShardState& st = *S.states_[k];
-    rf.dropped += st.dropped;
-    rf.corrupted += st.corrupted;
-    S.total_traffic_.messages += st.traffic.messages;
-    S.total_traffic_.bits += st.traffic.bits;
+  return merge();
+}
+
+void ShardSet::for_each_vertex(const std::function<void(NodeId)>& fn) {
+  // Node state written by fn stays on the pages its shard's worker
+  // first-touched. Lowest-shard exceptions win, matching a serial loop.
+  crew_.run([&](std::size_t k) {
+    const ShardState& st = *states_[k];
+    for (NodeId v = st.topo.vbegin; v < st.topo.vend; ++v) fn(v);
+  });
+}
+
+void ShardSet::debug_check_sorted() const {
+#ifndef NDEBUG
+  for (const auto& st : states_) {
+    const MailArena& a = st->arena;
+    for (NodeId lv = 0; lv < st->topo.owned(); ++lv) {
+      for (std::uint32_t i = a.offsets()[lv] + 1; i < a.offsets()[lv + 1];
+           ++i) {
+        assert(a.slots()[i - 1].first < a.slots()[i].first &&
+               "sharded inbox not in ascending sender order");
+      }
+    }
   }
+#endif
 }
 
 }  // namespace ldc

@@ -3,23 +3,18 @@
 // The graph is split into K contiguous vertex ranges (Partition); shard k
 // owns its range plus a read-only ghost halo, holds its OWN MailArena
 // (indexed by local destination id), and has its own dedicated worker
-// thread in a ShardCrew. Unlike the ThreadPool — where any worker may
-// claim any chunk — the worker↔shard binding is fixed for the crew's
+// thread in a ShardCrew. The worker↔shard binding is fixed for the crew's
 // lifetime, which is what makes first-touch NUMA placement work: each
 // shard's arena pages, local CSR, and halo snapshots are allocated and
 // touched by the thread that will keep reading them (optionally pinned to
 // a core via LDC_PIN=1).
 //
-// Cross-shard messages never touch another shard's arena mid-round: phase
-// A stages each one in a per-(src shard, dst shard) batch buffer, and
-// after the barrier phase B folds the batches in at the destination — K²
-// bulk appends per round instead of per-edge contention. Determinism falls
-// out of contiguity: destination shard k fills each inbox by walking
-// source shards in ascending order (its own range inline at j == k), and
-// since shard ranges are contiguous and ascending, that IS the serial
-// sender order. The engine bodies live in shard.cpp as Network member
-// functions; see DESIGN.md §11 for the full memory-model and determinism
-// argument.
+// Each shard runs the shard-round kernel (shard_round.hpp) over its own
+// range. Cross-shard messages never touch another shard's arena mid-round:
+// phase A stages each one in a per-(src shard, dst shard) batch buffer,
+// and after the barrier phase B folds the batches in at the destination —
+// K² bulk appends per round instead of per-edge contention. See DESIGN.md
+// §11 for the full memory-model and determinism argument.
 #pragma once
 
 #include <condition_variable>
@@ -35,24 +30,15 @@
 #include "ldc/graph/partition.hpp"
 #include "ldc/runtime/mail.hpp"
 #include "ldc/runtime/message.hpp"
-#include "ldc/runtime/metrics.hpp"
+#include "ldc/runtime/shard_round.hpp"
 
 namespace ldc {
-
-/// Cross-shard traffic observed by the sharded engine. Engine-private by
-/// design: these counters are NOT part of RunMetrics or the trace, so
-/// digests and metrics stay byte-identical across engines; e20 reads them
-/// through Network::cross_shard_traffic().
-struct ShardTraffic {
-  std::uint64_t messages = 0;
-  std::uint64_t bits = 0;
-};
 
 /// K persistent workers with a fixed worker↔shard binding. run(job)
 /// executes job(k) on worker k for every k and returns after all workers
 /// finish (a full barrier); a throwing job is captured and the
 /// lowest-shard exception is rethrown, matching the lowest-sender error
-/// order of the other engines.
+/// order of a serial loop.
 class ShardCrew {
  public:
   /// Spawns `shards` workers. With pin == true each worker k is pinned to
@@ -96,35 +82,21 @@ class ShardCrew {
   std::vector<std::thread> workers_;
 };
 
-/// One cross-shard message staged in a (src shard, dst shard) batch
-/// between phase A (sender side) and phase B (destination side).
-struct ShardBatchEntry {
-  NodeId sender;
-  NodeId dest;
-  Message msg;
-};
-
 /// Everything shard k owns: its topology (owned range + ghost halo +
-/// local CSR), its delivery arena (local destination ids), per-round
+/// local CSR), its delivery arena (local destination ids), the round's
 /// staging for the deterministic merge, and the outgoing batch buffers.
 /// Allocated and first-touched by worker k.
 struct ShardState {
   ShardTopology topo;
   MailArena arena;
-
-  // Per-round staging, merged on the coordinator in shard order.
-  RunMetrics metrics;
-  std::size_t round_max_bits = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t corrupted = 0;
-  ShardTraffic traffic;
-
-  std::vector<std::vector<ShardBatchEntry>> outgoing;  ///< [dst shard]
-  std::vector<NodeId> scratch;  ///< duplicate-destination check
+  ShardStaging staging;
+  std::vector<std::vector<BatchEntry>> outgoing;  ///< [dst shard]
 };
 
 /// The Network-owned bundle: partition, per-shard states, the crew, and
-/// the routing tables the sharded RoundMail/WordMail views read.
+/// the routing tables the sharded RoundMail/WordMail views read. Each
+/// round shape runs the kernel on every shard and returns the round's
+/// staging, merged in ascending shard order.
 class ShardSet {
  public:
   ShardSet(const Graph& g, std::size_t shards, bool pin);
@@ -132,9 +104,27 @@ class ShardSet {
   std::size_t size() const { return states_.size(); }
   const Partition& partition() const { return part_; }
   const ShardTraffic& traffic() const { return total_traffic_; }
+  const ShardMap* map() const { return &map_; }
+
+  ShardStaging exchange(const RoundContext& rc,
+                        const std::vector<std::vector<MailSlot>>& outboxes);
+  ShardStaging broadcast(const RoundContext& rc, const char* live,
+                         const std::vector<Message>& msgs);
+  ShardStaging words(const RoundContext& rc, const char* live,
+                     const std::vector<std::uint64_t>& words,
+                     std::size_t bits);
+
+  /// Runs fn(v) for every vertex, each shard's range on its own worker.
+  void for_each_vertex(const std::function<void(NodeId)>& fn);
+
+  /// Debug-build check that every shard inbox is in ascending sender
+  /// order.
+  void debug_check_sorted() const;
 
  private:
-  friend class Network;
+  /// Sums the shards' staging in ascending order into the round's total
+  /// and the cumulative cut traffic.
+  ShardStaging merge();
 
   Partition part_;
   std::vector<std::unique_ptr<ShardState>> states_;

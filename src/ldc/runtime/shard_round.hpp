@@ -1,0 +1,336 @@
+// The shard round: the one implementation of a synchronous CONGEST round.
+//
+// In the model the paper's algorithms are stated in, a round is one
+// operation: every node sends at most one bounded message per incident
+// edge, then reads its neighbours' messages. ShardRound owns that operation
+// for one contiguous vertex range [b, e) of a partition, and every engine
+// runs the same bodies:
+//
+//  * kSerial runs one range [0, n) into the master arena — no partition,
+//    no crew thread, nothing ever crosses a range boundary, and every hook
+//    is a template argument, so it compiles to plain serial loops;
+//  * kSharded runs K ranges, one per ShardCrew worker (shard.cpp);
+//  * an `ldc_shard` worker process runs its own range, with cross-range
+//    batches travelling as frames (dist/worker.cpp).
+//
+// Explicit exchange rounds take two phases. Phase A (stage, by sender)
+// checks that each sender's destinations are unique neighbours, accounts
+// every transmitted message into the range's ShardStaging, resolves
+// faults, counts the survivors that stay in the range and hands every
+// cross-range survivor to a batch sink. Phase B (fill, by destination,
+// after the barrier) lays out the range's inbox CSR and fills it walking
+// source ranges in ascending order, its own range inline — ranges are
+// contiguous and ascending, so that walk IS the serial sender order and no
+// sort runs. Broadcast and fused-word rounds need only the receiver-side
+// survivor scan: each destination reads its live in-neighbours in
+// adjacency order.
+//
+// Determinism: every fault decision is a pure function of (plan seed,
+// round, edge), re-resolved wherever an edge is visited; staging records
+// hold sums and maxes only and are merged in ascending range order. The
+// kernel never writes RunMetrics, so a round that throws (duplicate
+// destination, non-neighbour, strict CONGEST violation) leaves the
+// caller's metrics exactly as they were before the round.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "ldc/graph/graph.hpp"
+#include "ldc/runtime/fault.hpp"
+#include "ldc/runtime/mail.hpp"
+#include "ldc/runtime/message.hpp"
+#include "ldc/runtime/metrics.hpp"
+#include "ldc/runtime/trace.hpp"
+
+namespace ldc {
+
+class CongestViolation : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Cross-shard traffic observed by the sharded and distributed engines.
+/// Engine-private by design: these counters are NOT part of RunMetrics or
+/// the trace, so digests and metrics stay byte-identical across engines;
+/// e20/e21 read them through Network::cross_shard_traffic().
+struct ShardTraffic {
+  std::uint64_t messages = 0;
+  std::uint64_t bits = 0;
+};
+
+/// One round's read-only context, shared by every range of the round.
+struct RoundContext {
+  const Graph* graph = nullptr;
+  std::uint64_t round = 0;
+  const FaultPlan* faults = nullptr;  ///< non-null only on a faulty round
+  const char* down = nullptr;  ///< n crashed-or-asleep flags (faulty rounds)
+  std::size_t budget_bits = 0;  ///< 0 = LOCAL model
+  bool strict = false;          ///< throw on a budget violation
+
+  /// u -> v is lost in transit: the receiver is down or the plan drops it
+  /// (receiver first, so the drop stream is consulted for live edges only).
+  bool lost(NodeId u, NodeId v) const {
+    return down[v] != 0 || faults->drops_message(round, u, v);
+  }
+};
+
+/// One cross-range survivor staged between phase A and phase B.
+struct BatchEntry {
+  NodeId sender;
+  NodeId dest;
+  Message msg;
+};
+
+/// One range's accounting for one round, merged by the caller in
+/// ascending range order (sums and maxes only, so the totals equal the
+/// serial accounting whatever the boundaries). It is also the summary a
+/// worker process ships in its kInbox frame (dist/wire.hpp).
+struct ShardStaging {
+  std::uint64_t messages = 0;
+  std::uint64_t total_bits = 0;
+  std::uint64_t max_message_bits = 0;
+  std::uint64_t congest_violations = 0;
+  std::uint64_t round_max_bits = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t corrupted = 0;
+  std::uint64_t traffic_messages = 0;  ///< deliveries crossing the range
+  std::uint64_t traffic_bits = 0;
+
+  /// Accounts `copies` transmitted messages of `bits` bits each against
+  /// the CONGEST budget; strict mode throws CongestViolation instead.
+  void account(std::size_t bits, std::uint64_t copies,
+               std::size_t budget_bits, bool strict) {
+    if (budget_bits != 0 && bits > budget_bits) {
+      if (strict) throw_congest(bits, budget_bits);
+      congest_violations += copies;
+    }
+    messages += copies;
+    total_bits += copies * bits;
+    max_message_bits = std::max<std::uint64_t>(max_message_bits, bits);
+    round_max_bits = std::max<std::uint64_t>(round_max_bits, bits);
+  }
+
+  ShardStaging& operator+=(const ShardStaging& o);
+
+  /// Folds the round's staging into the run: traffic fields into m, the
+  /// round's widest message into round_max_bits, fault events into rf and
+  /// cut traffic into *traffic (if non-null).
+  void merge_into(RunMetrics& m, std::size_t& round_max_bits, RoundFaults& rf,
+                  ShardTraffic* traffic) const;
+
+ private:
+  [[noreturn]] static void throw_congest(std::size_t bits,
+                                         std::size_t budget_bits);
+};
+
+class ShardRound {
+ public:
+  /// Phase A for senders [b, e). outbox_of(u) yields u's outbox. Survivors
+  /// addressed inside [b, e) are counted in a; every other survivor goes
+  /// to sink(sender, dest, msg). Cut traffic is counted before the drop
+  /// decision: a lost message still crossed the cut.
+  template <typename OutboxOf, typename Sink>
+  static void stage(const RoundContext& rc, NodeId b, NodeId e,
+                    const OutboxOf& outbox_of, MailArena& a,
+                    ShardStaging& st, Sink&& sink) {
+    const Graph& g = *rc.graph;
+    const FaultPlan* f = rc.faults;
+    a.cursor_.assign(e - b, 0);
+    for (NodeId u = b; u < e; ++u) {
+      const std::vector<MailSlot>& outbox = outbox_of(u);
+      check_unique_destinations(outbox, a.scratch_);
+      const bool sender_down = f != nullptr && rc.down[u] != 0;
+      for (const auto& [dest, msg] : outbox) {
+        if (!g.has_edge(u, dest)) {
+          throw std::invalid_argument(
+              "Network::exchange: message to non-neighbor");
+        }
+        if (sender_down) continue;  // suppressed: never transmitted
+        const std::size_t bits = msg.bit_count();
+        st.account(bits, 1, rc.budget_bits, rc.strict);
+        const bool remote = dest < b || dest >= e;
+        if (remote) {
+          ++st.traffic_messages;
+          st.traffic_bits += bits;
+        }
+        if (f != nullptr) {
+          if (rc.lost(u, dest)) {
+            ++st.dropped;
+            continue;
+          }
+          if (f->corrupts_message(rc.round, u, dest)) ++st.corrupted;
+        }
+        if (remote) {
+          sink(u, dest, msg);
+        } else {
+          ++a.cursor_[dest - b];
+        }
+      }
+    }
+  }
+
+  /// Phase B for destinations [b, e) of range `self` out of `shards`:
+  /// batches_from(j) yields the entries range j staged for this one (never
+  /// called for j == self). Lays out a's inbox CSR (local destination ids)
+  /// and fills it in ascending sender order; corruption lands on the
+  /// destination's own copy (CoW), re-resolving phase A's decision.
+  template <typename OutboxOf, typename BatchesFrom>
+  static void fill(const RoundContext& rc, NodeId b, NodeId e,
+                   const OutboxOf& outbox_of, std::size_t shards,
+                   std::size_t self, const BatchesFrom& batches_from,
+                   MailArena& a) {
+    const FaultPlan* f = rc.faults;
+    for (std::size_t j = 0; j < shards; ++j) {
+      if (j == self) continue;
+      for (const BatchEntry& s : batches_from(j)) ++a.cursor_[s.dest - b];
+    }
+    const NodeId owned = e - b;
+    if (a.offsets_.size() < static_cast<std::size_t>(owned) + 1) {
+      a.offsets_.resize(static_cast<std::size_t>(owned) + 1);
+    }
+    std::uint32_t total = 0;
+    for (NodeId lv = 0; lv < owned; ++lv) {
+      a.offsets_[lv] = total;
+      total += std::exchange(a.cursor_[lv], total);
+    }
+    a.offsets_[owned] = total;
+    if (a.slots_.size() != total) a.slots_.resize(total);
+    auto put = [&](NodeId u, NodeId dest, const Message& msg) {
+      MailSlot& slot = a.slots_[a.cursor_[dest - b]++];
+      slot.first = u;
+      slot.second = msg;  // shares the payload: no copy of the words
+      if (f != nullptr && f->corrupts_message(rc.round, u, dest)) {
+        f->corrupt_payload(rc.round, u, dest, slot.second);
+      }
+    };
+    for (std::size_t j = 0; j < shards; ++j) {
+      if (j != self) {
+        for (const BatchEntry& s : batches_from(j)) {
+          put(s.sender, s.dest, s.msg);
+        }
+        continue;
+      }
+      for (NodeId u = b; u < e; ++u) {
+        if (f != nullptr && rc.down[u] != 0) continue;
+        for (const auto& [dest, msg] : outbox_of(u)) {
+          if (dest < b || dest >= e) continue;
+          if (f != nullptr && rc.lost(u, dest)) continue;
+          put(u, dest, msg);
+        }
+      }
+    }
+  }
+
+  /// Bulk sender-side accounting of a broadcast round: every live sender
+  /// (live == nullptr: all of them) sends degree-many copies of a
+  /// bits_of(u)-bit payload, accounted in ascending sender order.
+  template <typename BitsOf>
+  static void account_broadcast(const RoundContext& rc, const char* live,
+                                const BitsOf& bits_of, ShardStaging& st) {
+    const Graph& g = *rc.graph;
+    for (NodeId u = 0; u < g.n(); ++u) {
+      if (live != nullptr && live[u] == 0) continue;
+      const std::size_t deg = g.degree(u);
+      if (deg != 0) st.account(bits_of(u), deg, rc.budget_bits, rc.strict);
+    }
+  }
+
+  /// Receiver-side survivor scan of a broadcast round over destinations
+  /// [b, e): row(v) opens v's inbox, then emit(u, v, corrupt) runs per
+  /// surviving live in-neighbour u in adjacency order (the graph's sorted
+  /// rows, so ascending sender order). live == nullptr means every sender
+  /// transmits and the round is fault-free.
+  template <typename Row, typename Emit>
+  static void scan(const RoundContext& rc, NodeId b, NodeId e,
+                   const char* live, ShardStaging& st, Row&& row,
+                   Emit&& emit) {
+    const Graph& g = *rc.graph;
+    const FaultPlan* f = rc.faults;
+    for (NodeId v = b; v < e; ++v) {
+      row(v);
+      if (live == nullptr) {
+        for (NodeId u : g.neighbors(v)) emit(u, v, false);
+        continue;
+      }
+      const bool receiver_down = f != nullptr && rc.down[v] != 0;
+      for (NodeId u : g.neighbors(v)) {
+        if (live[u] == 0) continue;
+        bool corrupt = false;
+        if (f != nullptr) {
+          if (receiver_down || f->drops_message(rc.round, u, v)) {
+            ++st.dropped;
+            continue;
+          }
+          corrupt = f->corrupts_message(rc.round, u, v);
+          if (corrupt) ++st.corrupted;
+        }
+        emit(u, v, corrupt);
+      }
+    }
+  }
+
+  /// Broadcast fill of destinations [b, e): one shared payload handle per
+  /// survivor. a's offsets are indexed from vertex `origin` — b for a
+  /// range's own arena, 0 when ranges are laid out back to back in one
+  /// arena; a range that starts at the origin starts the arena afresh.
+  static void fill_broadcast(const RoundContext& rc, NodeId b, NodeId e,
+                             NodeId origin, const char* live,
+                             const std::vector<Message>& msgs, MailArena& a,
+                             ShardStaging& st);
+
+  /// Dense fused-word round for destinations [b, e) (every sender live,
+  /// no faults): snapshots the owned words, indexed from b, and the words
+  /// of `ghosts`, the range's sorted halo. Lanes are synthesized from the
+  /// CSR at read time, and the snapshot pins them to this round's values.
+  static void snapshot_words(NodeId b, NodeId e,
+                             const std::vector<NodeId>& ghosts,
+                             const std::vector<std::uint64_t>& words,
+                             MailArena& a);
+
+  /// Fused-word twin of fill_broadcast (sparse mode): (sender, word)
+  /// slots of width `bits`, word_of(u) giving u's word, into a range
+  /// arena indexed from b.
+  template <typename WordOf>
+  static void fill_words(const RoundContext& rc, NodeId b, NodeId e,
+                         const char* live, const WordOf& word_of,
+                         std::size_t bits, MailArena& a, ShardStaging& st) {
+    const std::uint32_t total = lay_out_rows(rc, b, e, b, live, a, st);
+    if (a.word_slots_.size() != total) a.word_slots_.resize(total);
+    std::uint32_t cur = 0;
+    ShardStaging again;  // the events were counted by the layout pass
+    scan(rc, b, e, live, again, [&](NodeId v) { cur = a.offsets_[v - b]; },
+         [&](NodeId u, NodeId v, bool corrupt) {
+           WordSlot& slot = a.word_slots_[cur++];
+           slot = WordSlot{u, word_of(u)};
+           if (u < b || u >= e) {
+             ++st.traffic_messages;
+             st.traffic_bits += bits;
+           }
+           if (corrupt) {
+             rc.faults->corrupt_word(rc.round, u, v, slot.value, bits);
+           }
+         });
+  }
+
+ private:
+  /// The "destinations unique per round" contract for one sender, checked
+  /// before any of its messages is validated so the error order is the
+  /// same on every engine.
+  static void check_unique_destinations(const std::vector<MailSlot>& outbox,
+                                        std::vector<NodeId>& scratch);
+
+  /// Lays out the inbox rows of destinations [b, e) in a's offsets,
+  /// indexed from `origin`, counting drop and corruption events into st;
+  /// returns the slot count through e. The fill pass re-resolves the
+  /// same pure decisions.
+  static std::uint32_t lay_out_rows(const RoundContext& rc, NodeId b,
+                                    NodeId e, NodeId origin,
+                                    const char* live, MailArena& a,
+                                    ShardStaging& st);
+};
+
+}  // namespace ldc

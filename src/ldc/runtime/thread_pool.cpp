@@ -111,26 +111,4 @@ void ThreadPool::run_tasks(std::vector<std::function<void()>> tasks) {
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  if (size_ == 1) {
-    fn(0, n, 0);  // serial code path, no task plumbing
-    return;
-  }
-  const std::size_t chunks = std::min(size_, n);
-  const std::size_t per = n / chunks;
-  const std::size_t extra = n % chunks;  // first `extra` chunks get +1
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunks);
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t end = begin + per + (c < extra ? 1 : 0);
-    tasks.push_back([&fn, begin, end, c] { fn(begin, end, c); });
-    begin = end;
-  }
-  run_tasks(std::move(tasks));
-}
-
 }  // namespace ldc

@@ -1,10 +1,10 @@
 // Fixed-size worker pool for deterministic fork-join parallelism.
 //
-// The simulator's parallel engine (network.hpp) and the per-node compute
-// driver need exactly one primitive: run a batch of independent tasks and
-// block until all of them finished, rethrowing the first failure. Workers
-// are started once and reused across batches, so per-round overhead is a
-// mutex hand-off, not thread creation.
+// The job service's workers (service/service.cpp) need exactly one
+// primitive: run a batch of independent tasks and block until all of them
+// finished, rethrowing the first failure. Workers are started once and
+// reused across batches, so per-batch overhead is a mutex hand-off, not
+// thread creation.
 //
 // Determinism contract: the pool never reorders observable results — tasks
 // must write disjoint state, and batch completion is a full barrier. When a
@@ -13,8 +13,8 @@
 // error a serial loop would. A pool of size 1 executes every task inline on
 // the calling thread: byte-for-byte the serial code path, no workers.
 //
-// The pool itself must be driven from one thread at a time (the simulator
-// loop); tasks of one batch run concurrently, batches never overlap.
+// The pool itself must be driven from one thread at a time; tasks of one
+// batch run concurrently, batches never overlap.
 #pragma once
 
 #include <condition_variable>
@@ -43,12 +43,6 @@ class ThreadPool {
   /// Runs every task, blocks until all completed (reuse after the drain is
   /// fine). If tasks threw, rethrows the exception of the lowest index.
   void run_tasks(std::vector<std::function<void()>> tasks);
-
-  /// Splits [0, n) into size() contiguous chunks and runs
-  /// fn(begin, end, chunk) per chunk. fn must only touch per-index state.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t,
-                                             std::size_t)>& fn);
 
   /// LDC_THREADS environment variable if set to >= 1, otherwise
   /// std::thread::hardware_concurrency(), otherwise 1.

@@ -15,9 +15,12 @@
 //    decides whether an item is currently deliverable (the event-loop
 //    frontend uses it for session-scoped pause). Pop delivers the oldest
 //    *deliverable* item, so FIFO holds within every gate class. Gate
-//    state lives outside the queue; flip it and then poke() so blocked
-//    pops re-scan. close() overrides gates exactly like it overrides
-//    pause — shutdown must always drain.
+//    state lives outside the queue but changes only through
+//    change_gates(), under the queue mutex: a pop scans with that mutex
+//    held, so one scan never sees a gate both closed (at an older item)
+//    and open (at a younger one), and a pop about to block never misses
+//    the wakeup. close() overrides gates exactly like it overrides pause
+//    — shutdown must always drain.
 #pragma once
 
 #include <condition_variable>
@@ -89,9 +92,17 @@ class BoundedQueue {
     cv_.notify_all();
   }
 
-  /// Wakes every blocked pop so it re-evaluates the gate predicate. Call
-  /// after externally-owned gate state changes (e.g. a session resume).
-  void poke() { cv_.notify_all(); }
+  /// Changes externally owned gate state: runs flip() under the queue
+  /// mutex, then wakes every blocked pop so it re-scans (e.g. a session
+  /// pause or resume).
+  template <typename Flip>
+  void change_gates(Flip&& flip) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      flip();
+    }
+    cv_.notify_all();
+  }
 
   /// Rejects all further pushes; queued items still drain (close beats
   /// pause and gates, so a paused service can always shut down).

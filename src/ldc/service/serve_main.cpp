@@ -123,10 +123,9 @@ void usage(std::FILE* out) {
                "(default 64)\n"
                "  --cache-bytes N     result-cache budget, 0 disables "
                "(default 65536)\n"
-               "  --engine serial|parallel|sharded|dist\n"
+               "  --engine serial|sharded|dist\n"
                "                      per-job simulation engine (default "
                "serial)\n"
-               "  --job-threads N     engine lanes per job (default 1)\n"
                "  --shards N          shard count per job (implies\n"
                "                      --engine sharded; 0 = LDC_SHARDS)\n"
                "  --dist-workers N    worker processes per dist job (0 =\n"
@@ -197,15 +196,13 @@ int main(int argc, char** argv) {
       const std::string v = value();
       if (v == "serial") {
         cfg.job_engine = ldc::Network::Engine::kSerial;
-      } else if (v == "parallel") {
-        cfg.job_engine = ldc::Network::Engine::kParallel;
       } else if (v == "sharded") {
         cfg.job_engine = ldc::Network::Engine::kSharded;
       } else if (v == "dist") {
         cfg.job_engine = ldc::Network::Engine::kDist;
       } else {
         std::fprintf(stderr,
-                     "ldc_serve: --engine serial|parallel|sharded|dist\n");
+                     "ldc_serve: --engine serial|sharded|dist\n");
         return 2;
       }
     } else if (arg == "--dist-workers") {
@@ -237,19 +234,12 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--shards") {
-      // The shard count rides in job_threads: under kSharded, set_engine
-      // interprets the count parameter as the number of shards.
-      if (!parse_size(value(), cfg.job_threads) || cfg.job_threads == 0 ||
-          cfg.job_threads > 1024) {
+      if (!parse_size(value(), cfg.job_shards) || cfg.job_shards == 0 ||
+          cfg.job_shards > 1024) {
         std::fprintf(stderr, "ldc_serve: bad --shards\n");
         return 2;
       }
       cfg.job_engine = ldc::Network::Engine::kSharded;
-    } else if (arg == "--job-threads") {
-      if (!parse_size(value(), cfg.job_threads) || cfg.job_threads == 0) {
-        std::fprintf(stderr, "ldc_serve: bad --job-threads\n");
-        return 2;
-      }
     } else if (arg == "--corpus-dir") {
       cfg.corpus_dir = value();
     } else if (arg == "--socket") {

@@ -109,12 +109,14 @@ void Service::pause() { queue_.pause(); }
 void Service::resume() { queue_.resume(); }
 
 void Service::pause_session(SessionGate& gate) {
-  gate.paused.store(true, std::memory_order_release);
+  queue_.change_gates(
+      [&] { gate.paused.store(true, std::memory_order_release); });
 }
 
 void Service::resume_session(SessionGate& gate) {
-  gate.paused.store(false, std::memory_order_release);
-  queue_.poke();  // blocked workers re-scan for this session's jobs
+  // Blocked workers wake and re-scan for this session's jobs.
+  queue_.change_gates(
+      [&] { gate.paused.store(false, std::memory_order_release); });
 }
 
 void Service::drain() {
@@ -196,7 +198,7 @@ void Service::run_one(Pending& p) {
       }
       ExecContext exec;
       exec.engine = cfg_.job_engine;
-      exec.threads = cfg_.job_threads;
+      exec.threads = cfg_.job_shards;
       exec.cancel = p.token.get();
       std::unique_ptr<dist::Coordinator> coord;
       if (cfg_.job_engine == Network::Engine::kDist) {

@@ -14,11 +14,11 @@
 //
 // Thread-nesting policy (documented contract, exercised in test_service):
 // the pool runs WHOLE jobs concurrently, one lane per job. A job may
-// itself request the parallel engine (config job_engine/job_threads);
-// each Network owns its private ThreadPool, so nesting is safe but
-// multiplies live threads (workers * job_threads) — the deployment
-// default is therefore parallel jobs with a serial engine, or one worker
-// with a parallel engine, not both.
+// itself request the sharded engine (config job_engine/job_shards); each
+// Network owns its private ShardCrew, so nesting is safe but multiplies
+// live threads (workers * job_shards) — the deployment default is
+// therefore parallel jobs with a serial engine, or one worker with a
+// sharded engine, not both.
 //
 // Determinism: with workers == 1 and a script that separates bursts with
 // drain(), the full result stream (ids, order, every field) is a pure
@@ -57,7 +57,8 @@ struct ServiceConfig {
   std::size_t queue_capacity = 64; ///< admission bound (backpressure beyond)
   std::size_t cache_bytes = 64 * 1024;  ///< result-cache budget; 0 = off
   Network::Engine job_engine = Network::Engine::kSerial;
-  std::size_t job_threads = 1;     ///< engine lanes per job (nesting policy)
+  std::size_t job_shards = 1;      ///< kSharded shards per job (nesting
+                                   ///< policy); 1 = serial code path
   /// Non-empty: serve family == "corpus" jobs from <dir>/<name>.ldcg via
   /// a shared CorpusRegistry (each corpus mapped once, workers share it).
   std::string corpus_dir;
@@ -97,8 +98,9 @@ struct JobResult {
 /// unchanged) but are skipped by workers. One frontend session owns one
 /// gate; flipping it never affects other sessions' jobs, which is what
 /// lets many multiplexed sessions script deterministic bursts over a
-/// *shared* worker pool. Flip via Service::pause_session/resume_session
-/// so blocked workers are woken to re-scan.
+/// *shared* worker pool. Flip only via Service::pause_session/
+/// resume_session: they change the gate under the queue mutex and wake
+/// blocked workers to re-scan.
 struct SessionGate {
   std::atomic<bool> paused{false};
 };

@@ -648,6 +648,112 @@ TEST(Dist, WorkerErrorsKeepTheirTypesAcrossTheWire) {
   }
 }
 
+// The post-throw contract every engine shares: a round's accounting is
+// staged and merged only once the whole round succeeded, so a round that
+// throws — duplicate destination, non-neighbor, strict CONGEST violation,
+// on exchange, exchange_broadcast or the fused word round — leaves the
+// RunMetrics traffic fields exactly as they were before it. Every bad
+// round below has well-formed senders ahead of the offender, whose
+// traffic a partial accounting would have leaked. The next round still
+// runs and accounts normally.
+TEST(Dist, ThrowingRoundLeavesTrafficMetricsUnchangedOnEveryEngine) {
+  const Graph g = gen::ring(16);
+  TempCorpus tc("post_throw");
+  write_graph(g, tc.path());
+  CoordinatorOptions opt;
+  opt.workers = 2;
+  Coordinator coord(tc.path(), opt);
+  const Graph& cg = coord.corpus_graph();
+  const NodeId n = cg.n();
+
+  auto msg = [](std::uint64_t value, int bits) {
+    BitWriter w;
+    w.write(value, bits);
+    return Message::from(w);
+  };
+  // Every node but `bad` sends a 2-bit message to each neighbor.
+  auto outboxes = [&](NodeId bad) {
+    std::vector<Network::Outbox> out(n);
+    for (NodeId u = 0; u < n; ++u) {
+      if (u == bad) continue;
+      for (NodeId v : cg.neighbors(u)) out[u].emplace_back(v, msg(u & 3, 2));
+    }
+    return out;
+  };
+  struct BadRound {
+    std::string name;
+    std::function<void(Network&)> run;
+    bool congest;  ///< CongestViolation, else std::invalid_argument
+  };
+  const std::vector<BadRound> bad_rounds = {
+      {"exchange/duplicate",
+       [&](Network& net) {
+         auto out = outboxes(11);
+         out[11].emplace_back(12, msg(1, 2));
+         out[11].emplace_back(12, msg(2, 2));
+         (void)net.exchange(out);
+       },
+       false},
+      {"exchange/non-neighbor",
+       [&](Network& net) {
+         auto out = outboxes(11);
+         out[11].emplace_back(3, msg(1, 2));
+         (void)net.exchange(out);
+       },
+       false},
+      {"exchange/strict-congest",
+       [&](Network& net) {
+         auto out = outboxes(11);
+         out[11].emplace_back(12, msg(0, 9));  // 9 bits > 4-bit budget
+         (void)net.exchange(out);
+       },
+       true},
+      {"broadcast/strict-congest",
+       [&](Network& net) {
+         std::vector<Message> msgs(n, msg(1, 2));
+         msgs[11] = msg(0, 9);
+         (void)net.exchange_broadcast(msgs);
+       },
+       true},
+      {"word/strict-congest",
+       [&](Network& net) {
+         (void)net.exchange_broadcast_word(std::vector<std::uint64_t>(n, 5),
+                                           511);  // 9-bit words
+       },
+       true},
+  };
+  const std::vector<EngineSel> engines = {
+      {"serial", [](Network&) {}},
+      {"sharded@2",
+       [](Network& net) { net.set_engine(Network::Engine::kSharded, 2); }},
+      {"sharded@7",
+       [](Network& net) { net.set_engine(Network::Engine::kSharded, 7); }},
+      dist_sel(coord),
+  };
+  auto traffic = [](const RunMetrics& m) {
+    return std::vector<std::uint64_t>{
+        m.messages,         m.total_bits,       m.max_message_bits,
+        m.congest_violations, m.messages_dropped, m.messages_corrupted};
+  };
+  for (const EngineSel& sel : engines) {
+    for (const BadRound& bad : bad_rounds) {
+      const std::string label = bad.name + " @" + sel.name;
+      Network net(cg, /*budget_bits=*/4, /*strict=*/true);
+      sel.apply(net);
+      (void)net.exchange(outboxes(n));  // a good round: non-zero traffic
+      const RunMetrics before = net.metrics();
+      if (bad.congest) {
+        EXPECT_THROW(bad.run(net), CongestViolation) << label;
+      } else {
+        EXPECT_THROW(bad.run(net), std::invalid_argument) << label;
+      }
+      EXPECT_EQ(traffic(net.metrics()), traffic(before)) << label;
+      (void)net.exchange(outboxes(n));
+      EXPECT_EQ(net.metrics().messages, 2 * before.messages) << label;
+    }
+  }
+}
+
 // ------------------------------------------------- strict knob parsing --
 
 TEST(Dist, ParsePositiveU64RejectsGarbageNamingTheToken) {

@@ -260,7 +260,7 @@ TEST(DistFuzz, PayloadReaderOverrunAndTrailingGarbageAreTyped) {
   {
     // Truncated summary (9 u64 fields on the wire).
     PayloadWriter w;
-    encode_summary(w, ShardRoundSummary{});
+    encode_summary(w, ShardStaging{});
     std::string payload = w.take();
     payload.resize(payload.size() - 1);
     PayloadReader r(payload, "summary");
@@ -319,7 +319,7 @@ TEST(DistFuzz, RoundTripCodecs) {
     }
   }
   {
-    ShardRoundSummary s;
+    ShardStaging s;
     s.messages = 11;
     s.total_bits = 22;
     s.max_message_bits = 33;
@@ -333,7 +333,7 @@ TEST(DistFuzz, RoundTripCodecs) {
     encode_summary(w, s);
     const std::string payload = w.take();
     PayloadReader r(payload, "summary");
-    const ShardRoundSummary back = decode_summary(r);
+    const ShardStaging back = decode_summary(r);
     r.expect_end();
     EXPECT_EQ(back.messages, s.messages);
     EXPECT_EQ(back.traffic_bits, s.traffic_bits);

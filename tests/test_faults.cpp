@@ -123,12 +123,12 @@ TEST(FaultPlan, CorruptPayloadClonesSharedPayloads) {
 // The zero-copy plane delivers one shared payload handle per receiver; a
 // corruption fault must clone before flipping (CoW), so a corrupted
 // delivery can never mutate the sender's message or the clean copies that
-// sibling receivers got — under either engine.
+// sibling receivers got — under the serial and the sharded engine.
 TEST(Network, CorruptionNeverMutatesSenderOrSiblingCopies) {
   const Graph g = gen::clique(6);
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{4}}) {
     Network net(g);
-    if (threads != 0) net.set_engine(Network::Engine::kParallel, threads);
+    if (shards != 0) net.set_engine(Network::Engine::kSharded, shards);
     FaultPlan p;
     p.seed = 21;
     p.corrupt_rate = 0.4;

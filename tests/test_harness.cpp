@@ -504,7 +504,7 @@ std::vector<const char*> argv_of(std::initializer_list<const char*> args) {
 }
 
 TEST(HarnessCli, ParsesFlagCombinations) {
-  auto a = argv_of({"--smoke", "--filter", "oldc", "--threads", "4", "--out",
+  auto a = argv_of({"--smoke", "--filter", "oldc", "--shards", "4", "--out",
                     "d", "--baseline", "b.json", "--check"});
   const CliOptions o =
       parse_cli(static_cast<int>(a.size()), a.data());
@@ -512,8 +512,8 @@ TEST(HarnessCli, ParsesFlagCombinations) {
   EXPECT_TRUE(o.check);
   ASSERT_EQ(o.filters.size(), 1u);
   EXPECT_EQ(o.filters[0], "oldc");
-  EXPECT_EQ(o.threads, 4u);
-  EXPECT_TRUE(o.parallel);  // --threads > 1 implies the parallel engine
+  EXPECT_EQ(o.shards, 4u);
+  EXPECT_TRUE(o.sharded);  // --shards implies the sharded engine
   EXPECT_EQ(o.out_dir, "d");
   EXPECT_EQ(o.baseline_path, "b.json");
 }
@@ -526,14 +526,17 @@ TEST(HarnessCli, RejectsBadUsage) {
   auto unknown = argv_of({"--frobnicate"});
   EXPECT_THROW(parse_cli(static_cast<int>(unknown.size()), unknown.data()),
                std::invalid_argument);
-  auto bad_threads = argv_of({"--threads", "0"});
+  auto bad_shards = argv_of({"--shards", "0"});
   EXPECT_THROW(
-      parse_cli(static_cast<int>(bad_threads.size()), bad_threads.data()),
+      parse_cli(static_cast<int>(bad_shards.size()), bad_shards.data()),
       std::invalid_argument);
-  auto bad_engine = argv_of({"--engine", "quantum"});
-  EXPECT_THROW(
-      parse_cli(static_cast<int>(bad_engine.size()), bad_engine.data()),
-      std::invalid_argument);
+  for (const char* engine : {"quantum", "parallel"}) {
+    auto bad_engine = argv_of({"--engine", engine});
+    EXPECT_THROW(
+        parse_cli(static_cast<int>(bad_engine.size()), bad_engine.data()),
+        std::invalid_argument)
+        << engine;
+  }
 }
 
 // Registers one no-op experiment in the *global* registry so run_cli has

@@ -38,11 +38,11 @@ TEST(Network, RejectsNonNeighborDelivery) {
 TEST(Network, RejectsDuplicateDestinations) {
   // Contract: each sender may send at most one message per neighbor per
   // round. Duplicates used to be delivered (with stdlib-sort-dependent
-  // inbox order); now they are rejected up front on both engines.
+  // inbox order); now they are rejected up front on every engine.
   const Graph g = gen::path(3);
-  for (bool parallel : {false, true}) {
+  for (bool sharded : {false, true}) {
     Network net(g);
-    if (parallel) net.set_engine(Network::Engine::kParallel, 4);
+    if (sharded) net.set_engine(Network::Engine::kSharded, 3);
     std::vector<Network::Outbox> out(3);
     out[1].emplace_back(0, make_msg(1, 4));
     out[1].emplace_back(0, make_msg(2, 4));
@@ -53,11 +53,11 @@ TEST(Network, RejectsDuplicateDestinations) {
 TEST(Network, DuplicateCheckPrecedesPerMessageValidation) {
   // Error fidelity: the duplicate check runs before the sender's messages
   // are validated, so a sender with both faults reports the duplicate
-  // (identically on both engines, regardless of message order).
+  // (identically on every engine, regardless of message order).
   const Graph g = gen::path(3);
-  for (bool parallel : {false, true}) {
+  for (bool sharded : {false, true}) {
     Network net(g);
-    if (parallel) net.set_engine(Network::Engine::kParallel, 4);
+    if (sharded) net.set_engine(Network::Engine::kSharded, 3);
     std::vector<Network::Outbox> out(3);
     out[0].emplace_back(2, make_msg(1, 4));  // non-neighbor
     out[0].emplace_back(1, make_msg(1, 4));
@@ -167,10 +167,10 @@ TEST(Network, SetEngineReportsThreads) {
   Network net(g);
   EXPECT_EQ(net.engine(), Network::Engine::kSerial);
   EXPECT_EQ(net.threads(), 1u);
-  net.set_engine(Network::Engine::kParallel, 3);
-  EXPECT_EQ(net.engine(), Network::Engine::kParallel);
+  net.set_engine(Network::Engine::kSharded, 3);
+  EXPECT_EQ(net.engine(), Network::Engine::kSharded);
   EXPECT_EQ(net.threads(), 3u);
-  net.set_engine(Network::Engine::kParallel, 1);  // serial code path
+  net.set_engine(Network::Engine::kSharded, 1);  // serial code path
   EXPECT_EQ(net.threads(), 1u);
   net.set_engine(Network::Engine::kSerial);
   EXPECT_EQ(net.engine(), Network::Engine::kSerial);

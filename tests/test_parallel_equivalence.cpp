@@ -1,10 +1,13 @@
-// Cross-engine equivalence suite: the parallel round engine must be
-// bit-for-bit equivalent to the serial one. For every registered colorer on
-// a seeded mix of graphs, and for thread counts {1, 2, 4, 7}, the colors,
-// the model-exact RunMetrics fields, and the full trace transcript
-// (digest + per-round fields + marks) must equal the serial run's. This is
-// what lets EXPERIMENTS.md keep making *exact* round/bit claims while the
-// simulator runs on however many cores the host has.
+// Cross-engine equivalence suite: the multi-threaded round engine
+// (kSharded, K shard threads running the shard-round kernel) must be
+// bit-for-bit equivalent to the serial one (the same kernel over one range
+// [0, n)). For every registered colorer on a seeded mix of graphs, and for
+// thread counts {1, 2, 4, 7}, the colors, the model-exact RunMetrics
+// fields, and the full trace transcript (digest + per-round fields +
+// marks) must equal the serial run's. This is what lets EXPERIMENTS.md
+// keep making *exact* round/bit claims while the simulator runs on however
+// many cores the host has. tests/test_sharded.cpp pins the shard-specific
+// contracts (ghost halos, cut traffic, LDC_SHARDS) at K in {1, 2, 7}.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -52,7 +55,7 @@ struct NamedGraph {
 EngineRun run_with_threads(const Graph& g, std::size_t threads,
                            const Colorer& algo) {
   Network net(g);
-  if (threads > 0) net.set_engine(Network::Engine::kParallel, threads);
+  if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
   Trace trace;
   net.attach_trace(&trace);
   EngineRun out;
@@ -231,7 +234,7 @@ struct FaultyRun {
 FaultyRun run_faulty_exchange(const Graph& g, std::size_t threads,
                               const FaultPlan& plan) {
   Network net(g);
-  if (threads > 0) net.set_engine(Network::Engine::kParallel, threads);
+  if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
   Trace trace;
   net.attach_trace(&trace);
   net.attach_faults(&plan);
@@ -315,7 +318,7 @@ TEST(ParallelEquivalence, ResilientRecoveryMatchesAcrossEngines) {
   opt.plan.sleep_rate = 0.05;
   auto run = [&](std::size_t threads) {
     Network net(g);
-    if (threads > 0) net.set_engine(Network::Engine::kParallel, threads);
+    if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     Trace trace;
     net.attach_trace(&trace);
     const auto res = resilient::resilient_linial(net, opt);
@@ -341,7 +344,7 @@ TEST(ParallelEquivalence, DuplicateDestinationThrowsOnBothEngines) {
   const Graph g = gen::ring(8);
   for (std::size_t threads : {0u, 2u, 7u}) {
     Network net(g);
-    if (threads > 0) net.set_engine(Network::Engine::kParallel, threads);
+    if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     std::vector<Network::Outbox> out(8);
     BitWriter w;
     w.write(1, 1);
@@ -364,7 +367,7 @@ TEST(ParallelEquivalence, ExplicitExchangeMatchesAcrossEngines) {
   const Graph g = gen::gnp(40, 0.3, 21);
   auto run = [&](std::size_t threads) {
     Network net(g);
-    if (threads > 0) net.set_engine(Network::Engine::kParallel, threads);
+    if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     std::vector<Network::Outbox> out(g.n());
     for (NodeId u = 0; u < g.n(); ++u) {
       for (NodeId v : g.neighbors(u)) {
@@ -396,7 +399,7 @@ TEST(ParallelEquivalence, ExplicitExchangeMatchesAcrossEngines) {
 // The broadcast fast path skips outbox materialization and fills the round
 // arena receiver-side; its observable behavior must stay identical to
 // building the equivalent outboxes and calling exchange() — with and
-// without an active mask, with and without faults, under both engines.
+// without an active mask, with and without faults, under every engine.
 TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
   const Graph g = gen::gnp(48, 0.25, 33);
   std::vector<Message> msgs(g.n());
@@ -421,7 +424,7 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
   auto run = [&](std::size_t threads, const std::vector<bool>* active,
                  const FaultPlan* faults, bool via_outboxes) {
     Network net(g);
-    if (threads > 0) net.set_engine(Network::Engine::kParallel, threads);
+    if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     Trace trace;
     net.attach_trace(&trace);
     if (faults != nullptr) net.attach_faults(faults);
@@ -510,7 +513,7 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
   auto run = [&](std::size_t threads, const std::vector<bool>* active,
                  const FaultPlan* faults, Path path) {
     Network net(g);
-    if (threads > 0) net.set_engine(Network::Engine::kParallel, threads);
+    if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     Trace trace;
     net.attach_trace(&trace);
     if (faults != nullptr) net.attach_faults(faults);
@@ -594,7 +597,7 @@ TEST(ParallelEquivalence, CongestAccountingMatchesAcrossEngines) {
   const Graph g = gen::random_regular(50, 6, 17);
   auto run = [&](std::size_t threads) {
     Network net(g, /*budget_bits=*/10);
-    if (threads > 0) net.set_engine(Network::Engine::kParallel, threads);
+    if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     std::vector<Message> msgs(g.n());
     for (NodeId v = 0; v < g.n(); ++v) {
       BitWriter w;
@@ -616,7 +619,7 @@ TEST(ParallelEquivalence, StrictViolationThrowsOnBothEngines) {
   const Graph g = gen::path(4);
   for (std::size_t threads : {0u, 2u, 7u}) {
     Network net(g, /*budget_bits=*/4, /*strict=*/true);
-    if (threads > 0) net.set_engine(Network::Engine::kParallel, threads);
+    if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     BitWriter w;
     w.write(0, 9);
     EXPECT_THROW(net.exchange_broadcast(std::vector<Message>(4, Message::from(w))),
@@ -629,7 +632,7 @@ TEST(ParallelEquivalence, NonNeighborThrowsOnBothEngines) {
   const Graph g = gen::path(8);
   for (std::size_t threads : {0u, 2u, 7u}) {
     Network net(g);
-    if (threads > 0) net.set_engine(Network::Engine::kParallel, threads);
+    if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     std::vector<Network::Outbox> out(8);
     BitWriter w;
     w.write(1, 1);
@@ -642,7 +645,7 @@ TEST(ParallelEquivalence, NonNeighborThrowsOnBothEngines) {
 TEST(ParallelEquivalence, WallClockIsRecordedButNotInDigest) {
   const Graph g = gen::ring(32);
   Network net(g);
-  net.set_engine(Network::Engine::kParallel, 3);
+  net.set_engine(Network::Engine::kSharded, 3);
   Trace trace;
   net.attach_trace(&trace);
   linial::color(net);
@@ -656,7 +659,7 @@ TEST(ParallelEquivalence, RunNodeProgramsComputesEveryNodeOnce) {
   const Graph g = gen::ring(101);
   for (std::size_t threads : {0u, 1u, 2u, 4u, 7u}) {
     Network net(g);
-    if (threads > 0) net.set_engine(Network::Engine::kParallel, threads);
+    if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     std::vector<std::uint32_t> hits(g.n(), 0);
     net.run_node_programs([&](NodeId v) { ++hits[v]; });
     for (NodeId v = 0; v < g.n(); ++v) {

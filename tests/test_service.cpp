@@ -92,14 +92,49 @@ TEST(ServiceQueue, GateSkipsBlockedItemsFifoWithinClass) {
   EXPECT_EQ(q.pop(), 4);
 }
 
-TEST(ServiceQueue, PokeWakesBlockedPopAfterGateFlip) {
+TEST(ServiceQueue, ChangeGatesWakesBlockedPop) {
   std::atomic<bool> blocked{true};
   BoundedQueue<int> q(4, [&](const int&) { return !blocked.load(); });
   q.try_push(9);
   std::thread popper([&] { EXPECT_EQ(q.pop(), 9); });
-  blocked.store(false);
-  q.poke();  // the gate changed outside the queue: wake the sleeper
+  q.change_gates([&] { blocked.store(false); });  // wakes the sleeper
   popper.join();
+}
+
+// A gate flip must never land in the middle of a pop's scan. The gate
+// below holds the scan right after it found item 1 closed, while another
+// thread resumes: if the flip could complete then, the scan would find
+// item 2 open and deliver it ahead of item 1, breaking FIFO within the
+// gate class. With the flip under the queue mutex the resume waits for
+// the scan, whose hold gives up after a grace period.
+TEST(ServiceQueue, GateFlipNeverLandsMidScan) {
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> paused{true};
+  std::atomic<bool> held{false};      // the scan reached item 1
+  std::atomic<bool> resuming{false};  // the resumer is calling in
+  std::atomic<bool> resumed{false};   // the resume returned
+  BoundedQueue<int> q(4, [&](const int& item) {
+    const bool open = !paused.load();
+    if (item == 1 && !held.exchange(true)) {
+      while (!resuming.load()) std::this_thread::yield();
+      const auto grace = Clock::now() + std::chrono::milliseconds(200);
+      while (!resumed.load() && Clock::now() < grace) {
+        std::this_thread::yield();
+      }
+    }
+    return open;
+  });
+  q.try_push(1);
+  q.try_push(2);
+  std::thread resumer([&] {
+    while (!held.load()) std::this_thread::yield();
+    resuming.store(true);
+    q.change_gates([&] { paused.store(false); });
+    resumed.store(true);
+  });
+  EXPECT_EQ(q.pop(), 1);
+  EXPECT_EQ(q.pop(), 2);
+  resumer.join();
 }
 
 TEST(ServiceQueue, CloseOverridesGate) {
@@ -576,17 +611,17 @@ TEST(Service, FailedJobReportsErrorNotCrash) {
 
 TEST(Service, NestingPolicyParallelJobsInsideWorkerPool) {
   // The documented nesting contract: pool lanes run whole jobs; a job may
-  // itself use the parallel engine (each Network owns a private pool).
+  // itself run on K shard threads (each Network owns a private crew).
   // The engine choice must not change any model-exact result.
   const std::vector<Job> jobs = {
       ring_job("linial", 32, 1), ring_job("kw", 32, 1),
       ring_job("luby", 32, 7), ring_job("greedy", 32, 1)};
 
-  auto run_with = [&](Network::Engine engine, std::size_t job_threads) {
+  auto run_with = [&](Network::Engine engine, std::size_t job_shards) {
     ServiceConfig cfg;
     cfg.workers = 2;  // concurrent whole jobs ...
     cfg.job_engine = engine;
-    cfg.job_threads = job_threads;  // ... each itself parallel
+    cfg.job_shards = job_shards;  // ... each itself parallel
     cfg.cache_bytes = 0;  // force real computation in both configurations
     Collector c;
     Service svc(cfg, c.callback());
@@ -604,7 +639,7 @@ TEST(Service, NestingPolicyParallelJobsInsideWorkerPool) {
   };
 
   const auto serial = run_with(Network::Engine::kSerial, 1);
-  const auto nested = run_with(Network::Engine::kParallel, 2);
+  const auto nested = run_with(Network::Engine::kSharded, 2);
   EXPECT_EQ(serial, nested);
 }
 

@@ -221,7 +221,10 @@ TEST(StreamGen, ValidatesSpecs) {
 class HostileCorpus : public ::testing::Test {
  protected:
   void SetUp() override {
-    tc_ = std::make_unique<TempCorpus>("hostile");
+    // ctest runs each case as its own, concurrent process: one file each.
+    tc_ = std::make_unique<TempCorpus>(
+        std::string("hostile_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     write_graph(gen::gnp(50, 0.1, 2), tc_->path());
     bytes_ = read_file(tc_->path());
     ASSERT_GE(bytes_.size(), storage::kCorpusHeaderBytes);

@@ -5,14 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace ldc {
@@ -28,39 +25,6 @@ TEST(ThreadPool, SizeOneRunsInlineWithNoWorkers) {
   ASSERT_EQ(ran.size(), 2u);
   EXPECT_EQ(ran[0], caller);
   EXPECT_EQ(ran[1], caller);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  for (std::size_t threads : {1u, 2u, 3u, 4u, 7u}) {
-    ThreadPool pool(threads);
-    for (std::size_t n : {0u, 1u, 2u, 5u, 64u, 1000u}) {
-      std::vector<std::atomic<int>> hits(n);
-      pool.parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t) {
-        for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-      });
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(ThreadPool, ParallelForChunksArePartitionOfRange) {
-  ThreadPool pool(4);
-  std::mutex mu;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.parallel_for(10, [&](std::size_t b, std::size_t e, std::size_t c) {
-    std::lock_guard<std::mutex> lock(mu);
-    chunks.emplace_back(b, e);
-    EXPECT_LT(c, 4u);
-  });
-  std::sort(chunks.begin(), chunks.end());
-  ASSERT_EQ(chunks.size(), 4u);
-  EXPECT_EQ(chunks.front().first, 0u);
-  EXPECT_EQ(chunks.back().second, 10u);
-  for (std::size_t i = 1; i < chunks.size(); ++i) {
-    EXPECT_EQ(chunks[i - 1].second, chunks[i].first);  // contiguous
-  }
 }
 
 TEST(ThreadPool, TaskBurstsReuseWorkers) {
@@ -108,16 +72,6 @@ TEST(ThreadPool, ExceptionPropagatesLowestIndexFirst) {
   }
 }
 
-TEST(ThreadPool, ParallelForExceptionNamesFirstChunk) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [&](std::size_t b, std::size_t, std::size_t) {
-                          if (b >= 25) throw std::invalid_argument("boom");
-                        }),
-      std::invalid_argument);
-}
-
 TEST(ThreadPool, UsableAfterException) {
   // A throwing batch must drain fully and leave the pool reusable.
   ThreadPool pool(3);
@@ -133,9 +87,8 @@ TEST(ThreadPool, UsableAfterException) {
   EXPECT_EQ(survivors.load(), 10);  // non-throwing tasks still ran
 
   std::atomic<int> after{0};
-  pool.parallel_for(64, [&](std::size_t b, std::size_t e, std::size_t) {
-    after.fetch_add(static_cast<int>(e - b));
-  });
+  std::vector<std::function<void()>> good(64, [&] { after.fetch_add(1); });
+  pool.run_tasks(std::move(good));
   EXPECT_EQ(after.load(), 64);
 }
 
@@ -198,7 +151,7 @@ TEST(ThreadPool, DestructionWithIdleWorkersIsClean) {
   for (int i = 0; i < 25; ++i) {
     ThreadPool pool(4);  // construct + destruct churn
     if (i % 5 == 0) {
-      pool.parallel_for(8, [](std::size_t, std::size_t, std::size_t) {});
+      pool.run_tasks(std::vector<std::function<void()>>(8, [] {}));
     }
   }
   SUCCEED();
