@@ -15,6 +15,7 @@
 #include <string>
 
 #include "ldc/dist/coordinator.hpp"
+#include "ldc/harness/json.hpp"
 #include "ldc/service/algorithms.hpp"
 
 namespace {
@@ -139,26 +140,24 @@ int main(int argc, char** argv) {
     const ldc::dist::WireStats wire = coord.wire_stats();
 
     if (json) {
-      std::printf(
-          "{\"algorithm\":\"%s\",\"workers\":%zu,\"valid\":%s,"
-          "\"n\":%u,\"colors\":%llu,\"palette\":%llu,\"rounds\":%llu,"
-          "\"messages\":%llu,\"total_bits\":%llu,\"color_digest\":%llu,"
-          "\"cross_shard_messages\":%llu,\"cross_shard_bits\":%llu,"
-          "\"frames_sent\":%llu,\"frames_received\":%llu,"
-          "\"bytes_sent\":%llu,\"bytes_received\":%llu}\n",
-          algorithm.c_str(), coord.shards(), out.valid ? "true" : "false",
-          out.n, static_cast<unsigned long long>(out.colors),
-          static_cast<unsigned long long>(out.palette),
-          static_cast<unsigned long long>(out.rounds),
-          static_cast<unsigned long long>(out.messages),
-          static_cast<unsigned long long>(out.total_bits),
-          static_cast<unsigned long long>(out.color_digest),
-          static_cast<unsigned long long>(traffic.messages),
-          static_cast<unsigned long long>(traffic.bits),
-          static_cast<unsigned long long>(wire.frames_sent),
-          static_cast<unsigned long long>(wire.frames_received),
-          static_cast<unsigned long long>(wire.bytes_sent),
-          static_cast<unsigned long long>(wire.bytes_received));
+      ldc::harness::Json j = ldc::harness::Json::object();
+      j.add("algorithm", algorithm);
+      j.add("workers", std::uint64_t{coord.shards()});
+      j.add("valid", out.valid);
+      j.add("n", out.n);
+      j.add("colors", out.colors);
+      j.add("palette", out.palette);
+      j.add("rounds", out.rounds);
+      j.add("messages", out.messages);
+      j.add("total_bits", out.total_bits);
+      j.add("color_digest", out.color_digest);
+      j.add("cross_shard_messages", traffic.messages);
+      j.add("cross_shard_bits", traffic.bits);
+      j.add("frames_sent", wire.frames_sent);
+      j.add("frames_received", wire.frames_received);
+      j.add("bytes_sent", wire.bytes_sent);
+      j.add("bytes_received", wire.bytes_received);
+      std::printf("%s\n", j.dump().c_str());
     } else {
       std::printf("algorithm        %s\n", algorithm.c_str());
       std::printf("workers          %zu\n", coord.shards());

@@ -66,14 +66,6 @@ std::string find_shard_binary(const std::string& override_path) {
       "CoordinatorOptions::shard_binary");
 }
 
-std::string pack_bitmap(const std::vector<char>& flags, std::size_t n) {
-  std::string bits((n + 7) / 8, '\0');
-  for (std::size_t v = 0; v < n; ++v) {
-    if (flags[v] != 0) bits[v >> 3] |= static_cast<char>(1u << (v & 7));
-  }
-  return bits;
-}
-
 }  // namespace
 
 Coordinator::Coordinator(const std::string& corpus_path,
@@ -365,48 +357,26 @@ void Coordinator::handshake() {
   }
 }
 
-void Coordinator::bind(Network& net) {
-  const Graph& g = graph_;
-  if (DistBackend::graph(net).n() != g.n()) {
+void Coordinator::bind(const Graph& g, std::size_t budget_bits, bool strict) {
+  if (g.n() != graph_.n()) {
     throw AttachError(
         "Coordinator::bind: the Network's graph does not match the corpus "
         "(construct it over corpus_graph())");
   }
-  budget_bits_ = DistBackend::budget_bits(net);
-  strict_ = DistBackend::strict(net);
   const std::size_t K = conns_.size();
-  part_ = Partition::degree_balanced(g, K);
+  part_ = Partition::degree_balanced(graph_, K);
 
-  // Coordinator-side halo facts per shard: the sorted ghost list drives
-  // the word-round halo shipping, and ghost_edges prices dense word
-  // rounds. Workers recompute both from their ShardTopology; the assign
-  // ack cross-checks them, so a topology disagreement can never survive
-  // the attach.
+  // Each shard's halo: the sorted ghost list drives the word-round halo
+  // shipping, and ghost_edges prices dense word rounds. Workers build the
+  // same ShardTopology; the assign ack cross-checks it, so a topology
+  // disagreement can never survive the attach.
   for (std::size_t k = 0; k < K; ++k) {
-    WorkerConn& c = conns_[k];
-    c.ghosts.clear();
-    c.ghost_edges = 0;
-    const NodeId b = part_.begin(k);
-    const NodeId e = part_.end(k);
-    for (NodeId v = b; v < e; ++v) {
-      for (NodeId u : g.neighbors(v)) {
-        if (u < b || u >= e) {
-          ++c.ghost_edges;
-          c.ghosts.push_back(u);
-        }
-      }
-    }
-    std::sort(c.ghosts.begin(), c.ghosts.end());
-    c.ghosts.erase(std::unique(c.ghosts.begin(), c.ghosts.end()),
-                   c.ghosts.end());
-  }
-
-  for (std::size_t k = 0; k < K; ++k) {
+    conns_[k].topo.build(graph_, part_.begin(k), part_.end(k));
     PayloadWriter w;
     w.u32(static_cast<std::uint32_t>(k));
     w.u32(static_cast<std::uint32_t>(K));
-    w.u64(budget_bits_);
-    w.u8(strict_ ? 1 : 0);
+    w.u64(budget_bits);
+    w.u8(strict ? 1 : 0);
     for (NodeId s : part_.starts()) w.u32(s);
     queue_frame(k, FrameKind::kAssign, 0, 0,
                 static_cast<std::uint32_t>(k), 0, w.take());
@@ -427,8 +397,8 @@ void Coordinator::bind(Network& net) {
     const std::uint64_t ghost_edges = r.u64();
     const std::uint64_t ghosts = r.u64();
     r.expect_end();
-    const WorkerConn& c = conns_[in.from];
-    if (ghost_edges != c.ghost_edges || ghosts != c.ghosts.size()) {
+    const ShardTopology& t = conns_[in.from].topo;
+    if (ghost_edges != t.ghost_edges || ghosts != t.ghosts.size()) {
       throw AttachError("worker " + std::to_string(in.from) +
                         ": shard topology disagreement at assign (worker "
                         "halo does not match the coordinator's partition)");
@@ -439,21 +409,57 @@ void Coordinator::bind(Network& net) {
   // Logical traffic is a per-run counter (the in-process engine's starts
   // at zero with each ShardSet); a bind marks the start of a run.
   traffic_ = ShardTraffic{};
-  bound_ = true;
 }
 
-void Coordinator::exchange_dist(Network& net,
-                                const std::vector<Network::Outbox>& outboxes,
-                                std::uint64_t round, RoundFaults& rf,
-                                std::size_t& round_max_bits) {
-  const std::uint32_t n = graph_.n();
+ShardStaging Coordinator::tally(const ShardStaging& st) {
+  traffic_.messages += st.traffic_messages;
+  traffic_.bits += st.traffic_bits;
+  return st;
+}
+
+template <typename Slot, typename Head, typename Decode>
+ShardStaging Coordinator::splice(const std::vector<Frame>& replies,
+                                 const char* what, MailArena& a,
+                                 const Head& head, const Decode& decode) {
+  const std::size_t K = replies.size();
+  std::vector<std::uint32_t> counts(K);
+  for (std::size_t k = 0; k < K; ++k) counts[k] = replies[k].header.count;
+  const ArenaLayout<Slot> out = a.lay_out<Slot>(graph_.n(), counts);
+  ShardStaging st;
+  std::vector<std::uint32_t> rows;
+  for (std::size_t k = 0; k < K; ++k) {
+    const NodeId b = part_.begin(k);
+    const NodeId e = part_.end(k);
+    PayloadReader r(replies[k].payload, what);
+    st += head(r);
+    rows.resize(static_cast<std::size_t>(e - b) + 1);
+    for (std::uint32_t& row : rows) row = r.u32();
+    if (rows.back() != counts[k] ||
+        !std::is_sorted(rows.begin(), rows.end())) {
+      throw FrameError("shard " + std::to_string(k) + ": " + what +
+                       " offsets disagree with the slot count");
+    }
+    for (NodeId v = b; v < e; ++v) {
+      out[k].rows[v] = out[k].base + rows[v - b];
+      for (std::uint32_t i = rows[v - b]; i < rows[v - b + 1]; ++i) {
+        out[k].slots[out[k].base + i] = decode(r, k, v);
+      }
+    }
+    r.expect_end();
+  }
+  return st;
+}
+
+ShardStaging Coordinator::exchange(
+    const RoundContext& rc,
+    const std::vector<std::vector<MailSlot>>& outboxes, MailArena& a) {
+  const std::uint64_t round = rc.round;
   const std::size_t K = conns_.size();
-  const FaultPlan* plan = DistBackend::faults(net);
 
   std::string ctx;
   {
     PayloadWriter w;
-    encode_fault_ctx(w, plan, DistBackend::down(net), n);
+    encode_fault_ctx(w, rc.faults, rc.down, graph_.n());
     ctx = w.take();
   }
   for (std::size_t k = 0; k < K; ++k) {
@@ -579,50 +585,16 @@ void Coordinator::exchange_dist(Network& net,
     throw WorkerError("exchange round aborted with no worker error");
   }
 
-  // Splice: rebase each shard's inbox CSR into the master arena. Shards
-  // own contiguous ascending ranges, so appending them in shard order IS
-  // the serial layout; within each inbox the worker already produced
-  // ascending sender order.
-  MailArena& a = DistBackend::arena(net);
-  std::vector<std::uint32_t>& offsets = DistBackend::arena_offsets(a);
-  std::vector<MailSlot>& slots = DistBackend::arena_slots(a);
-  if (offsets.size() < static_cast<std::size_t>(n) + 1) {
-    offsets.resize(static_cast<std::size_t>(n) + 1);
-  }
-  std::uint32_t total = 0;
-  std::vector<std::uint32_t> base(K);
-  for (std::size_t k = 0; k < K; ++k) {
-    base[k] = total;
-    total += inbox[k]->header.count;
-  }
-  offsets[n] = total;
-  if (slots.size() != total) slots.resize(total);
-
-  ShardStaging round_total;
-  for (std::size_t k = 0; k < K; ++k) {
-    const NodeId b = part_.begin(k);
-    const NodeId owned = part_.end(k) - b;
-    const std::uint32_t count = inbox[k]->header.count;
-    PayloadReader r(inbox[k]->payload, "inbox");
-    round_total += decode_summary(r);
-    for (NodeId lv = 0; lv < owned; ++lv) {
-      offsets[b + lv] = base[k] + r.u32();
-    }
-    if (r.u32() != count) {
-      throw FrameError("shard " + std::to_string(k) +
-                       ": inbox offsets disagree with the slot count");
-    }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      MailSlot& slot = slots[base[k] + i];
-      slot.first = r.u32();
-      slot.second = decode_message(r);
-    }
-    r.expect_end();
-  }
-  // Deterministic merge in ascending shard order (sums and maxes only),
-  // once every shard's frame decoded.
-  round_total.merge_into(DistBackend::metrics(net), round_max_bits, rf,
-                         &traffic_);
+  // Every shard concluded with an inbox: the round's frames in shard
+  // order, whose summaries merge as in-process (sums and maxes only).
+  std::vector<Frame> replies;
+  replies.reserve(K);
+  for (std::optional<Frame>& f : inbox) replies.push_back(std::move(*f));
+  return tally(splice<MailSlot>(
+      replies, "inbox", a, [](PayloadReader& r) { return decode_summary(r); },
+      [](PayloadReader& r, std::size_t, NodeId) {
+        return MailSlot{r.u32(), decode_message(r)};
+      }));
 }
 
 std::vector<Frame> Coordinator::collect_replies(FrameKind kind,
@@ -653,41 +625,29 @@ std::vector<Frame> Coordinator::collect_replies(FrameKind kind,
   return out;
 }
 
-void Coordinator::broadcast_fill_dist(Network& net,
-                                      const std::vector<Message>& msgs,
-                                      const std::vector<bool>* /*active*/,
-                                      std::uint64_t round, RoundFaults& rf,
-                                      bool all_live) {
-  const Graph& g = graph_;
-  const std::uint32_t n = g.n();
+ShardStaging Coordinator::broadcast(const RoundContext& rc,
+                                    const char* live,
+                                    const std::vector<Message>& msgs,
+                                    MailArena& a) {
+  const std::uint32_t n = graph_.n();
   const std::size_t K = conns_.size();
-  MailArena& a = DistBackend::arena(net);
-  std::vector<std::uint32_t>& offsets = DistBackend::arena_offsets(a);
-  std::vector<MailSlot>& slots = DistBackend::arena_slots(a);
-  if (offsets.size() < static_cast<std::size_t>(n) + 1) {
-    offsets.resize(static_cast<std::size_t>(n) + 1);
-  }
-
-  if (all_live) {
-    // Degenerate fast path: no mask, no faults — every inbox is the
-    // sorted neighbor list, which the coordinator lays out locally with
-    // the kernel's broadcast fill, shard range by shard range, without a
-    // round trip. Logical traffic accrues exactly as in-process: one unit
-    // per delivered slot whose sender lies outside the destination's range.
-    RoundContext rc;
-    rc.graph = &g;
-    rc.round = round;
+  if (live == nullptr) {
+    // Every sender live, no faults: every inbox is the sorted neighbour
+    // list, which the coordinator lays out itself with the kernel's
+    // broadcast fill, range by range, without a round trip. Logical
+    // traffic accrues exactly as in-process.
     ShardStaging st;
-    // The ranges are appended one after another: size the slots for all
-    // of them up front so no range's fill reallocates.
-    slots.reserve(2 * g.m());
+    std::vector<std::uint32_t> counts(K);
     for (std::size_t k = 0; k < K; ++k) {
-      ShardRound::fill_broadcast(rc, part_.begin(k), part_.end(k), 0,
-                                 nullptr, msgs, a, st);
+      counts[k] = ShardRound::count(rc, part_.begin(k), part_.end(k),
+                                    nullptr, st);
     }
-    traffic_.messages += st.traffic_messages;
-    traffic_.bits += st.traffic_bits;
-    return;
+    const auto out = a.lay_out<MailSlot>(n, counts);
+    for (std::size_t k = 0; k < K; ++k) {
+      ShardRound::fill_broadcast(rc, part_.begin(k), part_.end(k), nullptr,
+                                 msgs, out[k], st);
+    }
+    return tally(st);
   }
 
   // Masked / faulty: workers resolve the per-edge drop and corruption
@@ -695,147 +655,95 @@ void Coordinator::broadcast_fill_dist(Network& net,
   // the payload slots (it holds the messages, so uncorrupted deliveries
   // keep sharing one refcounted payload, as in-process) and re-resolves
   // the pure PRF corruption on the destination's CoW copy.
-  const FaultPlan* plan = DistBackend::faults(net);
-  const bool faulty = plan != nullptr && plan->any();
   std::string payload;
   {
     PayloadWriter w;
-    encode_fault_ctx(w, plan, DistBackend::down(net), n);
-    const std::string bits =
-        pack_bitmap(DistBackend::arena_transmits(a), n);
+    encode_fault_ctx(w, rc.faults, rc.down, n);
+    const std::string bits = pack_bitmap(live, n);
     w.raw(bits.data(), bits.size());
     payload = w.take();
   }
   for (std::size_t k = 0; k < K; ++k) {
-    queue_frame(k, FrameKind::kBcast, round, 0,
+    queue_frame(k, FrameKind::kBcast, rc.round, 0,
                 static_cast<std::uint32_t>(k), 0, payload);
   }
   const std::vector<Frame> replies =
-      collect_replies(FrameKind::kInboxIds, round, "broadcast");
-
-  std::uint32_t total = 0;
-  std::vector<std::uint32_t> base(K);
-  for (std::size_t k = 0; k < K; ++k) {
-    base[k] = total;
-    total += replies[k].header.count;
-  }
-  offsets[n] = total;
-  if (slots.size() != total) slots.resize(total);
-  for (std::size_t k = 0; k < K; ++k) {
-    const NodeId b = part_.begin(k);
-    const NodeId e = part_.end(k);
-    const NodeId owned = e - b;
-    const std::uint32_t count = replies[k].header.count;
-    PayloadReader r(replies[k].payload, "inbox_ids");
-    rf.dropped += r.u64();
-    rf.corrupted += r.u64();
-    std::vector<std::uint32_t> local(static_cast<std::size_t>(owned) + 1);
-    for (NodeId lv = 0; lv <= owned; ++lv) local[lv] = r.u32();
-    if (local[owned] != count) {
-      throw FrameError("shard " + std::to_string(k) +
-                       ": inbox_ids offsets disagree with the id count");
-    }
-    for (NodeId lv = 0; lv < owned; ++lv) {
-      offsets[b + lv] = base[k] + local[lv];
-      const NodeId v = b + lv;
-      for (std::uint32_t i = local[lv]; i < local[lv + 1]; ++i) {
+      collect_replies(FrameKind::kInboxIds, rc.round, "broadcast");
+  ShardStaging cut;
+  ShardStaging st = splice<MailSlot>(
+      replies, "inbox_ids", a,
+      [](PayloadReader& r) {
+        ShardStaging events;
+        events.dropped = r.u64();
+        events.corrupted = r.u64();
+        return events;
+      },
+      [&](PayloadReader& r, std::size_t k, NodeId v) {
         const NodeId u = r.u32();
-        MailSlot& slot = slots[base[k] + i];
-        slot.first = u;
-        slot.second = msgs[u];
-        if (u < b || u >= e) {
-          ++traffic_.messages;
-          traffic_.bits += msgs[u].bit_count();
+        if (u >= n) throw FrameError("inbox_ids: sender out of range");
+        MailSlot slot{u, msgs[u]};
+        if (u < part_.begin(k) || u >= part_.end(k)) {
+          ++cut.traffic_messages;
+          cut.traffic_bits += msgs[u].bit_count();
         }
-        if (faulty && plan->corrupts_message(round, u, v)) {
-          plan->corrupt_payload(round, u, v, slot.second);
+        if (rc.faults != nullptr &&
+            rc.faults->corrupts_message(rc.round, u, v)) {
+          rc.faults->corrupt_payload(rc.round, u, v, slot.second);
         }
-      }
-    }
-    r.expect_end();
-  }
+        return slot;
+      });
+  return tally(st += cut);
 }
 
-void Coordinator::word_fill_dist(Network& net,
-                                 const std::vector<std::uint64_t>& words,
-                                 std::size_t bits, std::uint64_t round,
-                                 RoundFaults& rf, bool all_live) {
-  const Graph& g = graph_;
-  const std::uint32_t n = g.n();
+ShardStaging Coordinator::words(const RoundContext& rc, const char* live,
+                                const std::vector<std::uint64_t>& words,
+                                std::size_t bits, MailArena& a) {
+  const std::uint32_t n = graph_.n();
   const std::size_t K = conns_.size();
-  MailArena& a = DistBackend::arena(net);
-
-  if (all_live) {
+  if (live == nullptr) {
     // Dense mode is coordinator-local (the serial one-word-per-sender
     // layout); the priced halo is ghost_edges per shard, fixed at bind.
-    ShardRound::snapshot_words(0, n, {}, words, a);
+    std::copy(words.begin(), words.end(), a.lay_out_words(n));
+    ShardStaging st;
     for (const WorkerConn& c : conns_) {
-      traffic_.messages += c.ghost_edges;
-      traffic_.bits += c.ghost_edges * bits;
+      st.traffic_messages += c.topo.ghost_edges;
+      st.traffic_bits += c.topo.ghost_edges * bits;
     }
-    return;
+    return tally(st);
   }
 
-  const FaultPlan* plan = DistBackend::faults(net);
-  std::string ctx;
+  std::string head;
   {
     PayloadWriter w;
-    encode_fault_ctx(w, plan, DistBackend::down(net), n);
-    ctx = w.take();
-  }
-  const std::string bitmap =
-      pack_bitmap(DistBackend::arena_transmits(a), n);
-  for (std::size_t k = 0; k < K; ++k) {
-    const NodeId b = part_.begin(k);
-    const NodeId e = part_.end(k);
-    PayloadWriter w;
-    w.raw(ctx.data(), ctx.size());
+    encode_fault_ctx(w, rc.faults, rc.down, n);
+    const std::string bitmap = pack_bitmap(live, n);
     w.raw(bitmap.data(), bitmap.size());
     w.u32(static_cast<std::uint32_t>(bits));
-    for (NodeId v = b; v < e; ++v) w.u64(words[v]);
-    for (NodeId ghost : conns_[k].ghosts) w.u64(words[ghost]);
-    queue_frame(k, FrameKind::kWordSparse, round, 0,
+    head = w.take();
+  }
+  for (std::size_t k = 0; k < K; ++k) {
+    PayloadWriter w;
+    w.raw(head.data(), head.size());
+    for (NodeId v = part_.begin(k); v < part_.end(k); ++v) w.u64(words[v]);
+    for (NodeId ghost : conns_[k].topo.ghosts) w.u64(words[ghost]);
+    queue_frame(k, FrameKind::kWordSparse, rc.round, 0,
                 static_cast<std::uint32_t>(k), 0, w.take());
   }
   const std::vector<Frame> replies =
-      collect_replies(FrameKind::kInboxWords, round, "word broadcast");
-
-  std::vector<std::uint32_t>& offsets = DistBackend::arena_offsets(a);
-  std::vector<WordSlot>& slots = DistBackend::arena_word_slots(a);
-  if (offsets.size() < static_cast<std::size_t>(n) + 1) {
-    offsets.resize(static_cast<std::size_t>(n) + 1);
-  }
-  std::uint32_t total = 0;
-  std::vector<std::uint32_t> base(K);
-  for (std::size_t k = 0; k < K; ++k) {
-    base[k] = total;
-    total += replies[k].header.count;
-  }
-  offsets[n] = total;
-  if (slots.size() != total) slots.resize(total);
-  for (std::size_t k = 0; k < K; ++k) {
-    const NodeId b = part_.begin(k);
-    const NodeId owned = part_.end(k) - b;
-    const std::uint32_t count = replies[k].header.count;
-    PayloadReader r(replies[k].payload, "inbox_words");
-    rf.dropped += r.u64();
-    rf.corrupted += r.u64();
-    traffic_.messages += r.u64();
-    traffic_.bits += r.u64();
-    for (NodeId lv = 0; lv < owned; ++lv) {
-      offsets[b + lv] = base[k] + r.u32();
-    }
-    if (r.u32() != count) {
-      throw FrameError("shard " + std::to_string(k) +
-                       ": inbox_words offsets disagree with the slot count");
-    }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      WordSlot& slot = slots[base[k] + i];
-      slot.sender = r.u32();
-      slot.value = r.u64();
-    }
-    r.expect_end();
-  }
+      collect_replies(FrameKind::kInboxWords, rc.round, "word broadcast");
+  return tally(splice<WordSlot>(
+      replies, "inbox_words", a,
+      [](PayloadReader& r) {
+        ShardStaging events;
+        events.dropped = r.u64();
+        events.corrupted = r.u64();
+        events.traffic_messages = r.u64();
+        events.traffic_bits = r.u64();
+        return events;
+      },
+      [](PayloadReader& r, std::size_t, NodeId) {
+        return WordSlot{r.u32(), r.u64()};
+      }));
 }
 
 void Coordinator::shutdown_workers() {

@@ -9,9 +9,9 @@
 // coordinator is the hub: it relays batches between workers, acks each
 // one, and closes round N only when all K² batch frames for N are acked
 // and all K inbox frames are in — then splices the per-shard inbox CSRs
-// into the Network's master arena in ascending shard order, which (the
-// ranges being contiguous and ascending) reproduces the serial layout
-// byte for byte.
+// into the Network's master arena through its layout helper, range k at
+// base k, which (the ranges being contiguous and ascending) reproduces the
+// serial layout byte for byte.
 //
 // Two ways to get workers:
 //  * spawn mode (default): fork+exec K `ldc_shard` processes over
@@ -105,18 +105,16 @@ class Coordinator : public DistBackend {
   }
 
  protected:
-  void bind(Network& net) override;
-  void exchange_dist(Network& net,
-                     const std::vector<Network::Outbox>& outboxes,
-                     std::uint64_t round, RoundFaults& rf,
-                     std::size_t& round_max_bits) override;
-  void broadcast_fill_dist(Network& net, const std::vector<Message>& msgs,
-                           const std::vector<bool>* active,
-                           std::uint64_t round, RoundFaults& rf,
-                           bool all_live) override;
-  void word_fill_dist(Network& net, const std::vector<std::uint64_t>& words,
-                      std::size_t bits, std::uint64_t round, RoundFaults& rf,
-                      bool all_live) override;
+  void bind(const Graph& g, std::size_t budget_bits, bool strict) override;
+  ShardStaging exchange(const RoundContext& rc,
+                        const std::vector<std::vector<MailSlot>>& outboxes,
+                        MailArena& a) override;
+  ShardStaging broadcast(const RoundContext& rc, const char* live,
+                         const std::vector<Message>& msgs,
+                         MailArena& a) override;
+  ShardStaging words(const RoundContext& rc, const char* live,
+                     const std::vector<std::uint64_t>& words,
+                     std::size_t bits, MailArena& a) override;
 
  private:
   struct WorkerConn {
@@ -127,10 +125,9 @@ class Coordinator : public DistBackend {
     std::string outq;       ///< bytes not yet flushed
     std::size_t outq_off = 0;
     bool eof = false;
-    // Per-shard topology facts (coordinator-computed at bind, verified
-    // against the worker's own kAssignAck).
-    std::vector<NodeId> ghosts;    ///< sorted halo of the worker's range
-    std::uint64_t ghost_edges = 0;
+    /// The worker's range and halo, built at bind and verified against
+    /// the worker's own kAssignAck.
+    ShardTopology topo;
   };
 
   void spawn_workers(const std::string& corpus_path, std::size_t k);
@@ -168,6 +165,18 @@ class Coordinator : public DistBackend {
   std::vector<Frame> collect_replies(FrameKind kind, std::uint64_t round,
                                      const char* phase);
 
+  /// Lands the K replies' range CSRs in the master arena through its
+  /// layout helper, back to back in shard order. Each reply carries
+  /// header fields (read by head, returning their staging), then its
+  /// range's e - b + 1 row offsets from 0, then header.count slots, each
+  /// read by decode(reader, shard, destination).
+  template <typename Slot, typename Head, typename Decode>
+  ShardStaging splice(const std::vector<Frame>& replies, const char* what,
+                      MailArena& a, const Head& head, const Decode& decode);
+
+  /// Adds a finished round's cut traffic to traffic_; returns st.
+  ShardStaging tally(const ShardStaging& st);
+
   /// Maps a worker kError frame to the matching typed exception.
   [[noreturn]] void rethrow_worker_error(std::uint32_t shard,
                                          std::uint32_t code,
@@ -180,11 +189,7 @@ class Coordinator : public DistBackend {
   int listen_fd_ = -1;
   std::uint64_t last_rx_ms_ = 0;  ///< monotone ms of the last bytes read
 
-  // Set at bind().
-  bool bound_ = false;
-  Partition part_;
-  std::size_t budget_bits_ = 0;
-  bool strict_ = false;
+  Partition part_;  ///< set at bind()
 
   ShardTraffic traffic_;
   WireStats wire_;

@@ -42,8 +42,12 @@ std::uint64_t get_u64(const char* p) {
 }
 
 bool known_kind(std::uint16_t k) {
-  return k >= static_cast<std::uint16_t>(FrameKind::kHello) &&
-         k <= static_cast<std::uint16_t>(FrameKind::kHeartbeat);
+  const auto in = [k](FrameKind lo, FrameKind hi) {
+    return k >= static_cast<std::uint16_t>(lo) &&
+           k <= static_cast<std::uint16_t>(hi);
+  };
+  return in(FrameKind::kHello, FrameKind::kInboxIds) ||
+         in(FrameKind::kWordSparse, FrameKind::kHeartbeat);
 }
 
 std::uint64_t frame_digest(const char* header, std::string_view payload) {
@@ -98,8 +102,6 @@ const char* frame_kind_name(FrameKind k) {
     case FrameKind::kInbox: return "inbox";
     case FrameKind::kBcast: return "bcast";
     case FrameKind::kInboxIds: return "inbox_ids";
-    case FrameKind::kWordDense: return "word_dense";
-    case FrameKind::kSummary: return "summary";
     case FrameKind::kWordSparse: return "word_sparse";
     case FrameKind::kInboxWords: return "inbox_words";
     case FrameKind::kError: return "error";
@@ -212,7 +214,7 @@ std::optional<Frame> read_frame_fd(int fd, FrameReader& reader) {
 }
 
 void encode_fault_ctx(PayloadWriter& w, const FaultPlan* plan,
-                      const std::vector<char>& down, NodeId n) {
+                      const char* down, NodeId n) {
   const bool faulty = plan != nullptr && plan->any();
   w.u8(faulty ? 1 : 0);
   if (!faulty) return;
@@ -223,10 +225,7 @@ void encode_fault_ctx(PayloadWriter& w, const FaultPlan* plan,
   w.f64(plan->sleep_rate);
   w.u32(plan->max_crashes);
   w.u32(0);
-  std::vector<std::uint8_t> bits((n + 7) / 8, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (v < down.size() && down[v] != 0) bits[v >> 3] |= 1u << (v & 7);
-  }
+  const std::string bits = pack_bitmap(down, n);
   w.raw(bits.data(), bits.size());
 }
 
@@ -245,6 +244,14 @@ FaultCtx decode_fault_ctx(PayloadReader& r, NodeId n) {
   (void)r.u32();  // padding
   unpack_bitmap(r.bytes((n + 7) / 8), n, ctx.down);
   return ctx;
+}
+
+std::string pack_bitmap(const char* flags, NodeId n) {
+  std::string bits((static_cast<std::size_t>(n) + 7) / 8, '\0');
+  for (NodeId v = 0; v < n; ++v) {
+    if (flags[v] != 0) bits[v >> 3] |= static_cast<char>(1u << (v & 7));
+  }
+  return bits;
 }
 
 void unpack_bitmap(std::string_view bits, NodeId n, std::vector<char>& flags) {

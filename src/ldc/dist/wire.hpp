@@ -80,8 +80,7 @@ enum class FrameKind : std::uint16_t {
   kInbox = 7,       ///< worker→coord: staging summary + inbox CSR
   kBcast = 8,       ///< coord→worker: fault ctx + transmit mask
   kInboxIds = 9,    ///< worker→coord: broadcast inbox as sender ids
-  kWordDense = 10,  ///< reserved (dense word rounds are coordinator-local)
-  kSummary = 11,    ///< reserved (per-round summaries ride in kInbox)
+  // 10 and 11 are unassigned: the decoder rejects them as unknown kinds.
   kWordSparse = 12, ///< coord→worker: masked/faulty fused word round
   kInboxWords = 13, ///< worker→coord: word-slot CSR reply
   kError = 14,      ///< worker→coord: typed phase error (code + what())
@@ -97,7 +96,6 @@ const char* frame_kind_name(FrameKind k);
 /// engine-independent error contract of Network::exchange.
 inline constexpr std::uint32_t kErrInvalidArgument = 1;
 inline constexpr std::uint32_t kErrCongest = 2;
-inline constexpr std::uint32_t kErrInternal = 3;
 
 struct FrameHeader {
   FrameKind kind = FrameKind::kHeartbeat;
@@ -242,20 +240,20 @@ struct FaultCtx {
   bool faulty = false;
   FaultPlan plan;
   std::vector<char> down;  ///< n flags, unpacked from the wire bitmap
-
-  bool down_bit(NodeId v) const { return down[v] != 0; }
 };
 
+/// `down` holds n flags; it is read only when the plan injects faults.
 void encode_fault_ctx(PayloadWriter& w, const FaultPlan* plan,
-                      const std::vector<char>& down, NodeId n);
+                      const char* down, NodeId n);
 FaultCtx decode_fault_ctx(PayloadReader& r, NodeId n);
 
 /// Message payload on the wire: exact bit count + the packed words.
 void encode_message(PayloadWriter& w, const Message& m);
 Message decode_message(PayloadReader& r);
 
-/// A packed bitmap of n flags (the wire form of down and transmit masks),
-/// unpacked into `flags`.
+/// The wire form of n flags (down and transmit masks): a packed bitmap,
+/// LSB first.
+std::string pack_bitmap(const char* flags, NodeId n);
 void unpack_bitmap(std::string_view bits, NodeId n, std::vector<char>& flags);
 
 /// A shard's staging of one exchange round (9 u64 fields on the wire),

@@ -1,10 +1,14 @@
 // ShardWorker: the per-process delivery plane of the distributed engine.
 //
 // Every round runs the shard-round kernel (runtime/shard_round.hpp) over
-// the worker's range — the same bodies kSerial and kSharded run. What is
-// left here is transport: decoding and checking each frame's input,
-// encoding cross-shard survivors into kBatch frames, the batch barrier,
-// and encoding the range's inbox back to the coordinator.
+// the worker's range — the same bodies kSerial and kSharded run — into
+// an arena of the worker's own. MailArena::lay_out sizes it for the range
+// alone (rows indexed from the range start, slots from base 0), which is
+// exactly the inbox CSR a reply frame carries and the coordinator lands
+// at the range's base in the master arena. What is left here is
+// transport: decoding and checking each frame's input, encoding
+// cross-shard survivors into kBatch frames, the batch barrier, and
+// encoding the range's inbox back to the coordinator.
 #include "ldc/dist/worker.hpp"
 
 #include <algorithm>
@@ -192,15 +196,17 @@ void ShardWorker::handle_outbox(const Frame& f) {
   ShardStaging sum;
   std::vector<PayloadWriter> batches(K);
   std::vector<std::uint32_t> batch_counts(K, 0);
+  std::uint32_t slots = 0;
   try {
-    ShardRound::stage(rc, b, e, outbox_of, arena_, sum,
-                      [&](NodeId u, NodeId dest, const Message& msg) {
-                        const std::size_t j = part_.shard_of(dest);
-                        batches[j].u32(u);
-                        batches[j].u32(dest);
-                        encode_message(batches[j], msg);
-                        ++batch_counts[j];
-                      });
+    slots = ShardRound::stage(
+        rc, b, e, outbox_of, scratch_, sum,
+        [&](NodeId u, NodeId dest, const Message& msg) {
+          const std::size_t j = part_.shard_of(dest);
+          batches[j].u32(u);
+          batches[j].u32(dest);
+          encode_message(batches[j], msg);
+          ++batch_counts[j];
+        });
   } catch (const CongestViolation& ex) {
     send_error(round, kErrCongest, ex.what());
     return;
@@ -247,6 +253,7 @@ void ShardWorker::handle_outbox(const Frame& f) {
           PayloadReader br(nf->payload, "batch");
           std::vector<BatchEntry>& in = incoming[src];
           in.reserve(nf->header.count);
+          slots += nf->header.count;
           for (std::uint32_t i = 0; i < nf->header.count; ++i) {
             BatchEntry be;
             be.sender = br.u32();
@@ -286,7 +293,7 @@ void ShardWorker::handle_outbox(const Frame& f) {
       [&](std::size_t j) -> const std::vector<BatchEntry>& {
         return incoming[j];
       },
-      arena_);
+      scratch_, arena_.lay_out<MailSlot>(owned, slots, b));
   const std::uint32_t total = arena_.offsets()[owned];
   PayloadWriter w;
   encode_summary(w, sum);
@@ -360,9 +367,11 @@ void ShardWorker::handle_word_sparse(const Frame& f) {
         std::lower_bound(topo_.ghosts.begin(), topo_.ghosts.end(), u);
     return ghost_words[static_cast<std::size_t>(it - topo_.ghosts.begin())];
   };
+  const RoundContext rc = context(f.header.round, ctx);
   ShardStaging sum;
-  ShardRound::fill_words(context(f.header.round, ctx), b, e, live_.data(),
-                         word_of, bits, arena_, sum);
+  const std::uint32_t slots = ShardRound::count(rc, b, e, live_.data(), sum);
+  ShardRound::fill_words(rc, b, e, live_.data(), word_of, bits,
+                         arena_.lay_out<WordSlot>(owned, slots, b), sum);
   const std::uint32_t total = arena_.offsets()[owned];
 
   PayloadWriter w;

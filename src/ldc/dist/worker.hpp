@@ -75,6 +75,7 @@ class ShardWorker {
 
   std::optional<std::uint64_t> abandoned_;  ///< last round sent a kError
   MailArena arena_;         ///< the range's inbox CSR, reused per round
+  RangeScratch scratch_;    ///< phase A's per-destination counts
   std::vector<char> live_;  ///< unpacked transmit mask of a broadcast
 };
 

@@ -70,6 +70,10 @@ class Graph {
     return {adj_.data() + offsets_[v], adj_.data() + offsets_[v + 1]};
   }
 
+  /// Where v's row starts in the adjacency array: the degree sum of the
+  /// vertices before v (v may be n(), giving 2m()).
+  std::uint64_t row_begin(NodeId v) const { return offsets_[v]; }
+
   std::uint32_t max_degree() const { return max_degree_; }
 
   /// Unique identifier of node v (the initial "m-coloring by IDs").

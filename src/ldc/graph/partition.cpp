@@ -70,18 +70,14 @@ void ShardTopology::build(const Graph& g, NodeId b, NodeId e) {
   vbegin = b;
   vend = e;
   ghost_edges = 0;
-  const NodeId width = e - b;
-
   // Collect the halo via a bitmap over [0, n): deterministic, sorted
   // output without sorting a per-edge worklist.
-  const NodeId n = g.n();
-  std::vector<std::uint64_t> seen((static_cast<std::size_t>(n) + 63) / 64,
-                                  0);
-  std::uint64_t entries = 0;
+  std::vector<std::uint64_t> seen(
+      (static_cast<std::size_t>(g.n()) + 63) / 64, 0);
   for (NodeId v = b; v < e; ++v) {
     for (const NodeId u : g.neighbors(v)) {
-      ++entries;
       if (u < b || u >= e) {
+        ++ghost_edges;
         seen[u >> 6] |= std::uint64_t{1} << (u & 63);
       }
     }
@@ -95,28 +91,6 @@ void ShardTopology::build(const Graph& g, NodeId b, NodeId e) {
       bits &= bits - 1;
     }
   }
-
-  // Local CSR: owned neighbours map by offset, ghosts by rank lookup.
-  xadj.assign(static_cast<std::size_t>(width) + 1, 0);
-  adj.clear();
-  adj.reserve(entries);
-  std::uint64_t at = 0;
-  for (NodeId v = b; v < e; ++v) {
-    xadj[v - b] = at;
-    for (const NodeId u : g.neighbors(v)) {
-      std::uint32_t lid;
-      if (u >= b && u < e) {
-        lid = u - b;
-      } else {
-        const auto it = std::lower_bound(ghosts.begin(), ghosts.end(), u);
-        lid = width + static_cast<std::uint32_t>(it - ghosts.begin());
-        ++ghost_edges;
-      }
-      adj.push_back(lid);
-      ++at;
-    }
-  }
-  xadj[width] = at;
 }
 
 }  // namespace ldc

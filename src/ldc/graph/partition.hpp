@@ -7,11 +7,10 @@
 // results ascending, reproduces the serial delivery order byte for byte
 // (see DESIGN.md §7 and §11).
 //
-// A ShardTopology is one shard's local view: the owned range, the sorted
-// ghost list (out-of-range neighbours of owned vertices, read-only halo),
-// and a local-id CSR whose rows preserve the global adjacency order. It is
-// built by the shard's own worker thread so the pages land on that
-// worker's NUMA node under first-touch placement.
+// A ShardTopology is one shard's halo facts: the owned range, the sorted
+// ghost list (out-of-range neighbours of owned vertices) and the number of
+// adjacency entries that point at a ghost — what a fused-word round prices
+// as cut traffic and what a worker process needs shipped to it.
 #pragma once
 
 #include <algorithm>
@@ -66,30 +65,16 @@ class Partition {
   std::vector<NodeId> starts_;  ///< K+1 range boundaries
 };
 
-/// One shard's local graph view. Local ids: owned vertex v maps to
-/// v - vbegin; ghost g maps to owned() + (rank of g in the sorted ghosts).
-/// adj rows keep the global rows' ascending-neighbour order, so walking a
-/// local row and translating ids back yields exactly the global row.
+/// One shard's halo: its range and the out-of-range neighbours of it.
 struct ShardTopology {
   NodeId vbegin = 0;
   NodeId vend = 0;
-  std::vector<NodeId> ghosts;       ///< sorted global ids of halo vertices
-  std::vector<std::uint64_t> xadj;  ///< owned()+1 local row offsets
-  std::vector<std::uint32_t> adj;   ///< local ids, global row order
-  std::uint64_t ghost_edges = 0;    ///< adjacency entries that are ghosts
+  std::vector<NodeId> ghosts;     ///< sorted global ids of halo vertices
+  std::uint64_t ghost_edges = 0;  ///< adjacency entries that are ghosts
 
   NodeId owned() const { return vend - vbegin; }
 
-  /// True iff local id refers to a ghost rather than an owned vertex.
-  bool is_ghost(std::uint32_t lid) const { return lid >= owned(); }
-
-  /// Global id of a local id.
-  NodeId global_id(std::uint32_t lid) const {
-    return lid < owned() ? vbegin + lid : ghosts[lid - owned()];
-  }
-
-  /// Builds the local CSR for [vbegin, vend) of g. Call from the shard's
-  /// owning worker thread for first-touch NUMA placement.
+  /// Collects the halo of [vbegin, vend) in g.
   void build(const Graph& g, NodeId vbegin, NodeId vend);
 };
 

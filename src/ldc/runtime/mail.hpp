@@ -13,6 +13,13 @@
 // outlive the round call materialize(), which is cheap: Message handles
 // share refcounted payloads, so the copy is per-slot, not per-payload-word.
 //
+// Every engine lands its rounds in this one arena, in this one layout.
+// MailArena::lay_out() sizes a round once for K contiguous vertex ranges
+// laid back to back and hands each range its base (first slot); kSerial
+// fills one range, kSharded K ranges on K threads, and the distributed
+// coordinator splices the ranges its worker processes computed. Only an
+// `ldc_shard` worker keeps an arena of its own, for its range alone.
+//
 // Delivery order contract: within one inbox, slots are in strictly
 // ascending sender order (each sender may send at most one message per
 // destination per round). Every engine produces this order by construction
@@ -21,21 +28,16 @@
 // contiguous and ascending — which is what lets the plane skip the
 // per-inbox sort entirely (a debug-build assertion keeps the invariant
 // honest).
-//
-// Under Engine::kSharded there is one MailArena per shard, indexed by
-// *local* destination id, and the views carry a ShardMap that routes a
-// global destination to its shard's arena. Freshness is still checked
-// against the master (Network-owned) arena's epoch, which keeps advancing
-// once per round regardless of engine.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "ldc/graph/graph.hpp"
-#include "ldc/graph/partition.hpp"
 #include "ldc/runtime/message.hpp"
 
 namespace ldc {
@@ -43,8 +45,6 @@ namespace ldc {
 class Network;
 class RoundMail;
 class WordMail;
-class DistBackend;
-class ShardRound;
 
 /// One delivered message with its sender.
 using MailSlot = std::pair<NodeId, Message>;
@@ -53,6 +53,32 @@ using MailSlot = std::pair<NodeId, Message>;
 struct WordSlot {
   NodeId sender;
   std::uint64_t value;
+};
+
+/// Write access to one vertex range's deliveries in an arena sized by
+/// MailArena::lay_out(): destination v's row offset goes to
+/// rows[v - origin], and the range's slots fill slots[base...] in row
+/// order. Valid until the arena's next lay_out().
+template <typename Slot>
+struct ArenaRange {
+  std::uint32_t* rows;
+  Slot* slots;
+  NodeId origin;
+  std::uint32_t base;
+};
+
+/// A round laid out by MailArena::lay_out(): range k writes through
+/// (*this)[k]. Valid until the arena's next lay_out().
+template <typename Slot>
+struct ArenaLayout {
+  std::uint32_t* rows;
+  Slot* slots;
+  NodeId origin;
+  const std::uint32_t* bases;
+
+  ArenaRange<Slot> operator[](std::size_t k) const {
+    return {rows, slots, origin, bases[k]};
+  }
 };
 
 /// Network-owned storage for one round's deliveries, reused across rounds.
@@ -67,55 +93,73 @@ class MailArena {
   std::uint64_t epoch() const { return epoch_; }
 
   /// The last round's inbox CSR, for code that ships a range's inboxes
-  /// elsewhere (the ldc_shard worker): local destination i's deliveries
-  /// are slots()[offsets()[i] .. offsets()[i + 1]).
+  /// elsewhere (the ldc_shard worker): destination origin + i's
+  /// deliveries are slots()[offsets()[i] .. offsets()[i + 1]).
   const std::vector<std::uint32_t>& offsets() const { return offsets_; }
   const std::vector<MailSlot>& slots() const { return slots_; }
   const std::vector<WordSlot>& word_slots() const { return word_slots_; }
+
+  /// The layout step of every slot round and, with lay_out_words(), the
+  /// only write access to the arena: sizes the row offsets for `rows`
+  /// destinations starting at vertex `origin`, and the Slot storage
+  /// (MailSlot or WordSlot) for counts[k] slots per vertex range k,
+  /// ranges back to back in ascending order, so range k's base is the sum
+  /// of the counts before it. Everything is sized here, once, so K
+  /// writers can then fill their ranges concurrently, each writing its
+  /// own rows. Allocates nothing in a steady state.
+  template <typename Slot>
+  ArenaLayout<Slot> lay_out(std::size_t rows,
+                            std::span<const std::uint32_t> counts,
+                            NodeId origin = 0) {
+    bases_.resize(counts.size());
+    std::uint32_t total = 0;
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+      bases_[k] = total;
+      total += counts[k];
+    }
+    if (offsets_.size() < rows + 1) offsets_.resize(rows + 1);
+    offsets_[rows] = total;
+    // Sized exactly, so no earlier round's payloads outlive their slots.
+    std::vector<Slot>& slots = storage<Slot>();
+    if (slots.size() != total) slots.resize(total);
+    return {offsets_.data(), slots.data(), origin, bases_.data()};
+  }
+
+  /// lay_out() for a single range of `rows` destinations.
+  template <typename Slot>
+  ArenaRange<Slot> lay_out(std::size_t rows, std::uint32_t count,
+                           NodeId origin = 0) {
+    return lay_out<Slot>(rows, std::span(&count, 1), origin)[0];
+  }
+
+  /// The dense fused-word layout: room for one word per sender of an
+  /// n-vertex round; writers copy disjoint ranges of it.
+  std::uint64_t* lay_out_words(std::size_t n) {
+    if (words_.size() < n) words_.resize(n);
+    return words_.data();
+  }
 
  private:
   friend class Network;
   friend class RoundMail;
   friend class WordMail;
-  friend class ShardRound;   ///< the round kernel fills the arena
-  friend class DistBackend;  ///< attorney for src/ldc/dist/ (network.hpp)
 
-  std::vector<std::uint32_t> offsets_;  ///< n+1 per-destination slot offsets
+  template <typename Slot>
+  std::vector<Slot>& storage() {
+    if constexpr (std::is_same_v<Slot, MailSlot>) {
+      return slots_;
+    } else {
+      static_assert(std::is_same_v<Slot, WordSlot>);
+      return word_slots_;
+    }
+  }
+
+  std::vector<std::uint32_t> offsets_;  ///< per-destination slot offsets
   std::vector<MailSlot> slots_;         ///< flat (sender, message) slots
   std::vector<std::uint64_t> words_;    ///< fused dense mode: word per sender
   std::vector<WordSlot> word_slots_;    ///< fused sparse mode: CSR slots
-  std::vector<std::uint64_t> ghost_words_;  ///< sharded dense: halo snapshot
+  std::vector<std::uint32_t> bases_;    ///< the last layout's range bases
   std::uint64_t epoch_ = 0;
-  std::vector<std::uint32_t> cursor_;  ///< exchange: per-destination count,
-                                       ///< then write cursor
-  std::vector<char> transmits_;        ///< broadcast: sender is live
-  std::vector<NodeId> scratch_;        ///< duplicate-destination check
-};
-
-/// Internal routing tables for Engine::kSharded views (built by the
-/// engine, owned by the Network's shard set; treat as opaque elsewhere).
-/// One ShardView per shard: the shard's delivery arena (indexed by local
-/// destination id) plus its local CSR so dense word lanes can be
-/// synthesized entirely from shard-owned pages. Word/ghost storage is
-/// always dereferenced through `arena` at access time — those vectors are
-/// resized between rounds, so the view must not cache their data pointers.
-struct ShardView {
-  const MailArena* arena = nullptr;
-  const std::uint64_t* xadj = nullptr;  ///< local row offsets (owned()+1)
-  const std::uint32_t* adj = nullptr;   ///< local ids, global row order
-  const NodeId* ghost_ids = nullptr;    ///< sorted global ids of the halo
-  NodeId vbegin = 0;
-  std::uint32_t owned = 0;
-};
-
-/// Routes a global vertex to its owning shard's view.
-struct ShardMap {
-  const ShardView* shards = nullptr;
-  const Partition* part = nullptr;
-
-  const ShardView& view_of(NodeId v) const {
-    return shards[part->shard_of(v)];
-  }
 };
 
 /// Read-only view of one round's inboxes (see the file comment for the
@@ -182,13 +226,6 @@ class RoundMail {
     if (v >= n_) {
       throw std::out_of_range("RoundMail: destination out of range");
     }
-    if (smap_ != nullptr) {
-      const ShardView& sv = smap_->view_of(v);
-      const NodeId lv = v - sv.vbegin;
-      const MailSlot* base = sv.arena->slots_.data();
-      return InboxSpan(base + sv.arena->offsets_[lv],
-                       base + sv.arena->offsets_[lv + 1]);
-    }
     const MailSlot* base = arena_->slots_.data();
     return InboxSpan(base + arena_->offsets_[v],
                      base + arena_->offsets_[v + 1]);
@@ -216,10 +253,6 @@ class RoundMail {
   friend class Network;
   RoundMail(const MailArena* arena, std::uint32_t n)
       : arena_(arena), n_(n), epoch_(arena->epoch_) {}
-  /// Sharded view: `arena` is the master arena (epoch source only);
-  /// deliveries live in the per-shard arenas behind `smap`.
-  RoundMail(const MailArena* arena, const ShardMap* smap, std::uint32_t n)
-      : arena_(arena), smap_(smap), n_(n), epoch_(arena->epoch_) {}
 
   void check_fresh() const {
     if (arena_ == nullptr || arena_->epoch_ != epoch_) {
@@ -230,7 +263,6 @@ class RoundMail {
   }
 
   const MailArena* arena_ = nullptr;
-  const ShardMap* smap_ = nullptr;
   std::uint32_t n_ = 0;
   std::uint64_t epoch_ = 0;
 };
@@ -282,14 +314,6 @@ class WordMail {
     bool empty() const { return n_ == 0; }
     WordSlot operator[](std::size_t i) const {
       if (slots_ != nullptr) return slots_[i];
-      if (lids_ != nullptr) {
-        // Sharded dense mode: translate the local id, reading the owned
-        // word or the shard's halo snapshot — both shard-local pages.
-        const std::uint32_t lid = lids_[i];
-        if (lid < owned_) return WordSlot{vbegin_ + lid, dense_[lid]};
-        return WordSlot{ghost_ids_[lid - owned_],
-                        ghost_words_[lid - owned_]};
-      }
       const NodeId u = nbrs_[i];
       return WordSlot{u, dense_[u]};
     }
@@ -302,20 +326,10 @@ class WordMail {
     Lane(const WordSlot* slots, std::size_t n) : slots_(slots), n_(n) {}
     Lane(const NodeId* nbrs, const std::uint64_t* dense, std::size_t n)
         : nbrs_(nbrs), dense_(dense), n_(n) {}
-    Lane(const std::uint32_t* lids, const std::uint64_t* owned_words,
-         const std::uint64_t* ghost_words, const NodeId* ghost_ids,
-         NodeId vbegin, std::uint32_t owned, std::size_t n)
-        : dense_(owned_words), lids_(lids), ghost_words_(ghost_words),
-          ghost_ids_(ghost_ids), vbegin_(vbegin), owned_(owned), n_(n) {}
 
     const WordSlot* slots_ = nullptr;       ///< sparse mode
     const NodeId* nbrs_ = nullptr;          ///< dense mode: adjacency
-    const std::uint64_t* dense_ = nullptr;  ///< dense: word per sender/lid
-    const std::uint32_t* lids_ = nullptr;   ///< sharded dense: local row
-    const std::uint64_t* ghost_words_ = nullptr;  ///< sharded dense: halo
-    const NodeId* ghost_ids_ = nullptr;     ///< sharded dense: halo ids
-    NodeId vbegin_ = 0;                     ///< sharded dense: range base
-    std::uint32_t owned_ = 0;               ///< sharded dense: range width
+    const std::uint64_t* dense_ = nullptr;  ///< dense mode: word per sender
     std::size_t n_ = 0;
   };
 
@@ -332,19 +346,6 @@ class WordMail {
     if (v >= n_) {
       throw std::out_of_range("WordMail: destination out of range");
     }
-    if (smap_ != nullptr) {
-      const ShardView& sv = smap_->view_of(v);
-      const NodeId lv = v - sv.vbegin;
-      if (dense_) {
-        const std::uint64_t i0 = sv.xadj[lv];
-        return Lane(sv.adj + i0, sv.arena->words_.data(),
-                    sv.arena->ghost_words_.data(), sv.ghost_ids,
-                    sv.vbegin, sv.owned,
-                    static_cast<std::size_t>(sv.xadj[lv + 1] - i0));
-      }
-      return Lane(sv.arena->word_slots_.data() + sv.arena->offsets_[lv],
-                  sv.arena->offsets_[lv + 1] - sv.arena->offsets_[lv]);
-    }
     if (dense_) {
       const auto nb = graph_->neighbors(v);
       return Lane(nb.data(), arena_->words_.data(), nb.size());
@@ -359,11 +360,6 @@ class WordMail {
            std::uint32_t n)
       : arena_(arena), graph_(graph), dense_(dense), n_(n),
         epoch_(arena->epoch_) {}
-  /// Sharded view: `arena` is the master arena (epoch source only).
-  WordMail(const MailArena* arena, const ShardMap* smap, bool dense,
-           std::uint32_t n)
-      : arena_(arena), smap_(smap), dense_(dense), n_(n),
-        epoch_(arena->epoch_) {}
 
   void check_fresh() const {
     if (arena_ == nullptr || arena_->epoch_ != epoch_) {
@@ -375,7 +371,6 @@ class WordMail {
 
   const MailArena* arena_ = nullptr;
   const Graph* graph_ = nullptr;
-  const ShardMap* smap_ = nullptr;
   bool dense_ = false;
   std::uint32_t n_ = 0;
   std::uint64_t epoch_ = 0;

@@ -51,7 +51,7 @@ void Network::set_engine(Engine engine, std::size_t shards) {
     return;
   }
   if (shards_ == nullptr || shards_->size() != k) {
-    shards_ = std::make_unique<ShardSet>(*graph_, k, ShardCrew::pin_from_env());
+    shards_ = std::make_unique<ShardSet>(*graph_, k);
   }
 }
 
@@ -63,7 +63,7 @@ void Network::attach_dist(DistBackend* backend) {
   }
   // bind() partitions the graph and runs the assign handshake; it throws
   // on failure, leaving this Network on its previous engine.
-  backend->bind(*this);
+  backend->bind(*graph_, budget_bits_, strict_);
   dist_ = backend;
   engine_ = Engine::kDist;
   shards_.reset();
@@ -99,10 +99,6 @@ void Network::debug_check_sorted() const {
   // The ascending-sender invariant that replaced the per-inbox sort: the
   // kernel fills each inbox walking contiguous ascending source ranges in
   // order, and the broadcast fill follows the graph's sorted adjacency.
-  if (shards_ != nullptr) {
-    shards_->debug_check_sorted();
-    return;
-  }
   for (NodeId v = 0; v < graph_->n(); ++v) {
     for (std::uint32_t i = arena_.offsets_[v] + 1; i < arena_.offsets_[v + 1];
          ++i) {
@@ -144,17 +140,17 @@ const char* Network::live_senders(const std::vector<bool>* active,
   // transmit test: every inbox is exactly the sender-sorted neighbor list.
   if (active == nullptr && ctx.faults == nullptr) return nullptr;
   const auto n = graph_->n();
-  arena_.transmits_.assign(n, 0);
+  live_.assign(n, 0);
   for (NodeId u = 0; u < n; ++u) {
     const bool sends = (active == nullptr || (*active)[u]) &&
                        !(ctx.faults != nullptr && down_[u] != 0);
-    arena_.transmits_[u] = sends ? 1 : 0;
+    live_[u] = sends ? 1 : 0;
   }
-  return arena_.transmits_.data();
+  return live_.data();
 }
 
 void Network::finish_round(OpenRound& r, const ShardStaging& st) {
-  st.merge_into(metrics_, r.max_bits, r.rf, nullptr);
+  st.merge_into(metrics_, r.max_bits, r.rf);
   metrics_.messages_dropped += r.rf.dropped;
   metrics_.messages_corrupted += r.rf.corrupted;
   const std::uint64_t wall_ns = (now_ns() - r.t0) + pending_compute_ns_;
@@ -170,9 +166,6 @@ void Network::finish_round(OpenRound& r, const ShardStaging& st) {
 RoundMail Network::seal_round(OpenRound& r, const ShardStaging& st) {
   debug_check_sorted();
   finish_round(r, st);
-  if (shards_ != nullptr) {
-    return RoundMail(&arena_, shards_->map(), graph_->n());
-  }
   return RoundMail(&arena_, graph_->n());
 }
 
@@ -184,15 +177,17 @@ RoundMail Network::exchange(const std::vector<Outbox>& outboxes) {
   OpenRound r = open_round();
   ShardStaging st;
   if (dist_ != nullptr) {
-    dist_->exchange_dist(*this, outboxes, r.ctx.round, r.rf, r.max_bits);
+    st = dist_->exchange(r.ctx, outboxes, arena_);
   } else if (shards_ != nullptr) {
-    st = shards_->exchange(r.ctx, outboxes);
+    st = shards_->exchange(r.ctx, outboxes, arena_);
   } else {
     // One range [0, n): nothing is ever remote, so the sink never runs.
     auto outbox_of = [&](NodeId u) -> const Outbox& { return outboxes[u]; };
-    ShardRound::stage(r.ctx, 0, n, outbox_of, arena_, st,
-                      [](NodeId, NodeId, const Message&) {});
-    ShardRound::fill(r.ctx, 0, n, outbox_of, 1, 0, no_batches, arena_);
+    const std::uint32_t count =
+        ShardRound::stage(r.ctx, 0, n, outbox_of, scratch_, st,
+                          [](NodeId, NodeId, const Message&) {});
+    ShardRound::fill(r.ctx, 0, n, outbox_of, 1, 0, no_batches, scratch_,
+                     arena_.lay_out<MailSlot>(n, count));
   }
   return seal_round(r, st);
 }
@@ -217,12 +212,13 @@ RoundMail Network::exchange_broadcast(const std::vector<Message>& msgs,
   ShardRound::account_broadcast(
       r.ctx, live, [&](NodeId u) { return msgs[u].bit_count(); }, st);
   if (dist_ != nullptr) {
-    dist_->broadcast_fill_dist(*this, msgs, active, r.ctx.round, r.rf,
-                               live == nullptr);
+    st += dist_->broadcast(r.ctx, live, msgs, arena_);
   } else if (shards_ != nullptr) {
-    st += shards_->broadcast(r.ctx, live, msgs);
+    st += shards_->broadcast(r.ctx, live, msgs, arena_);
   } else {
-    ShardRound::fill_broadcast(r.ctx, 0, n, 0, live, msgs, arena_, st);
+    const std::uint32_t count = ShardRound::count(r.ctx, 0, n, live, st);
+    ShardRound::fill_broadcast(r.ctx, 0, n, live, msgs,
+                               arena_.lay_out<MailSlot>(n, count), st);
   }
   return seal_round(r, st);
 }
@@ -262,23 +258,18 @@ WordMail Network::exchange_broadcast_word(
       st);
   const bool dense = live == nullptr;
   if (dist_ != nullptr) {
-    // Workers validate and count their halo traffic; the master arena is
-    // filled in the serial layout, so the serial-mode view below applies.
-    dist_->word_fill_dist(*this, words, bits, r.ctx.round, r.rf, dense);
+    st += dist_->words(r.ctx, live, words, bits, arena_);
   } else if (shards_ != nullptr) {
-    // Per-shard fill: dense rounds snapshot owned + halo words into the
-    // shard's arena; masked/faulty rounds build per-shard word CSRs.
-    st += shards_->words(r.ctx, live, words, bits);
-    finish_round(r, st);
-    return WordMail(&arena_, shards_->map(), dense, n);
+    st += shards_->words(r.ctx, live, words, bits, arena_);
   } else if (dense) {
     // One word per sender; lanes are synthesized from the graph CSR at
     // read time. O(n) work for an O(m) logical round.
-    ShardRound::snapshot_words(0, n, {}, words, arena_);
+    std::copy(words.begin(), words.end(), arena_.lay_out_words(n));
   } else {
+    const std::uint32_t count = ShardRound::count(r.ctx, 0, n, live, st);
     ShardRound::fill_words(
-        r.ctx, 0, n, live, [&](NodeId u) { return words[u]; }, bits, arena_,
-        st);
+        r.ctx, 0, n, live, [&](NodeId u) { return words[u]; }, bits,
+        arena_.lay_out<WordSlot>(n, count), st);
   }
   finish_round(r, st);
   return WordMail(&arena_, graph_, dense, n);

@@ -18,19 +18,15 @@
 // tests/test_parallel_equivalence.cpp, tests/test_sharded.cpp and
 // tests/test_dist.cpp lock this down:
 //
-//  * kSerial (default): one range [0, n) on one thread, delivering into
-//    the Network-owned round arena.
-//  * kSharded: the graph is partitioned into K contiguous vertex ranges;
-//    each shard owns its range plus a read-only ghost halo, holds its own
-//    MailArena, and runs the kernel on its own dedicated worker (fixed
-//    worker↔shard binding, first-touch NUMA placement, optional LDC_PIN=1
-//    core pinning). Cross-shard messages are staged in per-(src, dst)
-//    batch buffers and folded in at the barrier; destination shards fill
-//    inboxes walking source shards in ascending order, which reproduces
-//    the serial sender order exactly (see DESIGN.md §11 and shard.hpp).
-//    Cross-shard traffic is observable via cross_shard_traffic(); it is
-//    deliberately NOT part of RunMetrics, so metrics and digests stay
-//    engine-independent.
+//  * kSerial (default): one range [0, n) on one thread.
+//  * kSharded: the graph is partitioned into K contiguous vertex ranges,
+//    each run by its own dedicated crew thread. Cross-shard messages are
+//    staged in per-(src, dst) batch buffers and folded in at the barrier;
+//    destination shards fill inboxes walking source shards in ascending
+//    order, which reproduces the serial sender order exactly (see
+//    DESIGN.md §11 and shard.hpp). Cross-shard traffic is observable via
+//    cross_shard_traffic(); it is deliberately NOT part of RunMetrics, so
+//    metrics and digests stay engine-independent.
 //  * kDist: the same kernel across process boundaries — each shard lives
 //    in its own worker process (`ldc_shard`) and the per-(src, dst) batch
 //    buffers travel as length-prefixed, digest-sealed frames over sockets.
@@ -38,6 +34,11 @@
 //    attached via attach_dist(); the determinism contract is identical
 //    (DESIGN.md §12), and cross_shard_traffic() reports the same logical
 //    counters the in-process sharded engine would.
+//
+// Every engine lands a round in the Network-owned round arena, in the
+// serial layout: ranges are laid out back to back at their bases
+// (MailArena::lay_out), so the RoundMail/WordMail views never depend on
+// the engine, and an engine switch never invalidates a view.
 //
 // Shard count: an explicit set_engine() parameter, else the LDC_SHARDS
 // environment variable (strictly parsed), else hardware concurrency. One
@@ -274,8 +275,6 @@ class Network {
   }
 
  private:
-  friend class DistBackend;
-
   /// Per-round bookkeeping shared by the three round shapes.
   struct OpenRound {
     RoundContext ctx;
@@ -301,7 +300,9 @@ class Network {
   std::vector<char> crashed_;  ///< permanent crash-stop state per node
   std::vector<char> down_;     ///< crashed or asleep in the current round
   std::uint32_t crashed_total_ = 0;
-  MailArena arena_;  ///< round-reused delivery storage behind RoundMail
+  MailArena arena_;       ///< every engine's round lands here
+  RangeScratch scratch_;  ///< kSerial's phase-A scratch
+  std::vector<char> live_;  ///< live-sender flags of a broadcast round
 
   /// Evaluates the plan's node schedules for `round` (single-threaded, so
   /// crash-cap resolution is engine-independent): updates crashed_/down_,
@@ -311,8 +312,8 @@ class Network {
   /// Round prologue: the round-boundary hook, view invalidation, the
   /// round count, and the round's fault schedule.
   OpenRound open_round();
-  /// The live-sender flags of a broadcast round in arena_.transmits_, or
-  /// nullptr when every sender transmits and the round is fault-free.
+  /// The live-sender flags of a broadcast round in live_, or nullptr
+  /// when every sender transmits and the round is fault-free.
   const char* live_senders(const std::vector<bool>* active,
                            const RoundContext& ctx);
   /// Round epilogue: merges the round's staging, then fault counters, wall
@@ -327,14 +328,11 @@ class Network {
 
 /// Interface of the multi-process distributed engine (implemented by
 /// dist::Coordinator in src/ldc/dist/). The runtime stays free of any
-/// socket or process code: Network only dispatches the three round
-/// shapes to the attached backend, which must fill the master arena with
-/// the exact bytes the in-process engines would (the equivalence suites
-/// in tests/test_dist.cpp enforce this).
-///
-/// Access to Network/MailArena internals is funneled through the
-/// protected attorney accessors below, so implementations in other
-/// subsystems never need friendship of their own.
+/// socket or process code: Network dispatches the three round shapes to
+/// the attached backend exactly as it does to its ShardSet — same inputs,
+/// same master arena, staging returned for Network to merge — and the
+/// backend must land the exact bytes the in-process engines would (the
+/// equivalence suites in tests/test_dist.cpp enforce this).
 class DistBackend {
  public:
   virtual ~DistBackend() = default;
@@ -350,50 +348,23 @@ class DistBackend {
  protected:
   friend class Network;
 
-  /// Called by Network::attach_dist; partitions net.graph() and runs the
-  /// assign handshake. Throwing here leaves the Network unchanged.
-  virtual void bind(Network& net) = 0;
+  /// Called by Network::attach_dist; partitions g and runs the assign
+  /// handshake. Throwing here leaves the Network unchanged.
+  virtual void bind(const Graph& g, std::size_t budget_bits,
+                    bool strict) = 0;
 
-  /// Round entry points: run the shard-round kernel in the workers, fill
-  /// the master arena (offsets + slots / words) for this round and merge
-  /// per-shard staging into metrics in ascending shard order — only once
-  /// the whole round succeeded. The broadcast and word shapes get the
-  /// round after Network staged the senders' accounting.
-  virtual void exchange_dist(Network& net,
-                             const std::vector<Network::Outbox>& outboxes,
-                             std::uint64_t round, RoundFaults& rf,
-                             std::size_t& round_max_bits) = 0;
-  virtual void broadcast_fill_dist(Network& net,
-                                   const std::vector<Message>& msgs,
-                                   const std::vector<bool>* active,
-                                   std::uint64_t round, RoundFaults& rf,
-                                   bool all_live) = 0;
-  virtual void word_fill_dist(Network& net,
-                              const std::vector<std::uint64_t>& words,
-                              std::size_t bits, std::uint64_t round,
-                              RoundFaults& rf, bool all_live) = 0;
-
-  // -------- attorney accessors (friendship does not flow to derived
-  // classes, so everything a backend needs is exposed as a protected
-  // static here) --------
-  static const Graph& graph(const Network& n) { return *n.graph_; }
-  static MailArena& arena(Network& n) { return n.arena_; }
-  static RunMetrics& metrics(Network& n) { return n.metrics_; }
-  static const std::vector<char>& down(const Network& n) { return n.down_; }
-  static bool strict(const Network& n) { return n.strict_; }
-  static std::size_t budget_bits(const Network& n) { return n.budget_bits_; }
-  static const FaultPlan* faults(const Network& n) { return n.faults_; }
-
-  static std::vector<std::uint32_t>& arena_offsets(MailArena& a) {
-    return a.offsets_;
-  }
-  static std::vector<MailSlot>& arena_slots(MailArena& a) { return a.slots_; }
-  static std::vector<WordSlot>& arena_word_slots(MailArena& a) {
-    return a.word_slots_;
-  }
-  static const std::vector<char>& arena_transmits(const MailArena& a) {
-    return a.transmits_;
-  }
+  /// The ShardSet round shapes, run by the workers: each lands the round
+  /// in the master arena `a` and returns its staging, or throws, leaving
+  /// nothing for Network to merge.
+  virtual ShardStaging exchange(
+      const RoundContext& rc,
+      const std::vector<std::vector<MailSlot>>& outboxes, MailArena& a) = 0;
+  virtual ShardStaging broadcast(const RoundContext& rc, const char* live,
+                                 const std::vector<Message>& msgs,
+                                 MailArena& a) = 0;
+  virtual ShardStaging words(const RoundContext& rc, const char* live,
+                             const std::vector<std::uint64_t>& words,
+                             std::size_t bits, MailArena& a) = 0;
 };
 
 inline std::size_t Network::threads() const {

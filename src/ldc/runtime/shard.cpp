@@ -1,29 +1,24 @@
 // ShardCrew / ShardSet: the Engine::kSharded runner of the shard-round
 // kernel. Each round shape runs the kernel on every shard's range, one
-// crew worker per shard, and merges the shards' staging in ascending
-// order; because shards own contiguous ascending vertex ranges, inbox
-// bytes, metrics, trace rows, and fault decisions are byte-identical to
-// kSerial's single range [0, n).
+// crew worker per shard, lands the ranges back to back in the master
+// arena and merges the shards' staging in ascending order; because shards
+// own contiguous ascending vertex ranges, inbox bytes, metrics, trace
+// rows, and fault decisions are byte-identical to kSerial's single range
+// [0, n).
 #include "ldc/runtime/shard.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cerrno>
 #include <cstdlib>
 #include <string>
 
 #include "ldc/runtime/thread_pool.hpp"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace ldc {
 
 // ---------------------------------------------------------------- crew --
 
-ShardCrew::ShardCrew(std::size_t shards, bool pin) : pin_(pin) {
+ShardCrew::ShardCrew(std::size_t shards) {
   errors_.resize(shards);
   workers_.reserve(shards);
   for (std::size_t k = 0; k < shards; ++k) {
@@ -41,16 +36,6 @@ ShardCrew::~ShardCrew() {
 }
 
 void ShardCrew::worker_loop(std::size_t k) {
-#if defined(__linux__)
-  if (pin_) {
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<int>(k % hw), &set);
-    (void)pthread_setaffinity_np(pthread_self(), sizeof set, &set);
-  }
-#endif
   std::uint64_t seen = 0;
   for (;;) {
     const std::function<void(std::size_t)>* job = nullptr;
@@ -111,136 +96,134 @@ std::size_t ShardCrew::default_shard_count() {
   return static_cast<std::size_t>(v);
 }
 
-bool ShardCrew::pin_from_env() {
-  const char* env = std::getenv("LDC_PIN");
-  return env != nullptr && env[0] == '1' && env[1] == '\0';
-}
-
 // ----------------------------------------------------------- shard set --
 
-ShardSet::ShardSet(const Graph& g, std::size_t shards, bool pin)
+ShardSet::ShardSet(const Graph& g, std::size_t shards)
     : part_(Partition::degree_balanced(g, shards)),
       states_(part_.shards()),
-      crew_(part_.shards(), pin) {
-  const std::size_t k = states_.size();
-  // Build each shard's state on its own worker so the topology, arena,
-  // and batch buffers are allocated and touched by the thread that owns
-  // them (first-touch NUMA placement).
-  crew_.run([&](std::size_t i) {
-    auto st = std::make_unique<ShardState>();
-    st->topo.build(g, part_.begin(i), part_.end(i));
-    st->outgoing.resize(k);
-    states_[i] = std::move(st);
+      counts_(part_.shards()),
+      crew_(part_.shards()) {
+  crew_.run([&](std::size_t k) {
+    ShardState& st = states_[k];
+    st.topo.build(g, part_.begin(k), part_.end(k));
+    st.outgoing.resize(states_.size());
   });
-  views_.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    ShardState& st = *states_[i];
-    views_[i] = ShardView{&st.arena,          st.topo.xadj.data(),
-                          st.topo.adj.data(), st.topo.ghosts.data(),
-                          st.topo.vbegin,     st.topo.owned()};
-  }
-  map_ = ShardMap{views_.data(), &part_};
 }
 
 ShardStaging ShardSet::merge() {
   ShardStaging total;
-  for (const auto& st : states_) total += st->staging;
+  for (const ShardState& st : states_) total += st.staging;
   total_traffic_.messages += total.traffic_messages;
   total_traffic_.bits += total.traffic_bits;
   return total;
 }
 
+void ShardSet::count_slots(const RoundContext& rc, const char* live) {
+  auto count = [&](std::size_t k) {
+    ShardState& st = states_[k];
+    st.staging = ShardStaging{};
+    counts_[k] = ShardRound::count(rc, st.topo.vbegin, st.topo.vend, live,
+                                   st.staging);
+  };
+  if (live != nullptr) {
+    crew_.run(count);
+    return;
+  }
+  // Every sender live: the counts are CSR degree sums, no scan to share.
+  for (std::size_t k = 0; k < size(); ++k) count(k);
+}
+
 ShardStaging ShardSet::exchange(
     const RoundContext& rc,
-    const std::vector<std::vector<MailSlot>>& outboxes) {
+    const std::vector<std::vector<MailSlot>>& outboxes, MailArena& a) {
   const std::size_t K = size();
   auto outbox_of = [&](NodeId u) -> const std::vector<MailSlot>& {
     return outboxes[u];
   };
-  // Phase A: nothing touches another shard's arena before the barrier;
-  // cross-shard survivors wait in the (src, dst) batches.
+  // Phase A: nothing touches the arena before the barrier; cross-shard
+  // survivors wait in the (src, dst) batches.
   crew_.run([&](std::size_t k) {
-    ShardState& st = *states_[k];
+    ShardState& st = states_[k];
     st.staging = ShardStaging{};
     for (auto& batch : st.outgoing) batch.clear();
-    ShardRound::stage(rc, st.topo.vbegin, st.topo.vend, outbox_of, st.arena,
-                      st.staging,
-                      [&](NodeId u, NodeId dest, const Message& msg) {
-                        st.outgoing[part_.shard_of(dest)].push_back(
-                            BatchEntry{u, dest, msg});
-                      });
+    counts_[k] = ShardRound::stage(
+        rc, st.topo.vbegin, st.topo.vend, outbox_of, st.scratch, st.staging,
+        [&](NodeId u, NodeId dest, const Message& msg) {
+          st.outgoing[part_.shard_of(dest)].push_back(
+              BatchEntry{u, dest, msg});
+        });
   });
-  // Phase B: each destination shard folds in the batches addressed to it.
+  // A range's slots: its own survivors plus every batch addressed to it
+  // (a shard never batches to itself).
+  for (std::size_t k = 0; k < K; ++k) {
+    for (const ShardState& src : states_) {
+      counts_[k] += static_cast<std::uint32_t>(src.outgoing[k].size());
+    }
+  }
+  const auto out = a.lay_out<MailSlot>(rc.graph->n(), counts_);
+  // Phase B: each destination shard fills its rows, folding in the
+  // batches addressed to it.
   crew_.run([&](std::size_t k) {
-    ShardState& st = *states_[k];
+    ShardState& st = states_[k];
     ShardRound::fill(
         rc, st.topo.vbegin, st.topo.vend, outbox_of, K, k,
         [&](std::size_t j) -> const std::vector<BatchEntry>& {
-          return states_[j]->outgoing[k];
+          return states_[j].outgoing[k];
         },
-        st.arena);
+        st.scratch, out[k]);
   });
   return merge();
 }
 
 ShardStaging ShardSet::broadcast(const RoundContext& rc, const char* live,
-                                 const std::vector<Message>& msgs) {
+                                 const std::vector<Message>& msgs,
+                                 MailArena& a) {
+  count_slots(rc, live);
+  const auto out = a.lay_out<MailSlot>(rc.graph->n(), counts_);
   crew_.run([&](std::size_t k) {
-    ShardState& st = *states_[k];
-    st.staging = ShardStaging{};
-    ShardRound::fill_broadcast(rc, st.topo.vbegin, st.topo.vend,
-                               st.topo.vbegin, live, msgs, st.arena,
-                               st.staging);
+    ShardState& st = states_[k];
+    ShardRound::fill_broadcast(rc, st.topo.vbegin, st.topo.vend, live, msgs,
+                               out[k], st.staging);
   });
   return merge();
 }
 
 ShardStaging ShardSet::words(const RoundContext& rc, const char* live,
                              const std::vector<std::uint64_t>& words,
-                             std::size_t bits) {
-  crew_.run([&](std::size_t k) {
-    ShardState& st = *states_[k];
-    st.staging = ShardStaging{};
-    if (live == nullptr) {
-      // Dense mode, shard-local: lanes read ONLY shard-owned pages (owned
-      // words, halo snapshot, local CSR), and the snapshot pins the ghost
-      // staleness semantics — mutating the caller's words after the
-      // exchange cannot leak into this round's view.
-      ShardRound::snapshot_words(st.topo.vbegin, st.topo.vend,
-                                 st.topo.ghosts, words, st.arena);
+                             std::size_t bits, MailArena& a) {
+  if (live == nullptr) {
+    // Dense mode: each shard copies its own range of the words into the
+    // arena, and lanes read them through the global CSR. The copy pins
+    // the round's values: mutating the caller's words after the exchange
+    // cannot leak into this round's view.
+    std::uint64_t* dense = a.lay_out_words(words.size());
+    crew_.run([&](std::size_t k) {
+      ShardState& st = states_[k];
+      std::copy(words.begin() + st.topo.vbegin, words.begin() + st.topo.vend,
+                dense + st.topo.vbegin);
+      st.staging = ShardStaging{};
       st.staging.traffic_messages = st.topo.ghost_edges;
       st.staging.traffic_bits = st.topo.ghost_edges * bits;
-      return;
-    }
+    });
+    return merge();
+  }
+  count_slots(rc, live);
+  const auto out = a.lay_out<WordSlot>(rc.graph->n(), counts_);
+  crew_.run([&](std::size_t k) {
+    ShardState& st = states_[k];
     ShardRound::fill_words(
         rc, st.topo.vbegin, st.topo.vend, live,
-        [&](NodeId u) { return words[u]; }, bits, st.arena, st.staging);
+        [&](NodeId u) { return words[u]; }, bits, out[k], st.staging);
   });
   return merge();
 }
 
 void ShardSet::for_each_vertex(const std::function<void(NodeId)>& fn) {
-  // Node state written by fn stays on the pages its shard's worker
-  // first-touched. Lowest-shard exceptions win, matching a serial loop.
+  // Lowest-shard exceptions win, matching a serial loop.
   crew_.run([&](std::size_t k) {
-    const ShardState& st = *states_[k];
+    const ShardState& st = states_[k];
     for (NodeId v = st.topo.vbegin; v < st.topo.vend; ++v) fn(v);
   });
-}
-
-void ShardSet::debug_check_sorted() const {
-#ifndef NDEBUG
-  for (const auto& st : states_) {
-    const MailArena& a = st->arena;
-    for (NodeId lv = 0; lv < st->topo.owned(); ++lv) {
-      for (std::uint32_t i = a.offsets()[lv] + 1; i < a.offsets()[lv + 1];
-           ++i) {
-        assert(a.slots()[i - 1].first < a.slots()[i].first &&
-               "sharded inbox not in ascending sender order");
-      }
-    }
-  }
-#endif
 }
 
 }  // namespace ldc

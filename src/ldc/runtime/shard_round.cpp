@@ -24,7 +24,7 @@ ShardStaging& ShardStaging::operator+=(const ShardStaging& o) {
 }
 
 void ShardStaging::merge_into(RunMetrics& m, std::size_t& round_max,
-                              RoundFaults& rf, ShardTraffic* traffic) const {
+                              RoundFaults& rf) const {
   m.messages += messages;
   m.total_bits += total_bits;
   m.max_message_bits = std::max<std::size_t>(
@@ -34,10 +34,6 @@ void ShardStaging::merge_into(RunMetrics& m, std::size_t& round_max,
                                     static_cast<std::size_t>(round_max_bits));
   rf.dropped += dropped;
   rf.corrupted += corrupted;
-  if (traffic != nullptr) {
-    traffic->messages += traffic_messages;
-    traffic->bits += traffic_bits;
-  }
 }
 
 void ShardRound::check_unique_destinations(
@@ -52,62 +48,37 @@ void ShardRound::check_unique_destinations(
   }
 }
 
-void ShardRound::fill_broadcast(const RoundContext& rc, NodeId b, NodeId e,
-                                NodeId origin, const char* live,
-                                const std::vector<Message>& msgs,
-                                MailArena& a, ShardStaging& st) {
-  // Sized exactly, as the arena is reused round after round.
-  const std::uint32_t total = lay_out_rows(rc, b, e, origin, live, a, st);
-  if (a.slots_.size() != total) a.slots_.resize(total);
-  std::uint32_t cur = 0;
-  ShardStaging again;  // the events were counted by the layout pass
-  scan(rc, b, e, live, again, [&](NodeId v) { cur = a.offsets_[v - origin]; },
-       [&](NodeId u, NodeId v, bool corrupt) {
-         MailSlot& slot = a.slots_[cur++];
-         slot.first = u;
-         slot.second = msgs[u];  // shares the payload: no copy of the words
-         if (u < b || u >= e) {
-           ++st.traffic_messages;
-           st.traffic_bits += msgs[u].bit_count();
-         }
-         // CoW: corrupting the slot's handle clones the shared payload.
-         if (corrupt) rc.faults->corrupt_payload(rc.round, u, v, slot.second);
-       });
-}
-
-std::uint32_t ShardRound::lay_out_rows(const RoundContext& rc, NodeId b,
-                                       NodeId e, NodeId origin,
-                                       const char* live, MailArena& a,
-                                       ShardStaging& st) {
-  const std::size_t rows = static_cast<std::size_t>(e - origin) + 1;
-  if (a.offsets_.size() < rows) a.offsets_.resize(rows);
-  std::uint32_t total = b == origin ? 0 : a.offsets_[b - origin];
+std::uint32_t ShardRound::count(const RoundContext& rc, NodeId b, NodeId e,
+                                const char* live, ShardStaging& st) {
+  const Graph& g = *rc.graph;
   if (live == nullptr) {
-    // Every sender live, no faults: the rows are the CSR's degrees.
-    for (NodeId v = b; v < e; ++v) {
-      a.offsets_[v - origin] = total;
-      total += static_cast<std::uint32_t>(rc.graph->degree(v));
-    }
-  } else {
-    scan(rc, b, e, live, st, [&](NodeId v) { a.offsets_[v - origin] = total; },
-         [&](NodeId, NodeId, bool) { ++total; });
+    // An empty range may sit on an empty graph, which has no CSR rows.
+    if (b == e) return 0;
+    return static_cast<std::uint32_t>(g.row_begin(e) - g.row_begin(b));
   }
-  a.offsets_[e - origin] = total;
+  std::uint32_t total = 0;
+  scan(rc, b, e, live, st, [](NodeId) {},
+       [&](NodeId, NodeId, bool) { ++total; });
   return total;
 }
 
-void ShardRound::snapshot_words(NodeId b, NodeId e,
-                                const std::vector<NodeId>& ghosts,
-                                const std::vector<std::uint64_t>& words,
-                                MailArena& a) {
-  if (a.words_.size() < e - b) a.words_.resize(e - b);
-  std::copy(words.begin() + b, words.begin() + e, a.words_.begin());
-  if (a.ghost_words_.size() < ghosts.size()) {
-    a.ghost_words_.resize(ghosts.size());
-  }
-  for (std::size_t i = 0; i < ghosts.size(); ++i) {
-    a.ghost_words_[i] = words[ghosts[i]];
-  }
+void ShardRound::fill_broadcast(const RoundContext& rc, NodeId b, NodeId e,
+                                const char* live,
+                                const std::vector<Message>& msgs,
+                                ArenaRange<MailSlot> out, ShardStaging& st) {
+  fill_rows(rc, b, e, live, out,
+            [&](MailSlot& slot, NodeId u, NodeId v, bool corrupt) {
+              slot.first = u;
+              slot.second = msgs[u];  // shares the payload: no word copy
+              if (u < b || u >= e) {
+                ++st.traffic_messages;
+                st.traffic_bits += msgs[u].bit_count();
+              }
+              // CoW: corrupting the slot's handle clones the payload.
+              if (corrupt) {
+                rc.faults->corrupt_payload(rc.round, u, v, slot.second);
+              }
+            });
 }
 
 }  // namespace ldc

@@ -6,24 +6,30 @@
 // for one contiguous vertex range [b, e) of a partition, and every engine
 // runs the same bodies:
 //
-//  * kSerial runs one range [0, n) into the master arena — no partition,
-//    no crew thread, nothing ever crosses a range boundary, and every hook
-//    is a template argument, so it compiles to plain serial loops;
+//  * kSerial runs one range [0, n) — no partition, no crew thread, nothing
+//    ever crosses a range boundary, and every hook is a template argument,
+//    so it compiles to plain serial loops;
 //  * kSharded runs K ranges, one per ShardCrew worker (shard.cpp);
 //  * an `ldc_shard` worker process runs its own range, with cross-range
 //    batches travelling as frames (dist/worker.cpp).
+//
+// Every fill writes one range's rows starting at the range's base, the
+// slot index MailArena::lay_out() hands out once every range's slot count
+// is known. The in-process engines lay their ranges back to back in the
+// Network's master arena, which is the serial layout; a worker lays out
+// its own range in an arena of its own.
 //
 // Explicit exchange rounds take two phases. Phase A (stage, by sender)
 // checks that each sender's destinations are unique neighbours, accounts
 // every transmitted message into the range's ShardStaging, resolves
 // faults, counts the survivors that stay in the range and hands every
 // cross-range survivor to a batch sink. Phase B (fill, by destination,
-// after the barrier) lays out the range's inbox CSR and fills it walking
+// after the barrier and the layout) fills the range's inbox rows walking
 // source ranges in ascending order, its own range inline — ranges are
 // contiguous and ascending, so that walk IS the serial sender order and no
 // sort runs. Broadcast and fused-word rounds need only the receiver-side
-// survivor scan: each destination reads its live in-neighbours in
-// adjacency order.
+// survivor scan, in which each destination reads its live in-neighbours
+// in adjacency order: once to count a range's slots, once to fill them.
 //
 // Determinism: every fault decision is a pure function of (plan seed,
 // round, edge), re-resolved wherever an edge is visited; staging records
@@ -117,32 +123,42 @@ struct ShardStaging {
   ShardStaging& operator+=(const ShardStaging& o);
 
   /// Folds the round's staging into the run: traffic fields into m, the
-  /// round's widest message into round_max_bits, fault events into rf and
-  /// cut traffic into *traffic (if non-null).
-  void merge_into(RunMetrics& m, std::size_t& round_max_bits, RoundFaults& rf,
-                  ShardTraffic* traffic) const;
+  /// round's widest message into round_max_bits, fault events into rf.
+  /// Cut traffic is the engine's own (Network::cross_shard_traffic()).
+  void merge_into(RunMetrics& m, std::size_t& round_max_bits,
+                  RoundFaults& rf) const;
 
  private:
   [[noreturn]] static void throw_congest(std::size_t bits,
                                          std::size_t budget_bits);
 };
 
+/// One range's reusable round scratch: phase A's per-destination survivor
+/// counts (phase B's write cursors) and the duplicate-destination check's
+/// sort buffer.
+struct RangeScratch {
+  std::vector<std::uint32_t> cursor;
+  std::vector<NodeId> dests;
+};
+
 class ShardRound {
  public:
   /// Phase A for senders [b, e). outbox_of(u) yields u's outbox. Survivors
-  /// addressed inside [b, e) are counted in a; every other survivor goes
-  /// to sink(sender, dest, msg). Cut traffic is counted before the drop
-  /// decision: a lost message still crossed the cut.
+  /// addressed inside [b, e) are counted per destination in s; every other
+  /// survivor goes to sink(sender, dest, msg). Returns the in-range
+  /// survivor count. Cut traffic is counted before the drop decision: a
+  /// lost message still crossed the cut.
   template <typename OutboxOf, typename Sink>
-  static void stage(const RoundContext& rc, NodeId b, NodeId e,
-                    const OutboxOf& outbox_of, MailArena& a,
-                    ShardStaging& st, Sink&& sink) {
+  static std::uint32_t stage(const RoundContext& rc, NodeId b, NodeId e,
+                             const OutboxOf& outbox_of, RangeScratch& s,
+                             ShardStaging& st, Sink&& sink) {
     const Graph& g = *rc.graph;
     const FaultPlan* f = rc.faults;
-    a.cursor_.assign(e - b, 0);
+    s.cursor.assign(e - b, 0);
+    std::uint32_t local = 0;
     for (NodeId u = b; u < e; ++u) {
       const std::vector<MailSlot>& outbox = outbox_of(u);
-      check_unique_destinations(outbox, a.scratch_);
+      check_unique_destinations(outbox, s.dests);
       const bool sender_down = f != nullptr && rc.down[u] != 0;
       for (const auto& [dest, msg] : outbox) {
         if (!g.has_edge(u, dest)) {
@@ -167,40 +183,37 @@ class ShardRound {
         if (remote) {
           sink(u, dest, msg);
         } else {
-          ++a.cursor_[dest - b];
+          ++s.cursor[dest - b];
+          ++local;
         }
       }
     }
+    return local;
   }
 
   /// Phase B for destinations [b, e) of range `self` out of `shards`:
   /// batches_from(j) yields the entries range j staged for this one (never
-  /// called for j == self). Lays out a's inbox CSR (local destination ids)
-  /// and fills it in ascending sender order; corruption lands on the
+  /// called for j == self). Lays out the range's inbox rows in `out`,
+  /// which holds room for the stage's in-range survivors plus every batch,
+  /// and fills them in ascending sender order; corruption lands on the
   /// destination's own copy (CoW), re-resolving phase A's decision.
   template <typename OutboxOf, typename BatchesFrom>
   static void fill(const RoundContext& rc, NodeId b, NodeId e,
                    const OutboxOf& outbox_of, std::size_t shards,
                    std::size_t self, const BatchesFrom& batches_from,
-                   MailArena& a) {
+                   RangeScratch& s, ArenaRange<MailSlot> out) {
     const FaultPlan* f = rc.faults;
     for (std::size_t j = 0; j < shards; ++j) {
       if (j == self) continue;
-      for (const BatchEntry& s : batches_from(j)) ++a.cursor_[s.dest - b];
+      for (const BatchEntry& x : batches_from(j)) ++s.cursor[x.dest - b];
     }
-    const NodeId owned = e - b;
-    if (a.offsets_.size() < static_cast<std::size_t>(owned) + 1) {
-      a.offsets_.resize(static_cast<std::size_t>(owned) + 1);
+    std::uint32_t at = out.base;
+    for (NodeId v = b; v < e; ++v) {
+      out.rows[v - out.origin] = at;
+      at += std::exchange(s.cursor[v - b], at);
     }
-    std::uint32_t total = 0;
-    for (NodeId lv = 0; lv < owned; ++lv) {
-      a.offsets_[lv] = total;
-      total += std::exchange(a.cursor_[lv], total);
-    }
-    a.offsets_[owned] = total;
-    if (a.slots_.size() != total) a.slots_.resize(total);
     auto put = [&](NodeId u, NodeId dest, const Message& msg) {
-      MailSlot& slot = a.slots_[a.cursor_[dest - b]++];
+      MailSlot& slot = out.slots[s.cursor[dest - b]++];
       slot.first = u;
       slot.second = msg;  // shares the payload: no copy of the words
       if (f != nullptr && f->corrupts_message(rc.round, u, dest)) {
@@ -209,8 +222,8 @@ class ShardRound {
     };
     for (std::size_t j = 0; j < shards; ++j) {
       if (j != self) {
-        for (const BatchEntry& s : batches_from(j)) {
-          put(s.sender, s.dest, s.msg);
+        for (const BatchEntry& x : batches_from(j)) {
+          put(x.sender, x.dest, x.msg);
         }
         continue;
       }
@@ -273,47 +286,39 @@ class ShardRound {
     }
   }
 
-  /// Broadcast fill of destinations [b, e): one shared payload handle per
-  /// survivor. a's offsets are indexed from vertex `origin` — b for a
-  /// range's own arena, 0 when ranges are laid out back to back in one
-  /// arena; a range that starts at the origin starts the arena afresh.
-  static void fill_broadcast(const RoundContext& rc, NodeId b, NodeId e,
-                             NodeId origin, const char* live,
-                             const std::vector<Message>& msgs, MailArena& a,
-                             ShardStaging& st);
+  /// The count pass of a broadcast or fused-word round: the survivors
+  /// delivered to [b, e), with drop and corruption events counted into
+  /// st. With every sender live and no faults that is the CSR's degree
+  /// sum, so no scan runs. The fill pass re-resolves the same pure
+  /// decisions.
+  static std::uint32_t count(const RoundContext& rc, NodeId b, NodeId e,
+                             const char* live, ShardStaging& st);
 
-  /// Dense fused-word round for destinations [b, e) (every sender live,
-  /// no faults): snapshots the owned words, indexed from b, and the words
-  /// of `ghosts`, the range's sorted halo. Lanes are synthesized from the
-  /// CSR at read time, and the snapshot pins them to this round's values.
-  static void snapshot_words(NodeId b, NodeId e,
-                             const std::vector<NodeId>& ghosts,
-                             const std::vector<std::uint64_t>& words,
-                             MailArena& a);
+  /// Broadcast fill of destinations [b, e) into `out`, sized by count():
+  /// one shared payload handle per survivor.
+  static void fill_broadcast(const RoundContext& rc, NodeId b, NodeId e,
+                             const char* live,
+                             const std::vector<Message>& msgs,
+                             ArenaRange<MailSlot> out, ShardStaging& st);
 
   /// Fused-word twin of fill_broadcast (sparse mode): (sender, word)
-  /// slots of width `bits`, word_of(u) giving u's word, into a range
-  /// arena indexed from b.
+  /// slots of width `bits`, word_of(u) giving u's word.
   template <typename WordOf>
   static void fill_words(const RoundContext& rc, NodeId b, NodeId e,
                          const char* live, const WordOf& word_of,
-                         std::size_t bits, MailArena& a, ShardStaging& st) {
-    const std::uint32_t total = lay_out_rows(rc, b, e, b, live, a, st);
-    if (a.word_slots_.size() != total) a.word_slots_.resize(total);
-    std::uint32_t cur = 0;
-    ShardStaging again;  // the events were counted by the layout pass
-    scan(rc, b, e, live, again, [&](NodeId v) { cur = a.offsets_[v - b]; },
-         [&](NodeId u, NodeId v, bool corrupt) {
-           WordSlot& slot = a.word_slots_[cur++];
-           slot = WordSlot{u, word_of(u)};
-           if (u < b || u >= e) {
-             ++st.traffic_messages;
-             st.traffic_bits += bits;
-           }
-           if (corrupt) {
-             rc.faults->corrupt_word(rc.round, u, v, slot.value, bits);
-           }
-         });
+                         std::size_t bits, ArenaRange<WordSlot> out,
+                         ShardStaging& st) {
+    fill_rows(rc, b, e, live, out,
+              [&](WordSlot& slot, NodeId u, NodeId v, bool corrupt) {
+                slot = WordSlot{u, word_of(u)};
+                if (u < b || u >= e) {
+                  ++st.traffic_messages;
+                  st.traffic_bits += bits;
+                }
+                if (corrupt) {
+                  rc.faults->corrupt_word(rc.round, u, v, slot.value, bits);
+                }
+              });
   }
 
  private:
@@ -323,14 +328,20 @@ class ShardRound {
   static void check_unique_destinations(const std::vector<MailSlot>& outbox,
                                         std::vector<NodeId>& scratch);
 
-  /// Lays out the inbox rows of destinations [b, e) in a's offsets,
-  /// indexed from `origin`, counting drop and corruption events into st;
-  /// returns the slot count through e. The fill pass re-resolves the
-  /// same pure decisions.
-  static std::uint32_t lay_out_rows(const RoundContext& rc, NodeId b,
-                                    NodeId e, NodeId origin,
-                                    const char* live, MailArena& a,
-                                    ShardStaging& st);
+  /// The fill pass shared by broadcast and word rounds: writes each row's
+  /// offset and put(slot, u, v, corrupt) per survivor. The events were
+  /// counted by count().
+  template <typename Slot, typename Put>
+  static void fill_rows(const RoundContext& rc, NodeId b, NodeId e,
+                        const char* live, ArenaRange<Slot> out, Put&& put) {
+    std::uint32_t at = out.base;
+    ShardStaging again;
+    scan(rc, b, e, live, again,
+         [&](NodeId v) { out.rows[v - out.origin] = at; },
+         [&](NodeId u, NodeId v, bool corrupt) {
+           put(out.slots[at++], u, v, corrupt);
+         });
+  }
 };
 
 }  // namespace ldc

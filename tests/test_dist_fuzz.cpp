@@ -49,7 +49,7 @@ std::vector<std::string> valid_frames() {
     FaultPlan plan;
     plan.seed = 0xfeed;
     plan.drop_rate = 0.25;
-    encode_fault_ctx(w, &plan, std::vector<char>(40, 0), 40);
+    encode_fault_ctx(w, &plan, std::vector<char>(40, 0).data(), 40);
     BitWriter bw;
     bw.write(0x123456789abcdefull, 60);
     encode_message(w, Message::from(bw));
@@ -198,6 +198,19 @@ TEST(DistFuzz, MutatedStreamsAlwaysFailTyped) {
   EXPECT_GT(rejected, static_cast<std::uint64_t>(kIters) / 2);
 }
 
+// Only assigned kinds are frames: a digest-valid frame of kind 0, of 10
+// or 11 (the gap in FrameKind), or past the last kind is a typed
+// rejection.
+TEST(DistFuzz, UnassignedFrameKindsAreRejected) {
+  for (const std::uint16_t kind : {0, 10, 11, 18}) {
+    const std::string bytes =
+        encode_frame(static_cast<FrameKind>(kind), 1, 0, 0, 0, "x");
+    FrameReader reader;
+    reader.feed(bytes.data(), bytes.size());
+    EXPECT_THROW((void)reader.next(), FrameError) << "kind " << kind;
+  }
+}
+
 TEST(DistFuzz, CountPayloadDisagreementIsTyped) {
   // A kBatch frame whose count promises more entries than the payload
   // holds: header validation can't see it (count is kind-specific), but
@@ -251,7 +264,7 @@ TEST(DistFuzz, PayloadReaderOverrunAndTrailingGarbageAreTyped) {
     FaultPlan plan;
     plan.seed = 1;
     plan.drop_rate = 0.5;
-    encode_fault_ctx(w, &plan, std::vector<char>(64, 1), 64);
+    encode_fault_ctx(w, &plan, std::vector<char>(64, 1).data(), 64);
     std::string payload = w.take();
     payload.resize(payload.size() - 3);
     PayloadReader r(payload, "fault ctx");
@@ -280,7 +293,7 @@ TEST(DistFuzz, RoundTripCodecs) {
     std::vector<char> down(50, 0);
     down[3] = down[17] = down[49] = 1;
     PayloadWriter w;
-    encode_fault_ctx(w, &plan, down, 50);
+    encode_fault_ctx(w, &plan, down.data(), 50);
     const std::string payload = w.take();
     PayloadReader r(payload, "fault ctx");
     const FaultCtx ctx = decode_fault_ctx(r, 50);
@@ -290,7 +303,7 @@ TEST(DistFuzz, RoundTripCodecs) {
     EXPECT_EQ(ctx.plan.max_crashes, plan.max_crashes);
     EXPECT_DOUBLE_EQ(ctx.plan.drop_rate, plan.drop_rate);
     for (NodeId v = 0; v < 50; ++v) {
-      EXPECT_EQ(ctx.down_bit(v), down[v] != 0) << v;
+      EXPECT_EQ(ctx.down[v], down[v]) << v;
     }
   }
   {
