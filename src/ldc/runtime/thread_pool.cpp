@@ -7,9 +7,6 @@
 namespace ldc {
 
 std::size_t ThreadPool::default_thread_count() {
-  // A pool lane is an OS thread: a value beyond this is a misconfiguration
-  // (e.g. LDC_THREADS accidentally set to a node count), not a request.
-  constexpr long kMaxThreads = 4096;
   if (const char* env = std::getenv("LDC_THREADS")) {
     char* end = nullptr;
     errno = 0;
@@ -19,7 +16,7 @@ std::size_t ThreadPool::default_thread_count() {
     // falling back to hardware concurrency instead of misconfiguring the
     // pool.
     if (errno == 0 && end != env && *end == '\0' && v >= 1 &&
-        v <= kMaxThreads) {
+        v <= static_cast<long>(kMaxThreads)) {
       return static_cast<std::size_t>(v);
     }
   }
@@ -38,12 +35,21 @@ ThreadPool::ThreadPool(std::size_t threads)
   // The caller participates in every batch, so size_ lanes need only
   // size_ - 1 workers; size 1 therefore runs fully inline.
   workers_.reserve(size_ - 1);
-  for (std::size_t i = 0; i + 1 < size_; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i + 1 < size_; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A lane that fails to start (EAGAIN) must not leave joinable threads
+    // behind: destroying one terminates instead of letting this throw.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;

@@ -44,9 +44,14 @@ class ThreadPool {
   /// fine). If tasks threw, rethrows the exception of the lowest index.
   void run_tasks(std::vector<std::function<void()>> tasks);
 
-  /// LDC_THREADS environment variable if set to >= 1, otherwise
-  /// std::thread::hardware_concurrency(), otherwise 1.
+  /// LDC_THREADS environment variable if set to [1, kMaxThreads],
+  /// otherwise std::thread::hardware_concurrency(), otherwise 1.
   static std::size_t default_thread_count();
+
+  /// A pool lane is an OS thread: a count beyond this is a
+  /// misconfiguration (e.g. LDC_THREADS set to a node count), not a
+  /// request.
+  static constexpr std::size_t kMaxThreads = 4096;
 
  private:
   std::size_t size_ = 1;
@@ -63,6 +68,7 @@ class ThreadPool {
   bool stop_ = false;
 
   void worker_loop();
+  void stop_and_join();
   /// Claims and runs tasks from the current batch until it is exhausted.
   void drain_batch(std::unique_lock<std::mutex>& lock);
 };

@@ -1,6 +1,5 @@
 #include "ldc/service/event_loop.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
@@ -15,10 +14,7 @@ namespace ldc::service {
 
 namespace {
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
+constexpr int kPollIntervalMs = 200;  ///< poll timeout; bounds stop latency
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
@@ -29,7 +25,10 @@ void set_nonblocking(int fd) {
 EventLoopServer::EventLoopServer(const ServiceConfig& cfg,
                                  EventLoopOptions opts)
     : opts_(opts), service_(cfg) {
-  make_wake_pipe();
+  int fds[2];
+  if (::pipe2(fds, O_NONBLOCK | O_CLOEXEC) != 0) fail("pipe");
+  wake_rd_ = fds[0];
+  wake_wr_ = fds[1];
 }
 
 EventLoopServer::~EventLoopServer() {
@@ -49,15 +48,6 @@ EventLoopServer::~EventLoopServer() {
   ::close(wake_wr_);
 }
 
-void EventLoopServer::make_wake_pipe() {
-  int fds[2];
-  if (::pipe(fds) != 0) fail("pipe");
-  wake_rd_ = fds[0];
-  wake_wr_ = fds[1];
-  set_nonblocking(wake_rd_);
-  set_nonblocking(wake_wr_);
-}
-
 void EventLoopServer::wake() {
   const char byte = 1;
   // Non-blocking: EAGAIN means the pipe already holds a pending wakeup.
@@ -72,7 +62,7 @@ void EventLoopServer::listen_on(const std::string& path) {
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
 
-  listener_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  listener_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listener_ < 0) fail("socket");
   ::unlink(path.c_str());  // stale socket from a previous run
   if (::bind(listener_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
@@ -80,7 +70,6 @@ void EventLoopServer::listen_on(const std::string& path) {
     fail("bind " + path);
   }
   if (::listen(listener_, opts_.backlog) != 0) fail("listen");
-  set_nonblocking(listener_);
   socket_path_ = path;
 }
 
@@ -105,37 +94,41 @@ std::size_t EventLoopServer::session_count() const {
   return sessions_.size();
 }
 
-void EventLoopServer::add_session(int fd) {
-  auto session = std::make_shared<EventSession>(
-      fd, service_, opts_.session_limits, [this] { wake(); });
-  std::lock_guard<std::mutex> lock(mu_);
-  sessions_.push_back(std::move(session));
+std::shared_ptr<EventSession> EventLoopServer::add_session_locked(
+    int in_fd, int out_fd) {
+  sessions_.push_back(std::make_shared<EventSession>(
+      in_fd, out_fd, service_, opts_.max_line_bytes, [this] { wake(); }));
+  return sessions_.back();
 }
 
 void EventLoopServer::accept_ready() {
   for (;;) {
-    const int fd = ::accept(listener_, nullptr, nullptr);
+    // Close-on-exec: a dist job's ldc_shard workers must not hold a
+    // client's socket open after its session closed it.
+    const int fd = ::accept4(listener_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       // EINTR: retry. ECONNABORTED: the client gave up between the
       // handshake and our accept — its problem, not a server error.
-      if (errno == EINTR) continue;
-      if (errno == ECONNABORTED) continue;
-      break;  // EAGAIN/EWOULDBLOCK or a transient error: next poll round
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      return;  // EAGAIN/EWOULDBLOCK or a transient error: next poll round
     }
-    bool full = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      full = sessions_.size() >= opts_.max_sessions;
-    }
-    if (full) {
-      ::close(fd);  // immediate EOF; client can retry later
-      continue;
-    }
-    add_session(fd);
+    std::lock_guard<std::mutex> lock(mu_);
+    pending_.push_back(fd);
   }
 }
 
-void EventLoopServer::run() {
+void EventLoopServer::run() { loop(nullptr); }
+
+void EventLoopServer::run_session(int in_fd, int out_fd) {
+  std::shared_ptr<EventSession> session;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    session = add_session_locked(in_fd, out_fd);
+  }
+  loop(session.get());
+}
+
+void EventLoopServer::loop(const EventSession* until) {
   std::vector<pollfd> fds;
   std::vector<std::shared_ptr<EventSession>> live;
   bool stopping = false;
@@ -158,46 +151,43 @@ void EventLoopServer::run() {
             socket_path_.clear();
           }
         }
-        for (auto& s : sessions_) s->begin_shutdown();
+        for (auto& s : sessions_) s->end_input();
       }
       for (int fd : pending_) {
-        if (stopping) {
-          ::close(fd);
-        } else if (sessions_.size() >= opts_.max_sessions) {
-          ::close(fd);
+        if (stopping || sessions_.size() >= opts_.max_sessions) {
+          ::close(fd);  // immediate EOF; the client can retry later
         } else {
-          // add_session relocks mu_; stage outside instead.
-          auto session = std::make_shared<EventSession>(
-              fd, service_, opts_.session_limits, [this] { wake(); });
-          sessions_.push_back(std::move(session));
+          add_session_locked(fd, fd);
         }
       }
       pending_.clear();
       // Reap finished sessions (goodbye flushed, or dead with no jobs).
-      sessions_.erase(
-          std::remove_if(sessions_.begin(), sessions_.end(),
-                         [](const std::shared_ptr<EventSession>& s) {
-                           return s->finished();
-                         }),
-          sessions_.end());
-      if (stopping && sessions_.empty()) return;
+      // Their descriptors close now, not when a worker drops its last
+      // reference, so the client sees EOF right after "bye".
+      std::erase_if(sessions_, [](const std::shared_ptr<EventSession>& s) {
+        if (!s->finished()) return false;
+        s->close_fds();
+        return true;
+      });
+      if (until != nullptr ? until->finished()
+                           : stopping && sessions_.empty()) {
+        return;
+      }
       live.assign(sessions_.begin(), sessions_.end());
     }
 
     fds.clear();
     fds.push_back({wake_rd_, POLLIN, 0});
-    if (!stopping && listener_ >= 0) {
-      fds.push_back({listener_, POLLIN, 0});
-    }
+    if (listener_ >= 0) fds.push_back({listener_, POLLIN, 0});
     const std::size_t session_base = fds.size();
     for (const auto& s : live) {
-      short events = 0;
-      if (s->wants_read()) events |= POLLIN;
-      if (s->wants_write()) events |= POLLOUT;
-      fds.push_back({s->fd(), events, 0});
+      // One entry per direction (a socket appears twice). A direction the
+      // session does not want is fd -1, which poll(2) skips.
+      fds.push_back({s->wants_read() ? s->in_fd() : -1, POLLIN, 0});
+      fds.push_back({s->wants_write() ? s->out_fd() : -1, POLLOUT, 0});
     }
 
-    const int rc = ::poll(fds.data(), fds.size(), opts_.poll_interval_ms);
+    const int rc = ::poll(fds.data(), fds.size(), kPollIntervalMs);
     if (rc < 0 && errno != EINTR) fail("poll");
 
     if (rc > 0) {
@@ -206,16 +196,16 @@ void EventLoopServer::run() {
         while (::read(wake_rd_, buf, sizeof buf) > 0) {
         }
       }
-      if (!stopping && session_base == 2 &&
-          (fds[1].revents & POLLIN) != 0) {
+      if (session_base == 2 && (fds[1].revents & POLLIN) != 0) {
         accept_ready();
       }
+      // Any revents (HUP, ERR, NVAL included) goes to the handler, whose
+      // read or write then reports the descriptor's state.
       for (std::size_t i = 0; i < live.size(); ++i) {
-        const short re = fds[session_base + i].revents;
-        if ((re & POLLOUT) != 0) live[i]->on_writable();
-        if ((re & (POLLIN | POLLHUP | POLLERR)) != 0) {
-          live[i]->on_readable();
+        if (fds[session_base + 2 * i + 1].revents != 0) {
+          live[i]->on_writable();
         }
+        if (fds[session_base + 2 * i].revents != 0) live[i]->on_readable();
       }
     }
     // Always tick: a worker may have finished a drain between polls.

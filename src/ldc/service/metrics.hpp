@@ -69,7 +69,8 @@ struct ServiceMetrics {
   std::uint64_t deadline_missed = 0;  ///< deadline fired before completion
   // Cache counters live in ResultCache::Stats and are exported alongside.
 
-  // Gauges (sampled at export time by the service).
+  // Gauges. queue_depth is sampled at export time; outstanding is kept
+  // by submit/emit and drops before the job's result callback runs.
   std::size_t queue_depth = 0;
   std::size_t outstanding = 0;  ///< admitted, result not yet emitted
 

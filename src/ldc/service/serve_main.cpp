@@ -2,16 +2,20 @@
 //
 // Default transport is stdin/stdout — `ldc_serve < script.jsonl` — which
 // composes with shell pipelines and is what CI smoke-tests. With
-// --socket PATH it runs the poll(2) event loop instead, multiplexing
-// many concurrent client sessions over ONE shared Service (one queue,
-// one worker pool, one result cache); each session sees its own
-// submission numbering and a byte-deterministic stream at one worker.
+// --socket PATH it listens on a unix socket instead, multiplexing many
+// concurrent client sessions over ONE shared Service (one queue, one
+// worker pool, one result cache); each session sees its own submission
+// numbering and a byte-deterministic stream at one worker. Both
+// transports are sessions on the same poll(2) event loop: stdin/stdout is
+// one session that reads fd 0 and writes fd 1.
 //
-// SIGTERM/SIGINT are installed without SA_RESTART so a blocking read
-// returns EINTR; the read loop treats that as end-of-input, which flows
-// into the same graceful-drain path as EOF: queued jobs finish, their
-// results are emitted, "bye" is written, exit 0. The event loop polls
-// the same stop flag and drains every live session before exiting.
+// SIGTERM/SIGINT set a stop flag the loop polls; they are installed
+// without SA_RESTART, so they also cut the loop's poll() short. Stopping
+// ends every session's input exactly like EOF: queued jobs finish (a
+// paused session's too), their results are emitted, "bye" is written,
+// exit 0. SIGPIPE is ignored, so a vanished stdout reader makes the
+// session write-dead instead of killing the process.
+#include <cctype>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -20,11 +24,13 @@
 #include <exception>
 #include <string>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "ldc/dist/wire.hpp"
+#include "ldc/runtime/shard.hpp"
+#include "ldc/runtime/thread_pool.hpp"
 #include "ldc/service/event_loop.hpp"
-#include "ldc/service/protocol.hpp"
 
 namespace {
 
@@ -37,76 +43,10 @@ void install_signals() {
   std::memset(&sa, 0, sizeof sa);
   sa.sa_handler = on_signal;
   sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // no SA_RESTART: blocked reads must return EINTR
+  sa.sa_flags = 0;  // no SA_RESTART: a signal cuts the loop's poll() short
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
-}
-
-/// File-descriptor transport. read_line blocks in read(2); EOF, read
-/// errors and EINTR-with-stop-flag all end the session (-> drain).
-class FdLineIO final : public ldc::service::LineIO {
- public:
-  FdLineIO(int in_fd, int out_fd) : in_(in_fd), out_(out_fd) {}
-
-  bool read_line(std::string& out) override {
-    out.clear();
-    for (;;) {
-      if (pos_ == len_) {
-        if (g_stop) return false;
-        const ssize_t n = ::read(in_, buf_, sizeof buf_);
-        if (n < 0) {
-          if (errno == EINTR && !g_stop) continue;
-          return false;  // interrupted for shutdown, or a hard error
-        }
-        if (n == 0) return !out.empty();  // EOF: deliver a final ragged line
-        pos_ = 0;
-        len_ = static_cast<std::size_t>(n);
-      }
-      while (pos_ < len_) {
-        const char c = buf_[pos_++];
-        if (c == '\n') return true;
-        out.push_back(c);
-      }
-    }
-  }
-
-  void write_line(const std::string& line) override {
-    std::string framed = line;
-    framed.push_back('\n');
-    std::size_t off = 0;
-    while (off < framed.size()) {
-      const ssize_t n = ::write(out_, framed.data() + off,
-                                framed.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return;  // client went away; the session will end at next read
-      }
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
- private:
-  int in_;
-  int out_;
-  char buf_[4096];
-  std::size_t pos_ = 0;
-  std::size_t len_ = 0;
-};
-
-int serve_socket(const std::string& path,
-                 const ldc::service::ServiceConfig& cfg,
-                 ldc::service::EventLoopOptions opts) {
-  opts.stop_flag = &g_stop;
-  try {
-    ldc::service::EventLoopServer server(cfg, opts);
-    server.listen_on(path);
-    std::fprintf(stderr, "ldc_serve: listening on %s\n", path.c_str());
-    server.run();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ldc_serve: %s\n", e.what());
-    return 1;
-  }
-  return 0;
+  std::signal(SIGPIPE, SIG_IGN);
 }
 
 void usage(std::FILE* out) {
@@ -148,7 +88,9 @@ void usage(std::FILE* out) {
                "  --help              this text\n");
 }
 
+/// Digits only: strtoull alone would take "-1" as its largest value.
 bool parse_size(const char* s, std::size_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(s, &end, 10);
@@ -177,8 +119,14 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (arg == "--workers") {
-      if (!parse_size(value(), cfg.workers)) {
-        std::fprintf(stderr, "ldc_serve: bad --workers\n");
+      // 0 = the default; the cap is LDC_THREADS' (one lane, one thread).
+      const char* text = value();
+      if (!parse_size(text, cfg.workers) ||
+          cfg.workers > ldc::ThreadPool::kMaxThreads) {
+        std::fprintf(stderr,
+                     "ldc_serve: --workers must be an integer in [0, %zu]; "
+                     "got \"%s\"\n",
+                     ldc::ThreadPool::kMaxThreads, text);
         return 2;
       }
     } else if (arg == "--queue-capacity") {
@@ -235,7 +183,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--shards") {
       if (!parse_size(value(), cfg.job_shards) || cfg.job_shards == 0 ||
-          cfg.job_shards > 1024) {
+          cfg.job_shards > ldc::ShardCrew::kMaxShards) {
         std::fprintf(stderr, "ldc_serve: bad --shards\n");
         return 2;
       }
@@ -265,10 +213,26 @@ int main(int argc, char** argv) {
     }
   }
 
+  // A standard descriptor the caller closed would be reused by the event
+  // loop's wake pipe and read as requests; park /dev/null there instead.
+  for (int fd = STDIN_FILENO; fd <= STDERR_FILENO; ++fd) {
+    if (::fcntl(fd, F_GETFD) < 0) ::open("/dev/null", O_RDWR);
+  }
   install_signals();
-  if (!socket_path.empty()) return serve_socket(socket_path, cfg, opts);
-
-  FdLineIO io(STDIN_FILENO, STDOUT_FILENO);
-  ldc::service::serve(io, cfg);
+  opts.stop_flag = &g_stop;
+  try {
+    ldc::service::EventLoopServer server(cfg, opts);
+    if (socket_path.empty()) {
+      server.run_session(STDIN_FILENO, STDOUT_FILENO);
+    } else {
+      server.listen_on(socket_path);
+      std::fprintf(stderr, "ldc_serve: listening on %s\n",
+                   socket_path.c_str());
+      server.run();
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ldc_serve: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

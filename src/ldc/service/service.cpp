@@ -45,6 +45,7 @@ Admission Service::submit(const Job& job, SubmitOptions opts) {
   {
     std::lock_guard<std::mutex> lock(metrics_.mu);
     ++metrics_.submitted;
+    ++metrics_.outstanding;  // before the push: a worker may emit it at once
   }
   Pending p;
   p.job = job;
@@ -82,6 +83,7 @@ Admission Service::submit(const Job& job, SubmitOptions opts) {
     a.reason = queue_.closed() ? "shutting down" : "queue full";
     std::lock_guard<std::mutex> lock(metrics_.mu);
     ++metrics_.rejected;
+    --metrics_.outstanding;
     return a;
   }
   {
@@ -137,7 +139,6 @@ harness::Json Service::stats(bool counters_only) const {
   {
     std::lock_guard<std::mutex> lock(metrics_.mu);
     metrics_.queue_depth = queue_.size();
-    metrics_.outstanding = outstanding_.load(std::memory_order_relaxed);
   }
   harness::Json j = metrics_to_json(metrics_, cache_.stats(), counters_only);
   if (corpora_ != nullptr) {
@@ -236,7 +237,11 @@ void Service::emit(const JobResult& r, const Pending& p) {
                                                            p.enqueued)
           .count());
   {
+    // The gauge drops before the callback, so a stats snapshot taken after
+    // this job's result line (e.g. after a session's drained event) never
+    // counts it; outstanding_ drops after, for drain().
     std::lock_guard<std::mutex> lock(metrics_.mu);
+    --metrics_.outstanding;
     if (out.status == "ok") {
       ++metrics_.completed;
     } else if (out.status == "failed") {

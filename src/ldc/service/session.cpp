@@ -1,10 +1,9 @@
 #include "ldc/service/session.hpp"
 
-#include "ldc/service/protocol.hpp"
-
 #include <cerrno>
 #include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #include <utility>
 
@@ -14,24 +13,76 @@ namespace {
 
 using harness::Json;
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
+/// Sets O_NONBLOCK and returns the flags found before (-1: not an fd).
+int make_nonblocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+  return flags;
+}
+
+bool is_socket(int fd) {
+  struct stat st;
+  return ::fstat(fd, &st) == 0 && S_ISSOCK(st.st_mode);
+}
+
+Json protocol_event(const char* name) {
+  Json j = Json::object();
+  j.add("event", name);
+  return j;
+}
+
+/// The full result line: model-exact fields only, `tag` echoed when
+/// non-empty.
+Json protocol_result(const JobResult& r, const std::string& tag) {
+  Json j = protocol_event("result");
+  j.add("id", r.id);
+  if (!tag.empty()) j.add("tag", tag);
+  j.add("digest", r.digest);
+  j.add("algorithm", r.algorithm);
+  j.add("status", r.status);
+  j.add("cached", r.cached);
+  if (r.status == "ok") {
+    j.add("valid", r.outcome.valid);
+    j.add("n", std::uint64_t{r.outcome.n});
+    j.add("colors", r.outcome.colors);
+    j.add("palette", r.outcome.palette);
+    j.add("rounds", r.outcome.rounds);
+    j.add("messages", r.outcome.messages);
+    j.add("bits", r.outcome.total_bits);
+    j.add("color_digest", r.outcome.color_digest);
+  } else if (!r.error.empty()) {
+    j.add("error", r.error);
+  }
+  return j;
 }
 
 }  // namespace
 
-EventSession::EventSession(int fd, Service& service, SessionLimits limits,
+EventSession::EventSession(int in_fd, int out_fd, Service& service,
+                           std::size_t max_line_bytes,
                            std::function<void()> wake)
-    : fd_(fd),
+    : in_fd_(in_fd),
+      out_fd_(out_fd),
+      in_flags_(make_nonblocking(in_fd)),
+      out_flags_(make_nonblocking(out_fd)),
+      out_is_socket_(is_socket(out_fd)),
       service_(service),
-      limits_(limits),
+      max_line_bytes_(max_line_bytes),
       wake_(std::move(wake)),
-      gate_(std::make_shared<SessionGate>()) {
-  set_nonblocking(fd_);
-}
+      gate_(std::make_shared<SessionGate>()) {}
 
-EventSession::~EventSession() { ::close(fd_); }
+EventSession::~EventSession() { close_fds(); }
+
+void EventSession::close_fds() {
+  if (in_fd_ < 0) return;
+  // Reverse order of the constructor: when both descriptors share one open
+  // file description, in_flags_ holds its flags from before either change.
+  if (out_flags_ >= 0) ::fcntl(out_fd_, F_SETFL, out_flags_);
+  if (in_flags_ >= 0) ::fcntl(in_fd_, F_SETFL, in_flags_);
+  if (out_fd_ != in_fd_) ::close(out_fd_);
+  ::close(in_fd_);
+  in_fd_ = out_fd_ = -1;
+}
 
 bool EventSession::parse_blocked() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -40,7 +91,10 @@ bool EventSession::parse_blocked() const {
 
 bool EventSession::wants_read() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return !input_done_ && !drain_pending_;
+  // Backpressure: input pauses while a slow reader owes half the output
+  // cap, so only results already owed can reach kMaxOutbufBytes.
+  return !drain_pending_ && !input_done_ &&
+         outbuf_.size() - out_off_ < kMaxOutbufBytes / 2;
 }
 
 bool EventSession::wants_write() const {
@@ -60,44 +114,39 @@ std::uint64_t EventSession::outstanding() const {
 }
 
 void EventSession::on_readable() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (input_done_) return;
-  }
+  if (read_eof_ || parse_blocked()) return;
+  // One chunk per readiness event, so the loop flushes output between
+  // reads: a regular file is always readable and would otherwise hold
+  // the loop until EOF.
   char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd_, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      // Hard read error: the connection is gone. Finish like EOF so
-      // outstanding jobs still drain before teardown.
-      read_eof_ = true;
-      break;
-    }
-    if (n == 0) {
-      read_eof_ = true;
-      break;
-    }
-    std::size_t start = 0;
-    const std::size_t len = static_cast<std::size_t>(n);
-    if (discarding_line_) {
-      // Drop bytes up to and including the newline that ends the
-      // oversized line, then resume normal framing.
-      std::size_t i = 0;
-      while (i < len && buf[i] != '\n') ++i;
-      if (i == len) continue;  // still inside the oversized line
-      discarding_line_ = false;
-      start = i + 1;
-    }
-    inbuf_.append(buf + start, len - start);
-    // Oversized unterminated line: reject once, discard its remainder.
-    if (inbuf_.size() > limits_.max_line_bytes &&
-        inbuf_.find('\n') == std::string::npos) {
-      inbuf_.clear();
-      discarding_line_ = true;
-      error_event("request line too long");
-    }
+  const ssize_t n = ::read(in_fd_, buf, sizeof buf);
+  if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+    return;
+  }
+  if (n <= 0) {
+    // EOF, or a hard read error (the input is gone): either way the
+    // outstanding jobs still drain before teardown.
+    read_eof_ = true;
+    pump();
+    return;
+  }
+  std::size_t start = 0;
+  const std::size_t len = static_cast<std::size_t>(n);
+  if (discarding_line_) {
+    // Drop bytes up to and including the newline that ends the
+    // oversized line, then resume normal framing.
+    while (start < len && buf[start] != '\n') ++start;
+    if (start == len) return;  // still inside the oversized line
+    discarding_line_ = false;
+    ++start;
+  }
+  inbuf_.append(buf + start, len - start);
+  // Oversized unterminated line: reject once, discard its remainder.
+  if (inbuf_.size() > max_line_bytes_ &&
+      inbuf_.find('\n') == std::string::npos) {
+    inbuf_.clear();
+    discarding_line_ = true;
+    error_event("request line too long");
   }
   pump();
 }
@@ -108,19 +157,18 @@ void EventSession::pump() {
     if (nl == std::string::npos) {
       if (!read_eof_) return;
       if (!inbuf_.empty()) {
-        // Final ragged line at EOF — same contract as the blocking
-        // FdLineIO, which delivers it before reporting end-of-input.
+        // A final line without a newline is still a request.
         std::string line;
         line.swap(inbuf_);
         handle_line(line);
         continue;  // handle_line may have blocked parsing (drain)
       }
-      enter_input_done();
+      end_input();
       return;
     }
     std::string line = inbuf_.substr(0, nl);
     inbuf_.erase(0, nl + 1);
-    if (line.size() > limits_.max_line_bytes) {
+    if (line.size() > max_line_bytes_) {
       error_event("request line too long");
       continue;
     }
@@ -145,8 +193,10 @@ void EventSession::handle_line(const std::string& line) {
   if (name == "submit") return do_submit(req);
   if (name == "cancel") return do_cancel(req);
   if (name == "pause") {
-    service_.pause_session(*gate_);
+    // A worker can end input (output overflow) while this line is being
+    // handled; a gate paused after that would never resume.
     std::lock_guard<std::mutex> lock(mu_);
+    if (!input_done_) service_.pause_session(*gate_);
     append_locked(protocol_event("paused"));
     return;
   }
@@ -171,10 +221,7 @@ void EventSession::handle_line(const std::string& line) {
     return;
   }
   if (name == "stats") return do_stats(req);
-  if (name == "shutdown") {
-    enter_input_done();
-    return;
-  }
+  if (name == "shutdown") return end_input();
   error_event("unknown op '" + name + "'");
 }
 
@@ -262,15 +309,31 @@ void EventSession::do_stats(const Json& req) {
   append_locked(j);
 }
 
-void EventSession::enter_input_done() {
+void EventSession::end_input() {
   inbuf_.clear();
   read_eof_ = true;
   std::lock_guard<std::mutex> lock(mu_);
-  input_done_ = true;
+  end_input_locked();
+}
+
+void EventSession::end_input_locked() {
+  if (!input_done_) {
+    input_done_ = true;
+    // No request can resume this session any more: resume its gate
+    // silently so its queued jobs still run and "bye" follows them.
+    service_.resume_session(*gate_);
+  }
   if (outstanding_ == 0 && !bye_queued_) {
     append_locked(protocol_event("bye"));
     bye_queued_ = true;
   }
+}
+
+void EventSession::mark_write_dead_locked() {
+  write_dead_ = true;
+  outbuf_.clear();
+  out_off_ = 0;
+  end_input_locked();
 }
 
 void EventSession::on_result(const JobResult& r, std::uint64_t local_id,
@@ -282,17 +345,12 @@ void EventSession::on_result(const JobResult& r, std::uint64_t local_id,
     append_locked(protocol_result(local, tag));
     local_to_global_.erase(local_id);
     --outstanding_;
-    if (outstanding_ == 0) {
-      if (drain_pending_) {
-        drain_pending_ = false;
-        append_locked(protocol_event("drained"));
-        resume_parse_ = true;  // the loop's next tick() re-enters pump()
-      }
-      if (input_done_ && !bye_queued_) {
-        append_locked(protocol_event("bye"));
-        bye_queued_ = true;
-      }
+    if (outstanding_ == 0 && drain_pending_) {
+      drain_pending_ = false;
+      append_locked(protocol_event("drained"));
+      resume_parse_ = true;  // the loop's next tick() re-enters pump()
     }
+    if (input_done_) end_input_locked();  // "bye" once nothing is left
   }
   wake_();
 }
@@ -306,24 +364,23 @@ void EventSession::tick() {
   pump();
 }
 
-void EventSession::begin_shutdown() { enter_input_done(); }
-
 void EventSession::on_writable() {
   std::lock_guard<std::mutex> lock(mu_);
   while (!write_dead_ && out_off_ < outbuf_.size()) {
-    // send() with MSG_NOSIGNAL: a peer that closed mid-stream must
-    // surface as EPIPE here, not as a process-killing SIGPIPE.
-    const ssize_t n = ::send(fd_, outbuf_.data() + out_off_,
-                             outbuf_.size() - out_off_, MSG_NOSIGNAL);
+    const char* data = outbuf_.data() + out_off_;
+    const std::size_t len = outbuf_.size() - out_off_;
+    // Sockets take send() with MSG_NOSIGNAL: a peer that closed mid-stream
+    // must surface as EPIPE here, not as a process-killing SIGPIPE. Pipes
+    // and files take write(2); ldc_serve ignores SIGPIPE for them.
+    const ssize_t n = out_is_socket_
+                          ? ::send(out_fd_, data, len, MSG_NOSIGNAL)
+                          : ::write(out_fd_, data, len);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       // Client unreachable: drop buffered output, stop reading, let
       // outstanding jobs finish (their results are discarded).
-      write_dead_ = true;
-      input_done_ = true;
-      outbuf_.clear();
-      out_off_ = 0;
+      mark_write_dead_locked();
       return;
     }
     out_off_ += static_cast<std::size_t>(n);
@@ -339,12 +396,9 @@ void EventSession::on_writable() {
 
 void EventSession::append_locked(const Json& event) {
   if (write_dead_) return;
-  if (outbuf_.size() - out_off_ > limits_.max_outbuf_bytes) {
+  if (outbuf_.size() - out_off_ > kMaxOutbufBytes) {
     // Slow reader overflow: same terminal state as a broken pipe.
-    write_dead_ = true;
-    input_done_ = true;
-    outbuf_.clear();
-    out_off_ = 0;
+    mark_write_dead_locked();
     return;
   }
   outbuf_ += event.dump();

@@ -207,7 +207,7 @@ TEST(Fuzz, ProtocolSessionsSurviveHostileBytes) {
   cfg.workers = 2;
   cfg.queue_capacity = 32;
   service::EventLoopOptions opts;
-  opts.session_limits.max_line_bytes = 256;  // overlong path reachable
+  opts.max_line_bytes = 256;  // overlong path reachable
   service::EventLoopServer server(cfg, opts);
   std::thread loop([&] { server.run(); });
 

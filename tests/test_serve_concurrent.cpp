@@ -1,18 +1,22 @@
 // The event-loop serving frontend under concurrency and hostile I/O:
 // many simultaneous sessions over one shared Service must each see the
 // exact byte stream a dedicated solo run would produce (1 worker), the
-// union of emitted lines must be invariant to worker count, and framing
-// must survive arbitrarily small reads and writes. Labelled "tsan" — the
+// union of emitted lines must be invariant to worker count, framing must
+// survive arbitrarily small reads and writes, and a paused session whose
+// input ends must still run its jobs and say "bye". Labelled "tsan" — the
 // ThreadSanitizer CI job runs this suite at LDC_THREADS=7.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "ldc/harness/json.hpp"
@@ -24,10 +28,8 @@ namespace {
 
 constexpr const char* kAlgos[] = {"greedy", "luby", "linial", "kw"};
 
-/// Deterministic session script: pause, a burst of submits, cancel the
-/// last while it is still gated, resume, drain, shutdown. Every line of
-/// the response is pinned at one worker.
-std::string script_for(std::size_t idx, std::size_t jobs) {
+/// A pause, then a burst of `jobs` submits that stay gated.
+std::string paused_burst(std::size_t idx, std::size_t jobs) {
   std::string s = "{\"op\":\"pause\"}\n";
   for (std::size_t j = 0; j < jobs; ++j) {
     Job job;
@@ -41,6 +43,14 @@ std::string script_for(std::size_t idx, std::size_t jobs) {
     s += req.dump();
     s.push_back('\n');
   }
+  return s;
+}
+
+/// Deterministic session script: pause, a burst of submits, cancel the
+/// last while it is still gated, resume, drain, shutdown. Every line of
+/// the response is pinned at one worker.
+std::string script_for(std::size_t idx, std::size_t jobs) {
+  std::string s = paused_burst(idx, jobs);
   s += "{\"op\":\"cancel\",\"id\":" + std::to_string(jobs) + "}\n";
   s += "{\"op\":\"resume\"}\n{\"op\":\"drain\"}\n{\"op\":\"shutdown\"}\n";
   return s;
@@ -294,6 +304,83 @@ TEST(ServeConcurrent, SessionCapRefusesTheExcessConnection) {
   EXPECT_EQ(split_lines(stream).back(), "{\"event\":\"bye\"}");
   server.stop();
   loop.join();
+}
+
+// ---------------------------------------------------------------------------
+// Ending input resumes a paused session
+
+/// Polls `cond` for up to 10 s.
+template <typename Cond>
+bool within_10s(Cond cond) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!cond()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+TEST(ServeConcurrent, PausedSessionDrainsWhenItsInputEnds) {
+  // Each session pauses and queues two jobs, then its input ends one of
+  // four ways. No request can resume it after that, so ending input
+  // must: both jobs run, and a client that can still read gets both
+  // results and "bye".
+  EventLoopServer server(shared_config(1), {});
+  std::atomic<bool> returned{false};
+  std::thread loop([&] {
+    server.run();
+    returned = true;
+  });
+
+  enum { kShutdownOp, kHalfClose, kClose, kServerStop, kWays };
+  int client[kWays];
+  for (int way = 0; way < kWays; ++way) {
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    // A server that never answers fails the reads below after 10 s
+    // instead of hanging them.
+    const timeval limit{10, 0};
+    ::setsockopt(sv[1], SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit);
+    server.adopt(sv[0]);
+    const std::string burst = paused_burst(static_cast<std::size_t>(way), 2);
+    send_all(sv[1], burst.data(), burst.size());
+    client[way] = sv[1];
+  }
+
+  std::string streams[kWays];
+  const std::string shutdown_op = "{\"op\":\"shutdown\"}\n";
+  send_all(client[kShutdownOp], shutdown_op.data(), shutdown_op.size());
+  streams[kShutdownOp] = read_to_eof(client[kShutdownOp]);
+  ::shutdown(client[kHalfClose], SHUT_WR);
+  streams[kHalfClose] = read_to_eof(client[kHalfClose]);
+  ::close(client[kClose]);
+  // The closed session is reaped only once its two jobs ran.
+  EXPECT_TRUE(within_10s([&] { return server.session_count() == 1; }));
+  server.stop();
+  streams[kServerStop] = read_to_eof(client[kServerStop]);
+  EXPECT_TRUE(within_10s([&] { return server.session_count() == 0; }));
+  EXPECT_TRUE(within_10s([&] { return returned.load(); }));
+
+  for (const int way : {kShutdownOp, kHalfClose, kServerStop}) {
+    const auto lines = split_lines(streams[way]);
+    const auto results = std::count_if(
+        lines.begin(), lines.end(), [](const std::string& l) {
+          return l.find("\"event\":\"result\"") != std::string::npos;
+        });
+    EXPECT_EQ(results, 2) << "way " << way << ": " << streams[way];
+    ASSERT_FALSE(lines.empty()) << "way " << way;
+    EXPECT_EQ(lines.back(), "{\"event\":\"bye\"}") << "way " << way;
+  }
+
+  // Closing the queue overrides every gate, so even a server that left
+  // the sessions paused lets run() return here.
+  server.service().shutdown();
+  server.stop();
+  loop.join();
+  for (const int way : {kShutdownOp, kHalfClose, kServerStop}) {
+    ::close(client[way]);
+  }
 }
 
 }  // namespace

@@ -6,19 +6,25 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "ldc/service/cache.hpp"
+#include "ldc/service/event_loop.hpp"
 #include "ldc/service/job.hpp"
 #include "ldc/service/metrics.hpp"
-#include "ldc/service/protocol.hpp"
 #include "ldc/service/queue.hpp"
 #include "ldc/service/service.hpp"
 #include "ldc/storage/registry.hpp"
@@ -646,13 +652,51 @@ TEST(Service, NestingPolicyParallelJobsInsideWorkerPool) {
 // ---------------------------------------------------------------------------
 // Protocol
 
+void write_all(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return;
+    off += static_cast<std::size_t>(n);
+  }
+}
+
+std::string read_all(int fd) {
+  std::string out;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return out;
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+}
+
+/// Runs `script` as one session through EventLoopServer::run_session (the
+/// entry point of ldc_serve's stdin/stdout transport) over a socketpair,
+/// with a fresh server built from `cfg`; returns the session's output.
 std::string serve_script(const std::string& script,
                          const ServiceConfig& cfg) {
-  std::istringstream in(script);
-  std::ostringstream out;
-  StreamLineIO io(in, out);
-  serve(io, cfg);
-  return out.str();
+  int sv[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  std::string out;
+  std::thread client([&] {
+    write_all(sv[0], script);
+    ::shutdown(sv[0], SHUT_WR);  // EOF after the script
+    out = read_all(sv[0]);
+  });
+  {
+    // Heap-allocated: TSan only forgets a mutex's lock-order state when
+    // its memory is freed, and back-to-back servers on the stack would
+    // alias addresses into phantom inversion cycles.
+    const auto server =
+        std::make_unique<EventLoopServer>(cfg, EventLoopOptions{});
+    server->run_session(sv[1], sv[1]);
+  }
+  client.join();
+  ::close(sv[0]);
+  return out;
 }
 
 std::vector<std::string> lines_of(const std::string& text) {
@@ -762,6 +806,46 @@ TEST(ServiceProtocol, EofTriggersGracefulDrain) {
     results += line.find("\"event\":\"result\"") != std::string::npos;
   }
   EXPECT_EQ(results, 2u) << out;
+}
+
+TEST(ServiceProtocol, StdioSessionRestoresDescriptorFlags) {
+  // ldc_serve hands fds 0 and 1 to run_session, and they share open file
+  // descriptions with the parent shell. Pipes stand in for them, and the
+  // session gets dups, so the flags it must restore are visible here.
+  int in[2], out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  // One side starts non-blocking, so "restored" is not just "cleared".
+  ASSERT_EQ(::fcntl(out[1], F_SETFL, ::fcntl(out[1], F_GETFL) | O_NONBLOCK),
+            0);
+  const int in_flags = ::fcntl(in[0], F_GETFL);
+  const int out_flags = ::fcntl(out[1], F_GETFL);
+  ASSERT_EQ(in_flags & O_NONBLOCK, 0);
+  ASSERT_NE(out_flags & O_NONBLOCK, 0);
+
+  write_all(in[1],
+            "{\"op\":\"submit\",\"job\":{\"algorithm\":\"greedy\","
+            "\"graph\":{\"family\":\"ring\",\"n\":12}}}\n");
+  ::close(in[1]);  // EOF after the script
+  std::string got;
+  std::thread reader([&] { got = read_all(out[0]); });
+  {
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    const auto server =
+        std::make_unique<EventLoopServer>(cfg, EventLoopOptions{});
+    server->run_session(::dup(in[0]), ::dup(out[1]));
+    EXPECT_EQ(::fcntl(in[0], F_GETFL), in_flags);
+    EXPECT_EQ(::fcntl(out[1], F_GETFL), out_flags);
+  }
+  ::close(out[1]);  // the session closed its dup: the reader sees EOF
+  reader.join();
+  ::close(in[0]);
+  ::close(out[0]);
+  const auto lines = lines_of(got);
+  ASSERT_EQ(lines.size(), 3u) << got;
+  EXPECT_NE(lines[1].find("\"status\":\"ok\""), std::string::npos);
+  EXPECT_EQ(lines.back(), R"({"event":"bye"})");
 }
 
 // ---------------------------------------------------------------------------
