@@ -8,8 +8,15 @@
 // — the committed baseline therefore *enforces* that a steady-state
 // serial round performs zero heap allocations (payloads are shared
 // handles, the arena reuses its buffers, no trace is attached to the
-// timing network). Observational columns report rounds/sec and the
-// measured allocation counts/bytes.
+// timing network): the verdict reads "none" only when the whole timed
+// window allocated nothing. Observational columns report rounds/sec and
+// the measured allocations and bytes per round.
+//
+// A second table (E15b) times masked rounds — 1/64, 1/2 and all but one
+// of the senders live, through exchange_broadcast and
+// exchange_broadcast_word — the rounds the kernel's push/pull crossover
+// (ShardRound::pushes) splits between its two survivor walks, under the
+// same zero-allocation gate.
 //
 // This TU also carries the binary-wide operator new/delete replacement
 // that implements the counters. It is malloc-backed and counting-only, so
@@ -88,38 +95,119 @@ struct Topo {
 
 struct Probe {
   double rounds_per_sec = 0.0;
-  std::uint64_t allocs_per_round = 0;
-  std::uint64_t bytes_per_round = 0;
+  std::uint64_t allocs = 0;  ///< heap allocations over the timed window
+  std::uint64_t bytes = 0;
+  std::uint64_t rounds = 0;
+
+  /// The deterministic gate: "none" only if the timed window allocated
+  /// nothing at all.
+  std::string alloc_verdict() const {
+    return allocs == 0 ? "none" : "ALLOC(" + std::to_string(allocs) + ")";
+  }
+  double allocs_per_round() const { return double(allocs) / double(rounds); }
+  double bytes_per_round() const { return double(bytes) / double(rounds); }
 };
 
-// Times `timed_rounds` steady-state broadcast rounds (after a warm-up that
-// sizes the arena) and measures the heap traffic they cause. No trace is
-// attached: this is the bare hot loop.
-Probe time_broadcast(const Graph& g, int payload_bits, bool congest,
-                     std::uint64_t timed_rounds) {
-  Network net(g, congest ? static_cast<std::size_t>(payload_bits) : 0);
-  const std::vector<Message> msgs =
-      bench::uniform_broadcast(g.n(), 0x5eed, payload_bits);
-  for (int i = 0; i < 3; ++i) net.exchange_broadcast(msgs);  // warm up
+// Times `timed_rounds` steady-state rounds of one_round() (after a
+// warm-up that sizes the arena) and measures the heap traffic they cause.
+template <typename Round>
+Probe time_rounds(std::uint64_t timed_rounds, const Round& one_round) {
+  for (int i = 0; i < 3; ++i) one_round();  // warm up
   const std::uint64_t allocs0 =
       bench::g_alloc_count.load(std::memory_order_relaxed);
   const std::uint64_t bytes0 =
       bench::g_alloc_bytes.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < timed_rounds; ++i) {
-    net.exchange_broadcast(msgs);
-  }
+  for (std::uint64_t i = 0; i < timed_rounds; ++i) one_round();
   const auto t1 = std::chrono::steady_clock::now();
   Probe p;
   p.rounds_per_sec = static_cast<double>(timed_rounds) /
                      std::chrono::duration<double>(t1 - t0).count();
-  p.allocs_per_round =
-      (bench::g_alloc_count.load(std::memory_order_relaxed) - allocs0) /
-      timed_rounds;
-  p.bytes_per_round =
-      (bench::g_alloc_bytes.load(std::memory_order_relaxed) - bytes0) /
-      timed_rounds;
+  p.allocs = bench::g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  p.bytes = bench::g_alloc_bytes.load(std::memory_order_relaxed) - bytes0;
+  p.rounds = timed_rounds;
   return p;
+}
+
+// The all-live broadcast loop. No trace is attached: this is the bare
+// hot loop.
+Probe time_broadcast(const Graph& g, int payload_bits, bool congest,
+                     std::uint64_t timed_rounds) {
+  Network net(g, congest ? static_cast<std::size_t>(payload_bits) : 0);
+  const std::vector<Message> msgs =
+      bench::uniform_broadcast(g.n(), 0x5eed, payload_bits);
+  return time_rounds(timed_rounds, [&] { net.exchange_broadcast(msgs); });
+}
+
+/// One live fraction of the masked-round table.
+struct LiveMix {
+  std::string name;
+  std::vector<bool> active;
+};
+
+// The masked table's senders: 1 in 64, half, and all but one.
+std::vector<LiveMix> live_mixes(NodeId n) {
+  std::vector<LiveMix> mixes;
+  auto mix = [&](std::string name, auto live) {
+    LiveMix m{std::move(name), std::vector<bool>(n)};
+    for (NodeId v = 0; v < n; ++v) m.active[v] = live(v);
+    mixes.push_back(std::move(m));
+  };
+  mix("1/64", [](NodeId v) { return v % 64 == 0; });
+  mix("1/2", [](NodeId v) { return v % 2 == 0; });
+  mix("all but one", [](NodeId v) { return v != 0; });
+  return mixes;
+}
+
+// Masked rounds: a fixed live set broadcasts every round, through the
+// Message plane or the fused word plane. The kernel resolves them with
+// the push or the pull survivor walk, whichever its crossover picks, so
+// the rows pin both walks' throughput and their zero-allocation steady
+// state.
+void masked_table(harness::ExperimentContext& ctx,
+                  std::uint64_t timed_rounds) {
+  const Graph g =
+      gen::random_regular(ctx.pick<std::uint32_t>(8192, 1024), 16, 7);
+  const int payload_bits = 32;
+  const std::uint64_t bound = (std::uint64_t{1} << payload_bits) - 1;
+  const std::vector<Message> msgs =
+      bench::uniform_broadcast(g.n(), 0x5eed, payload_bits);
+  std::vector<std::uint64_t> words(g.n());
+  for (NodeId v = 0; v < g.n(); ++v) {
+    words[v] = (v * 0x9E3779B97F4A7C15ull) & bound;
+  }
+
+  auto& t = ctx.table(
+      "E15b: masked exchange rounds (random-regular, degree 16, n = " +
+          std::to_string(g.n()) + "; " + std::to_string(timed_rounds) +
+          " steady-state rounds/config)",
+      {"topology", "engine", "live", "API", "messages/round", "bits/round",
+       "steady-state alloc", "rounds/s (obs)"});
+  for (const LiveMix& mix : live_mixes(g.n())) {
+    for (const bool fused : {false, true}) {
+      const std::string api =
+          fused ? "exchange_broadcast_word" : "exchange_broadcast";
+      auto one_round = [&](Network& net) {
+        if (fused) {
+          (void)net.exchange_broadcast_word(words, bound, &mix.active);
+        } else {
+          (void)net.exchange_broadcast(msgs, &mix.active);
+        }
+      };
+      Network traced(g);
+      ctx.prepare(traced);
+      for (int i = 0; i < 2; ++i) one_round(traced);
+      ctx.record("random-regular/serial/live=" + mix.name + "/" + api,
+                 traced);
+
+      Network bare(g);
+      const Probe p = time_rounds(timed_rounds, [&] { one_round(bare); });
+      t.add_row({"random-regular", "serial", mix.name, api,
+                 traced.metrics().messages / 2,
+                 traced.metrics().total_bits / 2, p.alloc_verdict(),
+                 p.rounds_per_sec});
+    }
+  }
 }
 
 void run(harness::ExperimentContext& ctx) {
@@ -164,23 +252,19 @@ void run(harness::ExperimentContext& ctx) {
       // serial round ever allocates again.
       const Probe p =
           time_broadcast(topo.g, topo.payload_bits, congest, timed_rounds);
-      const std::string alloc_verdict =
-          p.allocs_per_round == 0
-              ? "none"
-              : "ALLOC(" + std::to_string(p.allocs_per_round) + ")";
       t.add_row({topo.name, engine, model, msgs_per_round, bits_per_round,
-                 alloc_verdict, p.rounds_per_sec,
-                 std::uint64_t{p.allocs_per_round},
-                 std::uint64_t{p.bytes_per_round}});
+                 p.alloc_verdict(), p.rounds_per_sec, p.allocs_per_round(),
+                 p.bytes_per_round()});
     }
   }
+  masked_table(ctx, timed_rounds);
 }
 
 const harness::Registrar reg{{
     .name = "e15_exchange_micro",
     .claim = "Perf: the zero-copy message plane makes a steady-state serial "
-             "broadcast round allocation-free and lifts exchange rounds/sec "
-             "across topologies and models",
+             "broadcast round allocation-free, masked or not, and lifts "
+             "exchange rounds/sec across topologies and models",
     .axes = {"topology", "engine", "model"},
     .run = run,
 }};

@@ -38,7 +38,7 @@ struct Topo {
 
 struct Probe {
   double rounds_per_sec = 0.0;
-  std::uint64_t allocs_per_round = 0;
+  std::uint64_t allocs = 0;    ///< heap allocations over the timed window
   std::uint64_t checksum = 0;  ///< wrapping sum of every decoded word
 };
 
@@ -105,9 +105,7 @@ Probe time_rounds(const Graph& g, std::uint64_t bound, bool fused,
   Probe p;
   p.rounds_per_sec = static_cast<double>(timed_rounds) /
                      std::chrono::duration<double>(t1 - t0).count();
-  p.allocs_per_round =
-      (bench::g_alloc_count.load(std::memory_order_relaxed) - allocs0) /
-      timed_rounds;
+  p.allocs = bench::g_alloc_count.load(std::memory_order_relaxed) - allocs0;
   for (std::uint64_t s : sums) p.checksum += s;
   return p;
 }
@@ -168,10 +166,10 @@ void run(harness::ExperimentContext& ctx) {
     const std::string parity =
         (fused.checksum == unfused.checksum && traffic_match) ? "match"
                                                               : "MISMATCH";
+    // "none" only if the whole timed window allocated nothing.
     const std::string alloc_verdict =
-        fused.allocs_per_round == 0
-            ? "none"
-            : "ALLOC(" + std::to_string(fused.allocs_per_round) + ")";
+        fused.allocs == 0 ? "none"
+                          : "ALLOC(" + std::to_string(fused.allocs) + ")";
     t.add_row({topo.name, "serial", msgs_per_round, bits_per_round, parity,
                alloc_verdict, unfused.rounds_per_sec, fused.rounds_per_sec,
                fused.rounds_per_sec / unfused.rounds_per_sec});

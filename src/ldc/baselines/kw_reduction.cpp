@@ -37,16 +37,19 @@ KwResult kw_reduce(Network& net, const Coloring& initial, std::uint64_t m) {
     });
   }
 
+  // Per-round buffers, reused across the masked rounds: a round's
+  // senders are the nodes of one colour class, and only their slots are
+  // written and then reset.
+  std::vector<Message> msgs(g.n());
+  std::vector<bool> active(g.n(), false);
+  std::vector<Color> recolor(g.n(), kUncolored);
+  std::vector<NodeId> sent;
   while (res.palette > B) {
     // One halving pass: blocks of 2B colors; upper half recolors into the
     // lower half, one upper class offset per round.
     for (std::uint64_t off = 0; off < B; ++off) {
-      std::vector<Message> msgs(g.n());
-      std::vector<bool> active(g.n(), false);
-      std::vector<Color> next = res.phi;
       // Parallel pass picks colors into `recolor`; vector<bool> writes are
       // not per-element thread-safe, so the mask is set serially below.
-      std::vector<Color> recolor(g.n(), kUncolored);
       net.run_node_programs([&](NodeId v) {
         const std::uint64_t c = res.phi[v];
         const std::uint64_t block = c / (2 * B);
@@ -75,10 +78,11 @@ KwResult kw_reduce(Network& net, const Coloring& initial, std::uint64_t m) {
         w.write_bounded(chosen, res.palette - 1);
         msgs[v] = Message::from(w);
       });
+      sent.clear();
       for (NodeId v = 0; v < g.n(); ++v) {
         if (recolor[v] == kUncolored) continue;
-        next[v] = recolor[v];
         active[v] = true;
+        sent.push_back(v);
       }
       const auto in = net.exchange_broadcast(msgs, &active);
       ++res.rounds;
@@ -89,7 +93,14 @@ KwResult kw_reduce(Network& net, const Coloring& initial, std::uint64_t m) {
               static_cast<Color>(r.read_bounded(res.palette - 1));
         }
       });
-      res.phi = std::move(next);
+      // The recolours take effect after the round: this round's choices
+      // read the colours the round started with.
+      for (NodeId v : sent) {
+        res.phi[v] = recolor[v];
+        recolor[v] = kUncolored;
+        active[v] = false;
+        msgs[v] = Message();
+      }
     }
     // Renumber: block k's lower half [2kB, 2kB+B) -> [kB, kB+B).
     auto renumber = [B](Color c) {

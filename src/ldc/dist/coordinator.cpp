@@ -626,7 +626,7 @@ std::vector<Frame> Coordinator::collect_replies(FrameKind kind,
 }
 
 ShardStaging Coordinator::broadcast(const RoundContext& rc,
-                                    const char* live,
+                                    const LiveSenders* live,
                                     const std::vector<Message>& msgs,
                                     MailArena& a) {
   const std::uint32_t n = graph_.n();
@@ -635,17 +635,19 @@ ShardStaging Coordinator::broadcast(const RoundContext& rc,
     // Every sender live, no faults: every inbox is the sorted neighbour
     // list, which the coordinator lays out itself with the kernel's
     // broadcast fill, range by range, without a round trip. Logical
-    // traffic accrues exactly as in-process.
+    // traffic accrues exactly as in-process. An all-live round never
+    // touches a range's scratch.
     ShardStaging st;
+    RangeScratch unused;
     std::vector<std::uint32_t> counts(K);
     for (std::size_t k = 0; k < K; ++k) {
       counts[k] = ShardRound::count(rc, part_.begin(k), part_.end(k),
-                                    nullptr, st);
+                                    nullptr, unused, st);
     }
     const auto out = a.lay_out<MailSlot>(n, counts);
     for (std::size_t k = 0; k < K; ++k) {
       ShardRound::fill_broadcast(rc, part_.begin(k), part_.end(k), nullptr,
-                                 msgs, out[k], st);
+                                 msgs, unused, out[k], st);
     }
     return tally(st);
   }
@@ -659,7 +661,7 @@ ShardStaging Coordinator::broadcast(const RoundContext& rc,
   {
     PayloadWriter w;
     encode_fault_ctx(w, rc.faults, rc.down, n);
-    const std::string bits = pack_bitmap(live, n);
+    const std::string bits = pack_bitmap(live->flags, n);
     w.raw(bits.data(), bits.size());
     payload = w.take();
   }
@@ -695,7 +697,8 @@ ShardStaging Coordinator::broadcast(const RoundContext& rc,
   return tally(st += cut);
 }
 
-ShardStaging Coordinator::words(const RoundContext& rc, const char* live,
+ShardStaging Coordinator::words(const RoundContext& rc,
+                                const LiveSenders* live,
                                 const std::vector<std::uint64_t>& words,
                                 std::size_t bits, MailArena& a) {
   const std::uint32_t n = graph_.n();
@@ -716,7 +719,7 @@ ShardStaging Coordinator::words(const RoundContext& rc, const char* live,
   {
     PayloadWriter w;
     encode_fault_ctx(w, rc.faults, rc.down, n);
-    const std::string bitmap = pack_bitmap(live, n);
+    const std::string bitmap = pack_bitmap(live->flags, n);
     w.raw(bitmap.data(), bitmap.size());
     w.u32(static_cast<std::uint32_t>(bits));
     head = w.take();

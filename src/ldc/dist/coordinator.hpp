@@ -109,10 +109,10 @@ class Coordinator : public DistBackend {
   ShardStaging exchange(const RoundContext& rc,
                         const std::vector<std::vector<MailSlot>>& outboxes,
                         MailArena& a) override;
-  ShardStaging broadcast(const RoundContext& rc, const char* live,
+  ShardStaging broadcast(const RoundContext& rc, const LiveSenders* live,
                          const std::vector<Message>& msgs,
                          MailArena& a) override;
-  ShardStaging words(const RoundContext& rc, const char* live,
+  ShardStaging words(const RoundContext& rc, const LiveSenders* live,
                      const std::vector<std::uint64_t>& words,
                      std::size_t bits, MailArena& a) override;
 

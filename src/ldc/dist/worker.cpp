@@ -317,19 +317,20 @@ void ShardWorker::handle_bcast(const Frame& f) {
   const FaultCtx ctx = decode_fault_ctx(r, g.n());
   unpack_bitmap(r.bytes((g.n() + 7) / 8), g.n(), live_);
   r.expect_end();
+  const LiveSenders live = LiveSenders::collect(g, live_.data(), live_ids_);
 
-  // The survivor scan only: the coordinator holds the messages and
-  // rebuilds the payload slots, so just sender ids travel back.
+  // The count and fill passes over sender ids only: the coordinator holds
+  // the messages and rebuilds the payload slots.
+  const RoundContext rc = context(f.header.round, ctx);
   ShardStaging sum;
+  const std::uint32_t total =
+      ShardRound::count(rc, b, e, &live, scratch_, sum);
   std::vector<std::uint32_t> offsets(static_cast<std::size_t>(owned) + 1);
-  std::vector<NodeId> senders;
-  ShardRound::scan(
-      context(f.header.round, ctx), b, e, live_.data(), sum,
-      [&](NodeId v) {
-        offsets[v - b] = static_cast<std::uint32_t>(senders.size());
-      },
-      [&](NodeId u, NodeId, bool) { senders.push_back(u); });
-  const auto total = static_cast<std::uint32_t>(senders.size());
+  std::vector<NodeId> senders(total);
+  ShardRound::fill_rows(
+      rc, b, e, &live, scratch_,
+      ArenaRange<NodeId>{offsets.data(), senders.data(), b, 0},
+      [](NodeId& slot, NodeId u, NodeId, bool) { slot = u; });
   offsets[owned] = total;
 
   PayloadWriter w;
@@ -350,6 +351,7 @@ void ShardWorker::handle_word_sparse(const Frame& f) {
   PayloadReader r(f.payload, "word_sparse");
   const FaultCtx ctx = decode_fault_ctx(r, g.n());
   unpack_bitmap(r.bytes((g.n() + 7) / 8), g.n(), live_);
+  const LiveSenders live = LiveSenders::collect(g, live_.data(), live_ids_);
   const std::size_t bits = r.u32();
   std::vector<std::uint64_t> owned_words(owned);
   for (NodeId lv = 0; lv < owned; ++lv) owned_words[lv] = r.u64();
@@ -369,8 +371,9 @@ void ShardWorker::handle_word_sparse(const Frame& f) {
   };
   const RoundContext rc = context(f.header.round, ctx);
   ShardStaging sum;
-  const std::uint32_t slots = ShardRound::count(rc, b, e, live_.data(), sum);
-  ShardRound::fill_words(rc, b, e, live_.data(), word_of, bits,
+  const std::uint32_t slots =
+      ShardRound::count(rc, b, e, &live, scratch_, sum);
+  ShardRound::fill_words(rc, b, e, &live, word_of, bits, scratch_,
                          arena_.lay_out<WordSlot>(owned, slots, b), sum);
   const std::uint32_t total = arena_.offsets()[owned];
 

@@ -3,14 +3,14 @@
 // A worker owns one contiguous vertex range of the coordinator's
 // partition and is the delivery plane for it: it runs the shard-round
 // kernel (runtime/shard_round.hpp) over its range — the same phase A /
-// phase B and survivor-scan bodies every engine runs — with the
-// per-(src, dst) batch buffers serialized as kBatch frames instead of
-// staged in shared memory. Between rounds the worker keeps only reusable
-// buffers and the last round it abandoned: everything a round needs
-// (outboxes, fault context, transmit masks, word values) arrives in the
-// round's frames, and every fault decision it resolves is a pure function
-// of (plan seed, round, edge) — which is the whole determinism argument
-// (DESIGN.md §12).
+// phase B bodies and broadcast count and fill passes every engine runs,
+// push or pull by the same rule — with the per-(src, dst) batch buffers
+// serialized as kBatch frames instead of staged in shared memory. Between
+// rounds the worker keeps only reusable buffers and the last round it
+// abandoned: everything a round needs (outboxes, fault context, transmit
+// masks, word values) arrives in the round's frames, and every fault
+// decision it resolves is a pure function of (plan seed, round, edge) —
+// which is the whole determinism argument (DESIGN.md §12).
 //
 // I/O is plain blocking reads/writes: the coordinator end is fully
 // non-blocking and always drains, so a worker can never wedge the
@@ -75,8 +75,9 @@ class ShardWorker {
 
   std::optional<std::uint64_t> abandoned_;  ///< last round sent a kError
   MailArena arena_;         ///< the range's inbox CSR, reused per round
-  RangeScratch scratch_;    ///< phase A's per-destination counts
+  RangeScratch scratch_;    ///< the kernel's per-destination counts
   std::vector<char> live_;  ///< unpacked transmit mask of a broadcast
+  std::vector<NodeId> live_ids_;  ///< the same senders, ascending
 };
 
 }  // namespace ldc::dist

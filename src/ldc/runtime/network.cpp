@@ -134,8 +134,8 @@ Network::OpenRound Network::open_round() {
   return r;
 }
 
-const char* Network::live_senders(const std::vector<bool>* active,
-                                  const RoundContext& ctx) {
+const LiveSenders* Network::live_senders(const std::vector<bool>* active,
+                                         const RoundContext& ctx) {
   // The pure fast path — nobody masked, nobody down — needs no per-edge
   // transmit test: every inbox is exactly the sender-sorted neighbor list.
   if (active == nullptr && ctx.faults == nullptr) return nullptr;
@@ -146,7 +146,8 @@ const char* Network::live_senders(const std::vector<bool>* active,
                        !(ctx.faults != nullptr && down_[u] != 0);
     live_[u] = sends ? 1 : 0;
   }
-  return live_.data();
+  live_set_ = LiveSenders::collect(*graph_, live_.data(), live_ids_);
+  return &live_set_;
 }
 
 void Network::finish_round(OpenRound& r, const ShardStaging& st) {
@@ -205,9 +206,9 @@ RoundMail Network::exchange_broadcast(const std::vector<Message>& msgs,
         "Network::exchange_broadcast: active mask size != n");
   }
   OpenRound r = open_round();
-  const char* live = live_senders(active, r.ctx);
+  const LiveSenders* live = live_senders(active, r.ctx);
   // Sender-side accounting runs here for every engine, in ascending
-  // sender order; the receiver-driven fill follows.
+  // sender order; the count and fill passes follow.
   ShardStaging st;
   ShardRound::account_broadcast(
       r.ctx, live, [&](NodeId u) { return msgs[u].bit_count(); }, st);
@@ -216,8 +217,9 @@ RoundMail Network::exchange_broadcast(const std::vector<Message>& msgs,
   } else if (shards_ != nullptr) {
     st += shards_->broadcast(r.ctx, live, msgs, arena_);
   } else {
-    const std::uint32_t count = ShardRound::count(r.ctx, 0, n, live, st);
-    ShardRound::fill_broadcast(r.ctx, 0, n, live, msgs,
+    const std::uint32_t count =
+        ShardRound::count(r.ctx, 0, n, live, scratch_, st);
+    ShardRound::fill_broadcast(r.ctx, 0, n, live, msgs, scratch_,
                                arena_.lay_out<MailSlot>(n, count), st);
   }
   return seal_round(r, st);
@@ -241,7 +243,7 @@ WordMail Network::exchange_broadcast_word(
         "equivalent write_bounded width is ceil_log2(bound+1))");
   }
   OpenRound r = open_round();
-  const char* live = live_senders(active, r.ctx);
+  const LiveSenders* live = live_senders(active, r.ctx);
   // Payload width of the round: every live sender transmits exactly the
   // bits write_bounded(word, bound) would pack, so metrics, trace rows,
   // and the strict-CONGEST throw point match the Message path.
@@ -266,10 +268,11 @@ WordMail Network::exchange_broadcast_word(
     // read time. O(n) work for an O(m) logical round.
     std::copy(words.begin(), words.end(), arena_.lay_out_words(n));
   } else {
-    const std::uint32_t count = ShardRound::count(r.ctx, 0, n, live, st);
+    const std::uint32_t count =
+        ShardRound::count(r.ctx, 0, n, live, scratch_, st);
     ShardRound::fill_words(
         r.ctx, 0, n, live, [&](NodeId u) { return words[u]; }, bits,
-        arena_.lay_out<WordSlot>(n, count), st);
+        scratch_, arena_.lay_out<WordSlot>(n, count), st);
   }
   finish_round(r, st);
   return WordMail(&arena_, graph_, dense, n);

@@ -147,12 +147,13 @@ class Network {
   /// Convenience: every node with active[v] (or all nodes if active is
   /// null) broadcasts msgs[v] to all its neighbors. Both vectors must have
   /// one entry per node. This is a fast path, not a wrapper: no outboxes
-  /// are materialized — the arena is filled receiver-side straight from the
-  /// graph's CSR, and each delivered slot is one shared payload handle per
-  /// live in-neighbor. Observable behavior (metrics, trace, faults, inbox
-  /// contents/order, strict-CONGEST errors) is identical to building the
-  /// equivalent outboxes and calling exchange(). The returned view obeys
-  /// the same one-round lifetime as exchange().
+  /// are materialized — the arena is filled straight from the graph's CSR
+  /// by the kernel's push or pull survivor walk, and each delivered slot
+  /// is one shared payload handle per live in-neighbor. Observable
+  /// behavior (metrics, trace, faults, inbox contents/order, strict-CONGEST
+  /// errors) is identical to building the equivalent outboxes and calling
+  /// exchange(). The returned view obeys the same one-round lifetime as
+  /// exchange().
   RoundMail exchange_broadcast(const std::vector<Message>& msgs,
                                const std::vector<bool>* active = nullptr);
 
@@ -301,8 +302,10 @@ class Network {
   std::vector<char> down_;     ///< crashed or asleep in the current round
   std::uint32_t crashed_total_ = 0;
   MailArena arena_;       ///< every engine's round lands here
-  RangeScratch scratch_;  ///< kSerial's phase-A scratch
-  std::vector<char> live_;  ///< live-sender flags of a broadcast round
+  RangeScratch scratch_;  ///< kSerial's round scratch
+  std::vector<char> live_;        ///< live-sender flags of a broadcast round
+  std::vector<NodeId> live_ids_;  ///< the same senders, ascending
+  LiveSenders live_set_;          ///< the round's view of the two
 
   /// Evaluates the plan's node schedules for `round` (single-threaded, so
   /// crash-cap resolution is engine-independent): updates crashed_/down_,
@@ -312,10 +315,11 @@ class Network {
   /// Round prologue: the round-boundary hook, view invalidation, the
   /// round count, and the round's fault schedule.
   OpenRound open_round();
-  /// The live-sender flags of a broadcast round in live_, or nullptr
-  /// when every sender transmits and the round is fault-free.
-  const char* live_senders(const std::vector<bool>* active,
-                           const RoundContext& ctx);
+  /// The live senders of a broadcast round, as flags and an ascending
+  /// list in reused buffers, or nullptr when every sender transmits and
+  /// the round is fault-free.
+  const LiveSenders* live_senders(const std::vector<bool>* active,
+                                  const RoundContext& ctx);
   /// Round epilogue: merges the round's staging, then fault counters, wall
   /// clock, trace row.
   void finish_round(OpenRound& r, const ShardStaging& st);
@@ -359,10 +363,11 @@ class DistBackend {
   virtual ShardStaging exchange(
       const RoundContext& rc,
       const std::vector<std::vector<MailSlot>>& outboxes, MailArena& a) = 0;
-  virtual ShardStaging broadcast(const RoundContext& rc, const char* live,
+  virtual ShardStaging broadcast(const RoundContext& rc,
+                                 const LiveSenders* live,
                                  const std::vector<Message>& msgs,
                                  MailArena& a) = 0;
-  virtual ShardStaging words(const RoundContext& rc, const char* live,
+  virtual ShardStaging words(const RoundContext& rc, const LiveSenders* live,
                              const std::vector<std::uint64_t>& words,
                              std::size_t bits, MailArena& a) = 0;
 };

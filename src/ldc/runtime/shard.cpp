@@ -118,18 +118,18 @@ ShardStaging ShardSet::merge() {
   return total;
 }
 
-void ShardSet::count_slots(const RoundContext& rc, const char* live) {
+void ShardSet::count_slots(const RoundContext& rc, const LiveSenders* live) {
   auto count = [&](std::size_t k) {
     ShardState& st = states_[k];
     st.staging = ShardStaging{};
     counts_[k] = ShardRound::count(rc, st.topo.vbegin, st.topo.vend, live,
-                                   st.staging);
+                                   st.scratch, st.staging);
   };
   if (live != nullptr) {
     crew_.run(count);
     return;
   }
-  // Every sender live: the counts are CSR degree sums, no scan to share.
+  // Every sender live: the counts are CSR degree sums, no walk to share.
   for (std::size_t k = 0; k < size(); ++k) count(k);
 }
 
@@ -175,7 +175,8 @@ ShardStaging ShardSet::exchange(
   return merge();
 }
 
-ShardStaging ShardSet::broadcast(const RoundContext& rc, const char* live,
+ShardStaging ShardSet::broadcast(const RoundContext& rc,
+                                 const LiveSenders* live,
                                  const std::vector<Message>& msgs,
                                  MailArena& a) {
   count_slots(rc, live);
@@ -183,12 +184,12 @@ ShardStaging ShardSet::broadcast(const RoundContext& rc, const char* live,
   crew_.run([&](std::size_t k) {
     ShardState& st = states_[k];
     ShardRound::fill_broadcast(rc, st.topo.vbegin, st.topo.vend, live, msgs,
-                               out[k], st.staging);
+                               st.scratch, out[k], st.staging);
   });
   return merge();
 }
 
-ShardStaging ShardSet::words(const RoundContext& rc, const char* live,
+ShardStaging ShardSet::words(const RoundContext& rc, const LiveSenders* live,
                              const std::vector<std::uint64_t>& words,
                              std::size_t bits, MailArena& a) {
   if (live == nullptr) {
@@ -213,7 +214,8 @@ ShardStaging ShardSet::words(const RoundContext& rc, const char* live,
     ShardState& st = states_[k];
     ShardRound::fill_words(
         rc, st.topo.vbegin, st.topo.vend, live,
-        [&](NodeId u) { return words[u]; }, bits, out[k], st.staging);
+        [&](NodeId u) { return words[u]; }, bits, st.scratch, out[k],
+        st.staging);
   });
   return merge();
 }

@@ -93,9 +93,9 @@ class ShardSet {
   ShardStaging exchange(const RoundContext& rc,
                         const std::vector<std::vector<MailSlot>>& outboxes,
                         MailArena& a);
-  ShardStaging broadcast(const RoundContext& rc, const char* live,
+  ShardStaging broadcast(const RoundContext& rc, const LiveSenders* live,
                          const std::vector<Message>& msgs, MailArena& a);
-  ShardStaging words(const RoundContext& rc, const char* live,
+  ShardStaging words(const RoundContext& rc, const LiveSenders* live,
                      const std::vector<std::uint64_t>& words,
                      std::size_t bits, MailArena& a);
 
@@ -105,7 +105,7 @@ class ShardSet {
  private:
   /// The count pass of a broadcast or sparse word round, into counts_
   /// and each shard's staging.
-  void count_slots(const RoundContext& rc, const char* live);
+  void count_slots(const RoundContext& rc, const LiveSenders* live);
   /// Sums the shards' staging in ascending order into the round's total
   /// and the cumulative cut traffic.
   ShardStaging merge();

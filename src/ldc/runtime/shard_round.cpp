@@ -48,8 +48,32 @@ void ShardRound::check_unique_destinations(
   }
 }
 
+LiveSenders LiveSenders::collect(const Graph& g, const char* flags,
+                                 std::vector<NodeId>& ids) {
+  ids.clear();
+  std::uint64_t degree_sum = 0;
+  for (NodeId u = 0; u < g.n(); ++u) {
+    if (flags[u] == 0) continue;
+    ids.push_back(u);
+    degree_sum += g.degree(u);
+  }
+  return {flags, ids, degree_sum};
+}
+
+bool ShardRound::pushes(const Graph& g, NodeId b, NodeId e,
+                        const LiveSenders& live) {
+  if (b == e) return false;  // as in count(): no CSR rows to read
+  const auto edges = static_cast<double>(g.row_begin(e) - g.row_begin(b));
+  if (edges == 0) return false;
+  const double share = edges / static_cast<double>(g.row_begin(g.n()));
+  const double work = kClipCost * static_cast<double>(live.ids.size()) +
+                      static_cast<double>(live.degree_sum) * share;
+  return work <= edges;
+}
+
 std::uint32_t ShardRound::count(const RoundContext& rc, NodeId b, NodeId e,
-                                const char* live, ShardStaging& st) {
+                                const LiveSenders* live, RangeScratch& s,
+                                ShardStaging& st) {
   const Graph& g = *rc.graph;
   if (live == nullptr) {
     // An empty range may sit on an empty graph, which has no CSR rows.
@@ -57,16 +81,26 @@ std::uint32_t ShardRound::count(const RoundContext& rc, NodeId b, NodeId e,
     return static_cast<std::uint32_t>(g.row_begin(e) - g.row_begin(b));
   }
   std::uint32_t total = 0;
-  scan(rc, b, e, live, st, [](NodeId) {},
-       [&](NodeId, NodeId, bool) { ++total; });
+  if (pushes(g, b, e, *live)) {
+    s.cursor.assign(e - b, 0);
+    push(rc, b, e, live->ids, st, [&](NodeId, NodeId v, bool) {
+      ++s.cursor[v - b];
+      ++total;
+    });
+  } else {
+    scan(rc, b, e, live->flags, st, [](NodeId) {},
+         [&](NodeId, NodeId, bool) { ++total; });
+  }
   return total;
 }
 
-void ShardRound::fill_broadcast(const RoundContext& rc, NodeId b, NodeId e,
-                                const char* live,
-                                const std::vector<Message>& msgs,
-                                ArenaRange<MailSlot> out, ShardStaging& st) {
-  fill_rows(rc, b, e, live, out,
+// Flattened: the slot fill (a payload handle copy) must stay inlined in
+// the loops of both walks, and GCC declines to inline it into two.
+[[gnu::flatten]] void ShardRound::fill_broadcast(
+    const RoundContext& rc, NodeId b, NodeId e, const LiveSenders* live,
+    const std::vector<Message>& msgs, RangeScratch& s,
+    ArenaRange<MailSlot> out, ShardStaging& st) {
+  fill_rows(rc, b, e, live, s, out,
             [&](MailSlot& slot, NodeId u, NodeId v, bool corrupt) {
               slot.first = u;
               slot.second = msgs[u];  // shares the payload: no word copy

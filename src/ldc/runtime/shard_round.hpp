@@ -27,9 +27,21 @@
 // after the barrier and the layout) fills the range's inbox rows walking
 // source ranges in ascending order, its own range inline — ranges are
 // contiguous and ascending, so that walk IS the serial sender order and no
-// sort runs. Broadcast and fused-word rounds need only the receiver-side
-// survivor scan, in which each destination reads its live in-neighbours
-// in adjacency order: once to count a range's slots, once to fill them.
+// sort runs.
+//
+// Broadcast and fused-word rounds run a count pass, then a fill pass, over
+// one of two survivor walks that resolve the same pure decisions:
+//
+//  * pull (receiver-driven): each destination reads its live in-neighbours
+//    in adjacency order — the full adjacency of the range, every pass;
+//  * push (sender-driven): each live sender, in ascending order, walks its
+//    adjacency clipped to the range; the count pass counts per destination
+//    and the fill pass places slots at per-row cursors.
+//
+// Both put every inbox in ascending sender order, so the choice never
+// changes a byte: a range pushes when its live senders are sparse against
+// its edges (pushes(), a named constant), and the all-live fault-free
+// round always pulls, with counts straight from the CSR.
 //
 // Determinism: every fault decision is a pure function of (plan seed,
 // round, edge), re-resolved wherever an edge is visited; staging records
@@ -41,6 +53,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -82,6 +95,21 @@ struct RoundContext {
   bool lost(NodeId u, NodeId v) const {
     return down[v] != 0 || faults->drops_message(round, u, v);
   }
+};
+
+/// The transmitting senders of a masked or faulty broadcast round: n
+/// flags for the pull walk, and the same set as an ascending id list with
+/// its degree sum for the push walk and the bulk accounting.
+struct LiveSenders {
+  const char* flags = nullptr;
+  std::span<const NodeId> ids;
+  std::uint64_t degree_sum = 0;
+
+  /// The flagged senders of g, listed into `ids` (a reused buffer:
+  /// cleared, its capacity kept, so it grows to the most senders a round
+  /// has had, not to n).
+  static LiveSenders collect(const Graph& g, const char* flags,
+                             std::vector<NodeId>& ids);
 };
 
 /// One cross-range survivor staged between phase A and phase B.
@@ -133,9 +161,9 @@ struct ShardStaging {
                                          std::size_t budget_bits);
 };
 
-/// One range's reusable round scratch: phase A's per-destination survivor
-/// counts (phase B's write cursors) and the duplicate-destination check's
-/// sort buffer.
+/// One range's reusable round scratch: the per-destination survivor
+/// counts of phase A or a push count pass (the fill's write cursors), and
+/// the duplicate-destination check's sort buffer.
 struct RangeScratch {
   std::vector<std::uint32_t> cursor;
   std::vector<NodeId> dests;
@@ -207,11 +235,7 @@ class ShardRound {
       if (j == self) continue;
       for (const BatchEntry& x : batches_from(j)) ++s.cursor[x.dest - b];
     }
-    std::uint32_t at = out.base;
-    for (NodeId v = b; v < e; ++v) {
-      out.rows[v - out.origin] = at;
-      at += std::exchange(s.cursor[v - b], at);
-    }
+    open_rows(b, e, s, out);
     auto put = [&](NodeId u, NodeId dest, const Message& msg) {
       MailSlot& slot = out.slots[s.cursor[dest - b]++];
       slot.first = u;
@@ -242,73 +266,71 @@ class ShardRound {
   /// (live == nullptr: all of them) sends degree-many copies of a
   /// bits_of(u)-bit payload, accounted in ascending sender order.
   template <typename BitsOf>
-  static void account_broadcast(const RoundContext& rc, const char* live,
+  static void account_broadcast(const RoundContext& rc,
+                                const LiveSenders* live,
                                 const BitsOf& bits_of, ShardStaging& st) {
     const Graph& g = *rc.graph;
-    for (NodeId u = 0; u < g.n(); ++u) {
-      if (live != nullptr && live[u] == 0) continue;
+    auto account = [&](NodeId u) {
       const std::size_t deg = g.degree(u);
       if (deg != 0) st.account(bits_of(u), deg, rc.budget_bits, rc.strict);
-    }
-  }
-
-  /// Receiver-side survivor scan of a broadcast round over destinations
-  /// [b, e): row(v) opens v's inbox, then emit(u, v, corrupt) runs per
-  /// surviving live in-neighbour u in adjacency order (the graph's sorted
-  /// rows, so ascending sender order). live == nullptr means every sender
-  /// transmits and the round is fault-free.
-  template <typename Row, typename Emit>
-  static void scan(const RoundContext& rc, NodeId b, NodeId e,
-                   const char* live, ShardStaging& st, Row&& row,
-                   Emit&& emit) {
-    const Graph& g = *rc.graph;
-    const FaultPlan* f = rc.faults;
-    for (NodeId v = b; v < e; ++v) {
-      row(v);
-      if (live == nullptr) {
-        for (NodeId u : g.neighbors(v)) emit(u, v, false);
-        continue;
-      }
-      const bool receiver_down = f != nullptr && rc.down[v] != 0;
-      for (NodeId u : g.neighbors(v)) {
-        if (live[u] == 0) continue;
-        bool corrupt = false;
-        if (f != nullptr) {
-          if (receiver_down || f->drops_message(rc.round, u, v)) {
-            ++st.dropped;
-            continue;
-          }
-          corrupt = f->corrupts_message(rc.round, u, v);
-          if (corrupt) ++st.corrupted;
-        }
-        emit(u, v, corrupt);
-      }
+    };
+    if (live == nullptr) {
+      for (NodeId u = 0; u < g.n(); ++u) account(u);
+    } else {
+      for (NodeId u : live->ids) account(u);
     }
   }
 
   /// The count pass of a broadcast or fused-word round: the survivors
   /// delivered to [b, e), with drop and corruption events counted into
   /// st. With every sender live and no faults that is the CSR's degree
-  /// sum, so no scan runs. The fill pass re-resolves the same pure
-  /// decisions.
+  /// sum, so no walk runs. A push count leaves per-destination counts in
+  /// s for the fill pass, which re-resolves the same pure decisions.
   static std::uint32_t count(const RoundContext& rc, NodeId b, NodeId e,
-                             const char* live, ShardStaging& st);
+                             const LiveSenders* live, RangeScratch& s,
+                             ShardStaging& st);
+
+  /// The fill pass shared by broadcast and word rounds, after count() on
+  /// the same range and scratch: writes each row's offset into `out` and
+  /// put(slot, u, v, corrupt) per survivor, every row in ascending sender
+  /// order. The events were counted by count().
+  template <typename Slot, typename Put>
+  static void fill_rows(const RoundContext& rc, NodeId b, NodeId e,
+                        const LiveSenders* live, RangeScratch& s,
+                        ArenaRange<Slot> out, Put&& put) {
+    ShardStaging again;
+    if (live != nullptr && pushes(*rc.graph, b, e, *live)) {
+      open_rows(b, e, s, out);
+      push(rc, b, e, live->ids, again,
+           [&](NodeId u, NodeId v, bool corrupt) {
+             put(out.slots[s.cursor[v - b]++], u, v, corrupt);
+           });
+      return;
+    }
+    std::uint32_t at = out.base;
+    scan(rc, b, e, live == nullptr ? nullptr : live->flags, again,
+         [&](NodeId v) { out.rows[v - out.origin] = at; },
+         [&](NodeId u, NodeId v, bool corrupt) {
+           put(out.slots[at++], u, v, corrupt);
+         });
+  }
 
   /// Broadcast fill of destinations [b, e) into `out`, sized by count():
   /// one shared payload handle per survivor.
   static void fill_broadcast(const RoundContext& rc, NodeId b, NodeId e,
-                             const char* live,
+                             const LiveSenders* live,
                              const std::vector<Message>& msgs,
-                             ArenaRange<MailSlot> out, ShardStaging& st);
+                             RangeScratch& s, ArenaRange<MailSlot> out,
+                             ShardStaging& st);
 
   /// Fused-word twin of fill_broadcast (sparse mode): (sender, word)
   /// slots of width `bits`, word_of(u) giving u's word.
   template <typename WordOf>
   static void fill_words(const RoundContext& rc, NodeId b, NodeId e,
-                         const char* live, const WordOf& word_of,
-                         std::size_t bits, ArenaRange<WordSlot> out,
-                         ShardStaging& st) {
-    fill_rows(rc, b, e, live, out,
+                         const LiveSenders* live, const WordOf& word_of,
+                         std::size_t bits, RangeScratch& s,
+                         ArenaRange<WordSlot> out, ShardStaging& st) {
+    fill_rows(rc, b, e, live, s, out,
               [&](WordSlot& slot, NodeId u, NodeId v, bool corrupt) {
                 slot = WordSlot{u, word_of(u)};
                 if (u < b || u >= e) {
@@ -328,19 +350,89 @@ class ShardRound {
   static void check_unique_destinations(const std::vector<MailSlot>& outbox,
                                         std::vector<NodeId>& scratch);
 
-  /// The fill pass shared by broadcast and word rounds: writes each row's
-  /// offset and put(slot, u, v, corrupt) per survivor. The events were
-  /// counted by count().
-  template <typename Slot, typename Put>
-  static void fill_rows(const RoundContext& rc, NodeId b, NodeId e,
-                        const char* live, ArenaRange<Slot> out, Put&& put) {
+  /// The push/pull crossover. A pull pass reads each of the range's
+  /// edges once. A push pass clips each live sender's row, which costs
+  /// about kClipCost edge reads (the row is a cache miss that the range's
+  /// few deliveries from it do not amortize), and delivers the range's
+  /// share of their degree sum. A range pushes when that is no more work
+  /// than a pull: on random 16-regular graphs, up to ~80% of the senders
+  /// live on one range, ~50% on each of four (DESIGN.md §7).
+  static constexpr double kClipCost = 4.0;
+
+  /// True when range [b, e) takes the push walk for this live set.
+  static bool pushes(const Graph& g, NodeId b, NodeId e,
+                     const LiveSenders& live);
+
+  /// The fault decisions for live edge u -> v of a faulty round, events
+  /// counted into st: false when it is lost, else true with `corrupt`.
+  static bool arrives(const RoundContext& rc, NodeId u, NodeId v,
+                      ShardStaging& st, bool& corrupt) {
+    if (rc.lost(u, v)) {
+      ++st.dropped;
+      return false;
+    }
+    corrupt = rc.faults->corrupts_message(rc.round, u, v);
+    if (corrupt) ++st.corrupted;
+    return true;
+  }
+
+  /// Turns the per-destination counts in s.cursor into range [b, e)'s row
+  /// offsets in `out`, leaving each cursor at its row's first slot.
+  template <typename Slot>
+  static void open_rows(NodeId b, NodeId e, RangeScratch& s,
+                        ArenaRange<Slot> out) {
     std::uint32_t at = out.base;
-    ShardStaging again;
-    scan(rc, b, e, live, again,
-         [&](NodeId v) { out.rows[v - out.origin] = at; },
-         [&](NodeId u, NodeId v, bool corrupt) {
-           put(out.slots[at++], u, v, corrupt);
-         });
+    for (NodeId v = b; v < e; ++v) {
+      out.rows[v - out.origin] = at;
+      at += std::exchange(s.cursor[v - b], at);
+    }
+  }
+
+  /// Pull walk of a broadcast round over destinations [b, e): row(v)
+  /// opens v's inbox, then emit(u, v, corrupt) runs per surviving live
+  /// in-neighbour u in adjacency order (the graph's sorted rows, so
+  /// ascending sender order). live == nullptr means every sender
+  /// transmits and the round is fault-free.
+  template <typename Row, typename Emit>
+  static void scan(const RoundContext& rc, NodeId b, NodeId e,
+                   const char* live, ShardStaging& st, Row&& row,
+                   Emit&& emit) {
+    const Graph& g = *rc.graph;
+    const FaultPlan* f = rc.faults;
+    for (NodeId v = b; v < e; ++v) {
+      row(v);
+      if (live == nullptr) {
+        for (NodeId u : g.neighbors(v)) emit(u, v, false);
+        continue;
+      }
+      for (NodeId u : g.neighbors(v)) {
+        if (live[u] == 0) continue;
+        bool corrupt = false;
+        if (f != nullptr && !arrives(rc, u, v, st, corrupt)) continue;
+        emit(u, v, corrupt);
+      }
+    }
+  }
+
+  /// Push walk of a broadcast round over destinations [b, e): each live
+  /// sender u in ascending order, its sorted adjacency clipped to the
+  /// range with one lower_bound, emit(u, v, corrupt) per survivor — the
+  /// edges and decisions scan() visits, sender-major.
+  template <typename Emit>
+  static void push(const RoundContext& rc, NodeId b, NodeId e,
+                   std::span<const NodeId> senders, ShardStaging& st,
+                   Emit&& emit) {
+    const Graph& g = *rc.graph;
+    const FaultPlan* f = rc.faults;
+    for (NodeId u : senders) {
+      const std::span<const NodeId> row = g.neighbors(u);
+      for (auto it = std::lower_bound(row.begin(), row.end(), b);
+           it != row.end() && *it < e; ++it) {
+        bool corrupt = false;
+        if (f != nullptr && !arrives(rc, u, *it, st, corrupt)) continue;
+        emit(u, *it, corrupt);
+      }
+    }
   }
 };
 

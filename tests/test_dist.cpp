@@ -42,6 +42,7 @@
 #include "ldc/runtime/network.hpp"
 #include "ldc/storage/corpus.hpp"
 #include "ldc/support/prf.hpp"
+#include "survivor_masks.hpp"
 
 namespace ldc {
 namespace {
@@ -407,13 +408,16 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
     return out;
   };
 
-  const std::vector<bool>* masks[] = {nullptr, &mask};
+  std::vector<std::pair<std::string, const std::vector<bool>*>> masks = {
+      {"all", nullptr}, {"masked", &mask}};
+  const auto pass_masks = survivor_pass_masks(g.n());
+  for (const auto& [name, m] : pass_masks) masks.emplace_back(name, &m);
   const FaultPlan* plans[] = {nullptr, &plan};
   for (std::size_t workers : {2u, 4u}) {
     CoordinatorOptions opt;
     opt.workers = workers;
     Coordinator coord(tc.path(), opt);
-    for (const std::vector<bool>* active : masks) {
+    for (const auto& [mask_name, active] : masks) {
       for (const FaultPlan* faults : plans) {
         const Flat ref = run(nullptr, active, faults, Path::kOutboxes);
         for (const Path path :
@@ -423,9 +427,8 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
               std::string(path == Path::kFusedWord  ? "fused"
                           : path == Path::kOutboxes ? "outboxes"
                                                     : "broadcast") +
-              "/" + (active != nullptr ? "masked" : "all") +
-              (faults != nullptr ? "+faults" : "") + " @dist" +
-              std::to_string(workers);
+              "/" + mask_name + (faults != nullptr ? "+faults" : "") +
+              " @dist" + std::to_string(workers);
           EXPECT_EQ(ref.slots, got.slots) << label << ": deliveries differ";
           EXPECT_TRUE(ref.metrics.same_communication(got.metrics))
               << label << ": metrics differ: ref {" << ref.metrics

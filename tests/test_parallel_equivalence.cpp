@@ -28,6 +28,7 @@
 #include "ldc/resilient/drivers.hpp"
 #include "ldc/runtime/network.hpp"
 #include "ldc/support/prf.hpp"
+#include "survivor_masks.hpp"
 
 namespace ldc {
 namespace {
@@ -455,17 +456,19 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
     return out;
   };
 
-  const std::vector<bool>* masks[] = {nullptr, &mask};
+  std::vector<std::pair<std::string, const std::vector<bool>*>> masks = {
+      {"all", nullptr}, {"masked", &mask}};
+  const auto pass_masks = survivor_pass_masks(g.n());
+  for (const auto& [name, m] : pass_masks) masks.emplace_back(name, &m);
   const FaultPlan* plans[] = {nullptr, &plan};
-  for (const std::vector<bool>* active : masks) {
+  for (const auto& [mask_name, active] : masks) {
     for (const FaultPlan* faults : plans) {
       const Flat ref = run(0, active, faults, /*via_outboxes=*/true);
       for (std::size_t threads : {0u, 2u, 7u}) {
         const Flat fast = run(threads, active, faults, /*via_outboxes=*/false);
-        const std::string label =
-            std::string(active != nullptr ? "masked" : "all") +
-            (faults != nullptr ? "+faults" : "") + " @" +
-            std::to_string(threads) + "t";
+        const std::string label = mask_name +
+                                  (faults != nullptr ? "+faults" : "") +
+                                  " @" + std::to_string(threads) + "t";
         EXPECT_EQ(ref.slots, fast.slots) << label << ": deliveries differ";
         EXPECT_TRUE(ref.metrics.same_communication(fast.metrics))
             << label << ": metrics differ: ref {" << ref.metrics
@@ -554,9 +557,12 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
     return out;
   };
 
-  const std::vector<bool>* masks[] = {nullptr, &mask};
+  std::vector<std::pair<std::string, const std::vector<bool>*>> masks = {
+      {"all", nullptr}, {"masked", &mask}};
+  const auto pass_masks = survivor_pass_masks(g.n());
+  for (const auto& [name, m] : pass_masks) masks.emplace_back(name, &m);
   const FaultPlan* plans[] = {nullptr, &plan};
-  for (const std::vector<bool>* active : masks) {
+  for (const auto& [mask_name, active] : masks) {
     for (const FaultPlan* faults : plans) {
       const Flat ref = run(0, active, faults, Path::kOutboxes);
       for (const Path path : {Path::kBroadcast, Path::kFusedWord}) {
@@ -564,8 +570,7 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
           const Flat got = run(threads, active, faults, path);
           const std::string label =
               std::string(path == Path::kFusedWord ? "fused" : "broadcast") +
-              "/" + (active != nullptr ? "masked" : "all") +
-              (faults != nullptr ? "+faults" : "") + " @" +
+              "/" + mask_name + (faults != nullptr ? "+faults" : "") + " @" +
               std::to_string(threads) + "t";
           EXPECT_EQ(ref.slots, got.slots) << label << ": deliveries differ";
           EXPECT_TRUE(ref.metrics.same_communication(got.metrics))

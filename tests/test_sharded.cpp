@@ -35,6 +35,7 @@
 #include "ldc/resilient/drivers.hpp"
 #include "ldc/runtime/network.hpp"
 #include "ldc/support/prf.hpp"
+#include "survivor_masks.hpp"
 
 namespace ldc {
 namespace {
@@ -389,9 +390,12 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
     return out;
   };
 
-  const std::vector<bool>* masks[] = {nullptr, &mask};
+  std::vector<std::pair<std::string, const std::vector<bool>*>> masks = {
+      {"all", nullptr}, {"masked", &mask}};
+  const auto pass_masks = survivor_pass_masks(g.n());
+  for (const auto& [name, m] : pass_masks) masks.emplace_back(name, &m);
   const FaultPlan* plans[] = {nullptr, &plan};
-  for (const std::vector<bool>* active : masks) {
+  for (const auto& [mask_name, active] : masks) {
     for (const FaultPlan* faults : plans) {
       const Flat ref = run(0, active, faults, Path::kOutboxes);
       for (const Path path :
@@ -402,8 +406,7 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
               std::string(path == Path::kFusedWord  ? "fused"
                           : path == Path::kOutboxes ? "outboxes"
                                                     : "broadcast") +
-              "/" + (active != nullptr ? "masked" : "all") +
-              (faults != nullptr ? "+faults" : "") + " @" +
+              "/" + mask_name + (faults != nullptr ? "+faults" : "") + " @" +
               std::to_string(shards) + "s";
           EXPECT_EQ(ref.slots, got.slots) << label << ": deliveries differ";
           EXPECT_TRUE(ref.metrics.same_communication(got.metrics))
