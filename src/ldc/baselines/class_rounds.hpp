@@ -1,0 +1,112 @@
+// Colour-class rounds on the word plane: the round shape of the
+// one-class-per-round baselines (reduce_by_classes, kw_reduce).
+//
+// In such a round only the nodes of one colour class speak: each picks a
+// colour and broadcasts it as one bounded word, and only their neighbours
+// have anything to read. ClassRounds makes the round cost its class, not
+// n. The classes are bucketed once, by a stable counting sort, so every
+// bucket lists its nodes in ascending order; the caller's pick runs over
+// one bucket; the word round masks in just that bucket; and the decode
+// runs at the bucket's neighbours, in ascending order, each reading its
+// own lane. Receivers learn only what the mail carries, so drops,
+// corruption and crashes reach them exactly as the fault plan resolved.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "ldc/graph/graph.hpp"
+#include "ldc/runtime/network.hpp"
+
+namespace ldc::baselines {
+
+class ClassRounds {
+ public:
+  explicit ClassRounds(Network& net)
+      : net_(net),
+        words_(net.graph().n()),
+        active_(net.graph().n(), false),
+        seen_((net.graph().n() + 63) / 64, 0) {}
+
+  /// What each node sends when it speaks: the pick writes its own entry.
+  std::vector<std::uint64_t>& words() { return words_; }
+
+  /// Buckets every node v with key(v) < classes into class key(v); other
+  /// nodes belong to no class. Costs O(n + classes).
+  template <typename Key>
+  void bucket(std::size_t classes, const Key& key) {
+    const NodeId n = net_.graph().n();
+    start_.assign(classes + 1, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint64_t c = key(v);
+      if (c < classes) ++start_[c + 1];
+    }
+    for (std::size_t c = 0; c < classes; ++c) start_[c + 1] += start_[c];
+    nodes_.resize(start_[classes]);
+    // Placing advances start_[c] to the end of class c, which is where
+    // class c + 1 begins; shifting by one restores the offsets.
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint64_t c = key(v);
+      if (c < classes) nodes_[start_[c]++] = v;
+    }
+    for (std::size_t c = classes; c > 0; --c) start_[c] = start_[c - 1];
+    start_[0] = 0;
+  }
+
+  /// Class c's nodes, ascending.
+  std::span<const NodeId> members(std::size_t c) const {
+    return {nodes_.data() + start_[c], nodes_.data() + start_[c + 1]};
+  }
+
+  /// One round: `senders` (ascending) broadcast their words, each at most
+  /// `bound`; then decode(v, lane) runs at every neighbour v of a sender,
+  /// in ascending order, through Network::run_node_programs.
+  template <typename Decode>
+  void exchange(std::span<const NodeId> senders, std::uint64_t bound,
+                const Decode& decode) {
+    for (NodeId v : senders) active_[v] = true;
+    const WordMail in = net_.exchange_broadcast_word(words_, bound, &active_);
+    for (NodeId v : senders) active_[v] = false;
+    list_receivers(senders);
+    net_.run_node_programs(receivers_,
+                           [&](NodeId v) { decode(v, in[v]); });
+  }
+
+ private:
+  /// The senders' neighbours, ascending and without repeats, into
+  /// receivers_: marked in the seen_ bitmap, then read off the span of
+  /// words the marks touched, which are left clear for the next round.
+  void list_receivers(std::span<const NodeId> senders) {
+    const Graph& g = net_.graph();
+    receivers_.clear();
+    std::size_t lo = seen_.size();
+    std::size_t hi = 0;
+    for (NodeId u : senders) {
+      for (NodeId w : g.neighbors(u)) {
+        const std::size_t i = w >> 6;
+        seen_[i] |= std::uint64_t{1} << (w & 63);
+        lo = std::min(lo, i);
+        hi = std::max(hi, i + 1);
+      }
+    }
+    for (std::size_t i = lo; i < hi; ++i) {
+      for (std::uint64_t bits = seen_[i]; bits != 0; bits &= bits - 1) {
+        receivers_.push_back(
+            static_cast<NodeId>((i << 6) + __builtin_ctzll(bits)));
+      }
+      seen_[i] = 0;
+    }
+  }
+
+  Network& net_;
+  std::vector<std::uint64_t> words_;
+  std::vector<bool> active_;  ///< the round's senders; cleared after it
+  std::vector<std::uint64_t> seen_;  ///< receiver bitmap, clear between
+  std::vector<NodeId> receivers_;
+  std::vector<std::uint32_t> start_;  ///< class c is nodes_[start_[c]..)
+  std::vector<NodeId> nodes_;
+};
+
+}  // namespace ldc::baselines

@@ -1,8 +1,10 @@
 #include "ldc/baselines/color_reduction.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
+#include "ldc/baselines/class_rounds.hpp"
 #include "ldc/linial/linial.hpp"
 
 namespace ldc::baselines {
@@ -12,20 +14,20 @@ ReductionResult reduce_by_classes(Network& net, const LdcInstance& inst,
   const Graph& g = net.graph();
   ReductionResult res;
   res.phi.assign(g.n(), kUncolored);
-  const std::uint64_t space = inst.color_space;
+  const std::uint64_t bound = std::max<std::uint64_t>(inst.color_space, 1) - 1;
 
-  // Tracks, per node, which list colors are taken by finalized neighbors.
+  // Tracks, per node, which list colors it has heard a neighbor take.
   std::vector<std::vector<bool>> taken(g.n());
   for (NodeId v = 0; v < g.n(); ++v) {
     taken[v].assign(inst.lists[v].size(), false);
   }
 
+  ClassRounds rounds(net);
+  rounds.bucket(m, [&](NodeId v) -> std::uint64_t { return initial[v]; });
   for (std::uint64_t cls = m; cls-- > 0;) {
     // Nodes of initial color `cls` finalize and broadcast their choice.
-    std::vector<Message> msgs(g.n());
-    std::vector<bool> active(g.n(), false);
-    for (NodeId v = 0; v < g.n(); ++v) {
-      if (initial[v] != cls) continue;
+    const auto members = rounds.members(cls);
+    net.run_node_programs(members, [&](NodeId v) {
       Color chosen = kUncolored;
       for (std::size_t i = 0; i < inst.lists[v].size(); ++i) {
         if (!taken[v][i]) {
@@ -39,21 +41,17 @@ ReductionResult reduce_by_classes(Network& net, const LdcInstance& inst,
             "have size >= deg+1)");
       }
       res.phi[v] = chosen;
-      active[v] = true;
-      BitWriter w;
-      w.write_bounded(chosen, space - 1);
-      msgs[v] = Message::from(w);
-    }
-    net.exchange_broadcast(msgs, &active);
-    ++res.rounds;
-    // Receivers mark the announced colors as taken.
-    for (NodeId v = 0; v < g.n(); ++v) {
-      if (!active[v]) continue;
-      for (NodeId u : g.neighbors(v)) {
-        const std::size_t i = inst.lists[u].find(res.phi[v]);
-        if (i != inst.lists[u].size()) taken[u][i] = true;
+      rounds.words()[v] = chosen;
+    });
+    // Receivers mark the announced colors they received as taken.
+    rounds.exchange(members, bound, [&](NodeId v, WordMail::Lane lane) {
+      for (const WordSlot slot : lane) {
+        const std::size_t i =
+            inst.lists[v].find(static_cast<Color>(slot.value));
+        if (i != inst.lists[v].size()) taken[v][i] = true;
       }
-    }
+    });
+    ++res.rounds;
   }
   return res;
 }

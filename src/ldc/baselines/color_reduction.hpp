@@ -2,11 +2,14 @@
 // (Szegedy-Vishwanathan / Kuhn-Wattenhofer style outer loop, [SV93, KW06]).
 //
 // Given a proper m-coloring, iterate c = m-1 .. 0: in round (m-1-c) every
-// still-uncolored node whose initial color is c picks a color from its list
-// not yet taken by any already-final neighbor (the class is an independent
-// set, so simultaneous choices never clash). Solves (degree+1)-list
-// coloring in exactly m rounds; combined with Linial this is the
-// O(Delta^2 + log* n) baseline of experiment E1.
+// still-uncolored node whose initial color is c picks the first color of
+// its list that no neighbor has announced taking (the class is an
+// independent set, so simultaneous choices never clash) and broadcasts it
+// as one word; its neighbors mark what their mail delivered. Solves
+// (degree+1)-list coloring in exactly m rounds; combined with Linial this
+// is the O(Delta^2 + log* n) baseline of experiment E1. The classes are
+// bucketed once and each round runs over its class and the class's
+// neighbors only (ClassRounds, class_rounds.hpp).
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,13 @@
 #include "ldc/baselines/kw_reduction.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
+#include "ldc/baselines/class_rounds.hpp"
 #include "ldc/linial/linial.hpp"
 #include "ldc/support/math.hpp"
+#include "ldc/support/packed_palette.hpp"
 
 namespace ldc::baselines {
 
@@ -15,92 +18,65 @@ KwResult kw_reduce(Network& net, const Coloring& initial, std::uint64_t m) {
   res.phi = initial;
   res.palette = m;
 
-  // Everyone learns its neighbors' current colors once; afterwards only
-  // recoloring nodes announce updates.
-  std::vector<std::vector<Color>> nb_color(g.n());
+  // The neighbour colours each node last heard, aligned with the CSR:
+  // v's i-th neighbour's is known[g.row_begin(v) + i].
+  std::vector<Color> known(g.n() == 0 ? 0 : g.row_begin(g.n()));
+  auto learn = [&](NodeId v, WordMail::Lane lane) {
+    const auto nbrs = g.neighbors(v);
+    Color* mine = known.data() + g.row_begin(v);
+    auto it = nbrs.begin();
+    for (const auto [u, word] : lane) {
+      it = std::lower_bound(it, nbrs.end(), u);
+      mine[it - nbrs.begin()] = static_cast<Color>(word);
+    }
+  };
+
+  // Everyone learns its neighbours' current colours once; afterwards only
+  // recolouring nodes announce updates.
+  ClassRounds rounds(net);
+  std::vector<std::uint64_t>& words = rounds.words();
+  std::copy(res.phi.begin(), res.phi.end(), words.begin());
   {
-    std::vector<Message> msgs(g.n());
-    net.run_node_programs([&](NodeId v) {
-      BitWriter w;
-      w.write_bounded(res.phi[v], m - 1);
-      msgs[v] = Message::from(w);
-    });
-    const auto in = net.exchange_broadcast(msgs);
+    const WordMail in =
+        net.exchange_broadcast_word(words, std::max<std::uint64_t>(m, 1) - 1);
     ++res.rounds;
-    net.run_node_programs([&](NodeId v) {
-      nb_color[v].resize(g.degree(v));
-      for (const auto& [u, msg] : in[v]) {
-        auto r = msg.reader();
-        nb_color[v][g.neighbor_index(v, u)] =
-            static_cast<Color>(r.read_bounded(m - 1));
-      }
-    });
+    net.run_node_programs([&](NodeId v) { learn(v, in[v]); });
   }
 
-  // Per-round buffers, reused across the masked rounds: a round's
-  // senders are the nodes of one colour class, and only their slots are
-  // written and then reset.
-  std::vector<Message> msgs(g.n());
-  std::vector<bool> active(g.n(), false);
-  std::vector<Color> recolor(g.n(), kUncolored);
-  std::vector<NodeId> sent;
+  // [0, B): the offsets a block's lower half offers, read by every pick.
+  PackedPalette lower_half(B);
+  lower_half.insert_window(0, B - 1);
   while (res.palette > B) {
-    // One halving pass: blocks of 2B colors; upper half recolors into the
-    // lower half, one upper class offset per round.
+    // One halving pass: blocks of 2B colours; the upper half recolours
+    // into the lower half, one upper class offset per round. Recolours
+    // land in lower halves, so the classes bucketed here hold all pass.
+    rounds.bucket(B, [&](NodeId v) {
+      return res.phi[v] % (2 * B) - B;  // wraps past B for the lower half
+    });
     for (std::uint64_t off = 0; off < B; ++off) {
-      // Parallel pass picks colors into `recolor`; vector<bool> writes are
-      // not per-element thread-safe, so the mask is set serially below.
-      net.run_node_programs([&](NodeId v) {
-        const std::uint64_t c = res.phi[v];
-        const std::uint64_t block = c / (2 * B);
-        if (c % (2 * B) != B + off) return;  // not this round's class
-        // Pick a free color in [2*block*B, 2*block*B + B).
-        const std::uint64_t lo = 2 * block * B;
-        Color chosen = kUncolored;
-        for (std::uint64_t t = lo; t < lo + B; ++t) {
-          bool taken = false;
-          for (Color cu : nb_color[v]) {
-            if (cu == t) {
-              taken = true;
-              break;
-            }
-          }
-          if (!taken) {
-            chosen = static_cast<Color>(t);
-            break;
-          }
+      const auto cls = rounds.members(off);
+      net.run_node_programs(cls, [&](NodeId v) {
+        // The first colour of v's block's lower half [lo, lo + B) that no
+        // neighbour is known to hold.
+        static thread_local PackedPalette taken;
+        taken.reset(B);
+        const std::uint64_t lo = res.phi[v] / (2 * B) * (2 * B);
+        const Color* mine = known.data() + g.row_begin(v);
+        for (std::uint32_t i = 0; i < g.degree(v); ++i) {
+          const std::uint64_t rel = mine[i] - lo;  // wraps below lo
+          if (rel < B) taken.insert(rel);
         }
-        if (chosen == kUncolored) {
+        const std::uint64_t t = taken.first_absent(lower_half);
+        if (t == PackedPalette::npos) {
           throw std::logic_error("kw_reduce: no free color in block");
         }
-        recolor[v] = chosen;
-        BitWriter w;
-        w.write_bounded(chosen, res.palette - 1);
-        msgs[v] = Message::from(w);
+        words[v] = lo + t;
       });
-      sent.clear();
-      for (NodeId v = 0; v < g.n(); ++v) {
-        if (recolor[v] == kUncolored) continue;
-        active[v] = true;
-        sent.push_back(v);
-      }
-      const auto in = net.exchange_broadcast(msgs, &active);
+      rounds.exchange(cls, res.palette - 1, learn);
       ++res.rounds;
-      net.run_node_programs([&](NodeId v) {
-        for (const auto& [u, msg] : in[v]) {
-          auto r = msg.reader();
-          nb_color[v][g.neighbor_index(v, u)] =
-              static_cast<Color>(r.read_bounded(res.palette - 1));
-        }
-      });
       // The recolours take effect after the round: this round's choices
       // read the colours the round started with.
-      for (NodeId v : sent) {
-        res.phi[v] = recolor[v];
-        recolor[v] = kUncolored;
-        active[v] = false;
-        msgs[v] = Message();
-      }
+      for (NodeId v : cls) res.phi[v] = static_cast<Color>(words[v]);
     }
     // Renumber: block k's lower half [2kB, 2kB+B) -> [kB, kB+B).
     auto renumber = [B](Color c) {
@@ -109,7 +85,10 @@ KwResult kw_reduce(Network& net, const Coloring& initial, std::uint64_t m) {
     };
     net.run_node_programs([&](NodeId v) {
       res.phi[v] = renumber(res.phi[v]);
-      for (auto& c : nb_color[v]) c = renumber(c);
+      Color* mine = known.data() + g.row_begin(v);
+      for (std::uint32_t i = 0; i < g.degree(v); ++i) {
+        mine[i] = renumber(mine[i]);
+      }
     });
     res.palette = ceil_div(res.palette, 2 * B) * B;
   }

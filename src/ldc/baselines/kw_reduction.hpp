@@ -2,6 +2,13 @@
 // (Delta+1)-coloring problem: a proper m-coloring is reduced to Delta+1
 // colors in O(Delta * log(m / Delta)) rounds by halving the palette in
 // parallel blocks of 2(Delta+1) colors, one upper color class per round.
+//
+// Every round is a fused word round (Network::exchange_broadcast_word):
+// first every node announces its color, then, in each halving pass, the
+// upper-half classes are bucketed once and round `off` masks in only its
+// class's nodes, which broadcast the color they recolor to. Picks run over
+// the class and decodes over its neighbours (ClassRounds), so a round
+// costs its class, not n; neighbour colors live in one CSR-aligned array.
 #pragma once
 
 #include <cstdint>
@@ -12,8 +19,8 @@
 namespace ldc::baselines {
 
 struct KwResult {
-  Coloring phi;            ///< proper coloring with < Delta+1 colors... ==
-  std::uint64_t palette;   ///< Delta + 1
+  Coloring phi;            ///< proper, with colors in [0, palette)
+  std::uint64_t palette;   ///< Delta + 1 once reduced (m if m <= Delta + 1)
   std::uint32_t rounds = 0;
 };
 

@@ -366,10 +366,10 @@ void Coordinator::bind(const Graph& g, std::size_t budget_bits, bool strict) {
   const std::size_t K = conns_.size();
   part_ = Partition::degree_balanced(graph_, K);
 
-  // Each shard's halo: the sorted ghost list drives the word-round halo
-  // shipping, and ghost_edges prices dense word rounds. Workers build the
-  // same ShardTopology; the assign ack cross-checks it, so a topology
-  // disagreement can never survive the attach.
+  // Each shard's halo: ghost_edges prices dense word rounds. Workers
+  // build the same ShardTopology; the assign ack cross-checks it (ghost
+  // edges and ghost count), so a topology disagreement can never survive
+  // the attach.
   for (std::size_t k = 0; k < K; ++k) {
     conns_[k].topo.build(graph_, part_.begin(k), part_.end(k));
     PayloadWriter w;
@@ -625,6 +625,49 @@ std::vector<Frame> Coordinator::collect_replies(FrameKind kind,
   return out;
 }
 
+template <typename Slot, typename BitsOf, typename SlotOf>
+ShardStaging Coordinator::survivor_round(const RoundContext& rc,
+                                         const LiveSenders& live,
+                                         MailArena& a, const BitsOf& bits_of,
+                                         const SlotOf& slot_of) {
+  const std::uint32_t n = graph_.n();
+  std::string payload;
+  {
+    PayloadWriter w;
+    encode_fault_ctx(w, rc.faults, rc.down, n);
+    const std::string bits = pack_bitmap(live.flags, n);
+    w.raw(bits.data(), bits.size());
+    payload = w.take();
+  }
+  for (std::size_t k = 0; k < conns_.size(); ++k) {
+    queue_frame(k, FrameKind::kBcast, rc.round, 0,
+                static_cast<std::uint32_t>(k), 0, payload);
+  }
+  const std::vector<Frame> replies =
+      collect_replies(FrameKind::kInboxIds, rc.round, "broadcast");
+  ShardStaging cut;
+  ShardStaging st = splice<Slot>(
+      replies, "inbox_ids", a,
+      [](PayloadReader& r) {
+        ShardStaging events;
+        events.dropped = r.u64();
+        events.corrupted = r.u64();
+        return events;
+      },
+      [&](PayloadReader& r, std::size_t k, NodeId v) {
+        const NodeId u = r.u32();
+        if (u >= n) throw FrameError("inbox_ids: sender out of range");
+        if (u < part_.begin(k) || u >= part_.end(k)) {
+          ++cut.traffic_messages;
+          cut.traffic_bits += bits_of(u);
+        }
+        return slot_of(u, v,
+                       rc.faults != nullptr &&
+                           rc.faults->corrupts_message(rc.round, u, v));
+      });
+  return tally(st += cut);
+}
+
 ShardStaging Coordinator::broadcast(const RoundContext& rc,
                                     const LiveSenders* live,
                                     const std::vector<Message>& msgs,
@@ -652,61 +695,23 @@ ShardStaging Coordinator::broadcast(const RoundContext& rc,
     return tally(st);
   }
 
-  // Masked / faulty: workers resolve the per-edge drop and corruption
-  // decisions and return surviving sender ids; the coordinator rebuilds
-  // the payload slots (it holds the messages, so uncorrupted deliveries
-  // keep sharing one refcounted payload, as in-process) and re-resolves
-  // the pure PRF corruption on the destination's CoW copy.
-  std::string payload;
-  {
-    PayloadWriter w;
-    encode_fault_ctx(w, rc.faults, rc.down, n);
-    const std::string bits = pack_bitmap(live->flags, n);
-    w.raw(bits.data(), bits.size());
-    payload = w.take();
-  }
-  for (std::size_t k = 0; k < K; ++k) {
-    queue_frame(k, FrameKind::kBcast, rc.round, 0,
-                static_cast<std::uint32_t>(k), 0, payload);
-  }
-  const std::vector<Frame> replies =
-      collect_replies(FrameKind::kInboxIds, rc.round, "broadcast");
-  ShardStaging cut;
-  ShardStaging st = splice<MailSlot>(
-      replies, "inbox_ids", a,
-      [](PayloadReader& r) {
-        ShardStaging events;
-        events.dropped = r.u64();
-        events.corrupted = r.u64();
-        return events;
-      },
-      [&](PayloadReader& r, std::size_t k, NodeId v) {
-        const NodeId u = r.u32();
-        if (u >= n) throw FrameError("inbox_ids: sender out of range");
+  return survivor_round<MailSlot>(
+      rc, *live, a, [&](NodeId u) { return msgs[u].bit_count(); },
+      [&](NodeId u, NodeId v, bool corrupt) {
         MailSlot slot{u, msgs[u]};
-        if (u < part_.begin(k) || u >= part_.end(k)) {
-          ++cut.traffic_messages;
-          cut.traffic_bits += msgs[u].bit_count();
-        }
-        if (rc.faults != nullptr &&
-            rc.faults->corrupts_message(rc.round, u, v)) {
-          rc.faults->corrupt_payload(rc.round, u, v, slot.second);
-        }
+        if (corrupt) rc.faults->corrupt_payload(rc.round, u, v, slot.second);
         return slot;
       });
-  return tally(st += cut);
 }
 
 ShardStaging Coordinator::words(const RoundContext& rc,
                                 const LiveSenders* live,
                                 const std::vector<std::uint64_t>& words,
                                 std::size_t bits, MailArena& a) {
-  const std::uint32_t n = graph_.n();
-  const std::size_t K = conns_.size();
   if (live == nullptr) {
     // Dense mode is coordinator-local (the serial one-word-per-sender
     // layout); the priced halo is ghost_edges per shard, fixed at bind.
-    std::copy(words.begin(), words.end(), a.lay_out_words(n));
+    std::copy(words.begin(), words.end(), a.lay_out_words(graph_.n()));
     ShardStaging st;
     for (const WorkerConn& c : conns_) {
       st.traffic_messages += c.topo.ghost_edges;
@@ -714,39 +719,15 @@ ShardStaging Coordinator::words(const RoundContext& rc,
     }
     return tally(st);
   }
-
-  std::string head;
-  {
-    PayloadWriter w;
-    encode_fault_ctx(w, rc.faults, rc.down, n);
-    const std::string bitmap = pack_bitmap(live->flags, n);
-    w.raw(bitmap.data(), bitmap.size());
-    w.u32(static_cast<std::uint32_t>(bits));
-    head = w.take();
-  }
-  for (std::size_t k = 0; k < K; ++k) {
-    PayloadWriter w;
-    w.raw(head.data(), head.size());
-    for (NodeId v = part_.begin(k); v < part_.end(k); ++v) w.u64(words[v]);
-    for (NodeId ghost : conns_[k].topo.ghosts) w.u64(words[ghost]);
-    queue_frame(k, FrameKind::kWordSparse, rc.round, 0,
-                static_cast<std::uint32_t>(k), 0, w.take());
-  }
-  const std::vector<Frame> replies =
-      collect_replies(FrameKind::kInboxWords, rc.round, "word broadcast");
-  return tally(splice<WordSlot>(
-      replies, "inbox_words", a,
-      [](PayloadReader& r) {
-        ShardStaging events;
-        events.dropped = r.u64();
-        events.corrupted = r.u64();
-        events.traffic_messages = r.u64();
-        events.traffic_bits = r.u64();
-        return events;
-      },
-      [](PayloadReader& r, std::size_t, NodeId) {
-        return WordSlot{r.u32(), r.u64()};
-      }));
+  return survivor_round<WordSlot>(
+      rc, *live, a, [&](NodeId) { return bits; },
+      [&](NodeId u, NodeId v, bool corrupt) {
+        WordSlot slot{u, words[u]};
+        if (corrupt) {
+          rc.faults->corrupt_word(rc.round, u, v, slot.value, bits);
+        }
+        return slot;
+      });
 }
 
 void Coordinator::shutdown_workers() {

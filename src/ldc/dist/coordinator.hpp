@@ -174,6 +174,18 @@ class Coordinator : public DistBackend {
   ShardStaging splice(const std::vector<Frame>& replies, const char* what,
                       MailArena& a, const Head& head, const Decode& decode);
 
+  /// A masked or faulty broadcast or word round. Each worker gets the
+  /// fault context and the transmit bitmap (kBcast), resolves its range's
+  /// drop and corruption decisions, and returns the surviving sender ids
+  /// (kInboxIds). The coordinator holds every sender's payload, so it
+  /// rebuilds each slot as slot_of(u, v, corrupt), which re-applies the
+  /// pure PRF corruption to the destination's copy, and prices a
+  /// delivery across the cut at bits_of(u).
+  template <typename Slot, typename BitsOf, typename SlotOf>
+  ShardStaging survivor_round(const RoundContext& rc,
+                              const LiveSenders& live, MailArena& a,
+                              const BitsOf& bits_of, const SlotOf& slot_of);
+
   /// Adds a finished round's cut traffic to traffic_; returns st.
   ShardStaging tally(const ShardStaging& st);
 

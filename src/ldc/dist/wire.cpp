@@ -47,7 +47,7 @@ bool known_kind(std::uint16_t k) {
            k <= static_cast<std::uint16_t>(hi);
   };
   return in(FrameKind::kHello, FrameKind::kInboxIds) ||
-         in(FrameKind::kWordSparse, FrameKind::kHeartbeat);
+         in(FrameKind::kError, FrameKind::kHeartbeat);
 }
 
 std::uint64_t frame_digest(const char* header, std::string_view payload) {
@@ -102,8 +102,6 @@ const char* frame_kind_name(FrameKind k) {
     case FrameKind::kInbox: return "inbox";
     case FrameKind::kBcast: return "bcast";
     case FrameKind::kInboxIds: return "inbox_ids";
-    case FrameKind::kWordSparse: return "word_sparse";
-    case FrameKind::kInboxWords: return "inbox_words";
     case FrameKind::kError: return "error";
     case FrameKind::kAbort: return "abort";
     case FrameKind::kShutdown: return "shutdown";

@@ -64,7 +64,7 @@ class WorkerError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4643444Cu;  ///< "LDCF" LE
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 48;
 /// Hard cap on one frame's payload; anything larger is a typed rejection
 /// (a hostile length prefix must not drive an allocation).
@@ -78,11 +78,10 @@ enum class FrameKind : std::uint16_t {
   kBatch = 5,       ///< worker→coord (then relayed): (src,dst) batch
   kBatchAck = 6,    ///< coord→worker: batch (round,src,dst) accepted
   kInbox = 7,       ///< worker→coord: staging summary + inbox CSR
-  kBcast = 8,       ///< coord→worker: fault ctx + transmit mask
+  kBcast = 8,       ///< coord→worker: fault ctx + transmit mask of a
+                    ///< masked/faulty broadcast or word round
   kInboxIds = 9,    ///< worker→coord: broadcast inbox as sender ids
-  // 10 and 11 are unassigned: the decoder rejects them as unknown kinds.
-  kWordSparse = 12, ///< coord→worker: masked/faulty fused word round
-  kInboxWords = 13, ///< worker→coord: word-slot CSR reply
+  // 10 to 13 are unassigned: the decoder rejects them as unknown kinds.
   kError = 14,      ///< worker→coord: typed phase error (code + what())
   kAbort = 15,      ///< coord→worker: discard the named round
   kShutdown = 16,   ///< coord→worker: clean exit

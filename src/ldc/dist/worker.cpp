@@ -11,7 +11,6 @@
 // encoding the range's inbox back to the coordinator.
 #include "ldc/dist/worker.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -100,9 +99,6 @@ int ShardWorker::run() {
           break;
         case FrameKind::kBcast:
           handle_bcast(*f);
-          break;
-        case FrameKind::kWordSparse:
-          handle_word_sparse(*f);
           break;
         case FrameKind::kAbort:
           break;  // stale: the round it names was already abandoned here
@@ -320,7 +316,8 @@ void ShardWorker::handle_bcast(const Frame& f) {
   const LiveSenders live = LiveSenders::collect(g, live_.data(), live_ids_);
 
   // The count and fill passes over sender ids only: the coordinator holds
-  // the messages and rebuilds the payload slots.
+  // the messages or words and rebuilds the slots. A broadcast and a word
+  // round with the same mask and faults move the same frames.
   const RoundContext rc = context(f.header.round, ctx);
   ShardStaging sum;
   const std::uint32_t total =
@@ -339,56 +336,6 @@ void ShardWorker::handle_bcast(const Frame& f) {
   for (std::uint32_t off : offsets) w.u32(off);
   for (NodeId u : senders) w.u32(u);
   send_frame(FrameKind::kInboxIds, f.header.round, 0, total, w.take());
-}
-
-void ShardWorker::handle_word_sparse(const Frame& f) {
-  if (!assigned_) throw FrameError("word_sparse: worker not assigned");
-  const Graph& g = graph_;
-  const NodeId b = topo_.vbegin;
-  const NodeId e = topo_.vend;
-  const NodeId owned = topo_.owned();
-
-  PayloadReader r(f.payload, "word_sparse");
-  const FaultCtx ctx = decode_fault_ctx(r, g.n());
-  unpack_bitmap(r.bytes((g.n() + 7) / 8), g.n(), live_);
-  const LiveSenders live = LiveSenders::collect(g, live_.data(), live_ids_);
-  const std::size_t bits = r.u32();
-  std::vector<std::uint64_t> owned_words(owned);
-  for (NodeId lv = 0; lv < owned; ++lv) owned_words[lv] = r.u64();
-  std::vector<std::uint64_t> ghost_words(topo_.ghosts.size());
-  for (std::size_t i = 0; i < ghost_words.size(); ++i) {
-    ghost_words[i] = r.u64();
-  }
-  r.expect_end();
-
-  // A sender delivering to an owned destination is either owned or a
-  // ghost; the halo words shipped above cover exactly the latter.
-  auto word_of = [&](NodeId u) -> std::uint64_t {
-    if (u >= b && u < e) return owned_words[u - b];
-    const auto it =
-        std::lower_bound(topo_.ghosts.begin(), topo_.ghosts.end(), u);
-    return ghost_words[static_cast<std::size_t>(it - topo_.ghosts.begin())];
-  };
-  const RoundContext rc = context(f.header.round, ctx);
-  ShardStaging sum;
-  const std::uint32_t slots =
-      ShardRound::count(rc, b, e, &live, scratch_, sum);
-  ShardRound::fill_words(rc, b, e, &live, word_of, bits, scratch_,
-                         arena_.lay_out<WordSlot>(owned, slots, b), sum);
-  const std::uint32_t total = arena_.offsets()[owned];
-
-  PayloadWriter w;
-  w.u64(sum.dropped);
-  w.u64(sum.corrupted);
-  w.u64(sum.traffic_messages);
-  w.u64(sum.traffic_bits);
-  for (NodeId lv = 0; lv <= owned; ++lv) w.u32(arena_.offsets()[lv]);
-  for (std::uint32_t i = 0; i < total; ++i) {
-    const WordSlot& s = arena_.word_slots()[i];
-    w.u32(s.sender);
-    w.u64(s.value);
-  }
-  send_frame(FrameKind::kInboxWords, f.header.round, 0, total, w.take());
 }
 
 }  // namespace ldc::dist

@@ -8,9 +8,9 @@
 // serialized as kBatch frames instead of staged in shared memory. Between
 // rounds the worker keeps only reusable buffers and the last round it
 // abandoned: everything a round needs (outboxes, fault context, transmit
-// masks, word values) arrives in the round's frames, and every fault
-// decision it resolves is a pure function of (plan seed, round, edge) —
-// which is the whole determinism argument (DESIGN.md §12).
+// masks) arrives in the round's frames, and every fault decision it
+// resolves is a pure function of (plan seed, round, edge) — which is the
+// whole determinism argument (DESIGN.md §12).
 //
 // I/O is plain blocking reads/writes: the coordinator end is fully
 // non-blocking and always drains, so a worker can never wedge the
@@ -55,7 +55,6 @@ class ShardWorker {
   void handle_assign(const Frame& f);
   void handle_outbox(const Frame& f);
   void handle_bcast(const Frame& f);
-  void handle_word_sparse(const Frame& f);
 
   /// The round's kernel context over the decoded fault context.
   RoundContext context(std::uint64_t round, const FaultCtx& ctx) const;

@@ -97,7 +97,6 @@ class MailArena {
   /// deliveries are slots()[offsets()[i] .. offsets()[i + 1]).
   const std::vector<std::uint32_t>& offsets() const { return offsets_; }
   const std::vector<MailSlot>& slots() const { return slots_; }
-  const std::vector<WordSlot>& word_slots() const { return word_slots_; }
 
   /// The layout step of every slot round and, with lay_out_words(), the
   /// only write access to the arena: sizes the row offsets for `rows`

@@ -288,4 +288,22 @@ void Network::run_node_programs(const std::function<void(NodeId)>& fn) {
   pending_compute_ns_ += now_ns() - t0;
 }
 
+void Network::run_node_programs(std::span<const NodeId> nodes,
+                                const std::function<void(NodeId)>& fn) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i] >= graph_->n() || (i > 0 && nodes[i] <= nodes[i - 1])) {
+      throw std::invalid_argument(
+          "Network::run_node_programs: node list must be strictly "
+          "ascending ids < n");
+    }
+  }
+  const std::uint64_t t0 = now_ns();
+  if (shards_ != nullptr) {
+    shards_->for_each_vertex(nodes, fn);
+  } else {
+    for (NodeId v : nodes) fn(v);
+  }
+  pending_compute_ns_ += now_ns() - t0;
+}
+
 }  // namespace ldc

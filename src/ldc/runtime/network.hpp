@@ -66,6 +66,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -182,6 +183,16 @@ class Network {
   /// shard wins, as in a serial loop (though under kSharded other shards'
   /// callbacks may already have run).
   void run_node_programs(const std::function<void(NodeId)>& fn);
+
+  /// run_node_programs() over the listed nodes only, for a phase whose
+  /// work sits on a known subset (one colour class, its receivers): fn(v)
+  /// for each v of `nodes`, which must be strictly ascending ids < n
+  /// (anything else throws std::invalid_argument before fn runs). Under
+  /// kSharded each shard runs its own slice of the list on its worker.
+  /// Same ownership rule, wall-time booking and exception order as the
+  /// all-node form.
+  void run_node_programs(std::span<const NodeId> nodes,
+                         const std::function<void(NodeId)>& fn);
 
   /// Accounts `k` silent rounds (structural rounds in which an algorithm
   /// phase passes without payload; kept so round counts match the paper's

@@ -228,4 +228,17 @@ void ShardSet::for_each_vertex(const std::function<void(NodeId)>& fn) {
   });
 }
 
+void ShardSet::for_each_vertex(std::span<const NodeId> nodes,
+                               const std::function<void(NodeId)>& fn) {
+  if (nodes.empty()) return;  // nothing to wake the crew for
+  crew_.run([&](std::size_t k) {
+    const ShardState& st = states_[k];
+    for (auto it = std::lower_bound(nodes.begin(), nodes.end(),
+                                    st.topo.vbegin);
+         it != nodes.end() && *it < st.topo.vend; ++it) {
+      fn(*it);
+    }
+  });
+}
+
 }  // namespace ldc

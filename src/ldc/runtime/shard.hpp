@@ -17,6 +17,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -101,6 +102,10 @@ class ShardSet {
 
   /// Runs fn(v) for every vertex, each shard's range on its own worker.
   void for_each_vertex(const std::function<void(NodeId)>& fn);
+  /// The same over an ascending node list: each shard runs the slice of
+  /// `nodes` inside its range.
+  void for_each_vertex(std::span<const NodeId> nodes,
+                       const std::function<void(NodeId)>& fn);
 
  private:
   /// The count pass of a broadcast or sparse word round, into counts_

@@ -88,6 +88,25 @@ TEST(ColorReduction, ReduceByClassesFromIds) {
   EXPECT_EQ(res.rounds, g.n());  // exactly m rounds
 }
 
+// Receivers learn what their mail delivers, not what the senders chose: on
+// a 6-clique whose every announcement is dropped, no node hears of a taken
+// color, so every node takes the first color of its list.
+TEST(ColorReduction, DroppedAnnouncementsAreNotLearned) {
+  const Graph g = gen::clique(6);
+  const LdcInstance inst = delta_plus_one_instance(g);
+  Coloring ids(g.n());
+  for (NodeId v = 0; v < g.n(); ++v) ids[v] = v;
+  FaultPlan plan;
+  plan.drop_rate = 1.0;
+  Network net(g);
+  net.attach_faults(&plan);
+  const auto res = baselines::reduce_by_classes(net, inst, ids, g.n());
+  EXPECT_EQ(res.rounds, g.n());
+  EXPECT_EQ(net.metrics().messages, 30u);
+  EXPECT_EQ(net.metrics().messages_dropped, 30u);
+  EXPECT_EQ(res.phi, Coloring(g.n(), inst.lists[0].colors[0]));
+}
+
 TEST(ColorReduction, LinialThenReduce) {
   const Graph g = gen::random_regular(100, 6, 4);
   const LdcInstance inst = degree_plus_one_instance(g, 128, 5);

@@ -161,8 +161,8 @@ struct NamedColorer {
 };
 
 // Colorer coverage across the three mail lanes: linial (fused word
-// rounds), defective linial (masked broadcasts), Luby (per-edge
-// exchanges under randomness), linial+kw (long masked pipelines).
+// rounds), defective linial (masked message broadcasts), Luby (per-edge
+// exchanges under randomness), linial+kw (long masked word pipelines).
 std::vector<NamedColorer> colorer_mix(const Graph& g) {
   std::vector<NamedColorer> cs;
   cs.push_back({"linial", [](Network& net) {
@@ -335,8 +335,8 @@ TEST(Dist, FaultPlansMatchSerial) {
 // Broadcast fast path and the fused word path under kDist must match the
 // serial engine's materialized-outbox reference — with and without an
 // active mask, with and without faults. All-live rounds stay
-// coordinator-local; masked/faulty rounds take the kBcast / kWordSparse
-// wire paths.
+// coordinator-local; masked/faulty rounds of both planes take the
+// kBcast / kInboxIds exchange, and the coordinator rebuilds the slots.
 TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
   const Graph g = gen::gnp(48, 0.25, 34);
   TempCorpus tc("bcast");
@@ -439,6 +439,45 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
       }
     }
   }
+}
+
+// A masked word round ships sender ids, not words: with one sender live,
+// it moves exactly the bytes of the message broadcast round with the same
+// mask (one kBcast out and one kInboxIds back per worker), which is less
+// than one 8-byte word per vertex.
+TEST(Dist, MaskedWordRoundShipsSenderIdsNotWords) {
+  const Graph g = gen::gnp(400, 0.02, 21);
+  TempCorpus tc("masked_words");
+  write_graph(g, tc.path());
+  const std::uint64_t bound = 499;
+  const std::vector<std::uint64_t> words(g.n(), 7);
+  std::vector<Message> msgs(g.n());
+  {
+    BitWriter w;
+    w.write_bounded(7, bound);
+    for (Message& m : msgs) m = Message::from(w);
+  }
+  std::vector<bool> one(g.n(), false);
+  one[g.n() / 2] = true;
+  CoordinatorOptions opt;
+  opt.workers = 2;
+  Coordinator coord(tc.path(), opt);
+  Network net(coord.corpus_graph());
+  net.attach_dist(&coord);
+  auto wire_bytes = [&](const std::function<void()>& round) {
+    const dist::WireStats before = coord.wire_stats();
+    round();
+    const dist::WireStats after = coord.wire_stats();
+    return (after.bytes_sent - before.bytes_sent) +
+           (after.bytes_received - before.bytes_received);
+  };
+  const std::uint64_t word_bytes = wire_bytes(
+      [&] { (void)net.exchange_broadcast_word(words, bound, &one); });
+  const std::uint64_t msg_bytes =
+      wire_bytes([&] { (void)net.exchange_broadcast(msgs, &one); });
+  EXPECT_GT(word_bytes, 0u);
+  EXPECT_EQ(word_bytes, msg_bytes);
+  EXPECT_LT(word_bytes, 8u * g.n());
 }
 
 // The logical cross-shard counters are engine-independent observability:

@@ -146,7 +146,7 @@ TEST(DistFuzz, MutatedStreamsAlwaysFailTyped) {
             static_cast<char>(1u << rng.below(8));
         break;
       case 1:  // wrong wire version
-        stream[4] = 2;
+        stream[4] = static_cast<char>(kWireVersion + 1);
         must_throw = true;
         break;
       case 2:  // bad magic
@@ -199,10 +199,10 @@ TEST(DistFuzz, MutatedStreamsAlwaysFailTyped) {
 }
 
 // Only assigned kinds are frames: a digest-valid frame of kind 0, of 10
-// or 11 (the gap in FrameKind), or past the last kind is a typed
+// to 13 (the gap in FrameKind), or past the last kind is a typed
 // rejection.
 TEST(DistFuzz, UnassignedFrameKindsAreRejected) {
-  for (const std::uint16_t kind : {0, 10, 11, 18}) {
+  for (const std::uint16_t kind : {0, 10, 11, 12, 13, 18}) {
     const std::string bytes =
         encode_frame(static_cast<FrameKind>(kind), 1, 0, 0, 0, "x");
     FrameReader reader;

@@ -10,6 +10,7 @@
 // contracts (ghost halos, cut traffic, LDC_SHARDS) at K in {1, 2, 7}.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -22,6 +23,7 @@
 #include "ldc/baselines/luby.hpp"
 #include "ldc/coloring/instance_gen.hpp"
 #include "ldc/graph/generators.hpp"
+#include "ldc/graph/partition.hpp"
 #include "ldc/linial/defective_linial.hpp"
 #include "ldc/linial/linial.hpp"
 #include "ldc/oldc/single_defect.hpp"
@@ -662,13 +664,41 @@ TEST(ParallelEquivalence, WallClockIsRecordedButNotInDigest) {
 
 TEST(ParallelEquivalence, RunNodeProgramsComputesEveryNodeOnce) {
   const Graph g = gen::ring(101);
+  std::vector<NodeId> every_third;
+  for (NodeId v = 0; v < g.n(); v += 3) every_third.push_back(v);
   for (std::size_t threads : {0u, 1u, 2u, 4u, 7u}) {
+    // Listed inputs: nothing, one node on a shard boundary (the first
+    // node of the last shard), and every third node.
+    const std::size_t k = std::max<std::size_t>(threads, 1);
+    const std::vector<std::pair<std::string, std::vector<NodeId>>> lists = {
+        {"empty", {}},
+        {"boundary", {Partition::degree_balanced(g, k).begin(k - 1)}},
+        {"every-third", every_third}};
     Network net(g);
     if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     std::vector<std::uint32_t> hits(g.n(), 0);
     net.run_node_programs([&](NodeId v) { ++hits[v]; });
     for (NodeId v = 0; v < g.n(); ++v) {
       ASSERT_EQ(hits[v], 1u) << "node " << v << " @" << threads;
+    }
+    for (const auto& [name, list] : lists) {
+      std::vector<std::uint32_t> listed(g.n(), 0);
+      net.run_node_programs(list, [&](NodeId v) { ++listed[v]; });
+      for (NodeId v = 0; v < g.n(); ++v) {
+        const bool in = std::binary_search(list.begin(), list.end(), v);
+        ASSERT_EQ(listed[v], in ? 1u : 0u)
+            << name << " node " << v << " @" << threads;
+      }
+    }
+    const std::vector<NodeId> unsorted = {5, 3};
+    const std::vector<NodeId> repeated = {3, 3};
+    const std::vector<NodeId> too_big = {2, g.n()};
+    for (const auto* bad : {&unsorted, &repeated, &too_big}) {
+      bool ran = false;
+      EXPECT_THROW(net.run_node_programs(*bad, [&](NodeId) { ran = true; }),
+                   std::invalid_argument)
+          << "@" << threads;
+      EXPECT_FALSE(ran) << "@" << threads;
     }
   }
 }
