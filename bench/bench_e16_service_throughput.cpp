@@ -1,12 +1,12 @@
 // E16 (service) — the job-serving subsystem end to end.
 //
 // Two tables. The scripted table drives one Service at one worker with a
-// pause/resume/drain discipline, which makes every counter deterministic:
-// a burst of 10 submissions against a 6-slot queue must reject exactly 4
-// (backpressure), a cancel issued while paused must land before the
-// worker dequeues (cancelled, not run), and a reverse-order resubmit
-// against a 4-entry cache must hit 4 times, miss once and evict twice
-// (LRU). The emitted result stream is folded into one digest, and the
+// pause/resume/drain discipline on a session gate, which makes every
+// counter deterministic: a burst of 10 submissions against a 6-slot queue
+// must reject exactly 4 (backpressure), a cancel issued while paused must
+// land before the worker dequeues (cancelled, not run), and a
+// reverse-order resubmit against a 4-entry cache must hit 4 times, miss
+// once and evict twice (LRU). The emitted result stream is folded into one digest, and the
 // greedy job's coloring digest is cross-checked against a direct
 // closed-loop run of the same instance — the service must compute exactly
 // what the harness computes. The throughput table scales workers and
@@ -14,6 +14,7 @@
 #include "common.hpp"
 
 #include <chrono>
+#include <memory>
 #include <mutex>
 
 #include "ldc/baselines/greedy.hpp"
@@ -74,13 +75,14 @@ void run(harness::ExperimentContext& ctx) {
     results.push_back(r);
   });
 
-  // Burst while paused: admission is decided before any job runs, so the
-  // rejection count is a pure function of capacity.
-  svc.pause();
+  // Burst while the session is paused: admission is decided before any
+  // job runs, so the rejection count is a pure function of capacity.
+  const auto gate = std::make_shared<service::SessionGate>();
+  svc.pause_session(*gate);
   std::vector<std::uint64_t> admitted_ids;
   std::uint64_t rejected = 0;
   for (const auto& job : burst) {
-    const auto a = svc.submit(job);
+    const auto a = svc.submit(job, {gate, nullptr});
     if (a.admitted) {
       admitted_ids.push_back(a.id);
     } else {
@@ -89,7 +91,7 @@ void run(harness::ExperimentContext& ctx) {
   }
   // Cancel the last admitted job while it is still queued.
   svc.cancel(admitted_ids.back());
-  svc.resume();
+  svc.resume_session(*gate);
   svc.drain();
 
   const auto count = [&](const char* status, bool cached_only = false) {

@@ -16,6 +16,7 @@
 
 #include "ldc/dist/coordinator.hpp"
 #include "ldc/harness/json.hpp"
+#include "ldc/runtime/shard.hpp"
 #include "ldc/service/algorithms.hpp"
 
 namespace {
@@ -73,10 +74,10 @@ int main(int argc, char** argv) {
       } else if (arg == "--algorithm") {
         algorithm = value();
       } else if (arg == "--workers") {
-        opt.workers = static_cast<std::size_t>(ldc::dist::parse_positive_u64(
+        opt.workers = static_cast<std::size_t>(ldc::parse_positive_u64(
             "--workers", value(), ldc::dist::kMaxDistWorkers));
       } else if (arg == "--seed") {
-        job.seed = ldc::dist::parse_positive_u64(
+        job.seed = ldc::parse_positive_u64(
             "--seed", value(), std::uint64_t(-1));
       } else if (arg == "--param") {
         const std::string kv = value();
@@ -88,13 +89,13 @@ int main(int argc, char** argv) {
         const std::string key = "--param " + kv.substr(0, eq);
         job.params.emplace_back(
             kv.substr(0, eq),
-            ldc::dist::parse_positive_u64(key.c_str(), kv.c_str() + eq + 1,
-                                          std::uint64_t(-1)));
+            ldc::parse_positive_u64(key.c_str(), kv.c_str() + eq + 1,
+                                    std::uint64_t(-1)));
       } else if (arg == "--heartbeat-ms") {
-        opt.heartbeat_ms = ldc::dist::parse_positive_u64(
+        opt.heartbeat_ms = ldc::parse_positive_u64(
             "--heartbeat-ms", value(), 86400000ull);
       } else if (arg == "--attach-timeout-ms") {
-        opt.attach_timeout_ms = ldc::dist::parse_positive_u64(
+        opt.attach_timeout_ms = ldc::parse_positive_u64(
             "--attach-timeout-ms", value(), 86400000ull);
       } else if (arg == "--shard-bin") {
         opt.shard_binary = value();
@@ -102,7 +103,7 @@ int main(int argc, char** argv) {
         opt.listen_unix = value();
       } else if (arg == "--listen-tcp") {
         opt.listen_tcp = static_cast<std::uint16_t>(
-            ldc::dist::parse_positive_u64("--listen-tcp", value(), 65535));
+            ldc::parse_positive_u64("--listen-tcp", value(), 65535));
       } else if (arg == "--json") {
         json = true;
       } else {

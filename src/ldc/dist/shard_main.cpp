@@ -22,6 +22,7 @@
 
 #include "ldc/dist/wire.hpp"
 #include "ldc/dist/worker.hpp"
+#include "ldc/runtime/shard.hpp"
 
 namespace {
 
@@ -114,7 +115,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--fd") {
       try {
         fd_arg = static_cast<long>(
-            ldc::dist::parse_positive_u64("--fd", value(), 1 << 20));
+            ldc::parse_positive_u64("--fd", value(), 1 << 20));
       } catch (const std::invalid_argument& e) {
         std::fprintf(stderr, "ldc_shard: %s\n", e.what());
         return 2;

@@ -8,7 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "ldc/runtime/thread_pool.hpp"
+#include "ldc/runtime/shard.hpp"
 #include "ldc/support/fnv.hpp"
 
 namespace ldc::dist {
@@ -312,30 +312,10 @@ ShardStaging decode_summary(PayloadReader& r) {
   return s;
 }
 
-std::uint64_t parse_positive_u64(const char* name, const char* text,
-                                 std::uint64_t max) {
-  if (text == nullptr || *text == '\0') {
-    throw std::invalid_argument(std::string(name) +
-                                " must be an integer in [1, " +
-                                std::to_string(max) + "]; got \"\"");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0' || v < 1 ||
-      static_cast<unsigned long long>(v) > max) {
-    throw std::invalid_argument(std::string(name) +
-                                " must be an integer in [1, " +
-                                std::to_string(max) + "]; got \"" + text +
-                                "\"");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
 std::size_t default_worker_count() {
   const char* env = std::getenv("LDC_DIST_WORKERS");
   if (env == nullptr || *env == '\0') {
-    return std::min<std::size_t>(ThreadPool::default_thread_count(),
+    return std::min<std::size_t>(ShardCrew::default_thread_count(),
                                  kMaxDistWorkers);
   }
   return static_cast<std::size_t>(

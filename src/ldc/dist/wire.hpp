@@ -260,22 +260,15 @@ void unpack_bitmap(std::string_view bits, NodeId n, std::vector<char>& flags);
 void encode_summary(PayloadWriter& w, const ShardStaging& s);
 ShardStaging decode_summary(PayloadReader& r);
 
-// ------------------------------------------------------ strict knob parsing --
-
-/// Strictly parses a positive integer knob (flag or env var) in
-/// [1, max]; garbage, overflow, or out-of-range throws
-/// std::invalid_argument naming the knob and the offending token —
-/// the LDC_SHARDS convention (shard.hpp), never a silent fallback.
-std::uint64_t parse_positive_u64(const char* name, const char* text,
-                                 std::uint64_t max);
+// ------------------------------------------------------- worker count --
 
 /// Worker-process cap (processes, not threads — deliberately lower than
 /// ShardCrew::kMaxShards).
 inline constexpr std::size_t kMaxDistWorkers = 64;
 
 /// Worker count for `workers == 0`: LDC_DIST_WORKERS if set (strictly
-/// parsed, throws std::invalid_argument on garbage), else the
-/// ThreadPool::default_thread_count() fallback clamped to kMaxDistWorkers.
+/// parsed by parse_positive_u64, shard.hpp), else the
+/// ShardCrew::default_thread_count() fallback clamped to kMaxDistWorkers.
 std::size_t default_worker_count();
 
 }  // namespace ldc::dist

@@ -225,18 +225,12 @@ class Network {
   /// Folds a sub-run's metrics into this network's (used when an algorithm
   /// phase executes on induced subgraphs whose traffic belongs to this
   /// network; the caller pre-aggregates parallel branches, with rounds =
-  /// max across branches). An attached Trace records the sub-run's rounds
-  /// so transcript length keeps matching metrics().rounds: pass the
-  /// sub-run's trace to carry its per-round rows, or nullptr to record the
-  /// aggregate (one row with the sub-run's traffic, then silent rounds).
-  void absorb(const RunMetrics& m, const Trace* sub = nullptr) {
+  /// max across branches). An attached Trace records the sub-run as one
+  /// row with its traffic, then silent rounds, so transcript length keeps
+  /// matching metrics().rounds.
+  void absorb(const RunMetrics& m) {
     metrics_.merge(m);
-    if (trace_ == nullptr) return;
-    if (sub != nullptr) {
-      trace_->append(*sub);
-    } else {
-      trace_->record_absorbed(m);
-    }
+    if (trace_ != nullptr) trace_->record_absorbed(m);
   }
 
   const RunMetrics& metrics() const { return metrics_; }

@@ -1,32 +1,36 @@
-// ShardCrew / ShardSet: the Engine::kSharded runner of the shard-round
-// kernel. Each round shape runs the kernel on every shard's range, one
-// crew worker per shard, lands the ranges back to back in the master
-// arena and merges the shards' staging in ascending order; because shards
-// own contiguous ascending vertex ranges, inbox bytes, metrics, trace
-// rows, and fault decisions are byte-identical to kSerial's single range
-// [0, n).
+// ShardCrew / ShardSet: the worker-thread group, and the Engine::kSharded
+// runner of the shard-round kernel. Each round shape runs the kernel on
+// every shard's range, one crew worker per shard, lands the ranges back
+// to back in the master arena and merges the shards' staging in ascending
+// order; because shards own contiguous ascending vertex ranges, inbox
+// bytes, metrics, trace rows, and fault decisions are byte-identical to
+// kSerial's single range [0, n).
 #include "ldc/runtime/shard.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <string>
-
-#include "ldc/runtime/thread_pool.hpp"
 
 namespace ldc {
 
 // ---------------------------------------------------------------- crew --
 
-ShardCrew::ShardCrew(std::size_t shards) {
-  errors_.resize(shards);
-  workers_.reserve(shards);
-  for (std::size_t k = 0; k < shards; ++k) {
-    workers_.emplace_back([this, k] { worker_loop(k); });
+ShardCrew::ShardCrew(std::size_t threads) : errors_(threads) {
+  workers_.reserve(threads);
+  try {
+    for (std::size_t k = 0; k < threads; ++k) {
+      workers_.emplace_back([this, k] { worker_loop(k); });
+    }
+  } catch (...) {
+    // A worker that fails to start (EAGAIN) must not leave joinable
+    // threads behind: destroying one terminates instead of letting this
+    // throw.
+    stop_and_join();
+    throw;
   }
 }
 
-ShardCrew::~ShardCrew() {
+ShardCrew::~ShardCrew() { stop_and_join(); }
+
+void ShardCrew::stop_and_join() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
@@ -57,7 +61,7 @@ void ShardCrew::worker_loop(std::size_t k) {
   }
 }
 
-void ShardCrew::run(const std::function<void(std::size_t)>& job) {
+void ShardCrew::start(const std::function<void(std::size_t)>& job) {
   if (workers_.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -67,6 +71,9 @@ void ShardCrew::run(const std::function<void(std::size_t)>& job) {
     ++generation_;
   }
   work_cv_.notify_all();
+}
+
+void ShardCrew::wait() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return unfinished_ == 0; });
@@ -77,23 +84,6 @@ void ShardCrew::run(const std::function<void(std::size_t)>& job) {
   for (const auto& e : errors_) {
     if (e) std::rethrow_exception(e);
   }
-}
-
-std::size_t ShardCrew::default_shard_count() {
-  const char* env = std::getenv("LDC_SHARDS");
-  if (env == nullptr || *env == '\0') {
-    return ThreadPool::default_thread_count();
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  if (errno != 0 || end == env || *end != '\0' || v < 1 ||
-      v > static_cast<long long>(kMaxShards)) {
-    throw std::invalid_argument(
-        "LDC_SHARDS must be an integer in [1, " +
-        std::to_string(kMaxShards) + "]; got \"" + env + "\"");
-  }
-  return static_cast<std::size_t>(v);
 }
 
 // ----------------------------------------------------------- shard set --

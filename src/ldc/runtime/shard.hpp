@@ -1,7 +1,14 @@
-// Sharded single-graph execution: the machinery behind Engine::kSharded.
+// Sharded single-graph execution: the machinery behind Engine::kSharded,
+// and the one worker-thread group of the library.
 //
-// The graph is split into K contiguous vertex ranges (Partition), and a
-// ShardCrew of K persistent threads runs the shard-round kernel
+// ShardCrew is where a group of worker threads starts and stops: K
+// persistent threads, worker k always running lane k. The sharded engine
+// uses it as a fork-join barrier per round (run); the job service
+// (service/service.hpp) starts its W queue-draining lanes on one at
+// construction and waits for them at shutdown (start, wait).
+//
+// For the engine, the graph is split into K contiguous vertex ranges
+// (Partition), and the crew runs the shard-round kernel
 // (shard_round.hpp) over them, worker k always on range k. Every range
 // lands its deliveries in the Network's master arena at its own base, so
 // the arena holds exactly the serial layout and the mail views read it
@@ -29,14 +36,18 @@
 
 namespace ldc {
 
-/// K persistent workers with a fixed worker↔shard binding. run(job)
-/// executes job(k) on worker k for every k and returns after all workers
-/// finish (a full barrier); a throwing job is captured and the
-/// lowest-shard exception is rethrown, matching the lowest-sender error
-/// order of a serial loop.
+/// K persistent workers with a fixed worker↔lane binding. start(job)
+/// sets job(k) going on worker k for every k and returns at once; wait()
+/// blocks until all of them finished (a full barrier) and rethrows the
+/// lowest-lane exception a job threw, matching the lowest-sender error
+/// order of a serial loop. run(job) is start then wait, and allocates
+/// nothing.
 class ShardCrew {
  public:
-  explicit ShardCrew(std::size_t shards);
+  /// Starts `threads` workers. If one fails to start, the ones already
+  /// running are stopped and joined before the error propagates.
+  explicit ShardCrew(std::size_t threads);
+  /// Joins every worker, after any started job has finished.
   ~ShardCrew();
 
   ShardCrew(const ShardCrew&) = delete;
@@ -44,20 +55,38 @@ class ShardCrew {
 
   std::size_t size() const { return workers_.size(); }
 
-  void run(const std::function<void(std::size_t)>& job);
+  /// `job` must stay alive until wait() returns, and one job runs at a
+  /// time: call wait() before the next start().
+  void start(const std::function<void(std::size_t)>& job);
+  void wait();
+  void run(const std::function<void(std::size_t)>& job) {
+    start(job);
+    wait();
+  }
+
+  /// Worker count for a caller that asks for 0: the LDC_THREADS
+  /// environment variable if it is an integer in [1, kMaxThreads],
+  /// otherwise std::thread::hardware_concurrency(), otherwise 1. Garbage
+  /// falls back silently.
+  static std::size_t default_thread_count();
+
+  /// A worker is an OS thread: a count beyond this is a misconfiguration
+  /// (e.g. LDC_THREADS set to a node count), not a request.
+  static constexpr std::size_t kMaxThreads = 4096;
 
   /// Shard count to use when set_engine(kSharded, 0) is called: the
   /// LDC_SHARDS environment variable if set — rejected loudly
   /// (std::invalid_argument) when it is not an integer in [1, 1024],
   /// unlike LDC_THREADS' silent fallback, because a typo here silently
   /// changing the execution shape is exactly what the strict parse is for
-  /// — else ThreadPool::default_thread_count().
+  /// — else default_thread_count().
   static std::size_t default_shard_count();
 
   static constexpr std::size_t kMaxShards = 1024;
 
  private:
   void worker_loop(std::size_t k);
+  void stop_and_join();
 
   std::mutex mu_;
   std::condition_variable work_cv_;
@@ -69,6 +98,14 @@ class ShardCrew {
   std::vector<std::exception_ptr> errors_;
   std::vector<std::thread> workers_;
 };
+
+/// Strictly parses a positive integer knob (flag or environment variable)
+/// in [1, max]. Garbage, overflow or an out-of-range value throws
+/// std::invalid_argument naming the knob and the offending token
+/// (`NAME must be an integer in [1, max]; got "..."`), never a silent
+/// fallback.
+std::uint64_t parse_positive_u64(const char* name, const char* text,
+                                 std::uint64_t max);
 
 /// What shard k keeps between rounds: its topology (owned range and ghost
 /// halo), its round scratch, the round's staging, and the outgoing batch

@@ -34,14 +34,6 @@ void Trace::record_absorbed(const RunMetrics& m) {
   record_silent(m.rounds - 1);
 }
 
-void Trace::append(const Trace& sub) {
-  for (const auto& s : sub.rounds_) {
-    Round r = s;
-    r.index = rounds_.size();
-    rounds_.push_back(std::move(r));
-  }
-}
-
 void Trace::add_wall_ns(std::uint64_t wall_ns) {
   if (!rounds_.empty()) rounds_.back().wall_ns += wall_ns;
 }

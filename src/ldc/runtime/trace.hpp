@@ -63,10 +63,6 @@ class Trace {
   /// metrics().rounds and traffic sums stay conserved.
   void record_absorbed(const RunMetrics& m);
 
-  /// Appends another trace's rounds (re-indexed, keeping their marks) —
-  /// used to carry an absorbed sub-run's per-round rows.
-  void append(const Trace& sub);
-
   /// Adds observational wall time to the most recent round, if any (the
   /// Network::flush_compute_time() counterpart).
   void add_wall_ns(std::uint64_t wall_ns);

@@ -1,26 +1,25 @@
-// Bounded FIFO admission queue with backpressure, pause gating and
-// graceful close — the head of the service pipeline.
+// Bounded FIFO admission queue with backpressure, per-item delivery
+// gates and graceful close — the head of the service pipeline.
 //
 // Semantics:
 //  * try_push: non-blocking; false when the queue is at capacity or
 //    closed. Admission control *is* this rejection — the caller reports
 //    the reason to the client instead of queueing unboundedly.
-//  * pop: blocks until an item is deliverable. While paused, delivery is
-//    gated (items accumulate; deterministic-burst scripts use this to
-//    decouple admission order from worker timing). close() overrides the
-//    pause so a shutdown always drains. Returns nullopt only when closed
-//    and empty — the worker-loop exit condition.
+//  * pop: blocks until an item is deliverable. Returns nullopt only when
+//    closed and empty — the worker-loop exit condition.
 //  * Strict FIFO: pop order equals successful push order.
 //  * Optional per-item gate: a predicate supplied at construction that
-//    decides whether an item is currently deliverable (the event-loop
-//    frontend uses it for session-scoped pause). Pop delivers the oldest
+//    decides whether an item is currently deliverable (the service uses
+//    it for session-scoped pause: while a session is paused its items
+//    accumulate, which is how deterministic-burst scripts decouple
+//    admission order from worker timing). Pop delivers the oldest
 //    *deliverable* item, so FIFO holds within every gate class. Gate
 //    state lives outside the queue but changes only through
 //    change_gates(), under the queue mutex: a pop scans with that mutex
 //    held, so one scan never sees a gate both closed (at an older item)
 //    and open (at a younger one), and a pop about to block never misses
-//    the wakeup. close() overrides gates exactly like it overrides pause
-//    — shutdown must always drain.
+//    the wakeup. close() overrides the gates — shutdown must always
+//    drain.
 #pragma once
 
 #include <condition_variable>
@@ -55,41 +54,25 @@ class BoundedQueue {
   }
 
   /// Dequeues the oldest deliverable item; blocks while nothing is
-  /// deliverable (empty, paused, or every queued item gated).
+  /// deliverable (empty, or every queued item gated).
   std::optional<T> pop() {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      if (closed_) {  // gates and pause no longer apply: drain in FIFO order
+      if (closed_) {  // gates no longer apply: drain in FIFO order
         if (items_.empty()) return std::nullopt;
         T item = std::move(items_.front());
         items_.pop_front();
         return item;
       }
-      if (!paused_) {
-        for (auto it = items_.begin(); it != items_.end(); ++it) {
-          if (!gate_ || gate_(*it)) {
-            T item = std::move(*it);
-            items_.erase(it);
-            return item;
-          }
+      for (auto it = items_.begin(); it != items_.end(); ++it) {
+        if (!gate_ || gate_(*it)) {
+          T item = std::move(*it);
+          items_.erase(it);
+          return item;
         }
       }
       cv_.wait(lock);
     }
-  }
-
-  /// Gates delivery (admission continues). Idempotent.
-  void pause() {
-    std::lock_guard<std::mutex> lock(mu_);
-    paused_ = true;
-  }
-
-  void resume() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      paused_ = false;
-    }
-    cv_.notify_all();
   }
 
   /// Changes externally owned gate state: runs flip() under the queue
@@ -105,7 +88,7 @@ class BoundedQueue {
   }
 
   /// Rejects all further pushes; queued items still drain (close beats
-  /// pause and gates, so a paused service can always shut down).
+  /// the gates, so a service with paused sessions can always shut down).
   void close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -132,7 +115,6 @@ class BoundedQueue {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<T> items_;
-  bool paused_ = false;
   bool closed_ = false;
 };
 

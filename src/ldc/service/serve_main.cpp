@@ -29,7 +29,6 @@
 
 #include "ldc/dist/wire.hpp"
 #include "ldc/runtime/shard.hpp"
-#include "ldc/runtime/thread_pool.hpp"
 #include "ldc/service/event_loop.hpp"
 
 namespace {
@@ -122,11 +121,11 @@ int main(int argc, char** argv) {
       // 0 = the default; the cap is LDC_THREADS' (one lane, one thread).
       const char* text = value();
       if (!parse_size(text, cfg.workers) ||
-          cfg.workers > ldc::ThreadPool::kMaxThreads) {
+          cfg.workers > ldc::ShardCrew::kMaxThreads) {
         std::fprintf(stderr,
                      "ldc_serve: --workers must be an integer in [0, %zu]; "
                      "got \"%s\"\n",
-                     ldc::ThreadPool::kMaxThreads, text);
+                     ldc::ShardCrew::kMaxThreads, text);
         return 2;
       }
     } else if (arg == "--queue-capacity") {
@@ -158,7 +157,7 @@ int main(int argc, char** argv) {
       // instead of silently falling back (the LDC_SHARDS convention).
       try {
         cfg.dist_workers =
-            static_cast<std::size_t>(ldc::dist::parse_positive_u64(
+            static_cast<std::size_t>(ldc::parse_positive_u64(
                 "--dist-workers", value(), ldc::dist::kMaxDistWorkers));
       } catch (const std::invalid_argument& e) {
         std::fprintf(stderr, "ldc_serve: %s\n", e.what());
@@ -167,7 +166,7 @@ int main(int argc, char** argv) {
       cfg.job_engine = ldc::Network::Engine::kDist;
     } else if (arg == "--heartbeat-ms") {
       try {
-        cfg.dist_heartbeat_ms = ldc::dist::parse_positive_u64(
+        cfg.dist_heartbeat_ms = ldc::parse_positive_u64(
             "--heartbeat-ms", value(), 86400000ull);
       } catch (const std::invalid_argument& e) {
         std::fprintf(stderr, "ldc_serve: %s\n", e.what());
@@ -175,7 +174,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--attach-timeout-ms") {
       try {
-        cfg.dist_attach_timeout_ms = ldc::dist::parse_positive_u64(
+        cfg.dist_attach_timeout_ms = ldc::parse_positive_u64(
             "--attach-timeout-ms", value(), 86400000ull);
       } catch (const std::invalid_argument& e) {
         std::fprintf(stderr, "ldc_serve: %s\n", e.what());

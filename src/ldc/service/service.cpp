@@ -22,18 +22,9 @@ Service::Service(ServiceConfig cfg, ResultCallback on_result)
                return p.gate == nullptr ||
                       !p.gate->paused.load(std::memory_order_acquire);
              }),
-      pool_(cfg.workers) {
-  // run_tasks blocks until every loop returns (i.e. the queue is closed
-  // and drained), so it needs a dedicated driver thread; the driver
-  // participates as one of the pool's lanes.
-  driver_ = std::thread([this] {
-    std::vector<std::function<void()>> loops;
-    loops.reserve(pool_.size());
-    for (std::size_t i = 0; i < pool_.size(); ++i) {
-      loops.emplace_back([this] { worker_loop(); });
-    }
-    pool_.run_tasks(std::move(loops));
-  });
+      crew_(cfg.workers == 0 ? ShardCrew::default_thread_count()
+                             : cfg.workers) {
+  crew_.start(lane_);  // the lanes return once shutdown() closes the queue
 }
 
 Service::~Service() { shutdown(); }
@@ -106,10 +97,6 @@ bool Service::cancel(std::uint64_t id) {
   return true;
 }
 
-void Service::pause() { queue_.pause(); }
-
-void Service::resume() { queue_.resume(); }
-
 void Service::pause_session(SessionGate& gate) {
   queue_.change_gates(
       [&] { gate.paused.store(true, std::memory_order_release); });
@@ -130,8 +117,8 @@ void Service::drain() {
 
 void Service::shutdown() {
   std::call_once(shutdown_once_, [this] {
-    queue_.close();  // rejects new pushes; overrides any pause
-    if (driver_.joinable()) driver_.join();
+    queue_.close();  // rejects new pushes; overrides every session gate
+    crew_.wait();
   });
 }
 
@@ -156,12 +143,6 @@ harness::Json Service::stats(bool counters_only) const {
     j.add("corpora", std::move(arr));
   }
   return j;
-}
-
-void Service::worker_loop() {
-  while (auto p = queue_.pop()) {
-    run_one(*p);
-  }
 }
 
 void Service::run_one(Pending& p) {

@@ -1,4 +1,4 @@
-// The job-serving subsystem: bounded admission -> worker pool -> result
+// The job-serving subsystem: bounded admission -> worker lanes -> result
 // cache, with cooperative cancellation and deadline enforcement at round
 // boundaries.
 //
@@ -12,8 +12,13 @@
 // entries, honour cancellation/deadlines, run the algorithm via the
 // registry, feed the cache, and invoke the result callback.
 //
+// Workers: the constructor starts W lanes on a ShardCrew
+// (runtime/shard.hpp), each popping the queue until shutdown() closes
+// it; shutdown() then waits for the crew. The service therefore runs W
+// threads and no other.
+//
 // Thread-nesting policy (documented contract, exercised in test_service):
-// the pool runs WHOLE jobs concurrently, one lane per job. A job may
+// the lanes run WHOLE jobs concurrently, one lane per job. A job may
 // itself request the sharded engine (config job_engine/job_shards); each
 // Network owns its private ShardCrew, so nesting is safe but multiplies
 // live threads (workers * job_shards) — the deployment default is
@@ -37,11 +42,10 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "ldc/runtime/network.hpp"
-#include "ldc/runtime/thread_pool.hpp"
+#include "ldc/runtime/shard.hpp"
 #include "ldc/service/algorithms.hpp"
 #include "ldc/service/cache.hpp"
 #include "ldc/service/cancel.hpp"
@@ -53,7 +57,7 @@
 namespace ldc::service {
 
 struct ServiceConfig {
-  std::size_t workers = 1;         ///< pool lanes; 0 = default_thread_count
+  std::size_t workers = 1;         ///< lanes; 0 = default_thread_count()
   std::size_t queue_capacity = 64; ///< admission bound (backpressure beyond)
   std::size_t cache_bytes = 64 * 1024;  ///< result-cache budget; 0 = off
   Network::Engine job_engine = Network::Engine::kSerial;
@@ -98,7 +102,7 @@ struct JobResult {
 /// unchanged) but are skipped by workers. One frontend session owns one
 /// gate; flipping it never affects other sessions' jobs, which is what
 /// lets many multiplexed sessions script deterministic bursts over a
-/// *shared* worker pool. Flip only via Service::pause_session/
+/// *shared* set of workers. Flip only via Service::pause_session/
 /// resume_session: they change the gate under the queue mutex and wake
 /// blocked workers to re-scan.
 struct SessionGate {
@@ -120,7 +124,7 @@ class Service {
   using ResultCallback = std::function<void(const JobResult&)>;
   using Clock = std::chrono::steady_clock;
 
-  /// Starts the worker pool immediately. The callback is invoked from
+  /// Starts the worker lanes immediately. The callback is invoked from
   /// worker threads, one call at a time per job but concurrently across
   /// jobs when workers > 1 — the callback must be thread-safe.
   Service(ServiceConfig cfg, ResultCallback on_result);
@@ -155,24 +159,20 @@ class Service {
   /// id is unknown or already finished.
   bool cancel(std::uint64_t id);
 
-  /// Gates delivery to workers; admission continues (scripted bursts use
-  /// this to make backpressure deterministic).
-  void pause();
-  void resume();
-
   /// Blocks until every admitted job has emitted its result. Does not
-  /// resume a paused queue — resume() first, or drain() waits forever.
+  /// resume a paused session — resume_session() first, or drain() waits
+  /// forever.
   void drain();
 
-  /// Stops admission, drains queued jobs (overriding any pause), joins
-  /// the pool. Idempotent.
+  /// Stops admission, drains queued jobs (overriding every session gate),
+  /// waits for the lanes. Idempotent.
   void shutdown();
 
   /// Consistent metrics snapshot (gauges sampled now). counters_only
   /// omits wall-clock-derived fields for deterministic scripts.
   harness::Json stats(bool counters_only) const;
 
-  std::size_t workers() const { return pool_.size(); }
+  std::size_t workers() const { return crew_.size(); }
 
  private:
   struct Pending {
@@ -190,7 +190,6 @@ class Service {
     std::shared_ptr<const storage::MappedGraph> corpus;
   };
 
-  void worker_loop();
   void run_one(Pending& p);
   void emit(const JobResult& r, const Pending& p);
 
@@ -210,8 +209,12 @@ class Service {
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
 
-  ThreadPool pool_;
-  std::thread driver_;  ///< blocks in pool_.run_tasks for the service's life
+  /// What every lane runs: pop and run jobs until the queue is closed and
+  /// empty. Declared before crew_, so it outlives the lanes.
+  const std::function<void(std::size_t)> lane_ = [this](std::size_t) {
+    while (auto p = queue_.pop()) run_one(*p);
+  };
+  ShardCrew crew_;
   std::once_flag shutdown_once_;
 };
 

@@ -802,7 +802,7 @@ TEST(Dist, ParsePositiveU64RejectsGarbageNamingTheToken) {
   for (const char* bad :
        {"banana", "0", "-3", "3x", "", "99999999999999999999"}) {
     try {
-      dist::parse_positive_u64("--heartbeat-ms", bad, 86400000ull);
+      parse_positive_u64("--heartbeat-ms", bad, 86400000ull);
       ADD_FAILURE() << "\"" << bad << "\": expected std::invalid_argument";
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
@@ -812,10 +812,10 @@ TEST(Dist, ParsePositiveU64RejectsGarbageNamingTheToken) {
     }
   }
   // Out-of-range is rejected too, naming the bound.
-  EXPECT_THROW(dist::parse_positive_u64("--workers", "65", 64),
+  EXPECT_THROW(parse_positive_u64("--workers", "65", 64),
                std::invalid_argument);
-  EXPECT_EQ(dist::parse_positive_u64("--workers", "64", 64), 64u);
-  EXPECT_EQ(dist::parse_positive_u64("--attach-timeout-ms", "1500", 86400000ull),
+  EXPECT_EQ(parse_positive_u64("--workers", "64", 64), 64u);
+  EXPECT_EQ(parse_positive_u64("--attach-timeout-ms", "1500", 86400000ull),
             1500u);
 }
 

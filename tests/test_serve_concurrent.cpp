@@ -3,8 +3,9 @@
 // exact byte stream a dedicated solo run would produce (1 worker), the
 // union of emitted lines must be invariant to worker count, framing must
 // survive arbitrarily small reads and writes, and a paused session whose
-// input ends must still run its jobs and say "bye". Labelled "tsan" — the
-// ThreadSanitizer CI job runs this suite at LDC_THREADS=7.
+// input ends must still run its jobs and say "bye". Labelled "tsan": the
+// ThreadSanitizer CI job runs this suite, whose services set their own
+// worker counts (1 and 7, more workers than cores).
 #include <gtest/gtest.h>
 
 #include <algorithm>

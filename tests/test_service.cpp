@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -30,6 +31,7 @@
 #include "ldc/storage/registry.hpp"
 #include "ldc/storage/stream_gen.hpp"
 #include "ldc/support/bitio.hpp"
+#include "thread_start_limit.hpp"
 
 namespace ldc::service {
 namespace {
@@ -58,26 +60,6 @@ TEST(ServiceQueue, CloseRejectsPushesAndDrains) {
   EXPECT_EQ(q.pop(), 1);        // queued items still drain
   EXPECT_EQ(q.pop(), 2);
   EXPECT_EQ(q.pop(), std::nullopt);  // closed and empty: worker exit
-}
-
-TEST(ServiceQueue, CloseOverridesPause) {
-  // A paused queue must still drain after close(), otherwise a paused
-  // service could never shut down.
-  BoundedQueue<int> q(4);
-  q.pause();
-  q.try_push(7);
-  q.close();
-  EXPECT_EQ(q.pop(), 7);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(ServiceQueue, ResumeDeliversToBlockedPop) {
-  BoundedQueue<int> q(4);
-  q.pause();
-  q.try_push(5);
-  std::thread popper([&] { EXPECT_EQ(q.pop(), 5); });
-  q.resume();
-  popper.join();
 }
 
 TEST(ServiceQueue, GateSkipsBlockedItemsFifoWithinClass) {
@@ -144,8 +126,9 @@ TEST(ServiceQueue, GateFlipNeverLandsMidScan) {
 }
 
 TEST(ServiceQueue, CloseOverridesGate) {
-  // Shutdown must drain even permanently-gated items, mirroring how
-  // close() overrides pause(): a gated session's jobs still complete.
+  // Shutdown must drain even permanently-gated items, otherwise a paused
+  // session could keep the service from shutting down: its jobs still
+  // complete.
   BoundedQueue<int> q(4, [](const int&) { return false; });
   q.try_push(5);
   q.close();
@@ -408,17 +391,18 @@ TEST(Service, BackpressureRejectsDeterministically) {
 
   // Paused, admission is decided before any job runs: exactly
   // (submissions - capacity) rejections regardless of worker timing.
-  svc.pause();
+  const auto gate = std::make_shared<SessionGate>();
+  svc.pause_session(*gate);
   std::uint64_t rejected = 0;
   for (std::uint64_t s = 1; s <= 5; ++s) {
-    const auto a = svc.submit(ring_job("luby", 16, s));
+    const auto a = svc.submit(ring_job("luby", 16, s), {gate, nullptr});
     if (!a.admitted) {
       ++rejected;
       EXPECT_EQ(a.reason, "queue full");
     }
   }
   EXPECT_EQ(rejected, 3u);
-  svc.resume();
+  svc.resume_session(*gate);
   svc.drain();
   svc.shutdown();
   EXPECT_EQ(c.results.size(), 2u);
@@ -430,12 +414,13 @@ TEST(Service, CancelsQueuedJobBeforeItRuns) {
   cfg.workers = 1;
   Collector c;
   Service svc(cfg, c.callback());
-  svc.pause();
-  const auto a = svc.submit(ring_job("kw", 16, 1));
+  const auto gate = std::make_shared<SessionGate>();
+  svc.pause_session(*gate);
+  const auto a = svc.submit(ring_job("kw", 16, 1), {gate, nullptr});
   ASSERT_TRUE(a.admitted);
   EXPECT_TRUE(svc.cancel(a.id));
   EXPECT_FALSE(svc.cancel(a.id + 99));  // unknown id
-  svc.resume();
+  svc.resume_session(*gate);
   svc.drain();
   ASSERT_EQ(c.results.size(), 1u);
   EXPECT_EQ(c.results[0].status, "cancelled");
@@ -521,7 +506,7 @@ TEST(Service, RejectsAfterShutdown) {
 
 // Test-only algorithms for the cancellation paths. Registered once in the
 // process-wide registry under names no real client uses.
-std::atomic<bool> g_spin_started{false};
+std::atomic<int> g_spins_started{0};  ///< test_spin jobs that began rounds
 
 void register_test_algorithms() {
   static std::once_flag once;
@@ -535,7 +520,7 @@ void register_test_algorithms() {
              BitWriter w;
              w.write(1, 1);
              const std::vector<Message> msgs(g.n(), Message::from(w));
-             g_spin_started.store(true, std::memory_order_release);
+             g_spins_started.fetch_add(1, std::memory_order_release);
              // Unbounded on purpose: only the round-boundary cancellation
              // hook can end this job. A broken hook hangs the test.
              for (;;) net.exchange_broadcast(msgs);
@@ -565,10 +550,10 @@ TEST(Service, CancelsRunningJobAtRoundBoundary) {
   cfg.workers = 1;
   Collector c;
   Service svc(cfg, c.callback());
-  g_spin_started.store(false);
+  g_spins_started.store(0);
   const auto a = svc.submit(ring_job("test_spin", 4, 1));
   ASSERT_TRUE(a.admitted);
-  while (!g_spin_started.load(std::memory_order_acquire)) {
+  while (g_spins_started.load(std::memory_order_acquire) < 1) {
     std::this_thread::yield();
   }
   // The job is provably mid-run now; cancellation must land at its next
@@ -578,6 +563,70 @@ TEST(Service, CancelsRunningJobAtRoundBoundary) {
   svc.shutdown();
   ASSERT_EQ(c.results.size(), 1u);
   EXPECT_EQ(c.results[0].status, "cancelled");
+}
+
+TEST(Service, RunsOneJobPerWorkerAtOnce) {
+  // Each lane runs a whole job: three jobs that only cancellation ends
+  // are all mid-run at once on three workers, none waiting behind another.
+  register_test_algorithms();
+  ServiceConfig cfg;
+  cfg.workers = 3;
+  Collector c;
+  Service svc(cfg, c.callback());
+  EXPECT_EQ(svc.workers(), 3u);
+  g_spins_started.store(0);
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    const auto a = svc.submit(ring_job("test_spin", 4, s));
+    ASSERT_TRUE(a.admitted);
+    ids.push_back(a.id);
+  }
+  // Bounded, so that lanes which do not run at once fail the test instead
+  // of hanging it: cancelling still ends the queued jobs at dequeue.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (g_spins_started.load(std::memory_order_acquire) < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(g_spins_started.load(), 3) << "the jobs never ran at once";
+  for (const std::uint64_t id : ids) EXPECT_TRUE(svc.cancel(id));
+  svc.drain();
+  svc.shutdown();
+  ASSERT_EQ(c.results.size(), 3u);
+  for (const auto& r : c.results) EXPECT_EQ(r.status, "cancelled");
+}
+
+TEST(Service, ZeroWorkersResolveToDefault) {
+  ASSERT_EQ(setenv("LDC_THREADS", "3", 1), 0);
+  ServiceConfig cfg;
+  cfg.workers = 0;
+  Service svc(cfg);
+  EXPECT_EQ(svc.workers(), 3u);
+  ASSERT_EQ(unsetenv("LDC_THREADS"), 0);
+}
+
+// A service whose worker threads cannot all start must throw from its
+// constructor, leaving no thread behind. The child caps its address space
+// so that only about three of the sixteen lanes' stacks fit.
+TEST(ServiceDeathTest, FailedWorkerStartThrows) {
+  if (!kCanLimitThreadStarts) {
+    GTEST_SKIP() << "sanitizer shadow memory defeats RLIMIT_AS";
+  }
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        leave_room_for_thread_stacks(3);
+        try {
+          ServiceConfig cfg;
+          cfg.workers = 16;
+          Service svc(cfg);
+        } catch (...) {
+          std::_Exit(0);
+        }
+        std::_Exit(1);  // every lane started: the cap did not bite
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Service, DeadlineMissedAtRoundBoundary) {
@@ -927,11 +976,12 @@ TEST(ServiceCorpus, DigestIsKeyedByContentNotName) {
     cfg.workers = 1;
     cfg.corpus_dir = fx.dir;
     Service svc(cfg);
-    svc.pause();  // admission only; never runs the job
-    const auto adm = svc.submit(corpus_job(fx.name));
+    const auto gate = std::make_shared<SessionGate>();
+    svc.pause_session(*gate);  // admission only; never runs the job
+    const auto adm = svc.submit(corpus_job(fx.name), {gate, nullptr});
     EXPECT_TRUE(adm.admitted);
     svc.cancel(adm.id);
-    svc.resume();
+    svc.resume_session(*gate);
     svc.shutdown();
     return adm.digest;
   };
@@ -944,12 +994,13 @@ TEST(ServiceCorpus, DigestIsKeyedByContentNotName) {
   cfg.workers = 1;
   cfg.corpus_dir = c.dir;
   Service svc(cfg);
-  svc.pause();
+  const auto gate = std::make_shared<SessionGate>();
+  svc.pause_session(*gate);
   Job job = corpus_job(c.name);
-  const auto adm = svc.submit(job);
+  const auto adm = svc.submit(job, {gate, nullptr});
   ASSERT_TRUE(adm.admitted);
   svc.cancel(adm.id);
-  svc.resume();
+  svc.resume_session(*gate);
   svc.shutdown();
   // Names differ (g_da vs g_dc) so full digests differ, but the resolved
   // content component must match a's.

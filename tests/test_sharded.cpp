@@ -11,14 +11,19 @@
 // destinations are rejected with the same error as the other engines,
 // LDC_SHARDS is parsed strictly (garbage throws instead of silently
 // reshaping the run), and cross_shard_traffic() counts exactly the
-// messages that crossed a partition boundary.
+// messages that crossed a partition boundary. It also pins the ShardCrew
+// itself: LDC_THREADS' lax fallback, the lowest-lane rethrow, and a clean
+// throw when a worker thread cannot start.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -34,8 +39,10 @@
 #include "ldc/oldc/single_defect.hpp"
 #include "ldc/resilient/drivers.hpp"
 #include "ldc/runtime/network.hpp"
+#include "ldc/runtime/shard.hpp"
 #include "ldc/support/prf.hpp"
 #include "survivor_masks.hpp"
+#include "thread_start_limit.hpp"
 
 namespace ldc {
 namespace {
@@ -712,6 +719,44 @@ TEST(Sharded, EngineSelectionAndClamping) {
   EXPECT_EQ(net.threads(), 1u);
 }
 
+TEST(Sharded, DefaultThreadCountHonorsEnv) {
+  ASSERT_EQ(setenv("LDC_THREADS", "5", 1), 0);
+  EXPECT_EQ(ShardCrew::default_thread_count(), 5u);
+  ASSERT_EQ(setenv("LDC_THREADS", "not-a-number", 1), 0);
+  EXPECT_GE(ShardCrew::default_thread_count(), 1u);  // falls back to hw
+  ASSERT_EQ(setenv("LDC_THREADS", "0", 1), 0);
+  EXPECT_GE(ShardCrew::default_thread_count(), 1u);  // 0 is invalid too
+  ASSERT_EQ(unsetenv("LDC_THREADS"), 0);
+  EXPECT_GE(ShardCrew::default_thread_count(), 1u);
+}
+
+TEST(Sharded, DefaultThreadCountRejectsMalformedEnv) {
+  // Every malformed value must resolve to the hardware-concurrency default,
+  // never to a garbage worker count (strtol's partial parses, negatives,
+  // overflow saturation, and absurdly large counts included).
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t fallback = hw == 0 ? 1 : hw;
+  const char* bad[] = {
+      "",      " ",          "-1",  "-0",         "3threads",
+      "0x10",  "2.5",        "+ 4", "99999999999999999999",  // > LONG_MAX
+      "-9223372036854775808000",                             // < LONG_MIN
+      "1e3",   "eight",      "4 ",
+      "5000",                                  // beyond the 4096 sanity cap
+  };
+  for (const char* v : bad) {
+    ASSERT_EQ(setenv("LDC_THREADS", v, 1), 0);
+    EXPECT_EQ(ShardCrew::default_thread_count(), fallback)
+        << "LDC_THREADS=\"" << v << "\"";
+  }
+  // Boundary values that are valid must still be honored (a parse check
+  // only: no crew of 4096 threads is built).
+  ASSERT_EQ(setenv("LDC_THREADS", "1", 1), 0);
+  EXPECT_EQ(ShardCrew::default_thread_count(), 1u);
+  ASSERT_EQ(setenv("LDC_THREADS", "4096", 1), 0);
+  EXPECT_EQ(ShardCrew::default_thread_count(), 4096u);
+  ASSERT_EQ(unsetenv("LDC_THREADS"), 0);
+}
+
 // LDC_SHARDS is parsed strictly, unlike LDC_THREADS' silent fallback: a
 // typo must fail loudly instead of silently reshaping the execution.
 TEST(Sharded, LdcShardsEnvStrictParsing) {
@@ -738,6 +783,62 @@ TEST(Sharded, LdcShardsEnvStrictParsing) {
   ASSERT_EQ(setenv("LDC_SHARDS", "", 1), 0);
   EXPECT_NO_THROW(resolve());  // empty == unset: hardware fallback
   unsetenv("LDC_SHARDS");
+}
+
+// When several lanes throw, the lowest lane's exception surfaces: the
+// lowest-sender order of a serial loop.
+TEST(Sharded, CrewRethrowsTheLowestLane) {
+  ShardCrew crew(4);
+  try {
+    crew.run([&](std::size_t k) {
+      if (k == 1) throw std::runtime_error("lane 1");
+      if (k == 2) throw std::logic_error("lane 2");
+    });
+    ADD_FAILURE() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "lane 1");
+  }
+}
+
+// A throwing job still runs every other lane to the end, and the crew
+// takes the next jobs as usual.
+TEST(Sharded, CrewUsableAfterException) {
+  ShardCrew crew(6);
+  std::atomic<int> survivors{0};
+  EXPECT_THROW(crew.run([&](std::size_t k) {
+                 if (k % 2 == 0) throw std::runtime_error("even lane");
+                 survivors.fetch_add(1);
+               }),
+               std::runtime_error);
+  EXPECT_EQ(survivors.load(), 3);  // the non-throwing lanes still ran
+
+  std::atomic<int> after{0};
+  for (int i = 0; i < 8; ++i) {
+    crew.run([&](std::size_t) { after.fetch_add(1); });
+  }
+  EXPECT_EQ(after.load(), 48);
+}
+
+// A crew whose threads cannot all start must stop and join the ones that
+// did, then throw: a joinable std::thread destroyed during the unwind
+// would call std::terminate instead. The child caps its address space so
+// that only about three of the sixteen thread stacks fit.
+TEST(ShardCrewDeathTest, FailedThreadStartThrows) {
+  if (!kCanLimitThreadStarts) {
+    GTEST_SKIP() << "sanitizer shadow memory defeats RLIMIT_AS";
+  }
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        leave_room_for_thread_stacks(3);
+        try {
+          ShardCrew crew(16);
+        } catch (...) {
+          std::_Exit(0);
+        }
+        std::_Exit(1);  // every thread started: the cap did not bite
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // ------------------------------------------------- partition topology --

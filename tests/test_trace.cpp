@@ -140,9 +140,9 @@ TEST(Trace, AdvanceRoundsRecordsSilentRounds) {
 
 TEST(Trace, AbsorbRecordsAggregateAndSilentRounds) {
   // Network::absorb() used to bump metrics().rounds without telling the
-  // trace, breaking the transcript-length invariant. The default path now
-  // records one aggregate row plus silent rounds, conserving both the
-  // round count and the traffic sums.
+  // trace, breaking the transcript-length invariant. It now records one
+  // aggregate row plus silent rounds, conserving both the round count and
+  // the traffic sums.
   const Graph g = gen::ring(4);
   Network net(g);
   Trace t;
@@ -166,29 +166,6 @@ TEST(Trace, AbsorbRecordsAggregateAndSilentRounds) {
   EXPECT_EQ(t.rounds()[1].messages, 10u);  // aggregate row first
   EXPECT_EQ(t.rounds()[2].messages, 0u);   // then silent rounds
   EXPECT_EQ(t.rounds()[3].messages, 0u);
-}
-
-TEST(Trace, AbsorbWithSubTraceCarriesPerRoundRows) {
-  const Graph g = gen::ring(4);
-  Network net(g);
-  Trace t;
-  net.attach_trace(&t);
-  Trace sub_trace;
-  sub_trace.mark("sub-phase");
-  sub_trace.record_round(4, 32, 8);
-  sub_trace.record_round(2, 8, 4);
-  RunMetrics sub;
-  sub.rounds = 2;
-  sub.messages = 6;
-  sub.total_bits = 40;
-  sub.max_message_bits = 8;
-  net.absorb(sub, &sub_trace);
-  EXPECT_EQ(net.metrics().rounds, 2u);
-  ASSERT_EQ(t.rounds().size(), 2u);
-  EXPECT_EQ(t.rounds()[0].messages, 4u);
-  EXPECT_EQ(t.rounds()[1].messages, 2u);
-  EXPECT_EQ(t.rounds()[0].mark, "sub-phase");
-  EXPECT_EQ(t.rounds()[1].index, 1u);  // re-indexed into this transcript
 }
 
 TEST(Trace, AbsorbOfZeroRoundSubRunRecordsNothing) {
