@@ -37,9 +37,10 @@ void run(harness::ExperimentContext& ctx) {
         opt.defect = d;
         opt.selection = rule;
         const auto res = arb::arbdefective_color(net, opt);
-        ctx.record("greedy/" + rule_name + "/Delta=" +
-                       std::to_string(delta) + "/d=" + std::to_string(d),
-                   net);
+        const auto& rec =
+            ctx.record("greedy/" + rule_name + "/Delta=" +
+                           std::to_string(delta) + "/d=" + std::to_string(d),
+                       net);
         std::uint32_t max_out = 0;
         std::uint64_t mono = 0;
         for (NodeId v = 0; v < g.n(); ++v) {
@@ -53,7 +54,7 @@ void run(harness::ExperimentContext& ctx) {
           }
         }
         t.add_row({std::uint64_t{delta}, std::uint64_t{d}, rule_name,
-                   std::uint64_t{res.rounds}, std::uint64_t{max_out},
+                   rec.metrics.rounds, std::uint64_t{max_out},
                    2.0 * static_cast<double>(mono) / g.n(), mono});
       }
     }

@@ -43,6 +43,7 @@ void run(harness::ExperimentContext& ctx) {
     Network net(g);
     ctx.prepare(net);
     const auto lin = linial::color(net);
+    const std::uint64_t linial_rounds = net.metrics().rounds;
     reduction::Options opt;
     opt.p = p;
     const auto res = reduction::reduce_and_solve(net, inst, orient, lin.phi,
@@ -50,7 +51,7 @@ void run(harness::ExperimentContext& ctx) {
     ctx.record("reduce/p=" + std::to_string(p), net);
     const auto check = validate_oldc(inst, orient, res.phi);
     t.add_row({p, label, std::uint64_t{res.levels},
-               std::uint64_t{res.stats.rounds},
+               net.metrics().rounds - linial_rounds,
                std::uint64_t{net.metrics().max_message_bits},
                bench::verdict(check)});
   }

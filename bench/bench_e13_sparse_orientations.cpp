@@ -49,7 +49,7 @@ void run(harness::ExperimentContext& ctx) {
     Network peel_net(g);
     ctx.prepare(peel_net);
     const auto peel = distributed_peeling_orientation(peel_net, 1.0);
-    ctx.record("peeling/" + fam.name, peel_net);
+    const auto& peel_rec = ctx.record("peeling/" + fam.name, peel_net);
 
     auto run_h = [&](const Orientation& orient, const std::string& label,
                      bool* ok) {
@@ -68,7 +68,7 @@ void run(harness::ExperimentContext& ctx) {
     const auto h_peel = run_h(peel.orientation, "two-phase-peel", &ok2);
     t.add_row({fam.name, std::uint64_t{g.max_degree()},
                std::uint64_t{exact.degeneracy}, std::uint64_t{peel.beta},
-               std::uint64_t{peel.rounds}, std::uint64_t{h_id},
+               peel_rec.metrics.rounds, std::uint64_t{h_id},
                std::uint64_t{h_peel},
                std::string((ok1 && ok2) ? "ok" : "VIOLATION")});
   }

@@ -105,13 +105,13 @@ void run(harness::ExperimentContext& ctx) {
 
   // Cross-check: the service's greedy result on ring(48) must match a
   // direct closed-loop run of the identical instance.
-  const auto [direct_digest, direct_metrics] = bench::closed_loop(
+  const auto [direct_digest, direct_record] = bench::closed_loop(
       ctx, gen::ring(48), "direct/greedy_ring48",
       [](Network&, const Graph&, const LdcInstance& inst) {
         const auto phi = baselines::greedy_list_coloring(inst);
         return phi ? service::coloring_digest(*phi) : 0;
       });
-  (void)direct_metrics;
+  (void)direct_record;
   bool matches = false;
   for (const auto& r : results) {
     if (r.id == admitted_ids.front()) {

@@ -53,7 +53,6 @@ struct EngineCfg {
 struct PipelineOut {
   RunMetrics metrics;
   std::uint64_t digest = 0;
-  std::uint64_t rounds = 0;
   Coloring phi;
   bool valid = false;
   double wall_ms = 0.0;
@@ -75,7 +74,6 @@ PipelineOut run_pipeline(harness::ExperimentContext& ctx, const Graph& g,
   PipelineOut out;
   out.metrics = net.metrics();
   out.digest = net.trace() ? net.trace()->digest() : 0;
-  out.rounds = res.stats.rounds + lin.rounds;
   out.phi = res.out.colors;
   out.valid = res.valid;
   out.wall_ms =
@@ -134,7 +132,7 @@ FaultyOut run_faulty(const Graph& g, const EngineCfg& cfg,
 
 struct SweepOut {
   std::uint64_t digest = 0;  ///< coloring bytes + palette + total bits
-  std::uint32_t rounds = 0;
+  std::uint64_t rounds = 0;
   bool valid = false;
   double secs = 0.0;
   ShardTraffic traffic;
@@ -155,7 +153,7 @@ SweepOut run_linial_sweep(const Graph& g, const EngineCfg& cfg) {
                                 out.digest);
   const std::uint64_t bits = net.metrics().total_bits;
   out.digest = service::fnv1a64(&bits, sizeof bits, out.digest);
-  out.rounds = res.rounds;
+  out.rounds = net.metrics().rounds;
   out.valid = static_cast<bool>(validate_proper(g, res.phi));
   out.secs = std::chrono::duration<double>(t1 - t0).count();
   out.traffic = net.cross_shard_traffic();
@@ -187,9 +185,8 @@ void run(harness::ExperimentContext& ctx) {
     const bool first = cfg.engine == Network::Engine::kSerial;
     if (first) serial = out;
     const bool same = out.metrics.same_communication(serial.metrics) &&
-                      out.digest == serial.digest &&
-                      out.rounds == serial.rounds && out.phi == serial.phi;
-    gate.add_row({cfg.name, std::uint64_t{out.rounds},
+                      out.digest == serial.digest && out.phi == serial.phi;
+    gate.add_row({cfg.name, out.metrics.rounds,
                   std::uint64_t{out.metrics.total_bits},
                   std::uint64_t{out.digest},
                   std::string(first ? "reference"

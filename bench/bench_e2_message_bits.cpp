@@ -33,8 +33,8 @@ void run(harness::ExperimentContext& ctx) {
     o2.reduction_levels = 2;
     Network n2(g);
     ctx.prepare(n2);
-    const auto r2 = d1lc::color(n2, inst, o2);
-    ctx.record("congest-r2/" + tag, n2);
+    d1lc::color(n2, inst, o2);
+    const auto& r2 = ctx.record("congest-r2/" + tag, n2);
 
     d1lc::PipelineOptions o3;
     o3.reduction_levels = 3;
@@ -45,8 +45,8 @@ void run(harness::ExperimentContext& ctx) {
 
     Network nl(g);
     ctx.prepare(nl);
-    const auto local = d1lc::color_local_baseline(nl, inst);
-    ctx.record("local/" + tag, nl);
+    d1lc::color_local_baseline(nl, inst);
+    const auto& local = ctx.record("local/" + tag, nl);
 
     Network nluby(g);
     ctx.prepare(nluby);
@@ -64,7 +64,7 @@ void run(harness::ExperimentContext& ctx) {
                std::uint64_t{nl.metrics().max_message_bits},
                std::uint64_t{nluby.metrics().max_message_bits},
                std::uint64_t{ncls.metrics().max_message_bits},
-               std::uint64_t{r2.rounds}, std::uint64_t{local.rounds}});
+               r2.metrics.rounds, local.metrics.rounds});
   }
 }
 

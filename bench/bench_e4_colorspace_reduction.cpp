@@ -31,6 +31,7 @@ void run(harness::ExperimentContext& ctx) {
     Network net(g);
     ctx.prepare(net);
     const auto lin = linial::color(net);
+    const std::uint64_t linial_rounds = net.metrics().rounds;
     reduction::Options opt;
     opt.p = (r == 0) ? 0 : reduction::subspace_count_for_depth(space, r);
     const auto res = reduction::reduce_and_solve(net, inst, orient, lin.phi,
@@ -38,7 +39,7 @@ void run(harness::ExperimentContext& ctx) {
     ctx.record("depth=" + std::to_string(r), net);
     const auto check = validate_oldc(inst, orient, res.phi);
     t.add_row({std::uint64_t{r}, opt.p, std::uint64_t{res.levels},
-               std::uint64_t{res.stats.rounds},
+               net.metrics().rounds - linial_rounds,
                std::uint64_t{net.metrics().max_message_bits},
                net.metrics().total_bits,
                (r == 0) ? space : reduction::subspace_count_for_depth(space, r),

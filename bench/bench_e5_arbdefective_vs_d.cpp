@@ -39,7 +39,7 @@ void run(harness::ExperimentContext& ctx) {
     mt::CandidateParams params;
     const auto res = arb::solve_list_arbdefective(
         net, inst, lin.phi, lin.palette, arb::two_phase_solver(params));
-    ctx.record("pipeline/" + tag, net);
+    const auto& pipe_rec = ctx.record("pipeline/" + tag, net);
 
     // Committing-greedy baseline (BEG18 stand-in).
     Network bnet(g);
@@ -48,12 +48,11 @@ void run(harness::ExperimentContext& ctx) {
     aopt.colors = q;
     aopt.defect = d;
     const auto base = arbdefective_color(bnet, aopt);
-    ctx.record("greedy/" + tag, bnet);
+    const auto& base_rec = ctx.record("greedy/" + tag, bnet);
 
     const auto check = validate_arbdefective(inst, res.out);
     t.add_row({std::uint64_t{d}, std::uint64_t{q},
-               std::uint64_t{res.stats.rounds + lin.rounds},
-               std::uint64_t{base.rounds},
+               pipe_rec.metrics.rounds, base_rec.metrics.rounds,
                std::sqrt(static_cast<double>(delta) / (d + 1)),
                std::uint64_t{delta / (d + 1)},
                std::string((check.ok && base.success) ? "ok" : "VIOLATION")});

@@ -27,12 +27,12 @@ void run(harness::ExperimentContext& ctx) {
       Network net(g);
       ctx.prepare(net);
       const auto res = linial::color(net);
-      ctx.record("ring/n=" + std::to_string(g.n()) +
-                     "/ids=" + std::to_string(id_bits),
-                 net);
+      const auto& rec = ctx.record("ring/n=" + std::to_string(g.n()) +
+                                       "/ids=" + std::to_string(id_bits),
+                                   net);
       const auto check = validate_proper(g, res.phi);
       t.add_row({std::uint64_t{g.n()}, std::uint64_t{1} << id_bits,
-                 std::uint64_t{res.rounds}, res.palette,
+                 rec.metrics.rounds, res.palette,
                  std::int64_t{log_star(1ULL << id_bits)},
                  bench::verdict(check)});
     }
@@ -48,10 +48,11 @@ void run(harness::ExperimentContext& ctx) {
     Network net(g);
     ctx.prepare(net);
     const auto res = linial::color(net);
-    ctx.record("regular/Delta=" + std::to_string(delta), net);
+    const auto& rec =
+        ctx.record("regular/Delta=" + std::to_string(delta), net);
     const auto check = validate_proper(g, res.phi);
     t2.add_row({std::uint64_t{delta}, std::uint64_t{g.n()},
-                std::uint64_t{res.rounds}, res.palette,
+                rec.metrics.rounds, res.palette,
                 std::uint64_t{16} * delta * delta, bench::verdict(check)});
   }
 }

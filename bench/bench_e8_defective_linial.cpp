@@ -25,7 +25,8 @@ void run(harness::ExperimentContext& ctx) {
     Network net(g);
     ctx.prepare(net);
     const auto res = linial::defective_color(net, d);
-    ctx.record("defective-linial/d=" + std::to_string(d), net);
+    const auto& rec =
+        ctx.record("defective-linial/d=" + std::to_string(d), net);
     const auto check = validate_defective(
         g, res.phi, static_cast<std::uint32_t>(res.palette), d);
     std::uint32_t realized = 0;
@@ -38,7 +39,7 @@ void run(harness::ExperimentContext& ctx) {
     }
     const std::uint64_t ideal =
         static_cast<std::uint64_t>(delta / (d + 1)) * (delta / (d + 1));
-    t.add_row({std::uint64_t{d}, std::uint64_t{res.rounds}, res.palette,
+    t.add_row({std::uint64_t{d}, rec.metrics.rounds, res.palette,
                ideal, std::uint64_t{realized}, bench::verdict(check)});
   }
 }

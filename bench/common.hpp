@@ -86,8 +86,8 @@ inline std::vector<Message> uniform_broadcast(std::size_t n,
 /// network -> algorithm -> record" cycle that E11/E12 (and now E16)
 /// repeated inline. `body(net, g, inst)` runs the algorithm; the helper
 /// owns instance construction, ctx.prepare (trace/fault wiring) and
-/// ctx.record under `label`. Returns the body's result paired with a
-/// snapshot of the network's run metrics.
+/// ctx.record under `label`. Returns the body's result paired with the
+/// run's record: the simulator's metrics and per-round rows.
 template <typename Body>
 auto closed_loop(harness::ExperimentContext& ctx, const Graph& g,
                  const std::string& label, Body&& body) {
@@ -95,8 +95,8 @@ auto closed_loop(harness::ExperimentContext& ctx, const Graph& g,
   Network net(g);
   ctx.prepare(net);
   auto result = std::forward<Body>(body)(net, g, inst);
-  ctx.record(label, net);
-  return std::make_pair(std::move(result), net.metrics());
+  return std::pair<decltype(result), const harness::MetricRecord&>(
+      std::move(result), ctx.record(label, net));
 }
 
 /// Random weighted oriented LDC instance — the common setup of every
@@ -115,7 +115,8 @@ inline LdcInstance weighted_oriented_instance(
 }
 
 /// Linial bootstrap followed by the two-phase OLDC solver on the same
-/// network — the shared body of E3, E10b, E13 and A1.
+/// network — the shared body of E3, E10b, E13 and A1. `linial_rounds` is
+/// the network's round count when the solver starts.
 struct TwoPhaseRun {
   oldc::TwoPhaseResult res;
   std::uint64_t linial_rounds = 0;
@@ -132,8 +133,8 @@ inline TwoPhaseRun two_phase_after_linial(
   in.m = lin.palette;
   in.params = params;
   TwoPhaseRun run;
+  run.linial_rounds = net.metrics().rounds;
   run.res = oldc::solve_two_phase(net, in);
-  run.linial_rounds = lin.rounds;
   return run;
 }
 

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       g, res.phi, static_cast<std::uint32_t>(res.palette), d);
   std::cout << "defective clustering: groups<=" << res.palette
             << " defect<=" << d << " valid=" << check.ok
-            << " rounds=" << res.rounds << "\n";
+            << " rounds=" << net.metrics().rounds << "\n";
 
   // Intra-group degree profile.
   std::uint32_t max_inside = 0;

@@ -75,6 +75,7 @@ int main(int argc, char** argv) {
 
   ldc::Network net(g);
   const auto lin = ldc::linial::color(net);
+  const std::uint64_t linial_rounds = net.metrics().rounds;
   ldc::oldc::MultiDefectInput in;
   in.inst = &inst;
   in.orientation = &orient;
@@ -87,8 +88,8 @@ int main(int argc, char** argv) {
   std::cout << "devices=" << g.n() << " channels=" << channels
             << " guard=+-" << guard << "\n";
   std::cout << "assignment valid=" << check.ok
-            << " rounds=" << (lin.rounds + res.stats.rounds)
-            << " (linial=" << lin.rounds << ")"
+            << " rounds=" << net.metrics().rounds
+            << " (linial=" << linial_rounds << ")"
             << " repaired=" << res.stats.repaired << "\n";
   // Report how much interference tolerance was actually consumed.
   std::uint64_t used = 0, budget = 0;

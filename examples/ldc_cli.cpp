@@ -157,32 +157,21 @@ int cmd_color(const std::map<std::string, std::string>& flags) {
 
   Network net(g);
   Coloring phi;
-  std::uint64_t rounds = 0;
   if (algo == "pipeline" || algo == "local") {
     d1lc::PipelineOptions opt;
     if (algo == "local") opt.reduction_levels = 0;
     if (flags.count("reduction")) {
       opt.reduction_levels = std::stoul(flags.at("reduction"));
     }
-    const auto res = d1lc::color(net, inst, opt);
-    phi = res.phi;
-    rounds = res.rounds;
+    phi = d1lc::color(net, inst, opt).phi;
   } else if (algo == "luby") {
-    const auto res = baselines::luby_list_coloring(net, inst);
-    phi = res.phi;
-    rounds = res.rounds;
+    phi = baselines::luby_list_coloring(net, inst).phi;
   } else if (algo == "oneclass") {
-    const auto res = baselines::linial_then_reduce(net, inst);
-    phi = res.phi;
-    rounds = res.rounds;
+    phi = baselines::linial_then_reduce(net, inst).phi;
   } else if (algo == "kw") {
-    const auto res = baselines::linial_then_kw(net);
-    phi = res.phi;
-    rounds = res.rounds;
+    phi = baselines::linial_then_kw(net).phi;
   } else if (algo == "repair") {
-    const auto res = repair::repair(net, inst, Coloring(g.n(), kUncolored));
-    phi = res.phi;
-    rounds = res.rounds;
+    phi = repair::repair(net, inst, Coloring(g.n(), kUncolored)).phi;
   } else {
     usage("unknown algorithm " + algo);
   }
@@ -192,7 +181,8 @@ int cmd_color(const std::map<std::string, std::string>& flags) {
   std::cout << "graph: n=" << g.n() << " m=" << g.m()
             << " Delta=" << g.max_degree() << "\n";
   std::cout << "algo=" << algo << " valid=" << check.ok
-            << " rounds=" << rounds << " colors=" << stats.colors_used
+            << " rounds=" << net.metrics().rounds
+            << " colors=" << stats.colors_used
             << "\n";
   std::cout << "traffic: " << net.metrics().messages << " msgs, max "
             << net.metrics().max_message_bits << " bits, total "
@@ -211,7 +201,8 @@ int cmd_edge(const std::map<std::string, std::string>& flags) {
   const Graph g = obtain_graph(flags, seed);
   const auto res = d1lc::edge_color(g);
   std::cout << "edges=" << res.edges.size() << " slots<=" << res.palette
-            << " valid=" << res.valid << " rounds=" << res.rounds << "\n";
+            << " valid=" << res.valid << " rounds=" << res.metrics.rounds
+            << "\n";
   return res.valid ? 0 : 1;
 }
 

@@ -32,8 +32,12 @@ int main(int argc, char** argv) {
       ldc::degree_plus_one_instance(g, space, seed + 2);
 
   // 3. The simulated network. Passing a bit budget makes it a CONGEST
-  //    network; messages over budget are counted as violations.
+  //    network; messages over budget are counted as violations. The
+  //    simulator counts every round; an attached trace labels each round
+  //    with the phase that ran it.
   ldc::Network net(g);
+  ldc::Trace trace;
+  net.attach_trace(&trace);
 
   // 4. Run the Theorem 1.4 pipeline (Linial -> arbdefective decomposition
   //    -> two-phase OLDC with color space reduction).
@@ -44,10 +48,11 @@ int main(int argc, char** argv) {
   const auto member = ldc::validate_membership(inst, res.phi);
   std::cout << "colored: valid=" << (proper.ok && member.ok)
             << " colors_used=" << ldc::colors_used(res.phi) << "\n";
-  std::cout << "rounds: total=" << res.rounds
-            << " (linial=" << res.linial_rounds
+  std::cout << "rounds: total=" << net.metrics().rounds << " (linial="
+            << ldc::count_marked(trace.rounds(), "pipeline/linial")
             << ", stages=" << res.t13.stages
-            << ", tail=" << res.t13.tail_rounds << ")\n";
+            << ", tail=" << ldc::count_marked(trace.rounds(), "t13/tail")
+            << ")\n";
   std::cout << "traffic: " << net.metrics().messages << " messages, max "
             << net.metrics().max_message_bits << " bits/message\n";
   return (proper.ok && member.ok) ? 0 : 1;

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "schedule valid=" << check.ok << " slots=" << slots
             << " (lower bound " << lb << ", Vizing bound " << lb + 1 << ")\n";
-  std::cout << "rounds=" << res.rounds
+  std::cout << "rounds=" << net.metrics().rounds
             << " max_message_bits=" << net.metrics().max_message_bits
             << "\n";
   return check.ok ? 0 : 1;

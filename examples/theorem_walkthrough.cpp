@@ -56,14 +56,15 @@ int main(int argc, char** argv) {
             << ", worst sum(d+1)^2 / beta_v^2 = " << worst_ratio
             << " (the paper's kappa slot)\n\n";
 
+  // Rounds below are the simulator's: metrics() counts, and the trace rows
+  // the solvers mark (the Section 3.2 solvers' rows carry "oldc/" marks).
+
   // --- Lemma 3.6 (multi-defect bucket algorithm).
   {
     Network net(g);
     Trace trace;
     net.attach_trace(&trace);
-    trace.mark("linial");
     const auto lin = linial::color(net);
-    trace.mark("lemma 3.6");
     oldc::MultiDefectInput in;
     in.inst = &inst;
     in.orientation = &orient;
@@ -71,7 +72,8 @@ int main(int argc, char** argv) {
     in.m = lin.palette;
     const auto res = oldc::solve_multi_defect(net, in);
     std::cout << "=== Lemma 3.6 (single bucket per node) ===\n"
-              << "rounds = " << res.stats.rounds << " (claim: O(h), h = "
+              << "rounds = " << count_marked(trace.rounds(), "oldc/")
+              << " (claim: O(h), h = "
               << res.stats.h << "), tau = " << res.stats.tau
               << ", valid = " << validate_oldc(inst, orient, res.phi).ok
               << "\n\n";
@@ -80,7 +82,10 @@ int main(int argc, char** argv) {
   // --- Theorem 1.1 (two-phase).
   {
     Network net(g);
+    Trace trace;
+    net.attach_trace(&trace);
     const auto lin = linial::color(net);
+    const std::uint64_t linial_rounds = net.metrics().rounds;
     oldc::TwoPhaseInput in;
     in.inst = &inst;
     in.orientation = &orient;
@@ -88,9 +93,11 @@ int main(int argc, char** argv) {
     in.m = lin.palette;
     const auto res = oldc::solve_two_phase(net, in);
     std::cout << "=== Theorem 1.1 (two-phase) ===\n"
-              << "rounds = " << res.stats.rounds << " vs O(log beta) = "
+              << "rounds = " << net.metrics().rounds - linial_rounds
+              << " vs O(log beta) = "
               << ceil_log2(std::max(2u, orient.max_beta()))
-              << " classes x 3 + aux " << res.stats.aux_rounds << "\n"
+              << " classes x 3 + aux "
+              << count_marked(trace.rounds(), "oldc/") << "\n"
               << "pruned colors = " << res.stats.pruned_colors
               << ", P1 relaxations = " << res.stats.p1_relaxed
               << ", repaired = " << res.stats.repaired << ", valid = "
@@ -101,6 +108,7 @@ int main(int argc, char** argv) {
   {
     Network net(g);
     const auto lin = linial::color(net);
+    const std::uint64_t linial_rounds = net.metrics().rounds;
     mt::CandidateParams params;
     reduction::Options opt;
     opt.p = reduction::subspace_count_for_depth(inst.color_space, 2);
@@ -124,7 +132,8 @@ int main(int argc, char** argv) {
                                                  lin.palette, opt, base);
     std::cout << "=== Theorem 1.2 (p = " << opt.p << ", "
               << res.levels << " levels) ===\n"
-              << "rounds = " << res.stats.rounds << ", max message = "
+              << "rounds = " << net.metrics().rounds - linial_rounds
+              << ", max message = "
               << net.metrics().max_message_bits
               << " bits (claim: lists now cost ~|C|^(1/2) = " << opt.p
               << " each), valid = "
@@ -138,7 +147,8 @@ int main(int argc, char** argv) {
     const auto res = d1lc::color(net, std_inst);
     const auto stats = coloring_stats(std_inst, res.phi);
     std::cout << "=== Theorems 1.3/1.4 ((Delta+1)-coloring) ===\n"
-              << "rounds = " << res.rounds << " (claim ~ sqrt(Delta) polylog"
+              << "rounds = " << net.metrics().rounds
+              << " (claim ~ sqrt(Delta) polylog"
               << "; sqrt(Delta) = "
               << std::sqrt(static_cast<double>(g.max_degree()))
               << "), stages = " << res.t13.stages << ", colors used = "

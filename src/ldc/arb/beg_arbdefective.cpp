@@ -67,7 +67,6 @@ ArbdefectiveResult arbdefective_color(Network& net,
       msgs[v] = Message::from(w);
     }
     const auto inboxes = net.exchange_broadcast(msgs, &active);
-    ++res.rounds;
 
     // Commit unless an adjacent *uncommitted* proposer with the same color
     // has higher priority. Priorities PRF(round, id) are locally
@@ -99,7 +98,6 @@ ArbdefectiveResult arbdefective_color(Network& net,
       ack[v] = Message::from(w);
     }
     const auto ackboxes = net.exchange_broadcast(ack, &active);
-    ++res.rounds;
     for (NodeId v = 0; v < n; ++v) {
       for (const auto& [u, m] : ackboxes[v]) {
         auto r = m.reader();

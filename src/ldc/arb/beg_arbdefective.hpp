@@ -44,7 +44,6 @@ struct ArbdefectiveOptions {
 struct ArbdefectiveResult {
   Coloring phi;              ///< colors in [0, q)
   Orientation orientation;   ///< same-color outdegree <= d
-  std::uint32_t rounds = 0;
   bool success = false;
 };
 

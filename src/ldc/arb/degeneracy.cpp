@@ -99,7 +99,6 @@ PeelingResult distributed_peeling_orientation(Network& net, double eps) {
       msgs[v] = Message::from(w);
     }
     const auto inboxes = net.exchange_broadcast(msgs, &active);
-    ++res.rounds;
     if (peeled_now == 0) {
       throw std::logic_error("peeling: no progress (threshold below min)");
     }

@@ -33,8 +33,8 @@ DegeneracyResult degeneracy_orientation(const Graph& g);
 struct PeelingResult {
   Orientation orientation;
   std::uint32_t beta = 0;        ///< max outdegree achieved
-  std::uint32_t rounds = 0;      ///< peeling rounds on the network
-  std::uint32_t layers = 0;      ///< H-partition layer count
+  std::uint32_t layers = 0;      ///< H-partition layer count (one round
+                                 ///< each on the network)
 };
 
 /// Distributed peeling with threshold factor (2 + eps); eps > 0.

@@ -99,7 +99,6 @@ Theorem13Result solve_list_arbdefective(Network& net,
     }
     const WordMail inboxes =
         net.exchange_broadcast_word(words, inst.color_space - 1, &active);
-    ++res.stats.rounds;
     for (NodeId v = 0; v < n; ++v) {
       for (const auto [u, word] : inboxes[v]) {
         (void)u;
@@ -127,7 +126,7 @@ Theorem13Result solve_list_arbdefective(Network& net,
             "condition violated)");
       }
     }
-    Network sub_net(sub.graph, net.budget_bits());
+    Network sub_net(sub.graph, net);
     repair::Options ropt;
     ropt.seed = hash_combine(opt.seed, 0x7a11);
     auto rep = repair::repair(sub_net, tail,
@@ -135,9 +134,7 @@ Theorem13Result solve_list_arbdefective(Network& net,
     if (!rep.success) {
       throw std::runtime_error("solve_list_arbdefective: tail failed");
     }
-    net.absorb(sub_net.metrics());
-    res.stats.tail_rounds += rep.rounds;
-    res.stats.rounds += rep.rounds;
+    net.absorb(sub_net.metrics(), "t13/tail");
     std::vector<NodeId> now;
     for (NodeId i = 0; i < sub.graph.n(); ++i) {
       phi[sub.to_parent[i]] = rep.phi[i];
@@ -188,15 +185,13 @@ Theorem13Result solve_list_arbdefective(Network& net,
         static_cast<std::uint32_t>(ceil_div(2ULL * delta_s, q));
 
     // Stage arbdefective coloring on the uncolored subgraph.
-    Network arb_net(sub.graph, net.budget_bits());
+    Network arb_net(sub.graph, net);
     ArbdefectiveOptions aopt;
     aopt.colors = q;
     aopt.defect = delta;
     aopt.seed = hash_combine(opt.seed, stage);
     const auto psi = arbdefective_color(arb_net, aopt);
-    net.absorb(arb_net.metrics());
-    res.stats.arbdef_rounds += psi.rounds;
-    res.stats.rounds += psi.rounds;
+    net.absorb(arb_net.metrics(), "t13/arbdef");
 
     // Iterate over the stage's color classes.
     bool progress = false;
@@ -249,7 +244,7 @@ Theorem13Result solve_list_arbdefective(Network& net,
         }
       }
 
-      Network cls_net(cls_sub.graph, net.budget_bits());
+      Network cls_net(cls_sub.graph, net);
       oldc::OldcResult out;
       try {
         out = solver(cls_net, cls_inst, cls_orient, cls_initial, m);
@@ -257,13 +252,12 @@ Theorem13Result solve_list_arbdefective(Network& net,
         // The class's sub-instance missed the solver's margins; its nodes
         // simply wait for a later stage (their degree keeps shrinking) or
         // the tail.
-        net.absorb(cls_net.metrics());
+        net.absorb(cls_net.metrics(), "t13/classes");
+        ++res.stats.infeasible_classes;
         continue;
       }
-      net.absorb(cls_net.metrics());
-      res.stats.oldc_rounds += out.stats.rounds;
-      res.stats.rounds += out.stats.rounds;
-      res.stats.repair_rounds += out.stats.repair_rounds;
+      net.absorb(cls_net.metrics(), "t13/classes");
+      if (out.stats.repaired) ++res.stats.repaired_classes;
 
       // Record results; intra-class edges take the stage orientation.
       std::vector<NodeId> now;

@@ -11,7 +11,13 @@
 // as neighbors take colors; edges orient from later-colored to
 // earlier-colored endpoints so the final coloring is arbdefective w.r.t.
 // the output orientation. A short repair tail finishes the last
-// low-degree remnant (rounds reported separately).
+// low-degree remnant.
+//
+// The stage, class and tail solves run on sub-runs of the caller's network
+// (Network(sub, net)) folded back with absorb(); on an attached Trace their
+// rows carry the marks "t13/arbdef", "t13/classes" and "t13/tail". The
+// transformer's own announce rounds run on the caller's network under the
+// caller's mark.
 #pragma once
 
 #include <cstdint>
@@ -44,13 +50,13 @@ struct Theorem13Options {
 };
 
 struct Theorem13Stats {
-  std::uint32_t rounds = 0;        ///< total communication rounds
   std::uint32_t stages = 0;        ///< degree-halving stages executed
   std::uint32_t class_iterations = 0;  ///< OLDC solves across all stages
-  std::uint32_t arbdef_rounds = 0;     ///< rounds in arbdefective coloring
-  std::uint32_t oldc_rounds = 0;       ///< rounds inside OLDC solves
-  std::uint32_t tail_rounds = 0;       ///< repair tail rounds
-  std::uint32_t repair_rounds = 0;     ///< repair inside OLDC solves
+  /// Class solves that threw InfeasibleError (the class missed the
+  /// solver's margins; its nodes wait for a later stage or the tail).
+  std::uint32_t infeasible_classes = 0;
+  /// Class solves whose output needed repair (OldcStats::repaired).
+  std::uint32_t repaired_classes = 0;
 };
 
 struct Theorem13Result {

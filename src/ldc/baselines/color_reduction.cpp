@@ -51,17 +51,13 @@ ReductionResult reduce_by_classes(Network& net, const LdcInstance& inst,
         if (i != inst.lists[v].size()) taken[v][i] = true;
       }
     });
-    ++res.rounds;
   }
   return res;
 }
 
 ReductionResult linial_then_reduce(Network& net, const LdcInstance& inst) {
   const linial::Result lin = linial::color(net);
-  ReductionResult res =
-      reduce_by_classes(net, inst, lin.phi, lin.palette);
-  res.rounds += lin.rounds;
-  return res;
+  return reduce_by_classes(net, inst, lin.phi, lin.palette);
 }
 
 }  // namespace ldc::baselines

@@ -21,7 +21,6 @@ namespace ldc::baselines {
 
 struct ReductionResult {
   Coloring phi;
-  std::uint32_t rounds = 0;
 };
 
 /// `initial` must be a proper coloring with colors < m. The instance must

@@ -39,7 +39,6 @@ KwResult kw_reduce(Network& net, const Coloring& initial, std::uint64_t m) {
   {
     const WordMail in =
         net.exchange_broadcast_word(words, std::max<std::uint64_t>(m, 1) - 1);
-    ++res.rounds;
     net.run_node_programs([&](NodeId v) { learn(v, in[v]); });
   }
 
@@ -73,7 +72,6 @@ KwResult kw_reduce(Network& net, const Coloring& initial, std::uint64_t m) {
         words[v] = lo + t;
       });
       rounds.exchange(cls, res.palette - 1, learn);
-      ++res.rounds;
       // The recolours take effect after the round: this round's choices
       // read the colours the round started with.
       for (NodeId v : cls) res.phi[v] = static_cast<Color>(words[v]);
@@ -97,9 +95,7 @@ KwResult kw_reduce(Network& net, const Coloring& initial, std::uint64_t m) {
 
 KwResult linial_then_kw(Network& net) {
   const linial::Result lin = linial::color(net);
-  KwResult res = kw_reduce(net, lin.phi, lin.palette);
-  res.rounds += lin.rounds;
-  return res;
+  return kw_reduce(net, lin.phi, lin.palette);
 }
 
 }  // namespace ldc::baselines

@@ -21,7 +21,6 @@ namespace ldc::baselines {
 struct KwResult {
   Coloring phi;            ///< proper, with colors in [0, palette)
   std::uint64_t palette;   ///< Delta + 1 once reduced (m if m <= Delta + 1)
-  std::uint32_t rounds = 0;
 };
 
 /// `initial` must be proper with colors < m. Output is a proper

@@ -58,7 +58,6 @@ LubyResult luby_list_coloring(Network& net, const LdcInstance& inst,
       msgs[v] = Message::from(w);
     });
     const auto inboxes = net.exchange_broadcast(msgs);
-    ++res.rounds;
 
     net.run_node_programs([&](NodeId v) {
       if (res.phi[v] != kUncolored || proposal[v] == kUncolored) return;

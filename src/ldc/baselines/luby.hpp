@@ -21,7 +21,6 @@ struct LubyOptions {
 
 struct LubyResult {
   Coloring phi;
-  std::uint32_t rounds = 0;
   bool success = false;  ///< everyone colored within max_rounds
 };
 

@@ -13,7 +13,6 @@ PipelineResult color(Network& net, const LdcInstance& inst,
   // Stage 1: Linial from IDs.
   net.mark("pipeline/linial");
   const auto lin = linial::color(net);
-  res.linial_rounds = lin.rounds;
   res.initial_palette = lin.palette;
 
   // Stage 2: Theorem 1.3 with the (possibly reduction-wrapped) Theorem 1.1
@@ -42,7 +41,6 @@ PipelineResult color(Network& net, const LdcInstance& inst,
                                                 opt.t13);
   res.phi = t13.out.colors;
   res.t13 = t13.stats;
-  res.rounds = res.linial_rounds + t13.stats.rounds;
   // For defect-0 instances arbdefective validity == proper list coloring.
   res.valid = t13.valid;
   return res;

@@ -24,10 +24,10 @@ struct PipelineOptions {
   arb::Theorem13Options t13;
 };
 
+/// Rounds are the network's: metrics().rounds in total, and the Linial
+/// stage's rows carry the "pipeline/linial" mark on an attached Trace.
 struct PipelineResult {
   Coloring phi;
-  std::uint32_t rounds = 0;         ///< total, including the Linial stage
-  std::uint32_t linial_rounds = 0;
   std::uint64_t initial_palette = 0;
   arb::Theorem13Stats t13;
   bool valid = false;

@@ -19,7 +19,7 @@ EdgeColoringResult edge_color(const Graph& g, const PipelineOptions& opt) {
   Network net(lg);
   const auto out = color(net, inst, opt);
   res.slots = out.phi;
-  res.rounds = out.rounds;
+  res.metrics = net.metrics();
   res.valid = out.valid && validate_proper(lg, out.phi).ok;
   return res;
 }

@@ -22,7 +22,7 @@ struct EdgeColoringResult {
   std::vector<std::pair<NodeId, NodeId>> edges;
   std::vector<Color> slots;
   std::uint64_t palette = 0;  ///< 2*Delta(G) - 1 (the line graph's Delta+1)
-  std::uint32_t rounds = 0;
+  RunMetrics metrics;         ///< the line-graph network's run
   bool valid = false;
 };
 

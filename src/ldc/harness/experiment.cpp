@@ -49,7 +49,8 @@ void ExperimentContext::prepare(Network& net) {
   attached_.emplace_back(&net, traces_.back().get());
 }
 
-void ExperimentContext::record(std::string label, const Network& net) {
+const MetricRecord& ExperimentContext::record(std::string label,
+                                              const Network& net) {
   MetricRecord rec;
   rec.label = std::move(label);
   rec.metrics = net.metrics();
@@ -59,11 +60,11 @@ void ExperimentContext::record(std::string label, const Network& net) {
   for (auto it = attached_.rbegin(); it != attached_.rend(); ++it) {
     if (it->first == &net) {
       rec.trace_digest = it->second->digest();
-      if (config_.capture_rounds) rec.rounds = it->second->rounds();
+      rec.rounds = it->second->rounds();
       break;
     }
   }
-  result_.runs.push_back(std::move(rec));
+  return result_.runs.emplace_back(std::move(rec));
 }
 
 ExperimentResult ExperimentContext::take_result() {

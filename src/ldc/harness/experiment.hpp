@@ -37,7 +37,6 @@ struct RunConfig {
   bool smoke = false;  ///< shrunk parameter sweeps for CI
   Network::Engine engine = Network::Engine::kSerial;
   std::size_t threads = 0;  ///< shard count; 0 = LDC_SHARDS / hardware
-  bool capture_rounds = true;  ///< keep per-round trace rows for JSONL
 };
 
 /// A table of typed rows; the structured twin of ldc::Table.
@@ -70,18 +69,20 @@ struct MetricRecord {
   std::string label;          ///< e.g. "pipeline/Delta=16"
   RunMetrics metrics;
   std::uint64_t trace_digest = 0;   ///< 0 when the net was not prepared
-  std::vector<Trace::Round> rounds; ///< per-round rows (may be empty)
+  std::vector<Trace::Round> rounds; ///< per-round rows (empty when the
+                                    ///< net was not prepared); a phase's
+                                    ///< share: count_marked(rounds, prefix)
   Network::Engine engine = Network::Engine::kSerial;
   std::size_t threads = 1;
 };
 
-/// Everything one experiment produced. Tables live in a deque so the
-/// references ExperimentContext::table() hands out stay valid while the
-/// run body opens further tables.
+/// Everything one experiment produced. Tables and records live in deques
+/// so the references ExperimentContext::table() and record() hand out stay
+/// valid while the run body adds more.
 struct ExperimentResult {
   std::string name;
   std::deque<ResultTable> tables;
-  std::vector<MetricRecord> runs;
+  std::deque<MetricRecord> runs;
   std::uint64_t wall_ns = 0;  ///< whole-experiment host time (observational)
 };
 
@@ -110,9 +111,11 @@ class ExperimentContext {
   void prepare(Network& net);
 
   /// Snapshots `net`'s RunMetrics (and, if prepared, its trace digest and
-  /// per-round rows) under `label`. Call while `net` is still alive —
-  /// typically right after the algorithm under measurement returns.
-  void record(std::string label, const Network& net);
+  /// per-round rows) under `label` and returns the record. Call while `net`
+  /// is still alive — typically right after the algorithm under
+  /// measurement returns. Table round cells read the record (or the
+  /// network), never a count the algorithm kept.
+  const MetricRecord& record(std::string label, const Network& net);
 
   /// Moves the accumulated result out (the runner calls this once).
   ExperimentResult take_result();

@@ -7,7 +7,6 @@ DefectiveResult defective_color(Network& net, std::uint32_t d,
   Result proper = color(net, opt);
   DefectiveResult res;
   res.defect = d;
-  res.rounds = proper.rounds;
   if (d == 0) {
     res.phi = std::move(proper.phi);
     res.palette = proper.palette;
@@ -15,7 +14,6 @@ DefectiveResult defective_color(Network& net, std::uint32_t d,
   }
   res.phi = std::move(proper.phi);
   res.palette = reduce_once(net, res.phi, proper.palette, d, opt);
-  ++res.rounds;
   return res;
 }
 

@@ -12,7 +12,6 @@ struct DefectiveResult {
   Coloring phi;
   std::uint64_t palette;   ///< number of colors of the defective coloring
   std::uint32_t defect;    ///< guaranteed max defect
-  std::uint32_t rounds;
 };
 
 /// d-defective coloring via proper Linial + one defective step. With an

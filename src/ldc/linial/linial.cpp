@@ -89,13 +89,11 @@ std::uint64_t reduce_once(Network& net, Coloring& phi, std::uint64_t palette,
 Result color_from(Network& net, Coloring phi, std::uint64_t palette,
                   const Options& opt) {
   Result res;
-  res.rounds = 0;
-  while (res.rounds < opt.max_rounds) {
+  for (std::uint32_t round = 0; round < opt.max_rounds; ++round) {
     const std::uint64_t bound = conflict_bound(net.graph(), opt);
     const RsFamily fam = choose_family(palette, bound, 0);
     if (fam.output_space() >= palette) break;  // fixpoint reached
     palette = reduce_once(net, phi, palette, 0, opt);
-    ++res.rounds;
   }
   res.phi = std::move(phi);
   res.palette = palette;

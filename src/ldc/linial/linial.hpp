@@ -27,7 +27,6 @@ struct Options {
 struct Result {
   Coloring phi;            ///< proper coloring with colors < palette
   std::uint64_t palette;   ///< final number of colors
-  std::uint32_t rounds;    ///< communication rounds used
 };
 
 /// One reduction step: given a proper coloring with `palette` colors (proper

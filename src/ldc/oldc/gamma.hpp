@@ -25,12 +25,10 @@ std::uint32_t gamma_class(std::uint32_t beta, std::uint32_t defect,
 
 /// Statistics every OLDC solver reports alongside its coloring.
 struct OldcStats {
-  std::uint32_t rounds = 0;        ///< communication rounds used
   std::uint32_t h = 0;             ///< number of gamma-classes
   std::uint32_t tau = 0;           ///< effective conflict threshold
   std::uint32_t p1_relaxed = 0;    ///< nodes whose P1 pick exceeded budget
   std::uint32_t degraded = 0;      ///< nodes with clamped candidate sets
-  std::uint32_t repair_rounds = 0; ///< extra rounds spent in repair (rare)
   bool repaired = false;           ///< final coloring needed repair
 };
 

@@ -65,14 +65,13 @@ OldcResult solve_multi_defect(Network& net, const MultiDefectInput& in) {
     repair::Options ropt;
     ropt.g = in.g;
     ropt.orientation = in.orientation;
+    net.mark("oldc/repair");
     auto rep = repair::repair(net, inst, res.phi, ropt);
     if (!rep.success) {
       throw InfeasibleError("solve_multi_defect: repair failed");
     }
     res.phi = std::move(rep.phi);
-    res.stats.repair_rounds += rep.rounds;
     res.stats.repaired = true;
-    res.stats.rounds += rep.rounds;
   }
   return res;
 }

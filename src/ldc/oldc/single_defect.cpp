@@ -103,7 +103,6 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
       msgs[v] = Message::from(w);
     });
     const auto inboxes = net.exchange_broadcast(msgs);
-    ++res.stats.rounds;
     // Serial decode: FamilyCache is shared-mutable (memoizes candidate
     // families across equal-typed nodes), so this pass must not fan out.
     for (NodeId v = 0; v < n; ++v) {
@@ -168,7 +167,6 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
     net.run_node_programs([&](NodeId v) { words[v] = chosen_index[v]; });
     const WordMail inboxes =
         net.exchange_broadcast_word(words, in.params.kprime - 1);
-    ++res.stats.rounds;
     net.run_node_programs([&](NodeId v) {
       for (const auto [u, word] : inboxes[v]) {
         const auto j = static_cast<std::uint32_t>(word);
@@ -239,7 +237,6 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
     });
     const WordMail inboxes =
         net.exchange_broadcast_word(words, in.color_space - 1, &active);
-    ++res.stats.rounds;
     net.run_node_programs([&](NodeId v) {
       for (const auto [u, word] : inboxes[v]) {
         nb[v][g.neighbor_index(v, u)].chosen_color =
@@ -263,14 +260,13 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
     repair::Options ropt;
     ropt.g = in.g;
     ropt.orientation = in.orientation;
+    net.mark("oldc/repair");
     auto rep = repair::repair(net, check_inst, res.phi, ropt);
     if (!rep.success) {
       throw InfeasibleError("solve_single_defect: repair failed (instance infeasible?)");
     }
     res.phi = std::move(rep.phi);
-    res.stats.repair_rounds = rep.rounds;
     res.stats.repaired = true;
-    res.stats.rounds += rep.rounds;
   }
   return res;
 }

@@ -79,9 +79,9 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
     res.stats.clamped_classes += plans[v].clamped;
   }
 
-  net.mark("two-phase/aux");
   // --- Assign gamma-classes by solving the auxiliary OLDC instance over
-  // color space [h] with window g = floor(log2 h) (Lemma 3.6).
+  // color space [h] with window g = floor(log2 h) (Lemma 3.6). Its rounds
+  // carry the multi-defect solver's own oldc/ marks.
   std::vector<std::uint32_t> cls(n);
   std::vector<std::uint32_t> dv(n);        // single rounded defect
   std::vector<std::vector<Color>> used(n);  // bucket colors in play
@@ -103,9 +103,6 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
     mdi.params = in.params;
     mdi.run_repair = in.run_repair;
     const auto aux_res = solve_multi_defect(net, mdi);
-    res.stats.aux_rounds = aux_res.stats.rounds;
-    res.stats.rounds += aux_res.stats.rounds;
-    res.stats.repair_rounds += aux_res.stats.repair_rounds;
     for (NodeId v = 0; v < n; ++v) {
       cls[v] = static_cast<std::uint32_t>(aux_res.phi[v]) + 1;
       const std::uint32_t mu = plans[v].mu_of_class.at(cls[v]);
@@ -123,7 +120,6 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
     std::vector<std::uint64_t> words(n);
     for (NodeId v = 0; v < n; ++v) words[v] = cls[v];
     const WordMail inboxes = net.exchange_broadcast_word(words, h);
-    ++res.stats.rounds;
     for (NodeId v = 0; v < n; ++v) {
       nb_cls[v].resize(g.degree(v));
       for (const auto [u, word] : inboxes[v]) {
@@ -204,7 +200,6 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
         msgs[v] = Message::from(w);
       }
       const auto inboxes = net.exchange_broadcast(msgs, &active);
-      ++res.stats.rounds;
       for (NodeId v = 0; v < n; ++v) {
         nb_family[v].assign(g.degree(v), nullptr);
         for (const auto& [u, m] : inboxes[v]) {
@@ -259,7 +254,6 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
       }
       const WordMail inboxes =
           net.exchange_broadcast_word(words, in.params.kprime - 1, &active);
-      ++res.stats.rounds;
       for (NodeId v = 0; v < n; ++v) {
         for (const auto [u, word] : inboxes[v]) {
           const auto j = static_cast<std::uint32_t>(word);
@@ -339,7 +333,6 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
     }
     const WordMail inboxes =
         net.exchange_broadcast_word(words, inst.color_space - 1, &active);
-    ++res.stats.rounds;
     for (NodeId v = 0; v < n; ++v) {
       for (const auto [u, word] : inboxes[v]) {
         nb_final[v][g.neighbor_index(v, u)] = static_cast<Color>(word);
@@ -352,14 +345,13 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
   if (!res.valid && in.run_repair) {
     repair::Options ropt;
     ropt.orientation = in.orientation;
+    net.mark("two-phase/repair");
     auto rep = repair::repair(net, inst, res.phi, ropt);
     if (!rep.success) {
       throw InfeasibleError("solve_two_phase: repair failed");
     }
     res.phi = std::move(rep.phi);
-    res.stats.repair_rounds += rep.rounds;
     res.stats.repaired = true;
-    res.stats.rounds += rep.rounds;
   }
   return res;
 }

@@ -35,7 +35,6 @@ struct TwoPhaseInput {
 };
 
 struct TwoPhaseStats : OldcStats {
-  std::uint32_t aux_rounds = 0;     ///< rounds spent assigning gamma-classes
   std::uint32_t pruned_colors = 0;  ///< total colors removed in Phase I
   std::uint32_t clamped_classes = 0;  ///< class indices clamped into [1,h]
 };

@@ -18,7 +18,6 @@ void merge_child_stats(oldc::OldcStats& into, const oldc::OldcStats& from) {
   into.tau = std::max(into.tau, from.tau);
   into.p1_relaxed += from.p1_relaxed;
   into.degraded += from.degraded;
-  into.repair_rounds += from.repair_rounds;
   into.repaired = into.repaired || from.repaired;
 }
 
@@ -69,13 +68,12 @@ Result solve_rec(Network& net, const LdcInstance& inst,
   }
 
   auto aux_out = base(net, aux, orientation, initial, m);
-  res.stats.rounds += aux_out.stats.rounds;
   merge_child_stats(res.stats, aux_out.stats);
 
   // --- Recurse per block on induced subgraphs (parallel in the model).
   res.phi.assign(n, kUncolored);
   RunMetrics parallel;  // rounds = max across blocks; traffic summed
-  std::uint32_t child_rounds_max = 0;
+  std::uint64_t child_rounds_max = 0;
   std::uint32_t child_levels_max = 0;
   for (std::uint64_t b = 0; b < blocks; ++b) {
     std::vector<NodeId> members;
@@ -110,7 +108,7 @@ Result solve_rec(Network& net, const LdcInstance& inst,
         }
       }
     }
-    Network sub_net(sub.graph, net.budget_bits());
+    Network sub_net(sub.graph, net);
     Result child;
     bool block_ok = true;
     try {
@@ -132,8 +130,7 @@ Result solve_rec(Network& net, const LdcInstance& inst,
     }
     // Parallel accounting: blocks run simultaneously on the real network.
     RunMetrics cm = sub_net.metrics();
-    child_rounds_max =
-        std::max(child_rounds_max, static_cast<std::uint32_t>(cm.rounds));
+    child_rounds_max = std::max(child_rounds_max, cm.rounds);
     cm.rounds = 0;
     parallel.merge(cm);
     merge_child_stats(res.stats, child.stats);
@@ -141,7 +138,6 @@ Result solve_rec(Network& net, const LdcInstance& inst,
   }
   parallel.rounds = child_rounds_max;
   net.absorb(parallel);
-  res.stats.rounds += child_rounds_max;
   res.levels = 1 + child_levels_max;
 
   // Any node left uncolored by a starved block is repaired against the
@@ -161,9 +157,7 @@ Result solve_rec(Network& net, const LdcInstance& inst,
       throw InfeasibleError("reduce_and_solve: final repair failed");
     }
     res.phi = std::move(rep.phi);
-    res.stats.repair_rounds += rep.rounds;
     res.stats.repaired = true;
-    res.stats.rounds += rep.rounds;
   }
   return res;
 }

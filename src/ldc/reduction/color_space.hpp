@@ -37,8 +37,7 @@ struct Options {
 
 struct Result {
   Coloring phi;
-  oldc::OldcStats stats;       ///< rounds are *parallel* rounds (max across
-                               ///< sibling blocks per level)
+  oldc::OldcStats stats;
   std::uint32_t levels = 0;    ///< recursion depth reached
 };
 

@@ -95,7 +95,6 @@ Result repair(Network& net, const LdcInstance& inst, Coloring phi,
         contend_msgs[v] = Message::from(w);
       }
       net.exchange_broadcast(contend_msgs);
-      ++res.rounds;
     }
 
     // Priorities are PRF(round, id): computable by neighbors without extra
@@ -138,7 +137,6 @@ Result repair(Network& net, const LdcInstance& inst, Coloring phi,
       }
       phi[v] = list.colors[best_i];
     }
-    ++res.rounds;
   }
   res.phi = std::move(phi);
   return res;

@@ -33,7 +33,6 @@ struct Options {
 
 struct Result {
   Coloring phi;
-  std::uint32_t rounds = 0;
   bool success = false;  ///< all defect budgets satisfied at the end
 };
 

@@ -10,8 +10,6 @@ ResilientResult run_resilient(Network& net, const LdcInstance& inst,
                               const Colorer& colorer,
                               const ResilientOptions& opt) {
   ResilientResult res;
-  const std::uint64_t rounds_before = net.metrics().rounds;
-
   if (opt.plan.any()) net.attach_faults(&opt.plan);
   try {
     res.phi = colorer(net, inst);
@@ -23,8 +21,6 @@ ResilientResult run_resilient(Network& net, const LdcInstance& inst,
     res.phi.clear();
   }
   res.phi.resize(inst.n(), kUncolored);
-  res.colorer_rounds =
-      static_cast<std::uint32_t>(net.metrics().rounds - rounds_before);
 
   if (!opt.faults_during_repair) net.attach_faults(nullptr);
 
@@ -35,8 +31,8 @@ ResilientResult run_resilient(Network& net, const LdcInstance& inst,
     res.valid = true;
   } else {
     const Coloring before = res.phi;
+    net.mark("resilient/repair");
     Result rep = repair(net, inst, std::move(res.phi), opt.repair);
-    res.recovery_rounds = rep.rounds;
     res.phi = std::move(rep.phi);
     for (NodeId v = 0; v < inst.n(); ++v) {
       if (before[v] != res.phi[v]) ++res.moved_nodes;

@@ -5,12 +5,12 @@
 // (which may crash-stop nodes, lose messages, or decode corrupted payloads —
 // decoder exceptions are caught and treated as a failed run), validates the
 // outcome with validate_ldc, and if the coloring is invalid hands it to
-// repair::repair. The result reports the recovery cost: extra rounds spent
-// repairing and the number of nodes that had to change color. This is the
-// experimental backend for the fault-tolerance story (E11 / bench
-// micro:faults): defect repair is self-stabilizing, so any transiently
-// faulty run converges to a valid list defective coloring once the faults
-// stop.
+// repair::repair. The result reports the nodes that had to change color;
+// the repair phase's rounds carry the "resilient/repair" mark on an attached
+// Trace (count_marked). This is the experimental backend for the
+// fault-tolerance story (M6 / bench micro:faults): defect repair is
+// self-stabilizing, so any transiently faulty run converges to a valid list
+// defective coloring once the faults stop.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +39,6 @@ struct ResilientResult {
   Coloring phi;                      ///< final coloring (post-repair)
   bool valid = false;                ///< validate_ldc passed at the end
   bool colorer_failed = false;       ///< colorer threw; repaired from scratch
-  std::uint32_t colorer_rounds = 0;  ///< rounds the colorer consumed
-  std::uint32_t recovery_rounds = 0; ///< extra rounds repair needed
   std::uint32_t moved_nodes = 0;     ///< nodes recolored during recovery
   /// validate_ldc violation count of the colorer's raw output (0 if it was
   /// already valid; n if the colorer failed outright).

@@ -26,6 +26,16 @@ const std::vector<BatchEntry>& no_batches(std::size_t) {
 
 }  // namespace
 
+Network::Network(const Graph& sub, const Network& parent)
+    : Network(sub, parent.budget_bits_, parent.strict_) {
+  if (parent.round_cb_) {
+    round_cb_ = [cb = &parent.round_cb_,
+                 base = parent.metrics_.rounds](std::uint64_t r) {
+      (*cb)(base + r);
+    };
+  }
+}
+
 void Network::set_engine(Engine engine, std::size_t shards) {
   if (engine == Engine::kDist) {
     if (dist_ == nullptr) {

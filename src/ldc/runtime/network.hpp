@@ -99,6 +99,14 @@ class Network {
                    bool strict = false)
       : graph_(&g), budget_bits_(budget_bits), strict_(strict) {}
 
+  /// A sub-run of `parent` on `sub` (a subgraph one of the parent's phases
+  /// runs on; fold it back with parent.absorb()). It keeps the parent's
+  /// budget and strict flag, and the parent's round callback sees every
+  /// sub-run round under the parent's index: the parent's rounds at
+  /// creation plus the local index. The parent must outlive the sub-run.
+  /// Engine, fault plan and trace are the sub-run's own.
+  Network(const Graph& sub, const Network& parent);
+
   const Graph& graph() const { return *graph_; }
 
   /// Selects the execution engine. For kSharded, `shards` is the shard
@@ -227,10 +235,11 @@ class Network {
   /// network; the caller pre-aggregates parallel branches, with rounds =
   /// max across branches). An attached Trace records the sub-run as one
   /// row with its traffic, then silent rounds, so transcript length keeps
-  /// matching metrics().rounds.
-  void absorb(const RunMetrics& m) {
+  /// matching metrics().rounds. With `mark` the rows carry that label and
+  /// the current mark is left as it was.
+  void absorb(const RunMetrics& m, const char* mark = nullptr) {
     metrics_.merge(m);
-    if (trace_ != nullptr) trace_->record_absorbed(m);
+    if (trace_ != nullptr) trace_->record_absorbed(m, mark);
   }
 
   const RunMetrics& metrics() const { return metrics_; }

@@ -26,12 +26,15 @@ void Trace::record_silent(std::uint64_t k, std::uint64_t wall_ns) {
   }
 }
 
-void Trace::record_absorbed(const RunMetrics& m) {
+void Trace::record_absorbed(const RunMetrics& m, const char* mark) {
   if (m.rounds == 0) return;
+  const std::size_t first = rounds_.size();
   record_round(m.messages, m.total_bits, m.max_message_bits, m.wall_ns,
                RoundFaults{m.messages_dropped, m.messages_corrupted,
                            m.node_crashes, m.node_sleeps});
   record_silent(m.rounds - 1);
+  if (mark == nullptr) return;
+  for (std::size_t i = first; i < rounds_.size(); ++i) rounds_[i].mark = mark;
 }
 
 void Trace::add_wall_ns(std::uint64_t wall_ns) {
@@ -71,6 +74,13 @@ void Trace::print(std::ostream& os) const {
     }
     os << "\n";
   }
+}
+
+std::uint64_t count_marked(const std::vector<Trace::Round>& rows,
+                           std::string_view prefix) {
+  std::uint64_t k = 0;
+  for (const auto& r : rows) k += r.mark.starts_with(prefix) ? 1 : 0;
+  return k;
 }
 
 }  // namespace ldc

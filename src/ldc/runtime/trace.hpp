@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ldc/runtime/metrics.hpp"
@@ -60,8 +61,9 @@ class Trace {
   /// Records an absorbed sub-run (Network::absorb() counterpart) as one
   /// round carrying the sub-run's aggregate traffic followed by
   /// m.rounds - 1 silent rounds, so transcript length keeps matching
-  /// metrics().rounds and traffic sums stay conserved.
-  void record_absorbed(const RunMetrics& m);
+  /// metrics().rounds and traffic sums stay conserved. The rows carry
+  /// `mark` if given, else the current mark.
+  void record_absorbed(const RunMetrics& m, const char* mark = nullptr);
 
   /// Adds observational wall time to the most recent round, if any (the
   /// Network::flush_compute_time() counterpart).
@@ -80,5 +82,10 @@ class Trace {
   std::vector<Round> rounds_;
   std::string current_mark_;
 };
+
+/// How many of `rows` carry a mark starting with `prefix`: a phase's share
+/// of a run's rounds, read from the simulator's own transcript.
+std::uint64_t count_marked(const std::vector<Trace::Round>& rows,
+                           std::string_view prefix);
 
 }  // namespace ldc

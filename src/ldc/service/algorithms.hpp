@@ -32,7 +32,7 @@ struct JobOutcome {
   std::uint32_t n = 0;           ///< nodes actually solved
   std::uint64_t colors = 0;      ///< distinct colors used
   std::uint64_t palette = 0;     ///< algorithm-reported palette bound
-  std::uint64_t rounds = 0;      ///< communication rounds
+  std::uint64_t rounds = 0;      ///< the job network's metrics(), copied
   std::uint64_t messages = 0;
   std::uint64_t total_bits = 0;
   std::uint64_t color_digest = 0;  ///< FNV-1a over the color vector

@@ -51,7 +51,7 @@ TEST(Luby, RoundCountIsLogarithmicInPractice) {
   Network net(g);
   const auto res = baselines::luby_list_coloring(net, inst);
   ASSERT_TRUE(res.success);
-  EXPECT_LE(res.rounds, 64u);
+  EXPECT_LE(net.metrics().rounds, 64u);
 }
 
 TEST(Luby, CongestMessageSize) {
@@ -85,7 +85,7 @@ TEST(ColorReduction, ReduceByClassesFromIds) {
   for (NodeId v = 0; v < g.n(); ++v) ids[v] = v;
   const auto res = baselines::reduce_by_classes(net, inst, ids, g.n());
   EXPECT_TRUE(validate_ldc(inst, res.phi).ok);
-  EXPECT_EQ(res.rounds, g.n());  // exactly m rounds
+  EXPECT_EQ(net.metrics().rounds, g.n());  // exactly m rounds
 }
 
 // Receivers learn what their mail delivers, not what the senders chose: on
@@ -101,7 +101,7 @@ TEST(ColorReduction, DroppedAnnouncementsAreNotLearned) {
   Network net(g);
   net.attach_faults(&plan);
   const auto res = baselines::reduce_by_classes(net, inst, ids, g.n());
-  EXPECT_EQ(res.rounds, g.n());
+  EXPECT_EQ(net.metrics().rounds, g.n());
   EXPECT_EQ(net.metrics().messages, 30u);
   EXPECT_EQ(net.metrics().messages_dropped, 30u);
   EXPECT_EQ(res.phi, Coloring(g.n(), inst.lists[0].colors[0]));
@@ -114,7 +114,7 @@ TEST(ColorReduction, LinialThenReduce) {
   const auto res = baselines::linial_then_reduce(net, inst);
   EXPECT_TRUE(validate_ldc(inst, res.phi).ok);
   // Rounds ~ palette of the Linial fixpoint (O(Delta^2)) + log*.
-  EXPECT_LE(res.rounds, 16 * 36 + 128u);
+  EXPECT_LE(net.metrics().rounds, 16 * 36 + 128u);
 }
 
 TEST(KwReduction, ProducesDeltaPlusOneColoring) {
@@ -133,7 +133,7 @@ TEST(KwReduction, FasterThanNaiveForLargePalettes) {
   const auto naive = baselines::linial_then_reduce(naive_net, inst);
   const auto kw = baselines::linial_then_kw(kw_net);
   EXPECT_TRUE(validate_proper(g, kw.phi).ok);
-  EXPECT_LT(kw.rounds, naive.rounds);
+  EXPECT_LT(kw_net.metrics().rounds, naive_net.metrics().rounds);
 }
 
 TEST(KwReduction, AlreadySmallPaletteIsNoop) {

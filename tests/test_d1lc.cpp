@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ldc/baselines/color_reduction.hpp"
 #include "ldc/coloring/instance_gen.hpp"
 #include "ldc/coloring/validate.hpp"
@@ -77,16 +79,24 @@ TEST(Congest, FewerRoundsThanClassReductionBaselineAtLargeDelta) {
   EXPECT_TRUE(validate_ldc(inst, base.phi).ok);
 
   // The baseline pays ~Delta^2 rounds; the pipeline should be far below.
-  EXPECT_LT(pipe.rounds, base.rounds);
+  EXPECT_LT(pipe_net.metrics().rounds, base_net.metrics().rounds);
 }
 
 TEST(Congest, ReportsStageBreakdown) {
   const Graph g = gen::random_regular(64, 8, 7);
   const LdcInstance inst = delta_plus_one_instance(g);
   Network net(g);
+  Trace trace;
+  net.attach_trace(&trace);
   const auto res = d1lc::color(net, inst, small_params());
   ASSERT_TRUE(res.valid);
-  EXPECT_EQ(res.rounds, res.linial_rounds + res.t13.rounds);
+  // Every round belongs to the Linial stage or to Theorem 1.3: its
+  // sub-runs' t13/ rows and its announce rounds under the pipeline's mark.
+  const auto& rows = trace.rounds();
+  EXPECT_EQ(net.metrics().rounds,
+            count_marked(rows, "pipeline/linial") +
+                count_marked(rows, "t13/") +
+                count_marked(rows, "pipeline/theorem-1.3"));
   EXPECT_GT(res.initial_palette, g.max_degree());
 }
 
@@ -97,8 +107,54 @@ TEST(Congest, DeterministicEndToEnd) {
   const auto a = d1lc::color(n1, inst, small_params());
   const auto b = d1lc::color(n2, inst, small_params());
   EXPECT_EQ(a.phi, b.phi);
-  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(n1.metrics().rounds, n2.metrics().rounds);
   EXPECT_EQ(n1.metrics().total_bits, n2.metrics().total_bits);
+}
+
+// Theorem 1.3 runs its stage, class and tail solves on sub-runs
+// (Network(sub, net)). Each sub-run round reaches the caller's round
+// callback under the caller's index, so a deadline or a cancel request
+// stops the run wherever it is.
+TEST(Congest, RoundCallbackSeesEverySubRunRound) {
+  const Graph g = gen::random_regular(256, 8, 1);
+  const LdcInstance inst = delta_plus_one_instance(g);
+  d1lc::PipelineOptions opt;
+  opt.reduction_levels = 0;  // no parallel blocks: one index per round
+  Network net(g);
+  std::uint64_t calls = 0;
+  net.set_round_callback([&](std::uint64_t round) {
+    EXPECT_EQ(round, calls);
+    ++calls;
+  });
+  ASSERT_TRUE(d1lc::color(net, inst, opt).valid);
+  EXPECT_EQ(calls, net.metrics().rounds);
+}
+
+// The reduction's blocks run side by side: each starts at the caller's
+// index, and the caller counts their longest one. The callback fires for
+// every block round and never sees an index past the run's end.
+TEST(Congest, RoundCallbackIndexStaysInsideTheRunUnderReduction) {
+  const Graph g = gen::random_regular(256, 8, 1);
+  const LdcInstance inst = delta_plus_one_instance(g);
+  Network net(g);
+  std::uint64_t calls = 0;
+  std::uint64_t max_index = 0;
+  net.set_round_callback([&](std::uint64_t round) {
+    ++calls;
+    max_index = std::max(max_index, round);
+  });
+  ASSERT_TRUE(d1lc::color(net, inst).valid);
+  EXPECT_GE(calls, net.metrics().rounds);
+  EXPECT_LT(max_index, net.metrics().rounds);
+}
+
+// Sub-runs keep the caller's budget and strict flag: an over-budget
+// message in a class solve throws instead of being counted.
+TEST(Congest, StrictBudgetReachesSubRuns) {
+  const Graph g = gen::random_regular(256, 16, 1);
+  const LdcInstance inst = delta_plus_one_instance(g);
+  Network net(g, 16, /*strict=*/true);
+  EXPECT_THROW(d1lc::color(net, inst), CongestViolation);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ TEST(Peeling, LayerCountLogarithmic) {
   const auto peel = distributed_peeling_orientation(net, 1.0);
   // Each layer removes a constant fraction: O(log n) layers.
   EXPECT_LE(peel.layers, 24u);
-  EXPECT_EQ(peel.rounds, peel.layers);
+  EXPECT_EQ(net.metrics().rounds, peel.layers);
 }
 
 TEST(Peeling, OrientationCoversAllEdges) {

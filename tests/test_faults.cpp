@@ -374,11 +374,13 @@ TEST(Resilient, FaultFreeRunNeedsNoRecovery) {
   Graph g = gen::gnp(40, 0.2, 31);
   gen::scramble_ids(g, 1 << 18, 7);
   Network net(g);
+  Trace trace;
+  net.attach_trace(&trace);
   const auto res = resilient::resilient_linial(net);
   EXPECT_TRUE(res.run.valid);
   EXPECT_FALSE(res.run.colorer_failed);
   EXPECT_EQ(res.run.initial_violations, 0u);
-  EXPECT_EQ(res.run.recovery_rounds, 0u);
+  EXPECT_EQ(count_marked(trace.rounds(), "resilient/repair"), 0u);
   EXPECT_EQ(res.run.moved_nodes, 0u);
 }
 
@@ -386,13 +388,18 @@ TEST(Resilient, ThrowingColorerIsRepairedFromScratch) {
   const Graph g = gen::ring(20);
   const LdcInstance inst = delta_plus_one_instance(g);
   Network net(g);
+  Trace trace;
+  net.attach_trace(&trace);
   const auto res = repair::run_resilient(
       net, inst,
       [](Network&, const LdcInstance&) -> Coloring {
         throw std::runtime_error("decoder derailed");
       });
   EXPECT_TRUE(res.colorer_failed);
-  EXPECT_EQ(res.colorer_rounds, 0u);
+  // Every round of the run is the repair's: the colorer spent none.
+  EXPECT_EQ(net.metrics().rounds -
+                count_marked(trace.rounds(), "resilient/repair"),
+            0u);
   EXPECT_EQ(res.initial_violations, inst.n());
   EXPECT_TRUE(res.valid);
   EXPECT_TRUE(validate_ldc(inst, res.phi, 0).ok);
@@ -405,6 +412,8 @@ TEST(Resilient, RecoveryCostIsReported) {
   Graph g = gen::gnp(50, 0.2, 13);
   gen::scramble_ids(g, 1 << 18, 11);
   Network net(g);
+  Trace trace;
+  net.attach_trace(&trace);
   repair::ResilientOptions opt;
   opt.plan.seed = 0xc0de;
   opt.plan.drop_rate = 0.3;
@@ -412,7 +421,7 @@ TEST(Resilient, RecoveryCostIsReported) {
   const auto res = resilient::resilient_linial(net, opt);
   EXPECT_TRUE(res.run.valid);
   if (res.run.initial_violations > 0) {
-    EXPECT_GT(res.run.recovery_rounds, 0u);
+    EXPECT_GT(count_marked(trace.rounds(), "resilient/repair"), 0u);
     EXPECT_GT(res.run.moved_nodes, 0u);
   }
   // Metrics snapshot covers colorer + repair rounds.

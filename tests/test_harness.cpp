@@ -3,6 +3,7 @@
 // verdicts (exact pass / deterministic drift / wall-clock tolerance).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -184,9 +185,10 @@ TEST(HarnessRegistry, RejectsBadRegistrations) {
 }
 
 TEST(HarnessRegistry, GlobalInstanceHoldsAllEighteen) {
-  // The experiment TUs are linked into ldc_bench, not into this test, so
-  // the global registry here only checks the singleton exists and is
-  // usable; the CLI smoke path covers the full roster.
+  // The experiment TUs are linked into ldc_bench; this test links only the
+  // four the round guard below runs, so the global registry here only
+  // checks the singleton exists and is usable; the CLI smoke path covers
+  // the full roster.
   EXPECT_NO_THROW(Registry::instance().all());
 }
 
@@ -567,6 +569,108 @@ TEST(HarnessCli, UnmatchedFilterIsUsageErrorNamingTheFilter) {
   ok.print_tables = false;
   std::ostringstream out2, err2;
   EXPECT_EQ(run_cli(ok, out2, err2), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Round guard: every round a table prints is the simulator's.
+
+/// Runs a registered experiment at smoke scale, as `ldc_bench --smoke`.
+ExperimentResult run_smoke(const std::string& name) {
+  const Experiment* e = Registry::instance().find(name);
+  if (e == nullptr) throw std::runtime_error("not registered: " + name);
+  RunConfig cfg;
+  cfg.smoke = true;
+  ExperimentContext ctx(name, cfg);
+  e->run(ctx);
+  return ctx.take_result();
+}
+
+const MetricRecord& record_of(const ExperimentResult& r,
+                              const std::string& label) {
+  for (const MetricRecord& rec : r.runs) {
+    if (rec.label == label) return rec;
+  }
+  throw std::runtime_error(r.name + ": no record " + label);
+}
+
+std::size_t column(const ResultTable& t, const std::string& header) {
+  const auto& h = t.headers();
+  const auto it = std::find(h.begin(), h.end(), header);
+  if (it == h.end()) throw std::runtime_error(t.title() + ": no " + header);
+  return static_cast<std::size_t>(it - h.begin());
+}
+
+std::uint64_t cell(const ResultTable& t, std::size_t row,
+                   const std::string& header) {
+  return std::get<std::uint64_t>(t.rows()[row][column(t, header)]);
+}
+
+/// Asserts that column `header` of every row equals the metrics.rounds of
+/// the record labelled `label_of(row)`.
+template <typename LabelOf>
+void expect_simulator_rounds(const ExperimentResult& r, const ResultTable& t,
+                             const std::string& header, LabelOf label_of) {
+  ASSERT_FALSE(t.rows().empty()) << t.title();
+  for (std::size_t i = 0; i < t.rows().size(); ++i) {
+    const std::string label = label_of(i);
+    EXPECT_EQ(cell(t, i, header), record_of(r, label).metrics.rounds)
+        << t.title() << " / " << header << " / " << label;
+  }
+}
+
+TEST(HarnessRoundGuard, E1RoundCellsAreSimulatorRounds) {
+  const auto r = run_smoke("e01_rounds_vs_delta");
+  const ResultTable& t = r.tables.at(0);
+  const std::vector<std::pair<std::string, std::string>> cols = {
+      {"pipeline(Thm1.4)", "pipeline/"},
+      {"one-class", "one-class/"},
+      {"KW-batched", "kw/"},
+      {"Luby(rand)", "luby/"}};
+  for (const auto& [header, prefix] : cols) {
+    expect_simulator_rounds(r, t, header, [&](std::size_t i) {
+      return prefix + "Delta=" + std::to_string(cell(t, i, "Delta"));
+    });
+  }
+}
+
+TEST(HarnessRoundGuard, E5RoundCellsAreSimulatorRounds) {
+  const auto r = run_smoke("e05_arbdefective_vs_d");
+  const ResultTable& t = r.tables.at(0);
+  for (const auto& [header, prefix] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"pipeline rounds", "pipeline/"}, {"greedy rounds", "greedy/"}}) {
+    expect_simulator_rounds(r, t, header, [&](std::size_t i) {
+      return prefix + "d=" + std::to_string(cell(t, i, "d"));
+    });
+  }
+}
+
+TEST(HarnessRoundGuard, E12RoundCellsAreSimulatorRounds) {
+  const auto r = run_smoke("e12_n_scaling");
+  for (std::size_t k = 0; k < r.tables.size(); ++k) {
+    const ResultTable& t = r.tables[k];
+    const std::string prefix = k == 0 ? "pipeline/" : "pipeline/Delta=8/";
+    expect_simulator_rounds(r, t, "rounds", [&](std::size_t i) {
+      return prefix + "n=" + std::to_string(cell(t, i, "n"));
+    });
+  }
+  EXPECT_EQ(r.tables.size(), 2u);  // Delta = 12, then Delta = 8
+}
+
+TEST(HarnessRoundGuard, A2PhaseColumnsSumToSimulatorRounds) {
+  const auto r = run_smoke("a2_qfactor");
+  const ResultTable& t = r.tables.at(0);
+  ASSERT_EQ(t.rows().size(), r.runs.size());
+  for (std::size_t i = 0; i < t.rows().size(); ++i) {
+    const MetricRecord& rec = r.runs[i];
+    const std::uint64_t phases =
+        cell(t, i, "arbdef rounds") + cell(t, i, "oldc rounds") +
+        cell(t, i, "commit rounds") + cell(t, i, "tail rounds");
+    EXPECT_EQ(cell(t, i, "rounds"), rec.metrics.rounds) << rec.label;
+    EXPECT_EQ(phases + count_marked(rec.rounds, "a2/linial"),
+              rec.metrics.rounds)
+        << rec.label;
+  }
 }
 
 }  // namespace

@@ -133,7 +133,7 @@ TEST(Linial, LogStarRoundScaling) {
   Network net(g);
   const auto res = linial::color(net);
   EXPECT_TRUE(validate_proper(g, res.phi).ok);
-  EXPECT_LE(res.rounds, 8u);
+  EXPECT_LE(net.metrics().rounds, 8u);
 }
 
 TEST(Linial, MessageSizeIsLogarithmic) {

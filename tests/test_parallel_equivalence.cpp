@@ -326,7 +326,8 @@ TEST(ParallelEquivalence, ResilientRecoveryMatchesAcrossEngines) {
     net.attach_trace(&trace);
     const auto res = resilient::resilient_linial(net, opt);
     return std::make_tuple(res.run.phi, res.run.valid,
-                           res.run.recovery_rounds, res.run.moved_nodes,
+                           count_marked(trace.rounds(), "resilient/repair"),
+                           res.run.moved_nodes,
                            res.run.metrics, trace.digest());
   };
   const auto serial = run(0);

@@ -73,10 +73,15 @@ TEST_P(OldcSweep, TwoPhaseValidAndBounded) {
   in.orientation = &orient_;
   in.initial = &lin.phi;
   in.m = lin.palette;
+  Trace trace;
+  net.attach_trace(&trace);
+  const std::uint64_t linial_rounds = net.metrics().rounds;
   const auto res = oldc::solve_two_phase(net, in);
   EXPECT_TRUE(validate_oldc(inst_, orient_, res.phi).ok);
-  EXPECT_LE(res.stats.rounds, res.stats.aux_rounds + 1 + 3 * res.stats.h +
-                                  res.stats.repair_rounds);
+  // Phases: aux (the oldc/ rows) + 1 + 3h (+ repair).
+  EXPECT_LE(net.metrics().rounds - linial_rounds,
+            count_marked(trace.rounds(), "oldc/") + 1 + 3 * res.stats.h +
+                count_marked(trace.rounds(), "two-phase/repair"));
 }
 
 TEST_P(OldcSweep, DeterministicTranscripts) {

@@ -646,6 +646,30 @@ TEST(Service, DeadlineMissedAtRoundBoundary) {
   EXPECT_EQ(svc.stats(true).at("deadline_missed").as_uint(), 1u);
 }
 
+// A d1lc job on an 8-regular graph spends nearly all its rounds in
+// Theorem 1.3's sub-runs. Their rounds reach the job's round callback, so
+// the deadline ends the job there, not when the whole run is over.
+TEST(Service, D1lcDeadlineStopsInsideSubRuns) {
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  Collector c;
+  Service svc(cfg, c.callback());
+  Job job;
+  job.algorithm = "d1lc";
+  job.graph.family = "regular";
+  job.graph.n = 4096;
+  job.graph.d = 8;
+  job.deadline_ms = 20;
+  const auto submitted = std::chrono::steady_clock::now();
+  ASSERT_TRUE(svc.submit(job).admitted);
+  svc.drain();
+  const auto elapsed = std::chrono::steady_clock::now() - submitted;
+  svc.shutdown();
+  ASSERT_EQ(c.results.size(), 1u);
+  EXPECT_EQ(c.results[0].status, "deadline_missed");
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
 TEST(Service, FailedJobReportsErrorNotCrash) {
   ServiceConfig cfg;
   Collector c;
