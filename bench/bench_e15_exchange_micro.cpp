@@ -13,7 +13,7 @@
 // the measured allocations and bytes per round.
 //
 // A second table (E15b) times masked rounds — 1/64, 1/2 and all but one
-// of the senders live, through exchange_broadcast and
+// of the senders live, listed to exchange_broadcast and
 // exchange_broadcast_word — the rounds the kernel's push/pull crossover
 // (ShardRound::pushes) splits between its two survivor walks, under the
 // same zero-allocation gate.
@@ -142,15 +142,17 @@ Probe time_broadcast(const Graph& g, int payload_bits, bool congest,
 /// One live fraction of the masked-round table.
 struct LiveMix {
   std::string name;
-  std::vector<bool> active;
+  std::vector<NodeId> senders;  ///< ascending
 };
 
 // The masked table's senders: 1 in 64, half, and all but one.
 std::vector<LiveMix> live_mixes(NodeId n) {
   std::vector<LiveMix> mixes;
   auto mix = [&](std::string name, auto live) {
-    LiveMix m{std::move(name), std::vector<bool>(n)};
-    for (NodeId v = 0; v < n; ++v) m.active[v] = live(v);
+    LiveMix m{std::move(name), {}};
+    for (NodeId v = 0; v < n; ++v) {
+      if (live(v)) m.senders.push_back(v);
+    }
     mixes.push_back(std::move(m));
   };
   mix("1/64", [](NodeId v) { return v % 64 == 0; });
@@ -189,9 +191,9 @@ void masked_table(harness::ExperimentContext& ctx,
           fused ? "exchange_broadcast_word" : "exchange_broadcast";
       auto one_round = [&](Network& net) {
         if (fused) {
-          (void)net.exchange_broadcast_word(words, bound, &mix.active);
+          (void)net.exchange_broadcast_word(words, bound, mix.senders);
         } else {
-          (void)net.exchange_broadcast(msgs, &mix.active);
+          (void)net.exchange_broadcast(msgs, mix.senders);
         }
       };
       Network traced(g);

@@ -35,7 +35,7 @@ ArbdefectiveResult arbdefective_color(Network& net,
     // than a near-proper coloring.)
     std::vector<Color> proposal(n, kUncolored);
     std::vector<Message> msgs(n);
-    std::vector<bool> active(n, false);
+    std::vector<NodeId> proposers;  // ascending: both rounds' senders
     for (NodeId v = 0; v < n; ++v) {
       if (res.phi[v] != kUncolored) continue;
       Color best = kUncolored;
@@ -61,12 +61,12 @@ ArbdefectiveResult arbdefective_color(Network& net,
             "violated)");
       }
       proposal[v] = best;
-      active[v] = true;
+      proposers.push_back(v);
       BitWriter w;
       w.write_bounded(best, q - 1);
       msgs[v] = Message::from(w);
     }
-    const auto inboxes = net.exchange_broadcast(msgs, &active);
+    const auto inboxes = net.exchange_broadcast(msgs, proposers);
 
     // Commit unless an adjacent *uncommitted* proposer with the same color
     // has higher priority. Priorities PRF(round, id) are locally
@@ -91,13 +91,12 @@ ArbdefectiveResult arbdefective_color(Network& net,
     // Second exchange: announce commits so everyone updates loads. (One
     // bit "committed" suffices — the color was already announced.)
     std::vector<Message> ack(n);
-    for (NodeId v = 0; v < n; ++v) {
-      if (!active[v]) continue;
+    for (NodeId v : proposers) {
       BitWriter w;
       w.write(commits[v] ? 1 : 0, 1);
       ack[v] = Message::from(w);
     }
-    const auto ackboxes = net.exchange_broadcast(ack, &active);
+    const auto ackboxes = net.exchange_broadcast(ack, proposers);
     for (NodeId v = 0; v < n; ++v) {
       for (const auto& [u, m] : ackboxes[v]) {
         auto r = m.reader();

@@ -87,18 +87,17 @@ PeelingResult distributed_peeling_orientation(Network& net, double eps) {
     const auto threshold = static_cast<std::uint32_t>((2.0 + eps) * avg);
     // Peel; announce with a 1-bit message.
     std::vector<Message> msgs(n);
-    std::vector<bool> active(n, false);
-    std::uint64_t peeled_now = 0;
+    std::vector<NodeId> peeled;  // ascending: the round's senders
     for (NodeId v = 0; v < n; ++v) {
       if (layer[v] != ~0u || rdeg[v] > threshold) continue;
       layer[v] = res.layers;
-      active[v] = true;
-      ++peeled_now;
+      peeled.push_back(v);
       BitWriter w;
       w.write(1, 1);
       msgs[v] = Message::from(w);
     }
-    const auto inboxes = net.exchange_broadcast(msgs, &active);
+    const std::uint64_t peeled_now = peeled.size();
+    const auto inboxes = net.exchange_broadcast(msgs, peeled);
     if (peeled_now == 0) {
       throw std::logic_error("peeling: no progress (threshold below min)");
     }

@@ -10,6 +10,7 @@
 #include "ldc/graph/subgraph.hpp"
 #include "ldc/oldc/two_phase.hpp"
 #include "ldc/repair/repair.hpp"
+#include "ldc/runtime/class_rounds.hpp"
 #include "ldc/support/prf.hpp"
 #include "ldc/support/math.hpp"
 
@@ -77,10 +78,12 @@ Theorem13Result solve_list_arbdefective(Network& net,
   const double exp_ratio =
       (opt.one_plus_nu - 1.0) / opt.one_plus_nu;  // nu / (1+nu)
 
-  // Colors a set of nodes `now` (they just received phi values): orient
-  // their edges toward earlier-colored neighbors, stamp them, and update
-  // all neighbors' a_v counters. Announcing the colors costs one round on
-  // the full network.
+  // Colors a set of nodes `now` (ascending; they just received phi
+  // values): orient their edges toward earlier-colored neighbors, stamp
+  // them, and update their neighbors' a_v counters. Announcing the colors
+  // costs one word round with `now` as its senders, and only their
+  // neighbors decode.
+  ClassRounds commits(net);
   auto commit_batch = [&](const std::vector<NodeId>& now) {
     for (NodeId v : now) {
       for (NodeId u : g.neighbors(v)) {
@@ -89,24 +92,17 @@ Theorem13Result solve_list_arbdefective(Network& net,
         }
       }
       stamp[v] = batch;
+      commits.words()[v] = phi[v];
     }
-    // Fused broadcast: each committing node announces one bounded word.
-    std::vector<std::uint64_t> words(n);
-    std::vector<bool> active(n, false);
-    for (NodeId v : now) {
-      active[v] = true;
-      words[v] = phi[v];
-    }
-    const WordMail inboxes =
-        net.exchange_broadcast_word(words, inst.color_space - 1, &active);
-    for (NodeId v = 0; v < n; ++v) {
-      for (const auto [u, word] : inboxes[v]) {
-        (void)u;
-        const Color c = static_cast<Color>(word);
-        const std::size_t i = inst.lists[v].find(c);
-        if (i != inst.lists[v].size()) ++av[v][i];
-      }
-    }
+    commits.exchange(now, inst.color_space - 1,
+                     [&](NodeId v, WordMail::Lane lane) {
+                       for (const auto [u, word] : lane) {
+                         (void)u;
+                         const Color c = static_cast<Color>(word);
+                         const std::size_t i = inst.lists[v].find(c);
+                         if (i != inst.lists[v].size()) ++av[v][i];
+                       }
+                     });
     ++batch;
   };
 

@@ -4,8 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "ldc/baselines/class_rounds.hpp"
 #include "ldc/linial/linial.hpp"
+#include "ldc/runtime/class_rounds.hpp"
 
 namespace ldc::baselines {
 

@@ -9,7 +9,7 @@
 // (degree+1)-list coloring in exactly m rounds; combined with Linial this
 // is the O(Delta^2 + log* n) baseline of experiment E1. The classes are
 // bucketed once and each round runs over its class and the class's
-// neighbors only (ClassRounds, class_rounds.hpp).
+// neighbors only (ClassRounds, runtime/class_rounds.hpp).
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "ldc/baselines/class_rounds.hpp"
 #include "ldc/linial/linial.hpp"
+#include "ldc/runtime/class_rounds.hpp"
+#include "ldc/support/divisor.hpp"
 #include "ldc/support/math.hpp"
 #include "ldc/support/packed_palette.hpp"
 
@@ -45,12 +46,14 @@ KwResult kw_reduce(Network& net, const Coloring& initial, std::uint64_t m) {
   // [0, B): the offsets a block's lower half offers, read by every pick.
   PackedPalette lower_half(B);
   lower_half.insert_window(0, B - 1);
+  // Blocks of 2B colours: φ's block is φ / 2B, its offset φ mod 2B.
+  const Divisor block(2 * B);
   while (res.palette > B) {
     // One halving pass: blocks of 2B colours; the upper half recolours
     // into the lower half, one upper class offset per round. Recolours
     // land in lower halves, so the classes bucketed here hold all pass.
     rounds.bucket(B, [&](NodeId v) {
-      return res.phi[v] % (2 * B) - B;  // wraps past B for the lower half
+      return block.mod(res.phi[v]) - B;  // wraps past B for the lower half
     });
     for (std::uint64_t off = 0; off < B; ++off) {
       const auto cls = rounds.members(off);
@@ -59,7 +62,7 @@ KwResult kw_reduce(Network& net, const Coloring& initial, std::uint64_t m) {
         // neighbour is known to hold.
         static thread_local PackedPalette taken;
         taken.reset(B);
-        const std::uint64_t lo = res.phi[v] / (2 * B) * (2 * B);
+        const std::uint64_t lo = res.phi[v] - block.mod(res.phi[v]);
         const Color* mine = known.data() + g.row_begin(v);
         for (std::uint32_t i = 0; i < g.degree(v); ++i) {
           const std::uint64_t rel = mine[i] - lo;  // wraps below lo
@@ -76,10 +79,10 @@ KwResult kw_reduce(Network& net, const Coloring& initial, std::uint64_t m) {
       // read the colours the round started with.
       for (NodeId v : cls) res.phi[v] = static_cast<Color>(words[v]);
     }
-    // Renumber: block k's lower half [2kB, 2kB+B) -> [kB, kB+B).
-    auto renumber = [B](Color c) {
-      const std::uint64_t block = c / (2 * B);
-      return static_cast<Color>(block * B + (c % (2 * B)));
+    // Renumber: block k's lower half [2kB, 2kB+B) -> [kB, kB+B), so
+    // c = 2kB + r becomes kB + r = c - kB.
+    auto renumber = [&](Color c) {
+      return static_cast<Color>(c - block.div(c) * B);
     };
     net.run_node_programs([&](NodeId v) {
       res.phi[v] = renumber(res.phi[v]);

@@ -42,33 +42,29 @@ std::uint64_t RsFamily::element(std::uint64_t color, std::uint64_t x) const {
   return x * q + evaluate(color, x);
 }
 
-RsEvalTable::RsEvalTable(const RsFamily& fam) : fam_(fam) {
-  if (fam_.q == 0) {
-    throw std::invalid_argument("RsEvalTable: family has q == 0");
+RsEvalTable::RsEvalTable(const RsFamily& fam) : fam_(fam), q_(fam.q) {
+  // eval's 64-bit Horner needs q^2 to fit, as every element x*q + p does.
+  if (fam_.q > kMaxQ) {
+    throw std::invalid_argument("RsEvalTable: q^2 overflows uint64");
   }
   const std::uint64_t k = fam_.deg + 1;
-  if (fam_.q > kMaxQ || sat_mul(fam_.q, k) > kMaxPowEntries) {
+  if (sat_mul(fam_.q, k) > kMaxPowEntries) {
     return;  // Horner fallback; digit caching still applies
   }
-  // Unreduced accumulation needs k * (q-1)^2 < 2^64.
-  const std::uint64_t sq = (fam_.q - 1) * (fam_.q - 1);
-  unreduced_ok_ =
-      sq <= std::numeric_limits<std::uint64_t>::max() / k;
   pow_.resize(static_cast<std::size_t>(fam_.q * k));
   for (std::uint64_t x = 0; x < fam_.q; ++x) {
     std::uint64_t* row = &pow_[x * k];
     row[0] = fam_.q == 1 ? 0 : 1;  // x^0 mod q
-    for (std::uint64_t j = 1; j < k; ++j) {
-      row[j] = row[j - 1] * x % fam_.q;
-    }
+    for (std::uint64_t j = 1; j < k; ++j) row[j] = q_.mod(row[j - 1] * x);
   }
 }
 
 void RsEvalTable::digits_of(std::uint64_t color, std::uint64_t* out) const {
   const unsigned k = fam_.deg + 1;
   for (unsigned i = 0; i < k; ++i) {
-    out[i] = color % fam_.q;
-    color /= fam_.q;
+    const std::uint64_t rest = q_.div(color);
+    out[i] = color - rest * fam_.q;
+    color = rest;
   }
 }
 
@@ -76,19 +72,19 @@ std::uint64_t RsEvalTable::eval(const std::uint64_t* digits,
                                 std::uint64_t x) const {
   const unsigned k = fam_.deg + 1;
   if (!pow_.empty()) {
+    // The table exists only for q * k <= kMaxPowEntries = 2^22, where the
+    // k products, each below q^2, sum to less than q * (q * k) <= 2^44:
+    // one reduction at the end.
     const std::uint64_t* row = &pow_[x * k];
     std::uint64_t acc = 0;
-    if (unreduced_ok_) {
-      for (unsigned j = 0; j < k; ++j) acc += digits[j] * row[j];
-      return acc % fam_.q;
-    }
-    // q < 2^32, so each product fits; reduce per term.
-    for (unsigned j = 0; j < k; ++j) {
-      acc = (acc + digits[j] * row[j] % fam_.q) % fam_.q;
-    }
-    return acc;
+    for (unsigned j = 0; j < k; ++j) acc += digits[j] * row[j];
+    return q_.mod(acc);
   }
-  return poly_eval({digits, k}, x, fam_.q);
+  // Horner in 64 bits, as q <= kMaxQ < 2^32: acc * x + digit is at most
+  // (q - 1)^2 + (q - 1) < q^2.
+  std::uint64_t acc = 0;
+  for (unsigned j = k; j-- > 0;) acc = q_.mod(acc * x + digits[j]);
+  return acc;
 }
 
 std::uint64_t kth_root_ceil(std::uint64_t m, unsigned k) {

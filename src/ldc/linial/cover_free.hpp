@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "ldc/support/divisor.hpp"
+
 namespace ldc::linial {
 
 /// One Reed-Solomon family: parameters are shared globally (all nodes
@@ -39,13 +41,16 @@ struct RsFamily {
 /// call — inside a round loop that is q * |conflicts| division chains per
 /// node. An RsEvalTable hoists the per-color work out of the x loop
 /// (digits_of, once per color) and pre-tabulates x^j mod q for every
-/// (x, j), so eval() is a dot product of table lookups with at most one
-/// final modulo when q is small enough to accumulate unreduced.
+/// (x, j), so eval() is a dot product of table lookups and one final
+/// reduction. Every split and reduction multiplies by q's precomputed
+/// reciprocal (a Divisor) instead of dividing.
 ///
 /// Build one per round (it depends only on the family, which is shared by
 /// all nodes); eval results are bit-identical to RsFamily::evaluate.
 class RsEvalTable {
  public:
+  /// fam.q must lie in [1, 2^32 - 1], as every family choose_family
+  /// returns does; otherwise std::invalid_argument.
   explicit RsEvalTable(const RsFamily& fam);
 
   const RsFamily& family() const { return fam_; }
@@ -54,15 +59,19 @@ class RsEvalTable {
   /// to out[0 .. deg]; out must hold deg+1 entries.
   void digits_of(std::uint64_t color, std::uint64_t* out) const;
 
+  /// p_color(0): the constant digit, color mod q, with no digit split.
+  std::uint64_t at_zero(std::uint64_t color) const { return q_.mod(color); }
+
   /// p(x) for the polynomial with coefficient vector `digits` (length
-  /// deg+1), x < q.
+  /// deg+1, each digit < q), x < q.
   std::uint64_t eval(const std::uint64_t* digits, std::uint64_t x) const;
 
  private:
   RsFamily fam_;
-  bool unreduced_ok_ = false;      ///< sum of k products fits in 64 bits
+  Divisor q_;
   std::vector<std::uint64_t> pow_; ///< pow_[x*(deg+1) + j] = x^j mod q;
-                                   ///< empty => Horner fallback (huge q)
+                                   ///< empty => Horner fallback, when
+                                   ///< q * (deg+1) > 2^22
 };
 
 /// Smallest integer r with r^k >= m (integer k-th root, rounded up).

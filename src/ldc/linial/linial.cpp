@@ -1,6 +1,5 @@
 #include "ldc/linial/linial.hpp"
 
-#include <array>
 #include <stdexcept>
 #include <vector>
 
@@ -34,11 +33,11 @@ std::uint64_t reduce_once(Network& net, Coloring& phi, std::uint64_t palette,
 
   Coloring next(g.n());
   net.run_node_programs([&](NodeId v) {
-    // Conflicting neighbors' colors, with their polynomials' coefficient
-    // digits split once up front (the x loop below revisits each color
-    // fam.q times).
-    std::vector<std::uint64_t> conflict_digits;
-    std::size_t conflicts = 0;
+    // The conflicting neighbours' colours, then (only if needed) their
+    // digits behind the node's own: per-thread buffers, reused.
+    static thread_local std::vector<std::uint64_t> conflicts;
+    static thread_local std::vector<std::uint64_t> digits;
+    conflicts.clear();
     for (const auto [u, word] : inboxes[v]) {
       if (opt.orientation != nullptr &&
           !opt.orientation->has_out_edge(v, u)) {
@@ -51,28 +50,37 @@ std::uint64_t reduce_once(Network& net, Coloring& phi, std::uint64_t palette,
       // them rather than index the family out of range. A neighbor
       // claiming the node's own color never agrees anywhere (c != phi[v]
       // is x-independent), so it is filtered here instead of per x.
-      if (c < palette && c != phi[v]) {
-        conflict_digits.resize(conflict_digits.size() + k);
-        tab.digits_of(c, &conflict_digits[conflicts * k]);
-        ++conflicts;
-      }
+      if (c < palette && c != phi[v]) conflicts.push_back(c);
     }
-    std::array<std::uint64_t, 64> own;
-    tab.digits_of(phi[v], own.data());
-    // Pick the evaluation point with the fewest agreements; the family
-    // parameters guarantee the minimum is <= defect when the input coloring
-    // is proper w.r.t. the conflict set.
+    // Pick the evaluation point with the fewest agreements (the first
+    // such x); the family parameters guarantee the minimum is <= defect
+    // when the input coloring is proper w.r.t. the conflict set. x = 0
+    // is scored first from the constant digits, c mod q, alone: only
+    // when some conflict agrees there are the digits split and x >= 1
+    // scanned.
     std::uint64_t best_x = 0;
-    std::uint64_t best_agree = conflicts + 1;
-    for (std::uint64_t x = 0; x < fam.q && best_agree > 0; ++x) {
-      const std::uint64_t mine = tab.eval(own.data(), x);
-      std::uint64_t agree = 0;
-      for (std::size_t i = 0; i < conflicts; ++i) {
-        if (tab.eval(&conflict_digits[i * k], x) == mine) ++agree;
+    std::uint64_t best_value = tab.at_zero(phi[v]);
+    std::uint64_t best_agree = 0;
+    for (const std::uint64_t c : conflicts) {
+      if (tab.at_zero(c) == best_value) ++best_agree;
+    }
+    if (best_agree > 0) {
+      digits.resize((conflicts.size() + 1) * k);
+      tab.digits_of(phi[v], digits.data());
+      for (std::size_t i = 0; i < conflicts.size(); ++i) {
+        tab.digits_of(conflicts[i], &digits[(i + 1) * k]);
       }
-      if (agree < best_agree) {
-        best_agree = agree;
-        best_x = x;
+      for (std::uint64_t x = 1; x < fam.q && best_agree > 0; ++x) {
+        const std::uint64_t mine = tab.eval(digits.data(), x);
+        std::uint64_t agree = 0;
+        for (std::size_t i = 1; i <= conflicts.size(); ++i) {
+          if (tab.eval(&digits[i * k], x) == mine) ++agree;
+        }
+        if (agree < best_agree) {
+          best_agree = agree;
+          best_x = x;
+          best_value = mine;
+        }
       }
     }
     if (best_agree > defect) {
@@ -80,7 +88,8 @@ std::uint64_t reduce_once(Network& net, Coloring& phi, std::uint64_t palette,
           "linial::reduce_once: no admissible evaluation point; input "
           "coloring was not proper w.r.t. the conflict sets");
     }
-    next[v] = static_cast<Color>(fam.element(phi[v], best_x));
+    // The family element (best_x, p_phi[v](best_x)).
+    next[v] = static_cast<Color>(best_x * fam.q + best_value);
   });
   phi = std::move(next);
   return fam.output_space();

@@ -182,10 +182,11 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
   const auto my_set = [&](NodeId v) { return family[v]->set(chosen_index[v]); };
   for (std::uint32_t cls = h; cls >= 1; --cls) {
     std::vector<std::uint64_t> words(n);
-    std::vector<bool> active(n, false);
-    for (NodeId v = 0; v < n; ++v) active[v] = (gamma[v] == cls);
-    net.run_node_programs([&](NodeId v) {
-      if (gamma[v] != cls) return;
+    std::vector<NodeId> members;  // the class, ascending: the senders
+    for (NodeId v = 0; v < n; ++v) {
+      if (gamma[v] == cls) members.push_back(v);
+    }
+    net.run_node_programs(members, [&](NodeId v) {
       const auto cv = my_set(v);
       Color best = cv.empty() ? restricted[v].front() : cv.front();
       std::uint64_t best_f = ~0ULL;
@@ -236,7 +237,7 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
       words[v] = best;
     });
     const WordMail inboxes =
-        net.exchange_broadcast_word(words, in.color_space - 1, &active);
+        net.exchange_broadcast_word(words, in.color_space - 1, members);
     net.run_node_programs([&](NodeId v) {
       for (const auto [u, word] : inboxes[v]) {
         nb[v][g.neighbor_index(v, u)].chosen_color =

@@ -141,11 +141,12 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
   PackedPalette lower_union;  // prune scratch, reused across nodes/classes
   for (std::uint32_t i = 1; i <= h; ++i) {
     // Local: members of V_i prune and build candidate families.
-    std::vector<bool> active(n, false);
-    std::vector<std::vector<Color>> pruned(n);
+    std::vector<NodeId> members;  // V_i, ascending: the rounds' senders
     for (NodeId v = 0; v < n; ++v) {
-      if (cls[v] != i) continue;
-      active[v] = true;
+      if (cls[v] == i) members.push_back(v);
+    }
+    std::vector<std::vector<Color>> pruned(n);
+    for (NodeId v : members) {
       // Membership union of all lower-class out-neighbor sets: a color
       // absent from the union is held by no such neighbor (count 0, always
       // kept), so the per-neighbor counting loop runs only for colors that
@@ -192,14 +193,13 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
     std::vector<std::vector<const mt::CandidateFamily*>> nb_family(n);
     {
       std::vector<Message> msgs(n);
-      for (NodeId v = 0; v < n; ++v) {
-        if (!active[v]) continue;
+      for (NodeId v : members) {
         BitWriter w;
         w.write_bounded((*in.initial)[v], in.m - 1);
         encode_color_list(w, pruned[v], inst.color_space);
         msgs[v] = Message::from(w);
       }
-      const auto inboxes = net.exchange_broadcast(msgs, &active);
+      const auto inboxes = net.exchange_broadcast(msgs, members);
       for (NodeId v = 0; v < n; ++v) {
         nb_family[v].assign(g.degree(v), nullptr);
         for (const auto& [u, m] : inboxes[v]) {
@@ -218,8 +218,7 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
 
     // Local P1 against same-class out-neighbors only.
     std::vector<std::uint32_t> chosen(n, 0);
-    for (NodeId v = 0; v < n; ++v) {
-      if (!active[v]) continue;
+    for (NodeId v : members) {
       const auto kv = pending_family[v]->view();
       std::uint32_t best_j = 0, best_dc = ~0u;
       for (std::uint32_t j = 0; j < kv.count && best_dc > 0; ++j) {
@@ -249,11 +248,9 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
     // Round B: V_i broadcasts the chosen index (fused: one bounded word).
     {
       std::vector<std::uint64_t> words(n);
-      for (NodeId v = 0; v < n; ++v) {
-        if (active[v]) words[v] = chosen[v];
-      }
+      for (NodeId v : members) words[v] = chosen[v];
       const WordMail inboxes =
-          net.exchange_broadcast_word(words, in.params.kprime - 1, &active);
+          net.exchange_broadcast_word(words, in.params.kprime - 1, members);
       for (NodeId v = 0; v < n; ++v) {
         for (const auto [u, word] : inboxes[v]) {
           const auto j = static_cast<std::uint32_t>(word);
@@ -275,10 +272,10 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
   std::vector<NodeId> contrib; // same-class out-neighbors that count
   for (std::uint32_t i = h; i >= 1; --i) {
     std::vector<std::uint64_t> words(n);
-    std::vector<bool> active(n, false);
+    std::vector<NodeId> members;  // class i, ascending: the round's senders
     for (NodeId v = 0; v < n; ++v) {
       if (cls[v] != i) continue;
-      active[v] = true;
+      members.push_back(v);
       const auto cv = own_set[v];
       Color best = cv.empty() ? used[v].front() : cv.front();
       std::uint64_t best_f = ~0ULL;
@@ -332,7 +329,7 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
       words[v] = best;
     }
     const WordMail inboxes =
-        net.exchange_broadcast_word(words, inst.color_space - 1, &active);
+        net.exchange_broadcast_word(words, inst.color_space - 1, members);
     for (NodeId v = 0; v < n; ++v) {
       for (const auto [u, word] : inboxes[v]) {
         nb_final[v][g.neighbor_index(v, u)] = static_cast<Color>(word);

@@ -24,6 +24,19 @@ const std::vector<BatchEntry>& no_batches(std::size_t) {
   return none;
 }
 
+/// The node-list contract of run_node_programs and the masked broadcasts:
+/// strictly ascending ids < n.
+void check_node_list(std::span<const NodeId> nodes, NodeId n,
+                     const char* what) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i] >= n || (i > 0 && nodes[i] <= nodes[i - 1])) {
+      throw std::invalid_argument(std::string(what) +
+                                  ": node list must be strictly ascending "
+                                  "ids < n");
+    }
+  }
+}
+
 }  // namespace
 
 Network::Network(const Graph& sub, const Network& parent)
@@ -144,19 +157,36 @@ Network::OpenRound Network::open_round() {
   return r;
 }
 
-const LiveSenders* Network::live_senders(const std::vector<bool>* active,
-                                         const RoundContext& ctx) {
+const LiveSenders* Network::live_senders(
+    std::optional<std::span<const NodeId>> senders, const RoundContext& ctx) {
   // The pure fast path — nobody masked, nobody down — needs no per-edge
   // transmit test: every inbox is exactly the sender-sorted neighbor list.
-  if (active == nullptr && ctx.faults == nullptr) return nullptr;
-  const auto n = graph_->n();
-  live_.assign(n, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    const bool sends = (active == nullptr || (*active)[u]) &&
-                       !(ctx.faults != nullptr && down_[u] != 0);
-    live_[u] = sends ? 1 : 0;
+  if (!senders && ctx.faults == nullptr) return nullptr;
+  const Graph& g = *graph_;
+  live_.assign(g.n(), 0);
+  std::span<const NodeId> ids;
+  if (ctx.faults == nullptr) {
+    ids = *senders;  // already the live list: nobody is down
+  } else {
+    // A faulty round drops its down senders; without a list every node
+    // is a candidate, O(n) like the round's crash and sleep schedule.
+    live_ids_.clear();
+    auto keep = [&](NodeId u) {
+      if (down_[u] == 0) live_ids_.push_back(u);
+    };
+    if (senders) {
+      for (NodeId u : *senders) keep(u);
+    } else {
+      for (NodeId u = 0; u < g.n(); ++u) keep(u);
+    }
+    ids = live_ids_;
   }
-  live_set_ = LiveSenders::collect(*graph_, live_.data(), live_ids_);
+  std::uint64_t degree_sum = 0;
+  for (NodeId u : ids) {
+    live_[u] = 1;
+    degree_sum += g.degree(u);
+  }
+  live_set_ = LiveSenders{live_.data(), ids, degree_sum};
   return &live_set_;
 }
 
@@ -203,20 +233,20 @@ RoundMail Network::exchange(const std::vector<Outbox>& outboxes) {
   return seal_round(r, st);
 }
 
-RoundMail Network::exchange_broadcast(const std::vector<Message>& msgs,
-                                      const std::vector<bool>* active) {
+RoundMail Network::exchange_broadcast(
+    const std::vector<Message>& msgs,
+    std::optional<std::span<const NodeId>> senders) {
   const auto n = graph_->n();
   if (msgs.size() != n) {
     throw std::invalid_argument(
         "Network::exchange_broadcast: msgs count " +
         std::to_string(msgs.size()) + " != n " + std::to_string(n));
   }
-  if (active != nullptr && active->size() != n) {
-    throw std::invalid_argument(
-        "Network::exchange_broadcast: active mask size != n");
+  if (senders) {
+    check_node_list(*senders, n, "Network::exchange_broadcast");
   }
   OpenRound r = open_round();
-  const LiveSenders* live = live_senders(active, r.ctx);
+  const LiveSenders* live = live_senders(senders, r.ctx);
   // Sender-side accounting runs here for every engine, in ascending
   // sender order; the count and fill passes follow.
   ShardStaging st;
@@ -237,15 +267,14 @@ RoundMail Network::exchange_broadcast(const std::vector<Message>& msgs,
 
 WordMail Network::exchange_broadcast_word(
     const std::vector<std::uint64_t>& words, std::uint64_t bound,
-    const std::vector<bool>* active) {
+    std::optional<std::span<const NodeId>> senders) {
   const auto n = graph_->n();
   if (words.size() != n) {
     throw std::invalid_argument(
         "Network::exchange_broadcast_word: words count != n");
   }
-  if (active != nullptr && active->size() != n) {
-    throw std::invalid_argument(
-        "Network::exchange_broadcast_word: active mask size != n");
+  if (senders) {
+    check_node_list(*senders, n, "Network::exchange_broadcast_word");
   }
   if (bound == std::numeric_limits<std::uint64_t>::max()) {
     throw std::invalid_argument(
@@ -253,7 +282,7 @@ WordMail Network::exchange_broadcast_word(
         "equivalent write_bounded width is ceil_log2(bound+1))");
   }
   OpenRound r = open_round();
-  const LiveSenders* live = live_senders(active, r.ctx);
+  const LiveSenders* live = live_senders(senders, r.ctx);
   // Payload width of the round: every live sender transmits exactly the
   // bits write_bounded(word, bound) would pack, so metrics, trace rows,
   // and the strict-CONGEST throw point match the Message path.
@@ -300,13 +329,7 @@ void Network::run_node_programs(const std::function<void(NodeId)>& fn) {
 
 void Network::run_node_programs(std::span<const NodeId> nodes,
                                 const std::function<void(NodeId)>& fn) {
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i] >= graph_->n() || (i > 0 && nodes[i] <= nodes[i - 1])) {
-      throw std::invalid_argument(
-          "Network::run_node_programs: node list must be strictly "
-          "ascending ids < n");
-    }
-  }
+  check_node_list(nodes, graph_->n(), "Network::run_node_programs");
   const std::uint64_t t0 = now_ns();
   if (shards_ != nullptr) {
     shards_->for_each_vertex(nodes, fn);

@@ -66,6 +66,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -153,20 +154,26 @@ class Network {
   /// sort runs (a debug-build assertion guards the invariant).
   RoundMail exchange(const std::vector<Outbox>& outboxes);
 
-  /// Convenience: every node with active[v] (or all nodes if active is
-  /// null) broadcasts msgs[v] to all its neighbors. Both vectors must have
-  /// one entry per node. This is a fast path, not a wrapper: no outboxes
-  /// are materialized — the arena is filled straight from the graph's CSR
-  /// by the kernel's push or pull survivor walk, and each delivered slot
-  /// is one shared payload handle per live in-neighbor. Observable
-  /// behavior (metrics, trace, faults, inbox contents/order, strict-CONGEST
-  /// errors) is identical to building the equivalent outboxes and calling
-  /// exchange(). The returned view obeys the same one-round lifetime as
-  /// exchange().
-  RoundMail exchange_broadcast(const std::vector<Message>& msgs,
-                               const std::vector<bool>* active = nullptr);
+  /// Convenience: every node (or, given `senders`, only the listed
+  /// nodes) broadcasts msgs[v] to all its neighbors; msgs has one entry
+  /// per node, and unlisted nodes' entries are ignored. The list must be
+  /// strictly ascending ids < n, checked like run_node_programs' list and
+  /// before the round opens: a bad list throws std::invalid_argument with
+  /// metrics, trace and the round callback untouched. An empty list is a
+  /// counted round with no deliveries. This is a fast path, not a
+  /// wrapper: no outboxes are materialized — the arena is filled straight
+  /// from the graph's CSR by the kernel's push or pull survivor walk, and
+  /// each delivered slot is one shared payload handle per live
+  /// in-neighbor. Observable behavior (metrics, trace, faults, inbox
+  /// contents/order, strict-CONGEST errors) is identical to building the
+  /// equivalent outboxes and calling exchange(). The returned view obeys
+  /// the same one-round lifetime as exchange().
+  RoundMail exchange_broadcast(
+      const std::vector<Message>& msgs,
+      std::optional<std::span<const NodeId>> senders = std::nullopt);
 
-  /// Fused fast path for the most common round shape: every live node
+  /// Fused fast path for the most common round shape: every node (or the
+  /// listed `senders`, under exchange_broadcast's list contract)
   /// broadcasts ONE bounded value — exactly what a
   /// `BitWriter::write_bounded(words[v], bound)` + exchange_broadcast round
   /// sends, but with no Message materialization and no per-edge slot fill
@@ -177,11 +184,11 @@ class Network {
   /// equivalent exchange_broadcast round: each delivery is accounted at
   /// ceil_log2(bound+1) bits, and corruption flips the same PRF-chosen bit
   /// (BitWriter packs LSB-first, so word bit k == payload bit k). Every
-  /// live sender's word must be <= bound; bound must be < 2^64-1. The
+  /// sender's word must be <= bound; bound must be < 2^64-1. The
   /// returned view obeys the same one-round lifetime as exchange().
-  WordMail exchange_broadcast_word(const std::vector<std::uint64_t>& words,
-                                   std::uint64_t bound,
-                                   const std::vector<bool>* active = nullptr);
+  WordMail exchange_broadcast_word(
+      const std::vector<std::uint64_t>& words, std::uint64_t bound,
+      std::optional<std::span<const NodeId>> senders = std::nullopt);
 
   /// Evaluates fn(v) for every node, each shard's range on its own worker
   /// under kSharded. fn must only write state owned by node v (its own
@@ -318,7 +325,7 @@ class Network {
   MailArena arena_;       ///< every engine's round lands here
   RangeScratch scratch_;  ///< kSerial's round scratch
   std::vector<char> live_;        ///< live-sender flags of a broadcast round
-  std::vector<NodeId> live_ids_;  ///< the same senders, ascending
+  std::vector<NodeId> live_ids_;  ///< a faulty round's live senders
   LiveSenders live_set_;          ///< the round's view of the two
 
   /// Evaluates the plan's node schedules for `round` (single-threaded, so
@@ -329,11 +336,13 @@ class Network {
   /// Round prologue: the round-boundary hook, view invalidation, the
   /// round count, and the round's fault schedule.
   OpenRound open_round();
-  /// The live senders of a broadcast round, as flags and an ascending
-  /// list in reused buffers, or nullptr when every sender transmits and
-  /// the round is fault-free.
-  const LiveSenders* live_senders(const std::vector<bool>* active,
-                                  const RoundContext& ctx);
+  /// The live senders of a broadcast round — the listed `senders` (all
+  /// nodes without a list) that are not down — as flags and an ascending
+  /// list in reused buffers, or nullptr when every node sends and the
+  /// round is fault-free.
+  const LiveSenders* live_senders(
+      std::optional<std::span<const NodeId>> senders,
+      const RoundContext& ctx);
   /// Round epilogue: merges the round's staging, then fault counters, wall
   /// clock, trace row.
   void finish_round(OpenRound& r, const ShardStaging& st);

@@ -99,7 +99,8 @@ struct RoundContext {
 
 /// The transmitting senders of a masked or faulty broadcast round: n
 /// flags for the pull walk, and the same set as an ascending id list with
-/// its degree sum for the push walk and the bulk accounting.
+/// its degree sum for the push walk and the bulk accounting. Network
+/// builds it from the round's sender list (Network::live_senders).
 struct LiveSenders {
   const char* flags = nullptr;
   std::span<const NodeId> ids;
@@ -107,7 +108,8 @@ struct LiveSenders {
 
   /// The flagged senders of g, listed into `ids` (a reused buffer:
   /// cleared, its capacity kept, so it grows to the most senders a round
-  /// has had, not to n).
+  /// has had, not to n): an O(n) scan, for a worker process, which has
+  /// only the flags it unpacked from the coordinator's bitmap.
   static LiveSenders collect(const Graph& g, const char* flags,
                              std::vector<NodeId>& ids);
 };

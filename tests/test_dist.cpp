@@ -4,7 +4,7 @@
 // *processes* talking to a dist::Coordinator over sockets; this file pins
 // the contract ISSUE 10 states: colors, model-exact RunMetrics, trace
 // digests, and fault decisions byte-identical to kSerial and kSharded
-// for every worker count × fault plan × active mask — plus the parts
+// for every worker count × fault plan × sender list — plus the parts
 // only a multi-process engine has: the attach handshake rejects a worker
 // whose corpus content digest differs, a SIGKILLed worker surfaces as a
 // typed WorkerError naming the shard and round (well inside the
@@ -42,7 +42,7 @@
 #include "ldc/runtime/network.hpp"
 #include "ldc/storage/corpus.hpp"
 #include "ldc/support/prf.hpp"
-#include "survivor_masks.hpp"
+#include "survivor_lists.hpp"
 
 namespace ldc {
 namespace {
@@ -333,8 +333,8 @@ TEST(Dist, FaultPlansMatchSerial) {
 }
 
 // Broadcast fast path and the fused word path under kDist must match the
-// serial engine's materialized-outbox reference — with and without an
-// active mask, with and without faults. All-live rounds stay
+// serial engine's materialized-outbox reference — with and without a
+// sender list, with and without faults. All-live rounds stay
 // coordinator-local; masked/faulty rounds of both planes take the
 // kBcast / kInboxIds exchange, and the coordinator rebuilds the slots.
 TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
@@ -350,8 +350,10 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
     w.write_bounded(words[v], bound);
     msgs[v] = Message::from(w);
   }
-  std::vector<bool> mask(g.n());
-  for (NodeId v = 0; v < g.n(); ++v) mask[v] = v % 3 != 0;
+  std::vector<NodeId> mask;
+  for (NodeId v = 0; v < g.n(); ++v) {
+    if (v % 3 != 0) mask.push_back(v);
+  }
   FaultPlan plan;
   plan.seed = 0xfa08;
   plan.drop_rate = 0.08;
@@ -364,7 +366,7 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
     std::uint64_t trace_digest = 0;
   };
   enum class Path { kOutboxes, kBroadcast, kFusedWord };
-  auto run = [&](Coordinator* coord, const std::vector<bool>* active,
+  auto run = [&](Coordinator* coord, SenderList senders,
                  const FaultPlan* faults, Path path) {
     Network net(coord != nullptr ? coord->corpus_graph() : g);
     if (coord != nullptr) net.attach_dist(coord);
@@ -374,7 +376,7 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
     Flat out;
     for (int round = 0; round < 3; ++round) {
       if (path == Path::kFusedWord) {
-        const WordMail in = net.exchange_broadcast_word(words, bound, active);
+        const WordMail in = net.exchange_broadcast_word(words, bound, senders);
         for (NodeId v = 0; v < g.n(); ++v) {
           for (const auto [sender, word] : in[v]) {
             out.slots.push_back(hash_combine(
@@ -387,12 +389,12 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
       if (path == Path::kOutboxes) {
         std::vector<Network::Outbox> outboxes(g.n());
         for (NodeId u = 0; u < g.n(); ++u) {
-          if (active != nullptr && !(*active)[u]) continue;
+          if (!listed(senders, u)) continue;
           for (NodeId v : g.neighbors(u)) outboxes[u].emplace_back(v, msgs[u]);
         }
         in = net.exchange(outboxes);
       } else {
-        in = net.exchange_broadcast(msgs, active);
+        in = net.exchange_broadcast(msgs, senders);
       }
       for (NodeId v = 0; v < g.n(); ++v) {
         for (const auto& [sender, msg] : in[v]) {
@@ -408,21 +410,21 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
     return out;
   };
 
-  std::vector<std::pair<std::string, const std::vector<bool>*>> masks = {
-      {"all", nullptr}, {"masked", &mask}};
-  const auto pass_masks = survivor_pass_masks(g.n());
-  for (const auto& [name, m] : pass_masks) masks.emplace_back(name, &m);
+  std::vector<std::pair<std::string, SenderList>> masks = {
+      {"all", std::nullopt}, {"masked", mask}};
+  const auto pass_masks = survivor_pass_lists(g.n());
+  for (const auto& [name, m] : pass_masks) masks.emplace_back(name, m);
   const FaultPlan* plans[] = {nullptr, &plan};
   for (std::size_t workers : {2u, 4u}) {
     CoordinatorOptions opt;
     opt.workers = workers;
     Coordinator coord(tc.path(), opt);
-    for (const auto& [mask_name, active] : masks) {
+    for (const auto& [mask_name, senders] : masks) {
       for (const FaultPlan* faults : plans) {
-        const Flat ref = run(nullptr, active, faults, Path::kOutboxes);
+        const Flat ref = run(nullptr, senders, faults, Path::kOutboxes);
         for (const Path path :
              {Path::kOutboxes, Path::kBroadcast, Path::kFusedWord}) {
-          const Flat got = run(&coord, active, faults, path);
+          const Flat got = run(&coord, senders, faults, path);
           const std::string label =
               std::string(path == Path::kFusedWord  ? "fused"
                           : path == Path::kOutboxes ? "outboxes"
@@ -457,8 +459,7 @@ TEST(Dist, MaskedWordRoundShipsSenderIdsNotWords) {
     w.write_bounded(7, bound);
     for (Message& m : msgs) m = Message::from(w);
   }
-  std::vector<bool> one(g.n(), false);
-  one[g.n() / 2] = true;
+  const std::vector<NodeId> one = {g.n() / 2};
   CoordinatorOptions opt;
   opt.workers = 2;
   Coordinator coord(tc.path(), opt);
@@ -472,9 +473,9 @@ TEST(Dist, MaskedWordRoundShipsSenderIdsNotWords) {
            (after.bytes_received - before.bytes_received);
   };
   const std::uint64_t word_bytes = wire_bytes(
-      [&] { (void)net.exchange_broadcast_word(words, bound, &one); });
+      [&] { (void)net.exchange_broadcast_word(words, bound, one); });
   const std::uint64_t msg_bytes =
-      wire_bytes([&] { (void)net.exchange_broadcast(msgs, &one); });
+      wire_bytes([&] { (void)net.exchange_broadcast(msgs, one); });
   EXPECT_GT(word_bytes, 0u);
   EXPECT_EQ(word_bytes, msg_bytes);
   EXPECT_LT(word_bytes, 8u * g.n());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "ldc/linial/cover_free.hpp"
 #include "ldc/linial/defective_linial.hpp"
 #include "ldc/support/math.hpp"
+#include "ldc/support/primes.hpp"
 
 namespace ldc {
 namespace {
@@ -107,6 +109,7 @@ TEST(CoverFree, EvalTableMatchesDirectEvaluation) {
       std::vector<std::uint64_t> digits(f.deg + 1);
       for (std::uint64_t c = 0; c < std::min<std::uint64_t>(m, 200); c += 7) {
         tab.digits_of(c, digits.data());
+        EXPECT_EQ(tab.at_zero(c), f.evaluate(c, 0));
         for (std::uint64_t x = 0; x < f.q; ++x) {
           ASSERT_EQ(tab.eval(digits.data(), x), f.evaluate(c, x))
               << "m=" << m << " D=" << D << " c=" << c << " x=" << x;
@@ -114,6 +117,38 @@ TEST(CoverFree, EvalTableMatchesDirectEvaluation) {
       }
     }
   }
+  // Families past the 2^22-entry pow-table cap, where eval runs Horner:
+  // q = 4,294,967,291 (the largest prime below 2^32, so q^2 is just under
+  // 2^64) with colours near the top of its input space, and a degree-2
+  // family just past the cap.
+  constexpr std::uint64_t kQ = 4294967291ULL;
+  const std::uint64_t q21 = next_prime(std::uint64_t{1} << 21);
+  const RsFamily huge[] = {
+      RsFamily{kQ, 1, kQ * kQ},
+      RsFamily{kQ, 2, std::numeric_limits<std::uint64_t>::max()},
+      RsFamily{q21, 2, q21 * q21 * q21},
+  };
+  for (const RsFamily& f : huge) {
+    const linial::RsEvalTable tab(f);
+    const std::uint64_t top = f.input_space - 1;
+    std::vector<std::uint64_t> digits(f.deg + 1);
+    for (const std::uint64_t c :
+         {top, top - 1, top - f.q, top - f.q + 1, top / 2,
+          (std::uint64_t{1} << 32) - 1, (std::uint64_t{1} << 32) + 1,
+          std::uint64_t{0}}) {
+      tab.digits_of(c, digits.data());
+      EXPECT_EQ(tab.at_zero(c), f.evaluate(c, 0)) << "q=" << f.q;
+      for (const std::uint64_t x :
+           {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2}, f.q / 2,
+            f.q - 2, f.q - 1}) {
+        ASSERT_EQ(tab.eval(digits.data(), x), f.evaluate(c, x))
+            << "q=" << f.q << " deg=" << f.deg << " c=" << c << " x=" << x;
+      }
+    }
+  }
+  // Past 2^32 - 1, q^2 (and the 64-bit Horner) would overflow.
+  EXPECT_THROW(linial::RsEvalTable(RsFamily{std::uint64_t{1} << 32, 1, 2}),
+               std::invalid_argument);
 }
 
 TEST(Linial, ProperColoringOnRing) {
@@ -186,6 +221,74 @@ TEST(Linial, ColorFromAcceptsExistingColoring) {
   const auto res = linial::color_from(net, phi, 64 * g.n());
   EXPECT_TRUE(validate_proper(g, res.phi).ok);
   EXPECT_LT(res.palette, 64u * g.n() / 8);
+}
+
+// Linial's step the slow way: each node's conflict colours (out-neighbours
+// under an orientation, other colours only), every evaluation point scored
+// with RsFamily::evaluate, the first point with the fewest agreements
+// taken, and the output read off RsFamily::element.
+Coloring reference_step(const Graph& g, const Coloring& phi,
+                        std::uint64_t palette, std::uint32_t defect,
+                        const Orientation* o) {
+  const std::uint64_t D =
+      o != nullptr ? o->max_beta()
+                   : std::max<std::uint64_t>(1, g.max_degree());
+  const RsFamily fam = choose_family(palette, D, defect);
+  Coloring next(g.n());
+  for (NodeId v = 0; v < g.n(); ++v) {
+    std::vector<std::uint64_t> conflicts;
+    for (NodeId u : g.neighbors(v)) {
+      if (o != nullptr && !o->has_out_edge(v, u)) continue;
+      if (phi[u] != phi[v]) conflicts.push_back(phi[u]);
+    }
+    std::uint64_t best_x = 0;
+    std::uint64_t best_agree = conflicts.size() + 1;
+    for (std::uint64_t x = 0; x < fam.q; ++x) {
+      std::uint64_t agree = 0;
+      for (std::uint64_t c : conflicts) {
+        if (fam.evaluate(c, x) == fam.evaluate(phi[v], x)) ++agree;
+      }
+      if (agree < best_agree) {
+        best_agree = agree;
+        best_x = x;
+      }
+    }
+    next[v] = static_cast<Color>(fam.element(phi[v], best_x));
+  }
+  return next;
+}
+
+TEST(Linial, ReduceOnceMatchesFamilyReference) {
+  // Scrambled 64-bit ids: the first rounds split multi-digit colours and
+  // later ones run on the shrunken palette, so every round (proper,
+  // oriented, defective) meets both the x = 0 shortcut and the full scan.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Graph g = gen::random_regular(200, 8, seed);
+    gen::scramble_ids(g, std::uint64_t{1} << 60, seed);
+    const Orientation by_id = Orientation::by_decreasing_id(g);
+    for (const Orientation* o : {static_cast<const Orientation*>(nullptr),
+                                 &by_id}) {
+      Network net(g);
+      linial::Options opt;
+      opt.orientation = o;
+      Coloring phi(g.n());
+      for (NodeId v = 0; v < g.n(); ++v) phi[v] = static_cast<Color>(g.id(v));
+      std::uint64_t palette = g.max_id() + 1;
+      for (int round = 0; round < 3; ++round) {
+        const Coloring want = reference_step(g, phi, palette, 0, o);
+        palette = linial::reduce_once(net, phi, palette, 0, opt);
+        ASSERT_EQ(phi, want) << "seed " << seed << " round " << round
+                             << (o != nullptr ? " oriented" : "");
+      }
+      for (std::uint32_t d : {1u, 2u}) {
+        Coloring defective = phi;
+        const Coloring want = reference_step(g, phi, palette, d, o);
+        linial::reduce_once(net, defective, palette, d, opt);
+        EXPECT_EQ(defective, want) << "seed " << seed << " defect " << d
+                                   << (o != nullptr ? " oriented" : "");
+      }
+    }
+  }
 }
 
 TEST(DefectiveLinial, DefectBudgetsHold) {

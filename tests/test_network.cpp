@@ -102,8 +102,8 @@ TEST(Network, BroadcastActiveMask) {
   const Graph g = gen::ring(4);
   Network net(g);
   std::vector<Message> msgs(4, make_msg(7, 4));
-  std::vector<bool> active = {true, false, false, false};
-  auto in = net.exchange_broadcast(msgs, &active);
+  const std::vector<NodeId> senders = {0};
+  auto in = net.exchange_broadcast(msgs, senders);
   EXPECT_EQ(in[1].size(), 1u);
   EXPECT_EQ(in[3].size(), 1u);
   EXPECT_TRUE(in[0].empty());
@@ -140,16 +140,15 @@ TEST(Network, BroadcastRejectsWrongMessageCount) {
   EXPECT_EQ(net.metrics().messages, 0u);
 }
 
-TEST(Network, BroadcastRejectsWrongActiveMaskSize) {
+TEST(Network, BroadcastRejectsSenderIdsOutOfRange) {
   const Graph g = gen::ring(4);
   Network net(g);
   std::vector<Message> msgs(4, make_msg(1, 4));
-  std::vector<bool> short_mask(3, true);
-  EXPECT_THROW(net.exchange_broadcast(msgs, &short_mask),
+  const std::vector<NodeId> past_the_end = {0, 4};
+  EXPECT_THROW(net.exchange_broadcast(msgs, past_the_end),
                std::invalid_argument);
-  std::vector<bool> long_mask(6, true);
-  EXPECT_THROW(net.exchange_broadcast(msgs, &long_mask),
-               std::invalid_argument);
+  const std::vector<NodeId> far_out = {6};
+  EXPECT_THROW(net.exchange_broadcast(msgs, far_out), std::invalid_argument);
   EXPECT_EQ(net.metrics().rounds, 0u);
 }
 

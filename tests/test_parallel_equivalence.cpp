@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <tuple>
@@ -22,6 +23,7 @@
 #include "ldc/baselines/kw_reduction.hpp"
 #include "ldc/baselines/luby.hpp"
 #include "ldc/coloring/instance_gen.hpp"
+#include "ldc/dist/coordinator.hpp"
 #include "ldc/graph/generators.hpp"
 #include "ldc/graph/partition.hpp"
 #include "ldc/linial/defective_linial.hpp"
@@ -29,8 +31,9 @@
 #include "ldc/oldc/single_defect.hpp"
 #include "ldc/resilient/drivers.hpp"
 #include "ldc/runtime/network.hpp"
+#include "ldc/storage/corpus.hpp"
 #include "ldc/support/prf.hpp"
-#include "survivor_masks.hpp"
+#include "survivor_lists.hpp"
 
 namespace ldc {
 namespace {
@@ -403,7 +406,7 @@ TEST(ParallelEquivalence, ExplicitExchangeMatchesAcrossEngines) {
 // The broadcast fast path skips outbox materialization and fills the round
 // arena receiver-side; its observable behavior must stay identical to
 // building the equivalent outboxes and calling exchange() — with and
-// without an active mask, with and without faults, under every engine.
+// without a sender list, with and without faults, under every engine.
 TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
   const Graph g = gen::gnp(48, 0.25, 33);
   std::vector<Message> msgs(g.n());
@@ -412,8 +415,10 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
     w.write(hash_combine(0xb0, v), 36);
     msgs[v] = Message::from(w);
   }
-  std::vector<bool> mask(g.n());
-  for (NodeId v = 0; v < g.n(); ++v) mask[v] = v % 3 != 0;
+  std::vector<NodeId> mask;
+  for (NodeId v = 0; v < g.n(); ++v) {
+    if (v % 3 != 0) mask.push_back(v);
+  }
   FaultPlan plan;
   plan.seed = 0xfa07;
   plan.drop_rate = 0.08;
@@ -425,7 +430,7 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
     RunMetrics metrics;
     std::uint64_t trace_digest = 0;
   };
-  auto run = [&](std::size_t threads, const std::vector<bool>* active,
+  auto run = [&](std::size_t threads, SenderList senders,
                  const FaultPlan* faults, bool via_outboxes) {
     Network net(g);
     if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
@@ -439,12 +444,12 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
         // The reference semantics: materialized per-neighbor outboxes.
         std::vector<Network::Outbox> outboxes(g.n());
         for (NodeId u = 0; u < g.n(); ++u) {
-          if (active != nullptr && !(*active)[u]) continue;
+          if (!listed(senders, u)) continue;
           for (NodeId v : g.neighbors(u)) outboxes[u].emplace_back(v, msgs[u]);
         }
         in = net.exchange(outboxes);
       } else {
-        in = net.exchange_broadcast(msgs, active);
+        in = net.exchange_broadcast(msgs, senders);
       }
       for (NodeId v = 0; v < g.n(); ++v) {
         for (const auto& [sender, msg] : in[v]) {
@@ -459,16 +464,16 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
     return out;
   };
 
-  std::vector<std::pair<std::string, const std::vector<bool>*>> masks = {
-      {"all", nullptr}, {"masked", &mask}};
-  const auto pass_masks = survivor_pass_masks(g.n());
-  for (const auto& [name, m] : pass_masks) masks.emplace_back(name, &m);
+  std::vector<std::pair<std::string, SenderList>> masks = {
+      {"all", std::nullopt}, {"masked", mask}};
+  const auto pass_masks = survivor_pass_lists(g.n());
+  for (const auto& [name, m] : pass_masks) masks.emplace_back(name, m);
   const FaultPlan* plans[] = {nullptr, &plan};
-  for (const auto& [mask_name, active] : masks) {
+  for (const auto& [mask_name, senders] : masks) {
     for (const FaultPlan* faults : plans) {
-      const Flat ref = run(0, active, faults, /*via_outboxes=*/true);
+      const Flat ref = run(0, senders, faults, /*via_outboxes=*/true);
       for (std::size_t threads : {0u, 2u, 7u}) {
-        const Flat fast = run(threads, active, faults, /*via_outboxes=*/false);
+        const Flat fast = run(threads, senders, faults, /*via_outboxes=*/false);
         const std::string label = mask_name +
                                   (faults != nullptr ? "+faults" : "") +
                                   " @" + std::to_string(threads) + "t";
@@ -487,7 +492,7 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
 // mail) must be observably identical to BOTH the generic broadcast fast
 // path carrying the same write_bounded payload AND fully materialized
 // outboxes: same decoded values per (receiver, sender), same accounting,
-// same trace digest — with and without an active mask, with and without
+// same trace digest — with and without a sender list, with and without
 // faults, across engines. write_bounded lays the value out LSB-first, so
 // payload bit k is value bit k and a corrupted word decodes to exactly
 // the corrupted payload's value.
@@ -502,8 +507,10 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
     w.write_bounded(words[v], bound);
     msgs[v] = Message::from(w);
   }
-  std::vector<bool> mask(g.n());
-  for (NodeId v = 0; v < g.n(); ++v) mask[v] = v % 3 != 0;
+  std::vector<NodeId> mask;
+  for (NodeId v = 0; v < g.n(); ++v) {
+    if (v % 3 != 0) mask.push_back(v);
+  }
   FaultPlan plan;
   plan.seed = 0xfa08;
   plan.drop_rate = 0.08;
@@ -516,7 +523,7 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
     std::uint64_t trace_digest = 0;
   };
   enum class Path { kOutboxes, kBroadcast, kFusedWord };
-  auto run = [&](std::size_t threads, const std::vector<bool>* active,
+  auto run = [&](std::size_t threads, SenderList senders,
                  const FaultPlan* faults, Path path) {
     Network net(g);
     if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
@@ -526,7 +533,7 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
     Flat out;
     for (int round = 0; round < 3; ++round) {
       if (path == Path::kFusedWord) {
-        const WordMail in = net.exchange_broadcast_word(words, bound, active);
+        const WordMail in = net.exchange_broadcast_word(words, bound, senders);
         for (NodeId v = 0; v < g.n(); ++v) {
           for (const auto [sender, word] : in[v]) {
             out.slots.push_back(hash_combine(
@@ -539,12 +546,12 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
       if (path == Path::kOutboxes) {
         std::vector<Network::Outbox> outboxes(g.n());
         for (NodeId u = 0; u < g.n(); ++u) {
-          if (active != nullptr && !(*active)[u]) continue;
+          if (!listed(senders, u)) continue;
           for (NodeId v : g.neighbors(u)) outboxes[u].emplace_back(v, msgs[u]);
         }
         in = net.exchange(outboxes);
       } else {
-        in = net.exchange_broadcast(msgs, active);
+        in = net.exchange_broadcast(msgs, senders);
       }
       for (NodeId v = 0; v < g.n(); ++v) {
         for (const auto& [sender, msg] : in[v]) {
@@ -560,17 +567,17 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
     return out;
   };
 
-  std::vector<std::pair<std::string, const std::vector<bool>*>> masks = {
-      {"all", nullptr}, {"masked", &mask}};
-  const auto pass_masks = survivor_pass_masks(g.n());
-  for (const auto& [name, m] : pass_masks) masks.emplace_back(name, &m);
+  std::vector<std::pair<std::string, SenderList>> masks = {
+      {"all", std::nullopt}, {"masked", mask}};
+  const auto pass_masks = survivor_pass_lists(g.n());
+  for (const auto& [name, m] : pass_masks) masks.emplace_back(name, m);
   const FaultPlan* plans[] = {nullptr, &plan};
-  for (const auto& [mask_name, active] : masks) {
+  for (const auto& [mask_name, senders] : masks) {
     for (const FaultPlan* faults : plans) {
-      const Flat ref = run(0, active, faults, Path::kOutboxes);
+      const Flat ref = run(0, senders, faults, Path::kOutboxes);
       for (const Path path : {Path::kBroadcast, Path::kFusedWord}) {
         for (std::size_t threads : {0u, 1u, 7u}) {
-          const Flat got = run(threads, active, faults, path);
+          const Flat got = run(threads, senders, faults, path);
           const std::string label =
               std::string(path == Path::kFusedWord ? "fused" : "broadcast") +
               "/" + mask_name + (faults != nullptr ? "+faults" : "") + " @" +
@@ -702,6 +709,76 @@ TEST(ParallelEquivalence, RunNodeProgramsComputesEveryNodeOnce) {
       EXPECT_FALSE(ran) << "@" << threads;
     }
   }
+}
+
+// The masked broadcasts' sender-list contract, on every engine: a list
+// that is unsorted, repeats an id or names an id >= n throws
+// std::invalid_argument before the round opens — metrics unchanged, the
+// round callback never called — and an empty list is one counted round
+// that delivers nothing.
+TEST(ParallelEquivalence, SenderListContractOnEveryEngine) {
+  const Graph g = gen::gnp(40, 0.2, 35);
+  const std::string corpus =
+      testing::TempDir() + "sender_list_contract.ldcg";
+  {
+    storage::CorpusWriter w(corpus, g.n(), /*with_ids=*/false);
+    for (NodeId v = 0; v < g.n(); ++v) w.add_vertex(g.neighbors(v));
+    w.close();
+  }
+  dist::CoordinatorOptions copt;
+  copt.workers = 2;
+  dist::Coordinator coord(corpus, copt);
+
+  BitWriter w;
+  w.write(5, 3);
+  const std::vector<Message> msgs(g.n(), Message::from(w));
+  const std::vector<std::uint64_t> words(g.n(), 5);
+  const std::vector<NodeId> some = {1, 7, 30};
+  const std::vector<std::pair<std::string, std::vector<NodeId>>> bad = {
+      {"unsorted", {7, 1}}, {"repeated", {1, 1}}, {"out-of-range", {1, g.n()}}};
+  const std::vector<std::pair<std::string, std::function<void(Network&)>>>
+      engines = {
+          {"serial", [](Network&) {}},
+          {"sharded@2",
+           [](Network& net) { net.set_engine(Network::Engine::kSharded, 2); }},
+          {"sharded@7",
+           [](Network& net) { net.set_engine(Network::Engine::kSharded, 7); }},
+          {"dist@2", [&](Network& net) { net.attach_dist(&coord); }},
+      };
+  for (const auto& [engine, apply] : engines) {
+    Network net(engine == "dist@2" ? coord.corpus_graph() : g);
+    apply(net);
+    std::uint64_t calls = 0;
+    net.set_round_callback([&](std::uint64_t) { ++calls; });
+    (void)net.exchange_broadcast(msgs, some);  // metrics worth keeping
+    const RunMetrics before = net.metrics();
+    for (const auto& [name, list] : bad) {
+      EXPECT_THROW((void)net.exchange_broadcast(msgs, list),
+                   std::invalid_argument)
+          << engine << "/" << name;
+      EXPECT_THROW((void)net.exchange_broadcast_word(words, 7, list),
+                   std::invalid_argument)
+          << engine << "/" << name;
+    }
+    EXPECT_EQ(calls, 1u) << engine;
+    EXPECT_TRUE(net.metrics().same_communication(before))
+        << engine << ": {" << net.metrics() << "} vs {" << before << "}";
+
+    const std::vector<NodeId> none;
+    const RoundMail mail = net.exchange_broadcast(msgs, none);
+    for (NodeId v = 0; v < g.n(); ++v) {
+      EXPECT_TRUE(mail[v].empty()) << engine << " node " << v;
+    }
+    const WordMail lanes = net.exchange_broadcast_word(words, 7, none);
+    for (NodeId v = 0; v < g.n(); ++v) {
+      EXPECT_TRUE(lanes[v].empty()) << engine << " node " << v;
+    }
+    EXPECT_EQ(calls, 3u) << engine;
+    EXPECT_EQ(net.metrics().rounds, before.rounds + 2) << engine;
+    EXPECT_EQ(net.metrics().messages, before.messages) << engine;
+    EXPECT_EQ(net.metrics().total_bits, before.total_bits) << engine;
+  }
+  std::remove(corpus.c_str());
 }
 
 }  // namespace

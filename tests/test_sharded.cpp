@@ -41,7 +41,7 @@
 #include "ldc/runtime/network.hpp"
 #include "ldc/runtime/shard.hpp"
 #include "ldc/support/prf.hpp"
-#include "survivor_masks.hpp"
+#include "survivor_lists.hpp"
 #include "thread_start_limit.hpp"
 
 namespace ldc {
@@ -326,8 +326,8 @@ TEST(Sharded, FaultPlansMatchAcrossAllThreeEngines) {
 }
 
 // Broadcast fast path and the fused word path under kSharded must match
-// the serial engine's materialized-outbox reference — with and without an
-// active mask, with and without faults, across shard counts.
+// the serial engine's materialized-outbox reference — with and without a
+// sender list, with and without faults, across shard counts.
 TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
   const Graph g = gen::gnp(48, 0.25, 34);
   const std::uint64_t bound = 499;
@@ -339,8 +339,10 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
     w.write_bounded(words[v], bound);
     msgs[v] = Message::from(w);
   }
-  std::vector<bool> mask(g.n());
-  for (NodeId v = 0; v < g.n(); ++v) mask[v] = v % 3 != 0;
+  std::vector<NodeId> mask;
+  for (NodeId v = 0; v < g.n(); ++v) {
+    if (v % 3 != 0) mask.push_back(v);
+  }
   FaultPlan plan;
   plan.seed = 0xfa08;
   plan.drop_rate = 0.08;
@@ -353,7 +355,7 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
     std::uint64_t trace_digest = 0;
   };
   enum class Path { kOutboxes, kBroadcast, kFusedWord };
-  auto run = [&](std::size_t shards, const std::vector<bool>* active,
+  auto run = [&](std::size_t shards, SenderList senders,
                  const FaultPlan* faults, Path path) {
     Network net(g);
     if (shards > 0) net.set_engine(Network::Engine::kSharded, shards);
@@ -363,7 +365,7 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
     Flat out;
     for (int round = 0; round < 3; ++round) {
       if (path == Path::kFusedWord) {
-        const WordMail in = net.exchange_broadcast_word(words, bound, active);
+        const WordMail in = net.exchange_broadcast_word(words, bound, senders);
         for (NodeId v = 0; v < g.n(); ++v) {
           for (const auto [sender, word] : in[v]) {
             out.slots.push_back(hash_combine(
@@ -376,12 +378,12 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
       if (path == Path::kOutboxes) {
         std::vector<Network::Outbox> outboxes(g.n());
         for (NodeId u = 0; u < g.n(); ++u) {
-          if (active != nullptr && !(*active)[u]) continue;
+          if (!listed(senders, u)) continue;
           for (NodeId v : g.neighbors(u)) outboxes[u].emplace_back(v, msgs[u]);
         }
         in = net.exchange(outboxes);
       } else {
-        in = net.exchange_broadcast(msgs, active);
+        in = net.exchange_broadcast(msgs, senders);
       }
       for (NodeId v = 0; v < g.n(); ++v) {
         for (const auto& [sender, msg] : in[v]) {
@@ -397,18 +399,18 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
     return out;
   };
 
-  std::vector<std::pair<std::string, const std::vector<bool>*>> masks = {
-      {"all", nullptr}, {"masked", &mask}};
-  const auto pass_masks = survivor_pass_masks(g.n());
-  for (const auto& [name, m] : pass_masks) masks.emplace_back(name, &m);
+  std::vector<std::pair<std::string, SenderList>> masks = {
+      {"all", std::nullopt}, {"masked", mask}};
+  const auto pass_masks = survivor_pass_lists(g.n());
+  for (const auto& [name, m] : pass_masks) masks.emplace_back(name, m);
   const FaultPlan* plans[] = {nullptr, &plan};
-  for (const auto& [mask_name, active] : masks) {
+  for (const auto& [mask_name, senders] : masks) {
     for (const FaultPlan* faults : plans) {
-      const Flat ref = run(0, active, faults, Path::kOutboxes);
+      const Flat ref = run(0, senders, faults, Path::kOutboxes);
       for (const Path path :
            {Path::kOutboxes, Path::kBroadcast, Path::kFusedWord}) {
         for (std::size_t shards : {1u, 2u, 7u}) {
-          const Flat got = run(shards, active, faults, path);
+          const Flat got = run(shards, senders, faults, path);
           const std::string label =
               std::string(path == Path::kFusedWord  ? "fused"
                           : path == Path::kOutboxes ? "outboxes"
