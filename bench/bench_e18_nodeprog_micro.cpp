@@ -3,8 +3,8 @@
 // Broadcast-only rounds whose payload is a single bounded word (a color,
 // a candidate index) dominate the Linial and OLDC schedules. The fused
 // fast path (Network::exchange_broadcast_word) skips per-edge mail
-// entirely: one word per *sender* instead of one Message handle and one
-// inbox slot per *edge*. This experiment pins the claim from both sides:
+// entirely: one word per *sender* instead of one payload writer, one pool
+// entry and one inbox slot per *edge*. This experiment pins the claim from both sides:
 //
 //  - Deterministic columns: per-round traffic (identical to the unfused
 //    path by construction — the accounting is replicated, not
@@ -61,7 +61,7 @@ Probe time_rounds(const Graph& g, std::uint64_t bound, bool fused,
   Network net(g);
   const std::vector<std::uint64_t> colors = make_words(g, bound);
   std::vector<std::uint64_t> words(g.n());
-  std::vector<Message> msgs(g.n());
+  std::vector<BitWriter> msgs(g.n());
   std::vector<std::uint64_t> sums(g.n());
 
   const auto one_round = [&]() {
@@ -78,16 +78,14 @@ Probe time_rounds(const Graph& g, std::uint64_t bound, bool fused,
       });
     } else {
       net.run_node_programs([&](NodeId v) {
-        BitWriter w;
-        w.write_bounded(colors[v], bound);
-        msgs[v] = Message::from(w);
+        msgs[v].clear();
+        msgs[v].write_bounded(colors[v], bound);
       });
       const auto in = net.exchange_broadcast(msgs);
       net.run_node_programs([&](NodeId v) {
         std::uint64_t s = 0;
-        for (const auto& [u, m] : in[v]) {
+        for (auto [u, r] : in[v]) {
           (void)u;
-          auto r = m.reader();
           s += r.read_bounded(bound);
         }
         sums[v] = s;
@@ -149,11 +147,9 @@ void run(harness::ExperimentContext& ctx) {
 
       Network unfused_net(topo.g);
       ctx.prepare(unfused_net);
-      std::vector<Message> msgs(topo.g.n());
+      std::vector<BitWriter> msgs(topo.g.n());
       for (NodeId v = 0; v < topo.g.n(); ++v) {
-        BitWriter w;
-        w.write_bounded(colors[v], topo.bound);
-        msgs[v] = Message::from(w);
+        msgs[v].write_bounded(colors[v], topo.bound);
       }
       for (int i = 0; i < 2; ++i) (void)unfused_net.exchange_broadcast(msgs);
       ctx.record(topo.name + "/unfused", unfused_net);

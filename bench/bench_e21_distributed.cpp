@@ -162,13 +162,12 @@ FaultyOut run_faulty(const Graph& g, const EngineSel& sel,
         BitWriter w;
         w.write(hash_combine(r, (static_cast<std::uint64_t>(u) << 20) | v),
                 40);
-        outboxes[u].emplace_back(v, Message::from(w));
+        outboxes[u].emplace_back(v, std::move(w));
       }
     }
     const auto in = net.exchange(outboxes);
     for (NodeId v = 0; v < g.n(); ++v) {
-      for (const auto& [sender, msg] : in[v]) {
-        auto rd = msg.reader();
+      for (auto [sender, rd] : in[v]) {
         const std::uint64_t item = hash_combine(
             (static_cast<std::uint64_t>(v) << 32) | sender, rd.read(40));
         out.payload_digest =

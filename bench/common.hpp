@@ -71,15 +71,13 @@ inline std::string verdict(const ValidationResult& r) {
 
 /// One `bits`-bit payload replicated to every node, ready for
 /// Network::exchange_broadcast — the "copy one writer's message per
-/// neighbor" setup the micro-benches repeated inline. Under the zero-copy
-/// plane all n handles (and every delivered inbox slot) share the single
-/// payload block, so this allocates once regardless of n or fan-out.
-inline std::vector<Message> uniform_broadcast(std::size_t n,
-                                              std::uint64_t value,
-                                              int bits) {
+/// neighbor" setup the micro-benches repeated inline.
+inline std::vector<BitWriter> uniform_broadcast(std::size_t n,
+                                                std::uint64_t value,
+                                                int bits) {
   BitWriter w;
   w.write(value, bits);
-  return std::vector<Message>(n, Message::from(w));
+  return std::vector<BitWriter>(n, w);
 }
 
 /// One closed-loop run of the standard "(Delta+1) instance -> prepared

@@ -75,6 +75,11 @@ PeelingResult distributed_peeling_orientation(Network& net, double eps) {
   for (NodeId v = 0; v < n; ++v) rdeg[v] = g.degree(v);
   std::uint64_t rem_nodes = n;
   std::uint64_t rem_edges = g.m();
+  // Every peeled node sends the same 1-bit announcement.
+  BitWriter one;
+  one.write(1, 1);
+  const std::vector<BitWriter> msgs(n, one);
+  std::vector<NodeId> peeled;  // ascending: the round's senders
 
   while (rem_nodes > 0) {
     // Threshold (2+eps) * average remaining degree (globally known
@@ -86,15 +91,11 @@ PeelingResult distributed_peeling_orientation(Network& net, double eps) {
                              static_cast<double>(rem_nodes);
     const auto threshold = static_cast<std::uint32_t>((2.0 + eps) * avg);
     // Peel; announce with a 1-bit message.
-    std::vector<Message> msgs(n);
-    std::vector<NodeId> peeled;  // ascending: the round's senders
+    peeled.clear();
     for (NodeId v = 0; v < n; ++v) {
       if (layer[v] != ~0u || rdeg[v] > threshold) continue;
       layer[v] = res.layers;
       peeled.push_back(v);
-      BitWriter w;
-      w.write(1, 1);
-      msgs[v] = Message::from(w);
     }
     const std::uint64_t peeled_now = peeled.size();
     const auto inboxes = net.exchange_broadcast(msgs, peeled);
@@ -104,7 +105,8 @@ PeelingResult distributed_peeling_orientation(Network& net, double eps) {
     // Update remaining degrees / counts.
     for (NodeId v = 0; v < n; ++v) {
       if (layer[v] != ~0u && layer[v] != res.layers) continue;
-      for (const auto& [u, m] : inboxes[v]) {
+      for (const auto [u, m] : inboxes[v]) {
+        (void)u;
         (void)m;
         // u peeled this layer; if v is still unpeeled, its remaining
         // degree drops. Edges between two same-layer nodes are removed

@@ -17,21 +17,48 @@
 namespace ldc::arb {
 namespace {
 
-// Residual list of v: colors whose defect budget is not yet exhausted by
-// already-colored neighbors, with the residual budgets.
-ColorList residual_list(const LdcInstance& inst,
-                        const std::vector<std::vector<std::uint32_t>>& av,
-                        NodeId v) {
-  ColorList out;
-  const auto& l = inst.lists[v];
-  for (std::size_t i = 0; i < l.size(); ++i) {
-    if (av[v][i] <= l.defects[i]) {
-      out.colors.push_back(l.colors[i]);
-      out.defects.push_back(l.defects[i] - av[v][i]);
+// a_v(x) bookkeeping: colored neighbors per list color, every node's
+// counters in one array, v's at [at[v], at[v] + |L_v|).
+struct ColoredCounts {
+  std::vector<std::uint64_t> at;
+  std::vector<std::uint32_t> count;
+
+  explicit ColoredCounts(const LdcInstance& inst) : at(inst.n() + 1, 0) {
+    for (NodeId v = 0; v < inst.n(); ++v) {
+      at[v + 1] = at[v] + inst.lists[v].size();
     }
+    count.assign(at.back(), 0);
   }
-  return out;
-}
+
+  std::uint32_t* of(NodeId v) { return count.data() + at[v]; }
+  const std::uint32_t* of(NodeId v) const { return count.data() + at[v]; }
+
+  /// Colors of v's list whose defect budget is not yet exhausted.
+  std::size_t residual_size(const LdcInstance& inst, NodeId v) const {
+    const auto& l = inst.lists[v];
+    std::size_t sz = 0;
+    for (std::size_t i = 0; i < l.size(); ++i) {
+      if (of(v)[i] <= l.defects[i]) ++sz;
+    }
+    return sz;
+  }
+
+  /// Residual list of v: those colors, with the residual budgets.
+  ColorList residual_list(const LdcInstance& inst, NodeId v) const {
+    ColorList out;
+    const auto& l = inst.lists[v];
+    const std::size_t sz = residual_size(inst, v);
+    out.colors.reserve(sz);
+    out.defects.reserve(sz);
+    for (std::size_t i = 0; i < l.size(); ++i) {
+      if (of(v)[i] <= l.defects[i]) {
+        out.colors.push_back(l.colors[i]);
+        out.defects.push_back(l.defects[i] - of(v)[i]);
+      }
+    }
+    return out;
+  }
+};
 
 }  // namespace
 
@@ -66,12 +93,11 @@ Theorem13Result solve_list_arbdefective(Network& net,
   res.out.colors.assign(n, kUncolored);
   Coloring& phi = res.out.colors;
 
-  // a_v(x) bookkeeping: colored neighbors per list color.
-  std::vector<std::vector<std::uint32_t>> av(n);
-  for (NodeId v = 0; v < n; ++v) av[v].assign(inst.lists[v].size(), 0);
+  ColoredCounts av(inst);
 
   // Final orientation assembled incrementally; timestamps order batches.
   std::vector<std::vector<NodeId>> final_out(n);
+  for (NodeId v = 0; v < n; ++v) final_out[v].reserve(g.degree(v));
   std::vector<std::uint32_t> stamp(n, ~0u);
   std::uint32_t batch = 0;
 
@@ -100,7 +126,7 @@ Theorem13Result solve_list_arbdefective(Network& net,
                          (void)u;
                          const Color c = static_cast<Color>(word);
                          const std::size_t i = inst.lists[v].find(c);
-                         if (i != inst.lists[v].size()) ++av[v][i];
+                         if (i != inst.lists[v].size()) ++av.of(v)[i];
                        }
                      });
     ++batch;
@@ -115,7 +141,7 @@ Theorem13Result solve_list_arbdefective(Network& net,
     tail.color_space = inst.color_space;
     tail.lists.resize(sub.graph.n());
     for (NodeId i = 0; i < sub.graph.n(); ++i) {
-      tail.lists[i] = residual_list(inst, av, sub.to_parent[i]);
+      tail.lists[i] = av.residual_list(inst, sub.to_parent[i]);
       if (tail.lists[i].colors.empty()) {
         throw std::runtime_error(
             "solve_list_arbdefective: residual list empty (instance "
@@ -166,11 +192,7 @@ Theorem13Result solve_list_arbdefective(Network& net,
     // Residual list sizes bound Lambda_s.
     std::size_t lambda_s = 1;
     for (NodeId v : members) {
-      std::size_t sz = 0;
-      for (std::size_t i = 0; i < inst.lists[v].size(); ++i) {
-        if (av[v][i] <= inst.lists[v].defects[i]) ++sz;
-      }
-      lambda_s = std::max(lambda_s, sz);
+      lambda_s = std::max(lambda_s, av.residual_size(inst, v));
     }
     // q = q_factor * Lambda^(nu/(1+nu)), delta ~ 2*Delta_s/q, ensuring
     // q*(delta+1) > 2*Delta_s for fast arbdefective commits.
@@ -217,6 +239,7 @@ Theorem13Result solve_list_arbdefective(Network& net,
       for (NodeId a = 0; a < cls_sub.graph.n(); ++a) {
         const NodeId pa = cls_sub.to_parent[a];
         const NodeId sa = sub.from_parent[pa];
+        cls_out[a].reserve(psi.orientation.outdeg(sa));
         for (NodeId sb : psi.orientation.out(sa)) {
           const NodeId pb = sub.to_parent[sb];
           const NodeId b = cls_sub.from_parent[pb];
@@ -232,7 +255,7 @@ Theorem13Result solve_list_arbdefective(Network& net,
       Coloring cls_initial(cls_sub.graph.n());
       for (NodeId a = 0; a < cls_sub.graph.n(); ++a) {
         const NodeId v = cls_sub.to_parent[a];
-        cls_inst.lists[a] = residual_list(inst, av, v);
+        cls_inst.lists[a] = av.residual_list(inst, v);
         cls_initial[a] = initial[v];
         if (cls_inst.lists[a].colors.empty()) {
           throw std::runtime_error(

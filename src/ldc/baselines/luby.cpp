@@ -21,6 +21,9 @@ LubyResult luby_list_coloring(Network& net, const LdcInstance& inst,
   }
 
   const std::uint64_t space = inst.color_space;
+  // Round state, kept across rounds: each node rewrites its own writer.
+  std::vector<Color> proposal(g.n());
+  std::vector<BitWriter> msgs(g.n());
   for (std::uint32_t round = 0; round < opt.max_rounds; ++round) {
     bool any_uncolored = false;
     for (NodeId v = 0; v < g.n(); ++v) {
@@ -37,10 +40,10 @@ LubyResult luby_list_coloring(Network& net, const LdcInstance& inst,
     // Propose: uncolored nodes pick a pseudorandom available color;
     // colored nodes rebroadcast their fixed color so late joiners prune.
     // Wire format: 1 bit fixed? + color.
-    std::vector<Color> proposal(g.n(), kUncolored);
-    std::vector<Message> msgs(g.n());
     net.run_node_programs([&](NodeId v) {
-      BitWriter w;
+      BitWriter& w = msgs[v];
+      w.clear();
+      proposal[v] = kUncolored;
       if (res.phi[v] != kUncolored) {
         w.write(1, 1);
         w.write_bounded(res.phi[v], space - 1);
@@ -55,16 +58,14 @@ LubyResult luby_list_coloring(Network& net, const LdcInstance& inst,
         w.write(0, 1);
         w.write_bounded(proposal[v], space - 1);
       }
-      msgs[v] = Message::from(w);
     });
     const auto inboxes = net.exchange_broadcast(msgs);
 
     net.run_node_programs([&](NodeId v) {
       if (res.phi[v] != kUncolored || proposal[v] == kUncolored) return;
       bool keep = true;
-      for (const auto& [u, m] : inboxes[v]) {
+      for (auto [u, r] : inboxes[v]) {
         (void)u;
-        auto r = m.reader();
         const bool fixed = r.read(1) == 1;
         const Color c = static_cast<Color>(r.read_bounded(space - 1));
         if (c == proposal[v]) {
@@ -88,9 +89,8 @@ LubyResult luby_list_coloring(Network& net, const LdcInstance& inst,
     // two passes are separated by a pool barrier.
     net.run_node_programs([&](NodeId v) {
       if (res.phi[v] != kUncolored) return;
-      for (const auto& [u, m] : inboxes[v]) {
+      for (auto [u, r] : inboxes[v]) {
         (void)u;
-        auto r = m.reader();
         if (r.read(1) != 1) continue;  // not a fixed color
         const Color c = static_cast<Color>(r.read_bounded(space - 1));
         auto& a = avail[v];

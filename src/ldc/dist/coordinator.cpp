@@ -452,7 +452,7 @@ ShardStaging Coordinator::splice(const std::vector<Frame>& replies,
 
 ShardStaging Coordinator::exchange(
     const RoundContext& rc,
-    const std::vector<std::vector<MailSlot>>& outboxes, MailArena& a) {
+    const std::vector<std::vector<Envelope>>& outboxes, MailArena& a) {
   const std::uint64_t round = rc.round;
   const std::size_t K = conns_.size();
 
@@ -471,7 +471,7 @@ ShardStaging Coordinator::exchange(
       w.u32(static_cast<std::uint32_t>(outboxes[u].size()));
       for (const auto& [dest, msg] : outboxes[u]) {
         w.u32(dest);
-        encode_message(w, msg);
+        encode_message(w, BitReader(msg));
       }
     }
     queue_frame(k, FrameKind::kOutbox, round, 0,
@@ -586,14 +586,18 @@ ShardStaging Coordinator::exchange(
   }
 
   // Every shard concluded with an inbox: the round's frames in shard
-  // order, whose summaries merge as in-process (sums and maxes only).
+  // order, whose summaries merge as in-process (sums and maxes only). Each
+  // payload is decoded straight into the master arena's word pool.
   std::vector<Frame> replies;
   replies.reserve(K);
   for (std::optional<Frame>& f : inbox) replies.push_back(std::move(*f));
+  std::vector<std::uint64_t>& pool = a.pool();
   return tally(splice<MailSlot>(
       replies, "inbox", a, [](PayloadReader& r) { return decode_summary(r); },
-      [](PayloadReader& r, std::size_t, NodeId) {
-        return MailSlot{r.u32(), decode_message(r)};
+      [&](PayloadReader& r, std::size_t, NodeId) {
+        const NodeId u = r.u32();
+        const std::uint64_t at = pool.size();
+        return MailSlot{u, decode_message(r, pool), at};
       }));
 }
 
@@ -669,11 +673,10 @@ ShardStaging Coordinator::survivor_round(const RoundContext& rc,
 }
 
 ShardStaging Coordinator::broadcast(const RoundContext& rc,
-                                    const LiveSenders* live,
-                                    const std::vector<Message>& msgs,
-                                    MailArena& a) {
+                                    const LiveSenders* live, MailArena& a) {
   const std::uint32_t n = graph_.n();
   const std::size_t K = conns_.size();
+  const MailSlot* posted = a.posted();
   if (live == nullptr) {
     // Every sender live, no faults: every inbox is the sorted neighbour
     // list, which the coordinator lays out itself with the kernel's
@@ -690,16 +693,23 @@ ShardStaging Coordinator::broadcast(const RoundContext& rc,
     const auto out = a.lay_out<MailSlot>(n, counts);
     for (std::size_t k = 0; k < K; ++k) {
       ShardRound::fill_broadcast(rc, part_.begin(k), part_.end(k), nullptr,
-                                 msgs, unused, out[k], st);
+                                 posted, unused, out[k], st);
     }
     return tally(st);
   }
 
+  // The splice points each survivor at its sender's posted entry; a
+  // corrupted one gets its own flipped copy, appended to the pool.
+  std::vector<std::uint64_t>& pool = a.pool();
   return survivor_round<MailSlot>(
-      rc, *live, a, [&](NodeId u) { return msgs[u].bit_count(); },
+      rc, *live, a, [&](NodeId u) { return posted[u].bits; },
       [&](NodeId u, NodeId v, bool corrupt) {
-        MailSlot slot{u, msgs[u]};
-        if (corrupt) rc.faults->corrupt_payload(rc.round, u, v, slot.second);
+        MailSlot slot = posted[u];
+        if (corrupt) {
+          const std::uint64_t to = pool.size();
+          pool.resize(to + payload_words(slot.bits));
+          ShardRound::corrupt_copy(rc, u, v, pool.data(), to, slot);
+        }
         return slot;
       });
 }
@@ -724,7 +734,7 @@ ShardStaging Coordinator::words(const RoundContext& rc,
       [&](NodeId u, NodeId v, bool corrupt) {
         WordSlot slot{u, words[u]};
         if (corrupt) {
-          rc.faults->corrupt_word(rc.round, u, v, slot.value, bits);
+          rc.faults->corrupt_payload(rc.round, u, v, &slot.value, bits);
         }
         return slot;
       });

@@ -107,10 +107,9 @@ class Coordinator : public DistBackend {
  protected:
   void bind(const Graph& g, std::size_t budget_bits, bool strict) override;
   ShardStaging exchange(const RoundContext& rc,
-                        const std::vector<std::vector<MailSlot>>& outboxes,
+                        const std::vector<std::vector<Envelope>>& outboxes,
                         MailArena& a) override;
   ShardStaging broadcast(const RoundContext& rc, const LiveSenders* live,
-                         const std::vector<Message>& msgs,
                          MailArena& a) override;
   ShardStaging words(const RoundContext& rc, const LiveSenders* live,
                      const std::vector<std::uint64_t>& words,

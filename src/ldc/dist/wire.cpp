@@ -260,17 +260,17 @@ void unpack_bitmap(std::string_view bits, NodeId n, std::vector<char>& flags) {
   }
 }
 
-void encode_message(PayloadWriter& w, const Message& m) {
-  const std::size_t bits = m.bit_count();
-  w.u32(static_cast<std::uint32_t>(bits));
-  BitReader reader = m.reader();
-  for (std::size_t done = 0; done < bits; done += 64) {
-    const int take = static_cast<int>(std::min<std::size_t>(64, bits - done));
-    w.u64(reader.read(take));
+void encode_message(PayloadWriter& w, BitReader payload) {
+  w.u32(static_cast<std::uint32_t>(payload.bit_count()));
+  while (payload.remaining() != 0) {
+    const int take =
+        static_cast<int>(std::min<std::size_t>(64, payload.remaining()));
+    w.u64(payload.read(take));
   }
 }
 
-Message decode_message(PayloadReader& r) {
+std::uint32_t decode_message(PayloadReader& r,
+                             std::vector<std::uint64_t>& words) {
   const std::uint32_t bits = r.u32();
   // A CONGEST payload of > 2^27 bits (16 MiB) in one message is hostile
   // input, not a workload.
@@ -278,12 +278,14 @@ Message decode_message(PayloadReader& r) {
     throw FrameError("message: payload of " + std::to_string(bits) +
                      " bits exceeds the wire cap");
   }
-  BitWriter w;
   for (std::uint32_t done = 0; done < bits; done += 64) {
-    const int take = static_cast<int>(std::min<std::uint32_t>(64, bits - done));
-    w.write(r.u64(), take);
+    // Bits past the payload stay zero, as BitWriter keeps them.
+    const std::uint32_t take = std::min<std::uint32_t>(64, bits - done);
+    const std::uint64_t word = r.u64();
+    words.push_back(take == 64 ? word
+                               : word & ((std::uint64_t{1} << take) - 1));
   }
-  return Message::from(w);
+  return bits;
 }
 
 void encode_summary(PayloadWriter& w, const ShardStaging& s) {

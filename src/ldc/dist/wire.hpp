@@ -35,8 +35,8 @@
 
 #include "ldc/graph/graph.hpp"
 #include "ldc/runtime/fault.hpp"
-#include "ldc/runtime/message.hpp"
 #include "ldc/runtime/shard_round.hpp"
+#include "ldc/support/bitio.hpp"
 
 namespace ldc::dist {
 
@@ -247,8 +247,11 @@ void encode_fault_ctx(PayloadWriter& w, const FaultPlan* plan,
 FaultCtx decode_fault_ctx(PayloadReader& r, NodeId n);
 
 /// Message payload on the wire: exact bit count + the packed words.
-void encode_message(PayloadWriter& w, const Message& m);
-Message decode_message(PayloadReader& r);
+void encode_message(PayloadWriter& w, BitReader payload);
+/// Inverse of encode_message: appends the payload's words to `words` (a
+/// round's word pool or a decode buffer) and returns its bit count.
+std::uint32_t decode_message(PayloadReader& r,
+                             std::vector<std::uint64_t>& words);
 
 /// The wire form of n flags (down and transmit masks): a packed bitmap,
 /// LSB first.

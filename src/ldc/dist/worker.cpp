@@ -172,19 +172,30 @@ void ShardWorker::handle_outbox(const Frame& f) {
                      std::to_string(f.header.count) + " != owned " +
                      std::to_string(owned));
   }
-  std::vector<std::vector<MailSlot>> out(owned);
+  // Decoded into writers kept across rounds: allocation-free once they
+  // have held the range's widest outboxes.
+  outboxes_.resize(owned);
   for (NodeId lu = 0; lu < owned; ++lu) {
+    std::vector<Envelope>& outbox = outboxes_[lu];
     const std::uint32_t len = r.u32();
-    out[lu].reserve(len);
-    for (std::uint32_t i = 0; i < len; ++i) {
-      const NodeId dest = r.u32();
-      out[lu].emplace_back(dest, decode_message(r));
+    // Every entry carries at least its destination and bit count.
+    if (len > r.remaining() / 8) {
+      throw FrameError("outbox: " + std::to_string(len) +
+                       " messages overrun the frame");
+    }
+    outbox.resize(len);
+    for (auto& [dest, msg] : outbox) {
+      dest = r.u32();
+      decoded_.clear();
+      const std::uint32_t bits = decode_message(r, decoded_);
+      msg.clear();
+      msg.append(BitReader(decoded_.data(), bits));
     }
   }
   r.expect_end();
   const RoundContext rc = context(round, ctx);
-  auto outbox_of = [&](NodeId u) -> const std::vector<MailSlot>& {
-    return out[u - b];
+  auto outbox_of = [&](NodeId u) -> const std::vector<Envelope>& {
+    return outboxes_[u - b];
   };
 
   // Phase A, with each cross-shard survivor serialized straight into its
@@ -196,11 +207,11 @@ void ShardWorker::handle_outbox(const Frame& f) {
   try {
     slots = ShardRound::stage(
         rc, b, e, outbox_of, scratch_, sum,
-        [&](NodeId u, NodeId dest, const Message& msg) {
+        [&](NodeId u, NodeId dest, const BitWriter& msg) {
           const std::size_t j = part_.shard_of(dest);
           batches[j].u32(u);
           batches[j].u32(dest);
-          encode_message(batches[j], msg);
+          encode_message(batches[j], BitReader(msg));
           ++batch_counts[j];
         });
   } catch (const CongestViolation& ex) {
@@ -221,7 +232,11 @@ void ShardWorker::handle_outbox(const Frame& f) {
 
   // Barrier: K acks for our batches plus the K-1 batches destined here
   // (the coordinator relays them; our own diagonal is not echoed back).
+  // Each source's payloads decode into its own word buffer, which phase B
+  // reads in place.
   std::vector<std::vector<BatchEntry>> incoming(K);
+  batch_words_.resize(K);
+  std::uint64_t pool_words = scratch_.pool_words;
   std::vector<char> have(K, 0);
   have[shard_] = 1;
   std::size_t acks = 0;
@@ -248,18 +263,27 @@ void ShardWorker::handle_outbox(const Frame& f) {
           }
           PayloadReader br(nf->payload, "batch");
           std::vector<BatchEntry>& in = incoming[src];
+          std::vector<std::uint64_t>& words = batch_words_[src];
+          words.clear();
           in.reserve(nf->header.count);
           slots += nf->header.count;
           for (std::uint32_t i = 0; i < nf->header.count; ++i) {
             BatchEntry be;
             be.sender = br.u32();
             be.dest = br.u32();
-            be.msg = decode_message(br);
+            be.bits = decode_message(br, words);
             if (be.dest < b || be.dest >= e) {
               throw FrameError("batch: entry for non-owned destination");
             }
             in.push_back(be);
           }
+          // The buffer is complete: point each entry at its words.
+          std::size_t at = 0;
+          for (BatchEntry& be : in) {
+            be.words = words.data() + at;
+            at += payload_words(be.bits);
+          }
+          pool_words += words.size();
           br.expect_end();
           have[src] = 1;
           ++got;
@@ -284,20 +308,22 @@ void ShardWorker::handle_outbox(const Frame& f) {
   }
 
   // Phase B over the range, then the inbox CSR back to the coordinator.
+  arena_.open();
   ShardRound::fill(
       rc, b, e, outbox_of, K, shard_,
       [&](std::size_t j) -> const std::vector<BatchEntry>& {
         return incoming[j];
       },
-      scratch_, arena_.lay_out<MailSlot>(owned, slots, b));
+      scratch_, arena_.lay_out<MailSlot>(owned, slots, b, pool_words));
   const std::uint32_t total = arena_.offsets()[owned];
   PayloadWriter w;
   encode_summary(w, sum);
   for (NodeId lv = 0; lv <= owned; ++lv) w.u32(arena_.offsets()[lv]);
+  const std::uint64_t* pool = arena_.pool().data();
   for (std::uint32_t i = 0; i < total; ++i) {
-    const auto& [sender, msg] = arena_.slots()[i];
-    w.u32(sender);
-    encode_message(w, msg);
+    const MailSlot& slot = arena_.slots()[i];
+    w.u32(slot.sender);
+    encode_message(w, BitReader(pool + slot.at, slot.bits));
   }
   send_frame(FrameKind::kInbox, round, 0, total, w.take());
 }

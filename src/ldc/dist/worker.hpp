@@ -74,6 +74,9 @@ class ShardWorker {
 
   std::optional<std::uint64_t> abandoned_;  ///< last round sent a kError
   MailArena arena_;         ///< the range's inbox CSR, reused per round
+  std::vector<std::vector<Envelope>> outboxes_;  ///< decoded kOutbox frame
+  std::vector<std::uint64_t> decoded_;  ///< one payload's decode buffer
+  std::vector<std::vector<std::uint64_t>> batch_words_;  ///< [src shard]
   RangeScratch scratch_;    ///< the kernel's per-destination counts
   std::vector<char> live_;  ///< unpacked transmit mask of a broadcast
   std::vector<NodeId> live_ids_;  ///< the same senders, ascending

@@ -126,45 +126,88 @@ Graph random_regular(std::uint32_t n, std::uint32_t d, std::uint64_t seed) {
   for (std::size_t i = stubs.size(); i > 1; --i) {
     std::swap(stubs[i - 1], stubs[rng.next_below(i)]);
   }
-  std::set<std::pair<NodeId, NodeId>> edges;
-  auto norm = [](NodeId a, NodeId b) {
-    return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
+  // The edge set as flat rows: v's neighbours are row[v*d .. v*d + deg[v]),
+  // unsorted. No node ever has more than d edges — a repair adds an edge
+  // only at a node with a leftover stub — so rows never overflow.
+  std::vector<NodeId> row(static_cast<std::size_t>(n) * d);
+  std::vector<std::uint32_t> deg(n, 0);
+  auto has = [&](NodeId a, NodeId b) {
+    const NodeId* r = row.data() + static_cast<std::size_t>(a) * d;
+    return std::find(r, r + deg[a], b) != r + deg[a];
+  };
+  auto add = [&](NodeId a, NodeId b) {
+    row[static_cast<std::size_t>(a) * d + deg[a]++] = b;
+    row[static_cast<std::size_t>(b) * d + deg[b]++] = a;
+  };
+  auto unlink = [&](NodeId a, NodeId b) {  // b leaves a's row
+    NodeId* r = row.data() + static_cast<std::size_t>(a) * d;
+    *std::find(r, r + deg[a], b) = r[--deg[a]];
   };
   std::vector<NodeId> leftover;
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
     const NodeId u = stubs[i], v = stubs[i + 1];
-    if (u != v && edges.emplace(norm(u, v)).second) continue;
+    if (u != v && !has(u, v)) {
+      add(u, v);
+      continue;
+    }
     leftover.push_back(u);
     leftover.push_back(v);
   }
   // Repair: connect each leftover stub pair (u, v) by splitting a random
   // existing edge (a, b) into (u, a) and (v, b). After enough random
   // retries any remaining stubs are dropped (rare; callers tolerate O(1)
-  // deficient nodes).
-  std::vector<std::pair<NodeId, NodeId>> pool(edges.begin(), edges.end());
-  int budget = static_cast<int>(leftover.size()) * 200 + 200;
-  while (leftover.size() >= 2 && budget-- > 0) {
-    const NodeId u = leftover[leftover.size() - 2];
-    const NodeId v = leftover[leftover.size() - 1];
-    if (pool.empty()) break;
-    auto& picked = pool[rng.next_below(pool.size())];
-    NodeId a = picked.first, b = picked.second;
-    if (rng.next() & 1) std::swap(a, b);
-    if (a == u || a == v || b == u || b == v) continue;
-    if (u != a && v != b && !edges.count(norm(u, a)) &&
-        !edges.count(norm(v, b)) && edges.count(norm(a, b))) {
-      edges.erase(norm(a, b));
-      edges.insert(norm(u, a));
-      edges.insert(norm(v, b));
-      picked = norm(u, a);
-      pool.push_back(norm(v, b));
-      leftover.pop_back();
-      leftover.pop_back();
+  // deficient nodes). The pool lists the edges in ascending (min, max)
+  // order, the order the draws below index into.
+  auto norm = [](NodeId a, NodeId b) {
+    return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
+  };
+  auto sort_rows = [&] {
+    for (NodeId v = 0; v < n; ++v) {
+      NodeId* r = row.data() + static_cast<std::size_t>(v) * d;
+      std::sort(r, r + deg[v]);
+    }
+  };
+  if (!leftover.empty()) {
+    sort_rows();
+    std::vector<std::pair<NodeId, NodeId>> pool;
+    pool.reserve(stubs.size() / 2);
+    for (NodeId a = 0; a < n; ++a) {
+      const NodeId* r = row.data() + static_cast<std::size_t>(a) * d;
+      for (std::uint32_t k = 0; k < deg[a]; ++k) {
+        if (a < r[k]) pool.emplace_back(a, r[k]);
+      }
+    }
+    int budget = static_cast<int>(leftover.size()) * 200 + 200;
+    while (leftover.size() >= 2 && budget-- > 0) {
+      const NodeId u = leftover[leftover.size() - 2];
+      const NodeId v = leftover[leftover.size() - 1];
+      if (pool.empty()) break;
+      auto& picked = pool[rng.next_below(pool.size())];
+      NodeId a = picked.first, b = picked.second;
+      if (rng.next() & 1) std::swap(a, b);
+      if (a == u || a == v || b == u || b == v) continue;
+      if (u != a && v != b && !has(u, a) && !has(v, b) && has(a, b)) {
+        unlink(a, b);
+        unlink(b, a);
+        add(u, a);
+        add(v, b);
+        picked = norm(u, a);
+        pool.push_back(norm(v, b));
+        leftover.pop_back();
+        leftover.pop_back();
+      }
     }
   }
-  GraphBuilder b(n);
-  for (const auto& [u, v] : edges) b.add_edge(u, v);
-  return b.build();
+  // The CSR, straight from the sorted rows.
+  sort_rows();
+  std::vector<std::uint32_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (NodeId v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + deg[v];
+  std::vector<NodeId> adj(offsets[n]);
+  for (NodeId v = 0; v < n; ++v) {
+    std::copy_n(row.begin() + static_cast<std::ptrdiff_t>(v) * d, deg[v],
+                adj.begin() + offsets[v]);
+  }
+  return Graph(std::move(offsets), std::move(adj));
 }
 
 Graph torus(std::uint32_t w, std::uint32_t h) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace ldc {
 
@@ -75,8 +74,9 @@ void Graph::set_ids(std::vector<std::uint64_t> ids) {
   if (ids.size() != n()) {
     throw std::invalid_argument("Graph::set_ids: wrong id count");
   }
-  std::unordered_set<std::uint64_t> seen(ids.begin(), ids.end());
-  if (seen.size() != ids.size()) {
+  std::vector<std::uint64_t> sorted(ids);
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
     throw std::invalid_argument("Graph::set_ids: ids must be unique");
   }
   own_ids_ = std::move(ids);

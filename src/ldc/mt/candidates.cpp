@@ -40,9 +40,10 @@ CandidateFamily::CandidateFamily(std::uint64_t key,
   if (kprime_ == 0) kprime_ = 1;
   storage_.reserve(static_cast<std::size_t>(set_size_) * kprime_);
   const Prf prf(key);
+  static thread_local std::vector<std::uint64_t> idx;
   for (std::uint32_t j = 0; j < kprime_; ++j) {
-    const auto idx = sample_distinct(
-        prf, static_cast<std::uint64_t>(j) << 32, list.size(), set_size_);
+    sample_distinct(prf, static_cast<std::uint64_t>(j) << 32, list.size(),
+                    set_size_, idx);
     for (auto i : idx) storage_.push_back(list[i]);
   }
 }

@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "ldc/coloring/instance.hpp"
@@ -31,12 +31,17 @@ struct ClassPlan {
   std::uint32_t clamped = 0;                    ///< class indices clamped
   std::vector<Color> aux_colors;                ///< class-1 values, sorted
   std::vector<std::uint32_t> aux_defects;       ///< delta_{v, class}
-  std::map<std::uint32_t, std::uint32_t> mu_of_class;  ///< class -> bucket
-  /// bucket mu -> original colors in it (all sharing one rounded defect).
-  std::map<std::uint32_t, std::vector<Color>> bucket_colors;
+  /// (class, bucket mu) pairs, ascending by class.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> mu_of_class;
+  /// (bucket mu, the list's colors in it, in list order) pairs, ascending
+  /// by mu; a bucket's colors share one rounded defect.
+  std::vector<std::pair<std::uint32_t, std::vector<Color>>> bucket_colors;
 
   /// The rounded single defect of bucket mu: sqrt(R_v)/2^mu - 1.
   std::uint32_t bucket_defect(std::uint32_t mu) const;
+
+  /// The bucket of class `cls`; throws std::out_of_range if it has none.
+  std::uint32_t mu_of(std::uint32_t cls) const;
 };
 
 /// Plans node v's auxiliary class-selection lists (Lemma 3.8 Cases I/II).

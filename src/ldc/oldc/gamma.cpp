@@ -35,10 +35,10 @@ void encode_color_list(BitWriter& w, std::span<const Color> list,
   }
 }
 
-std::vector<Color> decode_color_list(BitReader& r,
-                                     std::uint64_t color_space) {
+void decode_color_list(BitReader& r, std::uint64_t color_space,
+                       std::vector<Color>& out) {
   const int color_bits = ceil_log2(color_space);
-  std::vector<Color> out;
+  out.clear();
   if (r.read(1) == 0) {
     for (std::uint64_t c = 0; c < color_space; ++c) {
       if (r.read(1) == 1) out.push_back(static_cast<Color>(c));
@@ -50,7 +50,6 @@ std::vector<Color> decode_color_list(BitReader& r,
       out.push_back(static_cast<Color>(r.read(color_bits)));
     }
   }
-  return out;
 }
 
 }  // namespace ldc::oldc

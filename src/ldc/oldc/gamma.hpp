@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "ldc/coloring/instance.hpp"
-#include "ldc/runtime/message.hpp"
+#include "ldc/support/bitio.hpp"
 
 namespace ldc::oldc {
 
@@ -44,7 +44,9 @@ struct OldcResult {
 void encode_color_list(BitWriter& w, std::span<const Color> list,
                        std::uint64_t color_space);
 
-/// Inverse of encode_color_list.
-std::vector<Color> decode_color_list(BitReader& r, std::uint64_t color_space);
+/// Inverse of encode_color_list, into `out` (cleared first, its capacity
+/// kept, so a decoder that reuses one buffer stops allocating).
+void decode_color_list(BitReader& r, std::uint64_t color_space,
+                       std::vector<Color>& out);
 
 }  // namespace ldc::oldc

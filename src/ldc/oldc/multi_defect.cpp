@@ -1,8 +1,9 @@
 #include "ldc/oldc/multi_defect.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "ldc/coloring/validate.hpp"
 #include "ldc/oldc/rounding.hpp"
@@ -30,29 +31,42 @@ OldcResult solve_multi_defect(Network& net, const MultiDefectInput& in) {
   sd.run_repair = false;  // repair is done here, against the full instance
   sd.lists.resize(n);
   sd.defects.resize(n);
+  struct Bucket {
+    std::uint32_t cls;
+    std::uint64_t weight;
+    std::uint32_t size;
+  };
+  std::vector<Bucket> buckets;
   for (NodeId v = 0; v < n; ++v) {
     const auto& list = inst.lists[v];
     if (list.size() == 0) {
       throw std::invalid_argument("solve_multi_defect: empty color list");
     }
-    // bucket key: gamma-class of the rounded defect.
-    std::map<std::uint32_t, std::pair<std::uint64_t, std::vector<std::size_t>>>
-        buckets;  // class -> (weight, color indices)
+    // bucket key: gamma-class of the rounded defect. The classes sit in
+    // a small vector, ascending; the heaviest wins, the lowest on a tie.
+    buckets.clear();
     for (std::size_t i = 0; i < list.size(); ++i) {
       const std::uint32_t dp1 = pow2_floor(list.defects[i] + 1);
       const std::uint32_t cls = gamma_class(orient.beta(v), dp1 - 1, 2);
-      auto& b = buckets[cls];
-      b.first += static_cast<std::uint64_t>(dp1) * dp1;
-      b.second.push_back(i);
+      auto b = std::lower_bound(
+          buckets.begin(), buckets.end(), cls,
+          [](const Bucket& e, std::uint32_t c) { return e.cls < c; });
+      if (b == buckets.end() || b->cls != cls) {
+        b = buckets.insert(b, Bucket{cls, 0, 0});
+      }
+      b->weight += static_cast<std::uint64_t>(dp1) * dp1;
+      ++b->size;
     }
-    const auto best = std::max_element(
-        buckets.begin(), buckets.end(), [](const auto& a, const auto& b) {
-          return a.second.first < b.second.first;
-        });
+    const Bucket best = *std::max_element(
+        buckets.begin(), buckets.end(),
+        [](const Bucket& a, const Bucket& b) { return a.weight < b.weight; });
+    sd.lists[v].reserve(best.size);
     std::uint32_t min_defect = ~0u;
-    for (auto i : best->second.second) {
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const std::uint32_t dp1 = pow2_floor(list.defects[i] + 1);
+      if (gamma_class(orient.beta(v), dp1 - 1, 2) != best.cls) continue;
       sd.lists[v].push_back(list.colors[i]);
-      min_defect = std::min(min_defect, pow2_floor(list.defects[i] + 1) - 1);
+      min_defect = std::min(min_defect, dp1 - 1);
     }
     sd.defects[v] = min_defect;
   }

@@ -91,30 +91,33 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
 
   // --- Round 1: broadcast types (initial color, gamma-class, defect, list).
   net.mark("oldc/types");
-  std::vector<std::vector<NeighborInfo>> nb(n);
+  // What v knows of each neighbour, CSR-aligned: u's entry is
+  // nb[edge(v, u)].
+  std::vector<NeighborInfo> nb(2 * g.m());
+  auto edge = [&](NodeId v, NodeId u) {
+    return g.row_begin(v) + g.neighbor_index(v, u);
+  };
   {
-    std::vector<Message> msgs(n);
+    std::vector<BitWriter> msgs(n);
     net.run_node_programs([&](NodeId v) {
-      BitWriter w;
+      BitWriter& w = msgs[v];
       w.write_bounded((*in.initial)[v], in.m - 1);
       w.write_bounded(gamma[v], h);
       w.write_varint(in.defects[v]);
       encode_color_list(w, restricted[v], in.color_space);
-      msgs[v] = Message::from(w);
     });
     const auto inboxes = net.exchange_broadcast(msgs);
     // Serial decode: FamilyCache is shared-mutable (memoizes candidate
     // families across equal-typed nodes), so this pass must not fan out.
+    std::vector<Color> u_list;
     for (NodeId v = 0; v < n; ++v) {
-      nb[v].resize(g.degree(v));
-      for (const auto& [u, m] : inboxes[v]) {
-        auto r = m.reader();
+      for (auto [u, r] : inboxes[v]) {
         const std::uint64_t u_initial = r.read_bounded(in.m - 1);
         NeighborInfo info;
         info.gamma = static_cast<std::uint32_t>(r.read_bounded(h));
         const std::uint32_t u_defect =
             static_cast<std::uint32_t>(r.read_varint());
-        const auto u_list = decode_color_list(r, in.color_space);
+        decode_color_list(r, in.color_space, u_list);
         const std::uint64_t ki =
             sat_mul(std::uint64_t{1} << info.gamma, tau);
         const std::uint32_t set_size = static_cast<std::uint32_t>(
@@ -122,7 +125,7 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
         (void)u_defect;
         info.family = &cache.get(mt::type_key(u_initial, u_list), u_list,
                                  set_size, in.params.kprime);
-        nb[v][g.neighbor_index(v, u)] = info;
+        nb[edge(v, u)] = info;
       }
     }
   }
@@ -139,7 +142,7 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
       const auto cj = kv.set(j);
       std::uint32_t dc = 0;
       for (NodeId u : orient.out(v)) {
-        const auto& info = nb[v][g.neighbor_index(v, u)];
+        const auto& info = nb[edge(v, u)];
         if (info.gamma > gamma[v]) continue;
         const auto ku = info.family->view();
         for (std::uint32_t s = 0; s < ku.count; ++s) {
@@ -170,7 +173,7 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
     net.run_node_programs([&](NodeId v) {
       for (const auto [u, word] : inboxes[v]) {
         const auto j = static_cast<std::uint32_t>(word);
-        auto& info = nb[v][g.neighbor_index(v, u)];
+        auto& info = nb[edge(v, u)];
         info.chosen_set = info.family->set(
             std::min(j, info.family->size() - 1));
       }
@@ -199,7 +202,7 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
       static thread_local PackedPalette forbid;
       forbid.reset(in.color_space);
       for (NodeId u : orient.out(v)) {
-        const auto& info = nb[v][g.neighbor_index(v, u)];
+        const auto& info = nb[edge(v, u)];
         if (info.gamma <= gamma[v]) {
           for (Color y : info.chosen_set) forbid.insert_window(y, in.g);
         } else if (info.chosen_color != kUncolored) {
@@ -215,7 +218,7 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
         for (Color x : cv) {
           std::uint64_t f = 0;
           for (NodeId u : orient.out(v)) {
-            const auto& info = nb[v][g.neighbor_index(v, u)];
+            const auto& info = nb[edge(v, u)];
             if (info.gamma <= gamma[v]) {
               f += mt::mu_g(x, info.chosen_set, in.g);
             } else if (info.chosen_color != kUncolored) {
@@ -240,7 +243,7 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
         net.exchange_broadcast_word(words, in.color_space - 1, members);
     net.run_node_programs([&](NodeId v) {
       for (const auto [u, word] : inboxes[v]) {
-        nb[v][g.neighbor_index(v, u)].chosen_color =
+        nb[edge(v, u)].chosen_color =
             static_cast<Color>(word);
       }
     });

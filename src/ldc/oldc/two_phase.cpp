@@ -1,7 +1,6 @@
 #include "ldc/oldc/two_phase.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
@@ -91,8 +90,8 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
     aux.color_space = h;
     aux.lists.resize(n);
     for (NodeId v = 0; v < n; ++v) {
-      aux.lists[v].colors = plans[v].aux_colors;
-      aux.lists[v].defects = plans[v].aux_defects;
+      aux.lists[v].colors = std::move(plans[v].aux_colors);
+      aux.lists[v].defects = std::move(plans[v].aux_defects);
     }
     MultiDefectInput mdi;
     mdi.inst = &aux;
@@ -105,25 +104,34 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
     const auto aux_res = solve_multi_defect(net, mdi);
     for (NodeId v = 0; v < n; ++v) {
       cls[v] = static_cast<std::uint32_t>(aux_res.phi[v]) + 1;
-      const std::uint32_t mu = plans[v].mu_of_class.at(cls[v]);
+      const std::uint32_t mu = plans[v].mu_of(cls[v]);
       dv[v] = plans[v].bucket_defect(mu);
-      used[v] = plans[v].bucket_colors.at(mu);
+      // The bucket's colors move out of the plan, which is done with.
+      for (auto& [m, colors] : plans[v].bucket_colors) {
+        if (m == mu) used[v] = std::move(colors);
+      }
       std::sort(used[v].begin(), used[v].end());
     }
   }
 
+  // What v knows of its neighbours sits in CSR-aligned tables: u's entry
+  // is at edge(v, u).
+  auto edge = [&](NodeId v, NodeId u) {
+    return g.row_begin(v) + g.neighbor_index(v, u);
+  };
+  std::vector<std::uint64_t> words(n);  // every fused round's payloads
+  std::vector<NodeId> members;          // a class, ascending: its senders
+
   net.mark("two-phase/class-announce");
   // --- One round: everyone announces its gamma-class (one bounded word:
   // the fused fast path).
-  std::vector<std::vector<std::uint32_t>> nb_cls(n);
+  std::vector<std::uint32_t> nb_cls(2 * g.m());
   {
-    std::vector<std::uint64_t> words(n);
     for (NodeId v = 0; v < n; ++v) words[v] = cls[v];
     const WordMail inboxes = net.exchange_broadcast_word(words, h);
     for (NodeId v = 0; v < n; ++v) {
-      nb_cls[v].resize(g.degree(v));
       for (const auto [u, word] : inboxes[v]) {
-        nb_cls[v][g.neighbor_index(v, u)] =
+        nb_cls[edge(v, u)] =
             static_cast<std::uint32_t>(word);
       }
     }
@@ -134,18 +142,29 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
   FamilyCache cache;
   // Per node: chosen set (own) and per-neighbor chosen set once known.
   std::vector<std::span<const Color>> own_set(n);
-  std::vector<std::vector<std::span<const Color>>> nb_set(n);
-  for (NodeId v = 0; v < n; ++v) nb_set[v].resize(g.degree(v));
+  std::vector<std::span<const Color>> nb_set(2 * g.m());
   std::vector<const mt::CandidateFamily*> pending_family(n, nullptr);
+  std::vector<const mt::CandidateFamily*> nb_family(2 * g.m());
 
   PackedPalette lower_union;  // prune scratch, reused across nodes/classes
+  std::vector<BitWriter> msgs(n);  // round A payloads, kept across classes
+  std::vector<Color> u_list;       // round A decode buffer
+  std::vector<std::uint32_t> chosen(n);
+  // A class's pruned lists, back to back: reserved up front so the spans
+  // into it stay valid while it fills.
+  std::vector<Color> pruned_store;
+  std::vector<std::span<const Color>> pruned(n);
   for (std::uint32_t i = 1; i <= h; ++i) {
     // Local: members of V_i prune and build candidate families.
-    std::vector<NodeId> members;  // V_i, ascending: the rounds' senders
+    members.clear();
+    std::size_t room = 0;
     for (NodeId v = 0; v < n; ++v) {
-      if (cls[v] == i) members.push_back(v);
+      if (cls[v] != i) continue;
+      members.push_back(v);
+      room += used[v].size();
     }
-    std::vector<std::vector<Color>> pruned(n);
+    pruned_store.clear();
+    pruned_store.reserve(room);
     for (NodeId v : members) {
       // Membership union of all lower-class out-neighbor sets: a color
       // absent from the union is held by no such neighbor (count 0, always
@@ -153,33 +172,34 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
       // are at least somewhere.
       lower_union.reset(inst.color_space);
       for (NodeId u : orient.out(v)) {
-        const auto ui = g.neighbor_index(v, u);
-        if (nb_cls[v][ui] >= i) continue;
-        for (Color y : nb_set[v][ui]) lower_union.insert(y);
+        const auto ui = edge(v, u);
+        if (nb_cls[ui] >= i) continue;
+        for (Color y : nb_set[ui]) lower_union.insert(y);
       }
-      std::vector<Color> keep;
-      keep.reserve(used[v].size());
+      const std::size_t start = pruned_store.size();
       for (Color x : used[v]) {
         std::uint32_t cnt = 0;
         if (lower_union.contains(x)) {
           for (NodeId u : orient.out(v)) {
-            const auto ui = g.neighbor_index(v, u);
-            if (nb_cls[v][ui] >= i) continue;
-            const auto cu = nb_set[v][ui];
+            const auto ui = edge(v, u);
+            if (nb_cls[ui] >= i) continue;
+            const auto cu = nb_set[ui];
             if (std::binary_search(cu.begin(), cu.end(), x)) ++cnt;
           }
         }
         if (4ULL * cnt > dv[v]) {
           ++res.stats.pruned_colors;
         } else {
-          keep.push_back(x);
+          pruned_store.push_back(x);
         }
       }
-      if (keep.empty()) {
-        keep = used[v];  // safety: never run out of colors entirely
+      if (pruned_store.size() == start) {
+        // Safety: never run out of colors entirely.
+        pruned_store.insert(pruned_store.end(), used[v].begin(),
+                            used[v].end());
         ++res.stats.p1_relaxed;
       }
-      pruned[v] = std::move(keep);
+      pruned[v] = std::span<const Color>(pruned_store).subspan(start);
       const std::uint64_t ki = sat_mul(std::uint64_t{1} << i, tau);
       const std::uint32_t set_size = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(ki, pruned[v].size()));
@@ -190,26 +210,23 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
     }
 
     // Round A: V_i broadcasts (initial color, pruned list).
-    std::vector<std::vector<const mt::CandidateFamily*>> nb_family(n);
+    std::fill(nb_family.begin(), nb_family.end(), nullptr);
     {
-      std::vector<Message> msgs(n);
       for (NodeId v : members) {
-        BitWriter w;
+        BitWriter& w = msgs[v];
+        w.clear();
         w.write_bounded((*in.initial)[v], in.m - 1);
         encode_color_list(w, pruned[v], inst.color_space);
-        msgs[v] = Message::from(w);
       }
       const auto inboxes = net.exchange_broadcast(msgs, members);
       for (NodeId v = 0; v < n; ++v) {
-        nb_family[v].assign(g.degree(v), nullptr);
-        for (const auto& [u, m] : inboxes[v]) {
-          auto r = m.reader();
+        for (auto [u, r] : inboxes[v]) {
           const std::uint64_t u_initial = r.read_bounded(in.m - 1);
-          const auto u_list = decode_color_list(r, inst.color_space);
+          decode_color_list(r, inst.color_space, u_list);
           const std::uint64_t ki = sat_mul(std::uint64_t{1} << i, tau);
           const std::uint32_t set_size = static_cast<std::uint32_t>(
               std::min<std::uint64_t>(ki, u_list.size()));
-          nb_family[v][g.neighbor_index(v, u)] = &cache.get(
+          nb_family[edge(v, u)] = &cache.get(
               mt::type_key(u_initial, u_list), u_list, set_size,
               in.params.kprime);
         }
@@ -217,7 +234,6 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
     }
 
     // Local P1 against same-class out-neighbors only.
-    std::vector<std::uint32_t> chosen(n, 0);
     for (NodeId v : members) {
       const auto kv = pending_family[v]->view();
       std::uint32_t best_j = 0, best_dc = ~0u;
@@ -225,9 +241,9 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
         const auto cj = kv.set(j);
         std::uint32_t dc = 0;
         for (NodeId u : orient.out(v)) {
-          const auto ui = g.neighbor_index(v, u);
-          if (nb_cls[v][ui] != i || nb_family[v][ui] == nullptr) continue;
-          const auto ku = nb_family[v][ui]->view();
+          const auto ui = edge(v, u);
+          if (nb_cls[ui] != i || nb_family[ui] == nullptr) continue;
+          const auto ku = nb_family[ui]->view();
           for (std::uint32_t s = 0; s < ku.count; ++s) {
             if (mt::tau_g_conflict(cj, ku.set(s), tau, 0)) {
               ++dc;
@@ -247,17 +263,16 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
 
     // Round B: V_i broadcasts the chosen index (fused: one bounded word).
     {
-      std::vector<std::uint64_t> words(n);
       for (NodeId v : members) words[v] = chosen[v];
       const WordMail inboxes =
           net.exchange_broadcast_word(words, in.params.kprime - 1, members);
       for (NodeId v = 0; v < n; ++v) {
         for (const auto [u, word] : inboxes[v]) {
           const auto j = static_cast<std::uint32_t>(word);
-          const auto ui = g.neighbor_index(v, u);
-          const auto* fam = nb_family[v][ui];
+          const auto ui = edge(v, u);
+          const auto* fam = nb_family[ui];
           if (fam != nullptr) {
-            nb_set[v][ui] = fam->set(std::min(j, fam->size() - 1));
+            nb_set[ui] = fam->set(std::min(j, fam->size() - 1));
           }
         }
       }
@@ -266,13 +281,11 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
 
   net.mark("two-phase/phase-II");
   // --- Phase II: descending classes pick final colors.
-  std::vector<std::vector<Color>> nb_final(n);
-  for (NodeId v = 0; v < n; ++v) nb_final[v].assign(g.degree(v), kUncolored);
+  std::vector<Color> nb_final(2 * g.m(), kUncolored);
   PackedPalette forbid;        // Phase II scratch, reused across nodes
   std::vector<NodeId> contrib; // same-class out-neighbors that count
   for (std::uint32_t i = h; i >= 1; --i) {
-    std::vector<std::uint64_t> words(n);
-    std::vector<NodeId> members;  // class i, ascending: the round's senders
+    members.clear();
     for (NodeId v = 0; v < n; ++v) {
       if (cls[v] != i) continue;
       members.push_back(v);
@@ -288,12 +301,12 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
       contrib.clear();
       forbid.reset(inst.color_space);
       for (NodeId u : orient.out(v)) {
-        const auto ui = g.neighbor_index(v, u);
-        const std::uint32_t uc = nb_cls[v][ui];
+        const auto ui = edge(v, u);
+        const std::uint32_t uc = nb_cls[ui];
         if (uc > i) {
-          if (nb_final[v][ui] != kUncolored) forbid.insert(nb_final[v][ui]);
+          if (nb_final[ui] != kUncolored) forbid.insert(nb_final[ui]);
         } else if (uc == i) {
-          const auto cu = nb_set[v][ui];
+          const auto cu = nb_set[ui];
           if (!cu.empty() && !mt::tau_g_conflict(cv, cu, tau, 0)) {
             contrib.push_back(u);
             for (Color y : cu) forbid.insert(y);
@@ -312,11 +325,11 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
         for (Color x : cv) {
           std::uint64_t f = 0;
           for (NodeId u : orient.out(v)) {
-            const auto ui = g.neighbor_index(v, u);
-            if (nb_cls[v][ui] > i && nb_final[v][ui] == x) ++f;
+            const auto ui = edge(v, u);
+            if (nb_cls[ui] > i && nb_final[ui] == x) ++f;
           }
           for (NodeId u : contrib) {
-            const auto cu = nb_set[v][g.neighbor_index(v, u)];
+            const auto cu = nb_set[edge(v, u)];
             if (std::binary_search(cu.begin(), cu.end(), x)) ++f;
           }
           if (f < best_f) {
@@ -332,7 +345,7 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
         net.exchange_broadcast_word(words, inst.color_space - 1, members);
     for (NodeId v = 0; v < n; ++v) {
       for (const auto [u, word] : inboxes[v]) {
-        nb_final[v][g.neighbor_index(v, u)] = static_cast<Color>(word);
+        nb_final[edge(v, u)] = static_cast<Color>(word);
       }
     }
   }

@@ -43,26 +43,32 @@ Result solve_rec(Network& net, const LdcInstance& inst,
   aux.graph = inst.graph;
   aux.color_space = blocks;
   aux.lists.resize(n);
-  // Per node and block: the weight sum_x (d_v(x)+1)^(1+nu).
-  std::vector<std::vector<double>> weight(n);
+  // Per node and block: the weight sum_x (d_v(x)+1)^(1+nu), in one
+  // buffer reused node after node.
+  std::vector<double> weight(blocks);
   for (NodeId v = 0; v < n; ++v) {
-    weight[v].assign(blocks, 0.0);
+    std::fill(weight.begin(), weight.end(), 0.0);
     const auto& l = inst.lists[v];
     for (std::size_t i = 0; i < l.size(); ++i) {
-      weight[v][l.colors[i] / bs] +=
+      weight[l.colors[i] / bs] +=
           std::pow(static_cast<double>(l.defects[i]) + 1.0, opt.one_plus_nu);
     }
+    ColorList& al = aux.lists[v];
+    const auto used = static_cast<std::size_t>(std::count_if(
+        weight.begin(), weight.end(), [](double w) { return w > 0.0; }));
+    al.colors.reserve(used);
+    al.defects.reserve(used);
     for (std::uint64_t b = 0; b < blocks; ++b) {
-      if (weight[v][b] <= 0.0) continue;
-      aux.lists[v].colors.push_back(static_cast<Color>(b));
+      if (weight[b] <= 0.0) continue;
+      al.colors.push_back(static_cast<Color>(b));
       // beta_{v,i} = floor(W_i^(1/(1+nu))) - 1, capped by beta_v
       // (Theorem 1.2 with kappa normalized to 1; see DESIGN.md §4).
-      const double raw = std::pow(weight[v][b], 1.0 / opt.one_plus_nu);
+      const double raw = std::pow(weight[b], 1.0 / opt.one_plus_nu);
       const std::uint32_t cap = orientation.beta(v);
-      aux.lists[v].defects.push_back(std::min<std::uint32_t>(
+      al.defects.push_back(std::min<std::uint32_t>(
           cap, static_cast<std::uint32_t>(std::max(0.0, raw - 1.0))));
     }
-    if (aux.lists[v].colors.empty()) {
+    if (al.colors.empty()) {
       throw std::invalid_argument("reduce_and_solve: node with empty list");
     }
   }
@@ -75,8 +81,9 @@ Result solve_rec(Network& net, const LdcInstance& inst,
   RunMetrics parallel;  // rounds = max across blocks; traffic summed
   std::uint64_t child_rounds_max = 0;
   std::uint32_t child_levels_max = 0;
+  std::vector<NodeId> members;
   for (std::uint64_t b = 0; b < blocks; ++b) {
-    std::vector<NodeId> members;
+    members.clear();
     for (NodeId v = 0; v < n; ++v) {
       if (aux_out.phi[v] == b) members.push_back(v);
     }
@@ -92,14 +99,19 @@ Result solve_rec(Network& net, const LdcInstance& inst,
       const NodeId v = sub.to_parent[i];
       sub_initial[i] = initial[v];
       const auto& l = inst.lists[v];
+      ColorList& sl = sub_inst.lists[i];
+      const auto in_block = static_cast<std::size_t>(
+          std::count_if(l.colors.begin(), l.colors.end(),
+                        [&](Color c) { return c / bs == b; }));
+      sl.colors.reserve(in_block);
+      sl.defects.reserve(in_block);
       for (std::size_t x = 0; x < l.size(); ++x) {
         if (l.colors[x] / bs == b) {
-          sub_inst.lists[i].colors.push_back(
-              static_cast<Color>(l.colors[x] - b * bs));
-          sub_inst.lists[i].defects.push_back(l.defects[x]);
+          sl.colors.push_back(static_cast<Color>(l.colors[x] - b * bs));
+          sl.defects.push_back(l.defects[x]);
         }
       }
-      if (sub_inst.lists[i].colors.empty()) {
+      if (sl.colors.empty()) {
         // Cannot happen through the aux solve (aux lists contain only
         // nonempty blocks); defensive fallback if a repair pass moved v.
         for (std::uint64_t c = 0; c < sub_inst.color_space; ++c) {

@@ -1,6 +1,8 @@
 #include "ldc/repair/repair.hpp"
 
 #include <cstdlib>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "ldc/support/prf.hpp"
@@ -25,15 +27,14 @@ Result repair(Network& net, const LdcInstance& inst, Coloring phi,
 
   // Per-round wire format: 1 bit colored flag + the color.
   const std::uint64_t space = inst.color_space;
-  auto encode = [&](Color c) {
-    BitWriter w;
+  auto encode = [&](Color c, BitWriter& w) {
+    w.clear();
     if (c == kUncolored) {
       w.write(0, 1);
     } else {
       w.write(1, 1);
       w.write_bounded(c, space - 1);
     }
-    return Message::from(w);
   };
 
   // The defect budget of v counts conflicts over this conflict set.
@@ -41,21 +42,31 @@ Result repair(Network& net, const LdcInstance& inst, Coloring phi,
     return opt.orientation == nullptr || opt.orientation->has_out_edge(v, u);
   };
 
+  // Round state, kept across rounds. The (neighbor, color) pairs v heard
+  // this round sit at the start of its CSR row of `heard`.
+  std::vector<BitWriter> msgs(g.n());  // both rounds' payloads
+  std::vector<std::pair<NodeId, Color>> heard(2 * g.m());
+  std::vector<std::uint32_t> heard_count(g.n());
+  std::vector<bool> is_violated(g.n());
+  auto nb_colors = [&](NodeId v) {
+    return std::span(heard.data() + g.row_begin(v), heard_count[v]);
+  };
+
   for (std::uint32_t round = 0; round < opt.max_rounds; ++round) {
-    std::vector<Message> msgs(g.n());
-    for (NodeId v = 0; v < g.n(); ++v) msgs[v] = encode(phi[v]);
+    for (NodeId v = 0; v < g.n(); ++v) encode(phi[v], msgs[v]);
     const auto inboxes = net.exchange_broadcast(msgs);
 
     // Decode neighbor colors.
-    std::vector<std::vector<std::pair<NodeId, Color>>> nb_colors(g.n());
     for (NodeId v = 0; v < g.n(); ++v) {
-      for (const auto& [u, m] : inboxes[v]) {
-        auto r = m.reader();
+      std::pair<NodeId, Color>* out = heard.data() + g.row_begin(v);
+      std::uint32_t k = 0;
+      for (auto [u, r] : inboxes[v]) {
         const Color c = (r.read(1) == 1)
                             ? static_cast<Color>(r.read_bounded(space - 1))
                             : kUncolored;
-        nb_colors[v].emplace_back(u, c);
+        out[k++] = {u, c};
       }
+      heard_count[v] = k;
     }
 
     auto violated = [&](NodeId v) {
@@ -67,13 +78,12 @@ Result repair(Network& net, const LdcInstance& inst, Coloring phi,
       const std::size_t idx = list.find(phi[v]);
       if (idx == list.size()) return true;
       std::uint32_t cnt = 0;
-      for (const auto& [u, c] : nb_colors[v]) {
+      for (const auto& [u, c] : nb_colors(v)) {
         if (counts_conflict(v, u) && conflicting(phi[v], c, opt.g)) ++cnt;
       }
       return cnt > list.defects[idx];
     };
 
-    std::vector<bool> is_violated(g.n());
     bool any = false;
     for (NodeId v = 0; v < g.n(); ++v) {
       is_violated[v] = violated(v);
@@ -87,15 +97,11 @@ Result repair(Network& net, const LdcInstance& inst, Coloring phi,
     // Second exchange: violating nodes announce contention (1 bit). A node
     // cannot deduce a neighbor's violation status locally (it depends on
     // the neighbor's private list), so this costs a round.
-    {
-      std::vector<Message> contend_msgs(g.n());
-      for (NodeId v = 0; v < g.n(); ++v) {
-        BitWriter w;
-        w.write(is_violated[v] ? 1 : 0, 1);
-        contend_msgs[v] = Message::from(w);
-      }
-      net.exchange_broadcast(contend_msgs);
+    for (NodeId v = 0; v < g.n(); ++v) {
+      msgs[v].clear();
+      msgs[v].write(is_violated[v] ? 1 : 0, 1);
     }
+    net.exchange_broadcast(msgs);
 
     // Priorities are PRF(round, id): computable by neighbors without extra
     // communication (ids are known).
@@ -105,7 +111,7 @@ Result repair(Network& net, const LdcInstance& inst, Coloring phi,
     for (NodeId v = 0; v < g.n(); ++v) {
       if (!is_violated[v]) continue;
       bool local_max = true;
-      for (const auto& [u, c] : nb_colors[v]) {
+      for (const auto& [u, c] : nb_colors(v)) {
         (void)c;
         if (is_violated[u] && priority(u) > priority(v)) {
           local_max = false;
@@ -120,7 +126,7 @@ Result repair(Network& net, const LdcInstance& inst, Coloring phi,
       bool best_admissible = false;
       for (std::size_t i = 0; i < list.size(); ++i) {
         std::uint32_t cnt = 0;
-        for (const auto& [u, c] : nb_colors[v]) {
+        for (const auto& [u, c] : nb_colors(v)) {
           if (counts_conflict(v, u) && conflicting(list.colors[i], c, opt.g)) {
             ++cnt;
           }

@@ -47,24 +47,14 @@ bool FaultPlan::corrupts_message(std::uint64_t round, NodeId from,
 }
 
 void FaultPlan::corrupt_payload(std::uint64_t round, NodeId from, NodeId to,
-                                Message& m) const {
-  if (m.empty()) return;
+                                std::uint64_t* words,
+                                std::size_t bits) const {
+  if (bits == 0) return;
   const Prf prf(seed);
   const std::uint64_t key = edge_key(kCorrupt, round, from, to);
   // A different PRF index than the decision draw, reduced to a bit position.
-  m.flip_bit(static_cast<std::size_t>(
-      prf.at_below(hash_combine(key, 1), m.bit_count())));
-}
-
-void FaultPlan::corrupt_word(std::uint64_t round, NodeId from, NodeId to,
-                             std::uint64_t& word,
-                             std::size_t width_bits) const {
-  if (width_bits == 0) return;
-  const Prf prf(seed);
-  const std::uint64_t key = edge_key(kCorrupt, round, from, to);
-  // Same index and reduction as corrupt_payload, so the flipped position
-  // matches the Message path bit for bit.
-  word ^= std::uint64_t{1} << prf.at_below(hash_combine(key, 1), width_bits);
+  const std::uint64_t pos = prf.at_below(hash_combine(key, 1), bits);
+  words[pos / 64] ^= std::uint64_t{1} << (pos % 64);
 }
 
 bool FaultPlan::crashes_node(std::uint64_t round, NodeId v) const {

@@ -37,7 +37,6 @@
 #include <limits>
 
 #include "ldc/graph/graph.hpp"
-#include "ldc/runtime/message.hpp"
 
 namespace ldc {
 
@@ -65,19 +64,15 @@ struct FaultPlan {
   /// Message u -> v in round `round` is delivered with a flipped bit.
   bool corrupts_message(std::uint64_t round, NodeId from, NodeId to) const;
 
-  /// Applies the deterministic corruption for (round, from, to) to `m`:
-  /// flips one PRF-chosen payload bit (no-op on empty messages).
+  /// Applies the deterministic corruption for (round, from, to) to the
+  /// `bits`-bit payload packed in `words`: flips one PRF-chosen bit below
+  /// `bits` (no-op when bits == 0), so the words past the payload are
+  /// never touched. The runtime hands it a delivery's own copy. A fused
+  /// word round passes its one word: BitWriter packs a bounded value
+  /// LSB-first, so bit k of the word IS bit k of the equivalent payload,
+  /// and fused and unfused deliveries corrupt identically.
   void corrupt_payload(std::uint64_t round, NodeId from, NodeId to,
-                       Message& m) const;
-
-  /// Word-broadcast twin of corrupt_payload: flips the same PRF-chosen bit
-  /// in a `width_bits`-bit payload carried as one word (no-op when
-  /// width_bits == 0, matching the empty-message no-op). Because BitWriter
-  /// packs a single bounded value LSB-first, bit k of the word IS bit k of
-  /// the equivalent Message payload, so fused and unfused deliveries
-  /// corrupt identically.
-  void corrupt_word(std::uint64_t round, NodeId from, NodeId to,
-                    std::uint64_t& word, std::size_t width_bits) const;
+                       std::uint64_t* words, std::size_t bits) const;
 
   /// Node v crashes at round `round` (before the max_crashes cap).
   bool crashes_node(std::uint64_t round, NodeId v) const;

@@ -125,7 +125,7 @@ void Network::debug_check_sorted() const {
   for (NodeId v = 0; v < graph_->n(); ++v) {
     for (std::uint32_t i = arena_.offsets_[v] + 1; i < arena_.offsets_[v + 1];
          ++i) {
-      assert(arena_.slots_[i - 1].first < arena_.slots_[i].first &&
+      assert(arena_.slots_[i - 1].sender < arena_.slots_[i].sender &&
              "inbox not in ascending sender order");
     }
   }
@@ -138,7 +138,7 @@ Network::OpenRound Network::open_round() {
   if (round_cb_) round_cb_(metrics_.rounds);
   // Invalidate prior views before touching the arena, so even a throwing
   // round can never expose half-rewritten slots through a stale RoundMail.
-  ++arena_.epoch_;
+  arena_.open();
   OpenRound r;
   r.ctx.graph = graph_;
   // The round index keying the fault schedule: silent rounds shift it, so a
@@ -226,15 +226,16 @@ RoundMail Network::exchange(const std::vector<Outbox>& outboxes) {
     auto outbox_of = [&](NodeId u) -> const Outbox& { return outboxes[u]; };
     const std::uint32_t count =
         ShardRound::stage(r.ctx, 0, n, outbox_of, scratch_, st,
-                          [](NodeId, NodeId, const Message&) {});
+                          [](NodeId, NodeId, const BitWriter&) {});
     ShardRound::fill(r.ctx, 0, n, outbox_of, 1, 0, no_batches, scratch_,
-                     arena_.lay_out<MailSlot>(n, count));
+                     arena_.lay_out<MailSlot>(n, count, 0,
+                                              scratch_.pool_words));
   }
   return seal_round(r, st);
 }
 
 RoundMail Network::exchange_broadcast(
-    const std::vector<Message>& msgs,
+    const std::vector<BitWriter>& msgs,
     std::optional<std::span<const NodeId>> senders) {
   const auto n = graph_->n();
   if (msgs.size() != n) {
@@ -252,15 +253,23 @@ RoundMail Network::exchange_broadcast(
   ShardStaging st;
   ShardRound::account_broadcast(
       r.ctx, live, [&](NodeId u) { return msgs[u].bit_count(); }, st);
-  if (dist_ != nullptr) {
-    st += dist_->broadcast(r.ctx, live, msgs, arena_);
-  } else if (shards_ != nullptr) {
-    st += shards_->broadcast(r.ctx, live, msgs, arena_);
+  // Each live sender's words go into the pool once, whatever the engine.
+  if (live == nullptr) {
+    for (NodeId u = 0; u < n; ++u) arena_.post(u, msgs[u]);
   } else {
+    for (NodeId u : live->ids) arena_.post(u, msgs[u]);
+  }
+  if (dist_ != nullptr) {
+    st += dist_->broadcast(r.ctx, live, arena_);
+  } else if (shards_ != nullptr) {
+    st += shards_->broadcast(r.ctx, live, arena_);
+  } else {
+    const MailSlot* posted = arena_.posted();
     const std::uint32_t count =
-        ShardRound::count(r.ctx, 0, n, live, scratch_, st);
-    ShardRound::fill_broadcast(r.ctx, 0, n, live, msgs, scratch_,
-                               arena_.lay_out<MailSlot>(n, count), st);
+        ShardRound::count(r.ctx, 0, n, live, scratch_, st, posted);
+    ShardRound::fill_broadcast(
+        r.ctx, 0, n, live, posted, scratch_,
+        arena_.lay_out<MailSlot>(n, count, 0, scratch_.pool_words), st);
   }
   return seal_round(r, st);
 }
@@ -285,7 +294,7 @@ WordMail Network::exchange_broadcast_word(
   const LiveSenders* live = live_senders(senders, r.ctx);
   // Payload width of the round: every live sender transmits exactly the
   // bits write_bounded(word, bound) would pack, so metrics, trace rows,
-  // and the strict-CONGEST throw point match the Message path.
+  // and the strict-CONGEST throw point match the exchange_broadcast path.
   const std::size_t bits = static_cast<std::size_t>(ceil_log2(bound + 1));
   ShardStaging st;
   ShardRound::account_broadcast(

@@ -38,7 +38,12 @@
 // Every engine lands a round in the Network-owned round arena, in the
 // serial layout: ranges are laid out back to back at their bases
 // (MailArena::lay_out), so the RoundMail/WordMail views never depend on
-// the engine, and an engine switch never invalidates a view.
+// the engine, and an engine switch never invalidates a view. Payloads
+// travel by copy, once: a broadcast posts each live sender's words in the
+// arena's word pool and an explicit exchange copies each delivered
+// message there, so a view never reads the caller's writers, and the
+// caller may clear and rewrite them for the next round as soon as the
+// exchange returns (mail.hpp).
 //
 // Shard count: an explicit set_engine() parameter, else the LDC_SHARDS
 // environment variable (strictly parsed), else hardware concurrency. One
@@ -75,7 +80,6 @@
 #include "ldc/graph/graph.hpp"
 #include "ldc/runtime/fault.hpp"
 #include "ldc/runtime/mail.hpp"
-#include "ldc/runtime/message.hpp"
 #include "ldc/runtime/metrics.hpp"
 #include "ldc/runtime/shard.hpp"
 #include "ldc/runtime/shard_round.hpp"
@@ -87,11 +91,13 @@ class DistBackend;
 
 class Network {
  public:
-  /// One outgoing message: destination must be a neighbor of the sender.
-  using Outbox = std::vector<MailSlot>;
-  /// An owning inbox (what RoundMail::materialize() yields per node);
-  /// deliveries themselves are returned as arena-backed RoundMail views.
-  using Inbox = std::vector<MailSlot>;
+  /// A sender's outgoing (destination, payload) messages; every
+  /// destination must be a neighbor of the sender.
+  using Outbox = std::vector<Envelope>;
+  /// An owning inbox of (sender, payload) messages (what
+  /// RoundMail::materialize() yields per node); deliveries themselves are
+  /// returned as arena-backed RoundMail views.
+  using Inbox = std::vector<Envelope>;
 
   enum class Engine { kSerial, kSharded, kDist };
 
@@ -141,6 +147,7 @@ class Network {
 
   /// One synchronous round: delivers outboxes[u] (messages from u) and
   /// returns a view of the per-node inboxes, in ascending sender order.
+  /// Each delivered payload is copied once into the arena's word pool.
   /// The view reads the Network-owned round arena and is invalidated by
   /// the next exchange()/exchange_broadcast() on this Network (stale access
   /// throws std::logic_error; call RoundMail::materialize() to keep
@@ -161,22 +168,25 @@ class Network {
   /// before the round opens: a bad list throws std::invalid_argument with
   /// metrics, trace and the round callback untouched. An empty list is a
   /// counted round with no deliveries. This is a fast path, not a
-  /// wrapper: no outboxes are materialized — the arena is filled straight
-  /// from the graph's CSR by the kernel's push or pull survivor walk, and
-  /// each delivered slot is one shared payload handle per live
-  /// in-neighbor. Observable behavior (metrics, trace, faults, inbox
-  /// contents/order, strict-CONGEST errors) is identical to building the
-  /// equivalent outboxes and calling exchange(). The returned view obeys
-  /// the same one-round lifetime as exchange().
+  /// wrapper: no outboxes are materialized — each live sender's words are
+  /// posted once in the arena's word pool, and the arena is filled
+  /// straight from the graph's CSR by the kernel's push or pull survivor
+  /// walk, each delivered slot pointing at its sender's one entry.
+  /// Observable behavior (metrics, trace, faults, inbox contents/order,
+  /// strict-CONGEST errors) is identical to building the equivalent
+  /// outboxes and calling exchange(). The returned view obeys the same
+  /// one-round lifetime as exchange(). A sender that keeps its writer
+  /// across rounds (clear() it, then write) allocates nothing in a steady
+  /// state.
   RoundMail exchange_broadcast(
-      const std::vector<Message>& msgs,
+      const std::vector<BitWriter>& msgs,
       std::optional<std::span<const NodeId>> senders = std::nullopt);
 
   /// Fused fast path for the most common round shape: every node (or the
   /// listed `senders`, under exchange_broadcast's list contract)
   /// broadcasts ONE bounded value — exactly what a
   /// `BitWriter::write_bounded(words[v], bound)` + exchange_broadcast round
-  /// sends, but with no Message materialization and no per-edge slot fill
+  /// sends, but with no payload writer and no per-edge slot fill
   /// on the all-live path (the arena stores one word per *sender*; lanes
   /// are synthesized from the graph CSR). Observable behavior — metrics,
   /// trace rows, fault decisions and corrupted bit positions, inbox
@@ -385,11 +395,10 @@ class DistBackend {
   /// nothing for Network to merge.
   virtual ShardStaging exchange(
       const RoundContext& rc,
-      const std::vector<std::vector<MailSlot>>& outboxes, MailArena& a) = 0;
+      const std::vector<std::vector<Envelope>>& outboxes, MailArena& a) = 0;
+  /// The payloads are posted in `a` before the call.
   virtual ShardStaging broadcast(const RoundContext& rc,
-                                 const LiveSenders* live,
-                                 const std::vector<Message>& msgs,
-                                 MailArena& a) = 0;
+                                 const LiveSenders* live, MailArena& a) = 0;
   virtual ShardStaging words(const RoundContext& rc, const LiveSenders* live,
                              const std::vector<std::uint64_t>& words,
                              std::size_t bits, MailArena& a) = 0;

@@ -92,6 +92,7 @@ ShardSet::ShardSet(const Graph& g, std::size_t shards)
     : part_(Partition::degree_balanced(g, shards)),
       states_(part_.shards()),
       counts_(part_.shards()),
+      segments_(part_.shards()),
       crew_(part_.shards()) {
   crew_.run([&](std::size_t k) {
     ShardState& st = states_[k];
@@ -108,12 +109,14 @@ ShardStaging ShardSet::merge() {
   return total;
 }
 
-void ShardSet::count_slots(const RoundContext& rc, const LiveSenders* live) {
+void ShardSet::count_slots(const RoundContext& rc, const LiveSenders* live,
+                           const MailSlot* posted) {
   auto count = [&](std::size_t k) {
     ShardState& st = states_[k];
     st.staging = ShardStaging{};
     counts_[k] = ShardRound::count(rc, st.topo.vbegin, st.topo.vend, live,
-                                   st.scratch, st.staging);
+                                   st.scratch, st.staging, posted);
+    segments_[k] = st.scratch.pool_words;
   };
   if (live != nullptr) {
     crew_.run(count);
@@ -125,9 +128,9 @@ void ShardSet::count_slots(const RoundContext& rc, const LiveSenders* live) {
 
 ShardStaging ShardSet::exchange(
     const RoundContext& rc,
-    const std::vector<std::vector<MailSlot>>& outboxes, MailArena& a) {
+    const std::vector<std::vector<Envelope>>& outboxes, MailArena& a) {
   const std::size_t K = size();
-  auto outbox_of = [&](NodeId u) -> const std::vector<MailSlot>& {
+  auto outbox_of = [&](NodeId u) -> const std::vector<Envelope>& {
     return outboxes[u];
   };
   // Phase A: nothing touches the arena before the barrier; cross-shard
@@ -138,19 +141,24 @@ ShardStaging ShardSet::exchange(
     for (auto& batch : st.outgoing) batch.clear();
     counts_[k] = ShardRound::stage(
         rc, st.topo.vbegin, st.topo.vend, outbox_of, st.scratch, st.staging,
-        [&](NodeId u, NodeId dest, const Message& msg) {
-          st.outgoing[part_.shard_of(dest)].push_back(
-              BatchEntry{u, dest, msg});
+        [&](NodeId u, NodeId dest, const BitWriter& msg) {
+          st.outgoing[part_.shard_of(dest)].push_back(BatchEntry{
+              u, dest, msg.words().data(),
+              static_cast<std::uint32_t>(msg.bit_count())});
         });
   });
-  // A range's slots: its own survivors plus every batch addressed to it
-  // (a shard never batches to itself).
+  // A range's slots and pool words: its own survivors plus every batch
+  // addressed to it (a shard never batches to itself).
   for (std::size_t k = 0; k < K; ++k) {
+    segments_[k] = states_[k].scratch.pool_words;
     for (const ShardState& src : states_) {
       counts_[k] += static_cast<std::uint32_t>(src.outgoing[k].size());
+      for (const BatchEntry& x : src.outgoing[k]) {
+        segments_[k] += payload_words(x.bits);
+      }
     }
   }
-  const auto out = a.lay_out<MailSlot>(rc.graph->n(), counts_);
+  const auto out = a.lay_out<MailSlot>(rc.graph->n(), counts_, 0, segments_);
   // Phase B: each destination shard fills its rows, folding in the
   // batches addressed to it.
   crew_.run([&](std::size_t k) {
@@ -166,15 +174,14 @@ ShardStaging ShardSet::exchange(
 }
 
 ShardStaging ShardSet::broadcast(const RoundContext& rc,
-                                 const LiveSenders* live,
-                                 const std::vector<Message>& msgs,
-                                 MailArena& a) {
-  count_slots(rc, live);
-  const auto out = a.lay_out<MailSlot>(rc.graph->n(), counts_);
+                                 const LiveSenders* live, MailArena& a) {
+  const MailSlot* posted = a.posted();
+  count_slots(rc, live, posted);
+  const auto out = a.lay_out<MailSlot>(rc.graph->n(), counts_, 0, segments_);
   crew_.run([&](std::size_t k) {
     ShardState& st = states_[k];
-    ShardRound::fill_broadcast(rc, st.topo.vbegin, st.topo.vend, live, msgs,
-                               st.scratch, out[k], st.staging);
+    ShardRound::fill_broadcast(rc, st.topo.vbegin, st.topo.vend, live,
+                               posted, st.scratch, out[k], st.staging);
   });
   return merge();
 }

@@ -31,7 +31,6 @@
 #include "ldc/graph/graph.hpp"
 #include "ldc/graph/partition.hpp"
 #include "ldc/runtime/mail.hpp"
-#include "ldc/runtime/message.hpp"
 #include "ldc/runtime/shard_round.hpp"
 
 namespace ldc {
@@ -120,7 +119,8 @@ struct ShardState {
 /// The Network-owned bundle: partition, per-shard states and the crew.
 /// Each round shape runs the kernel on every shard, lands the ranges in
 /// the master arena `a` back to back, and returns the round's staging,
-/// merged in ascending shard order.
+/// merged in ascending shard order. A broadcast reads the payloads the
+/// Network posted in `a`.
 class ShardSet {
  public:
   ShardSet(const Graph& g, std::size_t shards);
@@ -129,10 +129,10 @@ class ShardSet {
   const ShardTraffic& traffic() const { return total_traffic_; }
 
   ShardStaging exchange(const RoundContext& rc,
-                        const std::vector<std::vector<MailSlot>>& outboxes,
+                        const std::vector<std::vector<Envelope>>& outboxes,
                         MailArena& a);
   ShardStaging broadcast(const RoundContext& rc, const LiveSenders* live,
-                         const std::vector<Message>& msgs, MailArena& a);
+                         MailArena& a);
   ShardStaging words(const RoundContext& rc, const LiveSenders* live,
                      const std::vector<std::uint64_t>& words,
                      std::size_t bits, MailArena& a);
@@ -145,16 +145,19 @@ class ShardSet {
                        const std::function<void(NodeId)>& fn);
 
  private:
-  /// The count pass of a broadcast or sparse word round, into counts_
-  /// and each shard's staging.
-  void count_slots(const RoundContext& rc, const LiveSenders* live);
+  /// The count pass of a broadcast or sparse word round, into counts_,
+  /// segments_ (given a broadcast's posted entries) and each shard's
+  /// staging.
+  void count_slots(const RoundContext& rc, const LiveSenders* live,
+                   const MailSlot* posted = nullptr);
   /// Sums the shards' staging in ascending order into the round's total
   /// and the cumulative cut traffic.
   ShardStaging merge();
 
   Partition part_;
   std::vector<ShardState> states_;
-  std::vector<std::uint32_t> counts_;  ///< each range's slots this round
+  std::vector<std::uint32_t> counts_;    ///< each range's slots this round
+  std::vector<std::uint64_t> segments_;  ///< ... and its pool words
   ShardTraffic total_traffic_;  ///< cumulative across rounds
   ShardCrew crew_;              ///< last: joins before states_ die
 };

@@ -37,7 +37,7 @@ void ShardStaging::merge_into(RunMetrics& m, std::size_t& round_max,
 }
 
 void ShardRound::check_unique_destinations(
-    const std::vector<MailSlot>& outbox, std::vector<NodeId>& scratch) {
+    const std::vector<Envelope>& outbox, std::vector<NodeId>& scratch) {
   if (outbox.size() < 2) return;
   scratch.clear();
   for (const auto& [dest, msg] : outbox) scratch.push_back(dest);
@@ -73,44 +73,54 @@ bool ShardRound::pushes(const Graph& g, NodeId b, NodeId e,
 
 std::uint32_t ShardRound::count(const RoundContext& rc, NodeId b, NodeId e,
                                 const LiveSenders* live, RangeScratch& s,
-                                ShardStaging& st) {
+                                ShardStaging& st, const MailSlot* posted) {
   const Graph& g = *rc.graph;
+  s.pool_words = 0;
   if (live == nullptr) {
     // An empty range may sit on an empty graph, which has no CSR rows.
     if (b == e) return 0;
     return static_cast<std::uint32_t>(g.row_begin(e) - g.row_begin(b));
   }
   std::uint32_t total = 0;
+  auto copies = [&](NodeId u, bool corrupt) {
+    if (corrupt && posted != nullptr) {
+      s.pool_words += payload_words(posted[u].bits);
+    }
+  };
   if (pushes(g, b, e, *live)) {
     s.cursor.assign(e - b, 0);
-    push(rc, b, e, live->ids, st, [&](NodeId, NodeId v, bool) {
+    push(rc, b, e, live->ids, st, [&](NodeId u, NodeId v, bool corrupt) {
       ++s.cursor[v - b];
       ++total;
+      copies(u, corrupt);
     });
   } else {
     scan(rc, b, e, live->flags, st, [](NodeId) {},
-         [&](NodeId, NodeId, bool) { ++total; });
+         [&](NodeId u, NodeId, bool corrupt) {
+           ++total;
+           copies(u, corrupt);
+         });
   }
   return total;
 }
 
-// Flattened: the slot fill (a payload handle copy) must stay inlined in
-// the loops of both walks, and GCC declines to inline it into two.
+// Flattened: the slot fill (a 16-byte entry copy) must stay inlined in the
+// loops of both walks, and GCC declines to inline it into two.
 [[gnu::flatten]] void ShardRound::fill_broadcast(
     const RoundContext& rc, NodeId b, NodeId e, const LiveSenders* live,
-    const std::vector<Message>& msgs, RangeScratch& s,
-    ArenaRange<MailSlot> out, ShardStaging& st) {
+    const MailSlot* posted, RangeScratch& s, ArenaRange<MailSlot> out,
+    ShardStaging& st) {
+  std::uint64_t tail = out.segment;
   fill_rows(rc, b, e, live, s, out,
             [&](MailSlot& slot, NodeId u, NodeId v, bool corrupt) {
-              slot.first = u;
-              slot.second = msgs[u];  // shares the payload: no word copy
+              slot = posted[u];
               if (u < b || u >= e) {
                 ++st.traffic_messages;
-                st.traffic_bits += msgs[u].bit_count();
+                st.traffic_bits += slot.bits;
               }
-              // CoW: corrupting the slot's handle clones the payload.
               if (corrupt) {
-                rc.faults->corrupt_payload(rc.round, u, v, slot.second);
+                corrupt_copy(rc, u, v, out.pool, tail, slot);
+                tail += payload_words(slot.bits);
               }
             });
 }

@@ -15,9 +15,10 @@
 //
 // Every fill writes one range's rows starting at the range's base, the
 // slot index MailArena::lay_out() hands out once every range's slot count
-// is known. The in-process engines lay their ranges back to back in the
-// Network's master arena, which is the serial layout; a worker lays out
-// its own range in an arena of its own.
+// is known, and the payload words it copies into the range's own pool
+// segment, sized by the same pass. The in-process engines lay their
+// ranges back to back in the Network's master arena, which is the serial
+// layout; a worker lays out its own range in an arena of its own.
 //
 // Explicit exchange rounds take two phases. Phase A (stage, by sender)
 // checks that each sender's destinations are unique neighbours, accounts
@@ -61,7 +62,6 @@
 #include "ldc/graph/graph.hpp"
 #include "ldc/runtime/fault.hpp"
 #include "ldc/runtime/mail.hpp"
-#include "ldc/runtime/message.hpp"
 #include "ldc/runtime/metrics.hpp"
 #include "ldc/runtime/trace.hpp"
 
@@ -114,11 +114,15 @@ struct LiveSenders {
                              std::vector<NodeId>& ids);
 };
 
-/// One cross-range survivor staged between phase A and phase B.
+/// One cross-range survivor staged between phase A and phase B: its
+/// payload is read in place (the sender's outbox, or a worker's decoded
+/// batch frame) until phase B copies it into the destination's pool
+/// segment.
 struct BatchEntry {
   NodeId sender;
   NodeId dest;
-  Message msg;
+  const std::uint64_t* words;
+  std::uint32_t bits;
 };
 
 /// One range's accounting for one round, merged by the caller in
@@ -164,20 +168,24 @@ struct ShardStaging {
 };
 
 /// One range's reusable round scratch: the per-destination survivor
-/// counts of phase A or a push count pass (the fill's write cursors), and
-/// the duplicate-destination check's sort buffer.
+/// counts of phase A or a push count pass (the fill's write cursors), the
+/// duplicate-destination check's sort buffer, and the pool words the
+/// range's fill will copy (its in-range survivors' payloads in an explicit
+/// round, its corrupted copies in a broadcast round).
 struct RangeScratch {
   std::vector<std::uint32_t> cursor;
   std::vector<NodeId> dests;
+  std::uint64_t pool_words = 0;
 };
 
 class ShardRound {
  public:
   /// Phase A for senders [b, e). outbox_of(u) yields u's outbox. Survivors
-  /// addressed inside [b, e) are counted per destination in s; every other
-  /// survivor goes to sink(sender, dest, msg). Returns the in-range
-  /// survivor count. Cut traffic is counted before the drop decision: a
-  /// lost message still crossed the cut.
+  /// addressed inside [b, e) are counted per destination in s, and their
+  /// payload words into s.pool_words; every other survivor goes to
+  /// sink(sender, dest, payload). Returns the in-range survivor count. Cut
+  /// traffic is counted before the drop decision: a lost message still
+  /// crossed the cut.
   template <typename OutboxOf, typename Sink>
   static std::uint32_t stage(const RoundContext& rc, NodeId b, NodeId e,
                              const OutboxOf& outbox_of, RangeScratch& s,
@@ -185,9 +193,10 @@ class ShardRound {
     const Graph& g = *rc.graph;
     const FaultPlan* f = rc.faults;
     s.cursor.assign(e - b, 0);
+    s.pool_words = 0;
     std::uint32_t local = 0;
     for (NodeId u = b; u < e; ++u) {
-      const std::vector<MailSlot>& outbox = outbox_of(u);
+      const std::vector<Envelope>& outbox = outbox_of(u);
       check_unique_destinations(outbox, s.dests);
       const bool sender_down = f != nullptr && rc.down[u] != 0;
       for (const auto& [dest, msg] : outbox) {
@@ -197,6 +206,10 @@ class ShardRound {
         }
         if (sender_down) continue;  // suppressed: never transmitted
         const std::size_t bits = msg.bit_count();
+        if (bits > UINT32_MAX) {
+          throw std::length_error(
+              "Network::exchange: payload of 2^32 bits or more");
+        }
         st.account(bits, 1, rc.budget_bits, rc.strict);
         const bool remote = dest < b || dest >= e;
         if (remote) {
@@ -214,6 +227,7 @@ class ShardRound {
           sink(u, dest, msg);
         } else {
           ++s.cursor[dest - b];
+          s.pool_words += payload_words(bits);
           ++local;
         }
       }
@@ -225,8 +239,9 @@ class ShardRound {
   /// batches_from(j) yields the entries range j staged for this one (never
   /// called for j == self). Lays out the range's inbox rows in `out`,
   /// which holds room for the stage's in-range survivors plus every batch,
-  /// and fills them in ascending sender order; corruption lands on the
-  /// destination's own copy (CoW), re-resolving phase A's decision.
+  /// and fills them in ascending sender order, copying each payload into
+  /// the range's pool segment; corruption flips the delivery's own copy,
+  /// re-resolving phase A's decision.
   template <typename OutboxOf, typename BatchesFrom>
   static void fill(const RoundContext& rc, NodeId b, NodeId e,
                    const OutboxOf& outbox_of, std::size_t shards,
@@ -238,18 +253,21 @@ class ShardRound {
       for (const BatchEntry& x : batches_from(j)) ++s.cursor[x.dest - b];
     }
     open_rows(b, e, s, out);
-    auto put = [&](NodeId u, NodeId dest, const Message& msg) {
+    std::uint64_t at = out.segment;
+    auto put = [&](NodeId u, NodeId dest, const std::uint64_t* words,
+                   std::size_t bits) {
       MailSlot& slot = out.slots[s.cursor[dest - b]++];
-      slot.first = u;
-      slot.second = msg;  // shares the payload: no copy of the words
+      slot = MailSlot{u, static_cast<std::uint32_t>(bits), at};
+      std::copy_n(words, payload_words(bits), out.pool + at);
+      at += payload_words(bits);
       if (f != nullptr && f->corrupts_message(rc.round, u, dest)) {
-        f->corrupt_payload(rc.round, u, dest, slot.second);
+        f->corrupt_payload(rc.round, u, dest, out.pool + slot.at, bits);
       }
     };
     for (std::size_t j = 0; j < shards; ++j) {
       if (j != self) {
         for (const BatchEntry& x : batches_from(j)) {
-          put(x.sender, x.dest, x.msg);
+          put(x.sender, x.dest, x.words, x.bits);
         }
         continue;
       }
@@ -258,7 +276,7 @@ class ShardRound {
         for (const auto& [dest, msg] : outbox_of(u)) {
           if (dest < b || dest >= e) continue;
           if (f != nullptr && rc.lost(u, dest)) continue;
-          put(u, dest, msg);
+          put(u, dest, msg.words().data(), msg.bit_count());
         }
       }
     }
@@ -287,10 +305,13 @@ class ShardRound {
   /// delivered to [b, e), with drop and corruption events counted into
   /// st. With every sender live and no faults that is the CSR's degree
   /// sum, so no walk runs. A push count leaves per-destination counts in
-  /// s for the fill pass, which re-resolves the same pure decisions.
+  /// s for the fill pass, which re-resolves the same pure decisions. Given
+  /// a broadcast's `posted` entries, s.pool_words gets the words of the
+  /// range's corrupted copies; otherwise 0.
   static std::uint32_t count(const RoundContext& rc, NodeId b, NodeId e,
                              const LiveSenders* live, RangeScratch& s,
-                             ShardStaging& st);
+                             ShardStaging& st,
+                             const MailSlot* posted = nullptr);
 
   /// The fill pass shared by broadcast and word rounds, after count() on
   /// the same range and scratch: writes each row's offset into `out` and
@@ -317,13 +338,25 @@ class ShardRound {
          });
   }
 
-  /// Broadcast fill of destinations [b, e) into `out`, sized by count():
-  /// one shared payload handle per survivor.
+  /// Broadcast fill of destinations [b, e) into `out`, sized by count()
+  /// with the same `posted` entries: each survivor's slot is its sender's
+  /// posted entry, and a corrupted one points at a flipped copy in the
+  /// range's pool segment.
   static void fill_broadcast(const RoundContext& rc, NodeId b, NodeId e,
-                             const LiveSenders* live,
-                             const std::vector<Message>& msgs,
+                             const LiveSenders* live, const MailSlot* posted,
                              RangeScratch& s, ArenaRange<MailSlot> out,
                              ShardStaging& st);
+
+  /// Points `slot` (u -> v) at a copy of its payload written at pool word
+  /// `to`, with the round's PRF-chosen bit flipped there: the entry it
+  /// was copied from never changes.
+  static void corrupt_copy(const RoundContext& rc, NodeId u, NodeId v,
+                           std::uint64_t* pool, std::uint64_t to,
+                           MailSlot& slot) {
+    std::copy_n(pool + slot.at, payload_words(slot.bits), pool + to);
+    slot.at = to;
+    rc.faults->corrupt_payload(rc.round, u, v, pool + to, slot.bits);
+  }
 
   /// Fused-word twin of fill_broadcast (sparse mode): (sender, word)
   /// slots of width `bits`, word_of(u) giving u's word.
@@ -340,7 +373,8 @@ class ShardRound {
                   st.traffic_bits += bits;
                 }
                 if (corrupt) {
-                  rc.faults->corrupt_word(rc.round, u, v, slot.value, bits);
+                  rc.faults->corrupt_payload(rc.round, u, v, &slot.value,
+                                             bits);
                 }
               });
   }
@@ -349,7 +383,7 @@ class ShardRound {
   /// The "destinations unique per round" contract for one sender, checked
   /// before any of its messages is validated so the error order is the
   /// same on every engine.
-  static void check_unique_destinations(const std::vector<MailSlot>& outbox,
+  static void check_unique_destinations(const std::vector<Envelope>& outbox,
                                         std::vector<NodeId>& scratch);
 
   /// The push/pull crossover. A pull pass reads each of the range's

@@ -1,5 +1,6 @@
 #include "ldc/support/bitio.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "ldc/support/math.hpp"
@@ -32,6 +33,13 @@ void BitWriter::write_varint(std::uint64_t value) {
   write(value, bits);
 }
 
+void BitWriter::append(BitReader r) {
+  while (r.remaining() != 0) {
+    const int take = static_cast<int>(std::min<std::size_t>(64, r.remaining()));
+    write(r.read(take), take);
+  }
+}
+
 std::uint64_t BitReader::read(int bits) {
   assert(bits >= 0 && bits <= 64);
   if (pos_ + static_cast<std::size_t>(bits) > bit_count_) {
@@ -44,9 +52,9 @@ std::uint64_t BitReader::read(int bits) {
   if (bits == 0) return 0;
   const std::size_t word = pos_ / 64;
   const int offset = static_cast<int>(pos_ % 64);
-  std::uint64_t value = (*words_)[word] >> offset;
+  std::uint64_t value = words_[word] >> offset;
   const int spill = offset + bits - 64;
-  if (spill > 0) value |= (*words_)[word + 1] << (bits - spill);
+  if (spill > 0) value |= words_[word + 1] << (bits - spill);
   if (bits < 64) value &= (std::uint64_t{1} << bits) - 1;
   pos_ += static_cast<std::size_t>(bits);
   return value;

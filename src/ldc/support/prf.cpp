@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 namespace ldc {
 namespace {
@@ -59,37 +58,45 @@ std::uint64_t fingerprint(std::span<const std::uint32_t> values) {
   return hash_combine(h, values.size());
 }
 
+void sample_distinct(const Prf& prf, std::uint64_t index0,
+                     std::uint64_t universe, std::size_t k,
+                     std::vector<std::uint64_t>& out) {
+  assert(k <= universe);
+  out.clear();
+  if (k * 2 >= universe) {
+    // Dense: a deterministic partial Fisher-Yates over the index array
+    // (the whole array when k == universe: no swap moves anything).
+    out.resize(universe);
+    for (std::uint64_t i = 0; i < universe; ++i) out[i] = i;
+    if (k < universe) {
+      for (std::size_t i = 0; i < k; ++i) {
+        const std::uint64_t j = i + prf.at_below(index0 + i, universe - i);
+        std::swap(out[i], out[j]);
+      }
+      out.resize(k);
+    }
+  } else {
+    // Sparse: the first k distinct draws of the stream. Each pass draws
+    // only as many values as are still missing, so the distinct count
+    // never passes k and the set is exactly those first k.
+    std::uint64_t i = index0;
+    while (out.size() < k) {
+      for (std::size_t missing = k - out.size(); missing != 0; --missing) {
+        out.push_back(prf.at_below(i++, universe));
+      }
+      std::sort(out.begin(), out.end());
+      out.erase(std::unique(out.begin(), out.end()), out.end());
+    }
+  }
+  std::sort(out.begin(), out.end());
+}
+
 std::vector<std::uint64_t> sample_distinct(const Prf& prf,
                                            std::uint64_t index0,
                                            std::uint64_t universe,
                                            std::size_t k) {
-  assert(k <= universe);
   std::vector<std::uint64_t> out;
-  out.reserve(k);
-  if (k == universe) {
-    for (std::uint64_t i = 0; i < universe; ++i) out.push_back(i);
-    return out;
-  }
-  // For dense samples, do a deterministic partial Fisher-Yates over an
-  // explicit index array; for sparse samples, rejection-sample into a set.
-  if (k * 2 >= universe) {
-    std::vector<std::uint64_t> idx(universe);
-    for (std::uint64_t i = 0; i < universe; ++i) idx[i] = i;
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::uint64_t j =
-          i + prf.at_below(index0 + i, universe - i);
-      std::swap(idx[i], idx[j]);
-    }
-    out.assign(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k));
-  } else {
-    std::unordered_set<std::uint64_t> seen;
-    std::uint64_t i = index0;
-    while (seen.size() < k) {
-      seen.insert(prf.at_below(i++, universe));
-    }
-    out.assign(seen.begin(), seen.end());
-  }
-  std::sort(out.begin(), out.end());
+  sample_distinct(prf, index0, universe, k, out);
   return out;
 }
 

@@ -61,8 +61,15 @@ std::uint64_t fingerprint(std::span<const std::uint64_t> values);
 std::uint64_t fingerprint(std::span<const std::uint32_t> values);
 
 /// Deterministically samples `k` distinct indices from [0, universe) using
-/// the PRF stream starting at `index0`. Requires k <= universe. Output is
-/// sorted. Cost O(k log k) expected.
+/// the PRF stream starting at `index0`, into `out` (overwritten; its
+/// capacity is kept, so a caller that reuses one buffer stops
+/// allocating). Requires k <= universe. Output is sorted. Cost O(k log k)
+/// expected.
+void sample_distinct(const Prf& prf, std::uint64_t index0,
+                     std::uint64_t universe, std::size_t k,
+                     std::vector<std::uint64_t>& out);
+
+/// sample_distinct into a fresh vector.
 std::vector<std::uint64_t> sample_distinct(const Prf& prf,
                                            std::uint64_t index0,
                                            std::uint64_t universe,

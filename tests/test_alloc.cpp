@@ -1,0 +1,121 @@
+// Heap-allocation gates. This binary replaces the global operator new
+// with a counting one, so each test reads the exact number of allocations
+// the code under test makes:
+//
+//  * a steady-state message round on the serial engine allocates nothing,
+//    counting its senders' payload writes (each sender clears and
+//    rewrites the writer it keeps), broadcast or explicit;
+//  * one d1lc run (Theorem 1.4's colorer, default options) stays under
+//    a fifth of the allocations it made while payloads were refcounted
+//    blocks and node programs built per-node containers every round:
+//    305,374 at (n = 1,024, Delta = 16) with (Delta+1)-lists, and 653,643
+//    at perfbench's d1lc-serial shape (n = 2,000, Delta = 32, lists over
+//    2(Delta+1) colors).
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "ldc/coloring/instance_gen.hpp"
+#include "ldc/d1lc/congest_colorer.hpp"
+#include "ldc/graph/generators.hpp"
+#include "ldc/runtime/network.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace ldc {
+namespace {
+
+std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
+
+TEST(Allocations, SteadyStateBroadcastRoundAllocatesNothing) {
+  const Graph g = gen::random_regular(256, 16, 7);
+  Network net(g);
+  std::vector<BitWriter> msgs(g.n());
+  std::vector<NodeId> half;
+  for (NodeId v = 0; v < g.n(); v += 2) half.push_back(v);
+  std::uint64_t sum = 0;
+  auto round = [&](std::uint64_t r) {
+    for (NodeId v = 0; v < g.n(); ++v) {
+      msgs[v].clear();
+      msgs[v].write_bounded((v + r) % 1000, 999);
+      if (v % 7 == 0) msgs[v].write(r, 64);  // some two-word payloads
+    }
+    const auto all = net.exchange_broadcast(msgs);
+    for (auto [u, rd] : all[r % g.n()]) sum += u + rd.read_bounded(999);
+    const auto masked = net.exchange_broadcast(msgs, half);
+    for (auto [u, rd] : masked[r % g.n()]) sum += u + rd.read_bounded(999);
+  };
+  for (std::uint64_t r = 0; r < 3; ++r) round(r);  // grow every buffer
+  const std::uint64_t before = allocs();
+  for (std::uint64_t r = 3; r < 40; ++r) round(r);
+  EXPECT_EQ(allocs() - before, 0u);
+  EXPECT_GT(sum, 0u);
+}
+
+TEST(Allocations, SteadyStateExplicitRoundAllocatesNothing) {
+  const Graph g = gen::random_regular(128, 8, 3);
+  Network net(g);
+  std::vector<Network::Outbox> out(g.n());
+  for (NodeId u = 0; u < g.n(); ++u) {
+    for (NodeId v : g.neighbors(u)) out[u].emplace_back(v, BitWriter{});
+  }
+  std::uint64_t sum = 0;
+  auto round = [&](std::uint64_t r) {
+    for (NodeId u = 0; u < g.n(); ++u) {
+      for (auto& [v, w] : out[u]) {
+        w.clear();
+        w.write(u * 131 + v + r, 40);
+      }
+    }
+    const auto in = net.exchange(out);
+    for (auto [u, rd] : in[r % g.n()]) sum += u + rd.read(40);
+  };
+  for (std::uint64_t r = 0; r < 3; ++r) round(r);
+  const std::uint64_t before = allocs();
+  for (std::uint64_t r = 3; r < 40; ++r) round(r);
+  EXPECT_EQ(allocs() - before, 0u);
+  EXPECT_GT(sum, 0u);
+}
+
+/// Heap allocations of one d1lc run, the colouring checked valid.
+std::uint64_t d1lc_allocations(const Graph& g, const LdcInstance& inst) {
+  Network net(g);
+  const std::uint64_t before = allocs();
+  const d1lc::PipelineResult res = d1lc::color(net, inst);
+  const std::uint64_t used = allocs() - before;
+  EXPECT_TRUE(res.valid);
+  return used;
+}
+
+TEST(Allocations, D1lcRunAt1024Nodes16Regular) {
+  const Graph g = gen::random_regular(1024, 16, 7);
+  const LdcInstance inst = delta_plus_one_instance(g);
+  EXPECT_LE(d1lc_allocations(g, inst), 305'374u / 5);
+}
+
+TEST(Allocations, D1lcRunAtTheD1lcSerialShape) {
+  const Graph g = gen::random_regular(2000, 32, 1);
+  const LdcInstance inst = degree_plus_one_instance(
+      g, 2 * (std::uint64_t{g.max_degree()} + 1), 101);
+  EXPECT_LE(d1lc_allocations(g, inst), 653'643u / 5);
+}
+
+}  // namespace
+}  // namespace ldc

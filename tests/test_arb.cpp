@@ -7,6 +7,8 @@
 #include "ldc/graph/generators.hpp"
 #include "ldc/linial/linial.hpp"
 
+#include "arbdefective_reference.hpp"
+
 namespace ldc {
 namespace {
 
@@ -42,6 +44,32 @@ TEST(Arbdefective, OrientationCoversAllEdges) {
   std::uint64_t total = 0;
   for (NodeId v = 0; v < g.n(); ++v) total += res.orientation.outdeg(v);
   EXPECT_EQ(total, g.m());
+}
+
+// A node counts a neighbour's color only if the neighbour's proposal
+// reached it: under a drop plan the solver matches the mail-only replay,
+// which on this instance differs from a replay that also counts colors
+// behind a delivered ack alone — on every in-process engine.
+TEST(Arbdefective, LearnsColorsOnlyFromItsMail) {
+  const Graph g = gen::random_regular(60, 8, 1);
+  arb::ArbdefectiveOptions opt;
+  opt.defect = 1;
+  opt.colors = g.max_degree() / (opt.defect + 1) + 1;
+  FaultPlan plan;
+  plan.seed = 101;
+  plan.drop_rate = 0.2;
+  const Coloring expect = arbdefective_reference(g, opt, plan);
+  ASSERT_NE(expect, arbdefective_reference(g, opt, plan,
+                                           /*count_unheard=*/true));
+  for (const std::size_t shards :
+       {std::size_t{0}, std::size_t{2}, std::size_t{7}}) {
+    Network net(g);
+    if (shards != 0) net.set_engine(Network::Engine::kSharded, shards);
+    net.attach_faults(&plan);
+    const auto res = arb::arbdefective_color(net, opt);
+    EXPECT_EQ(res.phi, expect) << shards << " shards";
+    EXPECT_GT(net.metrics().messages_dropped, 0u);
+  }
 }
 
 TEST(Arbdefective, RejectsInfeasibleParameters) {

@@ -31,6 +31,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "ldc/arb/beg_arbdefective.hpp"
 #include "ldc/baselines/kw_reduction.hpp"
 #include "ldc/baselines/luby.hpp"
 #include "ldc/coloring/instance_gen.hpp"
@@ -42,6 +43,7 @@
 #include "ldc/runtime/network.hpp"
 #include "ldc/storage/corpus.hpp"
 #include "ldc/support/prf.hpp"
+#include "arbdefective_reference.hpp"
 #include "survivor_lists.hpp"
 
 namespace ldc {
@@ -283,13 +285,12 @@ FaultyRun run_faulty_exchange(const Graph& g, const EngineSel& sel,
         BitWriter w;
         w.write(hash_combine(r, (static_cast<std::uint64_t>(u) << 20) | v),
                 40);
-        outboxes[u].emplace_back(v, Message::from(w));
+        outboxes[u].emplace_back(v, w);
       }
     }
     const auto in = net.exchange(outboxes);
     for (NodeId v = 0; v < g.n(); ++v) {
-      for (const auto& [sender, msg] : in[v]) {
-        auto rd = msg.reader();
+      for (auto [sender, rd] : in[v]) {
         out.inbox_flat.push_back(hash_combine(
             (static_cast<std::uint64_t>(v) << 32) | sender, rd.read(40)));
       }
@@ -332,6 +333,32 @@ TEST(Dist, FaultPlansMatchSerial) {
   }
 }
 
+// Under kDist too, arbdefective_color counts a neighbour's color only
+// when the proposal reached it (the in-process engines are checked in
+// test_arb.cpp against the same replay).
+TEST(Dist, ArbdefectiveLearnsColorsOnlyFromItsMail) {
+  const Graph g = gen::random_regular(60, 8, 1);
+  TempCorpus tc("arb_mail");
+  write_graph(g, tc.path());
+  arb::ArbdefectiveOptions opt;
+  opt.defect = 1;
+  opt.colors = g.max_degree() / (opt.defect + 1) + 1;
+  FaultPlan plan;
+  plan.seed = 101;
+  plan.drop_rate = 0.2;
+  const Coloring expect = arbdefective_reference(g, opt, plan);
+  ASSERT_NE(expect, arbdefective_reference(g, opt, plan,
+                                           /*count_unheard=*/true));
+  CoordinatorOptions copt;
+  copt.workers = 2;
+  Coordinator coord(tc.path(), copt);
+  Network net(coord.corpus_graph());
+  net.attach_dist(&coord);
+  net.attach_faults(&plan);
+  EXPECT_EQ(arb::arbdefective_color(net, opt).phi, expect);
+  EXPECT_GT(net.metrics().messages_dropped, 0u);
+}
+
 // Broadcast fast path and the fused word path under kDist must match the
 // serial engine's materialized-outbox reference — with and without a
 // sender list, with and without faults. All-live rounds stay
@@ -343,12 +370,12 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
   write_graph(g, tc.path());
   const std::uint64_t bound = 499;
   std::vector<std::uint64_t> words(g.n());
-  std::vector<Message> msgs(g.n());
+  std::vector<BitWriter> msgs(g.n());
   for (NodeId v = 0; v < g.n(); ++v) {
     words[v] = hash_combine(0xb1, v) % (bound + 1);
     BitWriter w;
     w.write_bounded(words[v], bound);
-    msgs[v] = Message::from(w);
+    msgs[v] = w;
   }
   std::vector<NodeId> mask;
   for (NodeId v = 0; v < g.n(); ++v) {
@@ -397,8 +424,7 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
         in = net.exchange_broadcast(msgs, senders);
       }
       for (NodeId v = 0; v < g.n(); ++v) {
-        for (const auto& [sender, msg] : in[v]) {
-          auto r = msg.reader();
+        for (auto [sender, r] : in[v]) {
           out.slots.push_back(
               hash_combine((static_cast<std::uint64_t>(v) << 32) | sender,
                            r.read_bounded(bound)));
@@ -453,11 +479,11 @@ TEST(Dist, MaskedWordRoundShipsSenderIdsNotWords) {
   write_graph(g, tc.path());
   const std::uint64_t bound = 499;
   const std::vector<std::uint64_t> words(g.n(), 7);
-  std::vector<Message> msgs(g.n());
+  std::vector<BitWriter> msgs(g.n());
   {
     BitWriter w;
     w.write_bounded(7, bound);
-    for (Message& m : msgs) m = Message::from(w);
+    for (BitWriter& m : msgs) m = w;
   }
   const std::vector<NodeId> one = {g.n() / 2};
   CoordinatorOptions opt;
@@ -587,7 +613,7 @@ TEST(Dist, WorkerKilledMidRunYieldsTypedErrorNamingShardAndRound) {
         for (NodeId v : g.neighbors(u)) {
           BitWriter w;
           w.write(u ^ v, 24);
-          out[u].emplace_back(v, Message::from(w));
+          out[u].emplace_back(v, w);
         }
       }
       return net.exchange(out);
@@ -638,7 +664,7 @@ TEST(Dist, HungWorkerTripsHeartbeatTimeout) {
     for (NodeId v : g.neighbors(u)) {
       BitWriter w;
       w.write(1, 1);
-      out[u].emplace_back(v, Message::from(w));
+      out[u].emplace_back(v, w);
     }
   }
   const auto t0 = std::chrono::steady_clock::now();
@@ -674,7 +700,7 @@ TEST(Dist, WorkerErrorsKeepTheirTypesAcrossTheWire) {
     std::vector<Network::Outbox> out(g.n());
     BitWriter w;
     w.write(0, 9);  // 9 bits > 4-bit budget
-    out[0].emplace_back(1, Message::from(w));
+    out[0].emplace_back(1, w);
     EXPECT_THROW(net.exchange(out), CongestViolation);
   }
   {
@@ -686,7 +712,7 @@ TEST(Dist, WorkerErrorsKeepTheirTypesAcrossTheWire) {
     std::vector<Network::Outbox> out(g.n());
     BitWriter w;
     w.write(1, 1);
-    out[0].emplace_back(5, Message::from(w));  // 0 and 5 not adjacent
+    out[0].emplace_back(5, w);  // 0 and 5 not adjacent
     EXPECT_THROW(net.exchange(out), std::invalid_argument);
   }
 }
@@ -712,7 +738,7 @@ TEST(Dist, ThrowingRoundLeavesTrafficMetricsUnchangedOnEveryEngine) {
   auto msg = [](std::uint64_t value, int bits) {
     BitWriter w;
     w.write(value, bits);
-    return Message::from(w);
+    return w;
   };
   // Every node but `bad` sends a 2-bit message to each neighbor.
   auto outboxes = [&](NodeId bad) {
@@ -753,7 +779,7 @@ TEST(Dist, ThrowingRoundLeavesTrafficMetricsUnchangedOnEveryEngine) {
        true},
       {"broadcast/strict-congest",
        [&](Network& net) {
-         std::vector<Message> msgs(n, msg(1, 2));
+         std::vector<BitWriter> msgs(n, msg(1, 2));
          msgs[11] = msg(0, 9);
          (void)net.exchange_broadcast(msgs);
        },

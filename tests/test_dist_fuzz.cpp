@@ -52,7 +52,7 @@ std::vector<std::string> valid_frames() {
     encode_fault_ctx(w, &plan, std::vector<char>(40, 0).data(), 40);
     BitWriter bw;
     bw.write(0x123456789abcdefull, 60);
-    encode_message(w, Message::from(bw));
+    encode_message(w, BitReader(bw));
     fs.push_back(encode_frame(FrameKind::kOutbox, 2, 0, 1, 1, w.take()));
   }
   {
@@ -61,7 +61,7 @@ std::vector<std::string> valid_frames() {
       w.u32(i);
       BitWriter bw;
       bw.write(i * 2654435761u, 32);
-      encode_message(w, Message::from(bw));
+      encode_message(w, BitReader(bw));
     }
     fs.push_back(encode_frame(FrameKind::kBatch, 5, 2, 3, 200, w.take()));
   }
@@ -219,7 +219,7 @@ TEST(DistFuzz, CountPayloadDisagreementIsTyped) {
   w.u32(9);  // one sender id…
   BitWriter bw;
   bw.write(0xab, 8);
-  encode_message(w, Message::from(bw));  // …and one message
+  encode_message(w, BitReader(bw));  // …and one message
   const std::string frame =
       encode_frame(FrameKind::kBatch, 1, 0, 1, /*count=*/3, w.take());
   FrameReader reader;
@@ -228,7 +228,8 @@ TEST(DistFuzz, CountPayloadDisagreementIsTyped) {
   ASSERT_TRUE(f.has_value());
   PayloadReader r(f->payload, "batch");
   (void)r.u32();
-  (void)decode_message(r);
+  std::vector<std::uint64_t> words;
+  (void)decode_message(r, words);
   // Entry 2 of the promised 3: every further read is a typed overrun.
   EXPECT_THROW((void)r.u32(), FrameError);
 }
@@ -256,7 +257,9 @@ TEST(DistFuzz, PayloadReaderOverrunAndTrailingGarbageAreTyped) {
     w.u32(1u << 30);
     const std::string payload = w.take();
     PayloadReader r(payload, "msg");
-    EXPECT_THROW((void)decode_message(r), FrameError);
+    std::vector<std::uint64_t> words;
+    EXPECT_THROW((void)decode_message(r, words), FrameError);
+    EXPECT_TRUE(words.empty());
   }
   {
     // Truncated fault context: the down bitmap is cut short.
@@ -314,16 +317,17 @@ TEST(DistFuzz, RoundTripCodecs) {
         bw.write(0xdeadbeef, static_cast<int>(std::min<std::size_t>(
                                  32, bits - done)));
       }
-      const Message m = Message::from(bw);
       PayloadWriter w;
-      encode_message(w, m);
+      encode_message(w, BitReader(bw));
       const std::string payload = w.take();
       PayloadReader r(payload, "msg");
-      const Message back = decode_message(r);
+      std::vector<std::uint64_t> words = {7};  // decode appends after it
+      const std::uint32_t back = decode_message(r, words);
       r.expect_end();
-      ASSERT_EQ(back.bit_count(), m.bit_count()) << bits << " bits";
-      auto ra = m.reader();
-      auto rb = back.reader();
+      ASSERT_EQ(back, bw.bit_count()) << bits << " bits";
+      ASSERT_EQ(words.size(), 1 + payload_words(bits)) << bits << " bits";
+      BitReader ra(bw);
+      BitReader rb(words.data() + 1, back);
       for (std::size_t done = 0; done < bits; done += 64) {
         const int take =
             static_cast<int>(std::min<std::size_t>(64, bits - done));

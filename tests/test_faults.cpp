@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -21,10 +22,10 @@
 namespace ldc {
 namespace {
 
-Message make_msg(std::uint64_t value, int bits) {
+BitWriter make_msg(std::uint64_t value, int bits) {
   BitWriter w;
   w.write(value, bits);
-  return Message::from(w);
+  return w;
 }
 
 TEST(FaultPlan, DecisionsAreDeterministic) {
@@ -85,45 +86,106 @@ TEST(FaultPlan, CorruptionFlipsExactlyOneBitAndPreservesLength) {
   FaultPlan p;
   p.seed = 5;
   p.corrupt_rate = 1.0;
-  Message m = make_msg(0xabcdef, 24);
-  const std::size_t bits_before = m.bit_count();
-  Message corrupted = m;
-  p.corrupt_payload(3, 0, 1, corrupted);
-  EXPECT_EQ(corrupted.bit_count(), bits_before);
-  auto ra = m.reader();
-  auto rb = corrupted.reader();
-  const std::uint64_t delta = ra.read(24) ^ rb.read(24);
+  const std::uint64_t before = 0xabcdef;
+  std::uint64_t corrupted = before;
+  p.corrupt_payload(3, 0, 1, &corrupted, 24);
+  const std::uint64_t delta = before ^ corrupted;
   EXPECT_NE(delta, 0u);
   EXPECT_EQ(delta & (delta - 1), 0u);  // exactly one bit differs
+  EXPECT_LT(delta, std::uint64_t{1} << 24);  // inside the payload
 }
 
 TEST(FaultPlan, CorruptionOfEmptyMessageIsANoOp) {
   FaultPlan p;
   p.seed = 5;
   p.corrupt_rate = 1.0;
-  Message empty;
-  p.corrupt_payload(0, 0, 1, empty);
-  EXPECT_EQ(empty.bit_count(), 0u);
+  std::uint64_t word = 0x5a5a;
+  p.corrupt_payload(0, 0, 1, &word, 0);
+  EXPECT_EQ(word, 0x5a5au);
 }
 
-TEST(FaultPlan, CorruptPayloadClonesSharedPayloads) {
+// A corruption flips a bit below the payload's bit count, so the words
+// past a payload in the pool — the next payload's — are never touched.
+TEST(FaultPlan, CorruptPayloadNeverTouchesWordsPastThePayload) {
   FaultPlan p;
-  p.seed = 5;
+  p.seed = 9;
   p.corrupt_rate = 1.0;
-  Message m = make_msg(0x0f0f, 16);
-  Message shared = m;
-  ASSERT_TRUE(shared.shares_payload(m));
-  p.corrupt_payload(1, 0, 1, shared);
-  // Copy-on-write: the corrupted handle detached; the original is intact.
-  EXPECT_FALSE(shared.shares_payload(m));
-  auto r = m.reader();
-  EXPECT_EQ(r.read(16), 0x0f0fu);
+  for (std::uint64_t round = 0; round < 64; ++round) {
+    for (NodeId u = 0; u < 8; ++u) {
+      std::uint64_t words[3] = {0, 0, 0x77};
+      p.corrupt_payload(round, u, u + 1, words, 70);
+      EXPECT_EQ(words[2], 0x77u);
+      EXPECT_EQ(words[1] >> 6, 0u);  // bits 70..127 stay clear
+      EXPECT_EQ(__builtin_popcountll(words[0]) +
+                    __builtin_popcountll(words[1]),
+                1);
+    }
+  }
 }
 
-// The zero-copy plane delivers one shared payload handle per receiver; a
-// corruption fault must clone before flipping (CoW), so a corrupted
-// delivery can never mutate the sender's message or the clean copies that
-// sibling receivers got — under the serial and the sharded engine.
+// A broadcast delivery that is corrupted gets its own copy of the sender's
+// shared pool entry, in its range's segment, and the bit flips there: the
+// entry and the clean deliveries pointing at it never change.
+TEST(FaultPlan, CorruptPayloadClonesSharedPayloads) {
+  const Graph g = gen::clique(6);
+  FaultPlan p;
+  p.seed = 21;
+  p.corrupt_rate = 0.4;
+  std::vector<char> down(6, 0);
+  RoundContext rc;
+  rc.graph = &g;
+  rc.round = 2;
+  rc.faults = &p;
+  rc.down = down.data();
+  const std::vector<NodeId> ids = {0, 1, 2, 3, 4, 5};
+  const std::vector<char> live_flags(6, 1);
+  const LiveSenders live{live_flags.data(), ids, 30};
+  for (const NodeId cut : {NodeId{6}, NodeId{2}}) {  // one range, or two
+    MailArena arena;
+    arena.open();
+    for (NodeId u = 0; u < 6; ++u) arena.post(u, make_msg(0x500u + u, 12));
+    const std::vector<std::uint64_t> posted = arena.pool();
+    std::vector<RangeScratch> scratch(2);
+    ShardStaging st;
+    const std::uint32_t counts[2] = {
+        ShardRound::count(rc, 0, cut, &live, scratch[0], st, arena.posted()),
+        ShardRound::count(rc, cut, 6, &live, scratch[1], st, arena.posted())};
+    const std::uint64_t segments[2] = {scratch[0].pool_words,
+                                       scratch[1].pool_words};
+    const auto out = arena.lay_out<MailSlot>(6, counts, 0, segments);
+    ShardRound::fill_broadcast(rc, 0, cut, &live, arena.posted(), scratch[0],
+                               out[0], st);
+    ShardRound::fill_broadcast(rc, cut, 6, &live, arena.posted(),
+                               scratch[1], out[1], st);
+    ASSERT_GT(st.corrupted, 0u);
+    ASSERT_LT(st.corrupted, 30u);
+    // The posted entries never changed, and each corrupted copy sits past
+    // them, in the pool words its range reserved.
+    EXPECT_TRUE(std::equal(posted.begin(), posted.end(), arena.pool().begin()));
+    EXPECT_EQ(arena.pool().size(), 6u + st.corrupted);
+    for (NodeId v = 0; v < 6; ++v) {
+      for (std::uint32_t i = arena.offsets()[v]; i < arena.offsets()[v + 1];
+           ++i) {
+        const MailSlot& slot = arena.slots()[i];
+        const NodeId u = slot.sender;
+        const std::uint64_t word = arena.pool()[slot.at];
+        if (p.corrupts_message(rc.round, u, v)) {
+          EXPECT_GE(slot.at, 6u);
+          std::uint64_t expect = 0x500u + u;
+          p.corrupt_payload(rc.round, u, v, &expect, 12);
+          EXPECT_EQ(word, expect);
+        } else {
+          EXPECT_EQ(slot.at, arena.posted()[u].at);
+          EXPECT_EQ(word, 0x500u + u);
+        }
+      }
+    }
+  }
+}
+
+// A corrupted delivery differs from its clean siblings in exactly the
+// PRF-chosen bit, and the senders' own writers never change — under the
+// serial and the sharded engine.
 TEST(Network, CorruptionNeverMutatesSenderOrSiblingCopies) {
   const Graph g = gen::clique(6);
   for (const std::size_t shards : {std::size_t{0}, std::size_t{4}}) {
@@ -133,7 +195,7 @@ TEST(Network, CorruptionNeverMutatesSenderOrSiblingCopies) {
     p.seed = 21;
     p.corrupt_rate = 0.4;
     net.attach_faults(&p);
-    std::vector<Message> msgs(6);
+    std::vector<BitWriter> msgs(6);
     for (NodeId v = 0; v < 6; ++v) msgs[v] = make_msg(0x500u + v, 12);
     auto in = net.exchange_broadcast(msgs);
     // The schedule must mix corrupted and clean deliveries for the test to
@@ -141,20 +203,18 @@ TEST(Network, CorruptionNeverMutatesSenderOrSiblingCopies) {
     ASSERT_GT(net.metrics().messages_corrupted, 0u);
     ASSERT_LT(net.metrics().messages_corrupted, 30u);
     for (NodeId v = 0; v < 6; ++v) {
-      for (const auto& [u, m] : in[v]) {
-        auto r = m.reader();
-        if (r.read(12) == 0x500u + u) {
-          // Clean delivery: still the sender's own payload block.
-          EXPECT_TRUE(m.shares_payload(msgs[u]));
-        } else {
-          // Corrupted delivery: cloned before the flip.
-          EXPECT_FALSE(m.shares_payload(msgs[u]));
+      for (auto [u, r] : in[v]) {
+        std::uint64_t expect = 0x500u + u;
+        if (p.corrupts_message(0, u, v)) {
+          p.corrupt_payload(0, u, v, &expect, 12);
+          ASSERT_NE(expect, 0x500u + u);
         }
+        EXPECT_EQ(r.read(12), expect);
       }
     }
-    // No corruption leaked into the senders' handles.
+    // No corruption leaked into the senders' writers.
     for (NodeId u = 0; u < 6; ++u) {
-      auto r = msgs[u].reader();
+      BitReader r(msgs[u]);
       EXPECT_EQ(r.read(12), 0x500u + u);
     }
   }
@@ -167,7 +227,7 @@ TEST(Network, DropRateOneLosesEveryMessageButSenderPays) {
   p.seed = 11;
   p.drop_rate = 1.0;
   net.attach_faults(&p);
-  auto in = net.exchange_broadcast(std::vector<Message>(6, make_msg(9, 10)));
+  auto in = net.exchange_broadcast(std::vector<BitWriter>(6, make_msg(9, 10)));
   for (const auto& inbox : in) EXPECT_TRUE(inbox.empty());
   // Drop is a transit fault: the sender transmitted, so the traffic is
   // accounted — and additionally counted as dropped.
@@ -184,7 +244,7 @@ TEST(Network, CorruptRateOneTouchesEveryMessageWithoutChangingCongest) {
   p.seed = 13;
   p.corrupt_rate = 1.0;
   net.attach_faults(&p);
-  std::vector<Message> msgs(8);
+  std::vector<BitWriter> msgs(8);
   for (NodeId v = 0; v < 8; ++v) msgs[v] = make_msg(v, 12);
   auto in = net.exchange_broadcast(msgs);
   EXPECT_EQ(net.metrics().messages_corrupted, 16u);
@@ -192,9 +252,8 @@ TEST(Network, CorruptRateOneTouchesEveryMessageWithoutChangingCongest) {
   EXPECT_EQ(net.metrics().max_message_bits, 12u);  // length preserved
   int changed = 0;
   for (NodeId v = 0; v < 8; ++v) {
-    for (const auto& [u, m] : in[v]) {
-      ASSERT_EQ(m.bit_count(), 12u);
-      auto r = m.reader();
+    for (auto [u, r] : in[v]) {
+      ASSERT_EQ(r.bit_count(), 12u);
       if (r.read(12) != u) ++changed;
     }
   }
@@ -209,7 +268,7 @@ TEST(Network, CrashIsPermanentAndSilencesTheNode) {
   p.crash_rate = 0.6;
   p.max_crashes = 1;
   net.attach_faults(&p);
-  const std::vector<Message> msgs(5, make_msg(1, 4));
+  const std::vector<BitWriter> msgs(5, make_msg(1, 4));
   NodeId crashed_node = kUncolored;
   for (int round = 0; round < 6; ++round) {
     auto in = net.exchange_broadcast(msgs);
@@ -225,7 +284,7 @@ TEST(Network, CrashIsPermanentAndSilencesTheNode) {
       for (NodeId v = 0; v < 5; ++v) {
         if (v == crashed_node) continue;
         EXPECT_EQ(in[v].size(), 3u);
-        for (const auto& [u, m] : in[v]) EXPECT_NE(u, crashed_node);
+        for (const auto [u, m] : in[v]) EXPECT_NE(u, crashed_node);
       }
     }
   }
@@ -240,7 +299,7 @@ TEST(Network, SleepSilencesExactlyOneRound) {
   p.seed = 23;
   p.sleep_rate = 1.0;
   net.attach_faults(&p);
-  const std::vector<Message> msgs(4, make_msg(3, 4));
+  const std::vector<BitWriter> msgs(4, make_msg(3, 4));
   auto in = net.exchange_broadcast(msgs);
   for (const auto& inbox : in) EXPECT_TRUE(inbox.empty());
   EXPECT_EQ(net.metrics().node_sleeps, 4u);
@@ -260,11 +319,11 @@ TEST(Network, AttachFaultsResetsCrashState) {
   p.seed = 29;
   p.crash_rate = 1.0;
   net.attach_faults(&p);
-  net.exchange_broadcast(std::vector<Message>(4, make_msg(1, 4)));
+  net.exchange_broadcast(std::vector<BitWriter>(4, make_msg(1, 4)));
   EXPECT_EQ(net.metrics().node_crashes, 4u);
   net.attach_faults(nullptr);
   for (NodeId v = 0; v < 4; ++v) EXPECT_FALSE(net.crashed(v));
-  auto in = net.exchange_broadcast(std::vector<Message>(4, make_msg(1, 4)));
+  auto in = net.exchange_broadcast(std::vector<BitWriter>(4, make_msg(1, 4)));
   for (const auto& inbox : in) EXPECT_EQ(inbox.size(), 3u);
 }
 
@@ -277,9 +336,9 @@ TEST(Network, TraceRecordsPerRoundFaults) {
   p.seed = 31;
   p.drop_rate = 1.0;
   net.attach_faults(&p);
-  net.exchange_broadcast(std::vector<Message>(6, make_msg(1, 5)));
+  net.exchange_broadcast(std::vector<BitWriter>(6, make_msg(1, 5)));
   net.attach_faults(nullptr);
-  net.exchange_broadcast(std::vector<Message>(6, make_msg(1, 5)));
+  net.exchange_broadcast(std::vector<BitWriter>(6, make_msg(1, 5)));
   ASSERT_EQ(t.rounds().size(), 2u);
   EXPECT_EQ(t.rounds()[0].faults.dropped, 12u);
   EXPECT_TRUE(t.rounds()[0].faults.any());
@@ -293,7 +352,7 @@ TEST(Network, FaultsChangeTheDigestButZeroRatePlanDoesNot) {
     Trace t;
     net.attach_trace(&t);
     if (p != nullptr) net.attach_faults(p);
-    net.exchange_broadcast(std::vector<Message>(6, make_msg(1, 5)));
+    net.exchange_broadcast(std::vector<BitWriter>(6, make_msg(1, 5)));
     return t.digest();
   };
   FaultPlan zero;  // any() == false

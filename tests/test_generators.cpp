@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "ldc/graph/stats.hpp"
+#include "ldc/support/fnv.hpp"
 
 namespace ldc {
 namespace {
@@ -79,6 +80,48 @@ TEST(Generators, RandomRegularDegrees) {
     if (g.degree(v) < 6) ++deficient;
   }
   EXPECT_LE(deficient, 6);
+}
+
+// A CSR digest: FNV-1a over each node's degree (8 bytes) and neighbours
+// (4 bytes each), in node order.
+std::uint64_t csr_digest(const Graph& g) {
+  std::uint64_t h = kFnv1a64Seed;
+  for (NodeId v = 0; v < g.n(); ++v) {
+    const std::uint64_t deg = g.degree(v);
+    h = fnv1a64_bytes(&deg, sizeof deg, h);
+    for (NodeId u : g.neighbors(v)) h = fnv1a64_bytes(&u, sizeof u, h);
+  }
+  return h;
+}
+
+// random_regular's output is pinned: these digests were taken from the
+// std::set implementation the flat rows replaced. Every case reaches the
+// repair loop; the first group keeps all n*d stubs, the second exhausts
+// the repair budget and drops some, the last has a large degree.
+TEST(Generators, RandomRegularOutputIsPinned) {
+  struct Case {
+    std::uint32_t n, d;
+    std::uint64_t seed, digest, dropped_stubs;
+  };
+  const Case cases[] = {
+      {50, 7, 1, 0xed3889f9d77d4b14ull, 0},
+      {100, 6, 3, 0x05f385832c056b75ull, 0},
+      {257, 8, 2, 0x783af121a1551a59ull, 0},
+      {1000, 16, 1, 0x709277031647e199ull, 0},
+      {2000, 32, 4, 0x0c8fa5e5fcf7bb89ull, 0},
+      {10, 9, 1, 0x223a90843a1dfac5ull, 22},
+      {33, 32, 1, 0x480257a751e647d2ull, 10},
+      {512, 255, 1, 0xcd22bc0bb603e04dull, 0},
+  };
+  for (const Case& c : cases) {
+    const Graph g = gen::random_regular(c.n, c.d, c.seed);
+    EXPECT_TRUE(check_graph(g));
+    EXPECT_EQ(csr_digest(g), c.digest) << c.n << " " << c.d << " " << c.seed;
+    std::uint64_t stubs = 0;
+    for (NodeId v = 0; v < g.n(); ++v) stubs += g.degree(v);
+    EXPECT_EQ(std::uint64_t{c.n} * c.d - stubs, c.dropped_stubs)
+        << c.n << " " << c.d << " " << c.seed;
+  }
 }
 
 TEST(Generators, RandomRegularRejectsOddProduct) {

@@ -215,15 +215,15 @@ TEST(HarnessContext, PickSelectsAxis) {
   EXPECT_TRUE(smoke.smoke());
 }
 
-Message tiny_message() {
+BitWriter tiny_message() {
   BitWriter w;
   w.write(1, 8);
-  return Message::from(w);
+  return w;
 }
 
 // One broadcast round on a small ring, so metrics and a trace exist.
 void one_round(Network& net) {
-  std::vector<Message> msgs(net.graph().n(), tiny_message());
+  std::vector<BitWriter> msgs(net.graph().n(), tiny_message());
   net.exchange_broadcast(msgs);
 }
 

@@ -7,10 +7,10 @@
 namespace ldc {
 namespace {
 
-Message make_msg(std::uint64_t value, int bits) {
+BitWriter make_msg(std::uint64_t value, int bits) {
   BitWriter w;
   w.write(value, bits);
-  return Message::from(w);
+  return w;
 }
 
 TEST(Network, DeliversToNeighborsOnly) {
@@ -20,8 +20,8 @@ TEST(Network, DeliversToNeighborsOnly) {
   out[0].emplace_back(1, make_msg(42, 8));
   auto in = net.exchange(out);
   ASSERT_EQ(in[1].size(), 1u);
-  EXPECT_EQ(in[1][0].first, 0u);
-  auto r = in[1][0].second.reader();
+  EXPECT_EQ(in[1][0].sender, 0u);
+  auto r = in[1][0].reader;
   EXPECT_EQ(r.read(8), 42u);
   EXPECT_TRUE(in[0].empty());
   EXPECT_TRUE(in[2].empty());
@@ -75,7 +75,7 @@ TEST(Network, DuplicateCheckPrecedesPerMessageValidation) {
 TEST(Network, CountsRoundsAndBits) {
   const Graph g = gen::ring(4);
   Network net(g);
-  std::vector<Message> msgs(4, make_msg(5, 10));
+  std::vector<BitWriter> msgs(4, make_msg(5, 10));
   net.exchange_broadcast(msgs);
   net.exchange_broadcast(msgs);
   const auto& m = net.metrics();
@@ -88,12 +88,12 @@ TEST(Network, CountsRoundsAndBits) {
 TEST(Network, InboxSortedBySender) {
   const Graph g = gen::clique(5);
   Network net(g);
-  std::vector<Message> msgs(5, make_msg(1, 4));
+  std::vector<BitWriter> msgs(5, make_msg(1, 4));
   auto in = net.exchange_broadcast(msgs);
   for (NodeId v = 0; v < 5; ++v) {
     ASSERT_EQ(in[v].size(), 4u);
     for (std::size_t i = 1; i < in[v].size(); ++i) {
-      EXPECT_LT(in[v][i - 1].first, in[v][i].first);
+      EXPECT_LT(in[v][i - 1].sender, in[v][i].sender);
     }
   }
 }
@@ -101,7 +101,7 @@ TEST(Network, InboxSortedBySender) {
 TEST(Network, BroadcastActiveMask) {
   const Graph g = gen::ring(4);
   Network net(g);
-  std::vector<Message> msgs(4, make_msg(7, 4));
+  std::vector<BitWriter> msgs(4, make_msg(7, 4));
   const std::vector<NodeId> senders = {0};
   auto in = net.exchange_broadcast(msgs, senders);
   EXPECT_EQ(in[1].size(), 1u);
@@ -131,9 +131,9 @@ TEST(Network, StrictModeThrows) {
 TEST(Network, BroadcastRejectsWrongMessageCount) {
   const Graph g = gen::ring(4);
   Network net(g);
-  std::vector<Message> too_few(3, make_msg(1, 4));
+  std::vector<BitWriter> too_few(3, make_msg(1, 4));
   EXPECT_THROW(net.exchange_broadcast(too_few), std::invalid_argument);
-  std::vector<Message> too_many(5, make_msg(1, 4));
+  std::vector<BitWriter> too_many(5, make_msg(1, 4));
   EXPECT_THROW(net.exchange_broadcast(too_many), std::invalid_argument);
   // A failed precondition must not consume a round or account traffic.
   EXPECT_EQ(net.metrics().rounds, 0u);
@@ -143,7 +143,7 @@ TEST(Network, BroadcastRejectsWrongMessageCount) {
 TEST(Network, BroadcastRejectsSenderIdsOutOfRange) {
   const Graph g = gen::ring(4);
   Network net(g);
-  std::vector<Message> msgs(4, make_msg(1, 4));
+  std::vector<BitWriter> msgs(4, make_msg(1, 4));
   const std::vector<NodeId> past_the_end = {0, 4};
   EXPECT_THROW(net.exchange_broadcast(msgs, past_the_end),
                std::invalid_argument);
@@ -179,7 +179,7 @@ TEST(Network, SetEngineReportsThreads) {
 TEST(Network, WallTimeAccumulates) {
   const Graph g = gen::clique(16);
   Network net(g);
-  std::vector<Message> msgs(16, make_msg(3, 12));
+  std::vector<BitWriter> msgs(16, make_msg(3, 12));
   net.exchange_broadcast(msgs);
   EXPECT_GT(net.metrics().wall_ns, 0u);
 }
@@ -224,7 +224,7 @@ TEST(Network, FlushComputeTimeConservesWallTimeWithoutARound) {
 TEST(Network, EmptyMessagesCountAsMessages) {
   const Graph g = gen::path(2);
   Network net(g);
-  std::vector<Message> msgs(2);  // zero-bit messages
+  std::vector<BitWriter> msgs(2);  // zero-bit messages
   net.exchange_broadcast(msgs);
   EXPECT_EQ(net.metrics().messages, 2u);
   EXPECT_EQ(net.metrics().total_bits, 0u);
@@ -261,45 +261,102 @@ TEST(RunMetrics, MergeAndEquivalenceCoverFaultCounters) {
   EXPECT_FALSE(a.same_communication(c));
 }
 
-TEST(Message, FlipBitOutOfRangeThrows) {
-  Message m = make_msg(0b101, 3);
-  EXPECT_THROW(m.flip_bit(3), std::out_of_range);
-  EXPECT_THROW(m.flip_bit(1000), std::out_of_range);
-  Message empty;
-  EXPECT_THROW(empty.flip_bit(0), std::out_of_range);
-  // The failed flips left the payload untouched.
-  auto r = m.reader();
-  EXPECT_EQ(r.read(3), 0b101u);
-  m.flip_bit(2);
-  auto r2 = m.reader();
-  EXPECT_EQ(r2.read(3), 0b001u);
-}
-
-TEST(Message, CopiesSharePayloadUntilMutation) {
-  Message m = make_msg(0xbeef, 16);
-  Message copy = m;
-  EXPECT_TRUE(copy.shares_payload(m));
-  copy.flip_bit(0);  // copy-on-write detaches the mutated handle
-  EXPECT_FALSE(copy.shares_payload(m));
-  auto r = m.reader();
-  EXPECT_EQ(r.read(16), 0xbeefu);
-  auto rc = copy.reader();
-  EXPECT_EQ(rc.read(16), 0xbeeeu);
-  // Empty messages hold no payload block and thus never "share" one.
-  EXPECT_FALSE(Message().shares_payload(Message()));
-}
-
+// A broadcast copies each live sender's payload into the round's word
+// pool once, and every delivery of that sender points at that entry: the
+// kernel's fill writes the posted entry into each slot.
 TEST(Network, BroadcastDeliversSharedPayloadHandles) {
   const Graph g = gen::clique(4);
-  Network net(g);
-  std::vector<Message> msgs(4);
-  for (NodeId v = 0; v < 4; ++v) msgs[v] = make_msg(v + 1, 8);
-  auto in = net.exchange_broadcast(msgs);
-  for (NodeId v = 0; v < 4; ++v) {
-    ASSERT_EQ(in[v].size(), 3u);
-    for (const auto& [u, m] : in[v]) {
-      // Zero-copy: every delivery is a handle onto the sender's payload.
-      EXPECT_TRUE(m.shares_payload(msgs[u]));
+  MailArena arena;
+  arena.open();
+  std::size_t posted_words = 0;
+  for (NodeId u = 0; u < 4; ++u) {
+    BitWriter w = make_msg(0x1234u + u, 40);
+    w.write(0, static_cast<int>(20 * u));  // 40..100 bits: 1 or 2 words
+    arena.post(u, w);
+    posted_words += payload_words(w.bit_count());
+  }
+  RoundContext rc;
+  rc.graph = &g;
+  RangeScratch scratch;
+  ShardStaging st;
+  const std::uint32_t count = ShardRound::count(rc, 0, 4, nullptr, scratch,
+                                                st, arena.posted());
+  ShardRound::fill_broadcast(
+      rc, 0, 4, nullptr, arena.posted(), scratch,
+      arena.lay_out<MailSlot>(4, count, 0, scratch.pool_words), st);
+  ASSERT_EQ(arena.slots().size(), 12u);
+  EXPECT_EQ(arena.pool().size(), posted_words);  // each payload once
+  for (const MailSlot& slot : arena.slots()) {
+    EXPECT_EQ(slot.at, arena.posted()[slot.sender].at);
+    EXPECT_EQ(slot.bits, 40u + 20u * slot.sender);
+  }
+}
+
+// Deliveries are copies in the arena's pool, never views of the senders'
+// writers: a sender may clear and rewrite its writer as soon as the round
+// returns without changing what its neighbours received.
+TEST(Network, DeliveriesOutliveTheSendersWriters) {
+  const Graph g = gen::clique(4);
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+    Network net(g);
+    if (shards != 0) net.set_engine(Network::Engine::kSharded, shards);
+    std::vector<BitWriter> msgs(4);
+    for (NodeId v = 0; v < 4; ++v) msgs[v] = make_msg(0xbeef00u + v, 24);
+    auto in = net.exchange_broadcast(msgs);
+    for (BitWriter& w : msgs) {
+      w.clear();
+      w.write(0, 24);
+    }
+    for (NodeId v = 0; v < 4; ++v) {
+      ASSERT_EQ(in[v].size(), 3u);
+      for (auto [u, r] : in[v]) {
+        EXPECT_EQ(r.bit_count(), 24u);
+        EXPECT_EQ(r.read(24), 0xbeef00u + u);
+      }
+    }
+  }
+}
+
+// An explicit exchange copies every delivered message into the pool, so
+// its deliveries survive the caller rewriting its outboxes, and
+// materialize() copies survive the next round.
+TEST(Network, ExplicitDeliveriesAndMaterializedCopiesKeepTheirBits) {
+  const Graph g = gen::clique(5);
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{3}}) {
+    Network net(g);
+    if (shards != 0) net.set_engine(Network::Engine::kSharded, shards);
+    std::vector<Network::Outbox> out(5);
+    for (NodeId u = 0; u < 5; ++u) {
+      for (NodeId v : g.neighbors(u)) {
+        BitWriter w = make_msg(u * 100 + v, 64);
+        w.write(0, 6);  // 70 bits: two pool words
+        out[u].emplace_back(v, std::move(w));
+      }
+    }
+    auto in = net.exchange(out);
+    for (auto& outbox : out) {
+      for (auto& [dest, w] : outbox) {
+        w.clear();
+        w.write(1, 64);
+        w.write(1, 6);
+      }
+    }
+    for (NodeId v = 0; v < 5; ++v) {
+      for (auto [u, r] : in[v]) {
+        EXPECT_EQ(r.read(64), u * 100 + v);
+        EXPECT_EQ(r.read(6), 0u);
+      }
+    }
+    const auto kept = in.materialize();
+    net.exchange(out);
+    EXPECT_THROW(in[0], std::logic_error);
+    for (NodeId v = 0; v < 5; ++v) {
+      ASSERT_EQ(kept[v].size(), 4u);
+      for (const auto& [u, w] : kept[v]) {
+        BitReader r(w);
+        EXPECT_EQ(r.bit_count(), 70u);
+        EXPECT_EQ(r.read(64), u * 100 + v);
+      }
     }
   }
 }
@@ -307,7 +364,7 @@ TEST(Network, BroadcastDeliversSharedPayloadHandles) {
 TEST(Network, RoundMailViewExpiresAtTheNextExchange) {
   const Graph g = gen::path(3);
   Network net(g);
-  const std::vector<Message> msgs(3, make_msg(7, 4));
+  const std::vector<BitWriter> msgs(3, make_msg(7, 4));
   auto in = net.exchange_broadcast(msgs);
   ASSERT_EQ(in[1].size(), 2u);
   auto kept = in.materialize();
@@ -317,24 +374,24 @@ TEST(Network, RoundMailViewExpiresAtTheNextExchange) {
   EXPECT_THROW(in[1], std::logic_error);
   EXPECT_THROW(in.begin(), std::logic_error);
   EXPECT_THROW(in.materialize(), std::logic_error);
-  // The materialized copy owns its slots and stays valid.
+  // The materialized copy owns its bits and stays valid.
   ASSERT_EQ(kept[1].size(), 2u);
   EXPECT_EQ(kept[1][0].first, 0u);
   EXPECT_EQ(kept[1][1].first, 2u);
-  auto r = kept[1][0].second.reader();
+  BitReader r(kept[1][0].second);
   EXPECT_EQ(r.read(4), 7u);
 }
 
 TEST(Network, InboxesArriveInAscendingSenderOrder) {
   const Graph g = gen::clique(5);
   Network net(g);
-  std::vector<Message> msgs(5);
+  std::vector<BitWriter> msgs(5);
   for (NodeId v = 0; v < 5; ++v) msgs[v] = make_msg(v, 8);
   auto in = net.exchange_broadcast(msgs);
   for (NodeId v = 0; v < 5; ++v) {
     ASSERT_EQ(in[v].size(), 4u);
     for (std::size_t i = 1; i < in[v].size(); ++i) {
-      EXPECT_LT(in[v][i - 1].first, in[v][i].first);
+      EXPECT_LT(in[v][i - 1].sender, in[v][i].sender);
     }
   }
 }

@@ -30,7 +30,9 @@ TEST(Gamma, ListCodecRoundTrip) {
     BitWriter w;
     oldc::encode_color_list(w, list, space);
     BitReader r(w);
-    EXPECT_EQ(oldc::decode_color_list(r, space), list);
+    std::vector<Color> back = {42};  // overwritten, not appended to
+    oldc::decode_color_list(r, space, back);
+    EXPECT_EQ(back, list);
     EXPECT_EQ(r.remaining(), 0u);
   }
 }

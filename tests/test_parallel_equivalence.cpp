@@ -252,13 +252,12 @@ FaultyRun run_faulty_exchange(const Graph& g, std::size_t threads,
         BitWriter w;
         w.write(hash_combine(r, (static_cast<std::uint64_t>(u) << 20) | v),
                 40);
-        outboxes[u].emplace_back(v, Message::from(w));
+        outboxes[u].emplace_back(v, w);
       }
     }
     const auto in = net.exchange(outboxes);
     for (NodeId v = 0; v < g.n(); ++v) {
-      for (const auto& [sender, msg] : in[v]) {
-        auto rd = msg.reader();
+      for (auto [sender, rd] : in[v]) {
         out.inbox_flat.push_back(hash_combine(
             (static_cast<std::uint64_t>(v) << 32) | sender, rd.read(40)));
       }
@@ -355,8 +354,8 @@ TEST(ParallelEquivalence, DuplicateDestinationThrowsOnBothEngines) {
     std::vector<Network::Outbox> out(8);
     BitWriter w;
     w.write(1, 1);
-    out[3].emplace_back(4, Message::from(w));
-    out[3].emplace_back(4, Message::from(w));  // duplicate destination
+    out[3].emplace_back(4, w);
+    out[3].emplace_back(4, w);  // duplicate destination
     try {
       net.exchange(out);
       FAIL() << threads << " threads: expected std::invalid_argument";
@@ -380,15 +379,14 @@ TEST(ParallelEquivalence, ExplicitExchangeMatchesAcrossEngines) {
       for (NodeId v : g.neighbors(u)) {
         BitWriter w;
         w.write(static_cast<std::uint64_t>(u) * 1000 + v, 22);
-        out[u].emplace_back(v, Message::from(w));
+        out[u].emplace_back(v, w);
       }
     }
     const auto in = net.exchange(out);
     // Flatten the inboxes into a comparable transcript.
     std::vector<std::uint64_t> flat;
     for (const auto& inbox : in) {
-      for (const auto& [sender, msg] : inbox) {
-        auto r = msg.reader();
+      for (auto [sender, r] : inbox) {
         flat.push_back((static_cast<std::uint64_t>(sender) << 32) |
                        r.read(22));
       }
@@ -409,11 +407,11 @@ TEST(ParallelEquivalence, ExplicitExchangeMatchesAcrossEngines) {
 // without a sender list, with and without faults, under every engine.
 TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
   const Graph g = gen::gnp(48, 0.25, 33);
-  std::vector<Message> msgs(g.n());
+  std::vector<BitWriter> msgs(g.n());
   for (NodeId v = 0; v < g.n(); ++v) {
     BitWriter w;
     w.write(hash_combine(0xb0, v), 36);
-    msgs[v] = Message::from(w);
+    msgs[v] = w;
   }
   std::vector<NodeId> mask;
   for (NodeId v = 0; v < g.n(); ++v) {
@@ -452,8 +450,7 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
         in = net.exchange_broadcast(msgs, senders);
       }
       for (NodeId v = 0; v < g.n(); ++v) {
-        for (const auto& [sender, msg] : in[v]) {
-          auto r = msg.reader();
+        for (auto [sender, r] : in[v]) {
           out.slots.push_back(hash_combine(
               (static_cast<std::uint64_t>(v) << 32) | sender, r.read(36)));
         }
@@ -500,12 +497,12 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
   const Graph g = gen::gnp(48, 0.25, 34);
   const std::uint64_t bound = 499;
   std::vector<std::uint64_t> words(g.n());
-  std::vector<Message> msgs(g.n());
+  std::vector<BitWriter> msgs(g.n());
   for (NodeId v = 0; v < g.n(); ++v) {
     words[v] = hash_combine(0xb1, v) % (bound + 1);
     BitWriter w;
     w.write_bounded(words[v], bound);
-    msgs[v] = Message::from(w);
+    msgs[v] = w;
   }
   std::vector<NodeId> mask;
   for (NodeId v = 0; v < g.n(); ++v) {
@@ -554,8 +551,7 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
         in = net.exchange_broadcast(msgs, senders);
       }
       for (NodeId v = 0; v < g.n(); ++v) {
-        for (const auto& [sender, msg] : in[v]) {
-          auto r = msg.reader();
+        for (auto [sender, r] : in[v]) {
           out.slots.push_back(
               hash_combine((static_cast<std::uint64_t>(v) << 32) | sender,
                            r.read_bounded(bound)));
@@ -613,11 +609,11 @@ TEST(ParallelEquivalence, CongestAccountingMatchesAcrossEngines) {
   auto run = [&](std::size_t threads) {
     Network net(g, /*budget_bits=*/10);
     if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
-    std::vector<Message> msgs(g.n());
+    std::vector<BitWriter> msgs(g.n());
     for (NodeId v = 0; v < g.n(); ++v) {
       BitWriter w;
       w.write(v, v % 2 == 0 ? 8 : 16);  // odd nodes violate the budget
-      msgs[v] = Message::from(w);
+      msgs[v] = w;
     }
     net.exchange_broadcast(msgs);
     return net.metrics();
@@ -637,7 +633,7 @@ TEST(ParallelEquivalence, StrictViolationThrowsOnBothEngines) {
     if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     BitWriter w;
     w.write(0, 9);
-    EXPECT_THROW(net.exchange_broadcast(std::vector<Message>(4, Message::from(w))),
+    EXPECT_THROW(net.exchange_broadcast(std::vector<BitWriter>(4, w)),
                  CongestViolation)
         << threads << " threads";
   }
@@ -651,7 +647,7 @@ TEST(ParallelEquivalence, NonNeighborThrowsOnBothEngines) {
     std::vector<Network::Outbox> out(8);
     BitWriter w;
     w.write(1, 1);
-    out[0].emplace_back(5, Message::from(w));  // 0 and 5 not adjacent
+    out[0].emplace_back(5, w);  // 0 and 5 not adjacent
     EXPECT_THROW(net.exchange(out), std::invalid_argument)
         << threads << " threads";
   }
@@ -731,7 +727,7 @@ TEST(ParallelEquivalence, SenderListContractOnEveryEngine) {
 
   BitWriter w;
   w.write(5, 3);
-  const std::vector<Message> msgs(g.n(), Message::from(w));
+  const std::vector<BitWriter> msgs(g.n(), w);
   const std::vector<std::uint64_t> words(g.n(), 5);
   const std::vector<NodeId> some = {1, 7, 30};
   const std::vector<std::pair<std::string, std::vector<NodeId>>> bad = {

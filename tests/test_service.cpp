@@ -519,7 +519,7 @@ void register_test_algorithms() {
              exec.configure(net);
              BitWriter w;
              w.write(1, 1);
-             const std::vector<Message> msgs(g.n(), Message::from(w));
+             const std::vector<BitWriter> msgs(g.n(), w);
              g_spins_started.fetch_add(1, std::memory_order_release);
              // Unbounded on purpose: only the round-boundary cancellation
              // hook can end this job. A broken hook hangs the test.
@@ -533,7 +533,7 @@ void register_test_algorithms() {
                  std::chrono::milliseconds(job.param_or("sleep_ms", 30)));
              BitWriter w;
              w.write(1, 1);
-             const std::vector<Message> msgs(g.n(), Message::from(w));
+             const std::vector<BitWriter> msgs(g.n(), w);
              for (int i = 0; i < 4; ++i) net.exchange_broadcast(msgs);
              JobOutcome out;
              out.valid = true;

@@ -277,13 +277,12 @@ FaultyRun run_faulty_exchange(const Graph& g, const EngineSel& sel,
         BitWriter w;
         w.write(hash_combine(r, (static_cast<std::uint64_t>(u) << 20) | v),
                 40);
-        outboxes[u].emplace_back(v, Message::from(w));
+        outboxes[u].emplace_back(v, w);
       }
     }
     const auto in = net.exchange(outboxes);
     for (NodeId v = 0; v < g.n(); ++v) {
-      for (const auto& [sender, msg] : in[v]) {
-        auto rd = msg.reader();
+      for (auto [sender, rd] : in[v]) {
         out.inbox_flat.push_back(hash_combine(
             (static_cast<std::uint64_t>(v) << 32) | sender, rd.read(40)));
       }
@@ -332,12 +331,12 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
   const Graph g = gen::gnp(48, 0.25, 34);
   const std::uint64_t bound = 499;
   std::vector<std::uint64_t> words(g.n());
-  std::vector<Message> msgs(g.n());
+  std::vector<BitWriter> msgs(g.n());
   for (NodeId v = 0; v < g.n(); ++v) {
     words[v] = hash_combine(0xb1, v) % (bound + 1);
     BitWriter w;
     w.write_bounded(words[v], bound);
-    msgs[v] = Message::from(w);
+    msgs[v] = w;
   }
   std::vector<NodeId> mask;
   for (NodeId v = 0; v < g.n(); ++v) {
@@ -386,8 +385,7 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
         in = net.exchange_broadcast(msgs, senders);
       }
       for (NodeId v = 0; v < g.n(); ++v) {
-        for (const auto& [sender, msg] : in[v]) {
-          auto r = msg.reader();
+        for (auto [sender, r] : in[v]) {
           out.slots.push_back(
               hash_combine((static_cast<std::uint64_t>(v) << 32) | sender,
                            r.read_bounded(bound)));
@@ -516,19 +514,18 @@ TEST(Sharded, ViewsOutliveAnEngineSwitch) {
   const Graph g = gen::gnp(40, 0.2, 41);
   const std::uint64_t bound = 1000;
   std::vector<std::uint64_t> words(g.n());
-  std::vector<Message> msgs(g.n());
+  std::vector<BitWriter> msgs(g.n());
   for (NodeId v = 0; v < g.n(); ++v) {
     words[v] = hash_combine(0x5e, v) % (bound + 1);
     BitWriter w;
     w.write_bounded(words[v], bound);
-    msgs[v] = Message::from(w);
+    msgs[v] = w;
   }
   using Delivery = std::tuple<NodeId, NodeId, std::uint64_t>;
   auto flat_mail = [&](const RoundMail& in) {
     std::vector<Delivery> out;
     for (NodeId v = 0; v < g.n(); ++v) {
-      for (const auto& [sender, msg] : in[v]) {
-        auto r = msg.reader();
+      for (auto [sender, r] : in[v]) {
         out.emplace_back(v, sender, r.read_bounded(bound));
       }
     }
@@ -579,8 +576,8 @@ TEST(Sharded, DuplicateCrossShardDestinationThrows) {
     std::vector<Network::Outbox> out(8);
     BitWriter w;
     w.write(1, 1);
-    out[3].emplace_back(4, Message::from(w));
-    out[3].emplace_back(4, Message::from(w));  // duplicate, other shard
+    out[3].emplace_back(4, w);
+    out[3].emplace_back(4, w);  // duplicate, other shard
     try {
       net.exchange(out);
       FAIL() << shards << " shards: expected std::invalid_argument";
@@ -599,7 +596,7 @@ TEST(Sharded, NonNeighborThrows) {
   std::vector<Network::Outbox> out(8);
   BitWriter w;
   w.write(1, 1);
-  out[0].emplace_back(5, Message::from(w));  // 0 and 5 not adjacent
+  out[0].emplace_back(5, w);  // 0 and 5 not adjacent
   EXPECT_THROW(net.exchange(out), std::invalid_argument);
 }
 
@@ -608,11 +605,11 @@ TEST(Sharded, CongestAccountingMatchesSerial) {
   auto run = [&](std::size_t shards) {
     Network net(g, /*budget_bits=*/10);
     if (shards > 0) net.set_engine(Network::Engine::kSharded, shards);
-    std::vector<Message> msgs(g.n());
+    std::vector<BitWriter> msgs(g.n());
     for (NodeId v = 0; v < g.n(); ++v) {
       BitWriter w;
       w.write(v, v % 2 == 0 ? 8 : 16);  // odd nodes violate the budget
-      msgs[v] = Message::from(w);
+      msgs[v] = w;
     }
     net.exchange_broadcast(msgs);
     return net.metrics();
@@ -632,7 +629,7 @@ TEST(Sharded, StrictViolationThrows) {
     BitWriter w;
     w.write(0, 9);
     EXPECT_THROW(
-        net.exchange_broadcast(std::vector<Message>(4, Message::from(w))),
+        net.exchange_broadcast(std::vector<BitWriter>(4, w)),
         CongestViolation)
         << shards << " shards";
   }
@@ -666,7 +663,7 @@ TEST(Sharded, CrossShardTrafficCountsTheCut) {
       for (NodeId v : g.neighbors(u)) {
         BitWriter w;
         w.write(u, 40);
-        out[u].emplace_back(v, Message::from(w));
+        out[u].emplace_back(v, w);
       }
     }
     net.exchange(out);
@@ -689,11 +686,11 @@ TEST(Sharded, CrossShardTrafficCountsTheCut) {
     // Broadcast fast path, all live: same four boundary deliveries.
     Network net(g);
     net.set_engine(Network::Engine::kSharded, 2);
-    std::vector<Message> msgs(g.n());
+    std::vector<BitWriter> msgs(g.n());
     for (NodeId v = 0; v < g.n(); ++v) {
       BitWriter w;
       w.write(v, 10);
-      msgs[v] = Message::from(w);
+      msgs[v] = w;
     }
     net.exchange_broadcast(msgs);
     EXPECT_EQ(net.cross_shard_traffic().messages, 4u);

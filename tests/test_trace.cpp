@@ -12,10 +12,10 @@
 namespace ldc {
 namespace {
 
-Message make_msg(std::uint64_t v, int bits) {
+BitWriter make_msg(std::uint64_t v, int bits) {
   BitWriter w;
   w.write(v, bits);
-  return Message::from(w);
+  return w;
 }
 
 TEST(Trace, RecordsPerRoundAggregates) {
@@ -24,9 +24,9 @@ TEST(Trace, RecordsPerRoundAggregates) {
   Trace trace;
   net.attach_trace(&trace);
   trace.mark("phase-a");
-  net.exchange_broadcast(std::vector<Message>(4, make_msg(1, 8)));
+  net.exchange_broadcast(std::vector<BitWriter>(4, make_msg(1, 8)));
   trace.mark("phase-b");
-  net.exchange_broadcast(std::vector<Message>(4, make_msg(1, 4)));
+  net.exchange_broadcast(std::vector<BitWriter>(4, make_msg(1, 4)));
   ASSERT_EQ(trace.rounds().size(), 2u);
   EXPECT_EQ(trace.rounds()[0].messages, 8u);
   EXPECT_EQ(trace.rounds()[0].bits, 64u);
@@ -42,17 +42,17 @@ TEST(Trace, DigestDistinguishesTranscripts) {
   {
     Network net(g);
     net.attach_trace(&a);
-    net.exchange_broadcast(std::vector<Message>(4, make_msg(1, 8)));
+    net.exchange_broadcast(std::vector<BitWriter>(4, make_msg(1, 8)));
   }
   {
     Network net(g);
     net.attach_trace(&b);
-    net.exchange_broadcast(std::vector<Message>(4, make_msg(1, 8)));
+    net.exchange_broadcast(std::vector<BitWriter>(4, make_msg(1, 8)));
   }
   {
     Network net(g);
     net.attach_trace(&c);
-    net.exchange_broadcast(std::vector<Message>(4, make_msg(1, 9)));
+    net.exchange_broadcast(std::vector<BitWriter>(4, make_msg(1, 9)));
   }
   EXPECT_EQ(a.digest(), b.digest());
   EXPECT_NE(a.digest(), c.digest());
@@ -124,10 +124,10 @@ TEST(Trace, AdvanceRoundsRecordsSilentRounds) {
   Network net(g);
   Trace t;
   net.attach_trace(&t);
-  net.exchange_broadcast(std::vector<Message>(4, make_msg(1, 8)));
+  net.exchange_broadcast(std::vector<BitWriter>(4, make_msg(1, 8)));
   t.mark("silent-phase");
   net.advance_rounds(3);
-  net.exchange_broadcast(std::vector<Message>(4, make_msg(1, 8)));
+  net.exchange_broadcast(std::vector<BitWriter>(4, make_msg(1, 8)));
   EXPECT_EQ(net.metrics().rounds, 5u);
   ASSERT_EQ(t.rounds().size(), 5u);
   for (std::size_t i = 1; i <= 3; ++i) {
@@ -147,7 +147,7 @@ TEST(Trace, AbsorbRecordsAggregateAndSilentRounds) {
   Network net(g);
   Trace t;
   net.attach_trace(&t);
-  net.exchange_broadcast(std::vector<Message>(4, make_msg(1, 8)));
+  net.exchange_broadcast(std::vector<BitWriter>(4, make_msg(1, 8)));
   RunMetrics sub;
   sub.rounds = 3;
   sub.messages = 10;
