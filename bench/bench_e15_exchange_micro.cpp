@@ -175,8 +175,8 @@ std::vector<LiveMix> live_mixes(NodeId n) {
   return mixes;
 }
 
-// Masked rounds: a fixed live set broadcasts every round, through the
-// pooled message plane or the fused word plane. The kernel resolves them with
+// Masked rounds: a fixed live set broadcasts every round, as messages or
+// as one word per sender. The kernel resolves them with
 // the push or the pull survivor walk, whichever its crossover picks, so
 // the rows pin both walks' throughput and their zero-allocation steady
 // state.

@@ -1,10 +1,13 @@
 // E18 (harness) — node-program micro: fused word-broadcast rounds.
 //
 // Broadcast-only rounds whose payload is a single bounded word (a color,
-// a candidate index) dominate the Linial and OLDC schedules. The fused
-// fast path (Network::exchange_broadcast_word) skips per-edge mail
-// entirely: one word per *sender* instead of one payload writer, one pool
-// entry and one inbox slot per *edge*. This experiment pins the claim from both sides:
+// a candidate index) dominate the Linial and OLDC schedules. The word
+// path (Network::exchange_broadcast_word, "fused") posts each sender's
+// word as it is; the message path ("unfused") writes it with a BitWriter
+// per sender and each receiver decodes it with read_bounded. Both rows
+// are dense rounds, which fill no per-edge slot, so the speedup measures
+// just that write and decode. This experiment pins the claim from both
+// sides:
 //
 //  - Deterministic columns: per-round traffic (identical to the unfused
 //    path by construction — the accounting is replicated, not

@@ -3,10 +3,11 @@
 // colors in O(Delta * log(m / Delta)) rounds by halving the palette in
 // parallel blocks of 2(Delta+1) colors, one upper color class per round.
 //
-// Every round is a fused word round (Network::exchange_broadcast_word):
-// first every node announces its color, then, in each halving pass, the
-// upper-half classes are bucketed once and round `off` masks in only its
-// class's nodes, which broadcast the color they recolor to. Picks run over
+// Every round is a word round (Network::exchange_broadcast_word, one
+// bounded word per sender): first every node announces its color in one
+// dense round, then, in each halving pass, the upper-half classes are
+// bucketed once and round `off` lists only its class's nodes as senders,
+// which broadcast the color they recolor to. Picks run over
 // the class and decodes over its neighbours (ClassRounds), so a round
 // costs its class, not n; neighbour colors live in one CSR-aligned array.
 #pragma once

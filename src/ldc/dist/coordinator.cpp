@@ -366,12 +366,13 @@ void Coordinator::bind(const Graph& g, std::size_t budget_bits, bool strict) {
   const std::size_t K = conns_.size();
   part_ = Partition::degree_balanced(graph_, K);
 
-  // Each shard's halo: ghost_edges prices dense word rounds. Workers
-  // build the same ShardTopology; the assign ack cross-checks it (ghost
-  // edges and ghost count), so a topology disagreement can never survive
-  // the attach.
+  // Each shard's halo: workers build the same ShardTopology, and the
+  // assign ack cross-checks it (ghost edges and ghost count), so a
+  // topology disagreement can never survive the attach. The cut senders
+  // price dense rounds.
   for (std::size_t k = 0; k < K; ++k) {
     conns_[k].topo.build(graph_, part_.begin(k), part_.end(k));
+    conns_[k].cut = cut_senders(graph_, part_.begin(k), part_.end(k));
     PayloadWriter w;
     w.u32(static_cast<std::uint32_t>(k));
     w.u32(static_cast<std::uint32_t>(K));
@@ -417,14 +418,14 @@ ShardStaging Coordinator::tally(const ShardStaging& st) {
   return st;
 }
 
-template <typename Slot, typename Head, typename Decode>
+template <typename Head, typename Decode>
 ShardStaging Coordinator::splice(const std::vector<Frame>& replies,
                                  const char* what, MailArena& a,
                                  const Head& head, const Decode& decode) {
   const std::size_t K = replies.size();
   std::vector<std::uint32_t> counts(K);
   for (std::size_t k = 0; k < K; ++k) counts[k] = replies[k].header.count;
-  const ArenaLayout<Slot> out = a.lay_out<Slot>(graph_.n(), counts);
+  const ArenaLayout out = a.lay_out(graph_.n(), counts);
   ShardStaging st;
   std::vector<std::uint32_t> rows;
   for (std::size_t k = 0; k < K; ++k) {
@@ -592,7 +593,7 @@ ShardStaging Coordinator::exchange(
   replies.reserve(K);
   for (std::optional<Frame>& f : inbox) replies.push_back(std::move(*f));
   std::vector<std::uint64_t>& pool = a.pool();
-  return tally(splice<MailSlot>(
+  return tally(splice(
       replies, "inbox", a, [](PayloadReader& r) { return decode_summary(r); },
       [&](PayloadReader& r, std::size_t, NodeId) {
         const NodeId u = r.u32();
@@ -629,17 +630,26 @@ std::vector<Frame> Coordinator::collect_replies(FrameKind kind,
   return out;
 }
 
-template <typename Slot, typename BitsOf, typename SlotOf>
-ShardStaging Coordinator::survivor_round(const RoundContext& rc,
-                                         const LiveSenders& live,
-                                         MailArena& a, const BitsOf& bits_of,
-                                         const SlotOf& slot_of) {
+ShardStaging Coordinator::broadcast(const RoundContext& rc,
+                                    const LiveSenders* live, MailArena& a) {
+  const MailSlot* posted = a.posted();
+  if (live == nullptr) {
+    // A dense round fills no slot and sends no frame: its cut traffic is
+    // priced from the partition fixed at bind, as in-process.
+    ShardStaging st;
+    for (const WorkerConn& c : conns_) st += dense_cut_traffic(c.cut, posted);
+    return tally(st);
+  }
+
+  // Each worker gets the fault context and the transmit bitmap (kBcast),
+  // resolves its range's drop and corruption decisions, and returns the
+  // surviving sender ids (kInboxIds).
   const std::uint32_t n = graph_.n();
   std::string payload;
   {
     PayloadWriter w;
     encode_fault_ctx(w, rc.faults, rc.down, n);
-    const std::string bits = pack_bitmap(live.flags, n);
+    const std::string bits = pack_bitmap(live->flags, n);
     w.raw(bits.data(), bits.size());
     payload = w.take();
   }
@@ -649,8 +659,11 @@ ShardStaging Coordinator::survivor_round(const RoundContext& rc,
   }
   const std::vector<Frame> replies =
       collect_replies(FrameKind::kInboxIds, rc.round, "broadcast");
+  // The splice points each survivor at its sender's posted entry; a
+  // corrupted one gets its own flipped copy, appended to the pool.
+  std::vector<std::uint64_t>& pool = a.pool();
   ShardStaging cut;
-  ShardStaging st = splice<Slot>(
+  ShardStaging st = splice(
       replies, "inbox_ids", a,
       [](PayloadReader& r) {
         ShardStaging events;
@@ -661,83 +674,23 @@ ShardStaging Coordinator::survivor_round(const RoundContext& rc,
       [&](PayloadReader& r, std::size_t k, NodeId v) {
         const NodeId u = r.u32();
         if (u >= n) throw FrameError("inbox_ids: sender out of range");
+        if (live->flags[u] == 0) {
+          throw FrameError("inbox_ids: sender did not transmit");
+        }
+        MailSlot slot = posted[u];
         if (u < part_.begin(k) || u >= part_.end(k)) {
           ++cut.traffic_messages;
-          cut.traffic_bits += bits_of(u);
+          cut.traffic_bits += slot.bits;
         }
-        return slot_of(u, v,
-                       rc.faults != nullptr &&
-                           rc.faults->corrupts_message(rc.round, u, v));
-      });
-  return tally(st += cut);
-}
-
-ShardStaging Coordinator::broadcast(const RoundContext& rc,
-                                    const LiveSenders* live, MailArena& a) {
-  const std::uint32_t n = graph_.n();
-  const std::size_t K = conns_.size();
-  const MailSlot* posted = a.posted();
-  if (live == nullptr) {
-    // Every sender live, no faults: every inbox is the sorted neighbour
-    // list, which the coordinator lays out itself with the kernel's
-    // broadcast fill, range by range, without a round trip. Logical
-    // traffic accrues exactly as in-process. An all-live round never
-    // touches a range's scratch.
-    ShardStaging st;
-    RangeScratch unused;
-    std::vector<std::uint32_t> counts(K);
-    for (std::size_t k = 0; k < K; ++k) {
-      counts[k] = ShardRound::count(rc, part_.begin(k), part_.end(k),
-                                    nullptr, unused, st);
-    }
-    const auto out = a.lay_out<MailSlot>(n, counts);
-    for (std::size_t k = 0; k < K; ++k) {
-      ShardRound::fill_broadcast(rc, part_.begin(k), part_.end(k), nullptr,
-                                 posted, unused, out[k], st);
-    }
-    return tally(st);
-  }
-
-  // The splice points each survivor at its sender's posted entry; a
-  // corrupted one gets its own flipped copy, appended to the pool.
-  std::vector<std::uint64_t>& pool = a.pool();
-  return survivor_round<MailSlot>(
-      rc, *live, a, [&](NodeId u) { return posted[u].bits; },
-      [&](NodeId u, NodeId v, bool corrupt) {
-        MailSlot slot = posted[u];
-        if (corrupt) {
+        if (rc.faults != nullptr &&
+            rc.faults->corrupts_message(rc.round, u, v)) {
           const std::uint64_t to = pool.size();
           pool.resize(to + payload_words(slot.bits));
           ShardRound::corrupt_copy(rc, u, v, pool.data(), to, slot);
         }
         return slot;
       });
-}
-
-ShardStaging Coordinator::words(const RoundContext& rc,
-                                const LiveSenders* live,
-                                const std::vector<std::uint64_t>& words,
-                                std::size_t bits, MailArena& a) {
-  if (live == nullptr) {
-    // Dense mode is coordinator-local (the serial one-word-per-sender
-    // layout); the priced halo is ghost_edges per shard, fixed at bind.
-    std::copy(words.begin(), words.end(), a.lay_out_words(graph_.n()));
-    ShardStaging st;
-    for (const WorkerConn& c : conns_) {
-      st.traffic_messages += c.topo.ghost_edges;
-      st.traffic_bits += c.topo.ghost_edges * bits;
-    }
-    return tally(st);
-  }
-  return survivor_round<WordSlot>(
-      rc, *live, a, [&](NodeId) { return bits; },
-      [&](NodeId u, NodeId v, bool corrupt) {
-        WordSlot slot{u, words[u]};
-        if (corrupt) {
-          rc.faults->corrupt_payload(rc.round, u, v, &slot.value, bits);
-        }
-        return slot;
-      });
+  return tally(st += cut);
 }
 
 void Coordinator::shutdown_workers() {

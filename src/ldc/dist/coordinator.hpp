@@ -2,16 +2,19 @@
 // sockets, and the barrier protocol (DESIGN.md §12).
 //
 // A Coordinator is a DistBackend: attach it to a Network with
-// attach_dist() and every exchange / broadcast / fused-word round is
-// executed by K `ldc_shard` worker processes, each running the shard-round
-// kernel over its contiguous vertex range, with the per-(src, dst) batch
-// buffers traveling as digest-sealed frames. The
-// coordinator is the hub: it relays batches between workers, acks each
-// one, and closes round N only when all K² batch frames for N are acked
-// and all K inbox frames are in — then splices the per-shard inbox CSRs
-// into the Network's master arena through its layout helper, range k at
-// base k, which (the ranges being contiguous and ascending) reproduces the
-// serial layout byte for byte.
+// attach_dist() and every exchange round, and every broadcast round
+// (message or word) that fills slots, is executed by K `ldc_shard` worker
+// processes, each running the shard-round kernel over its contiguous
+// vertex range, with the per-(src, dst) batch buffers traveling as
+// digest-sealed frames. The coordinator is the hub: it relays batches
+// between workers, acks each one, and closes round N only when all K²
+// batch frames for N are acked and all K inbox frames are in — then
+// splices the per-shard inbox CSRs into the Network's master arena
+// through its layout helper, range k at base k, which (the ranges being
+// contiguous and ascending) reproduces the serial layout byte for byte. A
+// dense broadcast (every node sending, fault-free) fills no slot and
+// sends no frame: the coordinator prices its cut traffic from the
+// partition fixed at bind.
 //
 // Two ways to get workers:
 //  * spawn mode (default): fork+exec K `ldc_shard` processes over
@@ -109,11 +112,15 @@ class Coordinator : public DistBackend {
   ShardStaging exchange(const RoundContext& rc,
                         const std::vector<std::vector<Envelope>>& outboxes,
                         MailArena& a) override;
+  /// A broadcast that fills slots is one frame pair per worker: each
+  /// gets the fault context and the transmit bitmap (kBcast), resolves
+  /// its range's drop and corruption decisions, and returns the surviving
+  /// sender ids (kInboxIds). The coordinator holds every sender's posted
+  /// payload, so it points each slot at it, re-applies the pure PRF
+  /// corruption to the destination's own copy, and prices a delivery
+  /// across the cut at its payload's bits.
   ShardStaging broadcast(const RoundContext& rc, const LiveSenders* live,
                          MailArena& a) override;
-  ShardStaging words(const RoundContext& rc, const LiveSenders* live,
-                     const std::vector<std::uint64_t>& words,
-                     std::size_t bits, MailArena& a) override;
 
  private:
   struct WorkerConn {
@@ -125,8 +132,9 @@ class Coordinator : public DistBackend {
     std::size_t outq_off = 0;
     bool eof = false;
     /// The worker's range and halo, built at bind and verified against
-    /// the worker's own kAssignAck.
+    /// the worker's own kAssignAck, and the range's cut senders.
     ShardTopology topo;
+    std::vector<CutSender> cut;
   };
 
   void spawn_workers(const std::string& corpus_path, std::size_t k);
@@ -169,21 +177,9 @@ class Coordinator : public DistBackend {
   /// header fields (read by head, returning their staging), then its
   /// range's e - b + 1 row offsets from 0, then header.count slots, each
   /// read by decode(reader, shard, destination).
-  template <typename Slot, typename Head, typename Decode>
+  template <typename Head, typename Decode>
   ShardStaging splice(const std::vector<Frame>& replies, const char* what,
                       MailArena& a, const Head& head, const Decode& decode);
-
-  /// A masked or faulty broadcast or word round. Each worker gets the
-  /// fault context and the transmit bitmap (kBcast), resolves its range's
-  /// drop and corruption decisions, and returns the surviving sender ids
-  /// (kInboxIds). The coordinator holds every sender's payload, so it
-  /// rebuilds each slot as slot_of(u, v, corrupt), which re-applies the
-  /// pure PRF corruption to the destination's copy, and prices a
-  /// delivery across the cut at bits_of(u).
-  template <typename Slot, typename BitsOf, typename SlotOf>
-  ShardStaging survivor_round(const RoundContext& rc,
-                              const LiveSenders& live, MailArena& a,
-                              const BitsOf& bits_of, const SlotOf& slot_of);
 
   /// Adds a finished round's cut traffic to traffic_; returns st.
   ShardStaging tally(const ShardStaging& st);

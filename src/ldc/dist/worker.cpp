@@ -314,7 +314,7 @@ void ShardWorker::handle_outbox(const Frame& f) {
       [&](std::size_t j) -> const std::vector<BatchEntry>& {
         return incoming[j];
       },
-      scratch_, arena_.lay_out<MailSlot>(owned, slots, b, pool_words));
+      scratch_, arena_.lay_out(owned, slots, b, pool_words));
   const std::uint32_t total = arena_.offsets()[owned];
   PayloadWriter w;
   encode_summary(w, sum);
@@ -342,16 +342,17 @@ void ShardWorker::handle_bcast(const Frame& f) {
   const LiveSenders live = LiveSenders::collect(g, live_.data(), live_ids_);
 
   // The count and fill passes over sender ids only: the coordinator holds
-  // the messages or words and rebuilds the slots. A broadcast and a word
-  // round with the same mask and faults move the same frames.
+  // the posted payloads (a word round's one word each) and rebuilds the
+  // slots, so a broadcast and a word round with the same mask and faults
+  // move the same frames.
   const RoundContext rc = context(f.header.round, ctx);
   ShardStaging sum;
   const std::uint32_t total =
-      ShardRound::count(rc, b, e, &live, scratch_, sum);
+      ShardRound::count(rc, b, e, live, scratch_, sum);
   std::vector<std::uint32_t> offsets(static_cast<std::size_t>(owned) + 1);
   std::vector<NodeId> senders(total);
   ShardRound::fill_rows(
-      rc, b, e, &live, scratch_,
+      rc, b, e, live, scratch_,
       ArenaRange<NodeId>{offsets.data(), senders.data(), b, 0},
       [](NodeId& slot, NodeId u, NodeId, bool) { slot = u; });
   offsets[owned] = total;

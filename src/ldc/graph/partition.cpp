@@ -93,4 +93,14 @@ void ShardTopology::build(const Graph& g, NodeId b, NodeId e) {
   }
 }
 
+std::vector<CutSender> cut_senders(const Graph& g, NodeId b, NodeId e) {
+  std::vector<CutSender> cut;
+  for (NodeId v = b; v < e; ++v) {
+    std::uint32_t across = 0;
+    for (const NodeId u : g.neighbors(v)) across += u < b || u >= e ? 1 : 0;
+    if (across != 0) cut.push_back(CutSender{v, across});
+  }
+  return cut;
+}
+
 }  // namespace ldc

@@ -9,8 +9,10 @@
 //
 // A ShardTopology is one shard's halo facts: the owned range, the sorted
 // ghost list (out-of-range neighbours of owned vertices) and the number of
-// adjacency entries that point at a ghost — what a fused-word round prices
-// as cut traffic and what a worker process needs shipped to it.
+// adjacency entries that point at a ghost — what a worker process needs
+// shipped to it, and echoes at attach. A range's cut senders (owned
+// vertices with neighbours across the cut, and how many) price a dense
+// round's cut traffic.
 #pragma once
 
 #include <algorithm>
@@ -77,5 +79,16 @@ struct ShardTopology {
   /// Collects the halo of [vbegin, vend) in g.
   void build(const Graph& g, NodeId vbegin, NodeId vend);
 };
+
+/// A vertex with neighbours outside its range, and how many: every
+/// message it broadcasts crosses the cut that many times.
+struct CutSender {
+  NodeId v;
+  std::uint32_t cut_degree;
+};
+
+/// The cut senders of range [b, e) in g, ascending; their degrees sum to
+/// the range's ghost edges.
+std::vector<CutSender> cut_senders(const Graph& g, NodeId b, NodeId e);
 
 }  // namespace ldc

@@ -1,6 +1,8 @@
 #include "ldc/linial/linial.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ldc/linial/cover_free.hpp"
@@ -13,25 +15,39 @@ std::uint64_t conflict_bound(const Graph& g, const Options& opt) {
   return std::max<std::uint64_t>(1, g.max_degree());
 }
 
-}  // namespace
+/// Throws std::overflow_error unless every colour below `palette` fits a
+/// Color.
+void check_fits_color(std::uint64_t palette) {
+  if (palette - 1 > std::numeric_limits<Color>::max()) {
+    throw std::overflow_error(
+        "linial: a palette of " + std::to_string(palette) +
+        " colours does not fit the 32-bit Color type");
+  }
+}
 
-std::uint64_t reduce_once(Network& net, Coloring& phi, std::uint64_t palette,
-                          std::uint32_t defect, const Options& opt) {
+/// One reduction round from the proper `palette`-colouring phi, whose
+/// colours are Colors or, in color()'s first round, the 64-bit ids, into
+/// next. Returns the new palette.
+template <typename In>
+std::uint64_t reduce_into(Network& net, const std::vector<In>& phi,
+                          std::uint64_t palette, std::uint32_t defect,
+                          const Options& opt, Coloring& next) {
   const Graph& g = net.graph();
   const RsFamily fam = choose_family(palette, conflict_bound(g, opt), defect);
+  check_fits_color(fam.output_space());
   // Per-round GF(q) tables: digits split once per color, x^j mod q looked
   // up instead of recomputed per (color, x) pair.
   const RsEvalTable tab(fam);
   const unsigned k = fam.deg + 1;
 
   // Round: everyone broadcasts its current color (O(log palette) bits) —
-  // one bounded word per node, the fused fast path.
+  // one bounded word per node, a word round.
   std::vector<std::uint64_t> words(g.n());
   net.run_node_programs(
       [&](NodeId v) { words[v] = phi[v]; });
   const WordMail inboxes = net.exchange_broadcast_word(words, palette - 1);
 
-  Coloring next(g.n());
+  next.resize(g.n());
   net.run_node_programs([&](NodeId v) {
     // The conflicting neighbours' colours, then (only if needed) their
     // digits behind the node's own: per-thread buffers, reused.
@@ -91,8 +107,23 @@ std::uint64_t reduce_once(Network& net, Coloring& phi, std::uint64_t palette,
     // The family element (best_x, p_phi[v](best_x)).
     next[v] = static_cast<Color>(best_x * fam.q + best_value);
   });
-  phi = std::move(next);
   return fam.output_space();
+}
+
+}  // namespace
+
+std::uint64_t reduce_once(Network& net, Coloring& phi, std::uint64_t palette,
+                          std::uint32_t defect, const Options& opt) {
+  Coloring next;
+  const std::uint64_t out = reduce_into(net, phi, palette, defect, opt, next);
+  phi = std::move(next);
+  return out;
+}
+
+std::uint64_t reduce_once(Network& net, const std::vector<std::uint64_t>& phi,
+                          Coloring& next, std::uint64_t palette,
+                          std::uint32_t defect, const Options& opt) {
+  return reduce_into(net, phi, palette, defect, opt, next);
 }
 
 Result color_from(Network& net, Coloring phi, std::uint64_t palette,
@@ -111,10 +142,24 @@ Result color_from(Network& net, Coloring phi, std::uint64_t palette,
 
 Result color(Network& net, const Options& opt) {
   const Graph& g = net.graph();
-  Coloring phi(g.n());
-  net.run_node_programs(
-      [&](NodeId v) { phi[v] = static_cast<Color>(g.id(v)); });
-  return color_from(net, std::move(phi), g.max_id() + 1, opt);
+  // The ids are a proper (max_id + 1)-colouring of 64-bit colours, so the
+  // first round runs on them whole; its output space fits a Color.
+  std::vector<std::uint64_t> ids(g.n());
+  net.run_node_programs([&](NodeId v) { ids[v] = g.id(v); });
+  const std::uint64_t palette = g.max_id() + 1;
+  Coloring phi;
+  if (opt.max_rounds == 0 ||
+      choose_family(palette, conflict_bound(g, opt), 0).output_space() >=
+          palette) {
+    // No round runs: the ids themselves are the result.
+    check_fits_color(palette);
+    phi.assign(ids.begin(), ids.end());
+    return Result{std::move(phi), palette};
+  }
+  Options rest = opt;
+  --rest.max_rounds;
+  const std::uint64_t reduced = reduce_into(net, ids, palette, 0, opt, phi);
+  return color_from(net, std::move(phi), reduced, rest);
 }
 
 }  // namespace ldc::linial

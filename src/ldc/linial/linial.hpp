@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "ldc/coloring/instance.hpp"
 #include "ldc/runtime/network.hpp"
@@ -35,11 +36,21 @@ struct Result {
 /// `defect` allows each node up to that many agreeing conflict-neighbors
 /// (the [Kuh09] defective step); with defect > 0 the output is a
 /// defect-accumulating coloring, so callers must track budgets.
+/// Throws std::overflow_error when the output palette does not fit a
+/// Color.
 std::uint64_t reduce_once(Network& net, Coloring& phi, std::uint64_t palette,
                           std::uint32_t defect, const Options& opt);
 
+/// reduce_once() from 64-bit input colours `phi` (color()'s first round,
+/// on the ids) into `next`.
+std::uint64_t reduce_once(Network& net, const std::vector<std::uint64_t>& phi,
+                          Coloring& next, std::uint64_t palette,
+                          std::uint32_t defect, const Options& opt);
+
 /// Full driver: iterate proper reduction steps from the ID coloring until
-/// the palette stops shrinking.
+/// the palette stops shrinking. The first step runs on the full 64-bit
+/// ids. Throws std::overflow_error when a palette it must hand out does
+/// not fit a Color.
 Result color(Network& net, const Options& opt = {});
 
 /// Same, but starting from a given proper `palette`-coloring.

@@ -162,8 +162,8 @@ OldcResult solve_single_defect(Network& net, const SingleDefectInput& in) {
   });
   for (NodeId v = 0; v < n; ++v) res.stats.p1_relaxed += p1_relaxed[v];
 
-  // --- Round 2: broadcast the chosen candidate index (one bounded word:
-  // the fused fast path).
+  // --- Round 2: broadcast the chosen candidate index (one bounded
+  // word: a word round).
   net.mark("oldc/p1-index");
   {
     std::vector<std::uint64_t> words(n);

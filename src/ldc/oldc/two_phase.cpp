@@ -119,12 +119,12 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
   auto edge = [&](NodeId v, NodeId u) {
     return g.row_begin(v) + g.neighbor_index(v, u);
   };
-  std::vector<std::uint64_t> words(n);  // every fused round's payloads
+  std::vector<std::uint64_t> words(n);  // every word round's payloads
   std::vector<NodeId> members;          // a class, ascending: its senders
 
   net.mark("two-phase/class-announce");
-  // --- One round: everyone announces its gamma-class (one bounded word:
-  // the fused fast path).
+  // --- One round: everyone announces its gamma-class (one bounded
+  // word: a word round).
   std::vector<std::uint32_t> nb_cls(2 * g.m());
   {
     for (NodeId v = 0; v < n; ++v) words[v] = cls[v];
@@ -261,7 +261,7 @@ TwoPhaseResult solve_two_phase(Network& net, const TwoPhaseInput& in) {
       own_set[v] = pending_family[v]->set(best_j);
     }
 
-    // Round B: V_i broadcasts the chosen index (fused: one bounded word).
+    // Round B: V_i broadcasts the chosen index (one bounded word).
     {
       for (NodeId v : members) words[v] = chosen[v];
       const WordMail inboxes =

@@ -44,10 +44,10 @@ Result repair(Network& net, const LdcInstance& inst, Coloring phi,
 
   // Round state, kept across rounds. The (neighbor, color) pairs v heard
   // this round sit at the start of its CSR row of `heard`.
-  std::vector<BitWriter> msgs(g.n());  // both rounds' payloads
+  std::vector<BitWriter> msgs(g.n());  // the colour round's payloads
   std::vector<std::pair<NodeId, Color>> heard(2 * g.m());
   std::vector<std::uint32_t> heard_count(g.n());
-  std::vector<bool> is_violated(g.n());
+  std::vector<std::uint64_t> is_violated(g.n());  // the contention words
   auto nb_colors = [&](NodeId v) {
     return std::span(heard.data() + g.row_begin(v), heard_count[v]);
   };
@@ -86,22 +86,19 @@ Result repair(Network& net, const LdcInstance& inst, Coloring phi,
 
     bool any = false;
     for (NodeId v = 0; v < g.n(); ++v) {
-      is_violated[v] = violated(v);
-      any = any || is_violated[v];
+      is_violated[v] = violated(v) ? 1 : 0;
+      any = any || is_violated[v] != 0;
     }
     if (!any) {
       res.success = true;
       break;
     }
 
-    // Second exchange: violating nodes announce contention (1 bit). A node
-    // cannot deduce a neighbor's violation status locally (it depends on
-    // the neighbor's private list), so this costs a round.
-    for (NodeId v = 0; v < g.n(); ++v) {
-      msgs[v].clear();
-      msgs[v].write(is_violated[v] ? 1 : 0, 1);
-    }
-    net.exchange_broadcast(msgs);
+    // Second exchange: violating nodes announce contention (a 1-bit word).
+    // A node cannot deduce a neighbor's violation status locally (it
+    // depends on the neighbor's private list), so this costs a round, and
+    // a node contends only with the neighbours whose 1 it received.
+    const WordMail contention = net.exchange_broadcast_word(is_violated, 1);
 
     // Priorities are PRF(round, id): computable by neighbors without extra
     // communication (ids are known).
@@ -109,11 +106,10 @@ Result repair(Network& net, const LdcInstance& inst, Coloring phi,
       return prf.at(hash_combine(round, g.id(v)));
     };
     for (NodeId v = 0; v < g.n(); ++v) {
-      if (!is_violated[v]) continue;
+      if (is_violated[v] == 0) continue;
       bool local_max = true;
-      for (const auto& [u, c] : nb_colors(v)) {
-        (void)c;
-        if (is_violated[u] && priority(u) > priority(v)) {
+      for (const auto [u, contends] : contention[v]) {
+        if (contends == 1 && priority(u) > priority(v)) {
           local_max = false;
           break;
         }

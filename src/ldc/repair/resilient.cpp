@@ -21,8 +21,7 @@ ResilientResult run_resilient(Network& net, const LdcInstance& inst,
     res.phi.clear();
   }
   res.phi.resize(inst.n(), kUncolored);
-
-  if (!opt.faults_during_repair) net.attach_faults(nullptr);
+  net.attach_faults(nullptr);  // the faults were transient; repair runs clean
 
   const ValidationResult initial =
       validate_ldc(inst, res.phi, opt.repair.g);
@@ -39,8 +38,6 @@ ResilientResult run_resilient(Network& net, const LdcInstance& inst,
     }
     res.valid = validate_ldc(inst, res.phi, opt.repair.g).ok;
   }
-
-  net.attach_faults(nullptr);
   res.metrics = net.metrics();
   return res;
 }

@@ -3,7 +3,8 @@
 //
 // The harness attaches a FaultPlan to the network, runs an arbitrary colorer
 // (which may crash-stop nodes, lose messages, or decode corrupted payloads —
-// decoder exceptions are caught and treated as a failed run), validates the
+// decoder exceptions are caught and treated as a failed run), detaches the
+// plan (the faults were transient: the network has healed), validates the
 // outcome with validate_ldc, and if the coloring is invalid hands it to
 // repair::repair. The result reports the nodes that had to change color;
 // the repair phase's rounds carry the "resilient/repair" mark on an attached
@@ -28,11 +29,6 @@ struct ResilientOptions {
   FaultPlan plan;
   /// Passed through to repair::repair (seed, conflict width g, round cap).
   Options repair;
-  /// Keep the plan attached during the repair phase too. Defaults to false:
-  /// the standard experiment is "transient faults, then the network heals
-  /// and the coloring self-stabilizes". With true, repair itself runs under
-  /// fire and convergence is only guaranteed for sub-critical fault rates.
-  bool faults_during_repair = false;
 };
 
 struct ResilientResult {

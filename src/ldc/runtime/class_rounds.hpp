@@ -1,4 +1,4 @@
-// Colour-class rounds on the word plane: the round shape of the
+// Colour-class word rounds: the round shape of the
 // one-class-per-round baselines (reduce_by_classes, kw_reduce) and of
 // Theorem 1.3's batch commits (arb/list_arbdefective.cpp).
 //

@@ -67,10 +67,10 @@ struct FaultPlan {
   /// Applies the deterministic corruption for (round, from, to) to the
   /// `bits`-bit payload packed in `words`: flips one PRF-chosen bit below
   /// `bits` (no-op when bits == 0), so the words past the payload are
-  /// never touched. The runtime hands it a delivery's own copy. A fused
-  /// word round passes its one word: BitWriter packs a bounded value
+  /// never touched. The runtime hands it a delivery's own copy. A word
+  /// round's payload is its one word: BitWriter packs a bounded value
   /// LSB-first, so bit k of the word IS bit k of the equivalent payload,
-  /// and fused and unfused deliveries corrupt identically.
+  /// and word and message deliveries corrupt identically.
   void corrupt_payload(std::uint64_t round, NodeId from, NodeId to,
                        std::uint64_t* words, std::size_t bits) const;
 

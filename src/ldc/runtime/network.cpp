@@ -122,10 +122,11 @@ void Network::debug_check_sorted() const {
   // The ascending-sender invariant that replaced the per-inbox sort: the
   // kernel fills each inbox walking contiguous ascending source ranges in
   // order, and the broadcast fill follows the graph's sorted adjacency.
+  if (arena_.dense()) return;
   for (NodeId v = 0; v < graph_->n(); ++v) {
-    for (std::uint32_t i = arena_.offsets_[v] + 1; i < arena_.offsets_[v + 1];
-         ++i) {
-      assert(arena_.slots_[i - 1].sender < arena_.slots_[i].sender &&
+    const MailRow row = arena_.row(v);
+    for (std::size_t i = 1; i < row.size; ++i) {
+      assert(row.slots[i - 1].sender < row.slots[i].sender &&
              "inbox not in ascending sender order");
     }
   }
@@ -191,6 +192,7 @@ const LiveSenders* Network::live_senders(
 }
 
 void Network::finish_round(OpenRound& r, const ShardStaging& st) {
+  debug_check_sorted();
   st.merge_into(metrics_, r.max_bits, r.rf);
   metrics_.messages_dropped += r.rf.dropped;
   metrics_.messages_corrupted += r.rf.corrupted;
@@ -202,12 +204,6 @@ void Network::finish_round(OpenRound& r, const ShardStaging& st) {
                          metrics_.total_bits - r.bits_before, r.max_bits,
                          wall_ns, r.rf);
   }
-}
-
-RoundMail Network::seal_round(OpenRound& r, const ShardStaging& st) {
-  debug_check_sorted();
-  finish_round(r, st);
-  return RoundMail(&arena_, graph_->n());
 }
 
 RoundMail Network::exchange(const std::vector<Outbox>& outboxes) {
@@ -228,10 +224,38 @@ RoundMail Network::exchange(const std::vector<Outbox>& outboxes) {
         ShardRound::stage(r.ctx, 0, n, outbox_of, scratch_, st,
                           [](NodeId, NodeId, const BitWriter&) {});
     ShardRound::fill(r.ctx, 0, n, outbox_of, 1, 0, no_batches, scratch_,
-                     arena_.lay_out<MailSlot>(n, count, 0,
-                                              scratch_.pool_words));
+                     arena_.lay_out(n, count, 0, scratch_.pool_words));
   }
-  return seal_round(r, st);
+  finish_round(r, st);
+  return RoundMail(&arena_, n);
+}
+
+template <typename BitsOf, typename Post>
+void Network::broadcast(std::optional<std::span<const NodeId>> senders,
+                        const BitsOf& bits_of, const Post& post) {
+  OpenRound r = open_round();
+  const LiveSenders* live = live_senders(senders, r.ctx);
+  // Sender-side accounting runs here for every engine, in ascending
+  // sender order; the posting, then the engine's passes, follow.
+  ShardStaging st;
+  ShardRound::account_broadcast(r.ctx, live, bits_of, st);
+  // Each live sender's words go into the pool once, whatever the engine.
+  post(live);
+  if (live == nullptr) arena_.lay_out_dense(*graph_);
+  if (dist_ != nullptr) {
+    st += dist_->broadcast(r.ctx, live, arena_);
+  } else if (shards_ != nullptr) {
+    st += shards_->broadcast(r.ctx, live, arena_);
+  } else if (live != nullptr) {
+    const auto n = graph_->n();
+    const MailSlot* posted = arena_.posted();
+    const std::uint32_t count =
+        ShardRound::count(r.ctx, 0, n, *live, scratch_, st, posted);
+    ShardRound::fill_broadcast(
+        r.ctx, 0, n, *live, posted, scratch_,
+        arena_.lay_out(n, count, 0, scratch_.pool_words), st);
+  }
+  finish_round(r, st);
 }
 
 RoundMail Network::exchange_broadcast(
@@ -246,32 +270,16 @@ RoundMail Network::exchange_broadcast(
   if (senders) {
     check_node_list(*senders, n, "Network::exchange_broadcast");
   }
-  OpenRound r = open_round();
-  const LiveSenders* live = live_senders(senders, r.ctx);
-  // Sender-side accounting runs here for every engine, in ascending
-  // sender order; the count and fill passes follow.
-  ShardStaging st;
-  ShardRound::account_broadcast(
-      r.ctx, live, [&](NodeId u) { return msgs[u].bit_count(); }, st);
-  // Each live sender's words go into the pool once, whatever the engine.
-  if (live == nullptr) {
-    for (NodeId u = 0; u < n; ++u) arena_.post(u, msgs[u]);
-  } else {
-    for (NodeId u : live->ids) arena_.post(u, msgs[u]);
-  }
-  if (dist_ != nullptr) {
-    st += dist_->broadcast(r.ctx, live, arena_);
-  } else if (shards_ != nullptr) {
-    st += shards_->broadcast(r.ctx, live, arena_);
-  } else {
-    const MailSlot* posted = arena_.posted();
-    const std::uint32_t count =
-        ShardRound::count(r.ctx, 0, n, live, scratch_, st, posted);
-    ShardRound::fill_broadcast(
-        r.ctx, 0, n, live, posted, scratch_,
-        arena_.lay_out<MailSlot>(n, count, 0, scratch_.pool_words), st);
-  }
-  return seal_round(r, st);
+  broadcast(
+      senders, [&](NodeId u) { return msgs[u].bit_count(); },
+      [&](const LiveSenders* live) {
+        if (live == nullptr) {
+          for (NodeId u = 0; u < n; ++u) arena_.post(u, msgs[u]);
+        } else {
+          for (NodeId u : live->ids) arena_.post(u, msgs[u]);
+        }
+      });
+  return RoundMail(&arena_, n);
 }
 
 WordMail Network::exchange_broadcast_word(
@@ -290,43 +298,29 @@ WordMail Network::exchange_broadcast_word(
         "Network::exchange_broadcast_word: bound must be < 2^64-1 (the "
         "equivalent write_bounded width is ceil_log2(bound+1))");
   }
-  OpenRound r = open_round();
-  const LiveSenders* live = live_senders(senders, r.ctx);
   // Payload width of the round: every live sender transmits exactly the
   // bits write_bounded(word, bound) would pack, so metrics, trace rows,
   // and the strict-CONGEST throw point match the exchange_broadcast path.
-  const std::size_t bits = static_cast<std::size_t>(ceil_log2(bound + 1));
-  ShardStaging st;
-  ShardRound::account_broadcast(
-      r.ctx, live,
+  const auto bits = static_cast<std::uint32_t>(ceil_log2(bound + 1));
+  broadcast(
+      senders,
       [&](NodeId u) {
         assert(words[u] <= bound &&
                "exchange_broadcast_word: live sender's word exceeds bound");
         (void)u;
-        return bits;
+        return std::size_t{bits};
       },
-      st);
-  const bool dense = live == nullptr;
-  if (dist_ != nullptr) {
-    st += dist_->words(r.ctx, live, words, bits, arena_);
-  } else if (shards_ != nullptr) {
-    st += shards_->words(r.ctx, live, words, bits, arena_);
-  } else if (dense) {
-    // One word per sender; lanes are synthesized from the graph CSR at
-    // read time. O(n) work for an O(m) logical round.
-    std::copy(words.begin(), words.end(), arena_.lay_out_words(n));
-  } else {
-    const std::uint32_t count =
-        ShardRound::count(r.ctx, 0, n, live, scratch_, st);
-    ShardRound::fill_words(
-        r.ctx, 0, n, live, [&](NodeId u) { return words[u]; }, bits,
-        scratch_, arena_.lay_out<WordSlot>(n, count), st);
-  }
-  finish_round(r, st);
-  return WordMail(&arena_, graph_, dense, n);
+      [&](const LiveSenders* live) {
+        if (live == nullptr) {
+          arena_.post_words(words, bits);
+        } else {
+          for (NodeId u : live->ids) arena_.post_word(u, words[u], bits);
+        }
+      });
+  return WordMail(&arena_, n);
 }
 
-void Network::run_node_programs(const std::function<void(NodeId)>& fn) {
+void Network::run_node_programs(CallableRef<void(NodeId)> fn) {
   const std::uint64_t t0 = now_ns();
   if (shards_ != nullptr) {
     shards_->for_each_vertex(fn);
@@ -337,7 +331,7 @@ void Network::run_node_programs(const std::function<void(NodeId)>& fn) {
 }
 
 void Network::run_node_programs(std::span<const NodeId> nodes,
-                                const std::function<void(NodeId)>& fn) {
+                                CallableRef<void(NodeId)> fn) {
   check_node_list(nodes, graph_->n(), "Network::run_node_programs");
   const std::uint64_t t0 = now_ns();
   if (shards_ != nullptr) {

@@ -35,15 +35,18 @@
 //    (DESIGN.md §12), and cross_shard_traffic() reports the same logical
 //    counters the in-process sharded engine would.
 //
-// Every engine lands a round in the Network-owned round arena, in the
-// serial layout: ranges are laid out back to back at their bases
-// (MailArena::lay_out), so the RoundMail/WordMail views never depend on
-// the engine, and an engine switch never invalidates a view. Payloads
-// travel by copy, once: a broadcast posts each live sender's words in the
-// arena's word pool and an explicit exchange copies each delivered
-// message there, so a view never reads the caller's writers, and the
-// caller may clear and rewrite them for the next round as soon as the
-// exchange returns (mail.hpp).
+// Every round is one of two shapes: an explicit exchange, or a broadcast,
+// whose payloads are the senders' writers or, for a word round, one word
+// each. Every engine lands a round in the Network-owned round arena, in
+// the serial layout: ranges are laid out back to back at their bases
+// (MailArena::lay_out), and a dense broadcast (every node sending, no
+// fault plan) fills no slot at all, so the RoundMail/WordMail views never
+// depend on the engine, and an engine switch never invalidates a view.
+// Payloads travel by copy, once: a broadcast posts each live sender's
+// words in the arena's word pool and an explicit exchange copies each
+// delivered message there, so a view never reads the caller's writers or
+// words, and the caller may rewrite them for the next round as soon as
+// the exchange returns (mail.hpp).
 //
 // Shard count: an explicit set_engine() parameter, else the LDC_SHARDS
 // environment variable (strictly parsed), else hardware concurrency. One
@@ -145,6 +148,10 @@ class Network {
   /// bytes/frames are the backend's own wire_stats().
   ShardTraffic cross_shard_traffic() const;
 
+  /// The round arena, read-only, for code that inspects how the last
+  /// round landed: a dense round lays out no slot (arena().dense()).
+  const MailArena& arena() const { return arena_; }
+
   /// One synchronous round: delivers outboxes[u] (messages from u) and
   /// returns a view of the per-node inboxes, in ascending sender order.
   /// Each delivered payload is copied once into the arena's word pool.
@@ -169,33 +176,35 @@ class Network {
   /// metrics, trace and the round callback untouched. An empty list is a
   /// counted round with no deliveries. This is a fast path, not a
   /// wrapper: no outboxes are materialized — each live sender's words are
-  /// posted once in the arena's word pool, and the arena is filled
-  /// straight from the graph's CSR by the kernel's push or pull survivor
-  /// walk, each delivered slot pointing at its sender's one entry.
-  /// Observable behavior (metrics, trace, faults, inbox contents/order,
-  /// strict-CONGEST errors) is identical to building the equivalent
-  /// outboxes and calling exchange(). The returned view obeys the same
-  /// one-round lifetime as exchange(). A sender that keeps its writer
-  /// across rounds (clear() it, then write) allocates nothing in a steady
-  /// state.
+  /// posted once in the arena's word pool. A dense round (no list, no
+  /// fault plan) fills nothing: v's inbox is each neighbour's posted
+  /// entry, in adjacency order. Otherwise the kernel's push or pull
+  /// survivor walk fills slots straight from the graph's CSR, each
+  /// pointing at its sender's one entry. Observable behavior (metrics,
+  /// trace, faults, inbox contents/order, strict-CONGEST errors) is
+  /// identical to building the equivalent outboxes and calling
+  /// exchange(). The returned view obeys the same one-round lifetime as
+  /// exchange(). A sender that keeps its writer across rounds (clear()
+  /// it, then write) allocates nothing in a steady state.
   RoundMail exchange_broadcast(
       const std::vector<BitWriter>& msgs,
       std::optional<std::span<const NodeId>> senders = std::nullopt);
 
-  /// Fused fast path for the most common round shape: every node (or the
-  /// listed `senders`, under exchange_broadcast's list contract)
-  /// broadcasts ONE bounded value — exactly what a
-  /// `BitWriter::write_bounded(words[v], bound)` + exchange_broadcast round
-  /// sends, but with no payload writer and no per-edge slot fill
-  /// on the all-live path (the arena stores one word per *sender*; lanes
-  /// are synthesized from the graph CSR). Observable behavior — metrics,
-  /// trace rows, fault decisions and corrupted bit positions, inbox
-  /// contents/order, strict-CONGEST errors — is byte-identical to the
-  /// equivalent exchange_broadcast round: each delivery is accounted at
-  /// ceil_log2(bound+1) bits, and corruption flips the same PRF-chosen bit
-  /// (BitWriter packs LSB-first, so word bit k == payload bit k). Every
-  /// sender's word must be <= bound; bound must be < 2^64-1. The
-  /// returned view obeys the same one-round lifetime as exchange().
+  /// exchange_broadcast() for the most common round shape: every node (or
+  /// the listed `senders`, under the same list contract) broadcasts ONE
+  /// bounded value — exactly what a
+  /// `BitWriter::write_bounded(words[v], bound)` + exchange_broadcast
+  /// round sends, with no payload writer: each live sender's word is
+  /// posted as a one-word payload, and the round runs exchange_broadcast's
+  /// body. A dense lane reads neighbour u's word as pool word u. Observable
+  /// behavior — metrics, trace rows, fault decisions and corrupted bit
+  /// positions, inbox contents/order, strict-CONGEST errors — is
+  /// byte-identical to the equivalent exchange_broadcast round: each
+  /// delivery is accounted at ceil_log2(bound+1) bits, and corruption
+  /// flips the same PRF-chosen bit (BitWriter packs LSB-first, so word
+  /// bit k == payload bit k). Every sender's word must be <= bound; bound
+  /// must be < 2^64-1. The returned view obeys the same one-round
+  /// lifetime as exchange().
   WordMail exchange_broadcast_word(
       const std::vector<std::uint64_t>& words, std::uint64_t bound,
       std::optional<std::span<const NodeId>> senders = std::nullopt);
@@ -207,7 +216,9 @@ class Network {
   /// recorded round. Exceptions propagate; the one of the lowest throwing
   /// shard wins, as in a serial loop (though under kSharded other shards'
   /// callbacks may already have run).
-  void run_node_programs(const std::function<void(NodeId)>& fn);
+  /// fn is called through a CallableRef: a capturing lambda allocates
+  /// nothing.
+  void run_node_programs(CallableRef<void(NodeId)> fn);
 
   /// run_node_programs() over the listed nodes only, for a phase whose
   /// work sits on a known subset (one colour class, its receivers): fn(v)
@@ -217,7 +228,7 @@ class Network {
   /// Same ownership rule, wall-time booking and exception order as the
   /// all-node form.
   void run_node_programs(std::span<const NodeId> nodes,
-                         const std::function<void(NodeId)>& fn);
+                         CallableRef<void(NodeId)> fn);
 
   /// Accounts `k` silent rounds (structural rounds in which an algorithm
   /// phase passes without payload; kept so round counts match the paper's
@@ -307,7 +318,7 @@ class Network {
   }
 
  private:
-  /// Per-round bookkeeping shared by the three round shapes.
+  /// Per-round bookkeeping shared by the two round shapes.
   struct OpenRound {
     RoundContext ctx;
     RoundFaults rf;
@@ -353,19 +364,25 @@ class Network {
   const LiveSenders* live_senders(
       std::optional<std::span<const NodeId>> senders,
       const RoundContext& ctx);
-  /// Round epilogue: merges the round's staging, then fault counters, wall
-  /// clock, trace row.
+  /// Round epilogue: the order check, then merges the round's staging,
+  /// fault counters, wall clock, trace row.
   void finish_round(OpenRound& r, const ShardStaging& st);
-  /// Message-plane epilogue: order check + finish_round + arena view.
-  RoundMail seal_round(OpenRound& r, const ShardStaging& st);
+  /// The one broadcast body behind exchange_broadcast and
+  /// exchange_broadcast_word: opens the round, accounts bits_of(u) bits
+  /// per copy, has post(live) post the live senders' payloads (live ==
+  /// nullptr: every node, a dense round), then lands the round on the
+  /// engine.
+  template <typename BitsOf, typename Post>
+  void broadcast(std::optional<std::span<const NodeId>> senders,
+                 const BitsOf& bits_of, const Post& post);
   /// Debug-build check of the ascending-sender invariant that replaced the
-  /// per-inbox sort.
+  /// per-inbox sort (a dense round's rows are the sorted CSR).
   void debug_check_sorted() const;
 };
 
 /// Interface of the multi-process distributed engine (implemented by
 /// dist::Coordinator in src/ldc/dist/). The runtime stays free of any
-/// socket or process code: Network dispatches the three round shapes to
+/// socket or process code: Network dispatches the two round shapes to
 /// the attached backend exactly as it does to its ShardSet — same inputs,
 /// same master arena, staging returned for Network to merge — and the
 /// backend must land the exact bytes the in-process engines would (the
@@ -396,12 +413,10 @@ class DistBackend {
   virtual ShardStaging exchange(
       const RoundContext& rc,
       const std::vector<std::vector<Envelope>>& outboxes, MailArena& a) = 0;
-  /// The payloads are posted in `a` before the call.
+  /// The payloads are posted in `a` before the call; live == nullptr is
+  /// a dense round, which fills nothing and only prices its cut.
   virtual ShardStaging broadcast(const RoundContext& rc,
                                  const LiveSenders* live, MailArena& a) = 0;
-  virtual ShardStaging words(const RoundContext& rc, const LiveSenders* live,
-                             const std::vector<std::uint64_t>& words,
-                             std::size_t bits, MailArena& a) = 0;
 };
 
 inline std::size_t Network::threads() const {

@@ -1,10 +1,11 @@
 // ShardCrew / ShardSet: the worker-thread group, and the Engine::kSharded
-// runner of the shard-round kernel. Each round shape runs the kernel on
-// every shard's range, one crew worker per shard, lands the ranges back
-// to back in the master arena and merges the shards' staging in ascending
-// order; because shards own contiguous ascending vertex ranges, inbox
-// bytes, metrics, trace rows, and fault decisions are byte-identical to
-// kSerial's single range [0, n).
+// runner of the shard-round kernel. Each of the two round shapes runs the
+// kernel on every shard's range, one crew worker per shard, lands the
+// ranges back to back in the master arena and merges the shards' staging
+// in ascending order; because shards own contiguous ascending vertex
+// ranges, inbox bytes, metrics, trace rows, and fault decisions are
+// byte-identical to kSerial's single range [0, n). A dense broadcast has
+// no range to fill and only prices its cut.
 #include "ldc/runtime/shard.hpp"
 
 #include <algorithm>
@@ -42,7 +43,7 @@ void ShardCrew::stop_and_join() {
 void ShardCrew::worker_loop(std::size_t k) {
   std::uint64_t seen = 0;
   for (;;) {
-    const std::function<void(std::size_t)>* job = nullptr;
+    std::optional<Job> job;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
@@ -61,11 +62,11 @@ void ShardCrew::worker_loop(std::size_t k) {
   }
 }
 
-void ShardCrew::start(const std::function<void(std::size_t)>& job) {
+void ShardCrew::start(Job job) {
   if (workers_.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    job_ = &job;
+    job_ = job;
     std::fill(errors_.begin(), errors_.end(), std::exception_ptr{});
     unfinished_ = workers_.size();
     ++generation_;
@@ -77,7 +78,7 @@ void ShardCrew::wait() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return unfinished_ == 0; });
-    job_ = nullptr;
+    job_.reset();
   }
   // Lowest shard = lowest sender range: matches the error order the other
   // engines guarantee.
@@ -88,6 +89,16 @@ void ShardCrew::wait() {
 
 // ----------------------------------------------------------- shard set --
 
+ShardStaging dense_cut_traffic(std::span<const CutSender> cut,
+                               const MailSlot* posted) {
+  ShardStaging st;
+  for (const CutSender& c : cut) {
+    st.traffic_messages += c.cut_degree;
+    st.traffic_bits += std::uint64_t{c.cut_degree} * posted[c.v].bits;
+  }
+  return st;
+}
+
 ShardSet::ShardSet(const Graph& g, std::size_t shards)
     : part_(Partition::degree_balanced(g, shards)),
       states_(part_.shards()),
@@ -96,7 +107,9 @@ ShardSet::ShardSet(const Graph& g, std::size_t shards)
       crew_(part_.shards()) {
   crew_.run([&](std::size_t k) {
     ShardState& st = states_[k];
-    st.topo.build(g, part_.begin(k), part_.end(k));
+    st.begin = part_.begin(k);
+    st.end = part_.end(k);
+    st.cut = cut_senders(g, st.begin, st.end);
     st.outgoing.resize(states_.size());
   });
 }
@@ -107,23 +120,6 @@ ShardStaging ShardSet::merge() {
   total_traffic_.messages += total.traffic_messages;
   total_traffic_.bits += total.traffic_bits;
   return total;
-}
-
-void ShardSet::count_slots(const RoundContext& rc, const LiveSenders* live,
-                           const MailSlot* posted) {
-  auto count = [&](std::size_t k) {
-    ShardState& st = states_[k];
-    st.staging = ShardStaging{};
-    counts_[k] = ShardRound::count(rc, st.topo.vbegin, st.topo.vend, live,
-                                   st.scratch, st.staging, posted);
-    segments_[k] = st.scratch.pool_words;
-  };
-  if (live != nullptr) {
-    crew_.run(count);
-    return;
-  }
-  // Every sender live: the counts are CSR degree sums, no walk to share.
-  for (std::size_t k = 0; k < size(); ++k) count(k);
 }
 
 ShardStaging ShardSet::exchange(
@@ -140,7 +136,7 @@ ShardStaging ShardSet::exchange(
     st.staging = ShardStaging{};
     for (auto& batch : st.outgoing) batch.clear();
     counts_[k] = ShardRound::stage(
-        rc, st.topo.vbegin, st.topo.vend, outbox_of, st.scratch, st.staging,
+        rc, st.begin, st.end, outbox_of, st.scratch, st.staging,
         [&](NodeId u, NodeId dest, const BitWriter& msg) {
           st.outgoing[part_.shard_of(dest)].push_back(BatchEntry{
               u, dest, msg.words().data(),
@@ -158,13 +154,13 @@ ShardStaging ShardSet::exchange(
       }
     }
   }
-  const auto out = a.lay_out<MailSlot>(rc.graph->n(), counts_, 0, segments_);
+  const auto out = a.lay_out(rc.graph->n(), counts_, 0, segments_);
   // Phase B: each destination shard fills its rows, folding in the
   // batches addressed to it.
   crew_.run([&](std::size_t k) {
     ShardState& st = states_[k];
     ShardRound::fill(
-        rc, st.topo.vbegin, st.topo.vend, outbox_of, K, k,
+        rc, st.begin, st.end, outbox_of, K, k,
         [&](std::size_t j) -> const std::vector<BatchEntry>& {
           return states_[j].outgoing[k];
         },
@@ -176,63 +172,44 @@ ShardStaging ShardSet::exchange(
 ShardStaging ShardSet::broadcast(const RoundContext& rc,
                                  const LiveSenders* live, MailArena& a) {
   const MailSlot* posted = a.posted();
-  count_slots(rc, live, posted);
-  const auto out = a.lay_out<MailSlot>(rc.graph->n(), counts_, 0, segments_);
+  if (live == nullptr) {
+    for (ShardState& st : states_) {
+      st.staging = dense_cut_traffic(st.cut, posted);
+    }
+    return merge();
+  }
   crew_.run([&](std::size_t k) {
     ShardState& st = states_[k];
-    ShardRound::fill_broadcast(rc, st.topo.vbegin, st.topo.vend, live,
+    st.staging = ShardStaging{};
+    counts_[k] = ShardRound::count(rc, st.begin, st.end, *live,
+                                   st.scratch, st.staging, posted);
+    segments_[k] = st.scratch.pool_words;
+  });
+  const auto out = a.lay_out(rc.graph->n(), counts_, 0, segments_);
+  crew_.run([&](std::size_t k) {
+    ShardState& st = states_[k];
+    ShardRound::fill_broadcast(rc, st.begin, st.end, *live,
                                posted, st.scratch, out[k], st.staging);
   });
   return merge();
 }
 
-ShardStaging ShardSet::words(const RoundContext& rc, const LiveSenders* live,
-                             const std::vector<std::uint64_t>& words,
-                             std::size_t bits, MailArena& a) {
-  if (live == nullptr) {
-    // Dense mode: each shard copies its own range of the words into the
-    // arena, and lanes read them through the global CSR. The copy pins
-    // the round's values: mutating the caller's words after the exchange
-    // cannot leak into this round's view.
-    std::uint64_t* dense = a.lay_out_words(words.size());
-    crew_.run([&](std::size_t k) {
-      ShardState& st = states_[k];
-      std::copy(words.begin() + st.topo.vbegin, words.begin() + st.topo.vend,
-                dense + st.topo.vbegin);
-      st.staging = ShardStaging{};
-      st.staging.traffic_messages = st.topo.ghost_edges;
-      st.staging.traffic_bits = st.topo.ghost_edges * bits;
-    });
-    return merge();
-  }
-  count_slots(rc, live);
-  const auto out = a.lay_out<WordSlot>(rc.graph->n(), counts_);
-  crew_.run([&](std::size_t k) {
-    ShardState& st = states_[k];
-    ShardRound::fill_words(
-        rc, st.topo.vbegin, st.topo.vend, live,
-        [&](NodeId u) { return words[u]; }, bits, st.scratch, out[k],
-        st.staging);
-  });
-  return merge();
-}
-
-void ShardSet::for_each_vertex(const std::function<void(NodeId)>& fn) {
+void ShardSet::for_each_vertex(CallableRef<void(NodeId)> fn) {
   // Lowest-shard exceptions win, matching a serial loop.
   crew_.run([&](std::size_t k) {
     const ShardState& st = states_[k];
-    for (NodeId v = st.topo.vbegin; v < st.topo.vend; ++v) fn(v);
+    for (NodeId v = st.begin; v < st.end; ++v) fn(v);
   });
 }
 
 void ShardSet::for_each_vertex(std::span<const NodeId> nodes,
-                               const std::function<void(NodeId)>& fn) {
+                               CallableRef<void(NodeId)> fn) {
   if (nodes.empty()) return;  // nothing to wake the crew for
   crew_.run([&](std::size_t k) {
     const ShardState& st = states_[k];
     for (auto it = std::lower_bound(nodes.begin(), nodes.end(),
-                                    st.topo.vbegin);
-         it != nodes.end() && *it < st.topo.vend; ++it) {
+                                    st.begin);
+         it != nodes.end() && *it < st.end; ++it) {
       fn(*it);
     }
   });

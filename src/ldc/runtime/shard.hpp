@@ -16,16 +16,22 @@
 // rows mid-round: phase A stages each one in a per-(src shard, dst shard)
 // batch buffer, and after the barrier phase B folds the batches in at the
 // destination — K² bulk appends per round instead of per-edge contention.
+// A dense broadcast (every node sending, fault-free) fills no slot, so it
+// runs no crew job: its cut traffic is priced from the partition. Crew
+// jobs and node programs travel as CallableRefs, so no round allocates.
 // See DESIGN.md §11 for the full memory-model and determinism argument.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ldc/graph/graph.hpp"
@@ -34,6 +40,35 @@
 #include "ldc/runtime/shard_round.hpp"
 
 namespace ldc {
+
+/// A non-owning reference to a callable: an object pointer and a call
+/// thunk. Passing a capturing lambda allocates nothing, where a
+/// std::function allocates once the captures outgrow its small buffer.
+/// The callable must outlive every call made through the reference.
+template <typename Signature>
+class CallableRef;
+
+template <typename R, typename... Args>
+class CallableRef<R(Args...)> {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, CallableRef> &&
+             std::is_invocable_r_v<R, F&, Args...>)
+  CallableRef(F&& f)  // implicit: call sites pass their lambdas as before
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(
+              std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(obj_, std::forward<Args>(args)...);
+  }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
+};
 
 /// K persistent workers with a fixed worker↔lane binding. start(job)
 /// sets job(k) going on worker k for every k and returns at once; wait()
@@ -54,11 +89,13 @@ class ShardCrew {
 
   std::size_t size() const { return workers_.size(); }
 
+  using Job = CallableRef<void(std::size_t)>;
+
   /// `job` must stay alive until wait() returns, and one job runs at a
   /// time: call wait() before the next start().
-  void start(const std::function<void(std::size_t)>& job);
+  void start(Job job);
   void wait();
-  void run(const std::function<void(std::size_t)>& job) {
+  void run(Job job) {
     start(job);
     wait();
   }
@@ -90,7 +127,7 @@ class ShardCrew {
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* job_ = nullptr;
+  std::optional<Job> job_;
   std::uint64_t generation_ = 0;
   std::size_t unfinished_ = 0;
   bool stop_ = false;
@@ -106,15 +143,24 @@ class ShardCrew {
 std::uint64_t parse_positive_u64(const char* name, const char* text,
                                  std::uint64_t max);
 
-/// What shard k keeps between rounds: its topology (owned range and ghost
-/// halo), its round scratch, the round's staging, and the outgoing batch
-/// buffers.
+/// What shard k keeps between rounds: its owned range [begin, end), its
+/// cut senders, its round scratch, the round's staging, and the outgoing
+/// batch buffers.
 struct ShardState {
-  ShardTopology topo;
+  NodeId begin = 0;
+  NodeId end = 0;
+  std::vector<CutSender> cut;
   RangeScratch scratch;
   ShardStaging staging;
   std::vector<std::vector<BatchEntry>> outgoing;  ///< [dst shard]
 };
+
+/// The cut traffic of a dense round (every vertex sends, fault-free),
+/// priced from a range's cut senders: each one's posted payload once per
+/// neighbour across the cut. That is what filling the other ranges' rows
+/// would count, without filling them.
+ShardStaging dense_cut_traffic(std::span<const CutSender> cut,
+                               const MailSlot* posted);
 
 /// The Network-owned bundle: partition, per-shard states and the crew.
 /// Each round shape runs the kernel on every shard, lands the ranges in
@@ -131,25 +177,18 @@ class ShardSet {
   ShardStaging exchange(const RoundContext& rc,
                         const std::vector<std::vector<Envelope>>& outboxes,
                         MailArena& a);
+  /// live == nullptr: a dense round, which fills nothing.
   ShardStaging broadcast(const RoundContext& rc, const LiveSenders* live,
                          MailArena& a);
-  ShardStaging words(const RoundContext& rc, const LiveSenders* live,
-                     const std::vector<std::uint64_t>& words,
-                     std::size_t bits, MailArena& a);
 
   /// Runs fn(v) for every vertex, each shard's range on its own worker.
-  void for_each_vertex(const std::function<void(NodeId)>& fn);
+  void for_each_vertex(CallableRef<void(NodeId)> fn);
   /// The same over an ascending node list: each shard runs the slice of
   /// `nodes` inside its range.
   void for_each_vertex(std::span<const NodeId> nodes,
-                       const std::function<void(NodeId)>& fn);
+                       CallableRef<void(NodeId)> fn);
 
  private:
-  /// The count pass of a broadcast or sparse word round, into counts_,
-  /// segments_ (given a broadcast's posted entries) and each shard's
-  /// staging.
-  void count_slots(const RoundContext& rc, const LiveSenders* live,
-                   const MailSlot* posted = nullptr);
   /// Sums the shards' staging in ascending order into the round's total
   /// and the cumulative cut traffic.
   ShardStaging merge();

@@ -62,7 +62,8 @@ LiveSenders LiveSenders::collect(const Graph& g, const char* flags,
 
 bool ShardRound::pushes(const Graph& g, NodeId b, NodeId e,
                         const LiveSenders& live) {
-  if (b == e) return false;  // as in count(): no CSR rows to read
+  // An empty range may sit on an empty graph, which has no CSR rows.
+  if (b == e) return false;
   const auto edges = static_cast<double>(g.row_begin(e) - g.row_begin(b));
   if (edges == 0) return false;
   const double share = edges / static_cast<double>(g.row_begin(g.n()));
@@ -72,30 +73,25 @@ bool ShardRound::pushes(const Graph& g, NodeId b, NodeId e,
 }
 
 std::uint32_t ShardRound::count(const RoundContext& rc, NodeId b, NodeId e,
-                                const LiveSenders* live, RangeScratch& s,
+                                const LiveSenders& live, RangeScratch& s,
                                 ShardStaging& st, const MailSlot* posted) {
   const Graph& g = *rc.graph;
   s.pool_words = 0;
-  if (live == nullptr) {
-    // An empty range may sit on an empty graph, which has no CSR rows.
-    if (b == e) return 0;
-    return static_cast<std::uint32_t>(g.row_begin(e) - g.row_begin(b));
-  }
   std::uint32_t total = 0;
   auto copies = [&](NodeId u, bool corrupt) {
     if (corrupt && posted != nullptr) {
       s.pool_words += payload_words(posted[u].bits);
     }
   };
-  if (pushes(g, b, e, *live)) {
+  if (pushes(g, b, e, live)) {
     s.cursor.assign(e - b, 0);
-    push(rc, b, e, live->ids, st, [&](NodeId u, NodeId v, bool corrupt) {
+    push(rc, b, e, live.ids, st, [&](NodeId u, NodeId v, bool corrupt) {
       ++s.cursor[v - b];
       ++total;
       copies(u, corrupt);
     });
   } else {
-    scan(rc, b, e, live->flags, st, [](NodeId) {},
+    scan(rc, b, e, live.flags, st, [](NodeId) {},
          [&](NodeId u, NodeId, bool corrupt) {
            ++total;
            copies(u, corrupt);
@@ -107,7 +103,7 @@ std::uint32_t ShardRound::count(const RoundContext& rc, NodeId b, NodeId e,
 // Flattened: the slot fill (a 16-byte entry copy) must stay inlined in the
 // loops of both walks, and GCC declines to inline it into two.
 [[gnu::flatten]] void ShardRound::fill_broadcast(
-    const RoundContext& rc, NodeId b, NodeId e, const LiveSenders* live,
+    const RoundContext& rc, NodeId b, NodeId e, const LiveSenders& live,
     const MailSlot* posted, RangeScratch& s, ArenaRange<MailSlot> out,
     ShardStaging& st) {
   std::uint64_t tail = out.segment;

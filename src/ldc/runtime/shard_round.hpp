@@ -30,8 +30,11 @@
 // contiguous and ascending, so that walk IS the serial sender order and no
 // sort runs.
 //
-// Broadcast and fused-word rounds run a count pass, then a fill pass, over
-// one of two survivor walks that resolve the same pure decisions:
+// A broadcast round — a message or a word round, which posts one word per
+// sender — fills slots only when it has a sender list or a fault plan (a
+// dense round, every node sending fault-free, fills none; mail.hpp). Such
+// a round runs a count pass, then a fill pass, over one of two survivor
+// walks that resolve the same pure decisions:
 //
 //  * pull (receiver-driven): each destination reads its live in-neighbours
 //    in adjacency order — the full adjacency of the range, every pass;
@@ -41,8 +44,7 @@
 //
 // Both put every inbox in ascending sender order, so the choice never
 // changes a byte: a range pushes when its live senders are sparse against
-// its edges (pushes(), a named constant), and the all-live fault-free
-// round always pulls, with counts straight from the CSR.
+// its edges (pushes(), a named constant).
 //
 // Determinism: every fault decision is a pure function of (plan seed,
 // round, edge), re-resolved wherever an edge is visited; staging records
@@ -97,7 +99,7 @@ struct RoundContext {
   }
 };
 
-/// The transmitting senders of a masked or faulty broadcast round: n
+/// The transmitting senders of a broadcast round that fills slots: n
 /// flags for the pull walk, and the same set as an ascending id list with
 /// its degree sum for the push walk and the bulk accounting. Network
 /// builds it from the round's sender list (Network::live_senders).
@@ -301,37 +303,36 @@ class ShardRound {
     }
   }
 
-  /// The count pass of a broadcast or fused-word round: the survivors
-  /// delivered to [b, e), with drop and corruption events counted into
-  /// st. With every sender live and no faults that is the CSR's degree
-  /// sum, so no walk runs. A push count leaves per-destination counts in
-  /// s for the fill pass, which re-resolves the same pure decisions. Given
-  /// a broadcast's `posted` entries, s.pool_words gets the words of the
-  /// range's corrupted copies; otherwise 0.
+  /// The count pass of a broadcast round that fills slots: the
+  /// survivors of `live` delivered to [b, e), with drop and corruption
+  /// events counted into st. A push count leaves per-destination counts
+  /// in s for the fill pass, which re-resolves the same pure decisions.
+  /// Given the round's `posted` entries, s.pool_words gets the words of
+  /// the range's corrupted copies; otherwise 0.
   static std::uint32_t count(const RoundContext& rc, NodeId b, NodeId e,
-                             const LiveSenders* live, RangeScratch& s,
+                             const LiveSenders& live, RangeScratch& s,
                              ShardStaging& st,
                              const MailSlot* posted = nullptr);
 
-  /// The fill pass shared by broadcast and word rounds, after count() on
-  /// the same range and scratch: writes each row's offset into `out` and
-  /// put(slot, u, v, corrupt) per survivor, every row in ascending sender
-  /// order. The events were counted by count().
+  /// The fill pass, after count() on the same range and scratch: writes
+  /// each row's offset into `out` and put(slot, u, v, corrupt) per
+  /// survivor, every row in ascending sender order. The events were
+  /// counted by count().
   template <typename Slot, typename Put>
   static void fill_rows(const RoundContext& rc, NodeId b, NodeId e,
-                        const LiveSenders* live, RangeScratch& s,
+                        const LiveSenders& live, RangeScratch& s,
                         ArenaRange<Slot> out, Put&& put) {
     ShardStaging again;
-    if (live != nullptr && pushes(*rc.graph, b, e, *live)) {
+    if (pushes(*rc.graph, b, e, live)) {
       open_rows(b, e, s, out);
-      push(rc, b, e, live->ids, again,
+      push(rc, b, e, live.ids, again,
            [&](NodeId u, NodeId v, bool corrupt) {
              put(out.slots[s.cursor[v - b]++], u, v, corrupt);
            });
       return;
     }
     std::uint32_t at = out.base;
-    scan(rc, b, e, live == nullptr ? nullptr : live->flags, again,
+    scan(rc, b, e, live.flags, again,
          [&](NodeId v) { out.rows[v - out.origin] = at; },
          [&](NodeId u, NodeId v, bool corrupt) {
            put(out.slots[at++], u, v, corrupt);
@@ -343,7 +344,7 @@ class ShardRound {
   /// posted entry, and a corrupted one points at a flipped copy in the
   /// range's pool segment.
   static void fill_broadcast(const RoundContext& rc, NodeId b, NodeId e,
-                             const LiveSenders* live, const MailSlot* posted,
+                             const LiveSenders& live, const MailSlot* posted,
                              RangeScratch& s, ArenaRange<MailSlot> out,
                              ShardStaging& st);
 
@@ -356,27 +357,6 @@ class ShardRound {
     std::copy_n(pool + slot.at, payload_words(slot.bits), pool + to);
     slot.at = to;
     rc.faults->corrupt_payload(rc.round, u, v, pool + to, slot.bits);
-  }
-
-  /// Fused-word twin of fill_broadcast (sparse mode): (sender, word)
-  /// slots of width `bits`, word_of(u) giving u's word.
-  template <typename WordOf>
-  static void fill_words(const RoundContext& rc, NodeId b, NodeId e,
-                         const LiveSenders* live, const WordOf& word_of,
-                         std::size_t bits, RangeScratch& s,
-                         ArenaRange<WordSlot> out, ShardStaging& st) {
-    fill_rows(rc, b, e, live, s, out,
-              [&](WordSlot& slot, NodeId u, NodeId v, bool corrupt) {
-                slot = WordSlot{u, word_of(u)};
-                if (u < b || u >= e) {
-                  ++st.traffic_messages;
-                  st.traffic_bits += bits;
-                }
-                if (corrupt) {
-                  rc.faults->corrupt_payload(rc.round, u, v, &slot.value,
-                                             bits);
-                }
-              });
   }
 
  private:
@@ -426,9 +406,8 @@ class ShardRound {
 
   /// Pull walk of a broadcast round over destinations [b, e): row(v)
   /// opens v's inbox, then emit(u, v, corrupt) runs per surviving live
-  /// in-neighbour u in adjacency order (the graph's sorted rows, so
-  /// ascending sender order). live == nullptr means every sender
-  /// transmits and the round is fault-free.
+  /// in-neighbour u (live[u] set) in adjacency order (the graph's sorted
+  /// rows, so ascending sender order).
   template <typename Row, typename Emit>
   static void scan(const RoundContext& rc, NodeId b, NodeId e,
                    const char* live, ShardStaging& st, Row&& row,
@@ -437,10 +416,6 @@ class ShardRound {
     const FaultPlan* f = rc.faults;
     for (NodeId v = b; v < e; ++v) {
       row(v);
-      if (live == nullptr) {
-        for (NodeId u : g.neighbors(v)) emit(u, v, false);
-        continue;
-      }
       for (NodeId u : g.neighbors(v)) {
         if (live[u] == 0) continue;
         bool corrupt = false;

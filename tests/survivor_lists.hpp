@@ -1,9 +1,13 @@
 // Sender lists for the broadcast equivalence suites, one for each side
 // of the shard-round kernel's push/pull crossover (ShardRound::pushes)
-// and its extremes, beside the suites' own `v % 3 != 0` list.
+// and its extremes, beside the suites' own `v % 3 != 0` list; and the
+// mixed-width round the cut-traffic suites send densely and with every
+// node listed.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -11,12 +15,22 @@
 #include <vector>
 
 #include "ldc/graph/graph.hpp"
+#include "ldc/runtime/mail.hpp"
+#include "ldc/support/prf.hpp"
 
 namespace ldc {
 
+/// Every node, ascending: a round that lists every sender fills slots,
+/// where the same round without a list is dense and fills none.
+inline std::vector<NodeId> every_node(NodeId n) {
+  std::vector<NodeId> all(n);
+  std::iota(all.begin(), all.end(), NodeId{0});
+  return all;
+}
+
 /// (label, ascending sender list) pairs over n nodes: no sender live,
 /// only the highest id live and 1 in 16 live (sparse enough to push),
-/// and all but one live (dense enough to pull).
+/// all but one live (dense enough to pull), and every node listed.
 inline std::vector<std::pair<std::string, std::vector<NodeId>>>
 survivor_pass_lists(NodeId n) {
   std::vector<std::pair<std::string, std::vector<NodeId>>> out;
@@ -30,6 +44,48 @@ survivor_pass_lists(NodeId n) {
   std::vector<NodeId> dense;
   for (NodeId v = 1; v < n; ++v) dense.push_back(v);
   out.emplace_back("all-but-one", std::move(dense));
+  out.emplace_back("every", every_node(n));
+  return out;
+}
+
+/// One payload per node, 1 to 40 bits wide, every third one 64 bits
+/// longer (two words).
+inline std::vector<BitWriter> mixed_width_payloads(NodeId n) {
+  std::vector<BitWriter> msgs(n);
+  for (NodeId v = 0; v < n; ++v) {
+    msgs[v].write(hash_combine(0x3d, v), static_cast<int>(1 + v % 40));
+    if (v % 3 == 0) msgs[v].write(hash_combine(0x3e, v), 64);
+  }
+  return msgs;
+}
+
+/// Every delivery of `in`, in order, as one hash of (destination, sender,
+/// bit count, payload bits).
+inline std::vector<std::uint64_t> flat_deliveries(const RoundMail& in) {
+  std::vector<std::uint64_t> out;
+  for (NodeId v = 0; v < in.size(); ++v) {
+    for (auto [u, r] : in[v]) {
+      std::uint64_t h = hash_combine((std::uint64_t{v} << 32) | u,
+                                     r.bit_count());
+      while (r.remaining() > 0) {
+        const int k = static_cast<int>(std::min<std::size_t>(64, r.remaining()));
+        h = hash_combine(h, r.read(k));
+      }
+      out.push_back(h);
+    }
+  }
+  return out;
+}
+
+/// flat_deliveries() for a word round: one hash of (destination, sender,
+/// word) per delivery.
+inline std::vector<std::uint64_t> flat_lanes(const WordMail& in) {
+  std::vector<std::uint64_t> out;
+  for (NodeId v = 0; v < in.size(); ++v) {
+    for (const auto [u, w] : in[v]) {
+      out.push_back(hash_combine((std::uint64_t{v} << 32) | u, w));
+    }
+  }
   return out;
 }
 

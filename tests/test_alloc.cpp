@@ -5,6 +5,10 @@
 //  * a steady-state message round on the serial engine allocates nothing,
 //    counting its senders' payload writes (each sender clears and
 //    rewrites the writer it keeps), broadcast or explicit;
+//  * so does every round shape on the sharded engine (K = 4), and a node
+//    program whose lambda captures four references, on either engine:
+//    crew jobs and node programs travel as CallableRefs, where a
+//    std::function allocated once its captures outgrew the small buffer;
 //  * one d1lc run (Theorem 1.4's colorer, default options) stays under
 //    a fifth of the allocations it made while payloads were refcounted
 //    blocks and node programs built per-node containers every round:
@@ -23,6 +27,7 @@
 #include "ldc/d1lc/congest_colorer.hpp"
 #include "ldc/graph/generators.hpp"
 #include "ldc/runtime/network.hpp"
+#include "ldc/runtime/mail.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -67,6 +72,113 @@ TEST(Allocations, SteadyStateBroadcastRoundAllocatesNothing) {
   for (std::uint64_t r = 3; r < 40; ++r) round(r);
   EXPECT_EQ(allocs() - before, 0u);
   EXPECT_GT(sum, 0u);
+}
+
+/// Allocations of rounds 3..39 of round(r), after rounds 0..2 grew every
+/// buffer.
+template <typename Round>
+std::uint64_t steady_state_allocations(const Round& round) {
+  for (std::uint64_t r = 0; r < 3; ++r) round(r);
+  const std::uint64_t before = allocs();
+  for (std::uint64_t r = 3; r < 40; ++r) round(r);
+  return allocs() - before;
+}
+
+TEST(Allocations, ShardedBroadcastRoundsAllocateNothing) {
+  const Graph g = gen::random_regular(256, 16, 7);
+  Network net(g);
+  net.set_engine(Network::Engine::kSharded, 4);
+  std::vector<BitWriter> msgs(g.n());
+  std::vector<NodeId> half;
+  for (NodeId v = 0; v < g.n(); v += 2) half.push_back(v);
+  std::uint64_t sum = 0;
+  EXPECT_EQ(steady_state_allocations([&](std::uint64_t r) {
+              for (NodeId v = 0; v < g.n(); ++v) {
+                msgs[v].clear();
+                msgs[v].write_bounded((v + r) % 1000, 999);
+              }
+              const auto all = net.exchange_broadcast(msgs);
+              for (auto [u, rd] : all[r % g.n()]) sum += u + rd.read(10);
+              const auto listed = net.exchange_broadcast(msgs, half);
+              for (auto [u, rd] : listed[r % g.n()]) sum += u + rd.read(10);
+            }),
+            0u);
+  EXPECT_GT(sum, 0u);
+}
+
+TEST(Allocations, ShardedWordRoundsAllocateNothing) {
+  const Graph g = gen::random_regular(256, 16, 7);
+  Network net(g);
+  net.set_engine(Network::Engine::kSharded, 4);
+  std::vector<std::uint64_t> words(g.n());
+  std::vector<NodeId> half;
+  for (NodeId v = 0; v < g.n(); v += 2) half.push_back(v);
+  std::uint64_t sum = 0;
+  EXPECT_EQ(steady_state_allocations([&](std::uint64_t r) {
+              for (NodeId v = 0; v < g.n(); ++v) words[v] = (v + r) % 1000;
+              const WordMail all = net.exchange_broadcast_word(words, 999);
+              for (const auto [u, w] : all[r % g.n()]) sum += u + w;
+              const WordMail listed =
+                  net.exchange_broadcast_word(words, 999, half);
+              for (const auto [u, w] : listed[r % g.n()]) sum += u + w;
+            }),
+            0u);
+  EXPECT_GT(sum, 0u);
+}
+
+TEST(Allocations, ShardedExplicitRoundAllocatesNothing) {
+  const Graph g = gen::random_regular(256, 16, 7);
+  Network net(g);
+  net.set_engine(Network::Engine::kSharded, 4);
+  std::vector<Network::Outbox> out(g.n());
+  for (NodeId u = 0; u < g.n(); ++u) {
+    for (NodeId v : g.neighbors(u)) out[u].emplace_back(v, BitWriter{});
+  }
+  std::uint64_t sum = 0;
+  EXPECT_EQ(steady_state_allocations([&](std::uint64_t r) {
+              for (NodeId u = 0; u < g.n(); ++u) {
+                for (auto& [v, w] : out[u]) {
+                  w.clear();
+                  w.write(u * 131 + v + r, 40);
+                }
+              }
+              const auto in = net.exchange(out);
+              for (auto [u, rd] : in[r % g.n()]) sum += u + rd.read(40);
+            }),
+            0u);
+  EXPECT_GT(sum, 0u);
+}
+
+/// Allocations of 10 run_node_programs calls whose lambda captures four
+/// references, all nodes and a node list, on `shards` shards (0: serial).
+std::uint64_t node_program_allocations(std::size_t shards) {
+  const Graph g = gen::random_regular(256, 16, 7);
+  Network net(g);
+  if (shards != 0) net.set_engine(Network::Engine::kSharded, shards);
+  std::vector<std::uint64_t> a(g.n()), b(g.n()), c(g.n());
+  std::vector<NodeId> half;
+  for (NodeId v = 0; v < g.n(); v += 2) half.push_back(v);
+  std::uint64_t k = 3;
+  auto program = [&a, &b, &c, &k](NodeId v) { a[v] = b[v] + c[v] + k; };
+  net.run_node_programs(program);  // wakes the crew
+  const std::uint64_t before = allocs();
+  for (int i = 0; i < 10; ++i) {
+    net.run_node_programs([&a, &b, &c, &k](NodeId v) {
+      a[v] = b[v] + c[v] + k;
+    });
+    net.run_node_programs(half, [&a, &b, &c, &k](NodeId v) {
+      b[v] = a[v] + c[v] + k;
+    });
+  }
+  return allocs() - before;
+}
+
+TEST(Allocations, SerialNodeProgramsWithFourCapturesAllocateNothing) {
+  EXPECT_EQ(node_program_allocations(0), 0u);
+}
+
+TEST(Allocations, ShardedNodeProgramsWithFourCapturesAllocateNothing) {
+  EXPECT_EQ(node_program_allocations(4), 0u);
 }
 
 TEST(Allocations, SteadyStateExplicitRoundAllocatesNothing) {

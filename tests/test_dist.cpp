@@ -38,12 +38,15 @@
 #include "ldc/dist/coordinator.hpp"
 #include "ldc/dist/wire.hpp"
 #include "ldc/graph/generators.hpp"
+#include "ldc/coloring/validate.hpp"
 #include "ldc/linial/defective_linial.hpp"
 #include "ldc/linial/linial.hpp"
+#include "ldc/repair/repair.hpp"
 #include "ldc/runtime/network.hpp"
 #include "ldc/storage/corpus.hpp"
 #include "ldc/support/prf.hpp"
 #include "arbdefective_reference.hpp"
+#include "repair_reference.hpp"
 #include "survivor_lists.hpp"
 
 namespace ldc {
@@ -73,6 +76,13 @@ class TempCorpus {
 void write_graph(const Graph& g, const std::string& path) {
   storage::CorpusWriter w(path, g.n(), /*with_ids=*/false);
   for (NodeId v = 0; v < g.n(); ++v) w.add_vertex(g.neighbors(v));
+  w.close();
+}
+
+/// write_graph() keeping g's ids, which the corpus stores as 64 bits.
+void write_graph_with_ids(const Graph& g, const std::string& path) {
+  storage::CorpusWriter w(path, g.n(), /*with_ids=*/true);
+  for (NodeId v = 0; v < g.n(); ++v) w.add_vertex(g.neighbors(v), g.id(v));
   w.close();
 }
 
@@ -359,11 +369,68 @@ TEST(Dist, ArbdefectiveLearnsColorsOnlyFromItsMail) {
   EXPECT_GT(net.metrics().messages_dropped, 0u);
 }
 
-// Broadcast fast path and the fused word path under kDist must match the
+// Repair hears contention only from its mail under kDist too (the
+// in-process engines are checked in test_repair.cpp against the same
+// replay).
+TEST(Dist, RepairHearsContentionOnlyFromItsMail) {
+  const Graph g = gen::random_regular(60, 8, 1);
+  TempCorpus tc("repair_mail");
+  write_graph(g, tc.path());
+  const LdcInstance inst = delta_plus_one_instance(g);
+  FaultPlan plan;
+  plan.seed = 101;
+  plan.drop_rate = 0.2;
+  repair::Options opt;
+  opt.max_rounds = 24;
+  const Coloring start(g.n(), kUncolored);
+  const Coloring expect = repair_reference(inst, start, opt, plan);
+  ASSERT_NE(expect, repair_reference(inst, start, opt, plan,
+                                     /*contention_from_state=*/true));
+  CoordinatorOptions copt;
+  copt.workers = 2;
+  Coordinator coord(tc.path(), copt);
+  Network net(coord.corpus_graph());
+  net.attach_dist(&coord);
+  net.attach_faults(&plan);
+  EXPECT_EQ(repair::repair(net, inst, start, opt).phi, expect);
+  EXPECT_GT(net.metrics().messages_dropped, 0u);
+}
+
+// Linial keeps 64-bit ids under kDist: the corpus stores them whole, and
+// neighbours whose ids agree mod 2^32 still get different colours, the
+// same ones as on the serial engine.
+TEST(Dist, LinialKeepsSixtyFourBitIds) {
+  Graph ring = gen::ring(16);
+  std::vector<std::uint64_t> ids(16);
+  for (NodeId v = 0; v < 16; ++v) {
+    ids[v] = (v / 2) + (v % 2 == 1 ? std::uint64_t{1} << 32 : 0);
+  }
+  ring.set_ids(std::move(ids));
+  Graph pair = gen::path(2);
+  pair.set_ids({5, (std::uint64_t{1} << 40) + 5});
+  for (const Graph* g : {&ring, &pair}) {
+    TempCorpus tc("linial_ids" + std::to_string(g->n()));
+    write_graph_with_ids(*g, tc.path());
+    Network serial(*g);
+    const linial::Result want = linial::color(serial);
+    CoordinatorOptions copt;
+    copt.workers = 2;
+    Coordinator coord(tc.path(), copt);
+    Network net(coord.corpus_graph());
+    net.attach_dist(&coord);
+    const linial::Result got = linial::color(net);
+    EXPECT_TRUE(validate_proper(*g, got.phi).ok) << "n " << g->n();
+    EXPECT_EQ(got.phi, want.phi) << "n " << g->n();
+    EXPECT_EQ(got.palette, want.palette) << "n " << g->n();
+  }
+}
+
+// Broadcast fast path and the word path under kDist must match the
 // serial engine's materialized-outbox reference — with and without a
-// sender list, with and without faults. All-live rounds stay
-// coordinator-local; masked/faulty rounds of both planes take the
-// kBcast / kInboxIds exchange, and the coordinator rebuilds the slots.
+// sender list, with and without faults. Dense rounds stay
+// coordinator-local and fill nothing; rounds that list their senders or
+// carry faults take the kBcast / kInboxIds exchange, and the coordinator
+// rebuilds the slots.
 TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
   const Graph g = gen::gnp(48, 0.25, 34);
   TempCorpus tc("bcast");
@@ -467,6 +534,26 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
       }
     }
   }
+
+  // Bound 0: every word is 0 bits wide, so a corrupted copy has no pool
+  // word to copy; its lane still reads 0.
+  FaultPlan corrupt;
+  corrupt.seed = 0xb0;
+  corrupt.corrupt_rate = 0.5;
+  const std::vector<std::uint64_t> zeros(g.n(), 0);
+  CoordinatorOptions opt;
+  opt.workers = 2;
+  Coordinator coord(tc.path(), opt);
+  Network net(coord.corpus_graph());
+  net.attach_dist(&coord);
+  net.attach_faults(&corrupt);
+  const WordMail in = net.exchange_broadcast_word(zeros, 0);
+  for (NodeId v = 0; v < g.n(); ++v) {
+    for (const auto [sender, word] : in[v]) {
+      EXPECT_EQ(word, 0u) << sender << " -> " << v;
+    }
+  }
+  EXPECT_GT(net.metrics().messages_corrupted, 0u);
 }
 
 // A masked word round ships sender ids, not words: with one sender live,
@@ -537,6 +624,51 @@ TEST(Dist, CrossShardTrafficMatchesShardedEngine) {
     EXPECT_GT(ws.frames_sent, 0u);
     EXPECT_GT(ws.frames_received, 0u);
     EXPECT_GT(ws.bytes_sent, ws.frames_sent * dist::kFrameHeaderBytes - 1);
+  }
+
+  // A dense round (no sender list, no faults) moves no frame and prices
+  // its cut from the partition; the same round with every node listed
+  // takes the kBcast / kInboxIds exchange. Both deliver what the sharded
+  // engine delivers and count the cut it counts, for mixed payload widths
+  // and for words.
+  const std::vector<BitWriter> msgs = mixed_width_payloads(g.n());
+  std::vector<std::uint64_t> words(g.n());
+  for (NodeId v = 0; v < g.n(); ++v) words[v] = hash_combine(0x77, v) % 500;
+  const std::vector<NodeId> every = every_node(g.n());
+  CoordinatorOptions opt;
+  opt.workers = 2;
+  Coordinator coord(tc.path(), opt);
+  for (const bool word_round : {false, true}) {
+    auto round = [&](Network& net, SenderList senders) {
+      return word_round
+                 ? flat_lanes(net.exchange_broadcast_word(words, 499, senders))
+                 : flat_deliveries(net.exchange_broadcast(msgs, senders));
+    };
+    for (const bool listed : {false, true}) {
+      const SenderList senders =
+          listed ? SenderList(every) : SenderList(std::nullopt);
+      const std::string label = std::string(word_round ? "words" : "msgs") +
+                                (listed ? "/every" : "/dense");
+      Network sharded(g);
+      sharded.set_engine(Network::Engine::kSharded, 2);
+      const std::vector<std::uint64_t> want = round(sharded, senders);
+      Network net(coord.corpus_graph());
+      net.attach_dist(&coord);
+      const dist::WireStats before = coord.wire_stats();
+      EXPECT_EQ(round(net, senders), want) << label;
+      const dist::WireStats after = coord.wire_stats();
+      EXPECT_EQ(after.frames_sent == before.frames_sent, !listed) << label;
+      EXPECT_EQ(after.bytes_received == before.bytes_received, !listed)
+          << label;
+      EXPECT_EQ(net.arena().dense(), !listed) << label;
+      EXPECT_GT(net.cross_shard_traffic().messages, 0u) << label;
+      EXPECT_EQ(net.cross_shard_traffic().messages,
+                sharded.cross_shard_traffic().messages)
+          << label;
+      EXPECT_EQ(net.cross_shard_traffic().bits,
+                sharded.cross_shard_traffic().bits)
+          << label;
+    }
   }
 }
 

@@ -148,14 +148,14 @@ TEST(FaultPlan, CorruptPayloadClonesSharedPayloads) {
     std::vector<RangeScratch> scratch(2);
     ShardStaging st;
     const std::uint32_t counts[2] = {
-        ShardRound::count(rc, 0, cut, &live, scratch[0], st, arena.posted()),
-        ShardRound::count(rc, cut, 6, &live, scratch[1], st, arena.posted())};
+        ShardRound::count(rc, 0, cut, live, scratch[0], st, arena.posted()),
+        ShardRound::count(rc, cut, 6, live, scratch[1], st, arena.posted())};
     const std::uint64_t segments[2] = {scratch[0].pool_words,
                                        scratch[1].pool_words};
-    const auto out = arena.lay_out<MailSlot>(6, counts, 0, segments);
-    ShardRound::fill_broadcast(rc, 0, cut, &live, arena.posted(), scratch[0],
+    const auto out = arena.lay_out(6, counts, 0, segments);
+    ShardRound::fill_broadcast(rc, 0, cut, live, arena.posted(), scratch[0],
                                out[0], st);
-    ShardRound::fill_broadcast(rc, cut, 6, &live, arena.posted(),
+    ShardRound::fill_broadcast(rc, cut, 6, live, arena.posted(),
                                scratch[1], out[1], st);
     ASSERT_GT(st.corrupted, 0u);
     ASSERT_LT(st.corrupted, 30u);

@@ -226,8 +226,10 @@ TEST(Linial, ColorFromAcceptsExistingColoring) {
 // Linial's step the slow way: each node's conflict colours (out-neighbours
 // under an orientation, other colours only), every evaluation point scored
 // with RsFamily::evaluate, the first point with the fewest agreements
-// taken, and the output read off RsFamily::element.
-Coloring reference_step(const Graph& g, const Coloring& phi,
+// taken, and the output read off RsFamily::element. The input colours are
+// Colors, or the 64-bit ids of the first step.
+template <typename In>
+Coloring reference_step(const Graph& g, const std::vector<In>& phi,
                         std::uint64_t palette, std::uint32_t defect,
                         const Orientation* o) {
   const std::uint64_t D =
@@ -259,9 +261,10 @@ Coloring reference_step(const Graph& g, const Coloring& phi,
 }
 
 TEST(Linial, ReduceOnceMatchesFamilyReference) {
-  // Scrambled 64-bit ids: the first rounds split multi-digit colours and
-  // later ones run on the shrunken palette, so every round (proper,
-  // oriented, defective) meets both the x = 0 shortcut and the full scan.
+  // Scrambled 64-bit ids: the first round runs on the full ids, the next
+  // rounds split multi-digit colours and later ones run on the shrunken
+  // palette, so every round (proper, oriented, defective) meets both the
+  // x = 0 shortcut and the full scan.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     Graph g = gen::random_regular(200, 8, seed);
     gen::scramble_ids(g, std::uint64_t{1} << 60, seed);
@@ -271,10 +274,17 @@ TEST(Linial, ReduceOnceMatchesFamilyReference) {
       Network net(g);
       linial::Options opt;
       opt.orientation = o;
-      Coloring phi(g.n());
-      for (NodeId v = 0; v < g.n(); ++v) phi[v] = static_cast<Color>(g.id(v));
+      std::vector<std::uint64_t> ids(g.n());
+      for (NodeId v = 0; v < g.n(); ++v) ids[v] = g.id(v);
       std::uint64_t palette = g.max_id() + 1;
-      for (int round = 0; round < 3; ++round) {
+      Coloring phi;
+      {
+        const Coloring want = reference_step(g, ids, palette, 0, o);
+        palette = linial::reduce_once(net, ids, phi, palette, 0, opt);
+        ASSERT_EQ(phi, want) << "seed " << seed << " round 0"
+                             << (o != nullptr ? " oriented" : "");
+      }
+      for (int round = 1; round < 3; ++round) {
         const Coloring want = reference_step(g, phi, palette, 0, o);
         palette = linial::reduce_once(net, phi, palette, 0, opt);
         ASSERT_EQ(phi, want) << "seed " << seed << " round " << round
@@ -289,6 +299,54 @@ TEST(Linial, ReduceOnceMatchesFamilyReference) {
       }
     }
   }
+}
+
+// Ids are 64-bit end to end: neighbours whose ids agree mod 2^32 still
+// get different colours, on every in-process engine (kDist in
+// test_dist.cpp). A first round on ids cut to 32 bits coloured
+// path(2) with ids {0, 2^32} {0, 0} under palette 9.
+std::vector<Graph> ids_agreeing_mod_2_32() {
+  std::vector<Graph> graphs;
+  for (const std::uint64_t high : {std::uint64_t{1} << 32,
+                                   (std::uint64_t{1} << 40) + 5}) {
+    Graph g = gen::path(2);
+    g.set_ids({high & 0xffffffffu, high});
+    graphs.push_back(std::move(g));
+  }
+  // Every even node's id agrees with its right neighbour's mod 2^32.
+  Graph ring = gen::ring(16);
+  std::vector<std::uint64_t> ids(16);
+  for (NodeId v = 0; v < 16; ++v) {
+    ids[v] = (v / 2) + (v % 2 == 1 ? std::uint64_t{1} << 32 : 0);
+  }
+  ring.set_ids(std::move(ids));
+  graphs.push_back(std::move(ring));
+  return graphs;
+}
+
+TEST(Linial, KeepsSixtyFourBitIds) {
+  for (const Graph& g : ids_agreeing_mod_2_32()) {
+    for (const std::size_t shards :
+         {std::size_t{0}, std::size_t{2}, std::size_t{7}}) {
+      Network net(g);
+      if (shards != 0) net.set_engine(Network::Engine::kSharded, shards);
+      const linial::Result res = linial::color(net);
+      EXPECT_TRUE(validate_proper(g, res.phi).ok)
+          << "n " << g.n() << " @" << shards << " shards";
+      for (const Color c : res.phi) EXPECT_LT(c, res.palette);
+    }
+  }
+}
+
+// A palette the Color type cannot hold is a typed error, not a silent
+// truncation: with max_rounds = 0 the ids are the result.
+TEST(Linial, PaletteBeyondColorThrows) {
+  Graph g = gen::path(2);
+  g.set_ids({0, std::uint64_t{1} << 32});
+  Network net(g);
+  linial::Options opt;
+  opt.max_rounds = 0;
+  EXPECT_THROW(linial::color(net, opt), std::overflow_error);
 }
 
 TEST(DefectiveLinial, DefectBudgetsHold) {

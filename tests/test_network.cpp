@@ -263,7 +263,8 @@ TEST(RunMetrics, MergeAndEquivalenceCoverFaultCounters) {
 
 // A broadcast copies each live sender's payload into the round's word
 // pool once, and every delivery of that sender points at that entry: the
-// kernel's fill writes the posted entry into each slot.
+// kernel's fill writes the posted entry into each slot (a round that
+// lists every sender, which fills slots; a dense round has none).
 TEST(Network, BroadcastDeliversSharedPayloadHandles) {
   const Graph g = gen::clique(4);
   MailArena arena;
@@ -277,13 +278,16 @@ TEST(Network, BroadcastDeliversSharedPayloadHandles) {
   }
   RoundContext rc;
   rc.graph = &g;
+  const std::vector<NodeId> ids = {0, 1, 2, 3};
+  const std::vector<char> flags(4, 1);
+  const LiveSenders live{flags.data(), ids, 12};
   RangeScratch scratch;
   ShardStaging st;
-  const std::uint32_t count = ShardRound::count(rc, 0, 4, nullptr, scratch,
-                                                st, arena.posted());
+  const std::uint32_t count =
+      ShardRound::count(rc, 0, 4, live, scratch, st, arena.posted());
   ShardRound::fill_broadcast(
-      rc, 0, 4, nullptr, arena.posted(), scratch,
-      arena.lay_out<MailSlot>(4, count, 0, scratch.pool_words), st);
+      rc, 0, 4, live, arena.posted(), scratch,
+      arena.lay_out(4, count, 0, scratch.pool_words), st);
   ASSERT_EQ(arena.slots().size(), 12u);
   EXPECT_EQ(arena.pool().size(), posted_words);  // each payload once
   for (const MailSlot& slot : arena.slots()) {
@@ -359,6 +363,54 @@ TEST(Network, ExplicitDeliveriesAndMaterializedCopiesKeepTheirBits) {
       }
     }
   }
+}
+
+// A dense round (every node sends, no fault plan) lays out no slot: v's
+// inbox is its adjacency row over the posted entries, and a word lane
+// reads neighbour u's word as pool word u. A listed round, and an
+// all-node round under a fault plan, fill slots, which a dense round
+// leaves as they were.
+TEST(Network, DenseRoundsFillNoSlot) {
+  const Graph g = gen::gnp(30, 0.3, 5);
+  Network net(g);
+  std::vector<BitWriter> msgs(g.n());
+  std::vector<std::uint64_t> words(g.n());
+  std::vector<NodeId> every(g.n());
+  for (NodeId v = 0; v < g.n(); ++v) {
+    msgs[v] = make_msg(0x9000u + v, 20 + static_cast<int>(v % 50));
+    words[v] = v % 32;
+    every[v] = v;
+  }
+  auto expect_inboxes = [&](const RoundMail& in) {
+    for (NodeId v = 0; v < g.n(); ++v) {
+      ASSERT_EQ(in[v].size(), g.degree(v));
+      std::size_t i = 0;
+      for (auto [u, r] : in[v]) {
+        EXPECT_EQ(u, g.neighbors(v)[i++]);
+        EXPECT_EQ(r.bit_count(), 20u + u % 50);
+        EXPECT_EQ(r.read(20), 0x9000u + u);
+      }
+    }
+  };
+  expect_inboxes(net.exchange_broadcast(msgs, every));
+  EXPECT_FALSE(net.arena().dense());
+  const std::size_t slots = net.arena().slots().size();
+  EXPECT_EQ(slots, 2 * g.m());
+  expect_inboxes(net.exchange_broadcast(msgs));
+  EXPECT_TRUE(net.arena().dense());
+  const WordMail lanes = net.exchange_broadcast_word(words, 31);
+  EXPECT_TRUE(net.arena().dense());
+  EXPECT_EQ(net.arena().slots().size(), slots);
+  for (NodeId v = 0; v < g.n(); ++v) {
+    ASSERT_EQ(lanes[v].size(), g.degree(v));
+    for (const auto [u, w] : lanes[v]) EXPECT_EQ(w, u % 32);
+  }
+  FaultPlan drops;
+  drops.seed = 3;
+  drops.drop_rate = 0.1;
+  net.attach_faults(&drops);
+  net.exchange_broadcast_word(words, 31);
+  EXPECT_FALSE(net.arena().dense());
 }
 
 TEST(Network, RoundMailViewExpiresAtTheNextExchange) {

@@ -5,6 +5,7 @@
 #include "ldc/coloring/instance_gen.hpp"
 #include "ldc/coloring/validate.hpp"
 #include "ldc/graph/generators.hpp"
+#include "repair_reference.hpp"
 
 namespace ldc {
 namespace {
@@ -17,6 +18,33 @@ TEST(Repair, ColorsFromScratch) {
   ASSERT_TRUE(res.success);
   EXPECT_TRUE(validate_ldc(inst, res.phi).ok);
   EXPECT_TRUE(validate_proper(g, res.phi).ok);
+}
+
+// A node contends only with the neighbours whose contention bit reached
+// it: under a partial-drop plan repair's output is the replay that counts
+// delivered bits alone, on every in-process engine (kDist in
+// test_dist.cpp), and not the replay that reads violation from state.
+TEST(Repair, HearsContentionOnlyFromItsMail) {
+  const Graph g = gen::random_regular(60, 8, 1);
+  const LdcInstance inst = delta_plus_one_instance(g);
+  FaultPlan plan;
+  plan.seed = 101;
+  plan.drop_rate = 0.2;
+  repair::Options opt;
+  opt.max_rounds = 24;
+  const Coloring start(g.n(), kUncolored);
+  const Coloring expect = repair_reference(inst, start, opt, plan);
+  ASSERT_NE(expect, repair_reference(inst, start, opt, plan,
+                                     /*contention_from_state=*/true));
+  for (const std::size_t shards :
+       {std::size_t{0}, std::size_t{2}, std::size_t{7}}) {
+    Network net(g);
+    if (shards != 0) net.set_engine(Network::Engine::kSharded, shards);
+    net.attach_faults(&plan);
+    EXPECT_EQ(repair::repair(net, inst, start, opt).phi, expect)
+        << shards << " shards";
+    EXPECT_GT(net.metrics().messages_dropped, 0u);
+  }
 }
 
 TEST(Repair, FixesCorruptedColoring) {

@@ -425,6 +425,25 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
       }
     }
   }
+
+  // Bound 0: every word is 0 bits wide, so a corrupted copy has no pool
+  // word to copy; its lane still reads 0.
+  FaultPlan corrupt;
+  corrupt.seed = 0xb0;
+  corrupt.corrupt_rate = 0.5;
+  const std::vector<std::uint64_t> zeros(g.n(), 0);
+  for (std::size_t shards : {0u, 2u, 7u}) {
+    Network net(g);
+    if (shards > 0) net.set_engine(Network::Engine::kSharded, shards);
+    net.attach_faults(&corrupt);
+    const WordMail in = net.exchange_broadcast_word(zeros, 0);
+    for (NodeId v = 0; v < g.n(); ++v) {
+      for (const auto [sender, word] : in[v]) {
+        EXPECT_EQ(word, 0u) << sender << " -> " << v << " @" << shards;
+      }
+    }
+    EXPECT_GT(net.metrics().messages_corrupted, 0u) << shards;
+  }
 }
 
 // End-to-end resilient run (colorer + validation + repair under faults):
@@ -462,12 +481,12 @@ TEST(Sharded, ResilientRecoveryMatchesSerial) {
   }
 }
 
-// A dense WordMail lane under kSharded reads the arena's copy of the
-// round's words, which each shard took of its own range — whether the
-// sender is in the lane's shard or across the cut. Mutating the
-// caller's word vector after the exchange must not leak into the view
-// (a ghost read reflects the previous round only), and the next exchange
-// invalidates the view entirely.
+// A dense WordMail lane under kSharded reads each sender's word where the
+// round posted it, in the arena's word pool, whether the sender is in the
+// lane's shard or across the cut. Mutating the caller's word vector after
+// the exchange must not leak into the view (a ghost read reflects the
+// previous round only), and the next exchange invalidates the view
+// entirely.
 TEST(Sharded, GhostHaloReadsAreRoundSnapshots) {
   const Graph g = gen::ring(16);  // degree-balanced split: [0,8) | [8,16)
   Network net(g);
@@ -507,7 +526,8 @@ TEST(Sharded, GhostHaloReadsAreRoundSnapshots) {
 }
 
 // Views read the Network's one round arena, which no engine switch
-// touches: a RoundMail and a dense WordMail taken under kSharded keep
+// touches: a dense RoundMail and a dense WordMail taken under kSharded,
+// whose rows are the graph's adjacency over the posted entries, keep
 // returning their round's inboxes after set_engine(kSerial) and after a
 // shard-count change, since no exchange ran in between.
 TEST(Sharded, ViewsOutliveAnEngineSwitch) {
@@ -673,8 +693,9 @@ TEST(Sharded, CrossShardTrafficCountsTheCut) {
     EXPECT_EQ(net.cross_shard_traffic().messages, 8u);
   }
   {
-    // Fused all-live word round: traffic is the halo refresh — ghost
-    // adjacency entries times the word width (bound 7 -> 3 bits).
+    // A dense word round: each cut sender's word once per neighbour across
+    // the cut, i.e. the ghost adjacency entries times the word width
+    // (bound 7 -> 3 bits).
     Network net(g);
     net.set_engine(Network::Engine::kSharded, 2);
     const std::vector<std::uint64_t> words(g.n(), 5);
@@ -697,6 +718,40 @@ TEST(Sharded, CrossShardTrafficCountsTheCut) {
     EXPECT_EQ(net.cross_shard_traffic().bits, 4u * 10u);
     // RunMetrics must not know about any of this.
     EXPECT_EQ(net.metrics().messages, 32u);
+  }
+  {
+    // A dense round (no sender list, no faults) fills no slot and prices
+    // its cut from the partition: each cut sender's payload once per
+    // neighbour across the cut. The same round with every node listed
+    // fills slots. Both deliver the same inboxes and count the same cut,
+    // for mixed payload widths and for words.
+    const Graph h = gen::gnp(60, 0.2, 11);
+    const std::vector<BitWriter> msgs = mixed_width_payloads(h.n());
+    std::vector<std::uint64_t> words(h.n());
+    for (NodeId v = 0; v < h.n(); ++v) words[v] = hash_combine(0x77, v) % 500;
+    const std::vector<NodeId> every = every_node(h.n());
+    for (const std::size_t shards : {std::size_t{2}, std::size_t{7}}) {
+      for (const bool word_round : {false, true}) {
+        auto run = [&](SenderList senders) {
+          Network net(h);
+          net.set_engine(Network::Engine::kSharded, shards);
+          const std::vector<std::uint64_t> flat =
+              word_round
+                  ? flat_lanes(net.exchange_broadcast_word(words, 499, senders))
+                  : flat_deliveries(net.exchange_broadcast(msgs, senders));
+          EXPECT_EQ(net.arena().dense(), !senders.has_value());
+          return std::make_pair(flat, net.cross_shard_traffic());
+        };
+        const std::string label = std::string(word_round ? "words" : "msgs") +
+                                  " @" + std::to_string(shards);
+        const auto dense = run(std::nullopt);
+        const auto listed = run(every);
+        EXPECT_EQ(dense.first, listed.first) << label;
+        EXPECT_GT(dense.second.messages, 0u) << label;
+        EXPECT_EQ(dense.second.messages, listed.second.messages) << label;
+        EXPECT_EQ(dense.second.bits, listed.second.bits) << label;
+      }
+    }
   }
   {
     Network serial(g);
@@ -893,18 +948,29 @@ TEST(Sharded, ShardTopologyLocalViewMatchesGlobalRows) {
   for (const NodeId u : t.ghosts) {
     EXPECT_TRUE(u < 10 || u >= 20) << "owned vertex in the halo: " << u;
   }
-  // Every out-of-range neighbour of an owned vertex is a ghost, and the
-  // ghost edges are exactly those adjacency entries.
+  // Every out-of-range neighbour of an owned vertex is a ghost, the
+  // ghost edges are exactly those adjacency entries, and the cut senders
+  // are the owned vertices that have any, ascending, with their counts.
   std::uint64_t ghost_edges = 0;
+  std::vector<CutSender> cut;
   for (NodeId v = 10; v < 20; ++v) {
+    std::uint32_t across = 0;
     for (const NodeId u : g.neighbors(v)) {
       if (u >= 10 && u < 20) continue;
       ++ghost_edges;
+      ++across;
       EXPECT_TRUE(std::binary_search(t.ghosts.begin(), t.ghosts.end(), u))
           << "neighbour " << u << " of " << v << " missing from the halo";
     }
+    if (across != 0) cut.push_back(CutSender{v, across});
   }
   EXPECT_EQ(t.ghost_edges, ghost_edges);
+  const std::vector<CutSender> got = cut_senders(g, 10, 20);
+  ASSERT_EQ(got.size(), cut.size());
+  for (std::size_t i = 0; i < cut.size(); ++i) {
+    EXPECT_EQ(got[i].v, cut[i].v) << i;
+    EXPECT_EQ(got[i].cut_degree, cut[i].cut_degree) << i;
+  }
 }
 
 }  // namespace
