@@ -8,8 +8,10 @@
 // dense round, then, in each halving pass, the upper-half classes are
 // bucketed once and round `off` lists only its class's nodes as senders,
 // which broadcast the color they recolor to. Picks run over
-// the class and decodes over its neighbours (ClassRounds), so a round
-// costs its class, not n; neighbour colors live in one CSR-aligned array.
+// the class and decodes over its receivers (ClassRounds), so a round
+// costs its class, not n; neighbour colors live in one CSR-aligned array,
+// each stamped with the pass it was heard in, and a pass end renumbers
+// only φ: a known color is brought up to date when a pick reads it.
 #pragma once
 
 #include <cstdint>

@@ -20,10 +20,13 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <spawn.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+extern char** environ;
 
 namespace ldc::dist {
 namespace {
@@ -70,9 +73,7 @@ std::string find_shard_binary(const std::string& override_path) {
 
 Coordinator::Coordinator(const std::string& corpus_path,
                          CoordinatorOptions opt)
-    : mg_(storage::MappedGraph::open(corpus_path, /*verify_content=*/true)),
-      graph_(mg_->graph()),
-      opt_(std::move(opt)) {
+    : mg_(storage::MappedGraph::open(corpus_path)), opt_(std::move(opt)) {
   if (opt_.heartbeat_ms == 0 || opt_.attach_timeout_ms == 0) {
     throw std::invalid_argument(
         "Coordinator: heartbeat_ms and attach_timeout_ms must be >= 1");
@@ -82,7 +83,7 @@ Coordinator::Coordinator(const std::string& corpus_path,
     throw std::invalid_argument("Coordinator: workers must be <= " +
                                 std::to_string(kMaxDistWorkers));
   }
-  k = std::min<std::size_t>(k, std::max<NodeId>(graph_.n(), 1));
+  k = std::min<std::uint64_t>(k, std::max<std::uint64_t>(mg_->meta().n, 1));
   conns_.resize(k);
   try {
     if (!opt_.listen_unix.empty() || opt_.listen_tcp != 0) {
@@ -90,6 +91,11 @@ Coordinator::Coordinator(const std::string& corpus_path,
     } else {
       spawn_workers(corpus_path, k);
     }
+    // The workers start (exec, map, verify their own mapping) while the
+    // coordinator verifies the one it holds, so its digest pass is off
+    // the attach's critical path; a mismatch reaps them below.
+    mg_->verify();
+    graph_ = mg_->graph();
     handshake();
   } catch (...) {
     // A throwing constructor never reaches the destructor: reap whatever
@@ -104,29 +110,46 @@ Coordinator::~Coordinator() { shutdown_workers(); }
 void Coordinator::spawn_workers(const std::string& corpus_path,
                                 std::size_t k) {
   const std::string bin = find_shard_binary(opt_.shard_binary);
+  // Each child finds its socket end on this fd. Both ends are created
+  // close-on-exec, and the spawn's dup2 clears the flag on the child's
+  // copy only, so no worker inherits a sibling's socket: its death always
+  // reads as EOF here.
+  constexpr int kChildFd = 3;
+  const std::string fd_arg = std::to_string(kChildFd);
+  const char* argv[] = {"ldc_shard", "--corpus", corpus_path.c_str(),
+                        "--fd",      fd_arg.c_str(), nullptr};
   for (std::size_t i = 0; i < k; ++i) {
     int sv[2];
-    // Both ends close-on-exec at creation: a worker spawned later must
-    // not inherit this worker's socket, or its death would never read as
-    // EOF here. The child re-enables inheritance on its own fd only.
     if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
       throw AttachError(std::string("socketpair failed: ") +
                         std::strerror(errno));
     }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(sv[0]);
+    if (sv[1] == kChildFd) {
+      // A dup2 onto itself would keep the flag: move the end first.
+      const int moved = ::fcntl(sv[1], F_DUPFD_CLOEXEC, kChildFd + 1);
+      const int err = errno;
       ::close(sv[1]);
-      throw AttachError(std::string("fork failed: ") + std::strerror(errno));
+      if (moved < 0) {
+        ::close(sv[0]);
+        throw AttachError(std::string("fcntl failed: ") + std::strerror(err));
+      }
+      sv[1] = moved;
     }
-    if (pid == 0) {
-      (void)::fcntl(sv[1], F_SETFD, 0);  // clear CLOEXEC on our end only
-      const std::string fd_arg = std::to_string(sv[1]);
-      ::execl(bin.c_str(), "ldc_shard", "--corpus", corpus_path.c_str(),
-              "--fd", fd_arg.c_str(), static_cast<char*>(nullptr));
-      ::_exit(127);  // exec failed; the parent sees EOF at HELLO
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    int err = posix_spawn_file_actions_adddup2(&actions, sv[1], kChildFd);
+    pid_t pid = -1;
+    if (err == 0) {
+      err = ::posix_spawn(&pid, bin.c_str(), &actions, nullptr,
+                          const_cast<char* const*>(argv), environ);
     }
+    posix_spawn_file_actions_destroy(&actions);
     ::close(sv[1]);
+    if (err != 0) {
+      ::close(sv[0]);
+      throw AttachError("cannot start worker binary " + bin + ": " +
+                        std::strerror(err));
+    }
     set_nonblocking(sv[0]);
     conns_[i].fd = sv[0];
     conns_[i].pid = pid;
@@ -424,28 +447,37 @@ ShardStaging Coordinator::splice(const std::vector<Frame>& replies,
                                  const Head& head, const Decode& decode) {
   const std::size_t K = replies.size();
   std::vector<std::uint32_t> counts(K);
-  for (std::size_t k = 0; k < K; ++k) counts[k] = replies[k].header.count;
+  for (std::size_t k = 0; k < K; ++k) {
+    counts[k] = replies[k].header.count;
+    // Every slot carries at least its sender's 4 bytes: a larger count is
+    // hostile, and must not size the layout.
+    if (counts[k] > replies[k].payload.size() / 4) {
+      throw FrameError("shard " + std::to_string(k) + ": " + what +
+                       " slot count overruns the frame");
+    }
+  }
   const ArenaLayout out = a.lay_out(graph_.n(), counts);
   ShardStaging st;
-  std::vector<std::uint32_t> rows;
   for (std::size_t k = 0; k < K; ++k) {
-    const NodeId b = part_.begin(k);
-    const NodeId e = part_.end(k);
+    const std::string label = "shard " + std::to_string(k) + ": " + what;
     PayloadReader r(replies[k].payload, what);
     st += head(r);
-    rows.resize(static_cast<std::size_t>(e - b) + 1);
-    for (std::uint32_t& row : rows) row = r.u32();
-    if (rows.back() != counts[k] ||
-        !std::is_sorted(rows.begin(), rows.end())) {
-      throw FrameError("shard " + std::to_string(k) + ": " + what +
-                       " offsets disagree with the slot count");
-    }
-    for (NodeId v = b; v < e; ++v) {
-      out[k].rows[v] = out[k].base + rows[v - b];
-      for (std::uint32_t i = rows[v - b]; i < rows[v - b + 1]; ++i) {
-        out[k].slots[out[k].base + i] = decode(r, k, v);
-      }
-    }
+    std::uint32_t at = out.bases[k];
+    std::uint32_t first = at;
+    read_rows(
+        r, part_.begin(k), part_.end(k), counts[k], label,
+        [&](NodeId v, std::uint32_t count) {
+          out.rows[v] = RowEntry{at, count, out.rows.stamp};
+          out.receivers->push_back(v);
+          first = at;
+        },
+        [&](NodeId v) {
+          const MailSlot slot = decode(r, k, v);
+          if (at != first && out.slots[at - 1].sender >= slot.sender) {
+            throw FrameError(label + ": a row's senders are not ascending");
+          }
+          out.slots[at++] = slot;
+        });
     r.expect_end();
   }
   return st;
@@ -641,21 +673,21 @@ ShardStaging Coordinator::broadcast(const RoundContext& rc,
     return tally(st);
   }
 
-  // Each worker gets the fault context and the transmit bitmap (kBcast),
-  // resolves its range's drop and corruption decisions, and returns the
-  // surviving sender ids (kInboxIds).
+  // Each worker gets the fault context and the ascending sender list
+  // (kBcast), resolves its range's drop and corruption decisions, and
+  // returns its non-empty rows of surviving sender ids (kInboxIds).
   const std::uint32_t n = graph_.n();
   std::string payload;
   {
     PayloadWriter w;
     encode_fault_ctx(w, rc.faults, rc.down, n);
-    const std::string bits = pack_bitmap(live->flags, n);
-    w.raw(bits.data(), bits.size());
+    encode_senders(w, live->ids, n);
     payload = w.take();
   }
   for (std::size_t k = 0; k < conns_.size(); ++k) {
     queue_frame(k, FrameKind::kBcast, rc.round, 0,
-                static_cast<std::uint32_t>(k), 0, payload);
+                static_cast<std::uint32_t>(k),
+                static_cast<std::uint32_t>(live->ids.size()), payload);
   }
   const std::vector<Frame> replies =
       collect_replies(FrameKind::kInboxIds, rc.round, "broadcast");
@@ -673,8 +705,7 @@ ShardStaging Coordinator::broadcast(const RoundContext& rc,
       },
       [&](PayloadReader& r, std::size_t k, NodeId v) {
         const NodeId u = r.u32();
-        if (u >= n) throw FrameError("inbox_ids: sender out of range");
-        if (live->flags[u] == 0) {
+        if (!std::binary_search(live->ids.begin(), live->ids.end(), u)) {
           throw FrameError("inbox_ids: sender did not transmit");
         }
         MailSlot slot = posted[u];
@@ -729,8 +760,11 @@ void Coordinator::shutdown_workers() {
     listen_fd_ = -1;
     if (!opt_.listen_unix.empty()) ::unlink(opt_.listen_unix.c_str());
   }
+  // Reap with a doubling nap from 50 µs: a worker that exits on
+  // kShutdown is reaped about when it exits, not at a fixed sleep's end.
   const std::uint64_t kill_deadline = mono_ms() + 2000;
   for (WorkerConn& c : conns_) {
+    useconds_t nap = 50;
     while (c.pid > 0) {
       const pid_t r = ::waitpid(c.pid, nullptr, WNOHANG);
       if (r == c.pid || (r < 0 && errno == ECHILD)) {
@@ -743,7 +777,8 @@ void Coordinator::shutdown_workers() {
         c.pid = -1;
         break;
       }
-      ::usleep(10 * 1000);
+      ::usleep(nap);
+      nap = std::min<useconds_t>(2 * nap, 10 * 1000);
     }
   }
 }

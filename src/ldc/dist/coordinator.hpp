@@ -9,7 +9,7 @@
 // digest-sealed frames. The coordinator is the hub: it relays batches
 // between workers, acks each one, and closes round N only when all K²
 // batch frames for N are acked and all K inbox frames are in — then
-// splices the per-shard inbox CSRs into the Network's master arena
+// splices the per-shard inbox rows into the Network's master arena
 // through its layout helper, range k at base k, which (the ranges being
 // contiguous and ascending) reproduces the serial layout byte for byte. A
 // dense broadcast (every node sending, fault-free) fills no slot and
@@ -17,16 +17,19 @@
 // partition fixed at bind.
 //
 // Two ways to get workers:
-//  * spawn mode (default): fork+exec K `ldc_shard` processes over
-//    socketpairs. Every socket fd is created close-on-exec and each
-//    child unsets the flag only on its own fd, so no worker inherits a
-//    sibling's socket — worker death is always visible as EOF.
+//  * spawn mode (default): posix_spawn K `ldc_shard` processes over
+//    socketpairs (no page-table copy of the coordinator, whatever its
+//    size). Every socket fd is created close-on-exec and the spawn dup2s
+//    the child's end onto a fixed fd, which clears the flag on that copy
+//    only, so no worker inherits a sibling's socket — worker death is
+//    always visible as EOF.
 //  * listen mode: bind a unix-domain or TCP socket and accept K
 //    externally started workers (the README quickstart).
 //
-// Attach validation: every worker HELLOs with its corpus content digest
-// and shape; any mismatch with the coordinator's own mmap is a typed
-// AttachError naming the worker. Liveness: the coordinator's I/O is
+// Attach validation: the coordinator verifies its own mapping's content
+// digest while the workers start, then every worker HELLOs with its
+// corpus content digest and shape; any mismatch with the coordinator's
+// own mmap is a typed AttachError naming the worker. Liveness: the coordinator's I/O is
 // fully non-blocking; while a round is in flight, heartbeat_ms of total
 // silence (or any worker EOF) aborts the run with a WorkerError naming
 // the shard and round.
@@ -79,9 +82,11 @@ struct WireStats {
 
 class Coordinator : public DistBackend {
  public:
-  /// Opens the corpus, spawns (or accepts) the workers, and runs the
-  /// HELLO digest handshake. Throws CorpusError on a bad corpus file,
-  /// AttachError on a worker that fails the handshake, and
+  /// Maps the corpus, spawns (or accepts) the workers, verifies the
+  /// corpus content while they start, and runs the HELLO digest
+  /// handshake. Throws CorpusError on a bad corpus file (reaping any
+  /// worker already started), AttachError on a worker binary that cannot
+  /// start or a worker that fails the handshake, and
   /// std::invalid_argument on bad options.
   explicit Coordinator(const std::string& corpus_path,
                        CoordinatorOptions opt = {});
@@ -113,9 +118,9 @@ class Coordinator : public DistBackend {
                         const std::vector<std::vector<Envelope>>& outboxes,
                         MailArena& a) override;
   /// A broadcast that fills slots is one frame pair per worker: each
-  /// gets the fault context and the transmit bitmap (kBcast), resolves
-  /// its range's drop and corruption decisions, and returns the surviving
-  /// sender ids (kInboxIds). The coordinator holds every sender's posted
+  /// gets the fault context and the ascending sender list (kBcast),
+  /// resolves its range's drop and corruption decisions, and returns its
+  /// non-empty rows of surviving sender ids (kInboxIds). The coordinator holds every sender's posted
   /// payload, so it points each slot at it, re-applies the pure PRF
   /// corruption to the destination's own copy, and prices a delivery
   /// across the cut at its payload's bits.
@@ -172,11 +177,13 @@ class Coordinator : public DistBackend {
   std::vector<Frame> collect_replies(FrameKind kind, std::uint64_t round,
                                      const char* phase);
 
-  /// Lands the K replies' range CSRs in the master arena through its
-  /// layout helper, back to back in shard order. Each reply carries
-  /// header fields (read by head, returning their staging), then its
-  /// range's e - b + 1 row offsets from 0, then header.count slots, each
-  /// read by decode(reader, shard, destination).
+  /// Lands the K replies' rows in the master arena through its layout
+  /// helper, back to back in shard order, writing only the non-empty rows
+  /// and appending their receivers. Each reply carries header fields
+  /// (read by head, returning their staging), then its rows (wire.hpp
+  /// read_rows) holding header.count slots, each read by
+  /// decode(reader, shard, destination). Hostile counts, receivers or
+  /// sender orders throw FrameError.
   template <typename Head, typename Decode>
   ShardStaging splice(const std::vector<Frame>& replies, const char* what,
                       MailArena& a, const Head& head, const Decode& decode);

@@ -4,7 +4,8 @@
 // already-connected socket with --fd; listen-mode deployments start K of
 // these by hand with --connect-unix/--connect-tcp pointing at the
 // coordinator (README quickstart). Either way the worker HELLOs with its
-// corpus content digest and then serves rounds until kShutdown.
+// corpus content digest, verifies the corpus content, and then serves
+// rounds until kShutdown.
 #include <cerrno>
 #include <csignal>
 #include <cstdio>

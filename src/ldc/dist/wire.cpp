@@ -1,6 +1,7 @@
 #include "ldc/dist/wire.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -257,6 +258,48 @@ void unpack_bitmap(std::string_view bits, NodeId n, std::vector<char>& flags) {
   for (NodeId v = 0; v < n; ++v) {
     flags[v] = static_cast<char>(
         (static_cast<std::uint8_t>(bits[v >> 3]) >> (v & 7)) & 1u);
+  }
+}
+
+void encode_senders(PayloadWriter& w, std::span<const NodeId> ids, NodeId n) {
+  if (bcast_as_ids(ids.size(), n)) {
+    w.raw(ids.data(), ids.size() * sizeof(NodeId));
+    return;
+  }
+  std::string bits((static_cast<std::size_t>(n) + 7) / 8, '\0');
+  for (NodeId u : ids) bits[u >> 3] |= static_cast<char>(1u << (u & 7));
+  w.raw(bits.data(), bits.size());
+}
+
+void decode_senders(PayloadReader& r, std::uint32_t count, NodeId n,
+                    std::vector<NodeId>& ids) {
+  ids.clear();
+  if (bcast_as_ids(count, n)) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const NodeId u = r.u32();
+      if (u >= n || (i != 0 && u <= ids.back())) {
+        throw FrameError("bcast: senders must be strictly ascending ids < n");
+      }
+      ids.push_back(u);
+    }
+    return;
+  }
+  // A bitmap is sent only for more than n/32 senders, so this word scan
+  // is O(senders).
+  const std::string_view bits = r.bytes((static_cast<std::size_t>(n) + 7) / 8);
+  for (std::size_t at = 0; at < bits.size(); at += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bits.data() + at, std::min<std::size_t>(8, bits.size() - at));
+    for (; word != 0; word &= word - 1) {
+      const std::size_t u = 8 * at + std::countr_zero(word);
+      if (u >= n || ids.size() == count) {
+        throw FrameError("bcast: sender bitmap disagrees with the count");
+      }
+      ids.push_back(static_cast<NodeId>(u));
+    }
+  }
+  if (ids.size() != count) {
+    throw FrameError("bcast: sender bitmap disagrees with the count");
   }
 }
 

@@ -19,15 +19,18 @@
 // PayloadWriter/PayloadReader; every reader overrun throws FrameError.
 // The per-round payloads serialize the SAME data the shard-round kernel
 // stages in memory (runtime/shard_round.hpp): per-(src,dst) BatchEntry
-// buffers become kBatch frames, per-shard inbox CSRs and ShardStaging
-// records come back as kInbox frames, and the fault context ships the
-// plan parameters plus the round's down bitmap so workers re-resolve the
-// pure PRF drop/corrupt decisions bit-identically (fault.hpp).
+// buffers become kBatch frames, a broadcast's ascending sender list
+// travels as kBcast, each shard's non-empty inbox rows come back as
+// (receiver, count) pairs with their slots (kInbox with its ShardStaging
+// record, kInboxIds), and the fault context ships the plan parameters
+// plus the round's down bitmap so workers re-resolve the pure PRF
+// drop/corrupt decisions bit-identically (fault.hpp).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -64,7 +67,7 @@ class WorkerError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4643444Cu;  ///< "LDCF" LE
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 48;
 /// Hard cap on one frame's payload; anything larger is a typed rejection
 /// (a hostile length prefix must not drive an allocation).
@@ -77,10 +80,10 @@ enum class FrameKind : std::uint16_t {
   kOutbox = 4,      ///< coord→worker: fault ctx + owned senders' outboxes
   kBatch = 5,       ///< worker→coord (then relayed): (src,dst) batch
   kBatchAck = 6,    ///< coord→worker: batch (round,src,dst) accepted
-  kInbox = 7,       ///< worker→coord: staging summary + inbox CSR
-  kBcast = 8,       ///< coord→worker: fault ctx + transmit mask of a
-                    ///< masked/faulty broadcast or word round
-  kInboxIds = 9,    ///< worker→coord: broadcast inbox as sender ids
+  kInbox = 7,       ///< worker→coord: staging summary + inbox rows
+  kBcast = 8,       ///< coord→worker: fault ctx + ascending sender list
+                    ///< of a listed/faulty broadcast or word round
+  kInboxIds = 9,    ///< worker→coord: broadcast inbox rows of sender ids
   // 10 to 13 are unassigned: the decoder rejects them as unknown kinds.
   kError = 14,      ///< worker→coord: typed phase error (code + what())
   kAbort = 15,      ///< coord→worker: discard the named round
@@ -154,6 +157,11 @@ std::optional<Frame> read_frame_fd(int fd, FrameReader& reader);
 class PayloadWriter {
  public:
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
+  /// LEB128: 7 bits a byte, low bits first, 1 to 10 bytes.
+  void varint(std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) u8(static_cast<std::uint8_t>(v | 0x80));
+    u8(static_cast<std::uint8_t>(v));
+  }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
   void f64(double v) { raw(&v, sizeof v); }
@@ -161,6 +169,9 @@ class PayloadWriter {
     out_.append(static_cast<const char*>(data), len);
   }
   std::string take() { return std::move(out_); }
+  /// The bytes so far, and clear() for a writer reused round after round.
+  std::string_view view() const { return out_; }
+  void clear() { out_.clear(); }
   std::size_t size() const { return out_.size(); }
 
  private:
@@ -177,6 +188,16 @@ class PayloadReader {
   std::uint8_t u8() {
     need(1);
     return static_cast<std::uint8_t>(p_[pos_++]);
+  }
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      const std::uint8_t b = u8();
+      if (shift == 63 && b > 1) break;  // past 64 bits
+      v |= std::uint64_t{b & 0x7fu} << shift;
+      if ((b & 0x80) == 0) return v;
+    }
+    throw FrameError(std::string(what_) + ": varint overflows 64 bits");
   }
   std::uint32_t u32() {
     std::uint32_t v;
@@ -253,10 +274,69 @@ void encode_message(PayloadWriter& w, BitReader payload);
 std::uint32_t decode_message(PayloadReader& r,
                              std::vector<std::uint64_t>& words);
 
-/// The wire form of n flags (down and transmit masks): a packed bitmap,
-/// LSB first.
+/// The wire form of n flags (the down mask): a packed bitmap, LSB first.
 std::string pack_bitmap(const char* flags, NodeId n);
 void unpack_bitmap(std::string_view bits, NodeId n, std::vector<char>& flags);
+
+/// The rows of a range [b, e)'s inbox reply (kInbox, kInboxIds): a u32
+/// row count, then each non-empty row in ascending receiver order as its
+/// (receiver, count) pair followed by its `count` slots. The pair is two
+/// varints, the receiver's gap above the lowest one the row may name (b,
+/// then the previous receiver + 1) and count - 1, so receivers ascend and
+/// rows are non-empty by construction, and a row costs about 2 bytes plus
+/// its slots. write_row() appends one pair; read_rows() checks each as it
+/// reads it — the receiver inside [b, e), the counts summing to `slots`,
+/// the frame header's slot count — and throws FrameError naming `what`
+/// otherwise; row(v, count) opens each row, and slot(v) reads each of its
+/// slots.
+inline void write_row(PayloadWriter& w, NodeId& next, NodeId v,
+                      std::uint32_t count) {
+  w.varint(v - next);
+  w.varint(count - 1);
+  next = v + 1;
+}
+
+template <typename Row, typename Slot>
+void read_rows(PayloadReader& r, NodeId b, NodeId e, std::uint32_t slots,
+               const std::string& what, const Row& row, const Slot& slot) {
+  const std::uint32_t rows = r.u32();
+  std::uint64_t next = b;
+  std::uint32_t seen = 0;
+  for (std::uint32_t i = 0; i < rows; ++i) {
+    const std::uint64_t gap = r.varint();
+    if (next >= e || gap >= e - next) {
+      throw FrameError(what + ": receiver out of range");
+    }
+    const auto v = static_cast<NodeId>(next + gap);
+    const std::uint64_t more = r.varint();
+    if (more >= slots - seen) {
+      throw FrameError(what + ": row counts disagree with the slot count");
+    }
+    const auto count = static_cast<std::uint32_t>(more + 1);
+    row(v, count);
+    for (std::uint32_t j = 0; j < count; ++j) slot(v);
+    seen += count;
+    next = std::uint64_t{v} + 1;
+  }
+  if (seen != slots) {
+    throw FrameError(what + ": row counts disagree with the slot count");
+  }
+}
+
+/// A broadcast's ascending sender list on the wire (kBcast, header count
+/// = its length): as u32 ids while they take no more bytes than n flags
+/// would, else as an n-bit bitmap (LSB first, as pack_bitmap), so a dense
+/// list costs what the transmit mask did. bcast_as_ids() is the choice
+/// both ends make from the count alone.
+inline bool bcast_as_ids(std::size_t senders, NodeId n) {
+  return 4 * senders <= (static_cast<std::size_t>(n) + 7) / 8;
+}
+void encode_senders(PayloadWriter& w, std::span<const NodeId> ids, NodeId n);
+/// Decodes header-count `count` senders into `ids`, checking they are
+/// strictly ascending ids < n (a bitmap: exactly `count` bits, none past
+/// n); anything else throws FrameError.
+void decode_senders(PayloadReader& r, std::uint32_t count, NodeId n,
+                    std::vector<NodeId>& ids);
 
 /// A shard's staging of one exchange round (9 u64 fields on the wire),
 /// merged by the coordinator in ascending shard order.

@@ -3,12 +3,13 @@
 // Every round runs the shard-round kernel (runtime/shard_round.hpp) over
 // the worker's range — the same bodies kSerial and kSharded run — into
 // an arena of the worker's own. MailArena::lay_out sizes it for the range
-// alone (rows indexed from the range start, slots from base 0), which is
-// exactly the inbox CSR a reply frame carries and the coordinator lands
-// at the range's base in the master arena. What is left here is
-// transport: decoding and checking each frame's input, encoding
-// cross-shard survivors into kBatch frames, the batch barrier, and
-// encoding the range's inbox back to the coordinator.
+// alone (rows indexed from the range start, slots from base 0), and the
+// reply frame carries its non-empty rows, as (receiver, count) pairs with
+// their slots, which the coordinator lands at the range's base in the
+// master arena. What is left here is transport: decoding and checking
+// each frame's input, encoding cross-shard survivors into kBatch frames,
+// the batch barrier, and encoding the range's rows back to the
+// coordinator in a reply buffer reused round after round.
 #include "ldc/dist/worker.hpp"
 
 #include <cstdio>
@@ -35,7 +36,7 @@ struct ShutdownRequested {};
 }  // namespace
 
 ShardWorker::ShardWorker(const std::string& corpus_path, int fd)
-    : mg_(storage::MappedGraph::open(corpus_path, /*verify_content=*/true)),
+    : mg_(storage::MappedGraph::open(corpus_path)),
       graph_(mg_->graph()),
       fd_(fd) {}
 
@@ -87,6 +88,11 @@ int ShardWorker::run() {
     send_frame(FrameKind::kHello, 0, 0, 0, w.take());
   }
   try {
+    // The content check runs while the coordinator finishes its attach,
+    // and before any frame is read: a corpus whose sections do not match
+    // the digest just announced ends the worker, whose EOF the
+    // coordinator reports as an AttachError.
+    mg_->verify();
     for (;;) {
       std::optional<Frame> f = read_frame_fd(fd_, reader_);
       if (!f) return 0;  // coordinator went away cleanly
@@ -149,6 +155,7 @@ void ShardWorker::handle_assign(const Frame& f) {
   }
   topo_ = ShardTopology{};
   topo_.build(g, part_.begin(shard_), part_.end(shard_));
+  scratch_ = RangeScratch{};  // its row marks are the old range's
   assigned_ = true;
   PayloadWriter w;
   w.u64(topo_.ghost_edges);
@@ -307,7 +314,7 @@ void ShardWorker::handle_outbox(const Frame& f) {
     return;
   }
 
-  // Phase B over the range, then the inbox CSR back to the coordinator.
+  // Phase B over the range, then its rows back to the coordinator.
   arena_.open();
   ShardRound::fill(
       rc, b, e, outbox_of, K, shard_,
@@ -315,17 +322,28 @@ void ShardWorker::handle_outbox(const Frame& f) {
         return incoming[j];
       },
       scratch_, arena_.lay_out(owned, slots, b, pool_words));
-  const std::uint32_t total = arena_.offsets()[owned];
-  PayloadWriter w;
-  encode_summary(w, sum);
-  for (NodeId lv = 0; lv <= owned; ++lv) w.u32(arena_.offsets()[lv]);
-  const std::uint64_t* pool = arena_.pool().data();
-  for (std::uint32_t i = 0; i < total; ++i) {
-    const MailSlot& slot = arena_.slots()[i];
-    w.u32(slot.sender);
-    encode_message(w, BitReader(pool + slot.at, slot.bits));
+  reply_.clear();
+  encode_summary(reply_, sum);
+  write_rows(arena_.rows(owned, b), [&](NodeId v) {
+    const MailRow row = arena_.row(v);
+    for (std::size_t i = 0; i < row.size; ++i) {
+      const MailSlot& slot = row.slots[i];
+      reply_.u32(slot.sender);
+      encode_message(reply_, BitReader(row.pool + slot.at, slot.bits));
+    }
+  });
+  send_frame(FrameKind::kInbox, round, 0, slots, reply_.view());
+}
+
+template <typename Slots>
+void ShardWorker::write_rows(const RowTable& rows, const Slots& slots_of) {
+  const std::span<const NodeId> receivers = arena_.receivers();
+  reply_.u32(static_cast<std::uint32_t>(receivers.size()));
+  NodeId next = topo_.vbegin;
+  for (NodeId v : receivers) {
+    write_row(reply_, next, v, rows[v].count);
+    slots_of(v);
   }
-  send_frame(FrameKind::kInbox, round, 0, total, w.take());
 }
 
 void ShardWorker::handle_bcast(const Frame& f) {
@@ -335,34 +353,42 @@ void ShardWorker::handle_bcast(const Frame& f) {
   const NodeId e = topo_.vend;
   const NodeId owned = topo_.owned();
 
+  // The fault context, then the round's header.count senders.
   PayloadReader r(f.payload, "bcast");
   const FaultCtx ctx = decode_fault_ctx(r, g.n());
-  unpack_bitmap(r.bytes((g.n() + 7) / 8), g.n(), live_);
+  decode_senders(r, f.header.count, g.n(), live_ids_);
   r.expect_end();
-  const LiveSenders live = LiveSenders::collect(g, live_.data(), live_ids_);
+  std::uint64_t degree_sum = 0;
+  for (NodeId u : live_ids_) degree_sum += g.degree(u);
+  LiveSenders live{live_ids_, degree_sum};
+  const auto raised =
+      flags_.raise(g.n(), live, !ShardRound::pushes(g, b, e, live));
 
   // The count and fill passes over sender ids only: the coordinator holds
   // the posted payloads (a word round's one word each) and rebuilds the
-  // slots, so a broadcast and a word round with the same mask and faults
-  // move the same frames.
+  // slots, so a broadcast and a word round with the same senders and
+  // faults move the same frames.
   const RoundContext rc = context(f.header.round, ctx);
   ShardStaging sum;
-  const std::uint32_t total =
-      ShardRound::count(rc, b, e, live, scratch_, sum);
-  std::vector<std::uint32_t> offsets(static_cast<std::size_t>(owned) + 1);
-  std::vector<NodeId> senders(total);
+  const std::uint32_t total = ShardRound::count(rc, b, e, live, scratch_, sum);
+  arena_.open();
+  const RowTable rows = arena_.rows(owned, b);
+  senders_.resize(total);
   ShardRound::fill_rows(
       rc, b, e, live, scratch_,
-      ArenaRange<NodeId>{offsets.data(), senders.data(), b, 0},
+      ArenaRange<NodeId>{rows, senders_.data(), 0, &arena_.receiver_list()},
       [](NodeId& slot, NodeId u, NodeId, bool) { slot = u; });
-  offsets[owned] = total;
 
-  PayloadWriter w;
-  w.u64(sum.dropped);
-  w.u64(sum.corrupted);
-  for (std::uint32_t off : offsets) w.u32(off);
-  for (NodeId u : senders) w.u32(u);
-  send_frame(FrameKind::kInboxIds, f.header.round, 0, total, w.take());
+  reply_.clear();
+  reply_.u64(sum.dropped);
+  reply_.u64(sum.corrupted);
+  write_rows(rows, [&](NodeId v) {
+    const RowEntry& row = rows[v];
+    for (std::uint32_t i = row.first; i < row.first + row.count; ++i) {
+      reply_.u32(senders_[i]);
+    }
+  });
+  send_frame(FrameKind::kInboxIds, f.header.round, 0, total, reply_.view());
 }
 
 }  // namespace ldc::dist

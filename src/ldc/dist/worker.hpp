@@ -7,8 +7,8 @@
 // push or pull by the same rule — with the per-(src, dst) batch buffers
 // serialized as kBatch frames instead of staged in shared memory. Between
 // rounds the worker keeps only reusable buffers and the last round it
-// abandoned: everything a round needs (outboxes, fault context, transmit
-// masks) arrives in the round's frames, and every fault decision it
+// abandoned: everything a round needs (outboxes, fault context, sender
+// lists) arrives in the round's frames, and every fault decision it
 // resolves is a pure function of (plan seed, round, edge) — which is the
 // whole determinism argument (DESIGN.md §12).
 //
@@ -32,16 +32,17 @@ namespace ldc::dist {
 
 class ShardWorker {
  public:
-  /// Opens (mmaps) the corpus and takes ownership of the connected
-  /// socket fd. Throws CorpusError on a bad corpus file.
+  /// Maps the corpus, checking its header only, and takes ownership of
+  /// the connected socket fd. Throws CorpusError on a bad header.
   ShardWorker(const std::string& corpus_path, int fd);
   ~ShardWorker();
 
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  /// Sends HELLO, then serves coordinator frames until kShutdown (returns
-  /// 0) or a fatal protocol error (logs to stderr, returns 1). Algorithm
+  /// Sends HELLO, verifies the corpus content (MappedGraph::verify), then
+  /// serves coordinator frames until kShutdown (returns 0) or a fatal
+  /// error, a failed verify included (logs to stderr, returns 1). Algorithm
   /// errors (non-neighbor delivery, strict CONGEST violations) are NOT
   /// fatal: they travel back as kError frames and the worker keeps
   /// serving rounds.
@@ -55,6 +56,12 @@ class ShardWorker {
   void handle_assign(const Frame& f);
   void handle_outbox(const Frame& f);
   void handle_bcast(const Frame& f);
+
+  /// Appends the round's rows to reply_ (wire.hpp read_rows): the
+  /// arena's receivers as (receiver, count) pairs, each followed by
+  /// slots_of(v)'s slots.
+  template <typename Slots>
+  void write_rows(const RowTable& rows, const Slots& slots_of);
 
   /// The round's kernel context over the decoded fault context.
   RoundContext context(std::uint64_t round, const FaultCtx& ctx) const;
@@ -73,13 +80,15 @@ class ShardWorker {
   ShardTopology topo_;
 
   std::optional<std::uint64_t> abandoned_;  ///< last round sent a kError
-  MailArena arena_;         ///< the range's inbox CSR, reused per round
+  MailArena arena_;         ///< the range's inbox rows, reused per round
   std::vector<std::vector<Envelope>> outboxes_;  ///< decoded kOutbox frame
   std::vector<std::uint64_t> decoded_;  ///< one payload's decode buffer
   std::vector<std::vector<std::uint64_t>> batch_words_;  ///< [src shard]
-  RangeScratch scratch_;    ///< the kernel's per-destination counts
-  std::vector<char> live_;  ///< unpacked transmit mask of a broadcast
-  std::vector<NodeId> live_ids_;  ///< the same senders, ascending
+  RangeScratch scratch_;          ///< the kernel's row marks
+  std::vector<NodeId> live_ids_;  ///< a broadcast's senders, ascending
+  LiveFlags flags_;               ///< raised when the range pulls
+  std::vector<NodeId> senders_;   ///< a kInboxIds reply's slots
+  PayloadWriter reply_;           ///< the round's reply payload
 };
 
 }  // namespace ldc::dist

@@ -140,13 +140,22 @@ Result color_from(Network& net, Coloring phi, std::uint64_t palette,
   return res;
 }
 
+std::uint64_t id_palette(const Graph& g) {
+  if (g.max_id() == std::numeric_limits<std::uint64_t>::max()) {
+    throw std::overflow_error(
+        "linial: an id of 2^64 - 1 makes the id palette 2^64, beyond the "
+        "64-bit id space");
+  }
+  return g.max_id() + 1;
+}
+
 Result color(Network& net, const Options& opt) {
   const Graph& g = net.graph();
   // The ids are a proper (max_id + 1)-colouring of 64-bit colours, so the
   // first round runs on them whole; its output space fits a Color.
+  const std::uint64_t palette = id_palette(g);
   std::vector<std::uint64_t> ids(g.n());
   net.run_node_programs([&](NodeId v) { ids[v] = g.id(v); });
-  const std::uint64_t palette = g.max_id() + 1;
   Coloring phi;
   if (opt.max_rounds == 0 ||
       choose_family(palette, conflict_bound(g, opt), 0).output_space() >=

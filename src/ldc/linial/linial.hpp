@@ -47,10 +47,16 @@ std::uint64_t reduce_once(Network& net, const std::vector<std::uint64_t>& phi,
                           Coloring& next, std::uint64_t palette,
                           std::uint32_t defect, const Options& opt);
 
+/// The palette of g's id colouring, max_id + 1. Throws
+/// std::overflow_error for an id of 2^64 - 1, whose palette 2^64 lies
+/// beyond the 64-bit id space.
+std::uint64_t id_palette(const Graph& g);
+
 /// Full driver: iterate proper reduction steps from the ID coloring until
 /// the palette stops shrinking. The first step runs on the full 64-bit
 /// ids. Throws std::overflow_error when a palette it must hand out does
-/// not fit a Color.
+/// not fit a Color, or when the id palette does not fit 64 bits
+/// (id_palette()).
 Result color(Network& net, const Options& opt = {});
 
 /// Same, but starting from a given proper `palette`-coloring.

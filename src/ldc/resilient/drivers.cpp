@@ -47,7 +47,7 @@ DriverResult resilient_linial(Network& net,
                               const repair::ResilientOptions& opt) {
   const Graph& g = net.graph();
   const std::uint64_t palette =
-      linial_fixpoint_palette(g.max_id() + 1, conflict_bound(g));
+      linial_fixpoint_palette(linial::id_palette(g), conflict_bound(g));
   DriverResult res;
   res.inst = full_palette_instance(g, palette, 0);
   res.run = repair::run_resilient(
@@ -63,7 +63,8 @@ DriverResult resilient_defective_linial(Network& net, std::uint32_t d,
                                         const repair::ResilientOptions& opt) {
   const Graph& g = net.graph();
   const std::uint64_t bound = conflict_bound(g);
-  std::uint64_t palette = linial_fixpoint_palette(g.max_id() + 1, bound);
+  std::uint64_t palette =
+      linial_fixpoint_palette(linial::id_palette(g), bound);
   if (d > 0) {
     palette = linial::choose_family(palette, bound, d).output_space();
   }

@@ -8,13 +8,14 @@
 // n. The classes are bucketed once, by a stable counting sort, so every
 // bucket lists its nodes in ascending order; the caller's pick runs over
 // one bucket; the word round takes just that bucket as its sender list;
-// and the decode runs at the bucket's neighbours, in ascending order,
-// each reading its own lane. Receivers learn only what the mail carries,
-// so drops, corruption and crashes reach them exactly as the fault plan
-// resolved.
+// and the decode runs over the round's receivers (WordMail::receivers()),
+// the neighbours with at least one delivery, in ascending order, each
+// reading its own lane. Receivers learn only what the mail carries, so
+// drops, corruption and crashes reach them exactly as the fault plan
+// resolved: a neighbour whose every delivery was lost has nothing to
+// decode.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,10 +27,7 @@ namespace ldc {
 
 class ClassRounds {
  public:
-  explicit ClassRounds(Network& net)
-      : net_(net),
-        words_(net.graph().n()),
-        seen_((net.graph().n() + 63) / 64, 0) {}
+  explicit ClassRounds(Network& net) : net_(net), words_(net.graph().n()) {}
 
   /// What each node sends when it speaks: the pick writes its own entry.
   std::vector<std::uint64_t>& words() { return words_; }
@@ -62,47 +60,19 @@ class ClassRounds {
   }
 
   /// One round: `senders` (ascending) broadcast their words, each at most
-  /// `bound`; then decode(v, lane) runs at every neighbour v of a sender,
+  /// `bound`; then decode(v, lane) runs at every receiver v of the round,
   /// in ascending order, through Network::run_node_programs.
   template <typename Decode>
   void exchange(std::span<const NodeId> senders, std::uint64_t bound,
                 const Decode& decode) {
     const WordMail in = net_.exchange_broadcast_word(words_, bound, senders);
-    list_receivers(senders);
-    net_.run_node_programs(receivers_,
+    net_.run_node_programs(in.receivers(),
                            [&](NodeId v) { decode(v, in[v]); });
   }
 
  private:
-  /// The senders' neighbours, ascending and without repeats, into
-  /// receivers_: marked in the seen_ bitmap, then read off the span of
-  /// words the marks touched, which are left clear for the next round.
-  void list_receivers(std::span<const NodeId> senders) {
-    const Graph& g = net_.graph();
-    receivers_.clear();
-    std::size_t lo = seen_.size();
-    std::size_t hi = 0;
-    for (NodeId u : senders) {
-      for (NodeId w : g.neighbors(u)) {
-        const std::size_t i = w >> 6;
-        seen_[i] |= std::uint64_t{1} << (w & 63);
-        lo = std::min(lo, i);
-        hi = std::max(hi, i + 1);
-      }
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (std::uint64_t bits = seen_[i]; bits != 0; bits &= bits - 1) {
-        receivers_.push_back(
-            static_cast<NodeId>((i << 6) + __builtin_ctzll(bits)));
-      }
-      seen_[i] = 0;
-    }
-  }
-
   Network& net_;
   std::vector<std::uint64_t> words_;
-  std::vector<std::uint64_t> seen_;  ///< receiver bitmap, clear between
-  std::vector<NodeId> receivers_;
   std::vector<std::uint32_t> start_;  ///< class c is nodes_[start_[c]..)
   std::vector<NodeId> nodes_;
 };

@@ -1,7 +1,7 @@
 // Round-arena mailboxes: the delivery plane of the simulator.
 //
-// Every round delivers into a Network-owned MailArena: a CSR-style flat
-// mailbox (per-destination slot offsets plus one flat array of
+// Every round delivers into a Network-owned MailArena: a flat mailbox
+// (a row table locating each destination's slots, plus one flat array of
 // (sender, bits, pool offset) slots) over one word pool that holds the
 // round's payload bits. Every buffer is reused round after round, so the
 // steady state of a run performs no per-round heap allocation. The caller
@@ -38,13 +38,27 @@
 // is its sorted adjacency row, and neighbour u's delivery is u's posted
 // entry. Every other round has slots.
 //
-// Every engine lands its rounds in this one arena, in this one layout.
-// MailArena::lay_out() sizes a slot round once for K contiguous vertex
-// ranges laid back to back and hands each range its base (first slot) and
-// its pool segment; kSerial fills one range, kSharded K ranges on K
-// threads, and the distributed coordinator splices the ranges its worker
-// processes computed. Only an `ldc_shard` worker keeps an arena of its
-// own, for its range alone.
+// Slot rounds. Every engine lands its rounds in this one arena, in this
+// one layout. A slot round sizes its slots once for K contiguous vertex
+// ranges laid back to back (MailArena::lay_out) and hands each range its
+// base (first slot) and its pool segment; kSerial fills one range,
+// kSharded K ranges on K threads, and the distributed coordinator splices
+// the ranges its worker processes computed. Only an `ldc_shard` worker
+// keeps an arena of its own, for its range alone.
+//
+// The row table. A slot round writes only the rows it fills: destination
+// v's row is one RowEntry (first slot, count, round stamp: 12 bytes per
+// vertex, allocated at the Network's first slot round), valid only while
+// its stamp is the arena's current one, so a row the round never wrote
+// reads as an empty inbox and no round resets the table. Every slot round
+// takes this one representation: a push walk or an explicit exchange
+// counts into its range's cursors and marks the rows it touches, then
+// opens the marked rows in ascending order by an O(n/64) scan; a pull
+// walk and the coordinator's splice write their non-empty rows in order.
+// Each round also hands out its receivers, the destinations with at least
+// one delivery, in ascending order (receivers()): kSharded concatenates
+// the ranges' lists in range order, so a listed round costs its receivers
+// and deliveries on every engine, not n.
 //
 // Delivery order contract: within one inbox, deliveries are in strictly
 // ascending sender order (each sender may send at most one message per
@@ -99,34 +113,57 @@ struct WordSlot {
   std::uint64_t value;
 };
 
+/// One destination's row in a slot round: its `count` deliveries start at
+/// slot `first`. It belongs to the round whose stamp it carries; a row
+/// with any other stamp reads as an empty inbox.
+struct RowEntry {
+  std::uint32_t first;
+  std::uint32_t count;
+  std::uint32_t stamp;
+};
+static_assert(sizeof(RowEntry) == 12);
+
+/// A slot round's row table as its writers see it: destination v's entry
+/// is at[v - origin], and it counts for this round only once stamped with
+/// `stamp`. Each vertex range writes the entries of its own rows only.
+struct RowTable {
+  RowEntry* at = nullptr;
+  NodeId origin = 0;
+  std::uint32_t stamp = 0;
+
+  RowEntry& operator[](NodeId v) const { return at[v - origin]; }
+};
+
 /// Write access to one vertex range's deliveries in an arena sized by
-/// MailArena::lay_out(): destination v's row offset goes to
-/// rows[v - origin], the range's slots fill slots[base...] in row order,
-/// and the payload words it copies fill pool[segment...]. Valid until the
-/// arena's next lay_out(). Slot is MailSlot, or NodeId for the sender ids
-/// an `ldc_shard` worker fills into a kInboxIds reply.
+/// MailArena::lay_out(): the range's rows go to `rows`, its slots fill
+/// slots[base...] in ascending row order, its receivers are appended to
+/// `receivers` in ascending order, and the payload words it copies fill
+/// pool[segment...]. Valid until the arena's next open(). Slot is
+/// MailSlot, or NodeId for the sender ids an `ldc_shard` worker fills
+/// into a kInboxIds reply.
 template <typename Slot>
 struct ArenaRange {
-  std::uint32_t* rows;
+  RowTable rows;
   Slot* slots;
-  NodeId origin;
   std::uint32_t base;
+  std::vector<NodeId>* receivers;
   std::uint64_t* pool = nullptr;
   std::uint64_t segment = 0;
 };
 
 /// A round laid out by MailArena::lay_out(): range k writes through
-/// (*this)[k]. Valid until the arena's next lay_out().
+/// (*this)[k], whose receivers go to the arena's list. Valid until the
+/// arena's next open().
 struct ArenaLayout {
-  std::uint32_t* rows;
+  RowTable rows;
   MailSlot* slots;
-  NodeId origin;
   const std::uint32_t* bases;
+  std::vector<NodeId>* receivers;
   std::uint64_t* pool;
   const std::uint64_t* segments;
 
   ArenaRange<MailSlot> operator[](std::size_t k) const {
-    return {rows, slots, origin, bases[k], pool, segments[k]};
+    return {rows, slots, bases[k], receivers, pool, segments[k]};
   }
 };
 
@@ -156,18 +193,30 @@ class MailArena {
   std::uint64_t epoch() const { return epoch_; }
 
   /// Opens the next round: invalidates the views handed out so far and
-  /// empties the word pool, keeping every buffer's capacity.
+  /// every row of the table, and empties the word pool and the receiver
+  /// list, keeping every buffer's capacity.
   void open() {
     ++epoch_;
+    if (++stamp_ == 0) {
+      // Once per 2^32 rounds: no entry may still carry the new stamp.
+      for (RowEntry& r : rows_) r.stamp = 0;
+      stamp_ = 1;
+    }
     pool_.clear();
+    receivers_.clear();
     dense_ = nullptr;
   }
 
-  /// The last slot round's inbox CSR, for code that ships a range's
-  /// inboxes elsewhere (the ldc_shard worker): destination origin + i's
-  /// deliveries are slots()[offsets()[i] .. offsets()[i + 1]), their
-  /// payloads in pool().
-  const std::vector<std::uint32_t>& offsets() const { return offsets_; }
+  /// The row table of this round for `n` destinations from vertex
+  /// `origin`, sized at the first slot round (lay_out() calls it); its
+  /// entries are this round's once stamped.
+  RowTable rows(std::size_t n, NodeId origin = 0) {
+    if (rows_.size() < n) rows_.resize(n, RowEntry{0, 0, 0});
+    origin_ = origin;
+    return {rows_.data(), origin, stamp_};
+  }
+
+  /// The last slot round's slots, in ascending row order.
   const std::vector<MailSlot>& slots() const { return slots_; }
 
   /// The round's word pool. Serial code may append to it — the
@@ -175,6 +224,10 @@ class MailArena {
   /// slots address it by offset, not by pointer.
   std::vector<std::uint64_t>& pool() { return pool_; }
   const std::vector<std::uint64_t>& pool() const { return pool_; }
+
+  /// The round's receiver list, for an engine that gathers its ranges'
+  /// lists (kSharded appends them in range order).
+  std::vector<NodeId>& receiver_list() { return receivers_; }
 
   /// Copies sender u's payload to the end of the pool, once, before a
   /// broadcast round's fills: every delivery of u is this entry.
@@ -212,17 +265,18 @@ class MailArena {
   void lay_out_dense(const Graph& g) { dense_ = &g; }
 
   /// The layout step of every slot round and the only write access to
-  /// the slots: sizes the row offsets for `rows` destinations starting at
-  /// vertex `origin`, the slots for counts[k] slots per vertex range k,
-  /// and a pool segment of segments[k] words per range (none when
-  /// `segments` is empty) after the posted payloads. Ranges lie back to
-  /// back in ascending order, so range k's base is the sum of the counts
-  /// before it. Everything is sized here, once, so K writers can then
-  /// fill their ranges concurrently, each writing its own rows and
-  /// segment. Allocates nothing in a steady state.
-  ArenaLayout lay_out(std::size_t rows, std::span<const std::uint32_t> counts,
+  /// the slots: the row table for `n` destinations from vertex `origin`
+  /// (rows()), the slots for counts[k] slots per vertex range k, and a
+  /// pool segment of segments[k] words per range (none when `segments`
+  /// is empty) after the posted payloads. Ranges lie back to back in
+  /// ascending order, so range k's base is the sum of the counts before
+  /// it. Everything is sized here, once, so K writers can then fill their
+  /// ranges concurrently, each writing its own rows and segment.
+  /// Allocates nothing in a steady state.
+  ArenaLayout lay_out(std::size_t n, std::span<const std::uint32_t> counts,
                       NodeId origin = 0,
                       std::span<const std::uint64_t> segments = {}) {
+    const RowTable table = rows(n, origin);
     bases_.resize(counts.size());
     segments_.resize(counts.size());
     std::uint32_t total = 0;
@@ -233,32 +287,48 @@ class MailArena {
       segments_[k] = words;
       if (!segments.empty()) words += segments[k];
     }
-    if (offsets_.size() < rows + 1) offsets_.resize(rows + 1);
-    offsets_[rows] = total;
     slots_.resize(total);
     pool_.resize(words);
-    return {offsets_.data(), slots_.data(), origin,
-            bases_.data(),   pool_.data(),  segments_.data()};
+    return {table,          slots_.data(), bases_.data(),
+            &receivers_,    pool_.data(),  segments_.data()};
   }
 
-  /// lay_out() for a single range of `rows` destinations.
-  ArenaRange<MailSlot> lay_out(std::size_t rows, std::uint32_t count,
+  /// lay_out() for a single range of `n` destinations.
+  ArenaRange<MailSlot> lay_out(std::size_t n, std::uint32_t count,
                                NodeId origin = 0, std::uint64_t segment = 0) {
-    return lay_out(rows, std::span(&count, 1), origin,
+    return lay_out(n, std::span(&count, 1), origin,
                    std::span(&segment, 1))[0];
   }
 
   /// True when the round has no slots (lay_out_dense()).
   bool dense() const { return dense_ != nullptr; }
 
-  /// Destination v's deliveries this round.
+  /// Destination v's deliveries this round: empty for a row the round
+  /// did not write.
   MailRow row(NodeId v) const {
     if (dense_ != nullptr) {
       const std::span<const NodeId> nb = dense_->neighbors(v);
       return {posted_.data(), nb.data(), nb.size(), pool_.data()};
     }
-    return {slots_.data() + offsets_[v], nullptr,
-            offsets_[v + 1] - offsets_[v], pool_.data()};
+    if (v - origin_ >= rows_.size()) return {};
+    const RowEntry& r = rows_[v - origin_];
+    if (r.stamp != stamp_) return {};
+    return {slots_.data() + r.first, nullptr, r.count, pool_.data()};
+  }
+
+  /// The round's receivers: the destinations with at least one delivery,
+  /// ascending. A dense round's are the graph's non-isolated vertices,
+  /// listed at the first call in any dense round (O(n), once per arena:
+  /// make that call from one thread).
+  std::span<const NodeId> receivers() const {
+    if (dense_ == nullptr) return receivers_;
+    if (!dense_listed_) {
+      for (NodeId v = 0; v < dense_->n(); ++v) {
+        if (dense_->degree(v) != 0) dense_receivers_.push_back(v);
+      }
+      dense_listed_ = true;
+    }
+    return dense_receivers_;
   }
 
  private:
@@ -269,13 +339,18 @@ class MailArena {
     posted_[u] = MailSlot{u, bits, pool_.size()};
   }
 
-  std::vector<std::uint32_t> offsets_;  ///< per-destination slot offsets
-  std::vector<MailSlot> slots_;         ///< flat delivery slots
-  std::vector<std::uint64_t> pool_;     ///< the round's payload words
-  std::vector<MailSlot> posted_;        ///< a broadcast's entries, by sender
-  std::vector<std::uint32_t> bases_;    ///< the last layout's range bases
+  std::vector<RowEntry> rows_;      ///< the row table, from origin_
+  std::vector<MailSlot> slots_;     ///< flat delivery slots
+  std::vector<std::uint64_t> pool_;  ///< the round's payload words
+  std::vector<MailSlot> posted_;     ///< a broadcast's entries, by sender
+  std::vector<NodeId> receivers_;    ///< a slot round's receivers
+  std::vector<std::uint32_t> bases_;     ///< the last layout's range bases
   std::vector<std::uint64_t> segments_;  ///< ... and pool segments
   const Graph* dense_ = nullptr;  ///< a dense round's rows (else slots)
+  mutable std::vector<NodeId> dense_receivers_;
+  mutable bool dense_listed_ = false;
+  NodeId origin_ = 0;
+  std::uint32_t stamp_ = 0;  ///< the current round's row stamp, never 0
   std::uint64_t epoch_ = 0;
 };
 
@@ -286,6 +361,14 @@ class ArenaView {
   /// Number of destinations (the graph's n).
   std::size_t size() const { return n_; }
   bool empty() const { return n_ == 0; }
+
+  /// The destinations with at least one delivery this round, ascending
+  /// and the same on every engine (MailArena::receivers()); throws
+  /// std::logic_error if a later round invalidated this view.
+  std::span<const NodeId> receivers() const {
+    check_fresh("receivers");
+    return arena_->receivers();
+  }
 
  protected:
   ArenaView() = default;

@@ -122,14 +122,22 @@ void Network::debug_check_sorted() const {
   // The ascending-sender invariant that replaced the per-inbox sort: the
   // kernel fills each inbox walking contiguous ascending source ranges in
   // order, and the broadcast fill follows the graph's sorted adjacency.
+  // The receivers are ascending, and are exactly the non-empty rows.
   if (arena_.dense()) return;
-  for (NodeId v = 0; v < graph_->n(); ++v) {
-    const MailRow row = arena_.row(v);
+  const std::span<const NodeId> receivers = arena_.receivers();
+  std::size_t slots = 0;
+  for (std::size_t k = 0; k < receivers.size(); ++k) {
+    assert((k == 0 || receivers[k - 1] < receivers[k]) &&
+           "receivers not in ascending order");
+    const MailRow row = arena_.row(receivers[k]);
+    assert(row.size != 0 && "a receiver with an empty row");
+    slots += row.size;
     for (std::size_t i = 1; i < row.size; ++i) {
       assert(row.slots[i - 1].sender < row.slots[i].sender &&
              "inbox not in ascending sender order");
     }
   }
+  assert(slots == arena_.slots().size() && "a non-empty row not listed");
 #endif
 }
 
@@ -164,7 +172,6 @@ const LiveSenders* Network::live_senders(
   // transmit test: every inbox is exactly the sender-sorted neighbor list.
   if (!senders && ctx.faults == nullptr) return nullptr;
   const Graph& g = *graph_;
-  live_.assign(g.n(), 0);
   std::span<const NodeId> ids;
   if (ctx.faults == nullptr) {
     ids = *senders;  // already the live list: nobody is down
@@ -183,11 +190,8 @@ const LiveSenders* Network::live_senders(
     ids = live_ids_;
   }
   std::uint64_t degree_sum = 0;
-  for (NodeId u : ids) {
-    live_[u] = 1;
-    degree_sum += g.degree(u);
-  }
-  live_set_ = LiveSenders{live_.data(), ids, degree_sum};
+  for (NodeId u : ids) degree_sum += g.degree(u);
+  live_set_ = LiveSenders{ids, degree_sum};
   return &live_set_;
 }
 
@@ -249,10 +253,13 @@ void Network::broadcast(std::optional<std::span<const NodeId>> senders,
   } else if (live != nullptr) {
     const auto n = graph_->n();
     const MailSlot* posted = arena_.posted();
+    LiveSenders walk = *live;
+    const auto raised = flags_.raise(
+        n, walk, !ShardRound::pushes(*graph_, 0, n, walk));
     const std::uint32_t count =
-        ShardRound::count(r.ctx, 0, n, *live, scratch_, st, posted);
+        ShardRound::count(r.ctx, 0, n, walk, scratch_, st, posted);
     ShardRound::fill_broadcast(
-        r.ctx, 0, n, *live, posted, scratch_,
+        r.ctx, 0, n, walk, posted, scratch_,
         arena_.lay_out(n, count, 0, scratch_.pool_words), st);
   }
   finish_round(r, st);

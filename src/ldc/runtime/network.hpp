@@ -345,9 +345,9 @@ class Network {
   std::uint32_t crashed_total_ = 0;
   MailArena arena_;       ///< every engine's round lands here
   RangeScratch scratch_;  ///< kSerial's round scratch
-  std::vector<char> live_;        ///< live-sender flags of a broadcast round
+  LiveFlags flags_;       ///< kSerial's pull-walk flags
   std::vector<NodeId> live_ids_;  ///< a faulty round's live senders
-  LiveSenders live_set_;          ///< the round's view of the two
+  LiveSenders live_set_;          ///< a broadcast round's live senders
 
   /// Evaluates the plan's node schedules for `round` (single-threaded, so
   /// crash-cap resolution is engine-independent): updates crashed_/down_,
@@ -358,9 +358,9 @@ class Network {
   /// round count, and the round's fault schedule.
   OpenRound open_round();
   /// The live senders of a broadcast round — the listed `senders` (all
-  /// nodes without a list) that are not down — as flags and an ascending
-  /// list in reused buffers, or nullptr when every node sends and the
-  /// round is fault-free.
+  /// nodes without a list) that are not down — as an ascending list with
+  /// its degree sum, or nullptr when every node sends and the round is
+  /// fault-free. An engine raises their flags only for a pull walk.
   const LiveSenders* live_senders(
       std::optional<std::span<const NodeId>> senders,
       const RoundContext& ctx);

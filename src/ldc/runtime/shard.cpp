@@ -164,8 +164,9 @@ ShardStaging ShardSet::exchange(
         [&](std::size_t j) -> const std::vector<BatchEntry>& {
           return states_[j].outgoing[k];
         },
-        st.scratch, out[k]);
+        st.scratch, range(out, k));
   });
+  gather_receivers(a);
   return merge();
 }
 
@@ -178,20 +179,43 @@ ShardStaging ShardSet::broadcast(const RoundContext& rc,
     }
     return merge();
   }
+  const Graph& g = *rc.graph;
+  LiveSenders walk = *live;
+  bool pull = false;
+  for (const ShardState& st : states_) {
+    pull = pull || !ShardRound::pushes(g, st.begin, st.end, walk);
+  }
+  const auto raised = flags_.raise(g.n(), walk, pull);
   crew_.run([&](std::size_t k) {
     ShardState& st = states_[k];
     st.staging = ShardStaging{};
-    counts_[k] = ShardRound::count(rc, st.begin, st.end, *live,
-                                   st.scratch, st.staging, posted);
+    counts_[k] = ShardRound::count(rc, st.begin, st.end, walk, st.scratch,
+                                   st.staging, posted);
     segments_[k] = st.scratch.pool_words;
   });
-  const auto out = a.lay_out(rc.graph->n(), counts_, 0, segments_);
+  const auto out = a.lay_out(g.n(), counts_, 0, segments_);
   crew_.run([&](std::size_t k) {
     ShardState& st = states_[k];
-    ShardRound::fill_broadcast(rc, st.begin, st.end, *live,
-                               posted, st.scratch, out[k], st.staging);
+    ShardRound::fill_broadcast(rc, st.begin, st.end, walk, posted,
+                               st.scratch, range(out, k), st.staging);
   });
+  gather_receivers(a);
   return merge();
+}
+
+ArenaRange<MailSlot> ShardSet::range(const ArenaLayout& out, std::size_t k) {
+  ArenaRange<MailSlot> r = out[k];
+  r.receivers = &states_[k].scratch.receivers;
+  r.receivers->clear();
+  return r;
+}
+
+void ShardSet::gather_receivers(MailArena& a) const {
+  std::vector<NodeId>& list = a.receiver_list();
+  for (const ShardState& st : states_) {
+    const std::vector<NodeId>& mine = st.scratch.receivers;
+    list.insert(list.end(), mine.begin(), mine.end());
+  }
 }
 
 void ShardSet::for_each_vertex(CallableRef<void(NodeId)> fn) {

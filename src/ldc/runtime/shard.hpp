@@ -192,11 +192,17 @@ class ShardSet {
   /// Sums the shards' staging in ascending order into the round's total
   /// and the cumulative cut traffic.
   ShardStaging merge();
+  /// Range k of a slot round's layout, its receivers listed in shard k's
+  /// scratch (cleared here); gather_receivers() then appends the shards'
+  /// lists to the arena's in shard order, which is ascending.
+  ArenaRange<MailSlot> range(const ArenaLayout& out, std::size_t k);
+  void gather_receivers(MailArena& a) const;
 
   Partition part_;
   std::vector<ShardState> states_;
   std::vector<std::uint32_t> counts_;    ///< each range's slots this round
   std::vector<std::uint64_t> segments_;  ///< ... and its pool words
+  LiveFlags flags_;             ///< raised when some range pulls
   ShardTraffic total_traffic_;  ///< cumulative across rounds
   ShardCrew crew_;              ///< last: joins before states_ die
 };

@@ -48,18 +48,6 @@ void ShardRound::check_unique_destinations(
   }
 }
 
-LiveSenders LiveSenders::collect(const Graph& g, const char* flags,
-                                 std::vector<NodeId>& ids) {
-  ids.clear();
-  std::uint64_t degree_sum = 0;
-  for (NodeId u = 0; u < g.n(); ++u) {
-    if (flags[u] == 0) continue;
-    ids.push_back(u);
-    degree_sum += g.degree(u);
-  }
-  return {flags, ids, degree_sum};
-}
-
 bool ShardRound::pushes(const Graph& g, NodeId b, NodeId e,
                         const LiveSenders& live) {
   // An empty range may sit on an empty graph, which has no CSR rows.
@@ -84,9 +72,9 @@ std::uint32_t ShardRound::count(const RoundContext& rc, NodeId b, NodeId e,
     }
   };
   if (pushes(g, b, e, live)) {
-    s.cursor.assign(e - b, 0);
+    open_count(b, e, s);
     push(rc, b, e, live.ids, st, [&](NodeId u, NodeId v, bool corrupt) {
-      ++s.cursor[v - b];
+      count_row(b, s, v);
       ++total;
       copies(u, corrupt);
     });

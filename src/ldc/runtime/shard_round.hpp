@@ -18,17 +18,21 @@
 // is known, and the payload words it copies into the range's own pool
 // segment, sized by the same pass. The in-process engines lay their
 // ranges back to back in the Network's master arena, which is the serial
-// layout; a worker lays out its own range in an arena of its own.
+// layout; a worker lays out its own range in an arena of its own. A range
+// writes only the rows it fills, in the arena's stamped row table
+// (mail.hpp), and lists its receivers in ascending order; its counters
+// are zero between rounds, each round zeroing the ones it touched. So a
+// round costs its deliveries and receivers, not its range.
 //
 // Explicit exchange rounds take two phases. Phase A (stage, by sender)
 // checks that each sender's destinations are unique neighbours, accounts
 // every transmitted message into the range's ShardStaging, resolves
-// faults, counts the survivors that stay in the range and hands every
-// cross-range survivor to a batch sink. Phase B (fill, by destination,
-// after the barrier and the layout) fills the range's inbox rows walking
-// source ranges in ascending order, its own range inline — ranges are
-// contiguous and ascending, so that walk IS the serial sender order and no
-// sort runs.
+// faults, counts the survivors that stay in the range per destination
+// and hands every cross-range survivor to a batch sink. Phase B (fill, by
+// destination, after the barrier and the layout) counts the batches in,
+// opens the counted rows in ascending order and fills them walking source
+// ranges in ascending order, its own range inline — ranges are contiguous
+// and ascending, so that walk IS the serial sender order and no sort runs.
 //
 // A broadcast round — a message or a word round, which posts one word per
 // sender — fills slots only when it has a sender list or a fault plan (a
@@ -37,14 +41,18 @@
 // walks that resolve the same pure decisions:
 //
 //  * pull (receiver-driven): each destination reads its live in-neighbours
-//    in adjacency order — the full adjacency of the range, every pass;
+//    in adjacency order — the full adjacency of the range, every pass,
+//    against n transmit flags raised for the round (LiveFlags);
 //  * push (sender-driven): each live sender, in ascending order, walks its
-//    adjacency clipped to the range; the count pass counts per destination
-//    and the fill pass places slots at per-row cursors.
+//    adjacency clipped to the range; the count pass counts per
+//    destination and marks each one it counts in the range's bitmap, and
+//    the fill pass opens the marked rows in ascending order (an
+//    O(range/64) scan) and places slots at per-row cursors.
 //
 // Both put every inbox in ascending sender order, so the choice never
 // changes a byte: a range pushes when its live senders are sparse against
-// its edges (pushes(), a named constant).
+// its edges (pushes(), a named constant), reading only the sender list and
+// its degree sum, and the flags are raised only when some range pulls.
 //
 // Determinism: every fault decision is a pure function of (plan seed,
 // round, edge), re-resolved wherever an edge is visited; staging records
@@ -55,6 +63,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -99,21 +108,54 @@ struct RoundContext {
   }
 };
 
-/// The transmitting senders of a broadcast round that fills slots: n
-/// flags for the pull walk, and the same set as an ascending id list with
-/// its degree sum for the push walk and the bulk accounting. Network
-/// builds it from the round's sender list (Network::live_senders).
+/// The transmitting senders of a broadcast round that fills slots: an
+/// ascending id list with its degree sum, which the push walk, the
+/// push/pull choice and the bulk accounting read, and, only while some
+/// range takes the pull walk, n flags raised for the round (LiveFlags).
+/// Network builds it from the round's sender list (Network::live_senders).
 struct LiveSenders {
-  const char* flags = nullptr;
   std::span<const NodeId> ids;
   std::uint64_t degree_sum = 0;
+  const char* flags = nullptr;
+};
 
-  /// The flagged senders of g, listed into `ids` (a reused buffer:
-  /// cleared, its capacity kept, so it grows to the most senders a round
-  /// has had, not to n): an O(n) scan, for a worker process, which has
-  /// only the flags it unpacked from the coordinator's bitmap.
-  static LiveSenders collect(const Graph& g, const char* flags,
-                             std::vector<NodeId>& ids);
+/// The n transmit flags a pull walk reads, all clear between rounds.
+/// raise() sets one round's senders, sizing the buffer at the first pull,
+/// and the guard it returns clears them again: O(senders) each way.
+class LiveFlags {
+ public:
+  /// Clears the raised senders' flags when it dies.
+  class Raised {
+   public:
+    Raised(const Raised&) = delete;
+    Raised& operator=(const Raised&) = delete;
+    ~Raised() {
+      if (flags_ == nullptr) return;
+      for (NodeId u : ids_) flags_[u] = 0;
+    }
+
+   private:
+    friend class LiveFlags;
+    Raised(char* flags, std::span<const NodeId> ids)
+        : flags_(flags), ids_(ids) {}
+
+    char* flags_;
+    std::span<const NodeId> ids_;
+  };
+
+  /// With `pull` (some range of the round takes the pull walk), flags
+  /// live's senders among n vertices and points live.flags at them;
+  /// otherwise leaves live as it is.
+  [[nodiscard]] Raised raise(NodeId n, LiveSenders& live, bool pull) {
+    if (!pull) return Raised(nullptr, {});
+    if (flags_.size() < n) flags_.resize(n, 0);
+    for (NodeId u : live.ids) flags_[u] = 1;
+    live.flags = flags_.data();
+    return Raised(flags_.data(), live.ids);
+  }
+
+ private:
+  std::vector<char> flags_;
 };
 
 /// One cross-range survivor staged between phase A and phase B: its
@@ -169,14 +211,21 @@ struct ShardStaging {
                                          std::size_t budget_bits);
 };
 
-/// One range's reusable round scratch: the per-destination survivor
-/// counts of phase A or a push count pass (the fill's write cursors), the
-/// duplicate-destination check's sort buffer, and the pool words the
-/// range's fill will copy (its in-range survivors' payloads in an explicit
-/// round, its corrupted copies in a broadcast round).
+/// One range's reusable round scratch: per destination of the range, the
+/// survivor count of phase A or a push count pass (the fill's write
+/// cursor), and a bit marking it counted, both zero between rounds — a
+/// round zeroes the ones it touched, and `counting` flags a count whose
+/// round threw before its fill, for the next count to clear; the
+/// duplicate-destination check's sort buffer; the range's receivers where
+/// the range lists them apart from the arena (kSharded); and the pool
+/// words the range's fill will copy (its in-range survivors' payloads in
+/// an explicit round, its corrupted copies in a broadcast round).
 struct RangeScratch {
   std::vector<std::uint32_t> cursor;
+  std::vector<std::uint64_t> marks;
+  bool counting = false;
   std::vector<NodeId> dests;
+  std::vector<NodeId> receivers;
   std::uint64_t pool_words = 0;
 };
 
@@ -194,7 +243,7 @@ class ShardRound {
                              ShardStaging& st, Sink&& sink) {
     const Graph& g = *rc.graph;
     const FaultPlan* f = rc.faults;
-    s.cursor.assign(e - b, 0);
+    open_count(b, e, s);
     s.pool_words = 0;
     std::uint32_t local = 0;
     for (NodeId u = b; u < e; ++u) {
@@ -228,7 +277,7 @@ class ShardRound {
         if (remote) {
           sink(u, dest, msg);
         } else {
-          ++s.cursor[dest - b];
+          count_row(b, s, dest);
           s.pool_words += payload_words(bits);
           ++local;
         }
@@ -239,11 +288,11 @@ class ShardRound {
 
   /// Phase B for destinations [b, e) of range `self` out of `shards`:
   /// batches_from(j) yields the entries range j staged for this one (never
-  /// called for j == self). Lays out the range's inbox rows in `out`,
-  /// which holds room for the stage's in-range survivors plus every batch,
-  /// and fills them in ascending sender order, copying each payload into
-  /// the range's pool segment; corruption flips the delivery's own copy,
-  /// re-resolving phase A's decision.
+  /// called for j == self). Counts the batches in, opens the range's
+  /// counted rows in `out`, which holds room for the stage's in-range
+  /// survivors plus every batch, and fills them in ascending sender order,
+  /// copying each payload into the range's pool segment; corruption flips
+  /// the delivery's own copy, re-resolving phase A's decision.
   template <typename OutboxOf, typename BatchesFrom>
   static void fill(const RoundContext& rc, NodeId b, NodeId e,
                    const OutboxOf& outbox_of, std::size_t shards,
@@ -252,9 +301,9 @@ class ShardRound {
     const FaultPlan* f = rc.faults;
     for (std::size_t j = 0; j < shards; ++j) {
       if (j == self) continue;
-      for (const BatchEntry& x : batches_from(j)) ++s.cursor[x.dest - b];
+      for (const BatchEntry& x : batches_from(j)) count_row(b, s, x.dest);
     }
-    open_rows(b, e, s, out);
+    const std::size_t opened = open_rows(b, e, s, out);
     std::uint64_t at = out.segment;
     auto put = [&](NodeId u, NodeId dest, const std::uint64_t* words,
                    std::size_t bits) {
@@ -282,6 +331,7 @@ class ShardRound {
         }
       }
     }
+    close_rows(b, s, *out.receivers, opened);
   }
 
   /// Bulk sender-side accounting of a broadcast round: every live sender
@@ -303,6 +353,12 @@ class ShardRound {
     }
   }
 
+  /// True when range [b, e) takes the push walk for this live set; a
+  /// range that does not reads live.flags, which the engine raises first
+  /// (LiveFlags).
+  static bool pushes(const Graph& g, NodeId b, NodeId e,
+                     const LiveSenders& live);
+
   /// The count pass of a broadcast round that fills slots: the
   /// survivors of `live` delivered to [b, e), with drop and corruption
   /// events counted into st. A push count leaves per-destination counts
@@ -315,25 +371,32 @@ class ShardRound {
                              const MailSlot* posted = nullptr);
 
   /// The fill pass, after count() on the same range and scratch: writes
-  /// each row's offset into `out` and put(slot, u, v, corrupt) per
-  /// survivor, every row in ascending sender order. The events were
-  /// counted by count().
+  /// the range's non-empty rows and receivers into `out` and
+  /// put(slot, u, v, corrupt) per survivor, every row in ascending sender
+  /// order. The events were counted by count().
   template <typename Slot, typename Put>
   static void fill_rows(const RoundContext& rc, NodeId b, NodeId e,
                         const LiveSenders& live, RangeScratch& s,
                         ArenaRange<Slot> out, Put&& put) {
     ShardStaging again;
     if (pushes(*rc.graph, b, e, live)) {
-      open_rows(b, e, s, out);
+      const std::size_t opened = open_rows(b, e, s, out);
       push(rc, b, e, live.ids, again,
            [&](NodeId u, NodeId v, bool corrupt) {
              put(out.slots[s.cursor[v - b]++], u, v, corrupt);
            });
+      close_rows(b, s, *out.receivers, opened);
       return;
     }
-    std::uint32_t at = out.base;
+    std::uint32_t first = out.base;
+    std::uint32_t at = first;
     scan(rc, b, e, live.flags, again,
-         [&](NodeId v) { out.rows[v - out.origin] = at; },
+         [&](NodeId v) {
+           if (at == first) return;
+           out.rows[v] = RowEntry{first, at - first, out.rows.stamp};
+           out.receivers->push_back(v);
+           first = at;
+         },
          [&](NodeId u, NodeId v, bool corrupt) {
            put(out.slots[at++], u, v, corrupt);
          });
@@ -375,10 +438,6 @@ class ShardRound {
   /// live on one range, ~50% on each of four (DESIGN.md §7).
   static constexpr double kClipCost = 4.0;
 
-  /// True when range [b, e) takes the push walk for this live set.
-  static bool pushes(const Graph& g, NodeId b, NodeId e,
-                     const LiveSenders& live);
-
   /// The fault decisions for live edge u -> v of a faulty round, events
   /// counted into st: false when it is lost, else true with `corrupt`.
   static bool arrives(const RoundContext& rc, NodeId u, NodeId v,
@@ -392,36 +451,89 @@ class ShardRound {
     return true;
   }
 
-  /// Turns the per-destination counts in s.cursor into range [b, e)'s row
-  /// offsets in `out`, leaving each cursor at its row's first slot.
-  template <typename Slot>
-  static void open_rows(NodeId b, NodeId e, RangeScratch& s,
-                        ArenaRange<Slot> out) {
-    std::uint32_t at = out.base;
-    for (NodeId v = b; v < e; ++v) {
-      out.rows[v - out.origin] = at;
-      at += std::exchange(s.cursor[v - b], at);
+  /// Readies range [b, e)'s counters for a count: sized at the range's
+  /// first counted round, and zero — unless the last count here belongs
+  /// to a round that threw before its fill, whose marked counters this
+  /// clears.
+  static void open_count(NodeId b, NodeId e, RangeScratch& s) {
+    const std::size_t range = static_cast<std::size_t>(e - b);
+    if (s.cursor.size() < range) {
+      s.cursor.resize(range, 0);
+      s.marks.resize((range + 63) / 64, 0);
+    }
+    if (s.counting) {
+      for_marked(b, e, s, [&](NodeId v) { s.cursor[v - b] = 0; });
+    }
+    s.counting = true;
+  }
+
+  /// Counts one survivor for destination v, and marks v counted.
+  static void count_row(NodeId b, RangeScratch& s, NodeId v) {
+    ++s.cursor[v - b];
+    s.marks[(v - b) >> 6] |= std::uint64_t{1} << ((v - b) & 63);
+  }
+
+  /// visit(v) for every marked destination of [b, e), ascending, clearing
+  /// the marks: an O(range/64) word scan.
+  template <typename Visit>
+  static void for_marked(NodeId b, NodeId e, RangeScratch& s,
+                         Visit&& visit) {
+    const std::size_t words = (static_cast<std::size_t>(e - b) + 63) / 64;
+    for (std::size_t i = 0; i < words; ++i) {
+      for (std::uint64_t bits = std::exchange(s.marks[i], 0); bits != 0;
+           bits &= bits - 1) {
+        visit(b + static_cast<NodeId>((i << 6) + std::countr_zero(bits)));
+      }
     }
   }
 
-  /// Pull walk of a broadcast round over destinations [b, e): row(v)
-  /// opens v's inbox, then emit(u, v, corrupt) runs per surviving live
-  /// in-neighbour u (live[u] set) in adjacency order (the graph's sorted
-  /// rows, so ascending sender order).
-  template <typename Row, typename Emit>
+  /// Opens the rows counted into range [b, e), ascending: each gets its
+  /// row entry in `out` (first slot, count), its counter becomes the
+  /// fill's cursor, and it joins the receivers. Returns where in the
+  /// receiver list the range's rows start, for close_rows().
+  template <typename Slot>
+  static std::size_t open_rows(NodeId b, NodeId e, RangeScratch& s,
+                               ArenaRange<Slot> out) {
+    const std::size_t opened = out.receivers->size();
+    std::uint32_t at = out.base;
+    for_marked(b, e, s, [&](NodeId v) {
+      const std::uint32_t count = std::exchange(s.cursor[v - b], at);
+      out.rows[v] = RowEntry{at, count, out.rows.stamp};
+      at += count;
+      out.receivers->push_back(v);
+    });
+    return opened;
+  }
+
+  /// Ends the count after the fill: zeroes the cursors of the rows
+  /// open_rows() opened, receivers[opened...].
+  static void close_rows(NodeId b, RangeScratch& s,
+                         const std::vector<NodeId>& receivers,
+                         std::size_t opened) {
+    for (std::size_t i = opened; i < receivers.size(); ++i) {
+      s.cursor[receivers[i] - b] = 0;
+    }
+    s.counting = false;
+  }
+
+  /// Pull walk of a broadcast round over destinations [b, e):
+  /// emit(u, v, corrupt) runs per surviving live in-neighbour u (live[u]
+  /// set) in adjacency order (the graph's sorted rows, so ascending
+  /// sender order), then done(v) closes v's row.
+  template <typename Done, typename Emit>
   static void scan(const RoundContext& rc, NodeId b, NodeId e,
-                   const char* live, ShardStaging& st, Row&& row,
+                   const char* live, ShardStaging& st, Done&& done,
                    Emit&& emit) {
     const Graph& g = *rc.graph;
     const FaultPlan* f = rc.faults;
     for (NodeId v = b; v < e; ++v) {
-      row(v);
       for (NodeId u : g.neighbors(v)) {
         if (live[u] == 0) continue;
         bool corrupt = false;
         if (f != nullptr && !arrives(rc, u, v, st, corrupt)) continue;
         emit(u, v, corrupt);
       }
+      done(v);
     }
   }
 

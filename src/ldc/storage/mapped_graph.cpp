@@ -67,28 +67,31 @@ std::shared_ptr<const MappedGraph> MappedGraph::open(const std::string& path,
                           std::min<std::uint64_t>(file_bytes, kCorpusPage))},
       file_bytes, path);
 
-  if (verify_content) {
-    mg->advise_sequential();
-    const auto& lo = mg->layout_;
-    std::uint64_t section_digests[3] = {
-        fnv1a64_bytes(mapping->data + lo.offsets_pos, lo.offsets_bytes),
-        fnv1a64_bytes(mapping->data + lo.ids_pos, lo.ids_bytes),
-        fnv1a64_bytes(mapping->data + lo.adj_pos, lo.adj_bytes)};
-    if (fnv1a64_bytes(section_digests, sizeof section_digests) !=
-        lo.meta.content_digest) {
-      throw CorpusError("corpus " + path + ": content digest mismatch");
-    }
-    // The offsets rows feed Graph::view unchecked, so a verified open
-    // also pins down the two structural invariants cheap enough to test
-    // without a full monotonicity scan at every open.
-    const auto* off = reinterpret_cast<const std::uint64_t*>(
-        mapping->data + lo.offsets_pos);
-    if (off[0] != 0 || off[lo.meta.n] != lo.meta.adj_entries) {
-      throw CorpusError("corpus " + path +
-                        ": offsets do not match the adjacency section");
-    }
-  }
+  if (verify_content) mg->verify();
   return mg;
+}
+
+void MappedGraph::verify() const {
+  advise_sequential();
+  const auto& lo = layout_;
+  const unsigned char* data = mapping_->data;
+  std::uint64_t section_digests[3] = {
+      fnv1a64_bytes(data + lo.offsets_pos, lo.offsets_bytes),
+      fnv1a64_bytes(data + lo.ids_pos, lo.ids_bytes),
+      fnv1a64_bytes(data + lo.adj_pos, lo.adj_bytes)};
+  if (fnv1a64_bytes(section_digests, sizeof section_digests) !=
+      lo.meta.content_digest) {
+    throw CorpusError("corpus " + path_ + ": content digest mismatch");
+  }
+  // The offsets rows feed Graph::view unchecked, so a verified open
+  // also pins down the two structural invariants cheap enough to test
+  // without a full monotonicity scan at every open.
+  const auto* off =
+      reinterpret_cast<const std::uint64_t*>(data + lo.offsets_pos);
+  if (off[0] != 0 || off[lo.meta.n] != lo.meta.adj_entries) {
+    throw CorpusError("corpus " + path_ +
+                      ": offsets do not match the adjacency section");
+  }
 }
 
 Graph MappedGraph::graph() const {

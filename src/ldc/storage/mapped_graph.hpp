@@ -27,12 +27,18 @@ namespace ldc::storage {
 
 class MappedGraph {
  public:
-  /// Maps and validates `path`. With verify_content, additionally streams
-  /// every section recomputing the content digest (reads the whole file —
-  /// ldc_gen --verify and the hostility tests use it; the serve path does
-  /// not). Throws CorpusError naming the failing check.
+  /// Maps and validates `path`. With verify_content, additionally runs
+  /// verify() (reads the whole file — ldc_gen --verify and the hostility
+  /// tests use it; the serve path does not). Throws CorpusError naming the
+  /// failing check.
   static std::shared_ptr<const MappedGraph> open(const std::string& path,
                                                  bool verify_content = false);
+
+  /// Streams every section recomputing the content digest, and checks
+  /// the offsets' two ends against the adjacency section. Throws
+  /// CorpusError on a mismatch. A caller may map first and verify later,
+  /// as the distributed coordinator does while its workers start.
+  void verify() const;
 
   const CorpusMeta& meta() const { return layout_.meta; }
   const std::string& path() const { return path_; }

@@ -1,13 +1,17 @@
 // Sender lists for the broadcast equivalence suites, one for each side
 // of the shard-round kernel's push/pull crossover (ShardRound::pushes)
-// and its extremes, beside the suites' own `v % 3 != 0` list; and the
+// and its extremes, beside the suites' own `v % 3 != 0` list; the
 // mixed-width round the cut-traffic suites send densely and with every
-// node listed.
+// node listed; and the receiver checks every sweep runs on its views.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <numeric>
+#include <stdexcept>
 #include <optional>
 #include <span>
 #include <string>
@@ -87,6 +91,29 @@ inline std::vector<std::uint64_t> flat_lanes(const WordMail& in) {
     }
   }
   return out;
+}
+
+/// Appends the receivers a round's view hands out (RoundMail or
+/// WordMail) to `out`, after their count, for a cross-engine comparison,
+/// checking them against the view's rows: they must be exactly the
+/// destinations with at least one delivery, ascending, so every other
+/// row reads empty. `prev` keeps the previous round's view, which must
+/// now throw on access; this round's view replaces it.
+template <typename View>
+void record_receivers(const View& in, std::vector<NodeId>& out,
+                      std::function<void()>& prev) {
+  if (prev) {
+    EXPECT_THROW(prev(), std::logic_error);
+  }
+  prev = [in] { (void)in.receivers(); };
+  const std::span<const NodeId> got = in.receivers();
+  std::vector<NodeId> nonempty;
+  for (NodeId v = 0; v < in.size(); ++v) {
+    if (!in[v].empty()) nonempty.push_back(v);
+  }
+  EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()), nonempty);
+  out.push_back(static_cast<NodeId>(got.size()));
+  out.insert(out.end(), got.begin(), got.end());
 }
 
 /// A broadcast round's senders, as Network's broadcasts take them.

@@ -9,6 +9,9 @@
 //    program whose lambda captures four references, on either engine:
 //    crew jobs and node programs travel as CallableRefs, where a
 //    std::function allocated once its captures outgrew the small buffer;
+//  * so does a listed round on either engine, sparse (the push walk over
+//    stamped rows) or dense (the pull walk over raised flags), with a
+//    colour-class round's decode over the round's receivers;
 //  * one d1lc run (Theorem 1.4's colorer, default options) stays under
 //    a fifth of the allocations it made while payloads were refcounted
 //    blocks and node programs built per-node containers every round:
@@ -26,6 +29,7 @@
 #include "ldc/coloring/instance_gen.hpp"
 #include "ldc/d1lc/congest_colorer.hpp"
 #include "ldc/graph/generators.hpp"
+#include "ldc/runtime/class_rounds.hpp"
 #include "ldc/runtime/network.hpp"
 #include "ldc/runtime/mail.hpp"
 
@@ -204,6 +208,49 @@ TEST(Allocations, SteadyStateExplicitRoundAllocatesNothing) {
   for (std::uint64_t r = 3; r < 40; ++r) round(r);
   EXPECT_EQ(allocs() - before, 0u);
   EXPECT_GT(sum, 0u);
+}
+
+/// Allocations of a second cycle of listed rounds on `shards` shards (0:
+/// serial), after a first cycle grew every buffer: per round, one colour
+/// class (1/16 of the nodes, the push walk) speaks through ClassRounds,
+/// whose decode runs over the round's receivers, then 7/8 of the nodes
+/// (the pull walk) speak in a listed word round.
+std::uint64_t listed_round_allocations(std::size_t shards) {
+  const Graph g = gen::random_regular(1024, 16, 7);
+  Network net(g);
+  if (shards != 0) net.set_engine(Network::Engine::kSharded, shards);
+  ClassRounds rounds(net);
+  rounds.bucket(16, [](NodeId v) { return v % 16; });
+  std::vector<NodeId> dense;
+  for (NodeId v = 0; v < g.n(); ++v) {
+    if (v % 8 != 0) dense.push_back(v);
+  }
+  std::vector<std::uint64_t> heard(g.n(), 0);
+  std::uint64_t sum = 0;
+  auto round = [&](std::uint64_t r) {
+    for (NodeId v = 0; v < g.n(); ++v) rounds.words()[v] = (v + r) % 1000;
+    rounds.exchange(rounds.members(r % 16), 999,
+                    [&](NodeId v, WordMail::Lane lane) {
+                      for (const auto [u, w] : lane) heard[v] += u + w;
+                    });
+    const WordMail in = net.exchange_broadcast_word(rounds.words(), 999, dense);
+    for (NodeId v : in.receivers()) sum += in[v].size();
+  };
+  for (std::uint64_t r = 0; r < 16; ++r) round(r);
+  const std::uint64_t before = allocs();
+  for (std::uint64_t r = 16; r < 48; ++r) round(r);
+  const std::uint64_t used = allocs() - before;
+  EXPECT_GT(sum, 0u);
+  EXPECT_GT(heard[1], 0u);
+  return used;
+}
+
+TEST(Allocations, SerialListedRoundsAllocateNothing) {
+  EXPECT_EQ(listed_round_allocations(0), 0u);
+}
+
+TEST(Allocations, ShardedListedRoundsAllocateNothing) {
+  EXPECT_EQ(listed_round_allocations(4), 0u);
 }
 
 /// Heap allocations of one d1lc run, the colouring checked valid.

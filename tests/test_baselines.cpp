@@ -7,6 +7,8 @@
 #include "ldc/coloring/instance_gen.hpp"
 #include "ldc/coloring/validate.hpp"
 #include "ldc/graph/generators.hpp"
+#include "ldc/runtime/trace.hpp"
+#include "kw_reference.hpp"
 
 namespace ldc {
 namespace {
@@ -134,6 +136,61 @@ TEST(KwReduction, FasterThanNaiveForLargePalettes) {
   const auto kw = baselines::linial_then_kw(kw_net);
   EXPECT_TRUE(validate_proper(g, kw.phi).ok);
   EXPECT_LT(kw_net.metrics().rounds, naive_net.metrics().rounds);
+}
+
+/// One KW run's observables: colours, palette, traffic and transcript.
+struct KwRun {
+  baselines::KwResult res;
+  RunMetrics metrics;
+  std::uint64_t trace_digest = 0;
+};
+
+// kw_reduce renumbers a known colour when a pick reads it, by the pass
+// ends since it was heard; the eager reference renumbered every known
+// colour at every pass end. Under drops and corruption, which leave
+// stale and garbled colours in what nodes know, both pick the same
+// colours in the same rounds, on the serial and the sharded engine, with
+// and without faults.
+TEST(KwReduction, RenumberOnReadMatchesTheEagerReference) {
+  const Graph g = gen::random_regular(300, 8, 5);
+  Coloring initial(g.n());
+  for (NodeId v = 0; v < g.n(); ++v) initial[v] = v * 1009 + 17;
+  const std::uint64_t m = std::uint64_t{g.n()} * 1009 + 17;
+  FaultPlan plan;
+  plan.seed = 0x6b77;
+  plan.drop_rate = 0.1;
+  plan.corrupt_rate = 0.05;
+  for (const FaultPlan* faults : {static_cast<const FaultPlan*>(nullptr),
+                                  static_cast<const FaultPlan*>(&plan)}) {
+    auto run = [&](std::size_t shards, bool eager) {
+      Network net(g);
+      if (shards != 0) net.set_engine(Network::Engine::kSharded, shards);
+      Trace trace;
+      net.attach_trace(&trace);
+      if (faults != nullptr) net.attach_faults(faults);
+      KwRun out;
+      out.res = eager ? kw_reference(net, initial, m)
+                      : baselines::kw_reduce(net, initial, m);
+      out.metrics = net.metrics();
+      out.trace_digest = trace.digest();
+      return out;
+    };
+    const KwRun ref = run(0, true);
+    if (faults == nullptr) {
+      EXPECT_TRUE(validate_proper(g, ref.res.phi).ok);
+    } else {
+      EXPECT_GT(ref.metrics.messages_corrupted, 0u);
+    }
+    for (const std::size_t shards : {0u, 2u, 7u}) {
+      const KwRun got = run(shards, false);
+      const std::string label = std::string(faults ? "faults" : "clean") +
+                                " @" + std::to_string(shards);
+      EXPECT_EQ(got.res.phi, ref.res.phi) << label;
+      EXPECT_EQ(got.res.palette, ref.res.palette) << label;
+      EXPECT_TRUE(got.metrics.same_communication(ref.metrics)) << label;
+      EXPECT_EQ(got.trace_digest, ref.trace_digest) << label;
+    }
+  }
 }
 
 TEST(KwReduction, AlreadySmallPaletteIsNoop) {

@@ -17,17 +17,23 @@
 // fallback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -42,10 +48,12 @@
 #include "ldc/linial/defective_linial.hpp"
 #include "ldc/linial/linial.hpp"
 #include "ldc/repair/repair.hpp"
+#include "ldc/resilient/drivers.hpp"
 #include "ldc/runtime/network.hpp"
 #include "ldc/storage/corpus.hpp"
 #include "ldc/support/prf.hpp"
 #include "arbdefective_reference.hpp"
+#include "kw_reference.hpp"
 #include "repair_reference.hpp"
 #include "survivor_lists.hpp"
 
@@ -423,6 +431,54 @@ TEST(Dist, LinialKeepsSixtyFourBitIds) {
     EXPECT_EQ(got.phi, want.phi) << "n " << g->n();
     EXPECT_EQ(got.palette, want.palette) << "n " << g->n();
   }
+  // An id of 2^64 - 1 puts the id palette beyond the id space: the same
+  // typed overflow under kDist as on the in-process engines.
+  Graph top = gen::path(2);
+  top.set_ids({0, std::numeric_limits<std::uint64_t>::max()});
+  TempCorpus tc("linial_ids_top");
+  write_graph_with_ids(top, tc.path());
+  CoordinatorOptions copt;
+  copt.workers = 2;
+  Coordinator coord(tc.path(), copt);
+  Network net(coord.corpus_graph());
+  net.attach_dist(&coord);
+  EXPECT_THROW(linial::color(net), std::overflow_error);
+  EXPECT_THROW(resilient::resilient_linial(net), std::overflow_error);
+}
+
+// kw_reduce's renumber-on-read, its class rounds on 2 worker processes,
+// picks the colours the eager reference picks on the serial engine, in
+// the same rounds, under drops and corruption.
+TEST(Dist, KwMatchesTheEagerReferenceUnderFaults) {
+  const Graph g = gen::random_regular(300, 8, 5);
+  TempCorpus tc("kw_eager");
+  write_graph(g, tc.path());
+  Coloring initial(g.n());
+  for (NodeId v = 0; v < g.n(); ++v) initial[v] = v * 1009 + 17;
+  const std::uint64_t m = std::uint64_t{g.n()} * 1009 + 17;
+  FaultPlan plan;
+  plan.seed = 0x6b77;
+  plan.drop_rate = 0.1;
+  plan.corrupt_rate = 0.05;
+  Network serial(g);
+  Trace want_trace;
+  serial.attach_trace(&want_trace);
+  serial.attach_faults(&plan);
+  const baselines::KwResult want = kw_reference(serial, initial, m);
+  CoordinatorOptions copt;
+  copt.workers = 2;
+  Coordinator coord(tc.path(), copt);
+  Network net(coord.corpus_graph());
+  net.attach_dist(&coord);
+  Trace got_trace;
+  net.attach_trace(&got_trace);
+  net.attach_faults(&plan);
+  const baselines::KwResult got = baselines::kw_reduce(net, initial, m);
+  EXPECT_EQ(got.phi, want.phi);
+  EXPECT_EQ(got.palette, want.palette);
+  EXPECT_TRUE(net.metrics().same_communication(serial.metrics()));
+  EXPECT_EQ(got_trace.digest(), want_trace.digest());
+  EXPECT_GT(net.metrics().messages_corrupted, 0u);
 }
 
 // Broadcast fast path and the word path under kDist must match the
@@ -456,6 +512,7 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
 
   struct Flat {
     std::vector<std::uint64_t> slots;
+    std::vector<NodeId> receivers;
     RunMetrics metrics;
     std::uint64_t trace_digest = 0;
   };
@@ -468,9 +525,11 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
     net.attach_trace(&trace);
     if (faults != nullptr) net.attach_faults(faults);
     Flat out;
+    std::function<void()> prev;
     for (int round = 0; round < 3; ++round) {
       if (path == Path::kFusedWord) {
         const WordMail in = net.exchange_broadcast_word(words, bound, senders);
+        record_receivers(in, out.receivers, prev);
         for (NodeId v = 0; v < g.n(); ++v) {
           for (const auto [sender, word] : in[v]) {
             out.slots.push_back(hash_combine(
@@ -490,6 +549,7 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
       } else {
         in = net.exchange_broadcast(msgs, senders);
       }
+      record_receivers(in, out.receivers, prev);
       for (NodeId v = 0; v < g.n(); ++v) {
         for (auto [sender, r] : in[v]) {
           out.slots.push_back(
@@ -525,6 +585,8 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
               "/" + mask_name + (faults != nullptr ? "+faults" : "") +
               " @dist" + std::to_string(workers);
           EXPECT_EQ(ref.slots, got.slots) << label << ": deliveries differ";
+          EXPECT_EQ(ref.receivers, got.receivers)
+              << label << ": receivers differ";
           EXPECT_TRUE(ref.metrics.same_communication(got.metrics))
               << label << ": metrics differ: ref {" << ref.metrics
               << "} got {" << got.metrics << "}";
@@ -556,42 +618,50 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
   EXPECT_GT(net.metrics().messages_corrupted, 0u);
 }
 
-// A masked word round ships sender ids, not words: with one sender live,
-// it moves exactly the bytes of the message broadcast round with the same
-// mask (one kBcast out and one kInboxIds back per worker), which is less
-// than one 8-byte word per vertex.
+// A listed word round ships sender ids, not words, and costs its traffic,
+// not n: the sender list goes out (kBcast), and the non-empty rows come
+// back as (receiver, count) pairs with their sender ids (kInboxIds). So
+// one sender with the same neighbourhood (ring vertex 1: neighbours 0 and
+// 2, in the first worker's range) moves the same wire bytes on 400 and on
+// 4,000 vertices, exactly the bytes of the message broadcast round with
+// the same list, and less than one 8-byte word per vertex.
 TEST(Dist, MaskedWordRoundShipsSenderIdsNotWords) {
-  const Graph g = gen::gnp(400, 0.02, 21);
-  TempCorpus tc("masked_words");
-  write_graph(g, tc.path());
   const std::uint64_t bound = 499;
-  const std::vector<std::uint64_t> words(g.n(), 7);
-  std::vector<BitWriter> msgs(g.n());
-  {
-    BitWriter w;
-    w.write_bounded(7, bound);
-    for (BitWriter& m : msgs) m = w;
+  std::vector<std::uint64_t> bytes;
+  for (const NodeId n : {NodeId{400}, NodeId{4000}}) {
+    const Graph g = gen::ring(n);
+    TempCorpus tc("masked_words" + std::to_string(n));
+    write_graph(g, tc.path());
+    const std::vector<std::uint64_t> words(g.n(), 7);
+    std::vector<BitWriter> msgs(g.n());
+    {
+      BitWriter w;
+      w.write_bounded(7, bound);
+      for (BitWriter& m : msgs) m = w;
+    }
+    const std::vector<NodeId> one = {1};
+    CoordinatorOptions opt;
+    opt.workers = 2;
+    Coordinator coord(tc.path(), opt);
+    Network net(coord.corpus_graph());
+    net.attach_dist(&coord);
+    auto wire_bytes = [&](const std::function<void()>& round) {
+      const dist::WireStats before = coord.wire_stats();
+      round();
+      const dist::WireStats after = coord.wire_stats();
+      return (after.bytes_sent - before.bytes_sent) +
+             (after.bytes_received - before.bytes_received);
+    };
+    const std::uint64_t word_bytes = wire_bytes(
+        [&] { (void)net.exchange_broadcast_word(words, bound, one); });
+    const std::uint64_t msg_bytes =
+        wire_bytes([&] { (void)net.exchange_broadcast(msgs, one); });
+    EXPECT_GT(word_bytes, 0u) << n;
+    EXPECT_EQ(word_bytes, msg_bytes) << n;
+    EXPECT_LT(word_bytes, 8u * g.n()) << n;
+    bytes.push_back(word_bytes);
   }
-  const std::vector<NodeId> one = {g.n() / 2};
-  CoordinatorOptions opt;
-  opt.workers = 2;
-  Coordinator coord(tc.path(), opt);
-  Network net(coord.corpus_graph());
-  net.attach_dist(&coord);
-  auto wire_bytes = [&](const std::function<void()>& round) {
-    const dist::WireStats before = coord.wire_stats();
-    round();
-    const dist::WireStats after = coord.wire_stats();
-    return (after.bytes_sent - before.bytes_sent) +
-           (after.bytes_received - before.bytes_received);
-  };
-  const std::uint64_t word_bytes = wire_bytes(
-      [&] { (void)net.exchange_broadcast_word(words, bound, one); });
-  const std::uint64_t msg_bytes =
-      wire_bytes([&] { (void)net.exchange_broadcast(msgs, one); });
-  EXPECT_GT(word_bytes, 0u);
-  EXPECT_EQ(word_bytes, msg_bytes);
-  EXPECT_LT(word_bytes, 8u * g.n());
+  EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 // The logical cross-shard counters are engine-independent observability:
@@ -717,6 +787,181 @@ TEST(Dist, AttachRejectsCorpusContentDigestMismatch) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   // The failed attach tears the listen socket down behind itself.
   EXPECT_NE(::access(sock.c_str(), F_OK), 0) << "listen socket leaked";
+}
+
+/// True when the test process has no child left to reap.
+bool no_children() {
+  errno = 0;
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
+// The coordinator verifies the corpus while its workers start: a corpus
+// altered after writing (one adjacency byte) is the same CorpusError it
+// was when the verify ran before the spawn, and the workers already
+// started are reaped before it propagates.
+TEST(Dist, CorruptCorpusFailsTheAttachAndLeavesNoWorker) {
+  const Graph g = gen::gnp(40, 0.2, 13);
+  TempCorpus tc("flipped");
+  write_graph(g, tc.path());
+  {
+    // The file ends with the adjacency section's last entry.
+    std::fstream f(tc.path(), std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(-1, std::ios::end);
+    char c = 0;
+    f.get(c);
+    f.seekp(-1, std::ios::end);
+    f.put(static_cast<char>(c ^ 0x40));
+  }
+  CoordinatorOptions opt;
+  opt.workers = 2;
+  EXPECT_THROW(Coordinator(tc.path(), opt), storage::CorpusError);
+  EXPECT_TRUE(no_children());
+}
+
+// A worker checks its corpus content right after its HELLO, before it
+// reads any frame: a listen-mode worker holding a copy of the corpus
+// altered after writing (its header, and so the digest it announces,
+// intact) ends before the attach completes, an AttachError, and never
+// serves a round.
+TEST(Dist, WorkerVerifiesItsCorpusBeforeServingARound) {
+  const Graph g = gen::gnp(40, 0.2, 14);
+  TempCorpus good("verify_good"), bad("verify_bad");
+  write_graph(g, good.path());
+  write_graph(g, bad.path());
+  {
+    std::fstream f(bad.path(), std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(-1, std::ios::end);
+    char c = 0;
+    f.get(c);
+    f.seekp(-1, std::ios::end);
+    f.put(static_cast<char>(c ^ 0x40));
+  }
+  const std::string sock = testing::TempDir() + "ldc_dist_verify.sock";
+  std::remove(sock.c_str());
+  const std::string bin = shard_binary();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    for (int i = 0; i < 400 && ::access(sock.c_str(), F_OK) != 0; ++i) {
+      ::usleep(20 * 1000);
+    }
+    ::execl(bin.c_str(), "ldc_shard", "--corpus", bad.path().c_str(),
+            "--connect-unix", sock.c_str(), static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  CoordinatorOptions opt;
+  opt.workers = 1;
+  opt.listen_unix = sock;
+  bool rejected = false;
+  try {
+    Coordinator coord(good.path(), opt);
+    Network net(coord.corpus_graph());
+    net.attach_dist(&coord);
+    (void)net.exchange_broadcast_word(std::vector<std::uint64_t>(g.n(), 1), 1,
+                                      std::vector<NodeId>{0});
+  } catch (const AttachError&) {
+    rejected = true;
+  }
+  EXPECT_TRUE(rejected);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << status;
+}
+
+// A worker binary that cannot be started is an AttachError naming it, at
+// the spawn, and the workers started before it are reaped.
+TEST(Dist, UnstartableWorkerBinaryIsAnAttachErrorNamingIt) {
+  const Graph g = gen::ring(16);
+  TempCorpus tc("no_exec");
+  write_graph(g, tc.path());
+  const std::string bin = testing::TempDir() + "ldc_shard_not_executable";
+  {
+    std::ofstream f(bin);
+    f << "not a program\n";
+  }
+  ASSERT_EQ(::chmod(bin.c_str(), 0644), 0);
+  CoordinatorOptions opt;
+  opt.workers = 2;
+  opt.shard_binary = bin;
+  try {
+    Coordinator coord(tc.path(), opt);
+    ADD_FAILURE() << "expected AttachError for a non-executable binary";
+  } catch (const AttachError& e) {
+    EXPECT_NE(std::string(e.what()).find(bin), std::string::npos)
+        << e.what();
+  }
+  std::remove(bin.c_str());
+  EXPECT_TRUE(no_children());
+}
+
+/// Milliseconds from telling k bare ldc_shard workers, each through its
+/// start (its hello read), to shut down until the last one is reaped,
+/// each waited for without polling: the floor under any teardown, which
+/// sanitizer runtimes raise well past a release build's.
+double bare_worker_exit_ms(const std::string& corpus, int k) {
+  const std::string bin = shard_binary();
+  std::vector<std::pair<pid_t, int>> workers;
+  for (int i = 0; i < k; ++i) {
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+      ADD_FAILURE() << "socketpair failed";
+      return 0;
+    }
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      if (sv[1] == 3) {
+        (void)::fcntl(3, F_SETFD, 0);
+      } else {
+        ::dup2(sv[1], 3);
+      }
+      ::execl(bin.c_str(), "ldc_shard", "--corpus", corpus.c_str(), "--fd",
+              "3", static_cast<char*>(nullptr));
+      ::_exit(127);
+    }
+    ::close(sv[1]);
+    dist::FrameReader reader;
+    EXPECT_TRUE(dist::read_frame_fd(sv[0], reader).has_value());  // hello
+    workers.emplace_back(pid, sv[0]);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const auto& [pid, fd] : workers) {
+    dist::write_all_fd(
+        fd, dist::encode_frame(dist::FrameKind::kShutdown, 0, 0, 0, 0, {}),
+        "test");
+    ::close(fd);
+  }
+  for (const auto& [pid, fd] : workers) ::waitpid(pid, nullptr, 0);
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// A coordinator's teardown reaps its workers as they exit. The median of
+// 9 teardowns of a 2-worker coordinator stays within 8 ms of the median
+// time 2 bare workers take to exit (well under 1 ms in a release build):
+// a fixed 10 ms sleep between reaping polls would floor every teardown.
+TEST(Dist, TeardownReapsWorkersWithoutAFixedSleep) {
+  const Graph g = gen::ring(64);
+  TempCorpus tc("teardown");
+  write_graph(g, tc.path());
+  std::vector<double> teardown;
+  std::vector<double> exits;
+  for (int i = 0; i < 9; ++i) {
+    CoordinatorOptions opt;
+    opt.workers = 2;
+    auto coord = std::make_unique<Coordinator>(tc.path(), opt);
+    const auto t0 = std::chrono::steady_clock::now();
+    coord.reset();
+    teardown.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+    exits.push_back(bare_worker_exit_ms(tc.path(), 2));
+  }
+  std::sort(teardown.begin(), teardown.end());
+  std::sort(exits.begin(), exits.end());
+  EXPECT_LT(teardown[4], exits[4] + 8.0)
+      << "median teardown vs median bare worker exit, ms";
+  EXPECT_TRUE(no_children());
 }
 
 // kill -9 one worker mid-run: the next round must fail with a typed
@@ -856,7 +1101,8 @@ TEST(Dist, WorkerErrorsKeepTheirTypesAcrossTheWire) {
 // RunMetrics traffic fields exactly as they were before it. Every bad
 // round below has well-formed senders ahead of the offender, whose
 // traffic a partial accounting would have leaked. The next round still
-// runs and accounts normally.
+// runs, accounts normally and lands the same inboxes as the good round
+// before the throw: the counts the throwing round left are cleared.
 TEST(Dist, ThrowingRoundLeavesTrafficMetricsUnchangedOnEveryEngine) {
   const Graph g = gen::ring(16);
   TempCorpus tc("post_throw");
@@ -941,7 +1187,10 @@ TEST(Dist, ThrowingRoundLeavesTrafficMetricsUnchangedOnEveryEngine) {
       const std::string label = bad.name + " @" + sel.name;
       Network net(cg, /*budget_bits=*/4, /*strict=*/true);
       sel.apply(net);
-      (void)net.exchange(outboxes(n));  // a good round: non-zero traffic
+      // A good round: non-zero traffic, and the inboxes the good round
+      // after the throw must land again, whatever counts the throw left.
+      const std::vector<std::uint64_t> good =
+          flat_deliveries(net.exchange(outboxes(n)));
       const RunMetrics before = net.metrics();
       if (bad.congest) {
         EXPECT_THROW(bad.run(net), CongestViolation) << label;
@@ -949,7 +1198,7 @@ TEST(Dist, ThrowingRoundLeavesTrafficMetricsUnchangedOnEveryEngine) {
         EXPECT_THROW(bad.run(net), std::invalid_argument) << label;
       }
       EXPECT_EQ(traffic(net.metrics()), traffic(before)) << label;
-      (void)net.exchange(outboxes(n));
+      EXPECT_EQ(flat_deliveries(net.exchange(outboxes(n))), good) << label;
       EXPECT_EQ(net.metrics().messages, 2 * before.messages) << label;
     }
   }

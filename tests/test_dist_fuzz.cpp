@@ -10,6 +10,7 @@
 // "never a crash" mean something.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdint>
@@ -232,6 +233,129 @@ TEST(DistFuzz, CountPayloadDisagreementIsTyped) {
   (void)decode_message(r, words);
   // Entry 2 of the promised 3: every further read is a typed overrun.
   EXPECT_THROW((void)r.u32(), FrameError);
+}
+
+// A reply's rows (kInbox, kInboxIds) are untrusted (receiver, count)
+// pairs: a receiver past the shard's range, counts that do not sum to the
+// header's slot count, and truncated or overlong varints are typed
+// rejections, so the splice never writes a row it does not own. The gap
+// coding makes receivers strictly ascending and rows non-empty by
+// construction.
+TEST(DistFuzz, HostileRowPairsAreTyped) {
+  // (gap, count - 1) per row, then as many slots as it claims, at most 4.
+  using Rows = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  auto encode = [](const Rows& rows) {
+    PayloadWriter w;
+    w.u32(static_cast<std::uint32_t>(rows.size()));
+    for (const auto& [gap, more] : rows) {
+      w.varint(gap);
+      w.varint(more);
+      for (std::uint64_t i = 0; i < std::min<std::uint64_t>(more + 1, 4); ++i) {
+        w.u32(0);
+      }
+    }
+    return w.take();
+  };
+  // Rows of the range [8, 16) holding `slots` slots.
+  auto read = [](const std::string& payload, std::uint32_t slots) {
+    PayloadReader r(payload, "rows");
+    std::vector<std::pair<NodeId, std::uint32_t>> opened;
+    read_rows(
+        r, 8, 16, slots, "rows",
+        [&](NodeId v, std::uint32_t count) { opened.emplace_back(v, count); },
+        [&](NodeId) { (void)r.u32(); });
+    r.expect_end();
+    return opened;
+  };
+  {
+    // write_row's pairs read back as written.
+    PayloadWriter w;
+    w.u32(2);
+    NodeId next = 8;
+    write_row(w, next, 10, 2);
+    w.u32(0);
+    w.u32(0);
+    write_row(w, next, 12, 1);
+    w.u32(0);
+    using Opened = std::vector<std::pair<NodeId, std::uint32_t>>;
+    EXPECT_EQ(read(w.take(), 3), (Opened{{10, 2}, {12, 1}}));
+    EXPECT_EQ(read(encode({}), 0), Opened{});
+  }
+  EXPECT_THROW(read(encode({{8, 0}}), 1), FrameError);  // receiver 16
+  EXPECT_THROW(read(encode({{7, 0}, {0, 0}}), 2), FrameError);  // past 15
+  EXPECT_THROW(read(encode({{~0ull, 0}}), 1), FrameError);  // huge gap
+  EXPECT_THROW(read(encode({{2, 1}}), 3), FrameError);  // short of 3
+  EXPECT_THROW(read(encode({{2, 1}, {1, 1}}), 3), FrameError);  // past 3
+  EXPECT_THROW(read(encode({{2, ~0ull}}), 3), FrameError);  // huge count
+  {
+    PayloadWriter w;  // more rows than the payload holds
+    w.u32(1000);
+    w.varint(2);
+    w.varint(0);
+    w.u32(0);
+    EXPECT_THROW(read(w.take(), 1), FrameError);
+  }
+  {
+    PayloadWriter w;  // a varint cut off mid-number
+    w.u32(1);
+    w.u8(0x82);
+    EXPECT_THROW(read(w.take(), 1), FrameError);
+  }
+  {
+    PayloadWriter w;  // a varint past 64 bits
+    w.u32(1);
+    for (int i = 0; i < 10; ++i) w.u8(0xff);
+    w.u8(0x01);
+    EXPECT_THROW(read(w.take(), 1), FrameError);
+  }
+}
+
+// A kBcast's sender list travels as u32 ids while they are no larger
+// than n flags, else as the bitmap; either way it decodes to the same
+// strictly ascending list, and a list that is not one is typed.
+TEST(DistFuzz, SenderListsRoundTripAndRejectHostileLists) {
+  const NodeId n = 197;  // 25 flag bytes: u32 ids up to 6 senders
+  for (const std::vector<NodeId>& ids :
+       {std::vector<NodeId>{}, std::vector<NodeId>{0, 7, 196},
+        std::vector<NodeId>{1, 2, 3, 4, 5, 6, 190},
+        std::vector<NodeId>{0, 63, 64, 65, 127, 128, 196}}) {
+    PayloadWriter w;
+    encode_senders(w, ids, n);
+    EXPECT_EQ(w.size(), ids.size() <= 6 ? 4 * ids.size() : 25u);
+    const std::string payload = w.take();
+    PayloadReader r(payload, "bcast");
+    std::vector<NodeId> got;
+    decode_senders(r, static_cast<std::uint32_t>(ids.size()), n, got);
+    r.expect_end();
+    EXPECT_EQ(got, ids);
+  }
+  auto decode = [&](const std::string& payload, std::uint32_t count) {
+    PayloadReader r(payload, "bcast");
+    std::vector<NodeId> got;
+    decode_senders(r, count, n, got);
+  };
+  {
+    PayloadWriter w;  // descending ids
+    w.u32(9);
+    w.u32(3);
+    EXPECT_THROW(decode(w.take(), 2), FrameError);
+  }
+  {
+    PayloadWriter w;  // an id past n
+    w.u32(197);
+    EXPECT_THROW(decode(w.take(), 1), FrameError);
+  }
+  // A bitmap whose bits disagree with its count, with a bit past n, or
+  // cut short.
+  std::string bits(25, '\0');
+  bits[0] = 0x7f;  // senders 0 to 6
+  bits[1] = 0x03;  // and 8, 9
+  EXPECT_NO_THROW(decode(bits, 9));
+  EXPECT_THROW(decode(bits, 8), FrameError);
+  EXPECT_THROW(decode(bits, 10), FrameError);
+  bits[24] = static_cast<char>(0x20);  // vertex 197
+  EXPECT_THROW(decode(bits, 10), FrameError);
+  EXPECT_THROW(decode(std::string(24, '\0'), 9), FrameError);
 }
 
 TEST(DistFuzz, PayloadReaderOverrunAndTrailingGarbageAreTyped) {

@@ -138,8 +138,9 @@ TEST(FaultPlan, CorruptPayloadClonesSharedPayloads) {
   rc.faults = &p;
   rc.down = down.data();
   const std::vector<NodeId> ids = {0, 1, 2, 3, 4, 5};
-  const std::vector<char> live_flags(6, 1);
-  const LiveSenders live{live_flags.data(), ids, 30};
+  LiveSenders live{ids, 30};
+  LiveFlags flags;
+  const auto raised = flags.raise(6, live, true);
   for (const NodeId cut : {NodeId{6}, NodeId{2}}) {  // one range, or two
     MailArena arena;
     arena.open();
@@ -163,10 +164,12 @@ TEST(FaultPlan, CorruptPayloadClonesSharedPayloads) {
     // them, in the pool words its range reserved.
     EXPECT_TRUE(std::equal(posted.begin(), posted.end(), arena.pool().begin()));
     EXPECT_EQ(arena.pool().size(), 6u + st.corrupted);
+    std::size_t slots = 0;
     for (NodeId v = 0; v < 6; ++v) {
-      for (std::uint32_t i = arena.offsets()[v]; i < arena.offsets()[v + 1];
-           ++i) {
-        const MailSlot& slot = arena.slots()[i];
+      const MailRow row = arena.row(v);
+      slots += row.size;
+      for (std::size_t i = 0; i < row.size; ++i) {
+        const MailSlot& slot = row.slots[i];
         const NodeId u = slot.sender;
         const std::uint64_t word = arena.pool()[slot.at];
         if (p.corrupts_message(rc.round, u, v)) {
@@ -180,6 +183,9 @@ TEST(FaultPlan, CorruptPayloadClonesSharedPayloads) {
         }
       }
     }
+    // The rows cover every slot: each of the 30 deliveries, once.
+    EXPECT_EQ(slots, arena.slots().size());
+    EXPECT_EQ(slots, 30u);
   }
 }
 

@@ -11,6 +11,7 @@
 #include "ldc/graph/generators.hpp"
 #include "ldc/linial/cover_free.hpp"
 #include "ldc/linial/defective_linial.hpp"
+#include "ldc/resilient/drivers.hpp"
 #include "ldc/support/math.hpp"
 #include "ldc/support/primes.hpp"
 
@@ -335,6 +336,21 @@ TEST(Linial, KeepsSixtyFourBitIds) {
           << "n " << g.n() << " @" << shards << " shards";
       for (const Color c : res.phi) EXPECT_LT(c, res.palette);
     }
+  }
+  // An id of 2^64 - 1 puts the id palette at 2^64, beyond the id space:
+  // a typed overflow on every engine, from Linial and its resilient
+  // drivers alike: max_id + 1 must not wrap to an empty palette.
+  Graph top = gen::path(2);
+  top.set_ids({0, std::numeric_limits<std::uint64_t>::max()});
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+    Network net(top);
+    if (shards != 0) net.set_engine(Network::Engine::kSharded, shards);
+    EXPECT_THROW(linial::color(net), std::overflow_error) << "@" << shards;
+    EXPECT_THROW(resilient::resilient_linial(net), std::overflow_error)
+        << "@" << shards;
+    EXPECT_THROW(resilient::resilient_defective_linial(net, 1),
+                 std::overflow_error)
+        << "@" << shards;
   }
 }
 

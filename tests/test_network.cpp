@@ -279,8 +279,10 @@ TEST(Network, BroadcastDeliversSharedPayloadHandles) {
   RoundContext rc;
   rc.graph = &g;
   const std::vector<NodeId> ids = {0, 1, 2, 3};
-  const std::vector<char> flags(4, 1);
-  const LiveSenders live{flags.data(), ids, 12};
+  LiveSenders live{ids, 12};
+  LiveFlags flags;
+  const auto raised =
+      flags.raise(4, live, !ShardRound::pushes(g, 0, 4, live));
   RangeScratch scratch;
   ShardStaging st;
   const std::uint32_t count =
@@ -289,6 +291,9 @@ TEST(Network, BroadcastDeliversSharedPayloadHandles) {
       rc, 0, 4, live, arena.posted(), scratch,
       arena.lay_out(4, count, 0, scratch.pool_words), st);
   ASSERT_EQ(arena.slots().size(), 12u);
+  EXPECT_EQ(std::vector<NodeId>(arena.receivers().begin(),
+                                arena.receivers().end()),
+            ids);
   EXPECT_EQ(arena.pool().size(), posted_words);  // each payload once
   for (const MailSlot& slot : arena.slots()) {
     EXPECT_EQ(slot.at, arena.posted()[slot.sender].at);

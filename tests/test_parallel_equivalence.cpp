@@ -425,6 +425,7 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
 
   struct Flat {
     std::vector<std::uint64_t> slots;
+    std::vector<NodeId> receivers;
     RunMetrics metrics;
     std::uint64_t trace_digest = 0;
   };
@@ -436,6 +437,7 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
     net.attach_trace(&trace);
     if (faults != nullptr) net.attach_faults(faults);
     Flat out;
+    std::function<void()> prev;
     for (int round = 0; round < 3; ++round) {
       RoundMail in;
       if (via_outboxes) {
@@ -449,6 +451,7 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
       } else {
         in = net.exchange_broadcast(msgs, senders);
       }
+      record_receivers(in, out.receivers, prev);
       for (NodeId v = 0; v < g.n(); ++v) {
         for (auto [sender, r] : in[v]) {
           out.slots.push_back(hash_combine(
@@ -475,6 +478,8 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
                                   (faults != nullptr ? "+faults" : "") +
                                   " @" + std::to_string(threads) + "t";
         EXPECT_EQ(ref.slots, fast.slots) << label << ": deliveries differ";
+        EXPECT_EQ(ref.receivers, fast.receivers)
+            << label << ": receivers differ";
         EXPECT_TRUE(ref.metrics.same_communication(fast.metrics))
             << label << ": metrics differ: ref {" << ref.metrics
             << "} fast {" << fast.metrics << "}";
@@ -516,6 +521,7 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
 
   struct Flat {
     std::vector<std::uint64_t> slots;
+    std::vector<NodeId> receivers;
     RunMetrics metrics;
     std::uint64_t trace_digest = 0;
   };
@@ -528,9 +534,11 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
     net.attach_trace(&trace);
     if (faults != nullptr) net.attach_faults(faults);
     Flat out;
+    std::function<void()> prev;
     for (int round = 0; round < 3; ++round) {
       if (path == Path::kFusedWord) {
         const WordMail in = net.exchange_broadcast_word(words, bound, senders);
+        record_receivers(in, out.receivers, prev);
         for (NodeId v = 0; v < g.n(); ++v) {
           for (const auto [sender, word] : in[v]) {
             out.slots.push_back(hash_combine(
@@ -550,6 +558,7 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
       } else {
         in = net.exchange_broadcast(msgs, senders);
       }
+      record_receivers(in, out.receivers, prev);
       for (NodeId v = 0; v < g.n(); ++v) {
         for (auto [sender, r] : in[v]) {
           out.slots.push_back(
@@ -579,6 +588,8 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
               "/" + mask_name + (faults != nullptr ? "+faults" : "") + " @" +
               std::to_string(threads) + "t";
           EXPECT_EQ(ref.slots, got.slots) << label << ": deliveries differ";
+          EXPECT_EQ(ref.receivers, got.receivers)
+              << label << ": receivers differ";
           EXPECT_TRUE(ref.metrics.same_communication(got.metrics))
               << label << ": metrics differ: ref {" << ref.metrics
               << "} got {" << got.metrics << "}";

@@ -350,6 +350,7 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
 
   struct Flat {
     std::vector<std::uint64_t> slots;
+    std::vector<NodeId> receivers;
     RunMetrics metrics;
     std::uint64_t trace_digest = 0;
   };
@@ -362,9 +363,11 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
     net.attach_trace(&trace);
     if (faults != nullptr) net.attach_faults(faults);
     Flat out;
+    std::function<void()> prev;
     for (int round = 0; round < 3; ++round) {
       if (path == Path::kFusedWord) {
         const WordMail in = net.exchange_broadcast_word(words, bound, senders);
+        record_receivers(in, out.receivers, prev);
         for (NodeId v = 0; v < g.n(); ++v) {
           for (const auto [sender, word] : in[v]) {
             out.slots.push_back(hash_combine(
@@ -384,6 +387,7 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
       } else {
         in = net.exchange_broadcast(msgs, senders);
       }
+      record_receivers(in, out.receivers, prev);
       for (NodeId v = 0; v < g.n(); ++v) {
         for (auto [sender, r] : in[v]) {
           out.slots.push_back(
@@ -416,6 +420,8 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
               "/" + mask_name + (faults != nullptr ? "+faults" : "") + " @" +
               std::to_string(shards) + "s";
           EXPECT_EQ(ref.slots, got.slots) << label << ": deliveries differ";
+          EXPECT_EQ(ref.receivers, got.receivers)
+              << label << ": receivers differ";
           EXPECT_TRUE(ref.metrics.same_communication(got.metrics))
               << label << ": metrics differ: ref {" << ref.metrics
               << "} got {" << got.metrics << "}";
