@@ -89,9 +89,10 @@ struct FaultyOut {
   std::uint64_t trace_digest = 0;
 };
 
-/// Six explicit exchange rounds under a fault plan, digesting every
-/// delivered (receiver, sender, payload) triple in inbox order so
-/// drop/corrupt/crash/sleep effects are byte-observable.
+/// Six broadcast rounds under a fault plan, one 40-bit payload per
+/// sender, digesting every delivered (receiver, sender, payload) triple
+/// in inbox order so drop/corrupt/crash/sleep effects are
+/// byte-observable.
 FaultyOut run_faulty(const Graph& g, const EngineCfg& cfg,
                      const FaultPlan& plan) {
   Network net(g);
@@ -102,17 +103,13 @@ FaultyOut run_faulty(const Graph& g, const EngineCfg& cfg,
   net.attach_trace(&trace);
   net.attach_faults(&plan);
   FaultyOut out;
+  std::vector<BitWriter> msgs(g.n());
   for (std::uint64_t r = 0; r < 6; ++r) {
-    std::vector<Network::Outbox> outboxes(g.n());
     for (NodeId u = 0; u < g.n(); ++u) {
-      for (NodeId v : g.neighbors(u)) {
-        BitWriter w;
-        w.write(hash_combine(r, (static_cast<std::uint64_t>(u) << 20) | v),
-                40);
-        outboxes[u].emplace_back(v, std::move(w));
-      }
+      msgs[u].clear();
+      msgs[u].write(hash_combine(r, u), 40);
     }
-    const auto in = net.exchange(outboxes);
+    const auto in = net.exchange_broadcast(msgs);
     for (NodeId v = 0; v < g.n(); ++v) {
       for (auto [sender, rd] : in[v]) {
         const std::uint64_t item = hash_combine(

@@ -145,8 +145,9 @@ struct FaultyOut {
   std::uint64_t trace_digest = 0;
 };
 
-/// Six explicit exchange rounds under a fault plan, digesting every
-/// delivered (receiver, sender, payload) triple in inbox order.
+/// Six broadcast rounds under a fault plan, one 40-bit payload per
+/// sender, digesting every delivered (receiver, sender, payload) triple
+/// in inbox order.
 FaultyOut run_faulty(const Graph& g, const EngineSel& sel,
                      const FaultPlan& plan) {
   Network net(g);
@@ -155,17 +156,13 @@ FaultyOut run_faulty(const Graph& g, const EngineSel& sel,
   net.attach_trace(&trace);
   net.attach_faults(&plan);
   FaultyOut out;
+  std::vector<BitWriter> msgs(g.n());
   for (std::uint64_t r = 0; r < 6; ++r) {
-    std::vector<Network::Outbox> outboxes(g.n());
     for (NodeId u = 0; u < g.n(); ++u) {
-      for (NodeId v : g.neighbors(u)) {
-        BitWriter w;
-        w.write(hash_combine(r, (static_cast<std::uint64_t>(u) << 20) | v),
-                40);
-        outboxes[u].emplace_back(v, std::move(w));
-      }
+      msgs[u].clear();
+      msgs[u].write(hash_combine(r, u), 40);
     }
-    const auto in = net.exchange(outboxes);
+    const auto in = net.exchange_broadcast(msgs);
     for (NodeId v = 0; v < g.n(); ++v) {
       for (auto [sender, rd] : in[v]) {
         const std::uint64_t item = hash_combine(
@@ -300,9 +297,10 @@ void run(harness::ExperimentContext& ctx) {
   // ---- E21c ------------------------------------------------------------
   // The logical/physical split: cross-shard messages and bits must be
   // EXACTLY the in-process sharded engine's numbers (same partition, same
-  // staging rule), while frames/bytes are the wire's own story — K² batch
-  // frames per exchange round plus acks, relays and inboxes, headers and
-  // digests included.
+  // staging rule), while frames/bytes are the wire's own story — one
+  // kBcast/kInboxIds pair per worker for each round that fills slots
+  // (Linial's dense rounds send none) plus the assign handshake, headers
+  // and digests included.
   auto& cost = ctx.table(
       "E21c: logical cut traffic vs physical wire cost (Linial, n = " +
           std::to_string(pg.n()) + ")",

@@ -1,5 +1,5 @@
 // Coordinator: process management, the non-blocking socket pump, the
-// K² batch barrier, and the master-arena splice (DESIGN.md §12).
+// per-round frame exchange, and the master-arena splice (DESIGN.md §12).
 //
 // Deadlock freedom: workers use plain blocking I/O, so the coordinator
 // must never block on a write — all sends go through per-worker
@@ -331,19 +331,6 @@ Coordinator::Incoming Coordinator::await_frame(
   }
 }
 
-void Coordinator::rethrow_worker_error(std::uint32_t shard,
-                                       std::uint32_t code,
-                                       const std::string& what) const {
-  switch (code) {
-    case kErrInvalidArgument:
-      throw std::invalid_argument(what);
-    case kErrCongest:
-      throw CongestViolation(what);
-    default:
-      throw WorkerError("shard " + std::to_string(shard) + ": " + what);
-  }
-}
-
 void Coordinator::handshake() {
   const std::size_t K = conns_.size();
   std::vector<char> satisfied(K, 0);
@@ -441,199 +428,6 @@ ShardStaging Coordinator::tally(const ShardStaging& st) {
   return st;
 }
 
-template <typename Head, typename Decode>
-ShardStaging Coordinator::splice(const std::vector<Frame>& replies,
-                                 const char* what, MailArena& a,
-                                 const Head& head, const Decode& decode) {
-  const std::size_t K = replies.size();
-  std::vector<std::uint32_t> counts(K);
-  for (std::size_t k = 0; k < K; ++k) {
-    counts[k] = replies[k].header.count;
-    // Every slot carries at least its sender's 4 bytes: a larger count is
-    // hostile, and must not size the layout.
-    if (counts[k] > replies[k].payload.size() / 4) {
-      throw FrameError("shard " + std::to_string(k) + ": " + what +
-                       " slot count overruns the frame");
-    }
-  }
-  const ArenaLayout out = a.lay_out(graph_.n(), counts);
-  ShardStaging st;
-  for (std::size_t k = 0; k < K; ++k) {
-    const std::string label = "shard " + std::to_string(k) + ": " + what;
-    PayloadReader r(replies[k].payload, what);
-    st += head(r);
-    std::uint32_t at = out.bases[k];
-    std::uint32_t first = at;
-    read_rows(
-        r, part_.begin(k), part_.end(k), counts[k], label,
-        [&](NodeId v, std::uint32_t count) {
-          out.rows[v] = RowEntry{at, count, out.rows.stamp};
-          out.receivers->push_back(v);
-          first = at;
-        },
-        [&](NodeId v) {
-          const MailSlot slot = decode(r, k, v);
-          if (at != first && out.slots[at - 1].sender >= slot.sender) {
-            throw FrameError(label + ": a row's senders are not ascending");
-          }
-          out.slots[at++] = slot;
-        });
-    r.expect_end();
-  }
-  return st;
-}
-
-ShardStaging Coordinator::exchange(
-    const RoundContext& rc,
-    const std::vector<std::vector<Envelope>>& outboxes, MailArena& a) {
-  const std::uint64_t round = rc.round;
-  const std::size_t K = conns_.size();
-
-  std::string ctx;
-  {
-    PayloadWriter w;
-    encode_fault_ctx(w, rc.faults, rc.down, graph_.n());
-    ctx = w.take();
-  }
-  for (std::size_t k = 0; k < K; ++k) {
-    const NodeId b = part_.begin(k);
-    const NodeId e = part_.end(k);
-    PayloadWriter w;
-    w.raw(ctx.data(), ctx.size());
-    for (NodeId u = b; u < e; ++u) {
-      w.u32(static_cast<std::uint32_t>(outboxes[u].size()));
-      for (const auto& [dest, msg] : outboxes[u]) {
-        w.u32(dest);
-        encode_message(w, BitReader(msg));
-      }
-    }
-    queue_frame(k, FrameKind::kOutbox, round, 0,
-                static_cast<std::uint32_t>(k), e - b, w.take());
-  }
-
-  // The barrier: the round closes only when all K² batch frames are in
-  // (each acked back to its source, off-diagonal ones relayed to their
-  // destination) and all K inbox frames arrived. On a worker kError the
-  // round flips to aborting: every worker is told to discard the round,
-  // and the coordinator still drains until each shard has concluded
-  // (error, abort ack, or an already-complete inbox) before rethrowing
-  // the lowest shard's error — the error-order contract of the
-  // in-process engines.
-  std::vector<std::vector<char>> batch_seen(K, std::vector<char>(K, 0));
-  std::size_t batches = 0;
-  std::vector<std::optional<Frame>> inbox(K);
-  std::vector<std::optional<std::pair<std::uint32_t, std::string>>> errors(K);
-  std::vector<char> abort_ack(K, 0);
-  std::vector<char> satisfied(K, 0);
-  bool aborting = false;
-  auto concluded = [&](std::size_t k) {
-    return errors[k].has_value() || abort_ack[k] != 0 ||
-           inbox[k].has_value();
-  };
-  last_rx_ms_ = mono_ms();
-  for (;;) {
-    if (!aborting && batches == K * K &&
-        static_cast<std::size_t>(std::count_if(
-            inbox.begin(), inbox.end(),
-            [](const auto& o) { return o.has_value(); })) == K) {
-      break;
-    }
-    if (aborting) {
-      bool all = true;
-      for (std::size_t k = 0; k < K; ++k) all = all && concluded(k);
-      if (all) break;
-    }
-    Incoming in = await_frame(round, "exchange", opt_.heartbeat_ms, false,
-                              satisfied);
-    const FrameHeader& h = in.frame.header;
-    if (h.round != round && h.kind != FrameKind::kHeartbeat) {
-      throw FrameError("shard " + std::to_string(in.from) + ": " +
-                       frame_kind_name(h.kind) + " frame for round " +
-                       std::to_string(h.round) + " inside round " +
-                       std::to_string(round));
-    }
-    switch (h.kind) {
-      case FrameKind::kBatch: {
-        if (h.src_shard != in.from || h.dst_shard >= K ||
-            batch_seen[in.from][h.dst_shard] != 0) {
-          throw FrameError("shard " + std::to_string(in.from) +
-                           ": bad or duplicate batch frame");
-        }
-        batch_seen[in.from][h.dst_shard] = 1;
-        ++batches;
-        if (!aborting) {
-          queue_frame(in.from, FrameKind::kBatchAck, round, h.src_shard,
-                      h.dst_shard, 0, {});
-          if (h.dst_shard != in.from) {
-            queue_frame(h.dst_shard, FrameKind::kBatch, round, h.src_shard,
-                        h.dst_shard, h.count, in.frame.payload);
-          }
-        }
-        break;
-      }
-      case FrameKind::kInbox:
-        if (h.src_shard != in.from || inbox[in.from].has_value()) {
-          throw FrameError("shard " + std::to_string(in.from) +
-                           ": bad or duplicate inbox frame");
-        }
-        inbox[in.from] = std::move(in.frame);
-        satisfied[in.from] = 1;
-        break;
-      case FrameKind::kError: {
-        PayloadReader r(in.frame.payload, "error");
-        const std::uint32_t code = r.u32();
-        const std::uint32_t len = r.u32();
-        const std::string_view text = r.bytes(len);
-        r.expect_end();
-        errors[in.from] = {code, std::string(text)};
-        satisfied[in.from] = 1;
-        if (!aborting) {
-          aborting = true;
-          for (std::size_t j = 0; j < K; ++j) {
-            queue_frame(j, FrameKind::kAbort, round, 0,
-                        static_cast<std::uint32_t>(j), 0, {});
-          }
-        }
-        break;
-      }
-      case FrameKind::kAbort:
-        abort_ack[in.from] = 1;
-        satisfied[in.from] = 1;
-        break;
-      case FrameKind::kHeartbeat:
-        break;
-      default:
-        throw FrameError("shard " + std::to_string(in.from) +
-                         ": unexpected " + frame_kind_name(h.kind) +
-                         " frame inside an exchange round");
-    }
-  }
-  if (aborting) {
-    for (std::size_t k = 0; k < K; ++k) {
-      if (errors[k].has_value()) {
-        rethrow_worker_error(static_cast<std::uint32_t>(k),
-                             errors[k]->first, errors[k]->second);
-      }
-    }
-    throw WorkerError("exchange round aborted with no worker error");
-  }
-
-  // Every shard concluded with an inbox: the round's frames in shard
-  // order, whose summaries merge as in-process (sums and maxes only). Each
-  // payload is decoded straight into the master arena's word pool.
-  std::vector<Frame> replies;
-  replies.reserve(K);
-  for (std::optional<Frame>& f : inbox) replies.push_back(std::move(*f));
-  std::vector<std::uint64_t>& pool = a.pool();
-  return tally(splice(
-      replies, "inbox", a, [](PayloadReader& r) { return decode_summary(r); },
-      [&](PayloadReader& r, std::size_t, NodeId) {
-        const NodeId u = r.u32();
-        const std::uint64_t at = pool.size();
-        return MailSlot{u, decode_message(r, pool), at};
-      }));
-}
-
 std::vector<Frame> Coordinator::collect_replies(FrameKind kind,
                                                 std::uint64_t round,
                                                 const char* phase) {
@@ -645,7 +439,6 @@ std::vector<Frame> Coordinator::collect_replies(FrameKind kind,
     Incoming in = await_frame(round, phase, opt_.heartbeat_ms, false,
                               satisfied);
     const FrameHeader& h = in.frame.header;
-    if (h.kind == FrameKind::kHeartbeat) continue;
     if (h.kind != kind || h.round != round || h.src_shard != in.from ||
         got[in.from].has_value()) {
       throw FrameError("shard " + std::to_string(in.from) +
@@ -691,37 +484,63 @@ ShardStaging Coordinator::broadcast(const RoundContext& rc,
   }
   const std::vector<Frame> replies =
       collect_replies(FrameKind::kInboxIds, rc.round, "broadcast");
-  // The splice points each survivor at its sender's posted entry; a
+
+  // The splice: the K replies' rows land in the master arena through its
+  // layout helper, back to back in shard order, writing only the
+  // non-empty rows. Each survivor points at its sender's posted entry; a
   // corrupted one gets its own flipped copy, appended to the pool.
+  const std::size_t K = replies.size();
+  std::vector<std::uint32_t> counts(K);
+  for (std::size_t k = 0; k < K; ++k) {
+    counts[k] = replies[k].header.count;
+    // Every slot carries at least its sender's 4 bytes: a larger count is
+    // hostile, and must not size the layout.
+    if (counts[k] > replies[k].payload.size() / 4) {
+      throw FrameError("shard " + std::to_string(k) +
+                       ": inbox_ids slot count overruns the frame");
+    }
+  }
+  const ArenaLayout out = a.lay_out(n, counts);
   std::vector<std::uint64_t>& pool = a.pool();
-  ShardStaging cut;
-  ShardStaging st = splice(
-      replies, "inbox_ids", a,
-      [](PayloadReader& r) {
-        ShardStaging events;
-        events.dropped = r.u64();
-        events.corrupted = r.u64();
-        return events;
-      },
-      [&](PayloadReader& r, std::size_t k, NodeId v) {
-        const NodeId u = r.u32();
-        if (!std::binary_search(live->ids.begin(), live->ids.end(), u)) {
-          throw FrameError("inbox_ids: sender did not transmit");
-        }
-        MailSlot slot = posted[u];
-        if (u < part_.begin(k) || u >= part_.end(k)) {
-          ++cut.traffic_messages;
-          cut.traffic_bits += slot.bits;
-        }
-        if (rc.faults != nullptr &&
-            rc.faults->corrupts_message(rc.round, u, v)) {
-          const std::uint64_t to = pool.size();
-          pool.resize(to + payload_words(slot.bits));
-          ShardRound::corrupt_copy(rc, u, v, pool.data(), to, slot);
-        }
-        return slot;
-      });
-  return tally(st += cut);
+  ShardStaging st;
+  for (std::size_t k = 0; k < K; ++k) {
+    const std::string label = "shard " + std::to_string(k) + ": inbox_ids";
+    PayloadReader r(replies[k].payload, "inbox_ids");
+    st.dropped += r.u64();
+    st.corrupted += r.u64();
+    std::uint32_t at = out.bases[k];
+    std::uint32_t first = at;
+    read_rows(
+        r, part_.begin(k), part_.end(k), counts[k], label,
+        [&](NodeId v, std::uint32_t count) {
+          out.rows[v] = RowEntry{at, count, out.rows.stamp};
+          out.receivers->push_back(v);
+          first = at;
+        },
+        [&](NodeId v) {
+          const NodeId u = r.u32();
+          if (!std::binary_search(live->ids.begin(), live->ids.end(), u)) {
+            throw FrameError(label + ": sender did not transmit");
+          }
+          if (at != first && out.slots[at - 1].sender >= u) {
+            throw FrameError(label + ": a row's senders are not ascending");
+          }
+          MailSlot slot = posted[u];
+          if (u < part_.begin(k) || u >= part_.end(k)) {
+            ++st.traffic_messages;
+            st.traffic_bits += slot.bits;
+          }
+          if (rc.faults != nullptr &&
+              rc.faults->corrupts_message(rc.round, u, v)) {
+            const std::uint64_t to = pool.size();
+            pool.resize(to + payload_words(slot.bits));
+            ShardRound::corrupt_copy(rc, u, v, pool.data(), to, slot);
+          }
+          out.slots[at++] = slot;
+        });
+    r.expect_end();
+  }
+  return tally(st);
 }
 
 void Coordinator::shutdown_workers() {

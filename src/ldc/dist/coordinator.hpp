@@ -1,20 +1,19 @@
 // The distributed engine's coordinator: owns the worker processes, the
-// sockets, and the barrier protocol (DESIGN.md §12).
+// sockets, and the round protocol (DESIGN.md §12).
 //
 // A Coordinator is a DistBackend: attach it to a Network with
-// attach_dist() and every exchange round, and every broadcast round
-// (message or word) that fills slots, is executed by K `ldc_shard` worker
-// processes, each running the shard-round kernel over its contiguous
-// vertex range, with the per-(src, dst) batch buffers traveling as
-// digest-sealed frames. The coordinator is the hub: it relays batches
-// between workers, acks each one, and closes round N only when all K²
-// batch frames for N are acked and all K inbox frames are in — then
-// splices the per-shard inbox rows into the Network's master arena
-// through its layout helper, range k at base k, which (the ranges being
-// contiguous and ascending) reproduces the serial layout byte for byte. A
-// dense broadcast (every node sending, fault-free) fills no slot and
-// sends no frame: the coordinator prices its cut traffic from the
-// partition fixed at bind.
+// attach_dist() and every round (message or word) that fills slots is
+// executed by K `ldc_shard` worker processes, each running the
+// shard-round kernel over its contiguous vertex range. A round is one
+// digest-sealed frame pair per worker: the coordinator sends each the
+// round's fault context and sender list (kBcast), and closes the round
+// when all K replies (kInboxIds) are in — then splices the per-shard
+// inbox rows into the Network's master arena through its layout helper,
+// range k at base k, which (the ranges being contiguous and ascending)
+// reproduces the serial layout byte for byte. Workers never talk to each
+// other: the coordinator holds every posted payload. A dense round (every
+// node sending, fault-free) fills no slot and sends no frame: the
+// coordinator prices its cut traffic from the partition fixed at bind.
 //
 // Two ways to get workers:
 //  * spawn mode (default): posix_spawn K `ldc_shard` processes over
@@ -29,10 +28,11 @@
 // Attach validation: the coordinator verifies its own mapping's content
 // digest while the workers start, then every worker HELLOs with its
 // corpus content digest and shape; any mismatch with the coordinator's
-// own mmap is a typed AttachError naming the worker. Liveness: the coordinator's I/O is
-// fully non-blocking; while a round is in flight, heartbeat_ms of total
-// silence (or any worker EOF) aborts the run with a WorkerError naming
-// the shard and round.
+// own mmap is a typed AttachError naming the worker. Liveness: the
+// coordinator's I/O is fully non-blocking; while a round is in flight,
+// heartbeat_ms of total silence (or any worker EOF) aborts the run with a
+// WorkerError naming the shard and round, and a malformed reply with a
+// FrameError. Either is fatal: the run is over.
 #pragma once
 
 #include <cstdint>
@@ -114,16 +114,14 @@ class Coordinator : public DistBackend {
 
  protected:
   void bind(const Graph& g, std::size_t budget_bits, bool strict) override;
-  ShardStaging exchange(const RoundContext& rc,
-                        const std::vector<std::vector<Envelope>>& outboxes,
-                        MailArena& a) override;
-  /// A broadcast that fills slots is one frame pair per worker: each
-  /// gets the fault context and the ascending sender list (kBcast),
-  /// resolves its range's drop and corruption decisions, and returns its
-  /// non-empty rows of surviving sender ids (kInboxIds). The coordinator holds every sender's posted
-  /// payload, so it points each slot at it, re-applies the pure PRF
-  /// corruption to the destination's own copy, and prices a delivery
-  /// across the cut at its payload's bits.
+  /// A round that fills slots is one frame pair per worker: each gets the
+  /// fault context and the ascending sender list (kBcast), resolves its
+  /// range's drop and corruption decisions, and returns its non-empty
+  /// rows of surviving sender ids (kInboxIds). The coordinator holds every
+  /// sender's posted payload, so it points each slot at it, re-applies
+  /// the pure PRF corruption to the destination's own copy, and prices a
+  /// delivery across the cut at its payload's bits. Hostile counts,
+  /// receivers or sender orders throw FrameError.
   ShardStaging broadcast(const RoundContext& rc, const LiveSenders* live,
                          MailArena& a) override;
 
@@ -172,29 +170,12 @@ class Coordinator : public DistBackend {
                        const std::vector<char>& satisfied);
 
   /// Waits for exactly one `kind` reply from every worker for `round`
-  /// (heartbeats tolerated, anything else is a FrameError) and returns
-  /// them in shard order.
+  /// (anything else is a FrameError) and returns them in shard order.
   std::vector<Frame> collect_replies(FrameKind kind, std::uint64_t round,
                                      const char* phase);
 
-  /// Lands the K replies' rows in the master arena through its layout
-  /// helper, back to back in shard order, writing only the non-empty rows
-  /// and appending their receivers. Each reply carries header fields
-  /// (read by head, returning their staging), then its rows (wire.hpp
-  /// read_rows) holding header.count slots, each read by
-  /// decode(reader, shard, destination). Hostile counts, receivers or
-  /// sender orders throw FrameError.
-  template <typename Head, typename Decode>
-  ShardStaging splice(const std::vector<Frame>& replies, const char* what,
-                      MailArena& a, const Head& head, const Decode& decode);
-
   /// Adds a finished round's cut traffic to traffic_; returns st.
   ShardStaging tally(const ShardStaging& st);
-
-  /// Maps a worker kError frame to the matching typed exception.
-  [[noreturn]] void rethrow_worker_error(std::uint32_t shard,
-                                         std::uint32_t code,
-                                         const std::string& what) const;
 
   std::shared_ptr<const storage::MappedGraph> mg_;
   Graph graph_;  ///< zero-copy view pinning the mapping

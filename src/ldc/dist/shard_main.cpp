@@ -34,8 +34,8 @@ void usage(std::FILE* out) {
                "\n"
                "One shard worker of the distributed engine. Connects to an\n"
                "ldc_coord coordinator, announces its corpus content digest,\n"
-               "and serves exchange/broadcast rounds for its assigned vertex\n"
-               "range until told to shut down.\n");
+               "and serves broadcast rounds for its assigned vertex range\n"
+               "until told to shut down.\n");
 }
 
 int connect_unix(const std::string& path) {

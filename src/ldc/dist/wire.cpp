@@ -47,8 +47,9 @@ bool known_kind(std::uint16_t k) {
     return k >= static_cast<std::uint16_t>(lo) &&
            k <= static_cast<std::uint16_t>(hi);
   };
-  return in(FrameKind::kHello, FrameKind::kInboxIds) ||
-         in(FrameKind::kError, FrameKind::kHeartbeat);
+  return in(FrameKind::kHello, FrameKind::kAssignAck) ||
+         in(FrameKind::kBcast, FrameKind::kInboxIds) ||
+         k == static_cast<std::uint16_t>(FrameKind::kShutdown);
 }
 
 std::uint64_t frame_digest(const char* header, std::string_view payload) {
@@ -97,16 +98,9 @@ const char* frame_kind_name(FrameKind k) {
     case FrameKind::kHello: return "hello";
     case FrameKind::kAssign: return "assign";
     case FrameKind::kAssignAck: return "assign_ack";
-    case FrameKind::kOutbox: return "outbox";
-    case FrameKind::kBatch: return "batch";
-    case FrameKind::kBatchAck: return "batch_ack";
-    case FrameKind::kInbox: return "inbox";
     case FrameKind::kBcast: return "bcast";
     case FrameKind::kInboxIds: return "inbox_ids";
-    case FrameKind::kError: return "error";
-    case FrameKind::kAbort: return "abort";
     case FrameKind::kShutdown: return "shutdown";
-    case FrameKind::kHeartbeat: return "heartbeat";
   }
   return "unknown";
 }
@@ -301,60 +295,6 @@ void decode_senders(PayloadReader& r, std::uint32_t count, NodeId n,
   if (ids.size() != count) {
     throw FrameError("bcast: sender bitmap disagrees with the count");
   }
-}
-
-void encode_message(PayloadWriter& w, BitReader payload) {
-  w.u32(static_cast<std::uint32_t>(payload.bit_count()));
-  while (payload.remaining() != 0) {
-    const int take =
-        static_cast<int>(std::min<std::size_t>(64, payload.remaining()));
-    w.u64(payload.read(take));
-  }
-}
-
-std::uint32_t decode_message(PayloadReader& r,
-                             std::vector<std::uint64_t>& words) {
-  const std::uint32_t bits = r.u32();
-  // A CONGEST payload of > 2^27 bits (16 MiB) in one message is hostile
-  // input, not a workload.
-  if (bits > (1u << 27)) {
-    throw FrameError("message: payload of " + std::to_string(bits) +
-                     " bits exceeds the wire cap");
-  }
-  for (std::uint32_t done = 0; done < bits; done += 64) {
-    // Bits past the payload stay zero, as BitWriter keeps them.
-    const std::uint32_t take = std::min<std::uint32_t>(64, bits - done);
-    const std::uint64_t word = r.u64();
-    words.push_back(take == 64 ? word
-                               : word & ((std::uint64_t{1} << take) - 1));
-  }
-  return bits;
-}
-
-void encode_summary(PayloadWriter& w, const ShardStaging& s) {
-  w.u64(s.messages);
-  w.u64(s.total_bits);
-  w.u64(s.max_message_bits);
-  w.u64(s.congest_violations);
-  w.u64(s.round_max_bits);
-  w.u64(s.dropped);
-  w.u64(s.corrupted);
-  w.u64(s.traffic_messages);
-  w.u64(s.traffic_bits);
-}
-
-ShardStaging decode_summary(PayloadReader& r) {
-  ShardStaging s;
-  s.messages = r.u64();
-  s.total_bits = r.u64();
-  s.max_message_bits = r.u64();
-  s.congest_violations = r.u64();
-  s.round_max_bits = r.u64();
-  s.dropped = r.u64();
-  s.corrupted = r.u64();
-  s.traffic_messages = r.u64();
-  s.traffic_bits = r.u64();
-  return s;
 }
 
 std::size_t default_worker_count() {

@@ -17,14 +17,15 @@
 //
 // Payloads are flat little-endian records built/parsed through
 // PayloadWriter/PayloadReader; every reader overrun throws FrameError.
-// The per-round payloads serialize the SAME data the shard-round kernel
-// stages in memory (runtime/shard_round.hpp): per-(src,dst) BatchEntry
-// buffers become kBatch frames, a broadcast's ascending sender list
-// travels as kBcast, each shard's non-empty inbox rows come back as
-// (receiver, count) pairs with their slots (kInbox with its ShardStaging
-// record, kInboxIds), and the fault context ships the plan parameters
-// plus the round's down bitmap so workers re-resolve the pure PRF
-// drop/corrupt decisions bit-identically (fault.hpp).
+// Wire version 4 has six kinds: the attach handshake (kHello, kAssign,
+// kAssignAck), one frame pair per round that fills slots (kBcast out,
+// kInboxIds back) and kShutdown. kBcast carries the fault context — the
+// plan parameters plus the round's down bitmap, so workers re-resolve the
+// pure PRF drop/corrupt decisions bit-identically (fault.hpp) — and the
+// round's ascending sender list; kInboxIds carries the range's drop and
+// corruption counts and its non-empty inbox rows as (receiver, count)
+// pairs with their sender ids, which the shard-round kernel
+// (runtime/shard_round.hpp) filled.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +39,6 @@
 
 #include "ldc/graph/graph.hpp"
 #include "ldc/runtime/fault.hpp"
-#include "ldc/runtime/shard_round.hpp"
-#include "ldc/support/bitio.hpp"
 
 namespace ldc::dist {
 
@@ -60,47 +59,36 @@ class AttachError : public std::runtime_error {
 };
 
 /// A worker died (EOF / reset) or went silent past the heartbeat window
-/// mid-run; the message names the shard and the round.
+/// mid-run; the message names the shard and the round. A worker failure
+/// is always fatal to the run.
 class WorkerError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4643444Cu;  ///< "LDCF" LE
-inline constexpr std::uint16_t kWireVersion = 3;
+inline constexpr std::uint16_t kWireVersion = 4;
 inline constexpr std::size_t kFrameHeaderBytes = 48;
 /// Hard cap on one frame's payload; anything larger is a typed rejection
 /// (a hostile length prefix must not drive an allocation).
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
 enum class FrameKind : std::uint16_t {
-  kHello = 1,       ///< worker→coord: corpus content digest + shape
-  kAssign = 2,      ///< coord→worker: shard index, partition, budget
-  kAssignAck = 3,   ///< worker→coord: topology built, ready
-  kOutbox = 4,      ///< coord→worker: fault ctx + owned senders' outboxes
-  kBatch = 5,       ///< worker→coord (then relayed): (src,dst) batch
-  kBatchAck = 6,    ///< coord→worker: batch (round,src,dst) accepted
-  kInbox = 7,       ///< worker→coord: staging summary + inbox rows
-  kBcast = 8,       ///< coord→worker: fault ctx + ascending sender list
-                    ///< of a listed/faulty broadcast or word round
-  kInboxIds = 9,    ///< worker→coord: broadcast inbox rows of sender ids
-  // 10 to 13 are unassigned: the decoder rejects them as unknown kinds.
-  kError = 14,      ///< worker→coord: typed phase error (code + what())
-  kAbort = 15,      ///< coord→worker: discard the named round
-  kShutdown = 16,   ///< coord→worker: clean exit
-  kHeartbeat = 17,  ///< either way: liveness probe, echoed by workers
+  kHello = 1,      ///< worker→coord: corpus content digest + shape
+  kAssign = 2,     ///< coord→worker: shard index, partition, budget
+  kAssignAck = 3,  ///< worker→coord: topology built, ready
+  // Every other kind is unassigned and rejected by the decoder; 4 to 7,
+  // 14, 15 and 17 are retired, not free for reuse.
+  kBcast = 8,      ///< coord→worker: fault ctx + ascending sender list
+                   ///< of a listed/faulty broadcast or word round
+  kInboxIds = 9,   ///< worker→coord: broadcast inbox rows of sender ids
+  kShutdown = 16,  ///< coord→worker: clean exit
 };
 
 const char* frame_kind_name(FrameKind k);
 
-/// Error codes carried by kError frames; the coordinator rethrows the
-/// lowest shard's error as the matching exception type, preserving the
-/// engine-independent error contract of Network::exchange.
-inline constexpr std::uint32_t kErrInvalidArgument = 1;
-inline constexpr std::uint32_t kErrCongest = 2;
-
 struct FrameHeader {
-  FrameKind kind = FrameKind::kHeartbeat;
+  FrameKind kind = FrameKind::kHello;
   std::uint64_t round = 0;
   std::uint32_t src_shard = 0;
   std::uint32_t dst_shard = 0;
@@ -267,18 +255,11 @@ void encode_fault_ctx(PayloadWriter& w, const FaultPlan* plan,
                       const char* down, NodeId n);
 FaultCtx decode_fault_ctx(PayloadReader& r, NodeId n);
 
-/// Message payload on the wire: exact bit count + the packed words.
-void encode_message(PayloadWriter& w, BitReader payload);
-/// Inverse of encode_message: appends the payload's words to `words` (a
-/// round's word pool or a decode buffer) and returns its bit count.
-std::uint32_t decode_message(PayloadReader& r,
-                             std::vector<std::uint64_t>& words);
-
 /// The wire form of n flags (the down mask): a packed bitmap, LSB first.
 std::string pack_bitmap(const char* flags, NodeId n);
 void unpack_bitmap(std::string_view bits, NodeId n, std::vector<char>& flags);
 
-/// The rows of a range [b, e)'s inbox reply (kInbox, kInboxIds): a u32
+/// The rows of a range [b, e)'s inbox reply (kInboxIds): a u32
 /// row count, then each non-empty row in ascending receiver order as its
 /// (receiver, count) pair followed by its `count` slots. The pair is two
 /// varints, the receiver's gap above the lowest one the row may name (b,
@@ -337,11 +318,6 @@ void encode_senders(PayloadWriter& w, std::span<const NodeId> ids, NodeId n);
 /// n); anything else throws FrameError.
 void decode_senders(PayloadReader& r, std::uint32_t count, NodeId n,
                     std::vector<NodeId>& ids);
-
-/// A shard's staging of one exchange round (9 u64 fields on the wire),
-/// merged by the coordinator in ascending shard order.
-void encode_summary(PayloadWriter& w, const ShardStaging& s);
-ShardStaging decode_summary(PayloadReader& r);
 
 // ------------------------------------------------------- worker count --
 

@@ -2,15 +2,16 @@
 //
 // A worker owns one contiguous vertex range of the coordinator's
 // partition and is the delivery plane for it: it runs the shard-round
-// kernel (runtime/shard_round.hpp) over its range — the same phase A /
-// phase B bodies and broadcast count and fill passes every engine runs,
-// push or pull by the same rule — with the per-(src, dst) batch buffers
-// serialized as kBatch frames instead of staged in shared memory. Between
-// rounds the worker keeps only reusable buffers and the last round it
-// abandoned: everything a round needs (outboxes, fault context, sender
-// lists) arrives in the round's frames, and every fault decision it
+// kernel (runtime/shard_round.hpp) over its range — the same count and
+// fill passes every engine runs, push or pull by the same rule — and
+// replies with its rows of sender ids. Between rounds the worker keeps
+// only reusable buffers: everything a round needs (fault context, sender
+// list) arrives in the round's kBcast frame, and every fault decision it
 // resolves is a pure function of (plan seed, round, edge) — which is the
-// whole determinism argument (DESIGN.md §12).
+// whole determinism argument (DESIGN.md §12). Every error the worker
+// meets (a malformed frame, a lost coordinator) ends it: the algorithm
+// errors a round can raise all throw in the coordinator's Network, before
+// any frame is sent.
 //
 // I/O is plain blocking reads/writes: the coordinator end is fully
 // non-blocking and always drains, so a worker can never wedge the
@@ -18,7 +19,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,27 +41,16 @@ class ShardWorker {
   ShardWorker& operator=(const ShardWorker&) = delete;
 
   /// Sends HELLO, verifies the corpus content (MappedGraph::verify), then
-  /// serves coordinator frames until kShutdown (returns 0) or a fatal
-  /// error, a failed verify included (logs to stderr, returns 1). Algorithm
-  /// errors (non-neighbor delivery, strict CONGEST violations) are NOT
-  /// fatal: they travel back as kError frames and the worker keeps
-  /// serving rounds.
+  /// serves coordinator frames until kShutdown or a clean EOF (returns 0)
+  /// or any error, a failed verify included (logs to stderr, returns 1).
   int run();
 
  private:
   void send_frame(FrameKind kind, std::uint64_t round, std::uint32_t dst,
                   std::uint32_t count, std::string_view payload);
-  void send_error(std::uint64_t round, std::uint32_t code, const char* what);
 
   void handle_assign(const Frame& f);
-  void handle_outbox(const Frame& f);
   void handle_bcast(const Frame& f);
-
-  /// Appends the round's rows to reply_ (wire.hpp read_rows): the
-  /// arena's receivers as (receiver, count) pairs, each followed by
-  /// slots_of(v)'s slots.
-  template <typename Slots>
-  void write_rows(const RowTable& rows, const Slots& slots_of);
 
   /// The round's kernel context over the decoded fault context.
   RoundContext context(std::uint64_t round, const FaultCtx& ctx) const;
@@ -79,11 +68,7 @@ class ShardWorker {
   Partition part_;
   ShardTopology topo_;
 
-  std::optional<std::uint64_t> abandoned_;  ///< last round sent a kError
-  MailArena arena_;         ///< the range's inbox rows, reused per round
-  std::vector<std::vector<Envelope>> outboxes_;  ///< decoded kOutbox frame
-  std::vector<std::uint64_t> decoded_;  ///< one payload's decode buffer
-  std::vector<std::vector<std::uint64_t>> batch_words_;  ///< [src shard]
+  MailArena arena_;               ///< the range's inbox rows, reused
   RangeScratch scratch_;          ///< the kernel's row marks
   std::vector<NodeId> live_ids_;  ///< a broadcast's senders, ascending
   LiveFlags flags_;               ///< raised when the range pulls

@@ -28,9 +28,8 @@
 // lost by drop or by a down receiver is paid for by the sender (counted in
 // messages/total_bits) and additionally counted in messages_dropped.
 // Corruption preserves the payload length, so CONGEST accounting is
-// unaffected. Contract violations (non-neighbor destination, duplicate
-// destination) are programming errors, not faults: they throw even when the
-// offending sender is down.
+// unaffected. A bad sender list is a programming error, not a fault: it
+// throws before the round's faults are resolved.
 #pragma once
 
 #include <cstdint>

@@ -12,8 +12,7 @@
 // arena is rewritten in place); stale access throws std::logic_error in
 // every build type, so a call site that accidentally holds an inbox across
 // rounds fails loudly instead of reading the next round's traffic. Callers
-// that need delivered messages to outlive the round call materialize(),
-// which copies their bits out of the pool.
+// that need delivered messages to outlive the round copy them out.
 //
 // The word pool. A payload lives exactly one round, so the pool is a bump
 // allocator that every round empties (MailArena::open) — the one-round
@@ -27,10 +26,9 @@
 // every delivery of that sender is that one entry, so a fill writes ids
 // and offsets and copies no payload. A corrupted delivery copies its
 // sender's entry into its destination range's segment and flips the bit
-// there: the sender's entry and the sibling deliveries never change. An
-// explicit exchange posts nothing; each range copies every message it
-// receives into its own segment. Ranges own disjoint segments, sized by
-// the round's count pass, so concurrent fills never share a bump pointer.
+// there: the sender's entry and the sibling deliveries never change.
+// Ranges own disjoint segments, sized by the round's count pass, so
+// concurrent fills never share a bump pointer.
 //
 // Dense rounds. A broadcast in which every node sends and no fault plan
 // is attached delivers every neighbour's entry to every node, so it fills
@@ -51,22 +49,22 @@
 // vertex, allocated at the Network's first slot round), valid only while
 // its stamp is the arena's current one, so a row the round never wrote
 // reads as an empty inbox and no round resets the table. Every slot round
-// takes this one representation: a push walk or an explicit exchange
-// counts into its range's cursors and marks the rows it touches, then
-// opens the marked rows in ascending order by an O(n/64) scan; a pull
-// walk and the coordinator's splice write their non-empty rows in order.
-// Each round also hands out its receivers, the destinations with at least
-// one delivery, in ascending order (receivers()): kSharded concatenates
-// the ranges' lists in range order, so a listed round costs its receivers
-// and deliveries on every engine, not n.
+// takes this one representation: a push walk counts into its range's
+// cursors and marks the rows it touches, then opens the marked rows in
+// ascending order by an O(n/64) scan; a pull walk and the coordinator's
+// splice write their non-empty rows in order. Each round also hands out
+// its receivers, the destinations with at least one delivery, in
+// ascending order (receivers()): kSharded concatenates the ranges' lists
+// in range order, so a listed round costs its receivers and deliveries on
+// every engine, not n.
 //
 // Delivery order contract: within one inbox, deliveries are in strictly
-// ascending sender order (each sender may send at most one message per
-// destination per round). Every engine produces this order by construction
-// — a dense row is the graph's sorted adjacency, and every slot round runs
-// the shard-round kernel (shard_round.hpp), which fills each destination
-// by walking source ranges in ascending order, and ranges are contiguous
-// and ascending — which is what lets the plane skip the per-inbox sort
+// ascending sender order (a broadcast sends each neighbour one copy).
+// Every engine produces this order by construction — a dense row is the
+// graph's sorted adjacency, and every slot round runs the shard-round
+// kernel (shard_round.hpp), which fills each destination by walking
+// source ranges in ascending order, and ranges are contiguous and
+// ascending — which is what lets the plane skip the per-inbox sort
 // entirely (a debug-build assertion keeps the invariant honest).
 #pragma once
 
@@ -74,7 +72,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ldc/graph/graph.hpp"
@@ -83,10 +80,6 @@
 namespace ldc {
 
 class Network;
-
-/// A payload with an address, owning its bits: an outbox entry
-/// (destination, payload) or a materialized delivery (sender, payload).
-using Envelope = std::pair<NodeId, BitWriter>;
 
 /// One delivery in the arena: its sender, and where its payload sits in
 /// the round's word pool.
@@ -137,7 +130,7 @@ struct RowTable {
 /// Write access to one vertex range's deliveries in an arena sized by
 /// MailArena::lay_out(): the range's rows go to `rows`, its slots fill
 /// slots[base...] in ascending row order, its receivers are appended to
-/// `receivers` in ascending order, and the payload words it copies fill
+/// `receivers` in ascending order, and the corrupted copies it writes fill
 /// pool[segment...]. Valid until the arena's next open(). Slot is
 /// MailSlot, or NodeId for the sender ids an `ldc_shard` worker fills
 /// into a kInboxIds reply.
@@ -486,22 +479,6 @@ class RoundMail : public ArenaView {
   }
   const_iterator end() const {
     return const_iterator(this, static_cast<NodeId>(size()));
-  }
-
-  /// Owning copy of every inbox, (sender, payload) per delivery, for
-  /// callers that must hold deliveries across rounds: copies their bits
-  /// out of the pool.
-  std::vector<std::vector<Envelope>> materialize() const {
-    check_fresh("RoundMail");
-    std::vector<std::vector<Envelope>> out(size());
-    for (NodeId v = 0; v < size(); ++v) {
-      for (const auto [u, r] : (*this)[v]) {
-        BitWriter w;
-        w.append(r);
-        out[v].emplace_back(u, std::move(w));
-      }
-    }
-    return out;
   }
 
  private:

@@ -17,7 +17,7 @@
 namespace ldc {
 
 struct RunMetrics {
-  std::uint64_t rounds = 0;           ///< exchange() calls
+  std::uint64_t rounds = 0;           ///< rounds run or advanced
   std::uint64_t messages = 0;         ///< non-empty messages delivered
   std::uint64_t total_bits = 0;       ///< sum of message sizes
   std::size_t max_message_bits = 0;   ///< largest single message

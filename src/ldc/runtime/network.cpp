@@ -18,12 +18,6 @@ std::uint64_t now_ns() {
           .count());
 }
 
-/// kSerial's single range never stages a cross-range batch.
-const std::vector<BatchEntry>& no_batches(std::size_t) {
-  static const std::vector<BatchEntry> none;
-  return none;
-}
-
 /// The node-list contract of run_node_programs and the masked broadcasts:
 /// strictly ascending ids < n.
 void check_node_list(std::span<const NodeId> nodes, NodeId n,
@@ -120,9 +114,9 @@ void Network::prepare_round_faults(std::uint64_t round, RoundFaults& rf) {
 void Network::debug_check_sorted() const {
 #ifndef NDEBUG
   // The ascending-sender invariant that replaced the per-inbox sort: the
-  // kernel fills each inbox walking contiguous ascending source ranges in
-  // order, and the broadcast fill follows the graph's sorted adjacency.
-  // The receivers are ascending, and are exactly the non-empty rows.
+  // kernel's fill follows the graph's sorted adjacency, or walks the
+  // ascending senders, over contiguous ascending ranges. The receivers are
+  // ascending, and are exactly the non-empty rows.
   if (arena_.dense()) return;
   const std::span<const NodeId> receivers = arena_.receivers();
   std::size_t slots = 0;
@@ -208,30 +202,6 @@ void Network::finish_round(OpenRound& r, const ShardStaging& st) {
                          metrics_.total_bits - r.bits_before, r.max_bits,
                          wall_ns, r.rf);
   }
-}
-
-RoundMail Network::exchange(const std::vector<Outbox>& outboxes) {
-  const auto n = graph_->n();
-  if (outboxes.size() != n) {
-    throw std::invalid_argument("Network::exchange: outbox count != n");
-  }
-  OpenRound r = open_round();
-  ShardStaging st;
-  if (dist_ != nullptr) {
-    st = dist_->exchange(r.ctx, outboxes, arena_);
-  } else if (shards_ != nullptr) {
-    st = shards_->exchange(r.ctx, outboxes, arena_);
-  } else {
-    // One range [0, n): nothing is ever remote, so the sink never runs.
-    auto outbox_of = [&](NodeId u) -> const Outbox& { return outboxes[u]; };
-    const std::uint32_t count =
-        ShardRound::stage(r.ctx, 0, n, outbox_of, scratch_, st,
-                          [](NodeId, NodeId, const BitWriter&) {});
-    ShardRound::fill(r.ctx, 0, n, outbox_of, 1, 0, no_batches, scratch_,
-                     arena_.lay_out(n, count, 0, scratch_.pool_words));
-  }
-  finish_round(r, st);
-  return RoundMail(&arena_, n);
 }
 
 template <typename BitsOf, typename Post>

@@ -1,11 +1,14 @@
 // Round-synchronous message-passing engine (LOCAL / CONGEST simulator).
 //
-// Algorithms are written in bulk-synchronous style: each call to exchange()
-// is one communication round — every node may send one message to each
-// neighbor, and receives its neighbors' messages afterwards. Node programs
-// must derive a node's outbox only from that node's own state and previously
-// received messages; the validators in ldc/coloring and the determinism
-// tests enforce the observable consequences of that discipline.
+// Algorithms are written in bulk-synchronous style: each call to
+// exchange_broadcast() or exchange_broadcast_word() is one communication
+// round — every node, or the listed senders, sends one message to all its
+// neighbors, and receives its neighbors' messages afterwards. Every
+// algorithm of the paper (and every baseline) runs its rounds this way.
+// Node programs must derive a node's message only from that node's own
+// state and previously received messages; the validators in ldc/coloring
+// and the determinism tests enforce the observable consequences of that
+// discipline.
 //
 // A bit budget models CONGEST: any message exceeding the budget is counted
 // as a violation (and optionally throws in strict mode). Budget 0 means the
@@ -20,33 +23,32 @@
 //
 //  * kSerial (default): one range [0, n) on one thread.
 //  * kSharded: the graph is partitioned into K contiguous vertex ranges,
-//    each run by its own dedicated crew thread. Cross-shard messages are
-//    staged in per-(src, dst) batch buffers and folded in at the barrier;
-//    destination shards fill inboxes walking source shards in ascending
-//    order, which reproduces the serial sender order exactly (see
-//    DESIGN.md §11 and shard.hpp). Cross-shard traffic is observable via
-//    cross_shard_traffic(); it is deliberately NOT part of RunMetrics, so
-//    metrics and digests stay engine-independent.
+//    each run by its own dedicated crew thread. Each range fills its own
+//    destinations' rows, reading the posted payloads of every sender;
+//    ranges are contiguous and ascending, which reproduces the serial
+//    sender order exactly (see DESIGN.md §11 and shard.hpp). Cross-shard
+//    traffic is observable via cross_shard_traffic(); it is deliberately
+//    NOT part of RunMetrics, so metrics and digests stay
+//    engine-independent.
 //  * kDist: the same kernel across process boundaries — each shard lives
-//    in its own worker process (`ldc_shard`) and the per-(src, dst) batch
-//    buffers travel as length-prefixed, digest-sealed frames over sockets.
-//    The coordinator side is a DistBackend (src/ldc/dist/coordinator.hpp)
-//    attached via attach_dist(); the determinism contract is identical
-//    (DESIGN.md §12), and cross_shard_traffic() reports the same logical
-//    counters the in-process sharded engine would.
+//    in its own worker process (`ldc_shard`), which gets the round's
+//    sender list and fault context and returns its rows of sender ids as
+//    length-prefixed, digest-sealed frames over sockets. The coordinator
+//    side is a DistBackend (src/ldc/dist/coordinator.hpp) attached via
+//    attach_dist(); the determinism contract is identical (DESIGN.md §12),
+//    and cross_shard_traffic() reports the same logical counters the
+//    in-process sharded engine would.
 //
-// Every round is one of two shapes: an explicit exchange, or a broadcast,
-// whose payloads are the senders' writers or, for a word round, one word
-// each. Every engine lands a round in the Network-owned round arena, in
-// the serial layout: ranges are laid out back to back at their bases
-// (MailArena::lay_out), and a dense broadcast (every node sending, no
-// fault plan) fills no slot at all, so the RoundMail/WordMail views never
-// depend on the engine, and an engine switch never invalidates a view.
-// Payloads travel by copy, once: a broadcast posts each live sender's
-// words in the arena's word pool and an explicit exchange copies each
-// delivered message there, so a view never reads the caller's writers or
-// words, and the caller may rewrite them for the next round as soon as
-// the exchange returns (mail.hpp).
+// Every round is a broadcast, whose payloads are the senders' writers or,
+// for a word round, one word each. Every engine lands a round in the
+// Network-owned round arena, in the serial layout: ranges are laid out
+// back to back at their bases (MailArena::lay_out), and a dense round
+// (every node sending, no fault plan) fills no slot at all, so the
+// RoundMail/WordMail views never depend on the engine, and an engine
+// switch never invalidates a view. Payloads travel by copy, once: a round
+// posts each live sender's words in the arena's word pool, so a view
+// never reads the caller's writers or words, and the caller may rewrite
+// them for the next round as soon as the round returns (mail.hpp).
 //
 // Shard count: an explicit set_engine() parameter, else the LDC_SHARDS
 // environment variable (strictly parsed), else hardware concurrency. One
@@ -62,13 +64,13 @@
 // events are counted in RunMetrics and recorded per round in the attached
 // Trace. See fault.hpp for the model and accounting rules.
 //
-// Error fidelity: every engine throws the same exception for the first
-// offending sender in node order — duplicate destinations are rejected
-// before any of that sender's messages are validated, then non-neighbor
-// delivery and strict CONGEST violations surface in message order. A round
-// that throws leaves the RunMetrics traffic fields (messages, bits,
-// violations, drops, corruptions) as they were before the round: every
-// engine stages the round's accounting and merges it only on success.
+// Errors: every error a round can raise — a bad sender list, a strict
+// CONGEST violation (at the first offending sender in node order), a
+// payload of 2^32 bits or more — throws here, before any engine runs, so
+// every engine throws the same exception. A round that throws leaves the
+// RunMetrics traffic fields (messages, bits, violations, drops,
+// corruptions) as they were before the round: the round's accounting is
+// staged and merged only on success.
 #pragma once
 
 #include <cstdint>
@@ -94,14 +96,6 @@ class DistBackend;
 
 class Network {
  public:
-  /// A sender's outgoing (destination, payload) messages; every
-  /// destination must be a neighbor of the sender.
-  using Outbox = std::vector<Envelope>;
-  /// An owning inbox of (sender, payload) messages (what
-  /// RoundMail::materialize() yields per node); deliveries themselves are
-  /// returned as arena-backed RoundMail views.
-  using Inbox = std::vector<Envelope>;
-
   enum class Engine { kSerial, kSharded, kDist };
 
   /// budget_bits == 0 => LOCAL model. strict => throw on budget violation.
@@ -152,40 +146,25 @@ class Network {
   /// round landed: a dense round lays out no slot (arena().dense()).
   const MailArena& arena() const { return arena_; }
 
-  /// One synchronous round: delivers outboxes[u] (messages from u) and
-  /// returns a view of the per-node inboxes, in ascending sender order.
-  /// Each delivered payload is copied once into the arena's word pool.
-  /// The view reads the Network-owned round arena and is invalidated by
-  /// the next exchange()/exchange_broadcast() on this Network (stale access
-  /// throws std::logic_error; call RoundMail::materialize() to keep
-  /// deliveries across rounds). Destinations must be neighbors of the
-  /// sender and unique per round; every engine enforces both
-  /// preconditions with std::invalid_argument (duplicate destinations are
-  /// checked per sender before that sender's messages are validated or
-  /// delivered, so every engine surfaces the same error). Uniqueness makes
-  /// inbox order total — at most one message per sender per inbox — and
-  /// the kernel delivers in ascending sender order by construction, so no
-  /// sort runs (a debug-build assertion guards the invariant).
-  RoundMail exchange(const std::vector<Outbox>& outboxes);
-
-  /// Convenience: every node (or, given `senders`, only the listed
-  /// nodes) broadcasts msgs[v] to all its neighbors; msgs has one entry
-  /// per node, and unlisted nodes' entries are ignored. The list must be
-  /// strictly ascending ids < n, checked like run_node_programs' list and
-  /// before the round opens: a bad list throws std::invalid_argument with
-  /// metrics, trace and the round callback untouched. An empty list is a
-  /// counted round with no deliveries. This is a fast path, not a
-  /// wrapper: no outboxes are materialized — each live sender's words are
-  /// posted once in the arena's word pool. A dense round (no list, no
-  /// fault plan) fills nothing: v's inbox is each neighbour's posted
-  /// entry, in adjacency order. Otherwise the kernel's push or pull
-  /// survivor walk fills slots straight from the graph's CSR, each
-  /// pointing at its sender's one entry. Observable behavior (metrics,
-  /// trace, faults, inbox contents/order, strict-CONGEST errors) is
-  /// identical to building the equivalent outboxes and calling
-  /// exchange(). The returned view obeys the same one-round lifetime as
-  /// exchange(). A sender that keeps its writer across rounds (clear()
-  /// it, then write) allocates nothing in a steady state.
+  /// One synchronous round: every node (or, given `senders`, only the
+  /// listed nodes) broadcasts msgs[v] to all its neighbors; msgs has one
+  /// entry per node, and unlisted nodes' entries are ignored. Returns a
+  /// view of the per-node inboxes, each in ascending sender order. The
+  /// list must be strictly ascending ids < n, checked like
+  /// run_node_programs' list and before the round opens: a bad list
+  /// throws std::invalid_argument with metrics, trace and the round
+  /// callback untouched. An empty list is a counted round with no
+  /// deliveries. Each live sender's words are posted once in the arena's
+  /// word pool. A dense round (no list, no fault plan) fills nothing: v's
+  /// inbox is each neighbour's posted entry, in adjacency order.
+  /// Otherwise the kernel's push or pull survivor walk fills slots
+  /// straight from the graph's CSR, each pointing at its sender's one
+  /// entry; the kernel delivers in ascending sender order by
+  /// construction, so no sort runs (a debug-build assertion guards the
+  /// invariant). The view reads the Network-owned round arena and is
+  /// invalidated by the next round on this Network (stale access throws
+  /// std::logic_error). A sender that keeps its writer across rounds
+  /// (clear() it, then write) allocates nothing in a steady state.
   RoundMail exchange_broadcast(
       const std::vector<BitWriter>& msgs,
       std::optional<std::span<const NodeId>> senders = std::nullopt);
@@ -204,7 +183,7 @@ class Network {
   /// flips the same PRF-chosen bit (BitWriter packs LSB-first, so word
   /// bit k == payload bit k). Every sender's word must be <= bound; bound
   /// must be < 2^64-1. The returned view obeys the same one-round
-  /// lifetime as exchange().
+  /// lifetime as exchange_broadcast().
   WordMail exchange_broadcast_word(
       const std::vector<std::uint64_t>& words, std::uint64_t bound,
       std::optional<std::span<const NodeId>> senders = std::nullopt);
@@ -274,18 +253,18 @@ class Network {
 
   std::size_t budget_bits() const { return budget_bits_; }
 
-  /// Attaches a transcript recorder (not owned); every subsequent
-  /// exchange() appends one Trace::Round. Pass nullptr to detach.
+  /// Attaches a transcript recorder (not owned); every subsequent round
+  /// appends one Trace::Round. Pass nullptr to detach.
   void attach_trace(Trace* trace) { trace_ = trace; }
 
   /// Round-boundary hook, mirroring attach_trace/attach_faults: invoked at
-  /// the top of every exchange()/exchange_broadcast() with the index of the
-  /// round about to run, before any message is validated or delivered. The
-  /// callback must not mutate the Network or any algorithm state (results
-  /// must stay byte-identical with and without it); it may throw, which
-  /// aborts the round before it is accounted — the cooperative-cancellation
-  /// path the job service uses to honour deadlines and cancel requests.
-  /// Pass an empty function to detach.
+  /// the top of every round with the index of the round about to run,
+  /// before any message is validated or delivered. The callback must not
+  /// mutate the Network or any algorithm state (results must stay
+  /// byte-identical with and without it); it may throw, which aborts the
+  /// round before it is accounted — the cooperative-cancellation path the
+  /// job service uses to honour deadlines and cancel requests. Pass an
+  /// empty function to detach.
   void set_round_callback(std::function<void(std::uint64_t)> cb) {
     round_cb_ = std::move(cb);
   }
@@ -299,7 +278,7 @@ class Network {
     if (trace_ != nullptr) trace_->mark(label);
   }
 
-  /// Attaches a fault plan (not owned); every subsequent exchange() applies
+  /// Attaches a fault plan (not owned); every subsequent round applies
   /// its drop/corrupt/crash/sleep schedule, keyed by the round index.
   /// Attaching (or detaching with nullptr) resets accumulated crash state,
   /// so a recovery phase can run fault-free after an adversarial one.
@@ -318,7 +297,7 @@ class Network {
   }
 
  private:
-  /// Per-round bookkeeping shared by the two round shapes.
+  /// One round's bookkeeping, from open_round() to finish_round().
   struct OpenRound {
     RoundContext ctx;
     RoundFaults rf;
@@ -382,11 +361,11 @@ class Network {
 
 /// Interface of the multi-process distributed engine (implemented by
 /// dist::Coordinator in src/ldc/dist/). The runtime stays free of any
-/// socket or process code: Network dispatches the two round shapes to
-/// the attached backend exactly as it does to its ShardSet — same inputs,
-/// same master arena, staging returned for Network to merge — and the
-/// backend must land the exact bytes the in-process engines would (the
-/// equivalence suites in tests/test_dist.cpp enforce this).
+/// socket or process code: Network dispatches each round to the attached
+/// backend exactly as it does to its ShardSet — same inputs, same master
+/// arena, staging returned for Network to merge — and the backend must
+/// land the exact bytes the in-process engines would (the equivalence
+/// suites in tests/test_dist.cpp enforce this).
 class DistBackend {
  public:
   virtual ~DistBackend() = default;
@@ -407,14 +386,11 @@ class DistBackend {
   virtual void bind(const Graph& g, std::size_t budget_bits,
                     bool strict) = 0;
 
-  /// The ShardSet round shapes, run by the workers: each lands the round
-  /// in the master arena `a` and returns its staging, or throws, leaving
-  /// nothing for Network to merge.
-  virtual ShardStaging exchange(
-      const RoundContext& rc,
-      const std::vector<std::vector<Envelope>>& outboxes, MailArena& a) = 0;
-  /// The payloads are posted in `a` before the call; live == nullptr is
-  /// a dense round, which fills nothing and only prices its cut.
+  /// ShardSet::broadcast, run by the workers: lands the round in the
+  /// master arena `a` and returns its staging, or throws, leaving nothing
+  /// for Network to merge. The payloads are posted in `a` before the
+  /// call; live == nullptr is a dense round, which fills nothing and only
+  /// prices its cut.
   virtual ShardStaging broadcast(const RoundContext& rc,
                                  const LiveSenders* live, MailArena& a) = 0;
 };

@@ -1,11 +1,11 @@
 // ShardCrew / ShardSet: the worker-thread group, and the Engine::kSharded
-// runner of the shard-round kernel. Each of the two round shapes runs the
-// kernel on every shard's range, one crew worker per shard, lands the
-// ranges back to back in the master arena and merges the shards' staging
-// in ascending order; because shards own contiguous ascending vertex
-// ranges, inbox bytes, metrics, trace rows, and fault decisions are
-// byte-identical to kSerial's single range [0, n). A dense broadcast has
-// no range to fill and only prices its cut.
+// runner of the shard-round kernel. A round runs the kernel on every
+// shard's range, one crew worker per shard, lands the ranges back to back
+// in the master arena and merges the shards' staging in ascending order;
+// because shards own contiguous ascending vertex ranges, inbox bytes,
+// metrics, trace rows, and fault decisions are byte-identical to
+// kSerial's single range [0, n). A dense broadcast has no range to fill
+// and only prices its cut.
 #include "ldc/runtime/shard.hpp"
 
 #include <algorithm>
@@ -110,7 +110,6 @@ ShardSet::ShardSet(const Graph& g, std::size_t shards)
     st.begin = part_.begin(k);
     st.end = part_.end(k);
     st.cut = cut_senders(g, st.begin, st.end);
-    st.outgoing.resize(states_.size());
   });
 }
 
@@ -120,54 +119,6 @@ ShardStaging ShardSet::merge() {
   total_traffic_.messages += total.traffic_messages;
   total_traffic_.bits += total.traffic_bits;
   return total;
-}
-
-ShardStaging ShardSet::exchange(
-    const RoundContext& rc,
-    const std::vector<std::vector<Envelope>>& outboxes, MailArena& a) {
-  const std::size_t K = size();
-  auto outbox_of = [&](NodeId u) -> const std::vector<Envelope>& {
-    return outboxes[u];
-  };
-  // Phase A: nothing touches the arena before the barrier; cross-shard
-  // survivors wait in the (src, dst) batches.
-  crew_.run([&](std::size_t k) {
-    ShardState& st = states_[k];
-    st.staging = ShardStaging{};
-    for (auto& batch : st.outgoing) batch.clear();
-    counts_[k] = ShardRound::stage(
-        rc, st.begin, st.end, outbox_of, st.scratch, st.staging,
-        [&](NodeId u, NodeId dest, const BitWriter& msg) {
-          st.outgoing[part_.shard_of(dest)].push_back(BatchEntry{
-              u, dest, msg.words().data(),
-              static_cast<std::uint32_t>(msg.bit_count())});
-        });
-  });
-  // A range's slots and pool words: its own survivors plus every batch
-  // addressed to it (a shard never batches to itself).
-  for (std::size_t k = 0; k < K; ++k) {
-    segments_[k] = states_[k].scratch.pool_words;
-    for (const ShardState& src : states_) {
-      counts_[k] += static_cast<std::uint32_t>(src.outgoing[k].size());
-      for (const BatchEntry& x : src.outgoing[k]) {
-        segments_[k] += payload_words(x.bits);
-      }
-    }
-  }
-  const auto out = a.lay_out(rc.graph->n(), counts_, 0, segments_);
-  // Phase B: each destination shard fills its rows, folding in the
-  // batches addressed to it.
-  crew_.run([&](std::size_t k) {
-    ShardState& st = states_[k];
-    ShardRound::fill(
-        rc, st.begin, st.end, outbox_of, K, k,
-        [&](std::size_t j) -> const std::vector<BatchEntry>& {
-          return states_[j].outgoing[k];
-        },
-        st.scratch, range(out, k));
-  });
-  gather_receivers(a);
-  return merge();
 }
 
 ShardStaging ShardSet::broadcast(const RoundContext& rc,

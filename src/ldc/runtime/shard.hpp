@@ -12,13 +12,12 @@
 // (shard_round.hpp) over them, worker k always on range k. Every range
 // lands its deliveries in the Network's master arena at its own base, so
 // the arena holds exactly the serial layout and the mail views read it
-// without any routing. Cross-shard messages never touch another range's
-// rows mid-round: phase A stages each one in a per-(src shard, dst shard)
-// batch buffer, and after the barrier phase B folds the batches in at the
-// destination — K² bulk appends per round instead of per-edge contention.
-// A dense broadcast (every node sending, fault-free) fills no slot, so it
-// runs no crew job: its cut traffic is priced from the partition. Crew
-// jobs and node programs travel as CallableRefs, so no round allocates.
+// without any routing. A range reads the posted payloads, the sender list
+// and the graph, and writes only its own rows, slots and pool segment, so
+// ranges never contend mid-round. A dense broadcast (every node sending,
+// fault-free) fills no slot, so it runs no crew job: its cut traffic is
+// priced from the partition. Crew jobs and node programs travel as
+// CallableRefs, so no round allocates.
 // See DESIGN.md §11 for the full memory-model and determinism argument.
 #pragma once
 
@@ -144,15 +143,13 @@ std::uint64_t parse_positive_u64(const char* name, const char* text,
                                  std::uint64_t max);
 
 /// What shard k keeps between rounds: its owned range [begin, end), its
-/// cut senders, its round scratch, the round's staging, and the outgoing
-/// batch buffers.
+/// cut senders, its round scratch and the round's staging.
 struct ShardState {
   NodeId begin = 0;
   NodeId end = 0;
   std::vector<CutSender> cut;
   RangeScratch scratch;
   ShardStaging staging;
-  std::vector<std::vector<BatchEntry>> outgoing;  ///< [dst shard]
 };
 
 /// The cut traffic of a dense round (every vertex sends, fault-free),
@@ -163,10 +160,9 @@ ShardStaging dense_cut_traffic(std::span<const CutSender> cut,
                                const MailSlot* posted);
 
 /// The Network-owned bundle: partition, per-shard states and the crew.
-/// Each round shape runs the kernel on every shard, lands the ranges in
-/// the master arena `a` back to back, and returns the round's staging,
-/// merged in ascending shard order. A broadcast reads the payloads the
-/// Network posted in `a`.
+/// A round runs the kernel on every shard, lands the ranges in the master
+/// arena `a` back to back, and returns the round's staging, merged in
+/// ascending shard order. It reads the payloads the Network posted in `a`.
 class ShardSet {
  public:
   ShardSet(const Graph& g, std::size_t shards);
@@ -174,9 +170,6 @@ class ShardSet {
   std::size_t size() const { return states_.size(); }
   const ShardTraffic& traffic() const { return total_traffic_; }
 
-  ShardStaging exchange(const RoundContext& rc,
-                        const std::vector<std::vector<Envelope>>& outboxes,
-                        MailArena& a);
   /// live == nullptr: a dense round, which fills nothing.
   ShardStaging broadcast(const RoundContext& rc, const LiveSenders* live,
                          MailArena& a);

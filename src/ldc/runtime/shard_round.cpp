@@ -36,18 +36,6 @@ void ShardStaging::merge_into(RunMetrics& m, std::size_t& round_max,
   rf.corrupted += corrupted;
 }
 
-void ShardRound::check_unique_destinations(
-    const std::vector<Envelope>& outbox, std::vector<NodeId>& scratch) {
-  if (outbox.size() < 2) return;
-  scratch.clear();
-  for (const auto& [dest, msg] : outbox) scratch.push_back(dest);
-  std::sort(scratch.begin(), scratch.end());
-  if (std::adjacent_find(scratch.begin(), scratch.end()) != scratch.end()) {
-    throw std::invalid_argument(
-        "Network::exchange: duplicate destination in a sender's outbox");
-  }
-}
-
 bool ShardRound::pushes(const Graph& g, NodeId b, NodeId e,
                         const LiveSenders& live) {
   // An empty range may sit on an empty graph, which has no CSR rows.

@@ -10,32 +10,24 @@
 //    ever crosses a range boundary, and every hook is a template argument,
 //    so it compiles to plain serial loops;
 //  * kSharded runs K ranges, one per ShardCrew worker (shard.cpp);
-//  * an `ldc_shard` worker process runs its own range, with cross-range
-//    batches travelling as frames (dist/worker.cpp).
+//  * an `ldc_shard` worker process runs its own range and ships its rows
+//    to the coordinator as a frame (dist/worker.cpp).
 //
-// Every fill writes one range's rows starting at the range's base, the
-// slot index MailArena::lay_out() hands out once every range's slot count
-// is known, and the payload words it copies into the range's own pool
-// segment, sized by the same pass. The in-process engines lay their
-// ranges back to back in the Network's master arena, which is the serial
-// layout; a worker lays out its own range in an arena of its own. A range
-// writes only the rows it fills, in the arena's stamped row table
-// (mail.hpp), and lists its receivers in ascending order; its counters
-// are zero between rounds, each round zeroing the ones it touched. So a
-// round costs its deliveries and receivers, not its range.
+// A round is a broadcast: every node, or the listed senders, sends one
+// payload to all its neighbours — a message round posts each sender's
+// writer, a word round one word per sender (mail.hpp). Every fill writes
+// one range's rows starting at the range's base, the slot index
+// MailArena::lay_out() hands out once every range's slot count is known,
+// and the corrupted copies it writes into the range's own pool segment,
+// sized by the same pass. The in-process engines lay their ranges back to
+// back in the Network's master arena, which is the serial layout; a
+// worker lays out its own range in an arena of its own. A range writes
+// only the rows it fills, in the arena's stamped row table (mail.hpp),
+// and lists its receivers in ascending order; its counters are zero
+// between rounds, each round zeroing the ones it touched. So a round
+// costs its deliveries and receivers, not its range.
 //
-// Explicit exchange rounds take two phases. Phase A (stage, by sender)
-// checks that each sender's destinations are unique neighbours, accounts
-// every transmitted message into the range's ShardStaging, resolves
-// faults, counts the survivors that stay in the range per destination
-// and hands every cross-range survivor to a batch sink. Phase B (fill, by
-// destination, after the barrier and the layout) counts the batches in,
-// opens the counted rows in ascending order and fills them walking source
-// ranges in ascending order, its own range inline — ranges are contiguous
-// and ascending, so that walk IS the serial sender order and no sort runs.
-//
-// A broadcast round — a message or a word round, which posts one word per
-// sender — fills slots only when it has a sender list or a fault plan (a
+// A round fills slots only when it has a sender list or a fault plan (a
 // dense round, every node sending fault-free, fills none; mail.hpp). Such
 // a round runs a count pass, then a fill pass, over one of two survivor
 // walks that resolve the same pure decisions:
@@ -57,9 +49,9 @@
 // Determinism: every fault decision is a pure function of (plan seed,
 // round, edge), re-resolved wherever an edge is visited; staging records
 // hold sums and maxes only and are merged in ascending range order. The
-// kernel never writes RunMetrics, so a round that throws (duplicate
-// destination, non-neighbour, strict CONGEST violation) leaves the
-// caller's metrics exactly as they were before the round.
+// kernel never writes RunMetrics, so a round that throws (a strict
+// CONGEST violation) leaves the caller's metrics exactly as they were
+// before the round.
 #pragma once
 
 #include <algorithm>
@@ -158,21 +150,9 @@ class LiveFlags {
   std::vector<char> flags_;
 };
 
-/// One cross-range survivor staged between phase A and phase B: its
-/// payload is read in place (the sender's outbox, or a worker's decoded
-/// batch frame) until phase B copies it into the destination's pool
-/// segment.
-struct BatchEntry {
-  NodeId sender;
-  NodeId dest;
-  const std::uint64_t* words;
-  std::uint32_t bits;
-};
-
 /// One range's accounting for one round, merged by the caller in
 /// ascending range order (sums and maxes only, so the totals equal the
-/// serial accounting whatever the boundaries). It is also the summary a
-/// worker process ships in its kInbox frame (dist/wire.hpp).
+/// serial accounting whatever the boundaries).
 struct ShardStaging {
   std::uint64_t messages = 0;
   std::uint64_t total_bits = 0;
@@ -212,128 +192,22 @@ struct ShardStaging {
 };
 
 /// One range's reusable round scratch: per destination of the range, the
-/// survivor count of phase A or a push count pass (the fill's write
-/// cursor), and a bit marking it counted, both zero between rounds — a
-/// round zeroes the ones it touched, and `counting` flags a count whose
-/// round threw before its fill, for the next count to clear; the
-/// duplicate-destination check's sort buffer; the range's receivers where
-/// the range lists them apart from the arena (kSharded); and the pool
-/// words the range's fill will copy (its in-range survivors' payloads in
-/// an explicit round, its corrupted copies in a broadcast round).
+/// survivor count of a push count pass (the fill's write cursor), and a
+/// bit marking it counted, both zero between rounds — a round zeroes the
+/// ones it touched, and `counting` flags a count whose round threw before
+/// its fill (a failed layout allocation), for the next count to clear;
+/// the range's receivers where the range lists them apart from the arena
+/// (kSharded); and the pool words of the range's corrupted copies.
 struct RangeScratch {
   std::vector<std::uint32_t> cursor;
   std::vector<std::uint64_t> marks;
   bool counting = false;
-  std::vector<NodeId> dests;
   std::vector<NodeId> receivers;
   std::uint64_t pool_words = 0;
 };
 
 class ShardRound {
  public:
-  /// Phase A for senders [b, e). outbox_of(u) yields u's outbox. Survivors
-  /// addressed inside [b, e) are counted per destination in s, and their
-  /// payload words into s.pool_words; every other survivor goes to
-  /// sink(sender, dest, payload). Returns the in-range survivor count. Cut
-  /// traffic is counted before the drop decision: a lost message still
-  /// crossed the cut.
-  template <typename OutboxOf, typename Sink>
-  static std::uint32_t stage(const RoundContext& rc, NodeId b, NodeId e,
-                             const OutboxOf& outbox_of, RangeScratch& s,
-                             ShardStaging& st, Sink&& sink) {
-    const Graph& g = *rc.graph;
-    const FaultPlan* f = rc.faults;
-    open_count(b, e, s);
-    s.pool_words = 0;
-    std::uint32_t local = 0;
-    for (NodeId u = b; u < e; ++u) {
-      const std::vector<Envelope>& outbox = outbox_of(u);
-      check_unique_destinations(outbox, s.dests);
-      const bool sender_down = f != nullptr && rc.down[u] != 0;
-      for (const auto& [dest, msg] : outbox) {
-        if (!g.has_edge(u, dest)) {
-          throw std::invalid_argument(
-              "Network::exchange: message to non-neighbor");
-        }
-        if (sender_down) continue;  // suppressed: never transmitted
-        const std::size_t bits = msg.bit_count();
-        if (bits > UINT32_MAX) {
-          throw std::length_error(
-              "Network::exchange: payload of 2^32 bits or more");
-        }
-        st.account(bits, 1, rc.budget_bits, rc.strict);
-        const bool remote = dest < b || dest >= e;
-        if (remote) {
-          ++st.traffic_messages;
-          st.traffic_bits += bits;
-        }
-        if (f != nullptr) {
-          if (rc.lost(u, dest)) {
-            ++st.dropped;
-            continue;
-          }
-          if (f->corrupts_message(rc.round, u, dest)) ++st.corrupted;
-        }
-        if (remote) {
-          sink(u, dest, msg);
-        } else {
-          count_row(b, s, dest);
-          s.pool_words += payload_words(bits);
-          ++local;
-        }
-      }
-    }
-    return local;
-  }
-
-  /// Phase B for destinations [b, e) of range `self` out of `shards`:
-  /// batches_from(j) yields the entries range j staged for this one (never
-  /// called for j == self). Counts the batches in, opens the range's
-  /// counted rows in `out`, which holds room for the stage's in-range
-  /// survivors plus every batch, and fills them in ascending sender order,
-  /// copying each payload into the range's pool segment; corruption flips
-  /// the delivery's own copy, re-resolving phase A's decision.
-  template <typename OutboxOf, typename BatchesFrom>
-  static void fill(const RoundContext& rc, NodeId b, NodeId e,
-                   const OutboxOf& outbox_of, std::size_t shards,
-                   std::size_t self, const BatchesFrom& batches_from,
-                   RangeScratch& s, ArenaRange<MailSlot> out) {
-    const FaultPlan* f = rc.faults;
-    for (std::size_t j = 0; j < shards; ++j) {
-      if (j == self) continue;
-      for (const BatchEntry& x : batches_from(j)) count_row(b, s, x.dest);
-    }
-    const std::size_t opened = open_rows(b, e, s, out);
-    std::uint64_t at = out.segment;
-    auto put = [&](NodeId u, NodeId dest, const std::uint64_t* words,
-                   std::size_t bits) {
-      MailSlot& slot = out.slots[s.cursor[dest - b]++];
-      slot = MailSlot{u, static_cast<std::uint32_t>(bits), at};
-      std::copy_n(words, payload_words(bits), out.pool + at);
-      at += payload_words(bits);
-      if (f != nullptr && f->corrupts_message(rc.round, u, dest)) {
-        f->corrupt_payload(rc.round, u, dest, out.pool + slot.at, bits);
-      }
-    };
-    for (std::size_t j = 0; j < shards; ++j) {
-      if (j != self) {
-        for (const BatchEntry& x : batches_from(j)) {
-          put(x.sender, x.dest, x.words, x.bits);
-        }
-        continue;
-      }
-      for (NodeId u = b; u < e; ++u) {
-        if (f != nullptr && rc.down[u] != 0) continue;
-        for (const auto& [dest, msg] : outbox_of(u)) {
-          if (dest < b || dest >= e) continue;
-          if (f != nullptr && rc.lost(u, dest)) continue;
-          put(u, dest, msg.words().data(), msg.bit_count());
-        }
-      }
-    }
-    close_rows(b, s, *out.receivers, opened);
-  }
-
   /// Bulk sender-side accounting of a broadcast round: every live sender
   /// (live == nullptr: all of them) sends degree-many copies of a
   /// bits_of(u)-bit payload, accounted in ascending sender order.
@@ -423,12 +297,6 @@ class ShardRound {
   }
 
  private:
-  /// The "destinations unique per round" contract for one sender, checked
-  /// before any of its messages is validated so the error order is the
-  /// same on every engine.
-  static void check_unique_destinations(const std::vector<Envelope>& outbox,
-                                        std::vector<NodeId>& scratch);
-
   /// The push/pull crossover. A pull pass reads each of the range's
   /// edges once. A push pass clips each live sender's row, which costs
   /// about kClipCost edge reads (the row is a cache miss that the range's

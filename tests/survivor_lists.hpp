@@ -63,20 +63,22 @@ inline std::vector<BitWriter> mixed_width_payloads(NodeId n) {
   return msgs;
 }
 
-/// Every delivery of `in`, in order, as one hash of (destination, sender,
-/// bit count, payload bits).
+/// One delivery u -> v as one hash of (destination, sender, bit count,
+/// payload bits).
+inline std::uint64_t delivery_hash(NodeId v, NodeId u, BitReader r) {
+  std::uint64_t h = hash_combine((std::uint64_t{v} << 32) | u, r.bit_count());
+  while (r.remaining() > 0) {
+    const int k = static_cast<int>(std::min<std::size_t>(64, r.remaining()));
+    h = hash_combine(h, r.read(k));
+  }
+  return h;
+}
+
+/// Every delivery of `in`, in order, as its delivery_hash().
 inline std::vector<std::uint64_t> flat_deliveries(const RoundMail& in) {
   std::vector<std::uint64_t> out;
   for (NodeId v = 0; v < in.size(); ++v) {
-    for (auto [u, r] : in[v]) {
-      std::uint64_t h = hash_combine((std::uint64_t{v} << 32) | u,
-                                     r.bit_count());
-      while (r.remaining() > 0) {
-        const int k = static_cast<int>(std::min<std::size_t>(64, r.remaining()));
-        h = hash_combine(h, r.read(k));
-      }
-      out.push_back(h);
-    }
+    for (auto [u, r] : in[v]) out.push_back(delivery_hash(v, u, r));
   }
   return out;
 }

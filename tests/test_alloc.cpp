@@ -4,7 +4,7 @@
 //
 //  * a steady-state message round on the serial engine allocates nothing,
 //    counting its senders' payload writes (each sender clears and
-//    rewrites the writer it keeps), broadcast or explicit;
+//    rewrites the writer it keeps);
 //  * so does every round shape on the sharded engine (K = 4), and a node
 //    program whose lambda captures four references, on either engine:
 //    crew jobs and node programs travel as CallableRefs, where a
@@ -130,29 +130,6 @@ TEST(Allocations, ShardedWordRoundsAllocateNothing) {
   EXPECT_GT(sum, 0u);
 }
 
-TEST(Allocations, ShardedExplicitRoundAllocatesNothing) {
-  const Graph g = gen::random_regular(256, 16, 7);
-  Network net(g);
-  net.set_engine(Network::Engine::kSharded, 4);
-  std::vector<Network::Outbox> out(g.n());
-  for (NodeId u = 0; u < g.n(); ++u) {
-    for (NodeId v : g.neighbors(u)) out[u].emplace_back(v, BitWriter{});
-  }
-  std::uint64_t sum = 0;
-  EXPECT_EQ(steady_state_allocations([&](std::uint64_t r) {
-              for (NodeId u = 0; u < g.n(); ++u) {
-                for (auto& [v, w] : out[u]) {
-                  w.clear();
-                  w.write(u * 131 + v + r, 40);
-                }
-              }
-              const auto in = net.exchange(out);
-              for (auto [u, rd] : in[r % g.n()]) sum += u + rd.read(40);
-            }),
-            0u);
-  EXPECT_GT(sum, 0u);
-}
-
 /// Allocations of 10 run_node_programs calls whose lambda captures four
 /// references, all nodes and a node list, on `shards` shards (0: serial).
 std::uint64_t node_program_allocations(std::size_t shards) {
@@ -183,31 +160,6 @@ TEST(Allocations, SerialNodeProgramsWithFourCapturesAllocateNothing) {
 
 TEST(Allocations, ShardedNodeProgramsWithFourCapturesAllocateNothing) {
   EXPECT_EQ(node_program_allocations(4), 0u);
-}
-
-TEST(Allocations, SteadyStateExplicitRoundAllocatesNothing) {
-  const Graph g = gen::random_regular(128, 8, 3);
-  Network net(g);
-  std::vector<Network::Outbox> out(g.n());
-  for (NodeId u = 0; u < g.n(); ++u) {
-    for (NodeId v : g.neighbors(u)) out[u].emplace_back(v, BitWriter{});
-  }
-  std::uint64_t sum = 0;
-  auto round = [&](std::uint64_t r) {
-    for (NodeId u = 0; u < g.n(); ++u) {
-      for (auto& [v, w] : out[u]) {
-        w.clear();
-        w.write(u * 131 + v + r, 40);
-      }
-    }
-    const auto in = net.exchange(out);
-    for (auto [u, rd] : in[r % g.n()]) sum += u + rd.read(40);
-  };
-  for (std::uint64_t r = 0; r < 3; ++r) round(r);
-  const std::uint64_t before = allocs();
-  for (std::uint64_t r = 3; r < 40; ++r) round(r);
-  EXPECT_EQ(allocs() - before, 0u);
-  EXPECT_GT(sum, 0u);
 }
 
 /// Allocations of a second cycle of listed rounds on `shards` shards (0:

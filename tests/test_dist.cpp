@@ -9,9 +9,9 @@
 // whose corpus content digest differs, a SIGKILLed worker surfaces as a
 // typed WorkerError naming the shard and round (well inside the
 // heartbeat window, with no orphan processes left behind), a SIGSTOPped
-// worker trips the heartbeat timeout, CONGEST violations and outbox
-// validation errors cross the process boundary with their original
-// exception types, and every dist knob (LDC_DIST_WORKERS,
+// worker trips the heartbeat timeout, a round's CONGEST violation or bad
+// sender list throws its own type before any frame leaves, and every dist
+// knob (LDC_DIST_WORKERS,
 // heartbeat/attach timeouts) is parsed strictly — garbage throws
 // std::invalid_argument naming the offending token, never a silent
 // fallback.
@@ -55,6 +55,7 @@
 #include "arbdefective_reference.hpp"
 #include "kw_reference.hpp"
 #include "repair_reference.hpp"
+#include "round_reference.hpp"
 #include "survivor_lists.hpp"
 
 namespace ldc {
@@ -180,9 +181,9 @@ struct NamedColorer {
   Colorer run;
 };
 
-// Colorer coverage across the three mail lanes: linial (fused word
-// rounds), defective linial (masked message broadcasts), Luby (per-edge
-// exchanges under randomness), linial+kw (long masked word pipelines).
+// Colorer coverage across the mail lanes: linial (fused word rounds),
+// defective linial (masked message broadcasts), Luby (message broadcasts
+// under randomness), linial+kw (long masked word pipelines).
 std::vector<NamedColorer> colorer_mix(const Graph& g) {
   std::vector<NamedColorer> cs;
   cs.push_back({"linial", [](Network& net) {
@@ -281,15 +282,22 @@ std::vector<std::pair<std::string, FaultPlan>> fault_plan_mix() {
 }
 
 struct FaultyRun {
-  std::vector<std::uint64_t> inbox_flat;  ///< (receiver, sender, payload)
+  std::vector<std::uint64_t> inbox_flat;  ///< flat_deliveries() per round
   RunMetrics metrics;
-  std::uint64_t trace_digest = 0;
+  std::vector<Trace::Round> rounds;
 };
 
-// Raw multi-round exchange under a fault plan, flattening every delivered
+/// A 40-bit payload per sender for each of six rounds.
+std::vector<BitWriter> faulty_round_payloads(NodeId n, std::uint64_t r) {
+  std::vector<BitWriter> msgs(n);
+  for (NodeId u = 0; u < n; ++u) msgs[u].write(hash_combine(r, u), 40);
+  return msgs;
+}
+
+// Six broadcast rounds under a fault plan, flattening every delivered
 // payload so drop/corrupt/crash/sleep effects are byte-observable.
-FaultyRun run_faulty_exchange(const Graph& g, const EngineSel& sel,
-                              const FaultPlan& plan) {
+FaultyRun run_faulty_rounds(const Graph& g, const EngineSel& sel,
+                            const FaultPlan& plan) {
   Network net(g);
   sel.apply(net);
   Trace trace;
@@ -297,56 +305,45 @@ FaultyRun run_faulty_exchange(const Graph& g, const EngineSel& sel,
   net.attach_faults(&plan);
   FaultyRun out;
   for (std::uint64_t r = 0; r < 6; ++r) {
-    std::vector<Network::Outbox> outboxes(g.n());
-    for (NodeId u = 0; u < g.n(); ++u) {
-      for (NodeId v : g.neighbors(u)) {
-        BitWriter w;
-        w.write(hash_combine(r, (static_cast<std::uint64_t>(u) << 20) | v),
-                40);
-        outboxes[u].emplace_back(v, w);
-      }
-    }
-    const auto in = net.exchange(outboxes);
-    for (NodeId v = 0; v < g.n(); ++v) {
-      for (auto [sender, rd] : in[v]) {
-        out.inbox_flat.push_back(hash_combine(
-            (static_cast<std::uint64_t>(v) << 32) | sender, rd.read(40)));
-      }
-    }
+    const auto flat = flat_deliveries(
+        net.exchange_broadcast(faulty_round_payloads(g.n(), r)));
+    out.inbox_flat.insert(out.inbox_flat.end(), flat.begin(), flat.end());
   }
   out.metrics = net.metrics();
-  out.trace_digest = trace.digest();
+  out.rounds = trace.rounds();
   return out;
 }
 
 // The fault context crosses the wire once per round (coordinator-resolved
 // down bitmap + PRF plan); every worker must re-resolve drop/corrupt
-// decisions bit-identically to the serial engine.
+// decisions exactly as the round oracle does.
 TEST(Dist, FaultPlansMatchSerial) {
   const Graph g = gen::gnp(60, 0.2, 11);
   TempCorpus tc("faults");
   write_graph(g, tc.path());
-  const EngineSel serial{"serial", [](Network&) {}};
   for (std::size_t workers : {1u, 2u, 4u}) {
     CoordinatorOptions opt;
     opt.workers = workers;
     Coordinator coord(tc.path(), opt);
     for (const auto& [plan_name, plan] : fault_plan_mix()) {
-      const FaultyRun ref = run_faulty_exchange(g, serial, plan);
-      EXPECT_GT(ref.metrics.messages_dropped + ref.metrics.messages_corrupted +
-                    ref.metrics.node_crashes + ref.metrics.node_sleeps,
+      RoundReference ref(g, &plan);
+      std::vector<std::uint64_t> want;
+      for (std::uint64_t r = 0; r < 6; ++r) {
+        const auto flat =
+            flat_deliveries(ref.broadcast(faulty_round_payloads(g.n(), r)));
+        want.insert(want.end(), flat.begin(), flat.end());
+      }
+      EXPECT_GT(ref.metrics().messages_dropped +
+                    ref.metrics().messages_corrupted +
+                    ref.metrics().node_crashes + ref.metrics().node_sleeps,
                 0u)
           << plan_name;
-      const FaultyRun got = run_faulty_exchange(coord.corpus_graph(),
-                                                dist_sel(coord), plan);
+      const FaultyRun got =
+          run_faulty_rounds(coord.corpus_graph(), dist_sel(coord), plan);
       const std::string label = plan_name + " @dist" + std::to_string(workers);
-      EXPECT_EQ(ref.inbox_flat, got.inbox_flat)
+      EXPECT_EQ(want, got.inbox_flat)
           << label << ": delivered payloads differ";
-      EXPECT_TRUE(ref.metrics.same_communication(got.metrics))
-          << label << ": metrics differ: ref {" << ref.metrics << "} got {"
-          << got.metrics << "}";
-      EXPECT_EQ(ref.trace_digest, got.trace_digest)
-          << label << ": trace digests differ";
+      expect_reference_accounting(ref, got.metrics, got.rounds, label);
     }
   }
 }
@@ -481,12 +478,11 @@ TEST(Dist, KwMatchesTheEagerReferenceUnderFaults) {
   EXPECT_GT(net.metrics().messages_corrupted, 0u);
 }
 
-// Broadcast fast path and the word path under kDist must match the
-// serial engine's materialized-outbox reference — with and without a
-// sender list, with and without faults. Dense rounds stay
-// coordinator-local and fill nothing; rounds that list their senders or
-// carry faults take the kBcast / kInboxIds exchange, and the coordinator
-// rebuilds the slots.
+// The broadcast and the word path under kDist deliver what the round
+// oracle says — with and without a sender list, with and without faults.
+// Dense rounds stay coordinator-local and fill nothing; rounds that list
+// their senders or carry faults take the kBcast / kInboxIds exchange, and
+// the coordinator rebuilds the slots.
 TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
   const Graph g = gen::gnp(48, 0.25, 34);
   TempCorpus tc("bcast");
@@ -496,9 +492,7 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
   std::vector<BitWriter> msgs(g.n());
   for (NodeId v = 0; v < g.n(); ++v) {
     words[v] = hash_combine(0xb1, v) % (bound + 1);
-    BitWriter w;
-    w.write_bounded(words[v], bound);
-    msgs[v] = w;
+    msgs[v].write_bounded(words[v], bound);
   }
   std::vector<NodeId> mask;
   for (NodeId v = 0; v < g.n(); ++v) {
@@ -514,52 +508,32 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
     std::vector<std::uint64_t> slots;
     std::vector<NodeId> receivers;
     RunMetrics metrics;
-    std::uint64_t trace_digest = 0;
+    std::vector<Trace::Round> rows;
   };
-  enum class Path { kOutboxes, kBroadcast, kFusedWord };
-  auto run = [&](Coordinator* coord, SenderList senders,
-                 const FaultPlan* faults, Path path) {
-    Network net(coord != nullptr ? coord->corpus_graph() : g);
-    if (coord != nullptr) net.attach_dist(coord);
+  auto run = [&](Coordinator& coord, SenderList senders,
+                 const FaultPlan* faults, bool fused) {
+    Network net(coord.corpus_graph());
+    net.attach_dist(&coord);
     Trace trace;
     net.attach_trace(&trace);
     if (faults != nullptr) net.attach_faults(faults);
     Flat out;
     std::function<void()> prev;
     for (int round = 0; round < 3; ++round) {
-      if (path == Path::kFusedWord) {
+      std::vector<std::uint64_t> flat;
+      if (fused) {
         const WordMail in = net.exchange_broadcast_word(words, bound, senders);
         record_receivers(in, out.receivers, prev);
-        for (NodeId v = 0; v < g.n(); ++v) {
-          for (const auto [sender, word] : in[v]) {
-            out.slots.push_back(hash_combine(
-                (static_cast<std::uint64_t>(v) << 32) | sender, word));
-          }
-        }
-        continue;
-      }
-      RoundMail in;
-      if (path == Path::kOutboxes) {
-        std::vector<Network::Outbox> outboxes(g.n());
-        for (NodeId u = 0; u < g.n(); ++u) {
-          if (!listed(senders, u)) continue;
-          for (NodeId v : g.neighbors(u)) outboxes[u].emplace_back(v, msgs[u]);
-        }
-        in = net.exchange(outboxes);
+        flat = flat_lanes(in);
       } else {
-        in = net.exchange_broadcast(msgs, senders);
+        const RoundMail in = net.exchange_broadcast(msgs, senders);
+        record_receivers(in, out.receivers, prev);
+        flat = flat_deliveries(in);
       }
-      record_receivers(in, out.receivers, prev);
-      for (NodeId v = 0; v < g.n(); ++v) {
-        for (auto [sender, r] : in[v]) {
-          out.slots.push_back(
-              hash_combine((static_cast<std::uint64_t>(v) << 32) | sender,
-                           r.read_bounded(bound)));
-        }
-      }
+      out.slots.insert(out.slots.end(), flat.begin(), flat.end());
     }
     out.metrics = net.metrics();
-    out.trace_digest = trace.digest();
+    out.rows = trace.rounds();
     return out;
   };
 
@@ -568,30 +542,30 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
   const auto pass_masks = survivor_pass_lists(g.n());
   for (const auto& [name, m] : pass_masks) masks.emplace_back(name, m);
   const FaultPlan* plans[] = {nullptr, &plan};
-  for (std::size_t workers : {2u, 4u}) {
+  for (std::size_t workers : {1u, 2u, 4u}) {
     CoordinatorOptions opt;
     opt.workers = workers;
     Coordinator coord(tc.path(), opt);
     for (const auto& [mask_name, senders] : masks) {
       for (const FaultPlan* faults : plans) {
-        const Flat ref = run(nullptr, senders, faults, Path::kOutboxes);
-        for (const Path path :
-             {Path::kOutboxes, Path::kBroadcast, Path::kFusedWord}) {
-          const Flat got = run(&coord, senders, faults, path);
+        for (const bool fused : {false, true}) {
+          RoundReference ref(g, faults);
+          Flat want;
+          for (int round = 0; round < 3; ++round) {
+            const ReferenceRound& rd = ref.broadcast(msgs, senders);
+            record_receivers(rd, want.receivers);
+            const auto flat = fused ? flat_lanes(rd) : flat_deliveries(rd);
+            want.slots.insert(want.slots.end(), flat.begin(), flat.end());
+          }
+          const Flat got = run(coord, senders, faults, fused);
           const std::string label =
-              std::string(path == Path::kFusedWord  ? "fused"
-                          : path == Path::kOutboxes ? "outboxes"
-                                                    : "broadcast") +
-              "/" + mask_name + (faults != nullptr ? "+faults" : "") +
-              " @dist" + std::to_string(workers);
-          EXPECT_EQ(ref.slots, got.slots) << label << ": deliveries differ";
-          EXPECT_EQ(ref.receivers, got.receivers)
+              std::string(fused ? "fused" : "broadcast") + "/" + mask_name +
+              (faults != nullptr ? "+faults" : "") + " @dist" +
+              std::to_string(workers);
+          EXPECT_EQ(want.slots, got.slots) << label << ": deliveries differ";
+          EXPECT_EQ(want.receivers, got.receivers)
               << label << ": receivers differ";
-          EXPECT_TRUE(ref.metrics.same_communication(got.metrics))
-              << label << ": metrics differ: ref {" << ref.metrics
-              << "} got {" << got.metrics << "}";
-          EXPECT_EQ(ref.trace_digest, got.trace_digest)
-              << label << ": trace digests differ";
+          expect_reference_accounting(ref, got.metrics, got.rows, label);
         }
       }
     }
@@ -967,7 +941,8 @@ TEST(Dist, TeardownReapsWorkersWithoutAFixedSleep) {
 // kill -9 one worker mid-run: the next round must fail with a typed
 // WorkerError naming the dead shard and the round — detected via EOF,
 // i.e. well inside the heartbeat window — and the coordinator teardown
-// must leave no orphan worker processes behind.
+// must leave no orphan worker processes behind. The rounds list every
+// other node: a dense round sends no frame, so it never meets a worker.
 TEST(Dist, WorkerKilledMidRunYieldsTypedErrorNamingShardAndRound) {
   const Graph g = gen::gnp(40, 0.2, 21);
   TempCorpus tc("kill");
@@ -984,17 +959,13 @@ TEST(Dist, WorkerKilledMidRunYieldsTypedErrorNamingShardAndRound) {
 
     Network net(coord.corpus_graph());
     net.attach_dist(&coord);
-    auto round = [&] {
-      std::vector<Network::Outbox> out(g.n());
-      for (NodeId u = 0; u < g.n(); ++u) {
-        for (NodeId v : g.neighbors(u)) {
-          BitWriter w;
-          w.write(u ^ v, 24);
-          out[u].emplace_back(v, w);
-        }
-      }
-      return net.exchange(out);
-    };
+    std::vector<BitWriter> msgs(g.n());
+    std::vector<NodeId> every_other;
+    for (NodeId u = 0; u < g.n(); ++u) {
+      msgs[u].write(u, 24);
+      if (u % 2 == 0) every_other.push_back(u);
+    }
+    auto round = [&] { return net.exchange_broadcast(msgs, every_other); };
     EXPECT_EQ(round().size(), g.n());  // one clean round first
 
     ASSERT_EQ(::kill(pids[1], SIGKILL), 0);
@@ -1021,8 +992,9 @@ TEST(Dist, WorkerKilledMidRunYieldsTypedErrorNamingShardAndRound) {
 }
 
 // A hung (SIGSTOPped) worker never closes its socket, so only the
-// heartbeat window can catch it: the round must abort with a WorkerError
-// naming the silent shard within ~the configured window.
+// heartbeat window can catch it: a listed round (every other node) must
+// abort with a WorkerError naming the silent shard within ~the configured
+// window.
 TEST(Dist, HungWorkerTripsHeartbeatTimeout) {
   const Graph g = gen::ring(24);
   TempCorpus tc("hang");
@@ -1036,17 +1008,15 @@ TEST(Dist, HungWorkerTripsHeartbeatTimeout) {
   net.attach_dist(&coord);
 
   ASSERT_EQ(::kill(pids[0], SIGSTOP), 0);
-  std::vector<Network::Outbox> out(g.n());
+  std::vector<BitWriter> msgs(g.n());
+  std::vector<NodeId> every_other;
   for (NodeId u = 0; u < g.n(); ++u) {
-    for (NodeId v : g.neighbors(u)) {
-      BitWriter w;
-      w.write(1, 1);
-      out[u].emplace_back(v, w);
-    }
+    msgs[u].write(1, 1);
+    if (u % 2 == 0) every_other.push_back(u);
   }
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    net.exchange(out);
+    net.exchange_broadcast(msgs, every_other);
     ADD_FAILURE() << "expected WorkerError on heartbeat timeout";
   } catch (const WorkerError& e) {
     const std::string what = e.what();
@@ -1060,49 +1030,61 @@ TEST(Dist, HungWorkerTripsHeartbeatTimeout) {
   ASSERT_EQ(::kill(pids[0], SIGCONT), 0);  // let shutdown run cleanly
 }
 
-// Typed errors cross the process boundary with their original types:
-// a strict CONGEST violation inside a worker surfaces as
-// CongestViolation, an invalid outbox as std::invalid_argument — exactly
-// what the in-process engines throw.
+// Every error a round can raise throws in the Network, before any frame
+// leaves, with the type the in-process engines throw: a strict CONGEST
+// violation as CongestViolation, a bad sender list as
+// std::invalid_argument. The wire stays silent, and the next round runs
+// on the same workers.
 TEST(Dist, WorkerErrorsKeepTheirTypesAcrossTheWire) {
   const Graph g = gen::ring(16);
   TempCorpus tc("typed");
   write_graph(g, tc.path());
+  CoordinatorOptions opt;
+  opt.workers = 2;
+  Coordinator coord(tc.path(), opt);
+  const std::vector<pid_t> pids = coord.worker_pids();
+  Network net(coord.corpus_graph(), /*budget_bits=*/4, /*strict=*/true);
+  net.attach_dist(&coord);
+  auto wire = [&] {
+    const dist::WireStats w = coord.wire_stats();
+    return std::vector<std::uint64_t>{w.frames_sent, w.frames_received,
+                                      w.bytes_sent, w.bytes_received};
+  };
+  std::vector<BitWriter> msgs(g.n());
+  for (BitWriter& m : msgs) m.write(1, 2);
+  const std::vector<NodeId> some = {0, 5, 11};
   {
-    CoordinatorOptions opt;
-    opt.workers = 2;
-    Coordinator coord(tc.path(), opt);
-    Network net(coord.corpus_graph(), /*budget_bits=*/4, /*strict=*/true);
-    net.attach_dist(&coord);
-    std::vector<Network::Outbox> out(g.n());
-    BitWriter w;
-    w.write(0, 9);  // 9 bits > 4-bit budget
-    out[0].emplace_back(1, w);
-    EXPECT_THROW(net.exchange(out), CongestViolation);
+    std::vector<BitWriter> wide = msgs;
+    wide[5].clear();
+    wide[5].write(0, 9);  // 9 bits > 4-bit budget
+    const auto before = wire();
+    EXPECT_THROW(net.exchange_broadcast(wide, some), CongestViolation);
+    EXPECT_EQ(wire(), before);
   }
   {
-    CoordinatorOptions opt;
-    opt.workers = 2;
-    Coordinator coord(tc.path(), opt);
-    Network net(coord.corpus_graph());
-    net.attach_dist(&coord);
-    std::vector<Network::Outbox> out(g.n());
-    BitWriter w;
-    w.write(1, 1);
-    out[0].emplace_back(5, w);  // 0 and 5 not adjacent
-    EXPECT_THROW(net.exchange(out), std::invalid_argument);
+    const std::vector<NodeId> unsorted = {5, 0};
+    const auto before = wire();
+    EXPECT_THROW(net.exchange_broadcast(msgs, unsorted),
+                 std::invalid_argument);
+    EXPECT_EQ(wire(), before);
   }
+  const auto before = wire();
+  const RoundMail in = net.exchange_broadcast(msgs, some);
+  ASSERT_EQ(in[1].size(), 1u);
+  EXPECT_EQ(in[1][0].sender, 0u);
+  EXPECT_GT(wire()[0], before[0]);
+  EXPECT_EQ(coord.worker_pids(), pids);
 }
 
 // The post-throw contract every engine shares: a round's accounting is
 // staged and merged only once the whole round succeeded, so a round that
-// throws — duplicate destination, non-neighbor, strict CONGEST violation,
-// on exchange, exchange_broadcast or the fused word round — leaves the
-// RunMetrics traffic fields exactly as they were before it. Every bad
-// round below has well-formed senders ahead of the offender, whose
-// traffic a partial accounting would have leaked. The next round still
-// runs, accounts normally and lands the same inboxes as the good round
-// before the throw: the counts the throwing round left are cleared.
+// throws — a strict CONGEST violation, on exchange_broadcast or the fused
+// word round — leaves the RunMetrics traffic fields exactly as they were
+// before it. Every bad round below has well-formed senders ahead of the
+// offender, whose traffic a partial accounting would have leaked. The
+// next round, a listed one that fills slots (and sends frames under
+// kDist), still runs, accounts normally and lands the same inboxes as the
+// good round before the throw.
 TEST(Dist, ThrowingRoundLeavesTrafficMetricsUnchangedOnEveryEngine) {
   const Graph g = gen::ring(16);
   TempCorpus tc("post_throw");
@@ -1118,56 +1100,33 @@ TEST(Dist, ThrowingRoundLeavesTrafficMetricsUnchangedOnEveryEngine) {
     w.write(value, bits);
     return w;
   };
-  // Every node but `bad` sends a 2-bit message to each neighbor.
-  auto outboxes = [&](NodeId bad) {
-    std::vector<Network::Outbox> out(n);
-    for (NodeId u = 0; u < n; ++u) {
-      if (u == bad) continue;
-      for (NodeId v : cg.neighbors(u)) out[u].emplace_back(v, msg(u & 3, 2));
-    }
-    return out;
+  // The good round: every node but 11 broadcasts a 2-bit message.
+  std::vector<BitWriter> good_msgs(n);
+  std::vector<NodeId> good_senders;
+  for (NodeId u = 0; u < n; ++u) {
+    good_msgs[u] = msg(u & 3, 2);
+    if (u != 11) good_senders.push_back(u);
+  }
+  auto good_round = [&](Network& net) {
+    return flat_deliveries(net.exchange_broadcast(good_msgs, good_senders));
   };
   struct BadRound {
     std::string name;
     std::function<void(Network&)> run;
-    bool congest;  ///< CongestViolation, else std::invalid_argument
   };
+  std::vector<BitWriter> wide = good_msgs;
+  wide[11] = msg(0, 9);  // 9 bits > 4-bit budget
+  const std::vector<NodeId> every = every_node(n);
   const std::vector<BadRound> bad_rounds = {
-      {"exchange/duplicate",
-       [&](Network& net) {
-         auto out = outboxes(11);
-         out[11].emplace_back(12, msg(1, 2));
-         out[11].emplace_back(12, msg(2, 2));
-         (void)net.exchange(out);
-       },
-       false},
-      {"exchange/non-neighbor",
-       [&](Network& net) {
-         auto out = outboxes(11);
-         out[11].emplace_back(3, msg(1, 2));
-         (void)net.exchange(out);
-       },
-       false},
-      {"exchange/strict-congest",
-       [&](Network& net) {
-         auto out = outboxes(11);
-         out[11].emplace_back(12, msg(0, 9));  // 9 bits > 4-bit budget
-         (void)net.exchange(out);
-       },
-       true},
       {"broadcast/strict-congest",
-       [&](Network& net) {
-         std::vector<BitWriter> msgs(n, msg(1, 2));
-         msgs[11] = msg(0, 9);
-         (void)net.exchange_broadcast(msgs);
-       },
-       true},
+       [&](Network& net) { (void)net.exchange_broadcast(wide); }},
+      {"listed-broadcast/strict-congest",
+       [&](Network& net) { (void)net.exchange_broadcast(wide, every); }},
       {"word/strict-congest",
        [&](Network& net) {
          (void)net.exchange_broadcast_word(std::vector<std::uint64_t>(n, 5),
                                            511);  // 9-bit words
-       },
-       true},
+       }},
   };
   const std::vector<EngineSel> engines = {
       {"serial", [](Network&) {}},
@@ -1188,17 +1147,12 @@ TEST(Dist, ThrowingRoundLeavesTrafficMetricsUnchangedOnEveryEngine) {
       Network net(cg, /*budget_bits=*/4, /*strict=*/true);
       sel.apply(net);
       // A good round: non-zero traffic, and the inboxes the good round
-      // after the throw must land again, whatever counts the throw left.
-      const std::vector<std::uint64_t> good =
-          flat_deliveries(net.exchange(outboxes(n)));
+      // after the throw must land again.
+      const std::vector<std::uint64_t> good = good_round(net);
       const RunMetrics before = net.metrics();
-      if (bad.congest) {
-        EXPECT_THROW(bad.run(net), CongestViolation) << label;
-      } else {
-        EXPECT_THROW(bad.run(net), std::invalid_argument) << label;
-      }
+      EXPECT_THROW(bad.run(net), CongestViolation) << label;
       EXPECT_EQ(traffic(net.metrics()), traffic(before)) << label;
-      EXPECT_EQ(flat_deliveries(net.exchange(outboxes(n))), good) << label;
+      EXPECT_EQ(good_round(net), good) << label;
       EXPECT_EQ(net.metrics().messages, 2 * before.messages) << label;
     }
   }

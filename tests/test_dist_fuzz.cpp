@@ -39,32 +39,39 @@ struct Rng {
   std::uint64_t below(std::uint64_t n) { return n == 0 ? 0 : next() % n; }
 };
 
-/// A few representative valid frames: empty payload, small payload, a
-/// payload with structure (fault ctx + messages), and a large-ish batch.
+/// A few representative valid frames of the wire's kinds: empty payload,
+/// small payload, a payload with structure (fault ctx + sender list), and
+/// a large-ish reply of rows.
 std::vector<std::string> valid_frames() {
   std::vector<std::string> fs;
-  fs.push_back(encode_frame(FrameKind::kHeartbeat, 7, 1, 0, 0, {}));
-  fs.push_back(encode_frame(FrameKind::kBatchAck, 3, 0, 2, 1, "x"));
+  fs.push_back(encode_frame(FrameKind::kShutdown, 7, 1, 0, 0, {}));
+  {
+    PayloadWriter w;
+    w.u64(12);
+    w.u64(3);
+    fs.push_back(encode_frame(FrameKind::kAssignAck, 0, 0, 2, 0, w.take()));
+  }
   {
     PayloadWriter w;
     FaultPlan plan;
     plan.seed = 0xfeed;
     plan.drop_rate = 0.25;
     encode_fault_ctx(w, &plan, std::vector<char>(40, 0).data(), 40);
-    BitWriter bw;
-    bw.write(0x123456789abcdefull, 60);
-    encode_message(w, BitReader(bw));
-    fs.push_back(encode_frame(FrameKind::kOutbox, 2, 0, 1, 1, w.take()));
+    const std::vector<NodeId> senders = {1, 17, 39};
+    encode_senders(w, senders, 40);
+    fs.push_back(encode_frame(FrameKind::kBcast, 2, 0, 1, 3, w.take()));
   }
   {
     PayloadWriter w;
-    for (std::uint32_t i = 0; i < 200; ++i) {
-      w.u32(i);
-      BitWriter bw;
-      bw.write(i * 2654435761u, 32);
-      encode_message(w, BitReader(bw));
+    w.u64(5);  // dropped
+    w.u64(2);  // corrupted
+    w.u32(200);
+    NodeId next = 1000;
+    for (NodeId v = 1000; v < 1200; ++v) {
+      write_row(w, next, v, 1);
+      w.u32(v * 2654435761u % 5000);
     }
-    fs.push_back(encode_frame(FrameKind::kBatch, 5, 2, 3, 200, w.take()));
+    fs.push_back(encode_frame(FrameKind::kInboxIds, 5, 2, 0, 200, w.take()));
   }
   return fs;
 }
@@ -199,11 +206,12 @@ TEST(DistFuzz, MutatedStreamsAlwaysFailTyped) {
   EXPECT_GT(rejected, static_cast<std::uint64_t>(kIters) / 2);
 }
 
-// Only assigned kinds are frames: a digest-valid frame of kind 0, of 10
-// to 13 (the gap in FrameKind), or past the last kind is a typed
-// rejection.
+// Only assigned kinds are frames: a digest-valid frame of kind 0, of a
+// gap in FrameKind — wire version 3's retired kinds 4 to 7, 14, 15 and 17
+// included — or past the last kind is a typed rejection.
 TEST(DistFuzz, UnassignedFrameKindsAreRejected) {
-  for (const std::uint16_t kind : {0, 10, 11, 12, 13, 18}) {
+  for (const std::uint16_t kind :
+       {0, 4, 5, 6, 7, 10, 11, 12, 13, 14, 15, 17, 18}) {
     const std::string bytes =
         encode_frame(static_cast<FrameKind>(kind), 1, 0, 0, 0, "x");
     FrameReader reader;
@@ -213,29 +221,38 @@ TEST(DistFuzz, UnassignedFrameKindsAreRejected) {
 }
 
 TEST(DistFuzz, CountPayloadDisagreementIsTyped) {
-  // A kBatch frame whose count promises more entries than the payload
+  // A kInboxIds frame whose count promises more slots than the payload
   // holds: header validation can't see it (count is kind-specific), but
-  // the payload decoder must fail typed, not overrun.
-  PayloadWriter w;
-  w.u32(9);  // one sender id…
-  BitWriter bw;
-  bw.write(0xab, 8);
-  encode_message(w, BitReader(bw));  // …and one message
-  const std::string frame =
-      encode_frame(FrameKind::kBatch, 1, 0, 1, /*count=*/3, w.take());
-  FrameReader reader;
-  reader.feed(frame.data(), frame.size());
-  const std::optional<Frame> f = reader.next();
-  ASSERT_TRUE(f.has_value());
-  PayloadReader r(f->payload, "batch");
-  (void)r.u32();
-  std::vector<std::uint64_t> words;
-  (void)decode_message(r, words);
-  // Entry 2 of the promised 3: every further read is a typed overrun.
-  EXPECT_THROW((void)r.u32(), FrameError);
+  // the payload decoder must fail typed, not overrun — whether the rows
+  // claim the promised slots or not.
+  auto decode = [](std::uint64_t more) {
+    PayloadWriter w;
+    w.u64(0);
+    w.u64(0);
+    w.u32(1);  // one row…
+    w.varint(1);
+    w.varint(more);
+    w.u32(9);  // …holding one sender id
+    const std::string frame =
+        encode_frame(FrameKind::kInboxIds, 1, 0, 0, /*count=*/3, w.take());
+    FrameReader reader;
+    reader.feed(frame.data(), frame.size());
+    const std::optional<Frame> f = reader.next();
+    ASSERT_TRUE(f.has_value());
+    PayloadReader r(f->payload, "inbox_ids");
+    (void)r.u64();
+    (void)r.u64();
+    EXPECT_THROW(read_rows(
+                     r, 8, 16, f->header.count, "inbox_ids",
+                     [](NodeId, std::uint32_t) {}, [&](NodeId) { (void)r.u32(); }),
+                 FrameError)
+        << "count - 1 = " << more;
+  };
+  decode(0);  // the row holds 1 of the 3 slots
+  decode(2);  // the row claims 3, and the second is a typed overrun
 }
 
-// A reply's rows (kInbox, kInboxIds) are untrusted (receiver, count)
+// A reply's rows (kInboxIds) are untrusted (receiver, count)
 // pairs: a receiver past the shard's range, counts that do not sum to the
 // header's slot count, and truncated or overlong varints are typed
 // rejections, so the splice never writes a row it does not own. The gap
@@ -375,17 +392,6 @@ TEST(DistFuzz, PayloadReaderOverrunAndTrailingGarbageAreTyped) {
     EXPECT_THROW(r.expect_end(), FrameError);  // trailing byte
   }
   {
-    // decode_message with a hostile bit count: rejected before any
-    // allocation sized by it.
-    PayloadWriter w;
-    w.u32(1u << 30);
-    const std::string payload = w.take();
-    PayloadReader r(payload, "msg");
-    std::vector<std::uint64_t> words;
-    EXPECT_THROW((void)decode_message(r, words), FrameError);
-    EXPECT_TRUE(words.empty());
-  }
-  {
     // Truncated fault context: the down bitmap is cut short.
     PayloadWriter w;
     FaultPlan plan;
@@ -396,15 +402,6 @@ TEST(DistFuzz, PayloadReaderOverrunAndTrailingGarbageAreTyped) {
     payload.resize(payload.size() - 3);
     PayloadReader r(payload, "fault ctx");
     EXPECT_THROW((void)decode_fault_ctx(r, 64), FrameError);
-  }
-  {
-    // Truncated summary (9 u64 fields on the wire).
-    PayloadWriter w;
-    encode_summary(w, ShardStaging{});
-    std::string payload = w.take();
-    payload.resize(payload.size() - 1);
-    PayloadReader r(payload, "summary");
-    EXPECT_THROW((void)decode_summary(r), FrameError);
   }
 }
 
@@ -433,53 +430,6 @@ TEST(DistFuzz, RoundTripCodecs) {
       EXPECT_EQ(ctx.down[v], down[v]) << v;
     }
   }
-  {
-    // Messages: exact bit counts survive, including non-word-aligned.
-    for (const std::size_t bits : {1u, 7u, 64u, 65u, 129u, 1000u}) {
-      BitWriter bw;
-      for (std::size_t done = 0; done < bits; done += 32) {
-        bw.write(0xdeadbeef, static_cast<int>(std::min<std::size_t>(
-                                 32, bits - done)));
-      }
-      PayloadWriter w;
-      encode_message(w, BitReader(bw));
-      const std::string payload = w.take();
-      PayloadReader r(payload, "msg");
-      std::vector<std::uint64_t> words = {7};  // decode appends after it
-      const std::uint32_t back = decode_message(r, words);
-      r.expect_end();
-      ASSERT_EQ(back, bw.bit_count()) << bits << " bits";
-      ASSERT_EQ(words.size(), 1 + payload_words(bits)) << bits << " bits";
-      BitReader ra(bw);
-      BitReader rb(words.data() + 1, back);
-      for (std::size_t done = 0; done < bits; done += 64) {
-        const int take =
-            static_cast<int>(std::min<std::size_t>(64, bits - done));
-        EXPECT_EQ(ra.read(take), rb.read(take)) << bits << " bits";
-      }
-    }
-  }
-  {
-    ShardStaging s;
-    s.messages = 11;
-    s.total_bits = 22;
-    s.max_message_bits = 33;
-    s.congest_violations = 44;
-    s.round_max_bits = 55;
-    s.dropped = 66;
-    s.corrupted = 77;
-    s.traffic_messages = 88;
-    s.traffic_bits = 99;
-    PayloadWriter w;
-    encode_summary(w, s);
-    const std::string payload = w.take();
-    PayloadReader r(payload, "summary");
-    const ShardStaging back = decode_summary(r);
-    r.expect_end();
-    EXPECT_EQ(back.messages, s.messages);
-    EXPECT_EQ(back.traffic_bits, s.traffic_bits);
-    EXPECT_EQ(back.round_max_bits, s.round_max_bits);
-  }
 }
 
 // Blocking fd reads share the decoder: clean EOF at a frame boundary is
@@ -488,11 +438,11 @@ TEST(DistFuzz, RoundTripCodecs) {
 // read(2)) instead of dropping the surplus bytes.
 TEST(DistFuzz, ReadFrameFdTornAndCleanEof) {
   const std::string frame =
-      encode_frame(FrameKind::kHeartbeat, 1, 0, 0, 0, {});
+      encode_frame(FrameKind::kShutdown, 1, 0, 0, 0, {});
   {
     int p[2];
     ASSERT_EQ(::pipe(p), 0);
-    const std::string two = frame + encode_frame(FrameKind::kBatchAck, 2, 1,
+    const std::string two = frame + encode_frame(FrameKind::kAssignAck, 2, 1,
                                                  0, 0, {});
     ASSERT_EQ(::write(p[1], two.data(), two.size()),
               static_cast<ssize_t>(two.size()));
@@ -500,10 +450,10 @@ TEST(DistFuzz, ReadFrameFdTornAndCleanEof) {
     FrameReader reader;
     const std::optional<Frame> f = read_frame_fd(p[0], reader);
     ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(f->header.kind, FrameKind::kHeartbeat);
+    EXPECT_EQ(f->header.kind, FrameKind::kShutdown);
     const std::optional<Frame> g = read_frame_fd(p[0], reader);
     ASSERT_TRUE(g.has_value());  // buffered in the reader, not lost
-    EXPECT_EQ(g->header.kind, FrameKind::kBatchAck);
+    EXPECT_EQ(g->header.kind, FrameKind::kAssignAck);
     EXPECT_EQ(g->header.round, 2u);
     EXPECT_FALSE(read_frame_fd(p[0], reader).has_value());  // clean EOF
     ::close(p[0]);
@@ -532,7 +482,7 @@ TEST(DistFuzz, WriteAllFdReportsTheGonePeer) {
   ASSERT_EQ(::pipe(p), 0);
   ::close(p[0]);  // peer gone
   const std::string frame =
-      encode_frame(FrameKind::kHeartbeat, 1, 0, 0, 0, {});
+      encode_frame(FrameKind::kShutdown, 1, 0, 0, 0, {});
   try {
     write_all_fd(p[1], frame, "test peer");
     ADD_FAILURE() << "expected WorkerError on EPIPE";

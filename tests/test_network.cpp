@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "ldc/graph/generators.hpp"
 
 namespace ldc {
@@ -16,60 +18,15 @@ BitWriter make_msg(std::uint64_t value, int bits) {
 TEST(Network, DeliversToNeighborsOnly) {
   const Graph g = gen::path(3);  // 0-1-2
   Network net(g);
-  std::vector<Network::Outbox> out(3);
-  out[0].emplace_back(1, make_msg(42, 8));
-  auto in = net.exchange(out);
+  const std::vector<BitWriter> msgs(3, make_msg(42, 8));
+  const std::vector<NodeId> senders = {0};
+  auto in = net.exchange_broadcast(msgs, senders);
   ASSERT_EQ(in[1].size(), 1u);
   EXPECT_EQ(in[1][0].sender, 0u);
   auto r = in[1][0].reader;
   EXPECT_EQ(r.read(8), 42u);
   EXPECT_TRUE(in[0].empty());
   EXPECT_TRUE(in[2].empty());
-}
-
-TEST(Network, RejectsNonNeighborDelivery) {
-  const Graph g = gen::path(3);
-  Network net(g);
-  std::vector<Network::Outbox> out(3);
-  out[0].emplace_back(2, make_msg(1, 1));  // 0 and 2 are not adjacent
-  EXPECT_THROW(net.exchange(out), std::invalid_argument);
-}
-
-TEST(Network, RejectsDuplicateDestinations) {
-  // Contract: each sender may send at most one message per neighbor per
-  // round. Duplicates used to be delivered (with stdlib-sort-dependent
-  // inbox order); now they are rejected up front on every engine.
-  const Graph g = gen::path(3);
-  for (bool sharded : {false, true}) {
-    Network net(g);
-    if (sharded) net.set_engine(Network::Engine::kSharded, 3);
-    std::vector<Network::Outbox> out(3);
-    out[1].emplace_back(0, make_msg(1, 4));
-    out[1].emplace_back(0, make_msg(2, 4));
-    EXPECT_THROW(net.exchange(out), std::invalid_argument);
-  }
-}
-
-TEST(Network, DuplicateCheckPrecedesPerMessageValidation) {
-  // Error fidelity: the duplicate check runs before the sender's messages
-  // are validated, so a sender with both faults reports the duplicate
-  // (identically on every engine, regardless of message order).
-  const Graph g = gen::path(3);
-  for (bool sharded : {false, true}) {
-    Network net(g);
-    if (sharded) net.set_engine(Network::Engine::kSharded, 3);
-    std::vector<Network::Outbox> out(3);
-    out[0].emplace_back(2, make_msg(1, 4));  // non-neighbor
-    out[0].emplace_back(1, make_msg(1, 4));
-    out[0].emplace_back(1, make_msg(2, 4));  // duplicate
-    try {
-      net.exchange(out);
-      FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("duplicate destination"),
-                std::string::npos);
-    }
-  }
 }
 
 TEST(Network, CountsRoundsAndBits) {
@@ -113,19 +70,20 @@ TEST(Network, BroadcastActiveMask) {
 TEST(Network, CongestBudgetCountsViolations) {
   const Graph g = gen::path(2);
   Network net(g, /*budget_bits=*/8);
-  std::vector<Network::Outbox> out(2);
-  out[0].emplace_back(1, make_msg(0, 16));  // 16 > 8: violation
-  out[1].emplace_back(0, make_msg(0, 8));   // exactly at budget: fine
-  net.exchange(out);
+  const std::vector<BitWriter> msgs = {
+      make_msg(0, 16),  // 16 > 8: violation
+      make_msg(0, 8),   // exactly at budget: fine
+  };
+  net.exchange_broadcast(msgs);
   EXPECT_EQ(net.metrics().congest_violations, 1u);
 }
 
 TEST(Network, StrictModeThrows) {
   const Graph g = gen::path(2);
   Network net(g, /*budget_bits=*/4, /*strict=*/true);
-  std::vector<Network::Outbox> out(2);
-  out[0].emplace_back(1, make_msg(0, 5));
-  EXPECT_THROW(net.exchange(out), CongestViolation);
+  const std::vector<BitWriter> msgs(2, make_msg(0, 5));
+  const std::vector<NodeId> senders = {0};
+  EXPECT_THROW(net.exchange_broadcast(msgs, senders), CongestViolation);
 }
 
 TEST(Network, BroadcastRejectsWrongMessageCount) {
@@ -326,47 +284,46 @@ TEST(Network, DeliveriesOutliveTheSendersWriters) {
   }
 }
 
-// An explicit exchange copies every delivered message into the pool, so
-// its deliveries survive the caller rewriting its outboxes, and
-// materialize() copies survive the next round.
-TEST(Network, ExplicitDeliveriesAndMaterializedCopiesKeepTheirBits) {
+// A listed round's deliveries, corrupted copies included, keep their bits
+// when the senders rewrite their writers: every delivery reads its
+// sender's posted entry, and a corrupted one its own flipped copy in the
+// destination range's pool segment, each range writing its own segment.
+TEST(Network, ListedAndCorruptedDeliveriesKeepTheirBits) {
   const Graph g = gen::clique(5);
+  FaultPlan corrupt;
+  corrupt.seed = 0xc5;
+  corrupt.corrupt_rate = 0.5;
+  const std::vector<NodeId> senders = {0, 2, 3, 4};
   for (const std::size_t shards : {std::size_t{0}, std::size_t{3}}) {
     Network net(g);
     if (shards != 0) net.set_engine(Network::Engine::kSharded, shards);
-    std::vector<Network::Outbox> out(5);
+    net.attach_faults(&corrupt);
+    std::vector<BitWriter> msgs(5);
     for (NodeId u = 0; u < 5; ++u) {
-      for (NodeId v : g.neighbors(u)) {
-        BitWriter w = make_msg(u * 100 + v, 64);
-        w.write(0, 6);  // 70 bits: two pool words
-        out[u].emplace_back(v, std::move(w));
-      }
+      msgs[u] = make_msg(0xc0de00u + u, 64);
+      msgs[u].write(0, 6);  // 70 bits: two pool words
     }
-    auto in = net.exchange(out);
-    for (auto& outbox : out) {
-      for (auto& [dest, w] : outbox) {
-        w.clear();
-        w.write(1, 64);
-        w.write(1, 6);
-      }
+    auto in = net.exchange_broadcast(msgs, senders);
+    for (BitWriter& w : msgs) {
+      w.clear();
+      w.write(1, 64);
+      w.write(1, 6);
     }
+    std::uint64_t flipped = 0;
     for (NodeId v = 0; v < 5; ++v) {
+      ASSERT_EQ(in[v].size(), v == 1 ? 4u : 3u);
       for (auto [u, r] : in[v]) {
-        EXPECT_EQ(r.read(64), u * 100 + v);
-        EXPECT_EQ(r.read(6), 0u);
+        ASSERT_EQ(r.bit_count(), 70u);
+        const std::uint64_t lo = r.read(64) ^ (0xc0de00u + u);
+        const std::uint64_t hi = r.read(6);
+        const int diff = std::popcount(lo) + std::popcount(hi);
+        EXPECT_EQ(diff, corrupt.corrupts_message(0, u, v) ? 1 : 0)
+            << u << " -> " << v;
+        flipped += static_cast<std::uint64_t>(diff);
       }
     }
-    const auto kept = in.materialize();
-    net.exchange(out);
-    EXPECT_THROW(in[0], std::logic_error);
-    for (NodeId v = 0; v < 5; ++v) {
-      ASSERT_EQ(kept[v].size(), 4u);
-      for (const auto& [u, w] : kept[v]) {
-        BitReader r(w);
-        EXPECT_EQ(r.bit_count(), 70u);
-        EXPECT_EQ(r.read(64), u * 100 + v);
-      }
-    }
+    EXPECT_GT(flipped, 0u) << shards;
+    EXPECT_EQ(flipped, net.metrics().messages_corrupted) << shards;
   }
 }
 
@@ -424,19 +381,12 @@ TEST(Network, RoundMailViewExpiresAtTheNextExchange) {
   const std::vector<BitWriter> msgs(3, make_msg(7, 4));
   auto in = net.exchange_broadcast(msgs);
   ASSERT_EQ(in[1].size(), 2u);
-  auto kept = in.materialize();
   net.exchange_broadcast(msgs);
   // The old view is stale now — accessing it throws instead of silently
   // reading the new round's traffic.
   EXPECT_THROW(in[1], std::logic_error);
   EXPECT_THROW(in.begin(), std::logic_error);
-  EXPECT_THROW(in.materialize(), std::logic_error);
-  // The materialized copy owns its bits and stays valid.
-  ASSERT_EQ(kept[1].size(), 2u);
-  EXPECT_EQ(kept[1][0].first, 0u);
-  EXPECT_EQ(kept[1][1].first, 2u);
-  BitReader r(kept[1][0].second);
-  EXPECT_EQ(r.read(4), 7u);
+  EXPECT_THROW(in.receivers(), std::logic_error);
 }
 
 TEST(Network, InboxesArriveInAscendingSenderOrder) {

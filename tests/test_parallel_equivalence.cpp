@@ -6,8 +6,11 @@
 // fields, and the full trace transcript (digest + per-round fields +
 // marks) must equal the serial run's. This is what lets EXPERIMENTS.md
 // keep making *exact* round/bit claims while the simulator runs on however
-// many cores the host has. tests/test_sharded.cpp pins the shard-specific
-// contracts (ghost halos, cut traffic, LDC_SHARDS) at K in {1, 2, 7}.
+// many cores the host has. Single rounds — message and word rounds, with
+// and without sender lists and fault plans — are checked on every engine
+// against the round oracle (round_reference.hpp), not against another
+// engine. tests/test_sharded.cpp pins the shard-specific contracts (ghost
+// halos, cut traffic, LDC_SHARDS) at K in {1, 2, 7}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,6 +36,7 @@
 #include "ldc/runtime/network.hpp"
 #include "ldc/storage/corpus.hpp"
 #include "ldc/support/prf.hpp"
+#include "round_reference.hpp"
 #include "survivor_lists.hpp"
 
 namespace ldc {
@@ -229,16 +233,23 @@ std::vector<std::pair<std::string, FaultPlan>> fault_plan_mix() {
 }
 
 struct FaultyRun {
-  std::vector<std::uint64_t> inbox_flat;  ///< (receiver, sender, payload)
+  std::vector<std::uint64_t> inbox_flat;  ///< flat_deliveries() per round
   RunMetrics metrics;
   std::uint64_t trace_digest = 0;
   std::vector<Trace::Round> rounds;
 };
 
-// Raw multi-round exchange under a fault plan, flattening every delivered
+/// A 40-bit payload per sender for each of six rounds.
+std::vector<BitWriter> faulty_round_payloads(NodeId n, std::uint64_t r) {
+  std::vector<BitWriter> msgs(n);
+  for (NodeId u = 0; u < n; ++u) msgs[u].write(hash_combine(r, u), 40);
+  return msgs;
+}
+
+// Six broadcast rounds under a fault plan, flattening every delivered
 // payload so drop/corrupt/crash/sleep effects are byte-observable.
-FaultyRun run_faulty_exchange(const Graph& g, std::size_t threads,
-                              const FaultPlan& plan) {
+FaultyRun run_faulty_rounds(const Graph& g, std::size_t threads,
+                            const FaultPlan& plan) {
   Network net(g);
   if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
   Trace trace;
@@ -246,22 +257,9 @@ FaultyRun run_faulty_exchange(const Graph& g, std::size_t threads,
   net.attach_faults(&plan);
   FaultyRun out;
   for (std::uint64_t r = 0; r < 6; ++r) {
-    std::vector<Network::Outbox> outboxes(g.n());
-    for (NodeId u = 0; u < g.n(); ++u) {
-      for (NodeId v : g.neighbors(u)) {
-        BitWriter w;
-        w.write(hash_combine(r, (static_cast<std::uint64_t>(u) << 20) | v),
-                40);
-        outboxes[u].emplace_back(v, w);
-      }
-    }
-    const auto in = net.exchange(outboxes);
-    for (NodeId v = 0; v < g.n(); ++v) {
-      for (auto [sender, rd] : in[v]) {
-        out.inbox_flat.push_back(hash_combine(
-            (static_cast<std::uint64_t>(v) << 32) | sender, rd.read(40)));
-      }
-    }
+    const auto flat = flat_deliveries(
+        net.exchange_broadcast(faulty_round_payloads(g.n(), r)));
+    out.inbox_flat.insert(out.inbox_flat.end(), flat.begin(), flat.end());
   }
   out.metrics = net.metrics();
   out.trace_digest = trace.digest();
@@ -269,43 +267,37 @@ FaultyRun run_faulty_exchange(const Graph& g, std::size_t threads,
   return out;
 }
 
+// Every engine resolves a fault plan's drop/corrupt/crash/sleep decisions
+// exactly as the round oracle does: the same deliveries, payload bits
+// included, the same counters round by round, and so the same digest.
 TEST(ParallelEquivalence, FaultPlansMatchAcrossEngines) {
   for (const auto& ng : graph_mix()) {
     for (const auto& [plan_name, plan] : fault_plan_mix()) {
-      const FaultyRun serial = run_faulty_exchange(ng.g, 0, plan);
+      RoundReference ref(ng.g, &plan);
+      std::vector<std::uint64_t> want;
+      for (std::uint64_t r = 0; r < 6; ++r) {
+        const auto flat = flat_deliveries(
+            ref.broadcast(faulty_round_payloads(ng.g.n(), r)));
+        want.insert(want.end(), flat.begin(), flat.end());
+      }
       // The sweep must exercise real faults, not vacuous plans.
-      EXPECT_GT(serial.metrics.messages_dropped +
-                    serial.metrics.messages_corrupted +
-                    serial.metrics.node_crashes + serial.metrics.node_sleeps,
+      EXPECT_GT(ref.metrics().messages_dropped +
+                    ref.metrics().messages_corrupted +
+                    ref.metrics().node_crashes + ref.metrics().node_sleeps,
                 0u)
           << plan_name << " on " << ng.name;
-      for (std::size_t threads : {1u, 2u, 4u, 7u}) {
-        const FaultyRun parallel = run_faulty_exchange(ng.g, threads, plan);
+      std::uint64_t serial_digest = 0;
+      for (std::size_t threads : {0u, 1u, 2u, 4u, 7u}) {
+        const FaultyRun got = run_faulty_rounds(ng.g, threads, plan);
         const std::string label =
             plan_name + " on " + ng.name + " @" + std::to_string(threads) +
             "t";
-        EXPECT_EQ(serial.inbox_flat, parallel.inbox_flat)
+        EXPECT_EQ(want, got.inbox_flat)
             << label << ": delivered payloads differ";
-        EXPECT_TRUE(serial.metrics.same_communication(parallel.metrics))
-            << label << ": metrics differ: serial {" << serial.metrics
-            << "} parallel {" << parallel.metrics << "}";
-        EXPECT_EQ(serial.trace_digest, parallel.trace_digest)
+        expect_reference_accounting(ref, got.metrics, got.rounds, label);
+        if (threads == 0) serial_digest = got.trace_digest;
+        EXPECT_EQ(serial_digest, got.trace_digest)
             << label << ": trace digests differ";
-        ASSERT_EQ(serial.rounds.size(), parallel.rounds.size()) << label;
-        for (std::size_t i = 0; i < serial.rounds.size(); ++i) {
-          EXPECT_EQ(serial.rounds[i].faults.dropped,
-                    parallel.rounds[i].faults.dropped)
-              << label << " round " << i;
-          EXPECT_EQ(serial.rounds[i].faults.corrupted,
-                    parallel.rounds[i].faults.corrupted)
-              << label << " round " << i;
-          EXPECT_EQ(serial.rounds[i].faults.crashes,
-                    parallel.rounds[i].faults.crashes)
-              << label << " round " << i;
-          EXPECT_EQ(serial.rounds[i].faults.sleeps,
-                    parallel.rounds[i].faults.sleeps)
-              << label << " round " << i;
-        }
       }
     }
   }
@@ -346,73 +338,14 @@ TEST(ParallelEquivalence, ResilientRecoveryMatchesAcrossEngines) {
   }
 }
 
-TEST(ParallelEquivalence, DuplicateDestinationThrowsOnBothEngines) {
-  const Graph g = gen::ring(8);
-  for (std::size_t threads : {0u, 2u, 7u}) {
-    Network net(g);
-    if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
-    std::vector<Network::Outbox> out(8);
-    BitWriter w;
-    w.write(1, 1);
-    out[3].emplace_back(4, w);
-    out[3].emplace_back(4, w);  // duplicate destination
-    try {
-      net.exchange(out);
-      FAIL() << threads << " threads: expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("duplicate destination"),
-                std::string::npos)
-          << threads << " threads";
-    }
-  }
-}
-
-TEST(ParallelEquivalence, ExplicitExchangeMatchesAcrossEngines) {
-  // Raw exchange() (not broadcast): multiple messages per sender with
-  // distinct payloads, so inbox merge order is fully observable.
-  const Graph g = gen::gnp(40, 0.3, 21);
-  auto run = [&](std::size_t threads) {
-    Network net(g);
-    if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
-    std::vector<Network::Outbox> out(g.n());
-    for (NodeId u = 0; u < g.n(); ++u) {
-      for (NodeId v : g.neighbors(u)) {
-        BitWriter w;
-        w.write(static_cast<std::uint64_t>(u) * 1000 + v, 22);
-        out[u].emplace_back(v, w);
-      }
-    }
-    const auto in = net.exchange(out);
-    // Flatten the inboxes into a comparable transcript.
-    std::vector<std::uint64_t> flat;
-    for (const auto& inbox : in) {
-      for (auto [sender, r] : inbox) {
-        flat.push_back((static_cast<std::uint64_t>(sender) << 32) |
-                       r.read(22));
-      }
-    }
-    return std::make_pair(flat, net.metrics());
-  };
-  const auto [flat0, m0] = run(0);
-  for (std::size_t threads : {2u, 4u, 7u}) {
-    const auto [flat, m] = run(threads);
-    EXPECT_EQ(flat0, flat) << threads << " threads";
-    EXPECT_TRUE(m0.same_communication(m)) << threads << " threads";
-  }
-}
-
-// The broadcast fast path skips outbox materialization and fills the round
-// arena receiver-side; its observable behavior must stay identical to
-// building the equivalent outboxes and calling exchange() — with and
-// without a sender list, with and without faults, under every engine.
-TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
+// A broadcast round delivers exactly what the round oracle
+// (round_reference.hpp) says — with and without a sender list, with and
+// without faults, under every engine: inboxes and receivers, payload bits
+// and counters round by round.
+TEST(ParallelEquivalence, BroadcastMatchesTheRoundOracle) {
   const Graph g = gen::gnp(48, 0.25, 33);
   std::vector<BitWriter> msgs(g.n());
-  for (NodeId v = 0; v < g.n(); ++v) {
-    BitWriter w;
-    w.write(hash_combine(0xb0, v), 36);
-    msgs[v] = w;
-  }
+  for (NodeId v = 0; v < g.n(); ++v) msgs[v].write(hash_combine(0xb0, v), 36);
   std::vector<NodeId> mask;
   for (NodeId v = 0; v < g.n(); ++v) {
     if (v % 3 != 0) mask.push_back(v);
@@ -427,10 +360,11 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
     std::vector<std::uint64_t> slots;
     std::vector<NodeId> receivers;
     RunMetrics metrics;
+    std::vector<Trace::Round> rows;
     std::uint64_t trace_digest = 0;
   };
   auto run = [&](std::size_t threads, SenderList senders,
-                 const FaultPlan* faults, bool via_outboxes) {
+                 const FaultPlan* faults) {
     Network net(g);
     if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     Trace trace;
@@ -439,27 +373,13 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
     Flat out;
     std::function<void()> prev;
     for (int round = 0; round < 3; ++round) {
-      RoundMail in;
-      if (via_outboxes) {
-        // The reference semantics: materialized per-neighbor outboxes.
-        std::vector<Network::Outbox> outboxes(g.n());
-        for (NodeId u = 0; u < g.n(); ++u) {
-          if (!listed(senders, u)) continue;
-          for (NodeId v : g.neighbors(u)) outboxes[u].emplace_back(v, msgs[u]);
-        }
-        in = net.exchange(outboxes);
-      } else {
-        in = net.exchange_broadcast(msgs, senders);
-      }
+      const RoundMail in = net.exchange_broadcast(msgs, senders);
       record_receivers(in, out.receivers, prev);
-      for (NodeId v = 0; v < g.n(); ++v) {
-        for (auto [sender, r] : in[v]) {
-          out.slots.push_back(hash_combine(
-              (static_cast<std::uint64_t>(v) << 32) | sender, r.read(36)));
-        }
-      }
+      const auto flat = flat_deliveries(in);
+      out.slots.insert(out.slots.end(), flat.begin(), flat.end());
     }
     out.metrics = net.metrics();
+    out.rows = trace.rounds();
     out.trace_digest = trace.digest();
     return out;
   };
@@ -471,43 +391,48 @@ TEST(ParallelEquivalence, BroadcastFastPathMatchesExplicitOutboxes) {
   const FaultPlan* plans[] = {nullptr, &plan};
   for (const auto& [mask_name, senders] : masks) {
     for (const FaultPlan* faults : plans) {
-      const Flat ref = run(0, senders, faults, /*via_outboxes=*/true);
+      RoundReference ref(g, faults);
+      Flat want;
+      for (int round = 0; round < 3; ++round) {
+        const ReferenceRound& rd = ref.broadcast(msgs, senders);
+        record_receivers(rd, want.receivers);
+        const auto flat = flat_deliveries(rd);
+        want.slots.insert(want.slots.end(), flat.begin(), flat.end());
+      }
+      std::uint64_t serial_digest = 0;
       for (std::size_t threads : {0u, 2u, 7u}) {
-        const Flat fast = run(threads, senders, faults, /*via_outboxes=*/false);
+        const Flat got = run(threads, senders, faults);
         const std::string label = mask_name +
                                   (faults != nullptr ? "+faults" : "") +
                                   " @" + std::to_string(threads) + "t";
-        EXPECT_EQ(ref.slots, fast.slots) << label << ": deliveries differ";
-        EXPECT_EQ(ref.receivers, fast.receivers)
+        EXPECT_EQ(want.slots, got.slots) << label << ": deliveries differ";
+        EXPECT_EQ(want.receivers, got.receivers)
             << label << ": receivers differ";
-        EXPECT_TRUE(ref.metrics.same_communication(fast.metrics))
-            << label << ": metrics differ: ref {" << ref.metrics
-            << "} fast {" << fast.metrics << "}";
-        EXPECT_EQ(ref.trace_digest, fast.trace_digest)
+        expect_reference_accounting(ref, got.metrics, got.rows, label);
+        if (threads == 0) serial_digest = got.trace_digest;
+        EXPECT_EQ(serial_digest, got.trace_digest)
             << label << ": trace digests differ";
       }
     }
   }
 }
 
-// The fused word-broadcast path (one bounded word per sender, no per-edge
-// mail) must be observably identical to BOTH the generic broadcast fast
-// path carrying the same write_bounded payload AND fully materialized
-// outboxes: same decoded values per (receiver, sender), same accounting,
-// same trace digest — with and without a sender list, with and without
-// faults, across engines. write_bounded lays the value out LSB-first, so
-// payload bit k is value bit k and a corrupted word decodes to exactly
-// the corrupted payload's value.
-TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
+// The fused word-broadcast path (one bounded word per sender, no payload
+// writer) is observably identical to the broadcast path carrying the same
+// write_bounded payload, and both deliver what the round oracle says:
+// same decoded values per (receiver, sender), same accounting, same trace
+// digest — with and without a sender list, with and without faults,
+// across engines. write_bounded lays the value out LSB-first, so payload
+// bit k is value bit k and a corrupted word decodes to exactly the
+// corrupted payload's value.
+TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndTheRoundOracle) {
   const Graph g = gen::gnp(48, 0.25, 34);
   const std::uint64_t bound = 499;
   std::vector<std::uint64_t> words(g.n());
   std::vector<BitWriter> msgs(g.n());
   for (NodeId v = 0; v < g.n(); ++v) {
     words[v] = hash_combine(0xb1, v) % (bound + 1);
-    BitWriter w;
-    w.write_bounded(words[v], bound);
-    msgs[v] = w;
+    msgs[v].write_bounded(words[v], bound);
   }
   std::vector<NodeId> mask;
   for (NodeId v = 0; v < g.n(); ++v) {
@@ -523,11 +448,11 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
     std::vector<std::uint64_t> slots;
     std::vector<NodeId> receivers;
     RunMetrics metrics;
+    std::vector<Trace::Round> rows;
     std::uint64_t trace_digest = 0;
   };
-  enum class Path { kOutboxes, kBroadcast, kFusedWord };
   auto run = [&](std::size_t threads, SenderList senders,
-                 const FaultPlan* faults, Path path) {
+                 const FaultPlan* faults, bool fused) {
     Network net(g);
     if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
     Trace trace;
@@ -536,28 +461,14 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
     Flat out;
     std::function<void()> prev;
     for (int round = 0; round < 3; ++round) {
-      if (path == Path::kFusedWord) {
+      if (fused) {
         const WordMail in = net.exchange_broadcast_word(words, bound, senders);
         record_receivers(in, out.receivers, prev);
-        for (NodeId v = 0; v < g.n(); ++v) {
-          for (const auto [sender, word] : in[v]) {
-            out.slots.push_back(hash_combine(
-                (static_cast<std::uint64_t>(v) << 32) | sender, word));
-          }
-        }
+        const auto flat = flat_lanes(in);
+        out.slots.insert(out.slots.end(), flat.begin(), flat.end());
         continue;
       }
-      RoundMail in;
-      if (path == Path::kOutboxes) {
-        std::vector<Network::Outbox> outboxes(g.n());
-        for (NodeId u = 0; u < g.n(); ++u) {
-          if (!listed(senders, u)) continue;
-          for (NodeId v : g.neighbors(u)) outboxes[u].emplace_back(v, msgs[u]);
-        }
-        in = net.exchange(outboxes);
-      } else {
-        in = net.exchange_broadcast(msgs, senders);
-      }
+      const RoundMail in = net.exchange_broadcast(msgs, senders);
       record_receivers(in, out.receivers, prev);
       for (NodeId v = 0; v < g.n(); ++v) {
         for (auto [sender, r] : in[v]) {
@@ -568,6 +479,7 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
       }
     }
     out.metrics = net.metrics();
+    out.rows = trace.rounds();
     out.trace_digest = trace.digest();
     return out;
   };
@@ -579,21 +491,28 @@ TEST(ParallelEquivalence, FusedWordBroadcastMatchesBroadcastAndOutboxes) {
   const FaultPlan* plans[] = {nullptr, &plan};
   for (const auto& [mask_name, senders] : masks) {
     for (const FaultPlan* faults : plans) {
-      const Flat ref = run(0, senders, faults, Path::kOutboxes);
-      for (const Path path : {Path::kBroadcast, Path::kFusedWord}) {
-        for (std::size_t threads : {0u, 1u, 7u}) {
-          const Flat got = run(threads, senders, faults, path);
+      RoundReference ref(g, faults);
+      Flat want;
+      for (int round = 0; round < 3; ++round) {
+        const ReferenceRound& rd = ref.broadcast_word(words, bound, senders);
+        record_receivers(rd, want.receivers);
+        const auto flat = flat_lanes(rd);
+        want.slots.insert(want.slots.end(), flat.begin(), flat.end());
+      }
+      for (std::size_t threads : {0u, 1u, 7u}) {
+        const Flat broadcast = run(threads, senders, faults, false);
+        for (const bool fused : {false, true}) {
+          const Flat got = fused ? run(threads, senders, faults, true)
+                                 : broadcast;
           const std::string label =
-              std::string(path == Path::kFusedWord ? "fused" : "broadcast") +
-              "/" + mask_name + (faults != nullptr ? "+faults" : "") + " @" +
+              std::string(fused ? "fused" : "broadcast") + "/" + mask_name +
+              (faults != nullptr ? "+faults" : "") + " @" +
               std::to_string(threads) + "t";
-          EXPECT_EQ(ref.slots, got.slots) << label << ": deliveries differ";
-          EXPECT_EQ(ref.receivers, got.receivers)
+          EXPECT_EQ(want.slots, got.slots) << label << ": deliveries differ";
+          EXPECT_EQ(want.receivers, got.receivers)
               << label << ": receivers differ";
-          EXPECT_TRUE(ref.metrics.same_communication(got.metrics))
-              << label << ": metrics differ: ref {" << ref.metrics
-              << "} got {" << got.metrics << "}";
-          EXPECT_EQ(ref.trace_digest, got.trace_digest)
+          expect_reference_accounting(ref, got.metrics, got.rows, label);
+          EXPECT_EQ(broadcast.trace_digest, got.trace_digest)
               << label << ": trace digests differ";
         }
       }
@@ -646,20 +565,6 @@ TEST(ParallelEquivalence, StrictViolationThrowsOnBothEngines) {
     w.write(0, 9);
     EXPECT_THROW(net.exchange_broadcast(std::vector<BitWriter>(4, w)),
                  CongestViolation)
-        << threads << " threads";
-  }
-}
-
-TEST(ParallelEquivalence, NonNeighborThrowsOnBothEngines) {
-  const Graph g = gen::path(8);
-  for (std::size_t threads : {0u, 2u, 7u}) {
-    Network net(g);
-    if (threads > 0) net.set_engine(Network::Engine::kSharded, threads);
-    std::vector<Network::Outbox> out(8);
-    BitWriter w;
-    w.write(1, 1);
-    out[0].emplace_back(5, w);  // 0 and 5 not adjacent
-    EXPECT_THROW(net.exchange(out), std::invalid_argument)
         << threads << " threads";
   }
 }

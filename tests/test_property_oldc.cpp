@@ -62,9 +62,11 @@ TEST_P(OldcSweep, MultiDefectValid) {
       << "degree=" << c.degree << " seed=" << seed;
 }
 
-TEST_P(OldcSweep, TwoPhaseValidAndBounded) {
+/// Two-phase is the g = 0 algorithm: it runs on the window-0 configs only.
+class OldcTwoPhaseSweep : public OldcSweep {};
+
+TEST_P(OldcTwoPhaseSweep, TwoPhaseValidAndBounded) {
   const auto [c, seed] = GetParam();
-  if (c.window != 0) GTEST_SKIP() << "two-phase is the g = 0 algorithm";
   build(seed, c);
   Network net(g_);
   const auto lin = linial::color(net);
@@ -102,6 +104,20 @@ TEST_P(OldcSweep, DeterministicTranscripts) {
   EXPECT_EQ(run(), run());
 }
 
+/// The configs' instance names: degree, max defect, orientation, window
+/// and seed.
+std::string config_name(
+    const ::testing::TestParamInfo<std::tuple<Config, std::uint64_t>>& info) {
+  const auto& c = std::get<0>(info.param);
+  return "d" + std::to_string(c.degree) + "_md" +
+         std::to_string(c.max_defect) + (c.random_orientation ? "_r" : "_i") +
+         "_g" + std::to_string(c.window) + "_s" +
+         std::to_string(std::get<1>(info.param));
+}
+
+constexpr Config kWindowZeroConfigs[] = {
+    {6, 2, false, 0}, {6, 2, true, 0}, {10, 4, false, 0}, {14, 6, true, 0}};
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, OldcSweep,
     ::testing::Combine(
@@ -109,13 +125,13 @@ INSTANTIATE_TEST_SUITE_P(
                           Config{10, 4, false, 0}, Config{10, 4, false, 2},
                           Config{14, 6, true, 0}),
         ::testing::Values(1ULL, 2ULL)),
-    [](const auto& info) {
-      const auto& c = std::get<0>(info.param);
-      return "d" + std::to_string(c.degree) + "_md" +
-             std::to_string(c.max_defect) + (c.random_orientation ? "_r" : "_i") +
-             "_g" + std::to_string(c.window) + "_s" +
-             std::to_string(std::get<1>(info.param));
-    });
+    config_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, OldcTwoPhaseSweep,
+    ::testing::Combine(::testing::ValuesIn(kWindowZeroConfigs),
+                       ::testing::Values(1ULL, 2ULL)),
+    config_name);
 
 // The CONGEST budget: running the multi-defect solver over a small color
 // space must respect an O(log n + |C|)-bit budget in *strict* mode.

@@ -1,19 +1,18 @@
 // Sharded-engine equivalence and shard-boundary correctness.
 //
 // Engine::kSharded must be bit-for-bit equivalent to kSerial: same
-// colors, same model-exact RunMetrics, same trace
-// transcript, same fault decisions — for every registered colorer, across
-// shard counts {1, 2, 7}, with and without masks and fault plans. On top
-// of the cross-engine sweeps this file pins the shard-specific contracts:
+// colors, same model-exact RunMetrics, same trace transcript, same fault
+// decisions — for every registered colorer, across shard counts
+// {1, 2, 7}, with and without masks and fault plans; single rounds are
+// checked against the round oracle (round_reference.hpp). On top of the
+// cross-engine sweeps this file pins the shard-specific contracts:
 // ghost-halo reads are snapshots of the round just exchanged (mutating
 // the caller's words afterwards must not leak in), a view survives an
-// engine switch, cross-shard duplicate
-// destinations are rejected with the same error as the other engines,
-// LDC_SHARDS is parsed strictly (garbage throws instead of silently
-// reshaping the run), and cross_shard_traffic() counts exactly the
-// messages that crossed a partition boundary. It also pins the ShardCrew
-// itself: LDC_THREADS' lax fallback, the lowest-lane rethrow, and a clean
-// throw when a worker thread cannot start.
+// engine switch, LDC_SHARDS is parsed strictly (garbage throws instead
+// of silently reshaping the run), and cross_shard_traffic() counts
+// exactly the messages that crossed a partition boundary. It also pins
+// the ShardCrew itself: LDC_THREADS' lax fallback, the lowest-lane
+// rethrow, and a clean throw when a worker thread cannot start.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +40,7 @@
 #include "ldc/runtime/network.hpp"
 #include "ldc/runtime/shard.hpp"
 #include "ldc/support/prf.hpp"
+#include "round_reference.hpp"
 #include "survivor_lists.hpp"
 #include "thread_start_limit.hpp"
 
@@ -255,15 +255,23 @@ std::vector<std::pair<std::string, FaultPlan>> fault_plan_mix() {
 }
 
 struct FaultyRun {
-  std::vector<std::uint64_t> inbox_flat;  ///< (receiver, sender, payload)
+  std::vector<std::uint64_t> inbox_flat;  ///< flat_deliveries() per round
   RunMetrics metrics;
   std::uint64_t trace_digest = 0;
+  std::vector<Trace::Round> rounds;
 };
 
-// Raw multi-round exchange under a fault plan, flattening every delivered
+/// A 40-bit payload per sender for each of six rounds.
+std::vector<BitWriter> faulty_round_payloads(NodeId n, std::uint64_t r) {
+  std::vector<BitWriter> msgs(n);
+  for (NodeId u = 0; u < n; ++u) msgs[u].write(hash_combine(r, u), 40);
+  return msgs;
+}
+
+// Six broadcast rounds under a fault plan, flattening every delivered
 // payload so drop/corrupt/crash/sleep effects are byte-observable.
-FaultyRun run_faulty_exchange(const Graph& g, const EngineSel& sel,
-                              const FaultPlan& plan) {
+FaultyRun run_faulty_rounds(const Graph& g, const EngineSel& sel,
+                            const FaultPlan& plan) {
   Network net(g);
   sel.apply(net);
   Trace trace;
@@ -271,62 +279,56 @@ FaultyRun run_faulty_exchange(const Graph& g, const EngineSel& sel,
   net.attach_faults(&plan);
   FaultyRun out;
   for (std::uint64_t r = 0; r < 6; ++r) {
-    std::vector<Network::Outbox> outboxes(g.n());
-    for (NodeId u = 0; u < g.n(); ++u) {
-      for (NodeId v : g.neighbors(u)) {
-        BitWriter w;
-        w.write(hash_combine(r, (static_cast<std::uint64_t>(u) << 20) | v),
-                40);
-        outboxes[u].emplace_back(v, w);
-      }
-    }
-    const auto in = net.exchange(outboxes);
-    for (NodeId v = 0; v < g.n(); ++v) {
-      for (auto [sender, rd] : in[v]) {
-        out.inbox_flat.push_back(hash_combine(
-            (static_cast<std::uint64_t>(v) << 32) | sender, rd.read(40)));
-      }
-    }
+    const auto flat = flat_deliveries(
+        net.exchange_broadcast(faulty_round_payloads(g.n(), r)));
+    out.inbox_flat.insert(out.inbox_flat.end(), flat.begin(), flat.end());
   }
   out.metrics = net.metrics();
   out.trace_digest = trace.digest();
+  out.rounds = trace.rounds();
   return out;
 }
 
 // The fault-model contract across the engines: every drop/corrupt/crash/
-// sleep PRF decision must pick identical bits under kSerial and kSharded
-// at every K — delivered payloads, fault counters, and trace digests all
-// byte-equal. The third engine, kDist, is held to the same plans by
-// Dist.FaultPlansMatchSerial.
+// sleep PRF decision must pick the bits the round oracle picks under
+// kSerial and kSharded at every K — delivered payloads, fault counters,
+// and trace digests all byte-equal. The third engine, kDist, is held to
+// the same plans by Dist.FaultPlansMatchSerial.
 TEST(Sharded, FaultPlansMatchAcrossAllThreeEngines) {
   const auto engines = engine_mix();
   for (const auto& ng : graph_mix()) {
     for (const auto& [plan_name, plan] : fault_plan_mix()) {
-      const FaultyRun ref = run_faulty_exchange(ng.g, engines[0], plan);
-      EXPECT_GT(ref.metrics.messages_dropped +
-                    ref.metrics.messages_corrupted + ref.metrics.node_crashes +
-                    ref.metrics.node_sleeps,
+      RoundReference ref(ng.g, &plan);
+      std::vector<std::uint64_t> want;
+      for (std::uint64_t r = 0; r < 6; ++r) {
+        const auto flat = flat_deliveries(
+            ref.broadcast(faulty_round_payloads(ng.g.n(), r)));
+        want.insert(want.end(), flat.begin(), flat.end());
+      }
+      EXPECT_GT(ref.metrics().messages_dropped +
+                    ref.metrics().messages_corrupted +
+                    ref.metrics().node_crashes + ref.metrics().node_sleeps,
                 0u)
           << plan_name << " on " << ng.name;
-      for (std::size_t i = 1; i < engines.size(); ++i) {
-        const FaultyRun got = run_faulty_exchange(ng.g, engines[i], plan);
-        const std::string label =
-            plan_name + " on " + ng.name + " @" + engines[i].name;
-        EXPECT_EQ(ref.inbox_flat, got.inbox_flat)
+      std::uint64_t serial_digest = 0;
+      for (const EngineSel& sel : engines) {
+        const FaultyRun got = run_faulty_rounds(ng.g, sel, plan);
+        const std::string label = plan_name + " on " + ng.name + " @" +
+                                  sel.name;
+        EXPECT_EQ(want, got.inbox_flat)
             << label << ": delivered payloads differ";
-        EXPECT_TRUE(ref.metrics.same_communication(got.metrics))
-            << label << ": metrics differ: ref {" << ref.metrics << "} got {"
-            << got.metrics << "}";
-        EXPECT_EQ(ref.trace_digest, got.trace_digest)
+        expect_reference_accounting(ref, got.metrics, got.rounds, label);
+        if (sel.name == "serial") serial_digest = got.trace_digest;
+        EXPECT_EQ(serial_digest, got.trace_digest)
             << label << ": trace digests differ";
       }
     }
   }
 }
 
-// Broadcast fast path and the fused word path under kSharded must match
-// the serial engine's materialized-outbox reference — with and without a
-// sender list, with and without faults, across shard counts.
+// The broadcast and the fused word path under kSharded deliver what the
+// round oracle says — with and without a sender list, with and without
+// faults, across shard counts.
 TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
   const Graph g = gen::gnp(48, 0.25, 34);
   const std::uint64_t bound = 499;
@@ -334,9 +336,7 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
   std::vector<BitWriter> msgs(g.n());
   for (NodeId v = 0; v < g.n(); ++v) {
     words[v] = hash_combine(0xb1, v) % (bound + 1);
-    BitWriter w;
-    w.write_bounded(words[v], bound);
-    msgs[v] = w;
+    msgs[v].write_bounded(words[v], bound);
   }
   std::vector<NodeId> mask;
   for (NodeId v = 0; v < g.n(); ++v) {
@@ -352,11 +352,10 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
     std::vector<std::uint64_t> slots;
     std::vector<NodeId> receivers;
     RunMetrics metrics;
-    std::uint64_t trace_digest = 0;
+    std::vector<Trace::Round> rows;
   };
-  enum class Path { kOutboxes, kBroadcast, kFusedWord };
   auto run = [&](std::size_t shards, SenderList senders,
-                 const FaultPlan* faults, Path path) {
+                 const FaultPlan* faults, bool fused) {
     Network net(g);
     if (shards > 0) net.set_engine(Network::Engine::kSharded, shards);
     Trace trace;
@@ -365,39 +364,20 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
     Flat out;
     std::function<void()> prev;
     for (int round = 0; round < 3; ++round) {
-      if (path == Path::kFusedWord) {
+      std::vector<std::uint64_t> flat;
+      if (fused) {
         const WordMail in = net.exchange_broadcast_word(words, bound, senders);
         record_receivers(in, out.receivers, prev);
-        for (NodeId v = 0; v < g.n(); ++v) {
-          for (const auto [sender, word] : in[v]) {
-            out.slots.push_back(hash_combine(
-                (static_cast<std::uint64_t>(v) << 32) | sender, word));
-          }
-        }
-        continue;
-      }
-      RoundMail in;
-      if (path == Path::kOutboxes) {
-        std::vector<Network::Outbox> outboxes(g.n());
-        for (NodeId u = 0; u < g.n(); ++u) {
-          if (!listed(senders, u)) continue;
-          for (NodeId v : g.neighbors(u)) outboxes[u].emplace_back(v, msgs[u]);
-        }
-        in = net.exchange(outboxes);
+        flat = flat_lanes(in);
       } else {
-        in = net.exchange_broadcast(msgs, senders);
+        const RoundMail in = net.exchange_broadcast(msgs, senders);
+        record_receivers(in, out.receivers, prev);
+        flat = flat_deliveries(in);
       }
-      record_receivers(in, out.receivers, prev);
-      for (NodeId v = 0; v < g.n(); ++v) {
-        for (auto [sender, r] : in[v]) {
-          out.slots.push_back(
-              hash_combine((static_cast<std::uint64_t>(v) << 32) | sender,
-                           r.read_bounded(bound)));
-        }
-      }
+      out.slots.insert(out.slots.end(), flat.begin(), flat.end());
     }
     out.metrics = net.metrics();
-    out.trace_digest = trace.digest();
+    out.rows = trace.rounds();
     return out;
   };
 
@@ -408,25 +388,25 @@ TEST(Sharded, BroadcastAndWordPathsMatchSerialReference) {
   const FaultPlan* plans[] = {nullptr, &plan};
   for (const auto& [mask_name, senders] : masks) {
     for (const FaultPlan* faults : plans) {
-      const Flat ref = run(0, senders, faults, Path::kOutboxes);
-      for (const Path path :
-           {Path::kOutboxes, Path::kBroadcast, Path::kFusedWord}) {
+      for (const bool fused : {false, true}) {
+        RoundReference ref(g, faults);
+        Flat want;
+        for (int round = 0; round < 3; ++round) {
+          const ReferenceRound& rd = ref.broadcast(msgs, senders);
+          record_receivers(rd, want.receivers);
+          const auto flat = fused ? flat_lanes(rd) : flat_deliveries(rd);
+          want.slots.insert(want.slots.end(), flat.begin(), flat.end());
+        }
         for (std::size_t shards : {1u, 2u, 7u}) {
-          const Flat got = run(shards, senders, faults, path);
+          const Flat got = run(shards, senders, faults, fused);
           const std::string label =
-              std::string(path == Path::kFusedWord  ? "fused"
-                          : path == Path::kOutboxes ? "outboxes"
-                                                    : "broadcast") +
-              "/" + mask_name + (faults != nullptr ? "+faults" : "") + " @" +
+              std::string(fused ? "fused" : "broadcast") + "/" + mask_name +
+              (faults != nullptr ? "+faults" : "") + " @" +
               std::to_string(shards) + "s";
-          EXPECT_EQ(ref.slots, got.slots) << label << ": deliveries differ";
-          EXPECT_EQ(ref.receivers, got.receivers)
+          EXPECT_EQ(want.slots, got.slots) << label << ": deliveries differ";
+          EXPECT_EQ(want.receivers, got.receivers)
               << label << ": receivers differ";
-          EXPECT_TRUE(ref.metrics.same_communication(got.metrics))
-              << label << ": metrics differ: ref {" << ref.metrics
-              << "} got {" << got.metrics << "}";
-          EXPECT_EQ(ref.trace_digest, got.trace_digest)
-              << label << ": trace digests differ";
+          expect_reference_accounting(ref, got.metrics, got.rows, label);
         }
       }
     }
@@ -594,38 +574,6 @@ TEST(Sharded, ViewsOutliveAnEngineSwitch) {
   }
 }
 
-TEST(Sharded, DuplicateCrossShardDestinationThrows) {
-  const Graph g = gen::ring(8);  // split [0,4) | [4,8): edge 3-4 crosses
-  for (std::size_t shards : {2u, 7u}) {
-    Network net(g);
-    net.set_engine(Network::Engine::kSharded, shards);
-    std::vector<Network::Outbox> out(8);
-    BitWriter w;
-    w.write(1, 1);
-    out[3].emplace_back(4, w);
-    out[3].emplace_back(4, w);  // duplicate, other shard
-    try {
-      net.exchange(out);
-      FAIL() << shards << " shards: expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("duplicate destination"),
-                std::string::npos)
-          << shards << " shards";
-    }
-  }
-}
-
-TEST(Sharded, NonNeighborThrows) {
-  const Graph g = gen::path(8);
-  Network net(g);
-  net.set_engine(Network::Engine::kSharded, 2);
-  std::vector<Network::Outbox> out(8);
-  BitWriter w;
-  w.write(1, 1);
-  out[0].emplace_back(5, w);  // 0 and 5 not adjacent
-  EXPECT_THROW(net.exchange(out), std::invalid_argument);
-}
-
 TEST(Sharded, CongestAccountingMatchesSerial) {
   const Graph g = gen::random_regular(50, 6, 17);
   auto run = [&](std::size_t shards) {
@@ -680,22 +628,17 @@ TEST(Sharded, RunNodeProgramsComputesEveryNodeOnce) {
 TEST(Sharded, CrossShardTrafficCountsTheCut) {
   const Graph g = gen::ring(16);  // split [0,8) | [8,16): cut edges 7-8, 15-0
   {
-    // Explicit exchange, full broadcast of 40-bit messages: 4 directed
-    // messages cross the cut per round.
+    // A listed broadcast of 40-bit messages, every node listed, so the
+    // ranges fill slots: 4 directed messages cross the cut per round.
     Network net(g);
     net.set_engine(Network::Engine::kSharded, 2);
-    std::vector<Network::Outbox> out(g.n());
-    for (NodeId u = 0; u < g.n(); ++u) {
-      for (NodeId v : g.neighbors(u)) {
-        BitWriter w;
-        w.write(u, 40);
-        out[u].emplace_back(v, w);
-      }
-    }
-    net.exchange(out);
+    std::vector<BitWriter> msgs(g.n());
+    for (NodeId u = 0; u < g.n(); ++u) msgs[u].write(u, 40);
+    const std::vector<NodeId> every = every_node(g.n());
+    net.exchange_broadcast(msgs, every);
     EXPECT_EQ(net.cross_shard_traffic().messages, 4u);
     EXPECT_EQ(net.cross_shard_traffic().bits, 4u * 40u);
-    net.exchange(out);  // cumulative
+    net.exchange_broadcast(msgs, every);  // cumulative
     EXPECT_EQ(net.cross_shard_traffic().messages, 8u);
   }
   {
