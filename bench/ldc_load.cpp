@@ -44,12 +44,6 @@ void usage(std::FILE* out) {
                "  --deadline-ms N     deadline budget (default 5)\n"
                "  --graph-n N         ring size of hot-set jobs "
                "(default 48)\n"
-               "  --engine E          shape jobs for the server's engine:\n"
-               "                      serial|sharded|dist; dist\n"
-               "                      makes the hot set corpus jobs "
-               "(default serial)\n"
-               "  --corpus NAME       hot-set corpus (required with "
-               "--engine dist)\n"
                "  --seed N            workload seed (default 1)\n"
                "  --json              one JSON object instead of text\n"
                "  --help              this text\n");
@@ -137,18 +131,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       opt.graph_n = static_cast<std::uint32_t>(u);
-    } else if (arg == "--engine") {
-      opt.engine = value();
-      if (opt.engine != "serial" && opt.engine != "sharded" &&
-          opt.engine != "dist") {
-        std::fprintf(stderr,
-                     "ldc_load: --engine serial|sharded|dist; "
-                     "got \"%s\"\n",
-                     opt.engine.c_str());
-        return 2;
-      }
-    } else if (arg == "--corpus") {
-      opt.corpus = value();
     } else if (arg == "--seed") {
       need_u64(opt.seed);
     } else if (arg == "--json") {
@@ -162,12 +144,6 @@ int main(int argc, char** argv) {
   if (opt.socket_path.empty()) {
     std::fprintf(stderr, "ldc_load: --socket is required\n");
     usage(stderr);
-    return 2;
-  }
-  if (opt.engine == "dist" && opt.corpus.empty()) {
-    std::fprintf(stderr,
-                 "ldc_load: --engine dist needs --corpus NAME (the dist "
-                 "engine serves only corpus jobs)\n");
     return 2;
   }
 
@@ -198,7 +174,6 @@ int main(int argc, char** argv) {
     j.add("p50_us", rep.p50_us);
     j.add("p99_us", rep.p99_us);
     j.add("p999_us", rep.p999_us);
-    j.add("engine", opt.engine);
     ldc::harness::Json per = ldc::harness::Json::array();
     for (std::size_t c = 0; c < rep.per_conn.size(); ++c) {
       ldc::harness::Json pc = ldc::harness::Json::object();

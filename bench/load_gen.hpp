@@ -54,12 +54,6 @@ struct LoadOptions {
   std::uint64_t deadline_ms = 5;
   std::uint32_t graph_n = 48;    ///< ring size of the hot-set jobs
   std::uint64_t seed = 1;
-  /// Which server engine the workload is shaped for. "dist" switches the
-  /// hot set to family == "corpus" jobs over `corpus` (the only family
-  /// the dist engine serves); the other engines keep the generator jobs.
-  /// The server's engine is its own flag — this only shapes the jobs.
-  std::string engine = "serial";
-  std::string corpus;            ///< hot-set corpus name (engine "dist")
 };
 
 struct LoadReport {
@@ -120,21 +114,14 @@ inline std::size_t sample(const std::vector<double>& cdf,
 
 /// The rank-r member of the hot set: a rank-determined algorithm and
 /// seed, so distinct ranks have distinct digests and repeats of a rank
-/// are exact cache hits. Under --engine dist the hot set runs over the
-/// named corpus (the dist engine serves only corpus jobs); otherwise it
-/// is a generated ring.
+/// are exact cache hits. Each runs on a generated ring.
 inline service::Job hot_job(const LoadOptions& opt, std::size_t rank) {
   static const char* kAlgos[] = {"greedy", "luby", "linial", "kw"};
   service::Job job;
   job.algorithm = kAlgos[rank % 4];
   job.seed = 1000 + rank;
-  if (opt.engine == "dist") {
-    job.graph.family = "corpus";
-    job.graph.corpus = opt.corpus;
-  } else {
-    job.graph.family = "ring";
-    job.graph.n = opt.graph_n;
-  }
+  job.graph.family = "ring";
+  job.graph.n = opt.graph_n;
   return job;
 }
 

@@ -18,11 +18,9 @@
 #include <optional>
 
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <spawn.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -43,9 +41,9 @@ void set_nonblocking(int fd) {
   (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Locates the worker binary for spawn mode: explicit option, then
-/// LDC_SHARD_BIN, then next to the running executable (build trees put
-/// ldc_coord, the tests, and ldc_shard under sibling directories).
+/// Locates the worker binary: explicit option, then LDC_SHARD_BIN, then
+/// next to the running executable (build trees put the tests, the
+/// benchmarks and ldc_shard under sibling directories).
 std::string find_shard_binary(const std::string& override_path) {
   if (!override_path.empty()) return override_path;
   if (const char* env = std::getenv("LDC_SHARD_BIN");
@@ -78,19 +76,15 @@ Coordinator::Coordinator(const std::string& corpus_path,
     throw std::invalid_argument(
         "Coordinator: heartbeat_ms and attach_timeout_ms must be >= 1");
   }
-  std::size_t k = opt_.workers == 0 ? default_worker_count() : opt_.workers;
-  if (k > kMaxDistWorkers) {
-    throw std::invalid_argument("Coordinator: workers must be <= " +
-                                std::to_string(kMaxDistWorkers));
+  if (opt_.workers == 0 || opt_.workers > kMaxDistWorkers) {
+    throw std::invalid_argument("Coordinator: workers must be in [1, " +
+                                std::to_string(kMaxDistWorkers) + "]");
   }
-  k = std::min<std::uint64_t>(k, std::max<std::uint64_t>(mg_->meta().n, 1));
+  const std::size_t k = std::min<std::uint64_t>(
+      opt_.workers, std::max<std::uint64_t>(mg_->meta().n, 1));
   conns_.resize(k);
   try {
-    if (!opt_.listen_unix.empty() || opt_.listen_tcp != 0) {
-      accept_workers(k);
-    } else {
-      spawn_workers(corpus_path, k);
-    }
+    spawn_workers(corpus_path, k);
     // The workers start (exec, map, verify their own mapping) while the
     // coordinator verifies the one it holds, so its digest pass is off
     // the attach's critical path; a mismatch reaps them below.
@@ -153,61 +147,6 @@ void Coordinator::spawn_workers(const std::string& corpus_path,
     set_nonblocking(sv[0]);
     conns_[i].fd = sv[0];
     conns_[i].pid = pid;
-  }
-}
-
-void Coordinator::accept_workers(std::size_t k) {
-  sockaddr_un ua{};
-  sockaddr_in ia{};
-  const sockaddr* addr;
-  socklen_t alen;
-  int domain;
-  if (!opt_.listen_unix.empty()) {
-    domain = AF_UNIX;
-    if (opt_.listen_unix.size() >= sizeof ua.sun_path) {
-      throw std::invalid_argument("Coordinator: unix socket path too long");
-    }
-    ua.sun_family = AF_UNIX;
-    std::strncpy(ua.sun_path, opt_.listen_unix.c_str(),
-                 sizeof ua.sun_path - 1);
-    ::unlink(opt_.listen_unix.c_str());
-    addr = reinterpret_cast<const sockaddr*>(&ua);
-    alen = sizeof ua;
-  } else {
-    domain = AF_INET;
-    ia.sin_family = AF_INET;
-    ia.sin_addr.s_addr = htonl(INADDR_ANY);
-    ia.sin_port = htons(opt_.listen_tcp);
-    addr = reinterpret_cast<const sockaddr*>(&ia);
-    alen = sizeof ia;
-  }
-  listen_fd_ = ::socket(domain, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    throw AttachError(std::string("socket failed: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (::bind(listen_fd_, addr, alen) != 0 || ::listen(listen_fd_, 64) != 0) {
-    throw AttachError(std::string("bind/listen failed: ") +
-                      std::strerror(errno));
-  }
-  const std::uint64_t deadline = mono_ms() + opt_.attach_timeout_ms;
-  for (std::size_t i = 0; i < k; ++i) {
-    pollfd p{listen_fd_, POLLIN, 0};
-    const std::uint64_t now = mono_ms();
-    if (now >= deadline ||
-        ::poll(&p, 1, static_cast<int>(deadline - now)) <= 0) {
-      throw AttachError("attach timeout: " + std::to_string(i) + " of " +
-                        std::to_string(k) + " workers connected within " +
-                        std::to_string(opt_.attach_timeout_ms) + " ms");
-    }
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      throw AttachError(std::string("accept failed: ") +
-                        std::strerror(errno));
-    }
-    set_nonblocking(fd);
-    conns_[i].fd = fd;
   }
 }
 
@@ -367,7 +306,7 @@ void Coordinator::handshake() {
   }
 }
 
-void Coordinator::bind(const Graph& g, std::size_t budget_bits, bool strict) {
+void Coordinator::bind(const Graph& g) {
   if (g.n() != graph_.n()) {
     throw AttachError(
         "Coordinator::bind: the Network's graph does not match the corpus "
@@ -386,8 +325,6 @@ void Coordinator::bind(const Graph& g, std::size_t budget_bits, bool strict) {
     PayloadWriter w;
     w.u32(static_cast<std::uint32_t>(k));
     w.u32(static_cast<std::uint32_t>(K));
-    w.u64(budget_bits);
-    w.u8(strict ? 1 : 0);
     for (NodeId s : part_.starts()) w.u32(s);
     queue_frame(k, FrameKind::kAssign, 0, 0,
                 static_cast<std::uint32_t>(k), 0, w.take());
@@ -573,11 +510,6 @@ void Coordinator::shutdown_workers() {
       ::close(c.fd);
       c.fd = -1;
     }
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    if (!opt_.listen_unix.empty()) ::unlink(opt_.listen_unix.c_str());
   }
   // Reap with a doubling nap from 50 µs: a worker that exits on
   // kShutdown is reaped about when it exits, not at a fixed sleep's end.

@@ -15,15 +15,12 @@
 // node sending, fault-free) fills no slot and sends no frame: the
 // coordinator prices its cut traffic from the partition fixed at bind.
 //
-// Two ways to get workers:
-//  * spawn mode (default): posix_spawn K `ldc_shard` processes over
-//    socketpairs (no page-table copy of the coordinator, whatever its
-//    size). Every socket fd is created close-on-exec and the spawn dup2s
-//    the child's end onto a fixed fd, which clears the flag on that copy
-//    only, so no worker inherits a sibling's socket — worker death is
-//    always visible as EOF.
-//  * listen mode: bind a unix-domain or TCP socket and accept K
-//    externally started workers (the README quickstart).
+// Workers: the coordinator posix_spawns K `ldc_shard` processes over
+// socketpairs (no page-table copy of the coordinator, whatever its size).
+// Every socket fd is created close-on-exec and the spawn dup2s the
+// child's end onto a fixed fd, which clears the flag on that copy only,
+// so no worker inherits a sibling's socket — worker death is always
+// visible as EOF.
 //
 // Attach validation: the coordinator verifies its own mapping's content
 // digest while the workers start, then every worker HELLOs with its
@@ -51,23 +48,16 @@
 namespace ldc::dist {
 
 struct CoordinatorOptions {
-  /// Worker-process count; 0 resolves via LDC_DIST_WORKERS (strictly
-  /// parsed) with the LDC_THREADS-style hardware fallback, clamped to
-  /// kMaxDistWorkers and to n.
-  std::size_t workers = 0;
+  /// Worker-process count in [1, kMaxDistWorkers], clamped to n.
+  std::size_t workers = 1;
   /// Max tolerated total silence while a round is in flight before the
   /// coordinator declares the slowest worker hung (WorkerError).
   std::uint64_t heartbeat_ms = 30000;
   /// Max wait for worker HELLOs and assign acks (AttachError).
   std::uint64_t attach_timeout_ms = 10000;
-  /// Path of the `ldc_shard` binary for spawn mode; "" resolves via
-  /// LDC_SHARD_BIN, then next to the running executable.
+  /// Path of the `ldc_shard` binary; "" resolves via LDC_SHARD_BIN, then
+  /// next to the running executable.
   std::string shard_binary;
-  /// Non-empty: listen mode on this unix-domain socket path instead of
-  /// spawning (the path is unlinked on shutdown).
-  std::string listen_unix;
-  /// Non-zero: listen mode on this TCP port (all interfaces).
-  std::uint16_t listen_tcp = 0;
 };
 
 /// Physical wire observability (frames and bytes actually moved over the
@@ -82,12 +72,12 @@ struct WireStats {
 
 class Coordinator : public DistBackend {
  public:
-  /// Maps the corpus, spawns (or accepts) the workers, verifies the
-  /// corpus content while they start, and runs the HELLO digest
-  /// handshake. Throws CorpusError on a bad corpus file (reaping any
-  /// worker already started), AttachError on a worker binary that cannot
-  /// start or a worker that fails the handshake, and
-  /// std::invalid_argument on bad options.
+  /// Maps the corpus, spawns the workers, verifies the corpus content
+  /// while they start, and runs the HELLO digest handshake. Throws
+  /// CorpusError on a bad corpus file (reaping any worker already
+  /// started), AttachError on a worker binary that cannot start or a
+  /// worker that fails the handshake, and std::invalid_argument on bad
+  /// options.
   explicit Coordinator(const std::string& corpus_path,
                        CoordinatorOptions opt = {});
   ~Coordinator() override;
@@ -97,14 +87,13 @@ class Coordinator : public DistBackend {
 
   /// The corpus-backed graph; construct the Network over exactly this.
   const Graph& corpus_graph() const { return graph_; }
-  const storage::MappedGraph& mapped() const { return *mg_; }
 
   std::size_t shards() const override { return conns_.size(); }
   ShardTraffic traffic() const override { return traffic_; }
   WireStats wire_stats() const { return wire_; }
 
-  /// Worker process ids in shard order (-1 per worker in listen mode).
-  /// Observability for diagnostics and the failure-injection tests.
+  /// Worker process ids in shard order. Observability for diagnostics
+  /// and the failure-injection tests.
   std::vector<pid_t> worker_pids() const {
     std::vector<pid_t> pids;
     pids.reserve(conns_.size());
@@ -113,7 +102,7 @@ class Coordinator : public DistBackend {
   }
 
  protected:
-  void bind(const Graph& g, std::size_t budget_bits, bool strict) override;
+  void bind(const Graph& g) override;
   /// A round that fills slots is one frame pair per worker: each gets the
   /// fault context and the ascending sender list (kBcast), resolves its
   /// range's drop and corruption decisions, and returns its non-empty
@@ -128,7 +117,7 @@ class Coordinator : public DistBackend {
  private:
   struct WorkerConn {
     int fd = -1;
-    pid_t pid = -1;  ///< -1 in listen mode
+    pid_t pid = -1;
     FrameReader reader;
     std::deque<Frame> inq;  ///< decoded frames not yet consumed
     std::string outq;       ///< bytes not yet flushed
@@ -141,7 +130,6 @@ class Coordinator : public DistBackend {
   };
 
   void spawn_workers(const std::string& corpus_path, std::size_t k);
-  void accept_workers(std::size_t k);
   void handshake();
   void shutdown_workers();
 
@@ -181,7 +169,6 @@ class Coordinator : public DistBackend {
   Graph graph_;  ///< zero-copy view pinning the mapping
   CoordinatorOptions opt_;
   std::vector<WorkerConn> conns_;
-  int listen_fd_ = -1;
   std::uint64_t last_rx_ms_ = 0;  ///< monotone ms of the last bytes read
 
   Partition part_;  ///< set at bind()

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "ldc/runtime/shard.hpp"
 #include "ldc/support/fnv.hpp"
 
 namespace ldc::dist {
@@ -295,16 +293,6 @@ void decode_senders(PayloadReader& r, std::uint32_t count, NodeId n,
   if (ids.size() != count) {
     throw FrameError("bcast: sender bitmap disagrees with the count");
   }
-}
-
-std::size_t default_worker_count() {
-  const char* env = std::getenv("LDC_DIST_WORKERS");
-  if (env == nullptr || *env == '\0') {
-    return std::min<std::size_t>(ShardCrew::default_thread_count(),
-                                 kMaxDistWorkers);
-  }
-  return static_cast<std::size_t>(
-      parse_positive_u64("LDC_DIST_WORKERS", env, kMaxDistWorkers));
 }
 
 }  // namespace ldc::dist

@@ -17,7 +17,7 @@
 //
 // Payloads are flat little-endian records built/parsed through
 // PayloadWriter/PayloadReader; every reader overrun throws FrameError.
-// Wire version 4 has six kinds: the attach handshake (kHello, kAssign,
+// Wire version 5 has six kinds: the attach handshake (kHello, kAssign,
 // kAssignAck), one frame pair per round that fills slots (kBcast out,
 // kInboxIds back) and kShutdown. kBcast carries the fault context — the
 // plan parameters plus the round's down bitmap, so workers re-resolve the
@@ -67,7 +67,7 @@ class WorkerError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4643444Cu;  ///< "LDCF" LE
-inline constexpr std::uint16_t kWireVersion = 4;
+inline constexpr std::uint16_t kWireVersion = 5;
 inline constexpr std::size_t kFrameHeaderBytes = 48;
 /// Hard cap on one frame's payload; anything larger is a typed rejection
 /// (a hostile length prefix must not drive an allocation).
@@ -75,7 +75,7 @@ inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
 enum class FrameKind : std::uint16_t {
   kHello = 1,      ///< worker→coord: corpus content digest + shape
-  kAssign = 2,     ///< coord→worker: shard index, partition, budget
+  kAssign = 2,     ///< coord→worker: shard index and partition
   kAssignAck = 3,  ///< worker→coord: topology built, ready
   // Every other kind is unassigned and rejected by the decoder; 4 to 7,
   // 14, 15 and 17 are retired, not free for reuse.
@@ -319,15 +319,8 @@ void encode_senders(PayloadWriter& w, std::span<const NodeId> ids, NodeId n);
 void decode_senders(PayloadReader& r, std::uint32_t count, NodeId n,
                     std::vector<NodeId>& ids);
 
-// ------------------------------------------------------- worker count --
-
 /// Worker-process cap (processes, not threads — deliberately lower than
 /// ShardCrew::kMaxShards).
 inline constexpr std::size_t kMaxDistWorkers = 64;
-
-/// Worker count for `workers == 0`: LDC_DIST_WORKERS if set (strictly
-/// parsed by parse_positive_u64, shard.hpp), else the
-/// ShardCrew::default_thread_count() fallback clamped to kMaxDistWorkers.
-std::size_t default_worker_count();
 
 }  // namespace ldc::dist

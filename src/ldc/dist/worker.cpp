@@ -47,8 +47,6 @@ RoundContext ShardWorker::context(std::uint64_t round,
     rc.faults = &ctx.plan;
     rc.down = ctx.down.data();
   }
-  rc.budget_bits = budget_bits_;
-  rc.strict = strict_;
   return rc;
 }
 
@@ -96,8 +94,6 @@ void ShardWorker::handle_assign(const Frame& f) {
   PayloadReader r(f.payload, "assign");
   shard_ = r.u32();
   const std::uint32_t shards = r.u32();
-  budget_bits_ = static_cast<std::size_t>(r.u64());
-  strict_ = r.u8() != 0;
   if (shards == 0 || shard_ >= shards || shards > kMaxDistWorkers) {
     throw FrameError("assign: bad shard index " + std::to_string(shard_) +
                      " of " + std::to_string(shards));

@@ -63,8 +63,6 @@ class ShardWorker {
   // Assigned at kAssign (re-assignable: a coordinator re-binds per run).
   bool assigned_ = false;
   std::uint32_t shard_ = 0;
-  std::size_t budget_bits_ = 0;
-  bool strict_ = false;
   Partition part_;
   ShardTopology topo_;
 

@@ -45,14 +45,9 @@ Network::Network(const Graph& sub, const Network& parent)
 
 void Network::set_engine(Engine engine, std::size_t shards) {
   if (engine == Engine::kDist) {
-    if (dist_ == nullptr) {
-      throw std::invalid_argument(
-          "Network::set_engine: kDist requires an attached backend — call "
-          "attach_dist() with a dist::Coordinator instead");
-    }
-    engine_ = Engine::kDist;
-    shards_.reset();
-    return;
+    throw std::invalid_argument(
+        "Network::set_engine: kDist is selected by attach_dist() with a "
+        "dist::Coordinator");
   }
   dist_ = nullptr;
   engine_ = engine;
@@ -80,7 +75,7 @@ void Network::attach_dist(DistBackend* backend) {
   }
   // bind() partitions the graph and runs the assign handshake; it throws
   // on failure, leaving this Network on its previous engine.
-  backend->bind(*graph_, budget_bits_, strict_);
+  backend->bind(*graph_);
   dist_ = backend;
   engine_ = Engine::kDist;
   shards_.reset();

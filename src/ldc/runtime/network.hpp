@@ -117,9 +117,9 @@ class Network {
   /// count; 0 resolves via LDC_SHARDS (strictly parsed — garbage throws
   /// std::invalid_argument), else hardware concurrency, clamped to n. A
   /// resolved count of 1 runs the serial code path. Results are
-  /// engine-independent. kDist cannot be selected here: attach a backend
-  /// with attach_dist() instead (set_engine(kDist) without one throws
-  /// std::invalid_argument).
+  /// engine-independent. kDist cannot be selected here, whether or not a
+  /// backend is attached: set_engine(kDist) throws std::invalid_argument,
+  /// and attach_dist() selects it.
   void set_engine(Engine engine, std::size_t shards = 0);
 
   /// Attaches (or with nullptr detaches) the multi-process distributed
@@ -382,9 +382,10 @@ class DistBackend {
   friend class Network;
 
   /// Called by Network::attach_dist; partitions g and runs the assign
-  /// handshake. Throwing here leaves the Network unchanged.
-  virtual void bind(const Graph& g, std::size_t budget_bits,
-                    bool strict) = 0;
+  /// handshake. Throwing here leaves the Network unchanged. The CONGEST
+  /// budget never reaches the backend: Network accounts every round
+  /// before it dispatches one.
+  virtual void bind(const Graph& g) = 0;
 
   /// ShardSet::broadcast, run by the workers: lands the round in the
   /// master arena `a` and returns its staging, or throws, leaving nothing

@@ -114,16 +114,7 @@ void register_builtins(AlgorithmRegistry& r) {
 }  // namespace
 
 void ExecContext::configure(Network& net) const {
-  if (engine == Network::Engine::kDist) {
-    if (dist == nullptr) {
-      throw std::invalid_argument(
-          "ExecContext: engine 'dist' needs a DistBackend (corpus jobs "
-          "only — the coordinator is built over the corpus file)");
-    }
-    net.attach_dist(dist);
-  } else {
-    net.set_engine(engine, threads);
-  }
+  net.set_engine(engine, threads);
   if (cancel != nullptr) {
     const CancelToken* token = cancel;
     net.set_round_callback([token](std::uint64_t) { token->check(); });

@@ -43,10 +43,6 @@ struct ExecContext {
   Network::Engine engine = Network::Engine::kSerial;
   std::size_t threads = 1;          ///< engine lanes (see nesting policy)
   const CancelToken* cancel = nullptr;
-  /// Required under Engine::kDist: the distributed backend (a
-  /// dist::Coordinator) every Network of this job attaches to. The caller
-  /// owns it and keeps it alive for the body's whole run.
-  DistBackend* dist = nullptr;
 
   /// Applies the engine choice and installs the round-boundary
   /// cancellation check on `net`. Call on every Network the body creates.

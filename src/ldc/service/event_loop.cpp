@@ -103,8 +103,9 @@ std::shared_ptr<EventSession> EventLoopServer::add_session_locked(
 
 void EventLoopServer::accept_ready() {
   for (;;) {
-    // Close-on-exec: a dist job's ldc_shard workers must not hold a
-    // client's socket open after its session closed it.
+    // Close-on-exec, like every descriptor the server opens: no program
+    // the process might start can hold a client's socket open after its
+    // session closed it.
     const int fd = ::accept4(listener_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       // EINTR: retry. ECONNABORTED: the client gave up between the

@@ -27,7 +27,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "ldc/dist/wire.hpp"
 #include "ldc/runtime/shard.hpp"
 #include "ldc/service/event_loop.hpp"
 
@@ -62,19 +61,11 @@ void usage(std::FILE* out) {
                "(default 64)\n"
                "  --cache-bytes N     result-cache budget, 0 disables "
                "(default 65536)\n"
-               "  --engine serial|sharded|dist\n"
+               "  --engine serial|sharded\n"
                "                      per-job simulation engine (default "
                "serial)\n"
                "  --shards N          shard count per job (implies\n"
                "                      --engine sharded; 0 = LDC_SHARDS)\n"
-               "  --dist-workers N    worker processes per dist job (0 =\n"
-               "                      LDC_DIST_WORKERS; implies --engine "
-               "dist)\n"
-               "  --heartbeat-ms N    dist worker-silence tolerance "
-               "(default 30000)\n"
-               "  --attach-timeout-ms N\n"
-               "                      dist handshake deadline (default "
-               "10000)\n"
                "  --corpus-dir DIR    serve {\"graph\":{\"corpus\":NAME}} "
                "jobs from\n"
                "                      DIR/NAME.ldcg (mmap, shared across "
@@ -145,39 +136,8 @@ int main(int argc, char** argv) {
         cfg.job_engine = ldc::Network::Engine::kSerial;
       } else if (v == "sharded") {
         cfg.job_engine = ldc::Network::Engine::kSharded;
-      } else if (v == "dist") {
-        cfg.job_engine = ldc::Network::Engine::kDist;
       } else {
-        std::fprintf(stderr,
-                     "ldc_serve: --engine serial|sharded|dist\n");
-        return 2;
-      }
-    } else if (arg == "--dist-workers") {
-      // Strict, like every dist knob: garbage or overflow names the token
-      // instead of silently falling back (the LDC_SHARDS convention).
-      try {
-        cfg.dist_workers =
-            static_cast<std::size_t>(ldc::parse_positive_u64(
-                "--dist-workers", value(), ldc::dist::kMaxDistWorkers));
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "ldc_serve: %s\n", e.what());
-        return 2;
-      }
-      cfg.job_engine = ldc::Network::Engine::kDist;
-    } else if (arg == "--heartbeat-ms") {
-      try {
-        cfg.dist_heartbeat_ms = ldc::parse_positive_u64(
-            "--heartbeat-ms", value(), 86400000ull);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "ldc_serve: %s\n", e.what());
-        return 2;
-      }
-    } else if (arg == "--attach-timeout-ms") {
-      try {
-        cfg.dist_attach_timeout_ms = ldc::parse_positive_u64(
-            "--attach-timeout-ms", value(), 86400000ull);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "ldc_serve: %s\n", e.what());
+        std::fprintf(stderr, "ldc_serve: --engine serial|sharded\n");
         return 2;
       }
     } else if (arg == "--shards") {

@@ -2,15 +2,27 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
-#include "ldc/dist/coordinator.hpp"
 #include "ldc/graph/io_error.hpp"
 
 namespace ldc::service {
+namespace {
+
+/// Checked before any lane starts: a job runs on an in-process engine.
+const ServiceConfig& checked(const ServiceConfig& cfg) {
+  if (cfg.job_engine == Network::Engine::kDist) {
+    throw std::invalid_argument(
+        "ServiceConfig: job_engine must be kSerial or kSharded");
+  }
+  return cfg;
+}
+
+}  // namespace
 
 Service::Service(ServiceConfig cfg, ResultCallback on_result)
-    : cfg_(cfg),
+    : cfg_(checked(cfg)),
       on_result_(std::move(on_result)),
       corpora_(cfg.corpus_dir.empty()
                    ? nullptr
@@ -182,21 +194,6 @@ void Service::run_one(Pending& p) {
       exec.engine = cfg_.job_engine;
       exec.threads = cfg_.job_shards;
       exec.cancel = p.token.get();
-      std::unique_ptr<dist::Coordinator> coord;
-      if (cfg_.job_engine == Network::Engine::kDist) {
-        if (p.job.graph.family != "corpus") {
-          throw JobSpecError(
-              "engine 'dist' serves only family 'corpus' jobs (workers "
-              "mmap the corpus file; generated graphs have no file to "
-              "share)");
-        }
-        dist::CoordinatorOptions dopt;
-        dopt.workers = cfg_.dist_workers;
-        dopt.heartbeat_ms = cfg_.dist_heartbeat_ms;
-        dopt.attach_timeout_ms = cfg_.dist_attach_timeout_ms;
-        coord = std::make_unique<dist::Coordinator>(p.corpus->path(), dopt);
-        exec.dist = coord.get();
-      }
       r.outcome = algo->run(g, p.job, exec);
       p.token->check();  // a deadline that fired during the last round
       r.status = "ok";

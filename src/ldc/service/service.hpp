@@ -60,18 +60,14 @@ struct ServiceConfig {
   std::size_t workers = 1;         ///< lanes; 0 = default_thread_count()
   std::size_t queue_capacity = 64; ///< admission bound (backpressure beyond)
   std::size_t cache_bytes = 64 * 1024;  ///< result-cache budget; 0 = off
+  /// kSerial or kSharded; the constructor rejects kDist with
+  /// std::invalid_argument.
   Network::Engine job_engine = Network::Engine::kSerial;
   std::size_t job_shards = 1;      ///< kSharded shards per job (nesting
                                    ///< policy); 1 = serial code path
   /// Non-empty: serve family == "corpus" jobs from <dir>/<name>.ldcg via
   /// a shared CorpusRegistry (each corpus mapped once, workers share it).
   std::string corpus_dir;
-  /// Engine::kDist knobs (corpus jobs only: the per-job coordinator
-  /// spawns its shard workers over the job's corpus file). 0 workers
-  /// resolves via LDC_DIST_WORKERS with the hardware fallback.
-  std::size_t dist_workers = 0;
-  std::uint64_t dist_heartbeat_ms = 30000;
-  std::uint64_t dist_attach_timeout_ms = 10000;
 };
 
 /// Outcome of a submit(): either an assigned id or a rejection reason.

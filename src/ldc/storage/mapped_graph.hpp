@@ -41,7 +41,6 @@ class MappedGraph {
   void verify() const;
 
   const CorpusMeta& meta() const { return layout_.meta; }
-  const std::string& path() const { return path_; }
   std::uint64_t file_bytes() const { return layout_.meta.file_bytes; }
 
   /// Zero-copy Graph view pinned to the mapping — safe to copy by value

@@ -10,11 +10,9 @@
 // typed WorkerError naming the shard and round (well inside the
 // heartbeat window, with no orphan processes left behind), a SIGSTOPped
 // worker trips the heartbeat timeout, a round's CONGEST violation or bad
-// sender list throws its own type before any frame leaves, and every dist
-// knob (LDC_DIST_WORKERS,
-// heartbeat/attach timeouts) is parsed strictly — garbage throws
-// std::invalid_argument naming the offending token, never a silent
-// fallback.
+// sender list throws its own type before any frame leaves, and a bad
+// coordinator option (a worker count outside [1, 64], a zero timeout)
+// throws std::invalid_argument, never a silent fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -718,6 +716,49 @@ TEST(Dist, CrossShardTrafficMatchesShardedEngine) {
 
 // ---------------------------------------------------------- robustness --
 
+/// True when the test process has no child left to reap.
+bool no_children() {
+  errno = 0;
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
+/// A /bin/sh stand-in for ldc_shard, for CoordinatorOptions::shard_binary:
+/// it runs the real worker over `corpus`, whatever corpus the coordinator
+/// names, on the socket the coordinator hands it (fd 3), then writes the
+/// worker's exit status to a file. The coordinator reaps the wrapper, so
+/// the test reads the worker's status from that file, not from waitpid.
+class ShardWrapper {
+ public:
+  ShardWrapper(const std::string& tag, const std::string& corpus)
+      : path_(testing::TempDir() + "ldc_shard_wrapper_" + tag + ".sh"),
+        status_(testing::TempDir() + "ldc_shard_wrapper_" + tag + ".status") {
+    std::remove(status_.c_str());
+    std::ofstream f(path_);
+    f << "#!/bin/sh\n"
+      << "'" << shard_binary() << "' --corpus '" << corpus << "' --fd 3\n"
+      << "echo $? > '" << status_ << "'\n";
+    f.close();
+    ::chmod(path_.c_str(), 0755);
+  }
+  ~ShardWrapper() {
+    std::remove(path_.c_str());
+    std::remove(status_.c_str());
+  }
+  const std::string& path() const { return path_; }
+
+  /// The worker's exit status, or -1 while no status has been written.
+  int worker_status() const {
+    std::ifstream f(status_);
+    int status = -1;
+    f >> status;
+    return f ? status : -1;
+  }
+
+ private:
+  std::string path_;
+  std::string status_;
+};
+
 // A worker serving a DIFFERENT corpus (same n, different edges, so only
 // the content digest can tell) must be rejected at attach with a typed
 // AttachError — before any round runs over mismatched adjacency.
@@ -728,26 +769,14 @@ TEST(Dist, AttachRejectsCorpusContentDigestMismatch) {
   write_graph(a, ca.path());
   write_graph(b, cb.path());
 
-  const std::string sock = testing::TempDir() + "ldc_dist_attach.sock";
-  std::remove(sock.c_str());
   const std::string bin = shard_binary();
   ASSERT_EQ(::access(bin.c_str(), X_OK), 0) << "ldc_shard not found at "
                                             << bin;
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child: wait for the coordinator's listening socket, then attach
-    // with the WRONG corpus.
-    for (int i = 0; i < 400 && ::access(sock.c_str(), F_OK) != 0; ++i) {
-      ::usleep(20 * 1000);
-    }
-    ::execl(bin.c_str(), "ldc_shard", "--corpus", cb.path().c_str(),
-            "--connect-unix", sock.c_str(), static_cast<char*>(nullptr));
-    ::_exit(127);
-  }
+  // The coordinator maps corpus a; its worker runs with the WRONG one.
+  const ShardWrapper wrong("attach", cb.path());
   CoordinatorOptions opt;
   opt.workers = 1;
-  opt.listen_unix = sock;
+  opt.shard_binary = wrong.path();
   opt.attach_timeout_ms = 10000;
   try {
     Coordinator coord(ca.path(), opt);
@@ -757,16 +786,9 @@ TEST(Dist, AttachRejectsCorpusContentDigestMismatch) {
               std::string::npos)
         << e.what();
   }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  // The failed attach tears the listen socket down behind itself.
-  EXPECT_NE(::access(sock.c_str(), F_OK), 0) << "listen socket leaked";
-}
-
-/// True when the test process has no child left to reap.
-bool no_children() {
-  errno = 0;
-  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+  ASSERT_NE(wrong.worker_status(), -1) << "the worker did not exit";
+  // The failed attach reaps its worker behind itself.
+  EXPECT_TRUE(no_children()) << "worker process leaked";
 }
 
 // The coordinator verifies the corpus while its workers start: a corpus
@@ -793,10 +815,9 @@ TEST(Dist, CorruptCorpusFailsTheAttachAndLeavesNoWorker) {
 }
 
 // A worker checks its corpus content right after its HELLO, before it
-// reads any frame: a listen-mode worker holding a copy of the corpus
-// altered after writing (its header, and so the digest it announces,
-// intact) ends before the attach completes, an AttachError, and never
-// serves a round.
+// reads any frame: a worker holding a copy of the corpus altered after
+// writing (its header, and so the digest it announces, intact) ends
+// before the attach completes, an AttachError, and never serves a round.
 TEST(Dist, WorkerVerifiesItsCorpusBeforeServingARound) {
   const Graph g = gen::gnp(40, 0.2, 14);
   TempCorpus good("verify_good"), bad("verify_bad");
@@ -810,22 +831,11 @@ TEST(Dist, WorkerVerifiesItsCorpusBeforeServingARound) {
     f.seekp(-1, std::ios::end);
     f.put(static_cast<char>(c ^ 0x40));
   }
-  const std::string sock = testing::TempDir() + "ldc_dist_verify.sock";
-  std::remove(sock.c_str());
-  const std::string bin = shard_binary();
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    for (int i = 0; i < 400 && ::access(sock.c_str(), F_OK) != 0; ++i) {
-      ::usleep(20 * 1000);
-    }
-    ::execl(bin.c_str(), "ldc_shard", "--corpus", bad.path().c_str(),
-            "--connect-unix", sock.c_str(), static_cast<char*>(nullptr));
-    ::_exit(127);
-  }
+  // The coordinator maps the good copy; its worker maps the bad one.
+  const ShardWrapper corrupt("verify", bad.path());
   CoordinatorOptions opt;
   opt.workers = 1;
-  opt.listen_unix = sock;
+  opt.shard_binary = corrupt.path();
   bool rejected = false;
   try {
     Coordinator coord(good.path(), opt);
@@ -837,9 +847,9 @@ TEST(Dist, WorkerVerifiesItsCorpusBeforeServingARound) {
     rejected = true;
   }
   EXPECT_TRUE(rejected);
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << status;
+  const int status = corrupt.worker_status();
+  ASSERT_NE(status, -1) << "the worker did not exit";
+  EXPECT_EQ(status, 1) << status;
 }
 
 // A worker binary that cannot be started is an AttachError naming it, at
@@ -1164,11 +1174,11 @@ TEST(Dist, ParsePositiveU64RejectsGarbageNamingTheToken) {
   for (const char* bad :
        {"banana", "0", "-3", "3x", "", "99999999999999999999"}) {
     try {
-      parse_positive_u64("--heartbeat-ms", bad, 86400000ull);
+      parse_positive_u64("--fd", bad, 1 << 20);
       ADD_FAILURE() << "\"" << bad << "\": expected std::invalid_argument";
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("--heartbeat-ms"), std::string::npos) << bad;
+      EXPECT_NE(what.find("--fd"), std::string::npos) << bad;
       EXPECT_NE(what.find(std::string("\"") + bad + "\""), std::string::npos)
           << "message must quote the offending token: " << what;
     }
@@ -1177,31 +1187,7 @@ TEST(Dist, ParsePositiveU64RejectsGarbageNamingTheToken) {
   EXPECT_THROW(parse_positive_u64("--workers", "65", 64),
                std::invalid_argument);
   EXPECT_EQ(parse_positive_u64("--workers", "64", 64), 64u);
-  EXPECT_EQ(parse_positive_u64("--attach-timeout-ms", "1500", 86400000ull),
-            1500u);
-}
-
-TEST(Dist, LdcDistWorkersEnvStrictParsing) {
-  for (const char* bad : {"banana", "0", "-2", "4x", "1000"}) {
-    ASSERT_EQ(setenv("LDC_DIST_WORKERS", bad, 1), 0);
-    try {
-      dist::default_worker_count();
-      ADD_FAILURE() << "LDC_DIST_WORKERS=" << bad
-                    << ": expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("LDC_DIST_WORKERS"),
-                std::string::npos)
-          << bad;
-    }
-  }
-  ASSERT_EQ(setenv("LDC_DIST_WORKERS", "5", 1), 0);
-  EXPECT_EQ(dist::default_worker_count(), 5u);
-  ASSERT_EQ(setenv("LDC_DIST_WORKERS", "", 1), 0);
-  std::size_t k = 0;
-  EXPECT_NO_THROW(k = dist::default_worker_count());  // empty == unset
-  EXPECT_GE(k, 1u);
-  EXPECT_LE(k, dist::kMaxDistWorkers);
-  unsetenv("LDC_DIST_WORKERS");
+  EXPECT_EQ(parse_positive_u64("--fd", "1500", 1 << 20), 1500u);
 }
 
 TEST(Dist, CoordinatorRejectsBadOptions) {
@@ -1216,6 +1202,11 @@ TEST(Dist, CoordinatorRejectsBadOptions) {
   {
     CoordinatorOptions opt;
     opt.attach_timeout_ms = 0;
+    EXPECT_THROW(Coordinator(tc.path(), opt), std::invalid_argument);
+  }
+  {
+    CoordinatorOptions opt;
+    opt.workers = 0;
     EXPECT_THROW(Coordinator(tc.path(), opt), std::invalid_argument);
   }
   {

@@ -606,6 +606,14 @@ TEST(Service, ZeroWorkersResolveToDefault) {
   ASSERT_EQ(unsetenv("LDC_THREADS"), 0);
 }
 
+// Jobs run on an in-process engine: a service configured for kDist is a
+// typed error at construction, before any lane starts.
+TEST(Service, RejectsTheDistEngine) {
+  ServiceConfig cfg;
+  cfg.job_engine = Network::Engine::kDist;
+  EXPECT_THROW(Service svc(cfg), std::invalid_argument);
+}
+
 // A service whose worker threads cannot all start must throw from its
 // constructor, leaving no thread behind. The child caps its address space
 // so that only about three of the sixteen lanes' stacks fit.
