@@ -1,28 +1,22 @@
 // E17 (concurrent serving) — the event-loop frontend end to end.
 //
-// Two tables. The determinism table (E17a) is the serving subsystem's
-// core contract made measurable: K scripted sessions run twice against
-// an in-process EventLoopServer — once solo (one session at a time) and
-// once multiplexed (all K concurrent) — over a single shared Service at
-// one worker. Each session's script uses the pause / submit burst /
+// The determinism table (E17a) is the serving subsystem's core contract
+// made measurable: K scripted sessions run twice against an in-process
+// EventLoopServer — once solo (one session at a time) and once
+// multiplexed (all K concurrent) — over a single shared Service at one
+// worker. Each session's script uses the pause / submit burst /
 // cancel-last / resume / drain / shutdown discipline, which pins every
 // admission, cancellation and result order, so each session's *entire
 // byte stream* must be identical solo vs multiplexed; at 7 workers only
 // per-session result order may change, so the sorted union of all lines
 // must match the 1-worker union exactly. Both digests are
 // machine-independent (streams carry model-exact fields only) and are
-// baseline-gated.
-//
-// The load table (E17b) is observational: an open-loop Zipf-skewed
-// workload (bench/load_gen.hpp) against the same server over a real
-// unix socket, reporting goodput vs offered load and latency
-// percentiles at two offered rates.
+// baseline-gated. The open-loop latency of ldc_serve is perfbench's
+// serve-zipf workload.
 #include "common.hpp"
-#include "load_gen.hpp"
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <thread>
 
 #include <sys/socket.h>
@@ -173,55 +167,14 @@ void run(harness::ExperimentContext& ctx) {
                std::string(union7 == union1 ? "ok (same line multiset)"
                                             : "DIVERGED"),
                union7});
-
-  // ---- E17b: open-loop load over a real unix socket. ------------------
-  auto& load = ctx.table(
-      "E17b: open-loop load, goodput vs offered (2 workers, Zipf 1.1)",
-      {"offered/s", "conns", "sent (obs)", "rejected (obs)", "ok (obs)",
-       "cached (obs)", "cancelled (obs)", "goodput/s (obs)",
-       "p50 us (obs)", "p99 us (obs)", "p99.9 us (obs)",
-       "wall ms (obs)"});
-
-  const std::string path =
-      "/tmp/ldc_e17_" + std::to_string(::getpid()) + ".sock";
-  service::ServiceConfig cfg;
-  cfg.workers = 2;
-  cfg.queue_capacity = 256;
-  service::EventLoopServer server(cfg, {});
-  server.listen_on(path);
-  std::thread loop([&] { server.run(); });
-
-  for (const double rate :
-       ctx.pick<std::vector<double>>({200.0, 800.0}, {100.0, 400.0})) {
-    bench::LoadOptions opt;
-    opt.socket_path = path;
-    opt.connections = ctx.pick<std::size_t>(4, 2);
-    opt.rate = rate;
-    opt.duration_ms = ctx.pick<std::uint64_t>(1000, 300);
-    opt.hot_jobs = 16;
-    opt.zipf_s = 1.1;
-    opt.cancel_every = 9;
-    opt.deadline_every = 13;
-    opt.deadline_ms = 50;
-    opt.graph_n = 32;
-    opt.seed = 7;
-    const bench::LoadReport rep = bench::run_open_loop(opt);
-    load.add_row({rate, std::uint64_t{opt.connections}, rep.sent,
-                  rep.rejected, rep.ok, rep.cached, rep.cancelled,
-                  rep.goodput, rep.p50_us, rep.p99_us, rep.p999_us,
-                  rep.wall_ms});
-  }
-  server.stop();
-  loop.join();
 }
 
 const harness::Registrar reg{{
     .name = "e17_concurrent_serving",
     .claim = "Event-loop serving: multiplexed sessions are byte-identical "
              "to solo runs at one worker and line-multiset-identical at "
-             "seven; open-loop load shows goodput tracking offered rate "
-             "with bounded tail latency",
-    .axes = {"workers", "sessions", "offered/s"},
+             "seven",
+    .axes = {"workers", "sessions"},
     .run = run,
 }};
 

@@ -13,22 +13,9 @@
 namespace ldc {
 
 std::size_t ShardCrew::default_thread_count() {
-  if (const char* env = std::getenv("LDC_THREADS")) {
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(env, &end, 10);
-    // Reject garbage, trailing junk, empty strings, 0, negatives, and
-    // out-of-range values (strtol saturates with ERANGE on overflow) by
-    // falling back to hardware concurrency instead of misconfiguring the
-    // crew.
-    if (errno == 0 && end != env && *end == '\0' && v >= 1 &&
-        v <= static_cast<long>(kMaxThreads)) {
-      return static_cast<std::size_t>(v);
-    }
-  }
   // hardware_concurrency() can cost a syscall (sysconf / sched_getaffinity)
   // on some libstdc++ builds; the topology does not change mid-process, so
-  // probe once. The env parse above stays per-call: tests flip LDC_THREADS.
+  // probe once.
   static const unsigned hw = [] {
     const unsigned probed = std::thread::hardware_concurrency();
     return probed == 0 ? 1u : probed;

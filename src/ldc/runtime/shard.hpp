@@ -99,22 +99,19 @@ class ShardCrew {
     wait();
   }
 
-  /// Worker count for a caller that asks for 0: the LDC_THREADS
-  /// environment variable if it is an integer in [1, kMaxThreads],
-  /// otherwise std::thread::hardware_concurrency(), otherwise 1. Garbage
-  /// falls back silently.
+  /// Worker count for a caller that asks for 0:
+  /// std::thread::hardware_concurrency(), or 1 when that is unknown.
   static std::size_t default_thread_count();
 
   /// A worker is an OS thread: a count beyond this is a misconfiguration
-  /// (e.g. LDC_THREADS set to a node count), not a request.
+  /// (e.g. ldc_serve --workers set to a node count), not a request.
   static constexpr std::size_t kMaxThreads = 4096;
 
   /// Shard count to use when set_engine(kSharded, 0) is called: the
   /// LDC_SHARDS environment variable if set — rejected loudly
   /// (std::invalid_argument) when it is not an integer in [1, 1024],
-  /// unlike LDC_THREADS' silent fallback, because a typo here silently
-  /// changing the execution shape is exactly what the strict parse is for
-  /// — else default_thread_count().
+  /// because a typo silently changing the execution shape is exactly
+  /// what the strict parse is for — else default_thread_count().
   static std::size_t default_shard_count();
 
   static constexpr std::size_t kMaxShards = 1024;

@@ -114,7 +114,6 @@ void register_builtins(AlgorithmRegistry& r) {
 }  // namespace
 
 void ExecContext::configure(Network& net) const {
-  net.set_engine(engine, threads);
   if (cancel != nullptr) {
     const CancelToken* token = cancel;
     net.set_round_callback([token](std::uint64_t) { token->check(); });

@@ -4,9 +4,10 @@
 // algorithms self-describe with a stable id and run callback, the registry
 // lists and resolves them, and the built-in roster is registered at first
 // use. Bodies receive the job's graph, the parsed Job (seed + params) and
-// an ExecContext carrying the engine choice and the cancellation token;
-// they must call exec.configure(net) on every Network they create so
-// cancellation and deadlines are honoured at round boundaries.
+// an ExecContext carrying the cancellation token; they must call
+// exec.configure(net) on every Network they create so cancellation and
+// deadlines are honoured at round boundaries. Every Network a body makes
+// runs on the serial engine: the service's parallelism is its lanes.
 //
 // Outcomes carry only model-exact quantities (validity, colors, rounds,
 // traffic, a digest of the coloring) — an outcome is a pure function of
@@ -40,12 +41,10 @@ struct JobOutcome {
 
 /// Per-job execution environment handed to algorithm bodies.
 struct ExecContext {
-  Network::Engine engine = Network::Engine::kSerial;
-  std::size_t threads = 1;          ///< engine lanes (see nesting policy)
   const CancelToken* cancel = nullptr;
 
-  /// Applies the engine choice and installs the round-boundary
-  /// cancellation check on `net`. Call on every Network the body creates.
+  /// Installs the round-boundary cancellation check on `net`. Call on
+  /// every Network the body creates.
   void configure(Network& net) const;
 
   /// Explicit cancellation point for pre/post-network compute phases.

@@ -55,17 +55,12 @@ void usage(std::FILE* out) {
                "(or a unix socket). One request object per line in, one\n"
                "event object per line out; EOF or SIGTERM drains and exits.\n"
                "\n"
-               "  --workers N         worker lanes (0 = LDC_THREADS/cores; "
+               "  --workers N         worker lanes (0 = hardware threads; "
                "default 1)\n"
                "  --queue-capacity N  admission bound before backpressure "
                "(default 64)\n"
                "  --cache-bytes N     result-cache budget, 0 disables "
                "(default 65536)\n"
-               "  --engine serial|sharded\n"
-               "                      per-job simulation engine (default "
-               "serial)\n"
-               "  --shards N          shard count per job (implies\n"
-               "                      --engine sharded; 0 = LDC_SHARDS)\n"
                "  --corpus-dir DIR    serve {\"graph\":{\"corpus\":NAME}} "
                "jobs from\n"
                "                      DIR/NAME.ldcg (mmap, shared across "
@@ -109,7 +104,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (arg == "--workers") {
-      // 0 = the default; the cap is LDC_THREADS' (one lane, one thread).
+      // 0 = the default; the cap is the crew's (one lane, one thread).
       const char* text = value();
       if (!parse_size(text, cfg.workers) ||
           cfg.workers > ldc::ShardCrew::kMaxThreads) {
@@ -130,23 +125,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "ldc_serve: bad --cache-bytes\n");
         return 2;
       }
-    } else if (arg == "--engine") {
-      const std::string v = value();
-      if (v == "serial") {
-        cfg.job_engine = ldc::Network::Engine::kSerial;
-      } else if (v == "sharded") {
-        cfg.job_engine = ldc::Network::Engine::kSharded;
-      } else {
-        std::fprintf(stderr, "ldc_serve: --engine serial|sharded\n");
-        return 2;
-      }
-    } else if (arg == "--shards") {
-      if (!parse_size(value(), cfg.job_shards) || cfg.job_shards == 0 ||
-          cfg.job_shards > ldc::ShardCrew::kMaxShards) {
-        std::fprintf(stderr, "ldc_serve: bad --shards\n");
-        return 2;
-      }
-      cfg.job_engine = ldc::Network::Engine::kSharded;
     } else if (arg == "--corpus-dir") {
       cfg.corpus_dir = value();
     } else if (arg == "--socket") {

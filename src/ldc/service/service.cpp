@@ -8,22 +8,9 @@
 #include "ldc/graph/io_error.hpp"
 
 namespace ldc::service {
-namespace {
 
-/// Checked before any lane starts: a job runs on an in-process engine.
-const ServiceConfig& checked(const ServiceConfig& cfg) {
-  if (cfg.job_engine == Network::Engine::kDist) {
-    throw std::invalid_argument(
-        "ServiceConfig: job_engine must be kSerial or kSharded");
-  }
-  return cfg;
-}
-
-}  // namespace
-
-Service::Service(ServiceConfig cfg, ResultCallback on_result)
-    : cfg_(checked(cfg)),
-      on_result_(std::move(on_result)),
+Service::Service(const ServiceConfig& cfg, ResultCallback on_result)
+    : on_result_(std::move(on_result)),
       corpora_(cfg.corpus_dir.empty()
                    ? nullptr
                    : std::make_unique<storage::CorpusRegistry>(
@@ -191,8 +178,6 @@ void Service::run_one(Pending& p) {
         g = build_graph(p.job.graph);
       }
       ExecContext exec;
-      exec.engine = cfg_.job_engine;
-      exec.threads = cfg_.job_shards;
       exec.cancel = p.token.get();
       r.outcome = algo->run(g, p.job, exec);
       p.token->check();  // a deadline that fired during the last round

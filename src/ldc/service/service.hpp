@@ -14,16 +14,9 @@
 //
 // Workers: the constructor starts W lanes on a ShardCrew
 // (runtime/shard.hpp), each popping the queue until shutdown() closes
-// it; shutdown() then waits for the crew. The service therefore runs W
-// threads and no other.
-//
-// Thread-nesting policy (documented contract, exercised in test_service):
-// the lanes run WHOLE jobs concurrently, one lane per job. A job may
-// itself request the sharded engine (config job_engine/job_shards); each
-// Network owns its private ShardCrew, so nesting is safe but multiplies
-// live threads (workers * job_shards) — the deployment default is
-// therefore parallel jobs with a serial engine, or one worker with a
-// sharded engine, not both.
+// it; shutdown() then waits for the crew. Each lane runs whole jobs, one
+// at a time, on the serial engine, so the service runs W threads and no
+// other.
 //
 // Determinism: with workers == 1 and a script that separates bursts with
 // drain(), the full result stream (ids, order, every field) is a pure
@@ -44,7 +37,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "ldc/runtime/network.hpp"
 #include "ldc/runtime/shard.hpp"
 #include "ldc/service/algorithms.hpp"
 #include "ldc/service/cache.hpp"
@@ -60,11 +52,6 @@ struct ServiceConfig {
   std::size_t workers = 1;         ///< lanes; 0 = default_thread_count()
   std::size_t queue_capacity = 64; ///< admission bound (backpressure beyond)
   std::size_t cache_bytes = 64 * 1024;  ///< result-cache budget; 0 = off
-  /// kSerial or kSharded; the constructor rejects kDist with
-  /// std::invalid_argument.
-  Network::Engine job_engine = Network::Engine::kSerial;
-  std::size_t job_shards = 1;      ///< kSharded shards per job (nesting
-                                   ///< policy); 1 = serial code path
   /// Non-empty: serve family == "corpus" jobs from <dir>/<name>.ldcg via
   /// a shared CorpusRegistry (each corpus mapped once, workers share it).
   std::string corpus_dir;
@@ -123,12 +110,12 @@ class Service {
   /// Starts the worker lanes immediately. The callback is invoked from
   /// worker threads, one call at a time per job but concurrently across
   /// jobs when workers > 1 — the callback must be thread-safe.
-  Service(ServiceConfig cfg, ResultCallback on_result);
+  Service(const ServiceConfig& cfg, ResultCallback on_result);
 
   /// Callback-less variant for frontends that route every result through
   /// per-submit callbacks (SubmitOptions::on_result). A job submitted
   /// without its own callback is still run; its result is dropped.
-  explicit Service(ServiceConfig cfg) : Service(std::move(cfg), nullptr) {}
+  explicit Service(const ServiceConfig& cfg) : Service(cfg, nullptr) {}
 
   /// Implies shutdown(): drains admitted jobs, joins workers.
   ~Service();
@@ -189,7 +176,6 @@ class Service {
   void run_one(Pending& p);
   void emit(const JobResult& r, const Pending& p);
 
-  const ServiceConfig cfg_;
   ResultCallback on_result_;
   std::unique_ptr<storage::CorpusRegistry> corpora_;  ///< null without dir
   ResultCache cache_;

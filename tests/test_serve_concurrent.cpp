@@ -2,22 +2,26 @@
 // many simultaneous sessions over one shared Service must each see the
 // exact byte stream a dedicated solo run would produce (1 worker), the
 // union of emitted lines must be invariant to worker count, framing must
-// survive arbitrarily small reads and writes, and a paused session whose
-// input ends must still run its jobs and say "bye". Labelled "tsan": the
-// ThreadSanitizer CI job runs this suite, whose services set their own
-// worker counts (1 and 7, more workers than cores).
+// survive arbitrarily small reads and writes, unpaused sessions over a
+// listening socket must reconcile every admitted job under cancel churn,
+// and a paused session whose input ends must still run its jobs and say
+// "bye". Labelled "tsan": the ThreadSanitizer CI job runs this suite,
+// whose services set their own worker counts (1, 2 and 7, more workers
+// than cores).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "ldc/harness/json.hpp"
@@ -29,20 +33,25 @@ namespace {
 
 constexpr const char* kAlgos[] = {"greedy", "luby", "linial", "kw"};
 
+/// One submit request line: `algorithm` on an n-vertex ring.
+std::string submit_line(const char* algorithm, std::uint64_t seed,
+                        std::size_t n) {
+  Job job;
+  job.algorithm = algorithm;
+  job.seed = seed;
+  job.graph.family = "ring";
+  job.graph.n = n;
+  harness::Json req = harness::Json::object();
+  req.add("op", "submit");
+  req.add("job", job_to_json(job));
+  return req.dump() + "\n";
+}
+
 /// A pause, then a burst of `jobs` submits that stay gated.
 std::string paused_burst(std::size_t idx, std::size_t jobs) {
   std::string s = "{\"op\":\"pause\"}\n";
   for (std::size_t j = 0; j < jobs; ++j) {
-    Job job;
-    job.algorithm = kAlgos[(idx + j) % 4];
-    job.seed = 100 * idx + j + 1;
-    job.graph.family = "ring";
-    job.graph.n = 16;
-    harness::Json req = harness::Json::object();
-    req.add("op", "submit");
-    req.add("job", job_to_json(job));
-    s += req.dump();
-    s.push_back('\n');
+    s += submit_line(kAlgos[(idx + j) % 4], 100 * idx + j + 1, 16);
   }
   return s;
 }
@@ -178,6 +187,84 @@ TEST(ServeConcurrent, SevenWorkerUnionMatchesOneWorkerUnion) {
 }
 
 // ---------------------------------------------------------------------------
+// Unpaused load with cancel churn
+
+/// An unpaused session: `jobs` submits over a hot set of eight specs (so
+/// repeats hit the cache), each 9th id cancelled right after its submit,
+/// then shutdown. Nothing gates the jobs, so results interleave with
+/// admissions by worker timing, and only the counts are pinned.
+std::string churn_script(std::size_t idx, std::size_t jobs) {
+  std::string s;
+  for (std::size_t id = 1; id <= jobs; ++id) {
+    const std::size_t spec = (idx + id) % 8;
+    s += submit_line(kAlgos[spec % 4], spec + 1, 32);
+    if (id % 9 == 0) {
+      s += "{\"op\":\"cancel\",\"id\":" + std::to_string(id) + "}\n";
+    }
+  }
+  return s + "{\"op\":\"shutdown\"}\n";
+}
+
+int connect_unix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  path.copy(addr.sun_path, sizeof addr.sun_path - 1);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(ServeConcurrent, UnpausedSocketSessionsReconcileUnderCancelChurn) {
+  constexpr std::size_t kSessions = 4;
+  constexpr std::size_t kJobs = 45;
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.queue_capacity = 256;  // the default result cache stays on
+  EventLoopServer server(cfg, {});
+  const std::string path = ::testing::TempDir() + "ldc_churn_" +
+                           std::to_string(::getpid()) + ".sock";
+  server.listen_on(path);
+  std::thread loop([&] { server.run(); });
+  std::vector<std::string> streams(kSessions);
+  std::vector<std::thread> clients;
+  for (std::size_t idx = 0; idx < kSessions; ++idx) {
+    clients.emplace_back([&, idx] {
+      const int fd = connect_unix(path);
+      ASSERT_GE(fd, 0) << "connect " << path;
+      streams[idx] = run_script_client(fd, churn_script(idx, kJobs));
+    });
+  }
+  for (auto& t : clients) t.join();
+  server.stop();
+  loop.join();
+
+  for (std::size_t idx = 0; idx < kSessions; ++idx) {
+    const auto lines = split_lines(streams[idx]);
+    ASSERT_FALSE(lines.empty()) << "session " << idx;
+    EXPECT_EQ(lines.back(), "{\"event\":\"bye\"}") << "session " << idx;
+    std::map<std::string, std::size_t> events, statuses;
+    for (const auto& line : lines) {
+      const harness::Json ev = harness::Json::parse_line(line);
+      const std::string& kind = ev.at("event").as_string();
+      ++events[kind];
+      if (kind == "result") ++statuses[ev.at("status").as_string()];
+    }
+    EXPECT_EQ(events["error"], 0u) << streams[idx];
+    EXPECT_EQ(events["admitted"] + events["rejected"], kJobs) << "session "
+                                                              << idx;
+    EXPECT_EQ(events["result"], events["admitted"]) << "session " << idx;
+    EXPECT_EQ(statuses["ok"] + statuses["cancelled"] +
+                  statuses["deadline_missed"] + statuses["failed"],
+              events["result"])
+        << "session " << idx;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Partial-I/O torture
 
 TEST(ServeConcurrent, ByteAtATimeWritesAndReadsPreserveTheStream) {
@@ -244,15 +331,7 @@ TEST(ServeConcurrent, MidRequestDisconnectLeavesServerServing) {
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     server.adopt(sv[0]);
-    Job job;
-    job.algorithm = "greedy";
-    job.graph.family = "ring";
-    job.graph.n = 16;
-    harness::Json req = harness::Json::object();
-    req.add("op", "submit");
-    req.add("job", job_to_json(job));
-    std::string wire = req.dump();
-    wire.push_back('\n');
+    const std::string wire = submit_line("greedy", 1, 16);
     send_all(sv[1], wire.data(), wire.size());
     ::close(sv[1]);  // abandon without reading anything
   }

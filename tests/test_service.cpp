@@ -1,6 +1,6 @@
 // The job-serving subsystem: queue semantics, LRU cache accounting, job
 // digests, latency histograms, end-to-end service behaviour (backpressure,
-// cancellation, deadlines, caching, the thread-nesting policy) and the
+// cancellation, deadlines, caching, the worker count) and the
 // line-delimited JSON protocol including its determinism contract.
 #include <gtest/gtest.h>
 
@@ -598,20 +598,11 @@ TEST(Service, RunsOneJobPerWorkerAtOnce) {
 }
 
 TEST(Service, ZeroWorkersResolveToDefault) {
-  ASSERT_EQ(setenv("LDC_THREADS", "3", 1), 0);
   ServiceConfig cfg;
   cfg.workers = 0;
   Service svc(cfg);
-  EXPECT_EQ(svc.workers(), 3u);
-  ASSERT_EQ(unsetenv("LDC_THREADS"), 0);
-}
-
-// Jobs run on an in-process engine: a service configured for kDist is a
-// typed error at construction, before any lane starts.
-TEST(Service, RejectsTheDistEngine) {
-  ServiceConfig cfg;
-  cfg.job_engine = Network::Engine::kDist;
-  EXPECT_THROW(Service svc(cfg), std::invalid_argument);
+  EXPECT_EQ(svc.workers(),
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 // A service whose worker threads cannot all start must throw from its
@@ -694,40 +685,6 @@ TEST(Service, FailedJobReportsErrorNotCrash) {
   EXPECT_EQ(c.results[0].status, "failed");
   EXPECT_NE(c.results[0].error.find("no_such_algorithm"),
             std::string::npos);
-}
-
-TEST(Service, NestingPolicyParallelJobsInsideWorkerPool) {
-  // The documented nesting contract: pool lanes run whole jobs; a job may
-  // itself run on K shard threads (each Network owns a private crew).
-  // The engine choice must not change any model-exact result.
-  const std::vector<Job> jobs = {
-      ring_job("linial", 32, 1), ring_job("kw", 32, 1),
-      ring_job("luby", 32, 7), ring_job("greedy", 32, 1)};
-
-  auto run_with = [&](Network::Engine engine, std::size_t job_shards) {
-    ServiceConfig cfg;
-    cfg.workers = 2;  // concurrent whole jobs ...
-    cfg.job_engine = engine;
-    cfg.job_shards = job_shards;  // ... each itself parallel
-    cfg.cache_bytes = 0;  // force real computation in both configurations
-    Collector c;
-    Service svc(cfg, c.callback());
-    for (const auto& j : jobs) EXPECT_TRUE(svc.submit(j).admitted);
-    svc.drain();
-    svc.shutdown();
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-    for (const auto& r : c.results) {
-      EXPECT_EQ(r.status, "ok");
-      EXPECT_TRUE(r.outcome.valid);
-      out.emplace_back(r.digest, r.outcome.color_digest);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-
-  const auto serial = run_with(Network::Engine::kSerial, 1);
-  const auto nested = run_with(Network::Engine::kSharded, 2);
-  EXPECT_EQ(serial, nested);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@
 // engine switch, LDC_SHARDS is parsed strictly (garbage throws instead
 // of silently reshaping the run), and cross_shard_traffic() counts
 // exactly the messages that crossed a partition boundary. It also pins
-// the ShardCrew itself: LDC_THREADS' lax fallback, the lowest-lane
-// rethrow, and a clean throw when a worker thread cannot start.
+// the ShardCrew itself: the lowest-lane rethrow, and a clean throw when a
+// worker thread cannot start.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -723,46 +723,8 @@ TEST(Sharded, EngineSelectionAndClamping) {
   EXPECT_EQ(net.threads(), 1u);
 }
 
-TEST(Sharded, DefaultThreadCountHonorsEnv) {
-  ASSERT_EQ(setenv("LDC_THREADS", "5", 1), 0);
-  EXPECT_EQ(ShardCrew::default_thread_count(), 5u);
-  ASSERT_EQ(setenv("LDC_THREADS", "not-a-number", 1), 0);
-  EXPECT_GE(ShardCrew::default_thread_count(), 1u);  // falls back to hw
-  ASSERT_EQ(setenv("LDC_THREADS", "0", 1), 0);
-  EXPECT_GE(ShardCrew::default_thread_count(), 1u);  // 0 is invalid too
-  ASSERT_EQ(unsetenv("LDC_THREADS"), 0);
-  EXPECT_GE(ShardCrew::default_thread_count(), 1u);
-}
-
-TEST(Sharded, DefaultThreadCountRejectsMalformedEnv) {
-  // Every malformed value must resolve to the hardware-concurrency default,
-  // never to a garbage worker count (strtol's partial parses, negatives,
-  // overflow saturation, and absurdly large counts included).
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t fallback = hw == 0 ? 1 : hw;
-  const char* bad[] = {
-      "",      " ",          "-1",  "-0",         "3threads",
-      "0x10",  "2.5",        "+ 4", "99999999999999999999",  // > LONG_MAX
-      "-9223372036854775808000",                             // < LONG_MIN
-      "1e3",   "eight",      "4 ",
-      "5000",                                  // beyond the 4096 sanity cap
-  };
-  for (const char* v : bad) {
-    ASSERT_EQ(setenv("LDC_THREADS", v, 1), 0);
-    EXPECT_EQ(ShardCrew::default_thread_count(), fallback)
-        << "LDC_THREADS=\"" << v << "\"";
-  }
-  // Boundary values that are valid must still be honored (a parse check
-  // only: no crew of 4096 threads is built).
-  ASSERT_EQ(setenv("LDC_THREADS", "1", 1), 0);
-  EXPECT_EQ(ShardCrew::default_thread_count(), 1u);
-  ASSERT_EQ(setenv("LDC_THREADS", "4096", 1), 0);
-  EXPECT_EQ(ShardCrew::default_thread_count(), 4096u);
-  ASSERT_EQ(unsetenv("LDC_THREADS"), 0);
-}
-
-// LDC_SHARDS is parsed strictly, unlike LDC_THREADS' silent fallback: a
-// typo must fail loudly instead of silently reshaping the execution.
+// LDC_SHARDS is parsed strictly: a typo must fail loudly instead of
+// silently reshaping the execution.
 TEST(Sharded, LdcShardsEnvStrictParsing) {
   const Graph g = gen::ring(12);
   auto resolve = [&]() {
@@ -784,8 +746,10 @@ TEST(Sharded, LdcShardsEnvStrictParsing) {
   }
   ASSERT_EQ(setenv("LDC_SHARDS", "3", 1), 0);
   EXPECT_EQ(resolve(), 3u);
+  // Empty == unset: one shard per hardware thread, clamped to n.
   ASSERT_EQ(setenv("LDC_SHARDS", "", 1), 0);
-  EXPECT_NO_THROW(resolve());  // empty == unset: hardware fallback
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(resolve(), std::min<std::size_t>(hw, g.n()));
   unsetenv("LDC_SHARDS");
 }
 
